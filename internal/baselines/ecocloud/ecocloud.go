@@ -100,7 +100,7 @@ func (p *Protocol) Round(e *sim.Engine, n *sim.Node, round int) {
 func (p *Protocol) shed(e *sim.Engine, n *sim.Node, pm *dc.PM) {
 	c := p.B.C
 	for c.CurUtil(pm)[dc.CPU] > p.T2 {
-		vms := p.B.VMsOf(pm)
+		vms := pm.AppendVMs(nil)
 		if len(vms) == 0 {
 			return
 		}
@@ -129,7 +129,7 @@ func (p *Protocol) shed(e *sim.Engine, n *sim.Node, pm *dc.PM) {
 // makes this baseline *less* aggressive).
 func (p *Protocol) evacuate(e *sim.Engine, n *sim.Node, pm *dc.PM) {
 	c := p.B.C
-	for _, vm := range p.B.VMsOf(pm) {
+	for _, vm := range pm.AppendVMs(nil) {
 		dst := p.findAssenting(e, n, vm)
 		if dst == nil {
 			return

@@ -93,7 +93,7 @@ func (g *Protocol) updateState(s, o *dc.PM) {
 // exact check that makes GRMP blind to demand growth.
 func (g *Protocol) migrateOne(s, o *dc.PM) bool {
 	c := g.B.C
-	vms := g.B.VMsOf(s)
+	vms := s.AppendVMs(nil)
 	if len(vms) == 0 {
 		return false
 	}

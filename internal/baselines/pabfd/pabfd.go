@@ -89,7 +89,7 @@ func (c *Controller) Step(round int) {
 			continue
 		}
 		overloaded[pm.ID] = true
-		vms := c.B.VMsOf(pm)
+		vms := pm.AppendVMs(nil)
 		sort.Slice(vms, func(i, j int) bool {
 			return vms[i].CurAbs()[dc.Mem] < vms[j].CurAbs()[dc.Mem]
 		})
@@ -124,12 +124,12 @@ func (c *Controller) Step(round int) {
 		if src == nil {
 			break
 		}
-		vms := c.B.VMsOf(src)
+		vms := src.AppendVMs(nil)
 		plan, ok := c.planPlacement(vms, th, map[int]bool{src.ID: true})
 		if !ok {
 			break
 		}
-		// Execute the plan in the stable VMsOf order: plan is keyed by
+		// Execute the plan in the stable ascending-ID order: plan is keyed by
 		// pointer, and ranging over it directly would replay the migrations
 		// in an order that varies run to run.
 		for _, vm := range vms {

@@ -6,12 +6,13 @@ import (
 	"github.com/glap-sim/glap/internal/sim"
 )
 
-// BenchmarkShuffleRound measures one full Cyclon round over 1000 nodes with
+// BenchmarkCyclonRound measures one full Cyclon round over 1000 nodes with
 // the paper-scale view (20 entries, 8-entry shuffles).
-func BenchmarkShuffleRound(b *testing.B) {
+func BenchmarkCyclonRound(b *testing.B) {
 	e := sim.NewEngine(1000, 1)
 	e.Register(New(20, 8))
-	e.RunRounds(1)
+	e.RunRounds(30)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.RunRounds(1)
@@ -19,10 +20,10 @@ func BenchmarkShuffleRound(b *testing.B) {
 }
 
 // BenchmarkMergeFold isolates the view-merge fold on a full view receiving a
-// ShuffleLen-deep exchange of entirely new peers — the worst case for the
-// eviction scan, where every received entry walks the sent-away membership
-// check. The monotone cursor keeps the whole fold O(view + shuffle·sent)
-// instead of O(shuffle · view · sent).
+// ShuffleLen-deep exchange of entirely new peers — the worst case for
+// eviction, where every received entry replaces a sent-away one. The marks
+// make each received entry O(1) and the monotone cursor walks the view once,
+// so the whole fold is O(view + shuffle).
 func BenchmarkMergeFold(b *testing.B) {
 	e := sim.NewEngine(1000, 1)
 	c := New(20, 8)

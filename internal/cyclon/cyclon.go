@@ -7,6 +7,8 @@
 package cyclon
 
 import (
+	"math/bits"
+
 	"github.com/glap-sim/glap/internal/sim"
 )
 
@@ -94,8 +96,23 @@ type Protocol struct {
 	scratch struct {
 		req, reply []Entry
 		perm       []int
-		sent       []int
+		sentSlots  []uint64
 	}
+
+	// marks indexes the view being merged by peer ID, so merge finds a
+	// received peer's slot without scanning the view. A mark is live only
+	// while its gen equals the protocol's: merge bumps gen and re-stamps the
+	// view's peers on entry, which retires every mark of the previous merge
+	// at once.
+	marks []peerMark
+	gen   uint32
+}
+
+// peerMark is merge's per-peer index entry: while gen matches Protocol.gen,
+// the peer sits in view slot slot.
+type peerMark struct {
+	gen  uint32
+	slot int32
 }
 
 // rngFor returns the protocol's random stream for engine e, re-deriving it
@@ -211,93 +228,74 @@ func (c *Protocol) Round(e *sim.Engine, n *sim.Node, round int) {
 
 // merge folds received entries into view v (owned by self), preferring to
 // overwrite the entries that were sent away, never duplicating peers or
-// adding self, and keeping the freshest age for duplicates. The sent-away
-// membership lives in a reused slice rather than a map: shuffles exchange at
-// most ShuffleLen (typically 8) distinct peers, where a linear scan beats
-// map hashing and allocates nothing.
+// adding self, and keeping the freshest age for duplicates. Each received
+// entry costs O(1): the view is indexed by peer ID in c.marks, kept in sync
+// with every append and replacement below.
 func (c *Protocol) merge(e *sim.Engine, v *View, self int, received, sent []Entry) {
-	sentPeers := c.scratch.sent[:0]
-	for _, s := range sent {
-		sentPeers = append(sentPeers, s.Peer)
+	if len(c.marks) != e.N() {
+		// First merge, or the protocol value moved to an engine of another
+		// size.
+		c.marks, c.gen = make([]peerMark, e.N()), 0
 	}
-	// evictFrom is a monotone cursor over the view for the sent-away scans:
-	// slots below it have been checked and can never re-acquire a sent-away
-	// peer within this merge, so the per-received-entry scan restarts where
-	// the last one stopped instead of from slot 0 (the scan was 2.4% of a
-	// whole-pretrain profile). Soundness rests on an invariant of the loop:
-	// sentPeers ⊆ view at all times — a received entry never carries a
-	// sent-away peer that is absent from the view (a sent-away eviction
-	// removes the peer from sentPeers, and an oldest-entry eviction only runs
-	// when no sent-away peer remains anywhere in the view) — so every view
-	// write below the cursor installs a peer that is not in sentPeers, and a
-	// scan from the cursor finds the same first hit a scan from 0 would.
-	evictFrom := 0
+	c.gen++
+	if c.gen == 0 {
+		// Generation wrap: marks stamped 2^32 merges ago would read as live.
+		clear(c.marks)
+		c.gen = 1
+	}
+	gen, marks := c.gen, c.marks
+	for i, ve := range v.entries {
+		marks[ve.Peer] = peerMark{gen: gen, slot: int32(i)}
+	}
+	// sentSlots is the set of view slots holding a peer this side sent away
+	// (self, the head of a request, is never in the view), one bit per slot.
+	// Slots never move during a merge and a replaced slot holds a peer that
+	// was not sent, so the set only shrinks: taking its lowest bit is the
+	// first sent-away entry in view order, and once it is empty no sent-away
+	// peer is left anywhere in the view.
+	sentSlots := c.scratch.sentSlots[:0]
+	for i := 0; i < len(v.entries); i += 64 {
+		sentSlots = append(sentSlots, 0)
+	}
+	c.scratch.sentSlots = sentSlots
+	for _, s := range sent {
+		if m := marks[s.Peer]; m.gen == gen {
+			sentSlots[m.slot>>6] |= 1 << (m.slot & 63)
+		}
+	}
+	w := 0 // first word of sentSlots that may be non-zero
 	for _, r := range received {
 		if r.Peer == self || !e.Node(r.Peer).Up() {
 			continue
 		}
-		if i := indexOf(v.entries, r.Peer); i >= 0 {
-			if r.Age < v.entries[i].Age {
-				v.entries[i].Age = r.Age
+		if m := marks[r.Peer]; m.gen == gen {
+			if r.Age < v.entries[m.slot].Age {
+				v.entries[m.slot].Age = r.Age
 			}
 			continue
 		}
 		if len(v.entries) < c.ViewSize {
+			marks[r.Peer] = peerMark{gen: gen, slot: int32(len(v.entries))}
 			v.entries = append(v.entries, r)
 			continue
 		}
-		// View full: first evict an entry we sent away, else the oldest.
-		if len(sentPeers) > 0 {
-			if ei := firstInFrom(v.entries, sentPeers, evictFrom); ei >= 0 {
-				sentPeers = removePeer(sentPeers, v.entries[ei].Peer)
-				v.entries[ei] = r
-				evictFrom = ei + 1
-				continue
-			}
-			// No sent-away peer anywhere in [evictFrom:), and none below the
-			// cursor by the invariant: the list is dead for this merge.
-			sentPeers = sentPeers[:0]
+		// View full: first evict an entry we sent away, else the oldest if
+		// it is strictly older.
+		for w < len(sentSlots) && sentSlots[w] == 0 {
+			w++
 		}
-		if oi := v.oldestIndex(); oi >= 0 && v.entries[oi].Age > r.Age {
-			v.entries[oi] = r
+		var ei int
+		if w < len(sentSlots) {
+			bit := bits.TrailingZeros64(sentSlots[w])
+			sentSlots[w] &^= 1 << bit
+			ei = w*64 + bit
+		} else if ei = v.oldestIndex(); ei < 0 || v.entries[ei].Age <= r.Age {
+			continue
 		}
+		marks[v.entries[ei].Peer].gen = 0
+		marks[r.Peer] = peerMark{gen: gen, slot: int32(ei)}
+		v.entries[ei] = r
 	}
-	c.scratch.sent = sentPeers
-}
-
-func indexOf(entries []Entry, peer int) int {
-	for i, e := range entries {
-		if e.Peer == peer {
-			return i
-		}
-	}
-	return -1
-}
-
-// firstInFrom returns the index of the first entry at or after from whose
-// peer is in sent, or -1. merge's cursor discipline guarantees no sent peer
-// sits below from, so the result equals a scan of the whole slice.
-func firstInFrom(entries []Entry, sent []int, from int) int {
-	for i := from; i < len(entries); i++ {
-		for _, p := range sent {
-			if entries[i].Peer == p {
-				return i
-			}
-		}
-	}
-	return -1
-}
-
-// removePeer deletes one occurrence of peer from the sent list. Order is
-// irrelevant — the list is only ever a membership set — so it swap-deletes.
-func removePeer(sent []int, peer int) []int {
-	for i, p := range sent {
-		if p == peer {
-			sent[i] = sent[len(sent)-1]
-			return sent[:len(sent)-1]
-		}
-	}
-	return sent
 }
 
 // SelectPeer returns a uniformly random live peer from n's view, removing

@@ -229,3 +229,250 @@ func TestProtocolReuseDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// linearProtocol is Cyclon with the merge it had before the peer-indexed
+// marks: indexOf/firstInFrom/removePeer scans of the view per received entry.
+// Retired from the production path, it is kept whole — Round included, so
+// the two sides share nothing but the view type and the random stream
+// derivation — as the oracle of TestMergeMatchesLinearScan.
+type linearProtocol struct {
+	*Protocol
+	sent []int
+}
+
+func (c *linearProtocol) Round(e *sim.Engine, n *sim.Node, round int) {
+	rng := c.rngFor(e)
+	v := viewOf(e, n)
+	for i := range v.entries {
+		v.entries[i].Age++
+	}
+	var q *sim.Node
+	for q == nil {
+		oi := v.oldestIndex()
+		if oi < 0 {
+			return
+		}
+		if cand := e.Node(v.entries[oi].Peer); cand.Up() {
+			q = cand
+		}
+		v.entries = append(v.entries[:oi], v.entries[oi+1:]...)
+	}
+	req := []Entry{{Peer: n.ID}}
+	for _, i := range rng.Perm(len(v.entries)) {
+		if len(req) >= c.ShuffleLen {
+			break
+		}
+		req = append(req, v.entries[i])
+	}
+	qv := viewOf(e, q)
+	var reply []Entry
+	for _, i := range rng.Perm(len(qv.entries)) {
+		if len(reply) >= c.ShuffleLen {
+			break
+		}
+		reply = append(reply, qv.entries[i])
+	}
+	c.mergeLinear(e, qv, q.ID, req, reply)
+	c.mergeLinear(e, v, n.ID, reply, req)
+	if len(v.entries) < c.ViewSize && !v.Contains(q.ID) {
+		v.entries = append(v.entries, Entry{Peer: q.ID})
+	}
+}
+
+func (c *linearProtocol) mergeLinear(e *sim.Engine, v *View, self int, received, sent []Entry) {
+	sentPeers := c.sent[:0]
+	for _, s := range sent {
+		sentPeers = append(sentPeers, s.Peer)
+	}
+	evictFrom := 0
+	for _, r := range received {
+		if r.Peer == self || !e.Node(r.Peer).Up() {
+			continue
+		}
+		if i := indexOf(v.entries, r.Peer); i >= 0 {
+			if r.Age < v.entries[i].Age {
+				v.entries[i].Age = r.Age
+			}
+			continue
+		}
+		if len(v.entries) < c.ViewSize {
+			v.entries = append(v.entries, r)
+			continue
+		}
+		if len(sentPeers) > 0 {
+			if ei := firstInFrom(v.entries, sentPeers, evictFrom); ei >= 0 {
+				sentPeers = removePeer(sentPeers, v.entries[ei].Peer)
+				v.entries[ei] = r
+				evictFrom = ei + 1
+				continue
+			}
+			sentPeers = sentPeers[:0]
+		}
+		if oi := v.oldestIndex(); oi >= 0 && v.entries[oi].Age > r.Age {
+			v.entries[oi] = r
+		}
+	}
+	c.sent = sentPeers
+}
+
+func indexOf(entries []Entry, peer int) int {
+	for i, e := range entries {
+		if e.Peer == peer {
+			return i
+		}
+	}
+	return -1
+}
+
+func firstInFrom(entries []Entry, sent []int, from int) int {
+	for i := from; i < len(entries); i++ {
+		for _, p := range sent {
+			if entries[i].Peer == p {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+func removePeer(sent []int, peer int) []int {
+	for i, p := range sent {
+		if p == peer {
+			sent[i] = sent[len(sent)-1]
+			return sent[:len(sent)-1]
+		}
+	}
+	return sent
+}
+
+// TestMergeMatchesLinearScan replays seeded shuffles — networks smaller than
+// the view, views of 4, 20 and 300 slots, a third of the nodes crashing and
+// recovering mid-run — through the marks-indexed merge and the retired
+// linear-scan protocol on twin engines, and requires identical views and
+// ages after every round plus the view invariants. One production Protocol
+// value serves every configuration in turn, so its marks are resized across
+// engine sizes, and its generation counter is parked just below the wrap.
+func TestMergeMatchesLinearScan(t *testing.T) {
+	configs := []struct{ nodes, view, shuffle, rounds int }{
+		{3, 4, 2, 300},
+		{6, 4, 3, 300},
+		{12, 20, 8, 200}, // network smaller than the view
+		{60, 4, 2, 60},
+		{80, 20, 8, 60},
+		{80, 20, 20, 30}, // whole-view shuffles
+		{350, 300, 120, 6},
+		{350, 300, 8, 6},
+	}
+	prod := New(0, 0)
+	shuffles := 0
+	for ci, cfg := range configs {
+		prod.ViewSize, prod.ShuffleLen = cfg.view, cfg.shuffle
+		prod.gen = ^uint32(0) - 50
+		seed := uint64(100 + ci)
+		eNew, eOld := sim.NewEngine(cfg.nodes, seed), sim.NewEngine(cfg.nodes, seed)
+		eNew.Register(prod)
+		eOld.Register(&linearProtocol{Protocol: New(cfg.view, cfg.shuffle)})
+		fault := sim.NewRNG(seed)
+		for r := 0; r < cfg.rounds; r++ {
+			if r%10 == 5 {
+				for id := 0; id < cfg.nodes; id++ {
+					up := fault.Intn(3) != 0
+					eNew.SetUp(eNew.Node(id), up)
+					eOld.SetUp(eOld.Node(id), up)
+				}
+			}
+			eNew.RunRounds(1)
+			eOld.RunRounds(1)
+			for _, n := range eNew.Nodes() {
+				if n.Up() {
+					shuffles++
+				}
+				got, want := viewOf(eNew, n).entries, viewOf(eOld, eOld.Node(n.ID)).entries
+				if len(got) != len(want) {
+					t.Fatalf("config %d round %d node %d: view size %d, linear scan %d", ci, r, n.ID, len(got), len(want))
+				}
+				if len(got) > cfg.view {
+					t.Fatalf("config %d round %d node %d: view size %d > %d", ci, r, n.ID, len(got), cfg.view)
+				}
+				seen := make(map[int]bool, len(got))
+				for i, entry := range got {
+					if entry != want[i] {
+						t.Fatalf("config %d round %d node %d slot %d: %+v, linear scan %+v", ci, r, n.ID, i, entry, want[i])
+					}
+					if entry.Peer == n.ID || seen[entry.Peer] {
+						t.Fatalf("config %d round %d node %d: self or duplicate peer %d in view", ci, r, n.ID, entry.Peer)
+					}
+					seen[entry.Peer] = true
+				}
+			}
+		}
+		if prod.gen > 1<<31 {
+			t.Fatalf("config %d: generation %d never wrapped", ci, prod.gen)
+		}
+	}
+	if shuffles < 10000 {
+		t.Fatalf("replayed only %d shuffles", shuffles)
+	}
+
+	// A shuffle never receives more new peers than it sent away plus the
+	// slot its target vacated, so the protocol runs above cannot reach the
+	// strictly-older oldest-entry eviction. Drive the two merges directly
+	// over random full and partial views, with ages on a coarse grid so
+	// equal-age ties are common; sent stays within view ∪ {self}, the
+	// shuffle's precondition.
+	const nodes, self = 40, 0
+	e := sim.NewEngine(nodes, 7)
+	for id := 30; id < nodes; id++ {
+		e.SetUp(e.Node(id), false)
+	}
+	rng := sim.NewRNG(8)
+	old := &linearProtocol{Protocol: New(0, 0)}
+	for i := 0; i < 5000; i++ {
+		prod.ViewSize = 1 + rng.Intn(12)
+		old.ViewSize = prod.ViewSize
+		var view, sent, received []Entry
+		for _, p := range rng.Perm(nodes - 1)[:rng.Intn(prod.ViewSize+1)] {
+			view = append(view, Entry{Peer: p + 1, Age: rng.Intn(4)})
+			if rng.Intn(3) == 0 {
+				sent = append(sent, view[len(view)-1])
+			}
+		}
+		if rng.Intn(2) == 0 {
+			sent = append(sent, Entry{Peer: self})
+		}
+		for n := rng.Intn(16); n > 0; n-- {
+			received = append(received, Entry{Peer: rng.Intn(nodes), Age: rng.Intn(4)})
+		}
+		got := &View{entries: append([]Entry(nil), view...)}
+		want := &View{entries: append([]Entry(nil), view...)}
+		prod.merge(e, got, self, received, sent)
+		old.mergeLinear(e, want, self, received, sent)
+		if len(got.entries) != len(want.entries) {
+			t.Fatalf("merge %d: view %v, linear scan %v (view %v received %v sent %v)", i, got.entries, want.entries, view, received, sent)
+		}
+		for j := range got.entries {
+			if got.entries[j] != want.entries[j] {
+				t.Fatalf("merge %d: view %v, linear scan %v (view %v received %v sent %v)", i, got.entries, want.entries, view, received, sent)
+			}
+		}
+	}
+}
+
+// TestCyclonRoundZeroAlloc pins the steady-state shuffle: once the scratch
+// buffers, the marks and every view's backing array have reached their
+// working size, a full pass of Round over the network allocates nothing.
+func TestCyclonRoundZeroAlloc(t *testing.T) {
+	e := sim.NewEngine(200, 9)
+	c := New(20, 8)
+	e.Register(c)
+	e.RunRounds(30)
+	nodes := e.Nodes()
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, n := range nodes {
+			c.Round(e, n, 30)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("cyclon round allocates: %.1f allocs/run, want 0", allocs)
+	}
+}

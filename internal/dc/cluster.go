@@ -2,6 +2,7 @@ package dc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -123,6 +124,19 @@ func (p *PM) VMIDs() []int {
 func (p *PM) AppendVMIDs(dst []int) []int {
 	for _, id := range p.c.pmVMs[p.ID] {
 		dst = append(dst, int(id))
+	}
+	return dst
+}
+
+// AppendVMs is AppendVMIDs for VM handles: it appends the hosted VMs in
+// ascending ID order to dst. The result is a snapshot — migrating a VM away
+// while ranging over it is safe. The consolidation decision paths pass a
+// call-local stack buffer, so reading a PM's VM list allocates nothing.
+func (p *PM) AppendVMs(dst []*VM) []*VM {
+	ids := p.c.pmVMs[p.ID]
+	dst = slices.Grow(dst, len(ids))
+	for _, id := range ids {
+		dst = append(dst, p.c.VMs[id])
 	}
 	return dst
 }

@@ -101,6 +101,53 @@ func TestPlaceRandomRespectsAllocationWhenFeasible(t *testing.T) {
 	}
 }
 
+// TestAppendVMsSortedAndComplete pins the VM-list reader's contract: every
+// hosted VM, ascending by ID, appended after whatever dst already holds, and
+// a snapshot that survives migrating the listed VMs away.
+func TestAppendVMsSortedAndComplete(t *testing.T) {
+	c := newTestCluster(t, 2, 8, 0.1, 0.1)
+	total := 0
+	for _, pm := range c.PMs {
+		var buf [4]*VM // smaller than some PM's list: append must spill
+		vms := pm.AppendVMs(buf[:0])
+		if len(vms) != pm.NumVMs() {
+			t.Fatalf("PM %d: got %d VMs, hosts %d", pm.ID, len(vms), pm.NumVMs())
+		}
+		for i, vm := range vms {
+			if vm.Host() != pm.ID {
+				t.Fatalf("PM %d lists VM %d hosted on %d", pm.ID, vm.ID, vm.Host())
+			}
+			if i > 0 && vms[i-1].ID >= vm.ID {
+				t.Fatalf("PM %d: VMs not in ascending ID order", pm.ID)
+			}
+		}
+		total += len(vms)
+	}
+	if total != len(c.VMs) {
+		t.Fatalf("lists cover %d of %d VMs", total, len(c.VMs))
+	}
+	src, dst := c.PMs[0], c.PMs[1]
+	if src.NumVMs() == 0 {
+		src, dst = dst, src
+	}
+	sentinel := c.VMs[0]
+	vms := src.AppendVMs([]*VM{sentinel})
+	want := append([]*VM(nil), vms...)
+	for _, vm := range vms[1:] {
+		if err := c.Migrate(vm, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range want {
+		if vms[i] != want[i] {
+			t.Fatalf("entry %d changed while the listed VMs migrated away", i)
+		}
+	}
+	if vms[0] != sentinel {
+		t.Fatal("AppendVMs overwrote dst's existing element")
+	}
+}
+
 func TestPlaceRandomDeterministic(t *testing.T) {
 	hosts := func(seed uint64) []int {
 		set := mustSyntheticConst(t, 20, 2, 0.2, 0.2)

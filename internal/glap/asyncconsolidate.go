@@ -355,7 +355,7 @@ func (p *AsyncConsolidateProtocol) offerNext(e *sim.Engine, n *sim.Node, st *acN
 	// the remote estimate — the same shared core migrateOne drives, except
 	// the target will re-vet with its fresh state before reserving.
 	tbl := p.tables(e, n)
-	off, ok := decision.SelectOffer(tbl.Out, p.pmState(c, pm), p.B.VMsOf(pm), p.vmAction)
+	off, ok := selectOffer(tbl.Out, p.pmState(c, pm), pm, p.vmAction)
 	if !ok {
 		finish()
 		return

@@ -57,29 +57,74 @@ func BenchmarkAggRound(b *testing.B) {
 	}
 }
 
-// BenchmarkConsolidationRound measures one Algorithm 3 round with converged
-// tables over a 200-PM cluster.
-func BenchmarkConsolidationRound(b *testing.B) {
-	pre := benchGenCluster(b, 50, 150)
-	res, err := Pretrain(Config{LearnRounds: 20, AggRounds: 10}, pre, 1, PretrainOptions{})
+// settledConsolidation builds a 200-PM consolidation stack over converged
+// tables, lets Algorithm 3 pack the cluster for 30 rounds, and then swaps in
+// a φ^in that vetoes every offer: from there each exchange is the
+// no-migration exchange that makes up nearly all of a long run — direction
+// rule, VM-list read, π_out, π_in — whichever peers it draws.
+func settledConsolidation(tb testing.TB) (*sim.Engine, *ConsolidateProtocol) {
+	tb.Helper()
+	res, err := Pretrain(Config{LearnRounds: 20, AggRounds: 10}, benchGenCluster(tb, 50, 150), 1, PretrainOptions{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	shared, err := SharedTables(res)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	cl := benchGenCluster(b, 200, 600)
+	cl := benchGenCluster(tb, 200, 600)
 	e := sim.NewEngine(200, 2)
 	bd, err := policy.Bind(e, cl)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	InstallConsolidation(e, bd, shared, Config{}, PretrainOptions{})
-	e.RunRounds(1)
+	cons := InstallConsolidation(e, bd, shared, Config{}, PretrainOptions{})
+	e.RunRounds(30)
+	if cl.ActivePMs() < 2 {
+		tb.Fatalf("only %d active PMs: no exchange left to measure", cl.ActivePMs())
+	}
+	veto := &NodeTables{Out: shared.Out, In: qlearn.New(0.5, 0.8)}
+	for s := 0; s < ioSpan; s++ {
+		for a := 0; a < ioSpan; a++ {
+			veto.In.Set(qlearn.State(s), qlearn.Action(a), -1)
+		}
+	}
+	cons.Tables = func(*sim.Engine, *sim.Node) *NodeTables { return veto }
+	return e, cons
+}
+
+// consolidatePass runs one exchange per live node.
+func consolidatePass(e *sim.Engine, cons *ConsolidateProtocol) {
+	for _, n := range e.Nodes() {
+		if n.Up() {
+			cons.Round(e, n, e.Round())
+		}
+	}
+}
+
+// BenchmarkConsolidateRound measures one Algorithm 3 pass (one exchange per
+// live PM: peer draw, direction rule, π_out, π_in) in the settled state.
+func BenchmarkConsolidateRound(b *testing.B) {
+	e, cons := settledConsolidation(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.RunRounds(1)
+		consolidatePass(e, cons)
+	}
+}
+
+// TestConsolidateRoundZeroAlloc pins the no-migration exchange — peer draw,
+// both UPDATESTATE calls, the VM-list read, π_out and π_in — at zero heap
+// allocations.
+func TestConsolidateRoundZeroAlloc(t *testing.T) {
+	e, cons := settledConsolidation(t)
+	before := cons.B.C.Migrations
+	allocs := testing.AllocsPerRun(20, func() { consolidatePass(e, cons) })
+	if cons.B.C.Migrations != before {
+		t.Fatalf("%d migrations during the measurement: not the no-migration exchange", cons.B.C.Migrations-before)
+	}
+	if allocs != 0 {
+		t.Fatalf("consolidation round allocates: %.1f allocs/run, want 0", allocs)
 	}
 }
 
@@ -199,17 +244,18 @@ func BenchmarkStatePack(b *testing.B) {
 	}
 }
 
-// helpers shared by the benchmarks (the test helpers take *testing.T).
+// helpers shared by the benchmarks and the zero-alloc tests (the other test
+// helpers take *testing.T).
 
-func benchGenCluster(b *testing.B, pms, vms int) *dc.Cluster {
-	b.Helper()
+func benchGenCluster(tb testing.TB, pms, vms int) *dc.Cluster {
+	tb.Helper()
 	set, err := benchTrace(vms)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	c, err := dc.New(dc.Config{PMs: pms, Workload: set})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rng := sim.NewRNG(7)
 	c.PlaceRandom(rng.Intn)

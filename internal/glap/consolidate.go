@@ -209,7 +209,7 @@ func (p *ConsolidateProtocol) rackActive(pm int) int {
 // migration executes on acceptance.
 func (p *ConsolidateProtocol) migrateOne(st *NodeTables, s, o *dc.PM, acct *dc.MigAcct) bool {
 	c := p.B.C
-	off, ok := decision.SelectOffer(st.Out, p.pmState(c, s), p.B.VMsOf(s), p.vmAction)
+	off, ok := selectOffer(st.Out, p.pmState(c, s), s, p.vmAction)
 	if !ok {
 		return false
 	}
@@ -315,7 +315,7 @@ func (p *ConsolidateProtocol) InactiveSpan(e *sim.Engine, from, to int) int {
 		n := order[i]
 		pm := p.B.PM(n)
 		st := p.tables(e, n)
-		if off, ok := decision.SelectOffer(st.Out, p.pmState(c, pm), p.B.VMsOf(pm), p.vmAction); ok {
+		if off, ok := selectOffer(st.Out, p.pmState(c, pm), pm, p.vmAction); ok {
 			demand := off.VM.CurAbs()
 			for state, free := range maxFree {
 				if decision.VetOffer(st.In, state, off.Action, demand, free) {
@@ -340,7 +340,7 @@ func (p *ConsolidateProtocol) InactiveSpan(e *sim.Engine, from, to int) int {
 	for _, n := range over {
 		pm := p.B.PM(n)
 		st := p.tables(e, n)
-		off, ok := decision.SelectOffer(st.Out, p.pmState(c, pm), p.B.VMsOf(pm), p.vmAction)
+		off, ok := selectOffer(st.Out, p.pmState(c, pm), pm, p.vmAction)
 		if !ok {
 			continue
 		}

@@ -15,8 +15,9 @@
 package decision
 
 import (
+	"slices"
+
 	"github.com/glap-sim/glap/internal/dc"
-	"github.com/glap-sim/glap/internal/policy"
 	"github.com/glap-sim/glap/internal/qlearn"
 )
 
@@ -87,31 +88,46 @@ type Offer struct {
 	Action qlearn.Action
 }
 
-// SelectOffer runs π_out (Algorithm 3, lines 18-21): it buckets the
-// sender's available VMs by calibrated action, picks the action with the
-// highest φ^out value in the sender's state, and within that bucket picks
-// the cheapest VM to migrate (smallest current memory footprint). Buckets
-// keep first-seen order, so with VMs in ascending-ID order the argmax
-// tie-break is deterministic. ok is false when the sender holds no VMs or
-// no candidate action has a known Q-value.
+// SelectOffer runs π_out (Algorithm 3, lines 18-21): it picks the
+// calibrated action with the highest φ^out value in the sender's state among
+// the actions of the sender's VMs, and among the VMs of that action the
+// cheapest to migrate — the first strictly smallest current memory footprint
+// (migration time, and hence cost, scales with transferred memory). Distinct
+// actions keep first-seen order for Table.Best's tie-break, so with VMs in
+// ascending-ID order the choice is deterministic. Table.Best reads unwritten
+// cells as 0, so ok is false only when vms is empty.
+//
+// Most exchanges migrate nothing, so the call must not build garbage: each
+// VM's action is recorded once in call-local scratch that lives on the stack
+// (append spills to the heap past 64 VMs or 16 distinct actions), never in
+// state shared between calls — pair-sharded rounds run SelectOffer
+// concurrently.
 func SelectOffer(out *qlearn.Table, sender qlearn.State, vms []*dc.VM, action func(*dc.VM) qlearn.Action) (Offer, bool) {
-	if len(vms) == 0 {
-		return Offer{}, false
-	}
-	byAction := make(map[qlearn.Action][]*dc.VM)
-	actions := make([]qlearn.Action, 0, 4)
+	var perVMBuf [64]qlearn.Action
+	var distinctBuf [16]qlearn.Action
+	perVM, distinct := perVMBuf[:0], distinctBuf[:0]
 	for _, vm := range vms {
 		a := action(vm)
-		if _, seen := byAction[a]; !seen {
-			actions = append(actions, a)
+		perVM = append(perVM, a)
+		if !slices.Contains(distinct, a) {
+			distinct = append(distinct, a)
 		}
-		byAction[a] = append(byAction[a], vm)
 	}
-	a, _, ok := out.Best(sender, actions)
+	best, _, ok := out.Best(sender, distinct)
 	if !ok {
 		return Offer{}, false
 	}
-	return Offer{VM: policy.CheapestToMigrate(byAction[a]), Action: a}, true
+	var cheapest *dc.VM
+	var cheapestMem float64
+	for i, vm := range vms {
+		if perVM[i] != best {
+			continue
+		}
+		if mem := vm.CurAbs()[dc.Mem]; cheapest == nil || mem < cheapestMem {
+			cheapest, cheapestMem = vm, mem
+		}
+	}
+	return Offer{VM: cheapest, Action: best}, true
 }
 
 // VetOffer runs the π_in accept test plus the capacity check (Algorithm 3,

@@ -87,12 +87,96 @@ func randomTable(rng *sim.RNG, states, actions int, holeEvery int) *qlearn.Table
 	return tbl
 }
 
-// TestSelectOfferMatchesBruteForce runs π_out over real clusters and random
-// Q-tables and compares against a brute-force oracle that re-derives the
-// argmax and tie-breaks from first principles: actions grouped in first-seen
-// order, highest Q wins with first-listed action on ties, and the smallest
-// current memory footprint wins within the chosen bucket (first-seen on
-// ties).
+// selectOfferBuckets is π_out as it was written before the single-pass
+// rewrite — a map of per-action VM buckets in first-seen order, Table.Best
+// over the bucket keys, then the cheapest VM of the winning bucket — retired
+// from the production path and kept here as the differential oracle.
+func selectOfferBuckets(out *qlearn.Table, sender qlearn.State, vms []*dc.VM, action func(*dc.VM) qlearn.Action) (decision.Offer, bool) {
+	if len(vms) == 0 {
+		return decision.Offer{}, false
+	}
+	byAction := make(map[qlearn.Action][]*dc.VM)
+	actions := make([]qlearn.Action, 0, 4)
+	for _, vm := range vms {
+		a := action(vm)
+		if _, seen := byAction[a]; !seen {
+			actions = append(actions, a)
+		}
+		byAction[a] = append(byAction[a], vm)
+	}
+	a, _, ok := out.Best(sender, actions)
+	if !ok {
+		return decision.Offer{}, false
+	}
+	var best *dc.VM
+	for _, vm := range byAction[a] {
+		if best == nil || vm.CurAbs()[dc.Mem] < best.CurAbs()[dc.Mem] {
+			best = vm
+		}
+	}
+	return decision.Offer{VM: best, Action: a}, true
+}
+
+// bruteForceOffer re-derives π_out's argmax and tie-breaks from first
+// principles: actions in first-seen order, highest Q wins with the
+// first-listed action on ties, and the smallest current memory footprint
+// wins among the VMs of the chosen action (first-seen on ties).
+func bruteForceOffer(out *qlearn.Table, sender qlearn.State, vms []*dc.VM, action func(*dc.VM) qlearn.Action) (decision.Offer, bool) {
+	var actions []qlearn.Action
+	seen := map[qlearn.Action]bool{}
+	for _, vm := range vms {
+		if a := action(vm); !seen[a] {
+			seen[a] = true
+			actions = append(actions, a)
+		}
+	}
+	if len(actions) == 0 {
+		return decision.Offer{}, false
+	}
+	best := actions[0]
+	for _, a := range actions[1:] {
+		if out.Get(sender, a) > out.Get(sender, best) {
+			best = a
+		}
+	}
+	off := decision.Offer{Action: best}
+	for _, vm := range vms {
+		if action(vm) != best {
+			continue
+		}
+		if off.VM == nil || vm.CurAbs()[dc.Mem] < off.VM.CurAbs()[dc.Mem] {
+			off.VM = vm
+		}
+	}
+	return off, true
+}
+
+// checkSelectOffer requires decision.SelectOffer, the retired bucket
+// implementation and the brute-force oracle to agree on one input.
+func checkSelectOffer(t *testing.T, label string, out *qlearn.Table, sender qlearn.State, vms []*dc.VM, action func(*dc.VM) qlearn.Action) decision.Offer {
+	t.Helper()
+	got, ok := decision.SelectOffer(out, sender, vms, action)
+	for name, oracle := range map[string]func(*qlearn.Table, qlearn.State, []*dc.VM, func(*dc.VM) qlearn.Action) (decision.Offer, bool){
+		"bucket": selectOfferBuckets, "brute-force": bruteForceOffer,
+	} {
+		want, wantOK := oracle(out, sender, vms, action)
+		if ok != wantOK {
+			t.Fatalf("%s: SelectOffer ok=%v, %s oracle ok=%v", label, ok, name, wantOK)
+		}
+		if got != want {
+			t.Fatalf("%s: SelectOffer picked vm=%d action=%d, %s oracle vm=%d action=%d",
+				label, got.VM.ID, got.Action, name, want.VM.ID, want.Action)
+		}
+	}
+	return got
+}
+
+// TestSelectOfferMatchesBruteForce runs π_out against the retired bucket
+// implementation and the brute-force oracle: over real clusters and random
+// Q-tables PM by PM, then over VM lists wider than SelectOffer's stack
+// scratch (more than 64 VMs, more than 16 distinct actions) with exact ties
+// forced in both memory footprint and Q-value, and finally pins when ok is
+// false.
 func TestSelectOfferMatchesBruteForce(t *testing.T) {
 	cl := genCluster(t, 12, 40, 30, 7)
 	rng := sim.NewRNG(19)
@@ -101,52 +185,67 @@ func TestSelectOfferMatchesBruteForce(t *testing.T) {
 		cl.AdvanceRound(round)
 		out := randomTable(rng, 81, 81, 7)
 		for _, pm := range cl.PMs {
-			vms := vmsOn(cl, pm)
-			sender := PMStateAvg(cl, pm)
+			checkSelectOffer(t, fmt.Sprintf("round %d pm %d", round, pm.ID), out, PMStateAvg(cl, pm), vmsOn(cl, pm), action)
+		}
+	}
 
-			// Brute force: first-seen action order, strictly-greater argmax.
-			var actions []qlearn.Action
-			seen := map[qlearn.Action]bool{}
-			for _, vm := range vms {
-				if a := action(vm); !seen[a] {
-					seen[a] = true
-					actions = append(actions, a)
+	// Wide lists: π_out is a pure function of the list, so every VM of a
+	// 200-VM cluster stands in for one crowded PM.
+	wide := genCluster(t, 40, 200, 30, 11)
+	actions := map[string]func(*dc.VM) qlearn.Action{
+		"calibrated": action,
+		"3 actions":  func(vm *dc.VM) qlearn.Action { return qlearn.Action(vm.ID % 3) },
+		"40 actions": func(vm *dc.VM) qlearn.Action { return qlearn.Action(vm.ID * 7 % 40) },
+	}
+	for round := 0; round < 10; round++ {
+		wide.AdvanceRound(round)
+		// Exact memory ties: a third of the VMs share a zero footprint and
+		// another third one common positive footprint.
+		for _, vm := range wide.VMs {
+			d := vm.CurDemand()
+			switch rng.Intn(3) {
+			case 0:
+				d[dc.Mem] = 0
+			case 1:
+				d[dc.Mem] = 0.25 * 613 / vm.Spec.Capacity[dc.Mem]
+			}
+			vm.SetCurDemand(d)
+		}
+		// Exact Q ties: values on a three-point grid, every seventh cell
+		// unwritten (read as 0, itself a grid point).
+		out := qlearn.New(0.5, 0.5)
+		for s := 0; s < 81; s++ {
+			for a := 0; a < 81; a++ {
+				if (s*81+a)%7 != 0 {
+					out.Set(qlearn.State(s), qlearn.Action(a), float64(rng.Intn(3)-1)/2)
 				}
 			}
-			var wantOff decision.Offer
-			wantOK := len(actions) > 0
-			if wantOK {
-				best := actions[0]
-				for _, a := range actions[1:] {
-					if out.Get(sender, a) > out.Get(sender, best) {
-						best = a
-					}
-				}
-				for _, vm := range vms {
-					if action(vm) != best {
-						continue
-					}
-					if wantOff.VM == nil || vm.CurAbs()[dc.Mem] < wantOff.VM.CurAbs()[dc.Mem] {
-						wantOff.VM = vm
-					}
-				}
-				wantOff.Action = best
-			}
-
-			got, ok := decision.SelectOffer(out, sender, vms, action)
-			if ok != wantOK {
-				t.Fatalf("round %d pm %d: SelectOffer ok=%v, oracle ok=%v", round, pm.ID, ok, wantOK)
-			}
-			if ok && (got.VM != wantOff.VM || got.Action != wantOff.Action) {
-				t.Fatalf("round %d pm %d: SelectOffer picked vm=%d action=%d, oracle vm=%d action=%d",
-					round, pm.ID, got.VM.ID, got.Action, wantOff.VM.ID, wantOff.Action)
+		}
+		for name, act := range actions {
+			for _, n := range []int{1, 17, 64, 65, 130, len(wide.VMs)} {
+				from := rng.Intn(len(wide.VMs) - n + 1)
+				sender := qlearn.State(rng.Intn(81))
+				checkSelectOffer(t, fmt.Sprintf("round %d %s n=%d", round, name, n), out, sender, wide.VMs[from:from+n], act)
 			}
 		}
 	}
+
+	// ok is false only for an empty VM list: Table.Best reads unwritten
+	// cells as 0, so a table that knows none of the candidate actions still
+	// yields an offer — the first-seen action and its cheapest VM.
+	empty := qlearn.New(0.5, 0.5)
+	if _, ok := decision.SelectOffer(empty, 0, nil, action); ok {
+		t.Fatal("SelectOffer over no VMs reported ok")
+	}
+	vms := wide.VMs[:5]
+	got := checkSelectOffer(t, "empty table", empty, 0, vms, action)
+	if got.VM == nil || got.Action != action(vms[0]) {
+		t.Fatalf("empty table: offer %+v, want the first VM's action %d", got, action(vms[0]))
+	}
 }
 
-// vmsOn collects pm's VMs in ascending ID order without going through
-// policy.Binding, mirroring Binding.VMsOf's contract independently.
+// vmsOn collects pm's VMs in ascending ID order without going through the
+// cluster's per-PM lists, mirroring dc.PM.AppendVMs' contract independently.
 func vmsOn(c *dc.Cluster, pm *dc.PM) []*dc.VM {
 	var vms []*dc.VM
 	for _, vm := range c.VMs {
@@ -280,7 +379,7 @@ func TestSyncProtocolMatchesCoreReplay(t *testing.T) {
 			return
 		}
 		step := func() bool {
-			off, ok := decision.SelectOffer(shared.Out, PMStateAvg(clB, s), bB.VMsOf(s),
+			off, ok := decision.SelectOffer(shared.Out, PMStateAvg(clB, s), s.AppendVMs(nil),
 				func(vm *dc.VM) qlearn.Action { return VMAction(vm) })
 			if !ok {
 				return false

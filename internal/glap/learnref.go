@@ -32,11 +32,11 @@ import (
 func (l *LearnProtocol) roundReference(e *sim.Engine, n *sim.Node, rng *sim.RNG, pm *dc.PM) {
 	// Collect profiles: local VMs plus the VMs of one random neighbour.
 	var profiles []profile
-	for _, vm := range l.B.VMsOf(pm) {
+	for _, vm := range pm.AppendVMs(nil) {
 		profiles = append(profiles, profileOf(vm))
 	}
 	if peer := cyclon.SelectPeer(e, n, rng); peer >= 0 {
-		for _, vm := range l.B.VMsOf(l.B.C.PMs[peer]) {
+		for _, vm := range l.B.C.PMs[peer].AppendVMs(nil) {
 			profiles = append(profiles, profileOf(vm))
 		}
 	}

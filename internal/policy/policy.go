@@ -1,7 +1,6 @@
 // Package policy contains the glue shared by every consolidation protocol in
 // this reproduction: the binding that couples a dc.Cluster to a sim.Engine
-// (PM i is node i), power management that keeps both views consistent, and
-// small helpers for choosing migration candidates.
+// (PM i is node i) and power management that keeps both views consistent.
 package policy
 
 import (
@@ -70,28 +69,4 @@ func (b *Binding) TryPowerOffIfEmpty(id int) bool {
 		return false
 	}
 	return b.PowerOff(id) == nil
-}
-
-// VMsOf returns the VMs hosted by pm in ascending ID order.
-func (b *Binding) VMsOf(pm *dc.PM) []*dc.VM {
-	ids := pm.VMIDs()
-	vms := make([]*dc.VM, len(ids))
-	for i, id := range ids {
-		vms[i] = b.C.VMs[id]
-	}
-	return vms
-}
-
-// CheapestToMigrate returns the VM among candidates with the smallest
-// current memory footprint — the migration-cost tie-breaker of Algorithm 3
-// (migration time, and hence cost, scales with transferred memory). It
-// returns nil for an empty candidate list.
-func CheapestToMigrate(candidates []*dc.VM) *dc.VM {
-	var best *dc.VM
-	for _, vm := range candidates {
-		if best == nil || vm.CurAbs()[dc.Mem] < best.CurAbs()[dc.Mem] {
-			best = vm
-		}
-	}
-	return best
 }

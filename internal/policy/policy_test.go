@@ -128,40 +128,3 @@ func TestTryPowerOffIfEmpty(t *testing.T) {
 		}
 	}
 }
-
-func TestVMsOfSortedAndComplete(t *testing.T) {
-	cl := testCluster(t, 1, 5)
-	e := sim.NewEngine(1, 1)
-	b, err := Bind(e, cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vms := b.VMsOf(cl.PMs[0])
-	if len(vms) != 5 {
-		t.Fatalf("got %d VMs", len(vms))
-	}
-	for i := 1; i < len(vms); i++ {
-		if vms[i-1].ID >= vms[i].ID {
-			t.Fatal("VMs not sorted by ID")
-		}
-	}
-}
-
-func TestCheapestToMigrate(t *testing.T) {
-	if CheapestToMigrate(nil) != nil {
-		t.Fatal("empty candidates should return nil")
-	}
-	cl := testCluster(t, 1, 3)
-	vms := []*dc.VM{cl.VMs[0], cl.VMs[1], cl.VMs[2]}
-	// Same memory demand everywhere: first candidate wins (stable).
-	if got := CheapestToMigrate(vms); got != vms[0] {
-		t.Fatal("tie should keep first candidate")
-	}
-	// Make one strictly cheaper.
-	cheap := vms[2].CurDemand()
-	cheap[dc.Mem] = 0.01
-	vms[2].SetCurDemand(cheap)
-	if got := CheapestToMigrate(vms); got != vms[2] {
-		t.Fatal("cheapest VM not selected")
-	}
-}

@@ -414,7 +414,7 @@ func (e *Engine) RunRounds(rounds int) {
 		// skipped rounds draw no shuffle or protocol randomness — provably
 		// unobservable only when no live round follows. r >= 1 keeps round 0
 		// (protocol warm-up, From-gating) on the reference path.
-		if e.SkipQuiescent && r >= 1 && e.queue.Len() == 0 && e.quietTail(r, rounds) {
+		if e.SkipQuiescent && r >= 1 && len(e.queue.items) == 0 && e.quietTail(r, rounds) {
 			e.skipTail(r, rounds)
 			e.roundsSkipped += int64(rounds - r)
 			e.round = rounds

@@ -1,7 +1,5 @@
 package sim
 
-import "container/heap"
-
 // Event is a unit of scheduled work in the event-driven layer of the kernel.
 // Events fire in (Time, Priority, sequence) order, where the monotonically
 // increasing sequence number breaks ties deterministically in insertion
@@ -21,15 +19,17 @@ type Event struct {
 // Cancelled reports whether the event was removed before firing.
 func (e *Event) Cancelled() bool { return e.index == -2 }
 
-// eventQueue is a binary min-heap of events.
+// eventQueue is a binary min-heap of events in strict (Time, Priority, seq)
+// order. It is typed rather than built on container/heap — whose Push/Pop
+// box through any and whose Less/Swap dispatch through an interface on every
+// sift step — but sifts exactly as container/heap does; sequence numbers are
+// unique, so the pop order is the total order either way.
 type eventQueue struct {
 	items []*Event
 	seq   uint64
 }
 
-func (q *eventQueue) Len() int { return len(q.items) }
-
-func (q *eventQueue) Less(i, j int) bool {
+func (q *eventQueue) less(i, j int) bool {
 	a, b := q.items[i], q.items[j]
 	if a.Time != b.Time {
 		return a.Time < b.Time
@@ -40,33 +40,68 @@ func (q *eventQueue) Less(i, j int) bool {
 	return a.seq < b.seq
 }
 
-func (q *eventQueue) Swap(i, j int) {
+func (q *eventQueue) swap(i, j int) {
 	q.items[i], q.items[j] = q.items[j], q.items[i]
 	q.items[i].index = i
 	q.items[j].index = j
 }
 
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(q.items)
-	q.items = append(q.items, e)
+// up sifts item j toward the root.
+func (q *eventQueue) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if !q.less(j, i) {
+			break
+		}
+		q.swap(i, j)
+		j = i
+	}
 }
 
-func (q *eventQueue) Pop() any {
-	old := q.items
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	q.items = old[:n-1]
-	return e
+// down sifts item i toward the leaves of the first n items and reports
+// whether it moved.
+func (q *eventQueue) down(i, n int) bool {
+	start := i
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && q.less(r, j) {
+			j = r
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q.swap(i, j)
+		i = j
+	}
+	return i > start
 }
 
 // push schedules e.
 func (q *eventQueue) push(e *Event) {
 	e.seq = q.seq
 	q.seq++
-	heap.Push(q, e)
+	e.index = len(q.items)
+	q.items = append(q.items, e)
+	q.up(e.index)
+}
+
+// detach removes item i — swapped to the tail, the heap order of the rest
+// restored — and returns it.
+func (q *eventQueue) detach(i int) *Event {
+	n := len(q.items) - 1
+	if i != n {
+		q.swap(i, n)
+		if !q.down(i, n) {
+			q.up(i)
+		}
+	}
+	e := q.items[n]
+	q.items[n] = nil
+	q.items = q.items[:n]
+	return e
 }
 
 // pop removes and returns the earliest event, or nil when empty.
@@ -74,7 +109,9 @@ func (q *eventQueue) pop() *Event {
 	if len(q.items) == 0 {
 		return nil
 	}
-	return heap.Pop(q).(*Event)
+	e := q.detach(0)
+	e.index = -1
+	return e
 }
 
 // remove cancels a scheduled event. It is a no-op if the event already fired.
@@ -82,7 +119,7 @@ func (q *eventQueue) remove(e *Event) {
 	if e.index < 0 {
 		return
 	}
-	heap.Remove(q, e.index)
+	q.detach(e.index)
 	e.index = -2
 }
 
