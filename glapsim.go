@@ -127,20 +127,22 @@ type Experiment struct {
 	VMChurn float64
 
 	// Workers bounds the deterministic fork-join parallelism inside this
-	// run: the parallel learning phase, the cluster's demand refresh, and
-	// the metrics scans. <= 0 (the default) auto-sizes from the machine-wide
-	// worker budget shared with RunReplicated; 1 forces fully sequential
-	// execution; an explicit count > 1 is honored exactly. Results are
-	// byte-identical for every setting.
+	// run: the parallel learning phase, the two lanes of the aggregation
+	// phase (φ^out and φ^in merge concurrently), the cluster's demand
+	// refresh, and the metrics scans. <= 0 (the default) auto-sizes from the
+	// machine-wide worker budget shared with RunReplicated; 1 forces fully
+	// sequential execution; an explicit count > 1 is honored exactly.
+	// Results are byte-identical for every setting.
 	Workers int
 
 	// PairSharded enables the engine's deterministic pair-sharded execution
-	// of pairwise protocols (gossip aggregation, synchronous consolidation):
-	// the round's pairs are drawn sequentially from the unchanged RNG
-	// streams, greedy-colored into node-disjoint batches, and fanned out
-	// over Workers. Byte-identical at any worker count, but a distinct
-	// reference point from the sequential path (draws observe round-start
-	// state); see sim.Engine.PairSharded.
+	// of synchronous consolidation: the round's pairs are drawn sequentially
+	// from the unchanged RNG streams, greedy-colored into node-disjoint
+	// batches, and fanned out over Workers. Byte-identical at any worker
+	// count, but a distinct reference point from the sequential path (draws
+	// observe round-start state); see sim.Engine.PairSharded. Pre-training
+	// is unaffected: glap.Pretrain runs on an engine of its own, and its
+	// aggregation phase always takes the lane path (see Workers).
 	PairSharded bool
 	// SkipQuiescent enables the engine's quiescence-skipping fast path:
 	// provably inert round tails are batch-advanced in one fused pass.

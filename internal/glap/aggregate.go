@@ -2,6 +2,7 @@ package glap
 
 import (
 	"github.com/glap-sim/glap/internal/gossip"
+	"github.com/glap-sim/glap/internal/par"
 	"github.com/glap-sim/glap/internal/sim"
 )
 
@@ -32,36 +33,26 @@ func (a *AggProtocol) Setup(e *sim.Engine, n *sim.Node) any {
 	return struct{}{}
 }
 
-// Round implements one active-thread exchange of Algorithm 2.
+// Round implements one active-thread exchange of Algorithm 2. It is the
+// sequential reference of the lane path below, which the engine runs instead.
 func (a *AggProtocol) Round(e *sim.Engine, n *sim.Node, round int) {
-	st := TablesOf(e, n)
-	// Training is over for this node once aggregation runs; its scratch
-	// buffers (a few KB each) are dead weight exactly when the merge unions
-	// drive the run's peak heap, so drop them here. They are append-grown
-	// caches, rebuilt lazily if a continuous-mode re-learning phase follows.
-	st.scratch = learnScratch{}
-	sel := a.Select
-	if sel == nil {
-		sel = gossip.CyclonSelector
+	if peer := a.DrawPair(e, n, round); peer >= 0 {
+		MergeTables(TablesOf(e, n), TablesOf(e, e.Node(peer)))
 	}
-	peer := sel(e, n, a.rng.For(e, 0xa66a66))
-	if peer < 0 {
-		return
-	}
-	MergeTables(st, TablesOf(e, e.Node(peer)))
 }
 
-// PairSharded implements sim.PairRound. Aggregation always operates on the
-// per-node table stores (TablesOf), and MergeTables confines its writes to
-// the two endpoints' tables — the copy-on-write value backings make
-// concurrent merges of node-disjoint pairs value-deterministic regardless of
-// backing identity — so the protocol is unconditionally pair-capable.
-func (a *AggProtocol) PairSharded() bool { return true }
+// Lanes implements sim.LaneRound: one lane per half of MergeTables.
+func (a *AggProtocol) Lanes() int { return mergeLanes }
 
-// DrawPair implements sim.PairRound: Round's scratch drop and peer draw.
+// DrawPair implements sim.LaneRound: Round's peer draw. It reads the overlay
+// view and the protocol's RNG stream, never a table (nor may a Select
+// override), so drawing a whole round before any merge makes exactly the
+// draws Round makes.
 func (a *AggProtocol) DrawPair(e *sim.Engine, n *sim.Node, round int) int {
-	st := TablesOf(e, n)
-	st.scratch = learnScratch{}
+	// Training is over for this node once aggregation runs, and its scratch
+	// buffers (a few KB each) are dead weight exactly when merge unions drive
+	// the peak heap: drop them. A re-learning phase regrows them lazily.
+	TablesOf(e, n).scratch = learnScratch{}
 	sel := a.Select
 	if sel == nil {
 		sel = gossip.CyclonSelector
@@ -69,16 +60,13 @@ func (a *AggProtocol) DrawPair(e *sim.Engine, n *sim.Node, round int) int {
 	return sel(e, n, a.rng.For(e, 0xa66a66))
 }
 
-// BeginPairs implements sim.PairRound (no per-pair accounting).
-func (a *AggProtocol) BeginPairs(e *sim.Engine, round, npairs int) {}
-
-// RunPair implements sim.PairRound: the push-pull merge of pair (a, b).
-func (a *AggProtocol) RunPair(e *sim.Engine, p, q *sim.Node, round, idx int) {
-	MergeTables(TablesOf(e, p), TablesOf(e, q))
+// RunLane implements sim.LaneRound: one half of every drawn pair's merge, in
+// draw order — for each table, the merge sequence Round gives it.
+func (a *AggProtocol) RunLane(e *sim.Engine, lane int, pairs []par.Pair, round int) {
+	for _, pr := range pairs {
+		mergeLane(TablesOf(e, e.Node(int(pr.A))), TablesOf(e, e.Node(int(pr.B))), lane)
+	}
 }
-
-// EndPairs implements sim.PairRound (nothing to fold).
-func (a *AggProtocol) EndPairs(e *sim.Engine, round int) {}
 
 // IOVector adapts a node's φ^io to the map-based convergence
 // instrumentation; nodes with empty tables are excluded from similarity

@@ -37,20 +37,29 @@ func BenchmarkLearningRound(b *testing.B) {
 }
 
 // BenchmarkAggRound measures one Algorithm 2 round (pairwise table
-// unification across the cluster) — the aggregation-phase hot path the
-// dense Q-table backing exists for.
+// unification across a 300-PM cluster, tables as 40 training rounds leave
+// them) — the aggregation-phase hot path the dense Q-table backing exists
+// for. RunRounds restarts at round 0 on every call, so a registration window
+// cannot keep training out of the timed rounds; a flag gates the phases
+// instead. -cpu 1,2 shows the lane speed-up: one processor runs the two lanes
+// inline. Run it with -benchtime 50x: the tables converge within a few
+// hundred rounds, after which a round is pointer compares.
 func BenchmarkAggRound(b *testing.B) {
-	cl := benchGenCluster(b, 100, 300)
-	e := sim.NewEngine(100, 1)
+	cl := benchGenCluster(b, 300, 900)
+	e := sim.NewEngine(300, 1)
 	bd, err := policy.Bind(e, cl)
 	if err != nil {
 		b.Fatal(err)
 	}
 	e.Register(newBenchCyclon())
-	learn := &LearnProtocol{Cfg: DefaultConfig(), B: bd}
-	e.RegisterWindow(learn, 1, 0, 19) // populate tables first
-	e.Register(&AggProtocol{})
-	e.RunRounds(20)
+	learning := true
+	e.Register(&phased{
+		inner:  &LearnProtocol{Cfg: DefaultConfig(), B: bd},
+		active: func(int) bool { return learning },
+	})
+	e.Register(&phased{inner: &AggProtocol{}, active: func(int) bool { return !learning }})
+	e.RunRounds(40) // populate tables first
+	learning = false
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.RunRounds(1)

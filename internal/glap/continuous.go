@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/glap-sim/glap/internal/cyclon"
+	"github.com/glap-sim/glap/internal/par"
 	"github.com/glap-sim/glap/internal/policy"
 	"github.com/glap-sim/glap/internal/sim"
 )
@@ -24,9 +25,8 @@ func (p *phased) Round(e *sim.Engine, n *sim.Node, r int) {
 	}
 }
 
-// Parallelizable delegates to the wrapped protocol so that a phased learning
-// component still fans out while a phased aggregation or consolidation
-// component stays sequential.
+// Parallelizable delegates to the wrapped protocol, so that a phased learning
+// component still fans out.
 func (p *phased) Parallelizable() bool {
 	pr, ok := p.inner.(sim.ParallelRound)
 	return ok && pr.Parallelizable()
@@ -38,13 +38,25 @@ func (p *phased) PairSharded() bool {
 	return ok && pp.PairSharded()
 }
 
-// DrawPair delegates, returning no pair on inactive rounds so the sharded
-// path reproduces the phased gating exactly (no draws, no exchanges).
+// Lanes and RunLane delegate the lane path to the wrapped protocol.
+func (p *phased) Lanes() int {
+	if lp, ok := p.inner.(sim.LaneRound); ok {
+		return lp.Lanes()
+	}
+	return 0
+}
+
+func (p *phased) RunLane(e *sim.Engine, lane int, pairs []par.Pair, r int) {
+	p.inner.(sim.LaneRound).RunLane(e, lane, pairs, r)
+}
+
+// DrawPair delegates, returning no pair on inactive rounds so the sharded and
+// lane paths reproduce the phased gating exactly (no draws, no exchanges).
 func (p *phased) DrawPair(e *sim.Engine, n *sim.Node, r int) int {
 	if !p.active(r) {
 		return -1
 	}
-	return p.inner.(sim.PairRound).DrawPair(e, n, r)
+	return p.inner.(sim.PairDrawer).DrawPair(e, n, r)
 }
 
 func (p *phased) BeginPairs(e *sim.Engine, r, npairs int) {

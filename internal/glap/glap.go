@@ -53,8 +53,9 @@ type PretrainOptions struct {
 	// (defaults 20 / 8).
 	CyclonViewSize   int
 	CyclonShuffleLen int
-	// Workers bounds fork-join parallelism inside the pretraining engine and
-	// its cluster (see sim.Engine.Workers for the semantics). Results are
+	// Workers bounds fork-join parallelism inside the pretraining engine —
+	// Algorithm 1's node pass and Algorithm 2's two merge lanes — and its
+	// cluster (see sim.Engine.Workers for the semantics). Results are
 	// identical for every setting.
 	Workers int
 }

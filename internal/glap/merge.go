@@ -15,13 +15,26 @@ import (
 
 // MergeTables runs one synchronous pairwise merge of Algorithm 2's UPDATE
 // on two live stores: both endpoints end up with the unified tables.
-// qlearn.Merge makes the exchange one scan whether or not the stores still
-// differ, writing only cells that change — near and past convergence (the
-// common regime late in the aggregation phase) the pass leaves both tables'
-// memory untouched.
+// qlearn.Merge's comparison scan doubles as the equality check: past
+// convergence (the common regime late in the aggregation phase) the pass
+// writes nothing and leaves both tables' memory untouched. The two tables
+// are merged independently, which is what AggProtocol's lanes rely on.
 func MergeTables(p, q *NodeTables) {
-	qlearn.Merge(p.Out, q.Out)
-	qlearn.Merge(p.In, q.In)
+	for lane := 0; lane < mergeLanes; lane++ {
+		mergeLane(p, q, lane)
+	}
+}
+
+// mergeLanes is the number of independent halves of MergeTables — φ^out and
+// φ^in share no cell, backing or cache — and mergeLane runs one of them.
+const mergeLanes = 2
+
+func mergeLane(p, q *NodeTables, lane int) {
+	if lane == 0 {
+		qlearn.Merge(p.Out, q.Out)
+	} else {
+		qlearn.Merge(p.In, q.In)
+	}
 }
 
 // TableSnapshot carries one endpoint's φ^io cells — the wire form of the

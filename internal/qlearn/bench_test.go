@@ -1,6 +1,9 @@
 package qlearn
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // fullTable builds a table covering the full 81x81 GLAP state-action space.
 func fullTable(alpha, gamma float64) *Table {
@@ -99,16 +102,22 @@ func disjointPair(prec Precision) (*Table, *Table) {
 	return p, q
 }
 
-// benchMerge measures Merge(p, q) with the pair rewound to its pre-merge
-// backings after every iteration, so each iteration exercises the same merge
-// path instead of degenerating into shared-backing no-ops.
-func benchMerge(b *testing.B, p, q *Table) {
-	pb, qb := p.b, q.b
+// benchMerge measures Merge(p, q), cycling q through qs, with the pair
+// rewound to its pre-merge backings after every iteration, so each iteration
+// exercises the same merge path instead of degenerating into shared-backing
+// no-ops.
+func benchMerge(b *testing.B, p *Table, qs ...*Table) {
+	pb := p.b
 	pb.ref.Add(1) // keep the masters alive across iterations
-	qb.ref.Add(1)
+	qbs := make([]*backing, len(qs))
+	for i, q := range qs {
+		qbs[i] = q.b
+		q.b.ref.Add(1)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		q, qb := qs[i%len(qs)], qbs[i%len(qs)]
 		Merge(p, q)
 		if p.b != pb {
 			deref(p.b)
@@ -128,6 +137,9 @@ func benchMerge(b *testing.B, p, q *Table) {
 //	aligned  — converged steady state: both cell sets alias one canonical
 //	    interned array, values differ → the pointer-equality fast path
 //	    (averageAligned into an aliasing backing, no union build).
+//	aligned-mixed — the same cell set mid-convergence: values differ in a
+//	    random five cells out of six, so whether a cell averages is
+//	    unpredictable — the case the branch-free value kernels exist for.
 //	shared   — the pair already shares one backing: pure pointer compare.
 //	disjoint — no common cells: the general unionScan + unionBuild path.
 func BenchmarkMergeTables(b *testing.B) {
@@ -139,6 +151,29 @@ func BenchmarkMergeTables(b *testing.B) {
 				b.Fatal("setup did not produce aligned canonical backings")
 			}
 			benchMerge(b, p, q)
+		})
+		b.Run("aligned-mixed/"+prec.String(), func(b *testing.B) {
+			p := alignedTable(b, prec, 1)
+			// 64 peers, each differing from p in its own random five cells out
+			// of six (the measured mid-aggregation mix), so that no predictor
+			// learns the pattern from one iteration to the next. Written
+			// through the backing: Set would detach q onto a private copy of
+			// the cell set and lose the alignment.
+			rng := rand.New(rand.NewSource(3))
+			qs := make([]*Table, 64)
+			for k := range qs {
+				q := alignedTable(b, prec, 1)
+				for i := range q.b.idx {
+					if rng.Intn(6) != 0 {
+						q.b.setVal(i, 2*q.b.val(i))
+					}
+				}
+				if &p.b.idx[0] != &q.b.idx[0] {
+					b.Fatal("setup did not produce aligned canonical backings")
+				}
+				qs[k] = q
+			}
+			benchMerge(b, p, qs...)
 		})
 		b.Run("shared/"+prec.String(), func(b *testing.B) {
 			p, q := fastPathPair(prec, 1)

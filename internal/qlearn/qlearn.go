@@ -1129,8 +1129,9 @@ func ResetMergeStats() {
 
 // unionScan is mergeTables' comparison pass over one tier's value arrays:
 // union size of the two sorted cell sets plus value equality on the shared
-// cells. The float64 instantiation is the exact scan the pre-tier merge
-// ran.
+// cells. Values are compared only up to the first difference — one settles
+// valsEqual, and mid-convergence, when most cells differ in their last bits,
+// the rest of the scan is index-only.
 func unionScan[V value](pi, qi []uint16, pvals, qvals []V) (union int, valsEqual bool) {
 	i, j := 0, 0
 	valsEqual = true
@@ -1140,7 +1141,7 @@ func unionScan[V value](pi, qi []uint16, pvals, qvals []V) (union int, valsEqual
 		// common elementwise prefix with two predictable compares per cell;
 		// the general merge walk below resumes at the first set mismatch.
 		for i < len(pi) && pi[i] == qi[i] {
-			if pvals[i] != qvals[i] {
+			if valsEqual && pvals[i] != qvals[i] {
 				valsEqual = false
 			}
 			i++
@@ -1153,7 +1154,7 @@ func unionScan[V value](pi, qi []uint16, pvals, qvals []V) (union int, valsEqual
 	for i < len(pi) && j < len(qi) {
 		switch {
 		case pi[i] == qi[j]:
-			if pvals[i] != qvals[j] {
+			if valsEqual && pvals[i] != qvals[j] {
 				valsEqual = false
 			}
 			i++
@@ -1169,14 +1170,35 @@ func unionScan[V value](pi, qi []uint16, pvals, qvals []V) (union int, valsEqual
 	return union, valsEqual
 }
 
-// averageInto folds o's values into d's for equal cell sets: differing cells
-// become the float64 midpoint rounded once into the tier (for V=float64 the
-// conversions are no-ops and this is the exact pre-tier arithmetic).
+// merged returns Algorithm 2's value for a cell present on both sides: a
+// verbatim when a == b, otherwise the float64 midpoint rounded once into the
+// tier (for V=float64 the conversions are no-ops and this is the exact
+// pre-tier arithmetic). Mid-convergence the two cases alternate cell by cell
+// with no pattern a branch predictor can learn, so the midpoint is computed
+// unconditionally and a is selected over it in the integer domain: widening
+// is exact and injective on both tiers, so a == b exactly when the widened
+// bit patterns agree or both are zeros of either sign. Keeping a is what
+// preserves -0 against +0 and |a| > MaxFloat64/2, where a+a overflows. The
+// two ifs each compile to a conditional move; joined by || they compile to a
+// branch.
+func merged[V value](a, b V) V {
+	fa, fb := float64(a), float64(b)
+	ab, bb := math.Float64bits(fa), math.Float64bits(fb)
+	mb := math.Float64bits(float64(V((fa + fb) / 2)))
+	if ab == bb {
+		mb = ab
+	}
+	if (ab|bb)<<1 == 0 {
+		mb = ab
+	}
+	return V(math.Float64frombits(mb))
+}
+
+// averageInto folds o's values into d's for equal cell sets.
 func averageInto[V value](dvals, ovals []V) {
+	ovals = ovals[:len(dvals)]
 	for i := range dvals {
-		if dv, ov := dvals[i], ovals[i]; dv != ov {
-			dvals[i] = V((float64(dv) + float64(ov)) / 2)
-		}
+		dvals[i] = merged(dvals[i], ovals[i])
 	}
 }
 
@@ -1192,17 +1214,12 @@ func valsEqualAligned[V value](a, b []V) bool {
 	return true
 }
 
-// averageAligned writes the merge of two aligned value arrays into dst:
-// per cell, the float64 midpoint with one rounding point on store when the
-// values differ, the shared value verbatim when they agree — bit-identical
-// to what unionBuild produces for a cell present on both sides.
+// averageAligned writes the merge of two aligned value arrays into dst —
+// bit-identical to what unionBuild produces for a cell present on both sides.
 func averageAligned[V value](dst, a, b []V) {
+	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
-		v := a[i]
-		if bv := b[i]; v != bv {
-			v = V((float64(v) + float64(bv)) / 2)
-		}
-		dst[i] = v
+		dst[i] = merged(a[i], b[i])
 	}
 }
 
@@ -1216,9 +1233,7 @@ func mergeValsInto[V value](dvals []V, pi, qi []uint16, pvals, qvals []V) {
 	for i := range pi {
 		v := pvals[i]
 		if j < len(qi) && qi[j] == pi[i] {
-			if qv := qvals[j]; v != qv {
-				v = V((float64(v) + float64(qv)) / 2)
-			}
+			v = merged(v, qvals[j])
 			j++
 		}
 		dvals[i] = v
@@ -1233,11 +1248,7 @@ func unionBuild[V value](didx []uint16, dvals []V, pi, qi []uint16, pvals, qvals
 	for k := range didx {
 		switch {
 		case i < len(pi) && j < len(qi) && pi[i] == qi[j]:
-			v := pvals[i]
-			if qv := qvals[j]; v != qv {
-				v = V((float64(v) + float64(qv)) / 2)
-			}
-			didx[k], dvals[k] = pi[i], v
+			didx[k], dvals[k] = pi[i], merged(pvals[i], qvals[j])
 			i++
 			j++
 		case j >= len(qi) || (i < len(pi) && pi[i] < qi[j]):

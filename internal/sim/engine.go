@@ -49,8 +49,8 @@ type Protocol interface {
 // nodes' rounds observe each other's writes within the same pass. Protocols
 // that mutate peer state (push-pull gossip exchanges, Algorithm 3
 // consolidation moving VMs) must not declare it and always run sequentially
-// — unless they additionally implement PairRound, which parallelises exactly
-// those peer-mutating exchanges.
+// — unless they additionally implement PairRound or LaneRound, which
+// parallelise exactly those peer-mutating exchanges.
 //
 // Determinism is the caller's headline invariant: because each conforming
 // Round is self-contained and draws from per-node randomness, the round's
@@ -90,13 +90,10 @@ type ParallelRound interface {
 // internally deterministic; golden fingerprints pin them separately.
 type PairRound interface {
 	Protocol
+	PairDrawer
 	// PairSharded reports whether Round decomposes into DrawPair/RunPair
 	// under the protocol's current configuration.
 	PairSharded() bool
-	// DrawPair performs initiator n's peer draw exactly as Round would
-	// (including node-local side effects such as view pruning or scratch
-	// resets) and returns the peer's node ID, or -1 for no exchange.
-	DrawPair(e *Engine, n *Node, round int) int
 	// BeginPairs announces the number of drawn pairs before execution so the
 	// protocol can size per-pair accounting.
 	BeginPairs(e *Engine, round, npairs int)
@@ -106,6 +103,34 @@ type PairRound interface {
 	// EndPairs folds per-pair accounting back into shared state, in draw
 	// order, after all batches joined.
 	EndPairs(e *Engine, round int)
+}
+
+// PairDrawer is the draw half that PairRound and LaneRound share.
+type PairDrawer interface {
+	// DrawPair performs initiator n's peer draw exactly as Round would
+	// (including node-local side effects such as view pruning or scratch
+	// resets) and returns the peer's node ID, or -1 for no exchange.
+	DrawPair(e *Engine, n *Node, round int) int
+}
+
+// LaneRound is the always-on opt-in for a pairwise protocol whose exchange is
+// several independent sub-exchanges ("lanes": Algorithm 2 merges φ^out and
+// φ^in, which share no state) and whose peer draw reads nothing an exchange
+// writes. The engine draws the round's pairs first — the same draws in the
+// same order as the per-node Round path — and then runs every lane over the
+// whole pair list in draw order, lanes concurrently. Each lane's state sees
+// exactly its sequential exchange sequence, so the pass is bit-identical to
+// per-node Round execution at any worker count; Workers == 1 or an exhausted
+// worker budget simply runs lane after lane inline.
+type LaneRound interface {
+	Protocol
+	PairDrawer
+	// Lanes returns the number of independent lanes, or 0 to take the
+	// per-node Round path (a wrapper whose inner protocol has none).
+	Lanes() int
+	// RunLane runs lane's share of every drawn pair, in draw order. It may
+	// write only state no other lane touches.
+	RunLane(e *Engine, lane int, pairs []par.Pair, round int)
 }
 
 // QuiescentRound is the opt-in contract for quiescence-skipping. A protocol
@@ -201,19 +226,23 @@ type Engine struct {
 	RoundPeriod int64
 
 	// Workers bounds intra-run fork-join parallelism for protocols that
-	// declare ParallelRound. <= 0 (the default) sizes automatically from the
-	// machine-wide worker budget shared with RunReplications, so nested
-	// parallelism cannot oversubscribe; 1 forces sequential execution; an
-	// explicit count > 1 is honored exactly (differential and race tests
-	// rely on that). Results are identical for every setting.
+	// declare ParallelRound, LaneRound or (under PairSharded) PairRound.
+	// <= 0 (the default) sizes automatically from the machine-wide worker
+	// budget shared with RunReplications, so nested parallelism cannot
+	// oversubscribe; 1 forces sequential execution; an explicit count > 1 is
+	// honored exactly (differential and race tests rely on that). Results
+	// are identical for every setting.
 	Workers int
 
 	// PairSharded enables the pair-sharded execution path for protocols that
-	// implement PairRound and report PairSharded(). Off by default: the
-	// sequential Round path stays the reference. Sharded execution is
-	// deterministic and byte-identical across worker counts, but is its own
-	// reference point (draws observe round-start state), so it is pinned by
-	// its own golden fingerprints.
+	// implement PairRound and report PairSharded() — synchronous
+	// consolidation and gossip.Protocol with Sharded set. Algorithm-2
+	// aggregation is not among them: it is a LaneRound and takes the lane
+	// path whether or not this is set. Off by default: the sequential Round
+	// path stays the reference. Sharded execution is deterministic and
+	// byte-identical across worker counts, but is its own reference point
+	// (draws observe round-start state), so it is pinned by its own golden
+	// fingerprints.
 	PairSharded bool
 
 	// SkipQuiescent enables quiescence-skipping: when the event queue is
@@ -433,6 +462,10 @@ func (e *Engine) RunRounds(rounds int) {
 			if (r-reg.from)%reg.every != 0 {
 				continue
 			}
+			if lp, ok := reg.proto.(LaneRound); ok && lp.Lanes() > 0 {
+				e.runLanes(lp, order, r)
+				continue
+			}
 			if e.PairSharded {
 				if pp, ok := reg.proto.(PairRound); ok && pp.PairSharded() {
 					e.runPairsSharded(pp, order, r)
@@ -521,18 +554,7 @@ func (e *Engine) skipTail(from, to int) {
 // depend only on the drawn pairs, so the pass is byte-identical at any worker
 // count.
 func (e *Engine) runPairsSharded(pp PairRound, order []*Node, r int) {
-	pairs := e.pairBuf[:0]
-	for _, n := range order {
-		if !n.up {
-			continue
-		}
-		peer := pp.DrawPair(e, n, r)
-		if peer < 0 {
-			continue
-		}
-		pairs = append(pairs, par.Pair{A: int32(n.ID), B: int32(peer)})
-	}
-	e.pairBuf = pairs
+	pairs := e.drawPairs(pp, order, r)
 	pp.BeginPairs(e, r, len(pairs))
 	e.pairSched.Build(pairs, len(e.nodes))
 	sched := &e.pairSched
@@ -550,6 +572,37 @@ func (e *Engine) runPairsSharded(pp PairRound, order []*Node, r int) {
 	e.pairRounds++
 	e.pairBatches += int64(sched.Batches())
 	e.pairTotal += int64(len(pairs))
+}
+
+// drawPairs is the sequential draw phase shared by the pair-sharded and lane
+// paths: one draw per up node in shuffled order, exactly as the per-node
+// Round loop would make them, collected into the engine's reused pair buffer.
+func (e *Engine) drawPairs(d PairDrawer, order []*Node, r int) []par.Pair {
+	pairs := e.pairBuf[:0]
+	for _, n := range order {
+		if !n.up {
+			continue
+		}
+		if peer := d.DrawPair(e, n, r); peer >= 0 {
+			pairs = append(pairs, par.Pair{A: int32(n.ID), B: int32(peer)})
+		}
+	}
+	e.pairBuf = pairs
+	return pairs
+}
+
+// runLanes executes one LaneRound protocol pass: draw, then one chunk per
+// lane.
+func (e *Engine) runLanes(lp LaneRound, order []*Node, r int) {
+	pairs := e.drawPairs(lp, order, r)
+	if len(pairs) == 0 {
+		return // nothing drawn (a gated-off round, say): nothing to fork for
+	}
+	par.ForChunks(lp.Lanes(), 1, e.Workers, func(lo, hi int) {
+		for lane := lo; lane < hi; lane++ {
+			lp.RunLane(e, lane, pairs, r)
+		}
+	})
 }
 
 // runNodesParallel fans one ParallelRound protocol's pass over the shuffled

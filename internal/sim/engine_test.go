@@ -2,8 +2,11 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
+
+	"github.com/glap-sim/glap/internal/par"
 )
 
 // countingProto records how many times Round ran per node.
@@ -403,5 +406,101 @@ func TestBoundNodeRNGPerNodeStreamsStableAcrossEngines(t *testing.T) {
 	e3 := NewEngine(8, 43)
 	if b.For(e3, 0, 0xabc).Uint64() == first[0] {
 		t.Fatal("different engine seed must change the node stream")
+	}
+}
+
+// laneProto is a toy LaneRound: node state is one non-commutative digest per
+// lane, an exchange folds each endpoint's digest into the other's, and the
+// peer draw reads only the protocol's own stream. Round is the per-node
+// reference: draw, then every lane of that one pair.
+const toyLanes = 3
+
+type laneState [toyLanes]uint64
+
+type laneProto struct {
+	lanes int
+	rng   BoundRNG
+	log   [][]par.Pair // per lane: the pairs RunLane saw, in the order it saw them
+}
+
+func (p *laneProto) Name() string { return "lanes" }
+func (p *laneProto) Setup(e *Engine, n *Node) any {
+	id := uint64(n.ID)
+	return &laneState{id, id, id}
+}
+func (p *laneProto) Lanes() int { return p.lanes }
+
+func (p *laneProto) DrawPair(e *Engine, n *Node, r int) int {
+	if r%4 == 3 {
+		return -1 // a round with no exchange at all
+	}
+	peer := p.rng.For(e, 0x1a9e).Intn(e.N())
+	if peer == n.ID || !e.Node(peer).Up() {
+		return -1
+	}
+	return peer
+}
+
+func (p *laneProto) exchange(e *Engine, a, b int32, lane int) {
+	x, y := e.State("lanes", e.Node(int(a))).(*laneState), e.State("lanes", e.Node(int(b))).(*laneState)
+	m := (x[lane]*31 + y[lane]) ^ uint64(lane)
+	x[lane], y[lane] = m, m*7
+}
+
+func (p *laneProto) Round(e *Engine, n *Node, r int) {
+	if peer := p.DrawPair(e, n, r); peer >= 0 {
+		for lane := 0; lane < toyLanes; lane++ {
+			p.exchange(e, int32(n.ID), int32(peer), lane)
+		}
+	}
+}
+
+func (p *laneProto) RunLane(e *Engine, lane int, pairs []par.Pair, r int) {
+	p.log[lane] = append(p.log[lane], pairs...)
+	for _, pr := range pairs {
+		p.exchange(e, pr.A, pr.B, lane)
+	}
+}
+
+// TestLaneRoundMatchesPerNodeRound pins the LaneRound contract on the engine
+// side: at every worker count the lane pass leaves the state the per-node
+// Round path leaves (rounds that draw no pair included), every lane sees
+// every drawn pair in draw order, and a protocol reporting zero lanes stays on
+// Round.
+func TestLaneRoundMatchesPerNodeRound(t *testing.T) {
+	const nodes, rounds = 23, 12
+	run := func(lanes, workers int) (*Engine, *laneProto) {
+		e := NewEngine(nodes, 9)
+		e.Workers = workers
+		e.SetUp(e.Node(4), false)
+		p := &laneProto{lanes: lanes, log: make([][]par.Pair, toyLanes)}
+		e.Register(p)
+		e.RunRounds(rounds)
+		return e, p
+	}
+	ref, refP := run(0, 1)
+	if len(refP.log[0]) != 0 {
+		t.Fatal("Lanes() == 0 must keep the protocol on the per-node Round path")
+	}
+	for _, workers := range []int{1, 2, 8} {
+		e, p := run(toyLanes, workers)
+		for id := 0; id < nodes; id++ {
+			got, want := *e.State("lanes", e.Node(id)).(*laneState), *ref.State("lanes", ref.Node(id)).(*laneState)
+			if got != want {
+				t.Fatalf("workers=%d node %d: lane pass %v, per-node Round %v", workers, id, got, want)
+			}
+		}
+		if len(p.log[0]) == 0 {
+			t.Fatalf("workers=%d: no pair reached RunLane", workers)
+		}
+		for lane := 1; lane < toyLanes; lane++ {
+			if !slices.Equal(p.log[lane], p.log[0]) {
+				t.Fatalf("workers=%d: lane %d saw a different pair sequence than lane 0", workers, lane)
+			}
+		}
+		a, b := *p.rng.For(e, 0x1a9e), *refP.rng.For(ref, 0x1a9e)
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("workers=%d: lane pass left the draw stream at a different position", workers)
+		}
 	}
 }
