@@ -4,30 +4,24 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"runtime/debug"
 	"strconv"
 )
 
 // envMeta records the host execution environment in every benchmark report.
 // A committed JSON file is only meaningful next to the machine shape it was
-// taken on: a speedup or wall-time column from a GOMAXPROCS=1 host measures
-// scheduling overhead, not parallelism, and embedding the shape in the
-// report makes that impossible to overlook after the fact. GOGC is recorded
-// per row because the scale grid pins a tighter collector only on its
-// largest sizes (see runScale): two heap_bytes_peak figures are only
-// comparable under the same GC discipline.
+// taken on: a wall-time column from a GOMAXPROCS=1 host measures scheduling
+// overhead, not parallelism, and embedding the shape in the report makes
+// that impossible to overlook after the fact.
 type envMeta struct {
 	GOMAXPROCS int `json:"gomaxprocs"`
 	NumCPU     int `json:"num_cpu"`
 	GOGC       int `json:"gogc"`
 }
 
-// effectiveGOGC mirrors the GC percentage currently in force. The runtime
-// offers no read-only getter (debug.SetGCPercent is a swap), so every
-// adjustment goes through setGCPercent to keep the mirror truthful.
-var effectiveGOGC = initialGOGC()
-
-func initialGOGC() int {
+// gogc reads the GC percentage in force from the environment: the runtime
+// offers no read-only getter (debug.SetGCPercent is a swap) and nothing in
+// this command changes it.
+func gogc() int {
 	if s := os.Getenv("GOGC"); s != "" {
 		if s == "off" {
 			return -1
@@ -39,15 +33,8 @@ func initialGOGC() int {
 	return 100
 }
 
-// setGCPercent applies pct (−1 disables the collector, matching
-// debug.SetGCPercent) and records it for env metadata.
-func setGCPercent(pct int) {
-	debug.SetGCPercent(pct)
-	effectiveGOGC = pct
-}
-
 func currentEnv() envMeta {
-	return envMeta{GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), GOGC: effectiveGOGC}
+	return envMeta{GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), GOGC: gogc()}
 }
 
 // warnIfSerial prints the shared single-thread warning at generation time,
@@ -56,6 +43,6 @@ func currentEnv() envMeta {
 func (m envMeta) warnIfSerial() {
 	if m.GOMAXPROCS == 1 {
 		fmt.Println("WARNING: GOMAXPROCS=1 — parallel rows share one OS thread; " +
-			"speedup columns measure scheduling overhead, not parallelism.")
+			"wall-time columns measure scheduling overhead, not parallelism.")
 	}
 }

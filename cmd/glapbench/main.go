@@ -16,6 +16,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"text/tabwriter"
@@ -24,8 +25,93 @@ import (
 	"github.com/glap-sim/glap/internal/glap"
 )
 
+// options carries the parsed flags to the experiments, and what one
+// experiment leaves for a later step: Figure 5's result for the CSV writer,
+// the shared grid pass for the figures that print from it.
+type options struct {
+	grid       glapsim.Grid
+	drops      []float64
+	lats       []int64
+	scenSizes  []int
+	scenRounds int
+	scenOut    string
+
+	conv  []*glapsim.ConvergenceResult
+	cells map[glapsim.Cell]*glapsim.CellStats
+	order []glapsim.Cell
+}
+
+// experiment is one -exp name. The grid experiments print one figure each
+// from a single RunGrid pass, which main makes once after the others ran.
+type experiment struct {
+	name  string
+	desc  string
+	paper bool // part of the paper's evaluation, so part of -exp all
+	grid  bool // run prints from o.cells / o.order
+	run   func(o *options)
+}
+
+// experiments is the single source of the -exp names: the flag's help text,
+// the validation of its value and the dispatch all read this table, and
+// TestDocsNameOnlyKnownExperiments holds the user-facing docs to it.
+var experiments = []experiment{
+	{name: "f5", desc: "Q-value convergence", paper: true, run: func(o *options) { o.conv = runF5(o.grid) }},
+	{name: "f6", desc: "packing vs BFD", paper: true, grid: true, run: func(o *options) { printF6(o.cells, o.order) }},
+	{name: "f7", desc: "overloaded PMs", paper: true, grid: true, run: func(o *options) { printF7(o.cells, o.order) }},
+	{name: "f8", desc: "migrations", paper: true, grid: true, run: func(o *options) { printF8(o.cells, o.order) }},
+	{name: "f9", desc: "cumulative migrations", paper: true, grid: true, run: func(o *options) { printF9(o.grid, o.cells, o.order) }},
+	{name: "f10", desc: "migration energy", paper: true, grid: true, run: func(o *options) { printF10(o.cells, o.order) }},
+	{name: "t1", desc: "SLAV table", paper: true, grid: true, run: func(o *options) { printT1(o.grid, o.cells) }},
+	{name: "robust", desc: "async consolidation under loss × latency", run: func(o *options) {
+		runRobust(glapsim.RobustConfig{
+			PMs: o.grid.Sizes[0], Ratio: o.grid.Ratios[0], Rounds: o.grid.Rounds, Reps: o.grid.Reps,
+			Seed: o.grid.Seed, DropProbs: o.drops, Latencies: o.lats, Workers: o.grid.Workers,
+		})
+	}},
+	{name: "scenarios", desc: "crash-churn / hetero / topology / real-trace suite", run: func(o *options) {
+		runScenarios(o.grid.Seed, o.scenRounds, o.grid.Workers, o.scenSizes, o.scenOut)
+	}},
+}
+
+// expUsage renders the -exp help text from the experiment table.
+func expUsage() string {
+	var b strings.Builder
+	b.WriteString("comma-separated experiments: ")
+	for _, x := range experiments {
+		fmt.Fprintf(&b, "%s (%s), ", x.name, x.desc)
+	}
+	b.WriteString("or all (every figure and table of the paper: f5 to t1)")
+	return b.String()
+}
+
+// selectExperiments resolves an -exp value against the experiment table, in
+// table order. A name the table does not hold is an error that lists the
+// ones it does, so a retired or mistyped experiment cannot pass for a run
+// that printed nothing.
+func selectExperiments(spec string) ([]experiment, error) {
+	names := make([]string, len(experiments))
+	for i, x := range experiments {
+		names[i] = x.name
+	}
+	want := map[string]bool{}
+	for _, name := range strings.Split(spec, ",") {
+		name = strings.TrimSpace(name)
+		if name != "all" && !slices.Contains(names, name) {
+			return nil, fmt.Errorf("unknown experiment %q: valid -exp values are %s, all", name, strings.Join(names, ", "))
+		}
+		want[name] = true
+	}
+	var picked []experiment
+	for _, x := range experiments {
+		if want[x.name] || (want["all"] && x.paper) {
+			picked = append(picked, x)
+		}
+	}
+	return picked, nil
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment: f5, f6, f7, f8, f9, f10, t1, all, kernel (dense-vs-sparse hot-path comparison), robust (async consolidation under loss × latency), scale (per-stage wall time across cluster sizes and worker counts), learn (fused vs reference training-kernel comparison), scenarios (crash-churn / hetero / topology / real-trace suite), or quiesce (720-round continuous-operation run with and without the quiescence fast path)")
+	exp := flag.String("exp", "all", expUsage())
 	sizes := flag.String("sizes", "100", "comma-separated cluster sizes")
 	ratios := flag.String("ratios", "2,3,4", "comma-separated VM:PM ratios")
 	rounds := flag.Int("rounds", 240, "consolidation rounds (2 simulated minutes each)")
@@ -35,20 +121,17 @@ func main() {
 	csvDir := flag.String("csv", "", "also write per-figure CSV files into this directory")
 	drops := flag.String("drops", "0,0.1,0.2", "comma-separated message-loss probabilities for -exp robust")
 	lats := flag.String("lats", "1,30,90", "comma-separated one-way message latencies for -exp robust")
-	scaleOut := flag.String("scale-out", "BENCH_scale.json", "output path for the -exp scale report")
-	scaleSizesFlag := flag.String("scale-sizes", "", "comma-separated cluster sizes for -exp scale (empty = built-in grid up to 100k PMs)")
-	learnOut := flag.String("learn-out", "BENCH_learn.json", "output path for the -exp learn report")
-	learnIters := flag.Int("learn-iters", 2_000_000, "training iterations per kernel measurement for -exp learn")
 	scenOut := flag.String("scen-out", "BENCH_scenarios.json", "output path for the -exp scenarios report")
 	scenSizes := flag.String("scen-sizes", "40,80", "comma-separated cluster sizes for -exp scenarios")
 	scenRounds := flag.Int("scen-rounds", 60, "consolidation rounds per scenario run for -exp scenarios")
-	quiesceOut := flag.String("quiesce-out", "BENCH_quiesce.json", "output path for the -exp quiesce report")
-	quiescePMs := flag.Int("quiesce-pms", 500, "cluster size for -exp quiesce")
-	quiesceRounds := flag.Int("quiesce-rounds", 720, "consolidation rounds for -exp quiesce")
-	quiesceFreeze := flag.Int("quiesce-freeze", 60, "round at which demand freezes for -exp quiesce")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
+
+	picked, err := selectExperiments(*exp)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -77,119 +160,46 @@ func main() {
 		}()
 	}
 
-	grid := glapsim.Grid{
-		Sizes:   parseInts(*sizes),
-		Ratios:  parseInts(*ratios),
-		Rounds:  *rounds,
-		Reps:    *reps,
-		Seed:    *seed,
-		Workers: *workers,
+	o := &options{
+		grid: glapsim.Grid{
+			Sizes:   parseInts(*sizes),
+			Ratios:  parseInts(*ratios),
+			Rounds:  *rounds,
+			Reps:    *reps,
+			Seed:    *seed,
+			Workers: *workers,
+		},
+		drops:      parseFloats(*drops),
+		lats:       parseInt64s(*lats),
+		scenSizes:  parseInts(*scenSizes),
+		scenRounds: *scenRounds,
+		scenOut:    *scenOut,
 	}
 
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
-	all := want["all"]
-
-	if want["kernel"] {
-		runKernel(*seed)
-		if len(want) == 1 {
-			return
+	needGrid := false
+	for _, x := range picked {
+		if x.grid {
+			needGrid = true
+		} else {
+			x.run(o)
 		}
 	}
-
-	if want["scale"] {
-		// -scale-sizes wins; otherwise an explicitly passed -sizes selects
-		// the subset (so `-exp scale -sizes 500,2000` works like every other
-		// experiment), and with neither the built-in grid up to 100k runs.
-		scaleGrid := parseInts(*scaleSizesFlag)
-		if len(scaleGrid) == 0 {
-			sizesSet := false
-			flag.Visit(func(f *flag.Flag) { sizesSet = sizesSet || f.Name == "sizes" })
-			if sizesSet {
-				scaleGrid = parseInts(*sizes)
-			}
-		}
-		runScale(*seed, *scaleOut, scaleGrid)
-		if len(want) == 1 {
-			return
-		}
-	}
-
-	if want["learn"] {
-		runLearn(*seed, *learnIters, *learnOut)
-		if len(want) == 1 {
-			return
-		}
-	}
-
-	if want["scenarios"] {
-		runScenarios(*seed, *scenRounds, *workers, parseInts(*scenSizes), *scenOut)
-		if len(want) == 1 {
-			return
-		}
-	}
-
-	if want["quiesce"] {
-		runQuiesce(*seed, *quiescePMs, *quiesceRounds, *quiesceFreeze, *quiesceOut)
-		if len(want) == 1 {
-			return
-		}
-	}
-
-	if want["robust"] {
-		runRobust(glapsim.RobustConfig{
-			PMs:       grid.Sizes[0],
-			Ratio:     grid.Ratios[0],
-			Rounds:    *rounds,
-			Reps:      *reps,
-			Seed:      *seed,
-			DropProbs: parseFloats(*drops),
-			Latencies: parseInt64s(*lats),
-			Workers:   *workers,
-		})
-		if len(want) == 1 {
-			return
-		}
-	}
-
-	var conv []*glapsim.ConvergenceResult
-	if all || want["f5"] {
-		conv = runF5(grid)
-	}
-
-	needGrid := all || want["f6"] || want["f7"] || want["f8"] || want["f9"] || want["f10"] || want["t1"]
 	if !needGrid {
 		return
 	}
 	fmt.Printf("\n== running grid: sizes=%v ratios=%v rounds=%d reps=%d ==\n",
-		grid.Sizes, grid.Ratios, grid.Rounds, grid.Reps)
-	cells, order, err := glapsim.RunGrid(grid)
+		o.grid.Sizes, o.grid.Ratios, o.grid.Rounds, o.grid.Reps)
+	o.cells, o.order, err = glapsim.RunGrid(o.grid)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	if all || want["f6"] {
-		printF6(cells, order)
-	}
-	if all || want["f7"] {
-		printF7(cells, order)
-	}
-	if all || want["f8"] {
-		printF8(cells, order)
-	}
-	if all || want["f9"] {
-		printF9(grid, cells, order)
-	}
-	if all || want["f10"] {
-		printF10(cells, order)
-	}
-	if all || want["t1"] {
-		printT1(grid, cells)
+	for _, x := range picked {
+		if x.grid {
+			x.run(o)
+		}
 	}
 	if *csvDir != "" {
-		if err := writeCSVDir(*csvDir, grid, cells, order, conv); err != nil {
+		if err := writeCSVDir(*csvDir, o.grid, o.cells, o.order, o.conv); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("\nwrote CSV files to %s\n", *csvDir)

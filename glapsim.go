@@ -135,21 +135,6 @@ type Experiment struct {
 	// Results are byte-identical for every setting.
 	Workers int
 
-	// PairSharded enables the engine's deterministic pair-sharded execution
-	// of synchronous consolidation: the round's pairs are drawn sequentially
-	// from the unchanged RNG streams, greedy-colored into node-disjoint
-	// batches, and fanned out over Workers. Byte-identical at any worker
-	// count, but a distinct reference point from the sequential path (draws
-	// observe round-start state); see sim.Engine.PairSharded. Pre-training
-	// is unaffected: glap.Pretrain runs on an engine of its own, and its
-	// aggregation phase always takes the lane path (see Workers).
-	PairSharded bool
-	// SkipQuiescent enables the engine's quiescence-skipping fast path:
-	// provably inert round tails are batch-advanced in one fused pass.
-	// Results are byte-identical with the option on or off; see
-	// sim.Engine.SkipQuiescent.
-	SkipQuiescent bool
-
 	// Net configures the message transport for message-passing policies
 	// (PolicyGLAPAsync). Cycle-driven policies ignore it.
 	Net NetConfig
@@ -249,16 +234,6 @@ type Result struct {
 	// Network holds switch activity and energy when the topology model is
 	// enabled (nil otherwise).
 	Network *metrics.NetworkSeries
-	// RoundsSkipped is the number of rounds the engine batch-advanced via
-	// quiescence-skipping (0 unless Experiment.SkipQuiescent).
-	RoundsSkipped int64
-	// PairPasses/PairBatches/PairCount are the pair-sharded execution
-	// counters: protocol passes run via the sharded path, node-disjoint
-	// batches across them, and total pairs executed (all 0 unless
-	// Experiment.PairSharded).
-	PairPasses  int64
-	PairBatches int64
-	PairCount   int64
 }
 
 // workloadFor returns the experiment's workload, generating it when absent.
@@ -369,8 +344,6 @@ func prepareStack(x Experiment, w *trace.Set, shared *glap.NodeTables) (*dc.Clus
 	c.Workers = x.Workers
 	e := sim.NewEngine(x.PMs, deriveSeed(x.Seed, seedEngine))
 	e.Workers = x.Workers
-	e.PairSharded = x.PairSharded
-	e.SkipQuiescent = x.SkipQuiescent
 	b, err := policy.Bind(e, c)
 	if err != nil {
 		return nil, nil, nil, err
@@ -457,17 +430,12 @@ func Run(x Experiment) (*Result, error) {
 	}
 	series.Finalize(c)
 
-	passes, batches, pairs := e.PairStats()
 	return &Result{
-		Series:        series,
-		Cluster:       c,
-		Pretrain:      pretrain,
-		BFDBaseline:   bfdOracle(c),
-		Network:       network,
-		RoundsSkipped: e.RoundsSkipped(),
-		PairPasses:    passes,
-		PairBatches:   batches,
-		PairCount:     pairs,
+		Series:      series,
+		Cluster:     c,
+		Pretrain:    pretrain,
+		BFDBaseline: bfdOracle(c),
+		Network:     network,
 	}, nil
 }
 

@@ -285,3 +285,45 @@ func TestGLAPBeatsGRMPOnOverloads(t *testing.T) {
 			glapStats.SLAV.Median, grmpStats.SLAV.Median)
 	}
 }
+
+// TestRunHostileExperiments pins how the facade treats configurations no
+// sane caller writes: none may panic or hang (either fails the test binary).
+// What Validate rules out must be refused; the rest may run to completion or
+// be refused further down (ratio 50 overloads every PM, so GLAP's
+// pre-training learns nothing and says so).
+func TestRunHostileExperiments(t *testing.T) {
+	async := func(x *Experiment) { x.Policy = PolicyGLAPAsync }
+	cases := []struct {
+		name    string
+		mut     func(x *Experiment)
+		mustErr bool
+	}{
+		{"zero PMs", func(x *Experiment) { x.PMs = 0 }, true},
+		{"negative PMs", func(x *Experiment) { x.PMs = -5 }, true},
+		{"zero ratio", func(x *Experiment) { x.Ratio = 0 }, true},
+		{"negative ratio", func(x *Experiment) { x.Ratio = -1 }, true},
+		{"zero rounds", func(x *Experiment) { x.Rounds = 0 }, true},
+		{"negative rounds", func(x *Experiment) { x.Rounds = -3 }, true},
+		{"drop prob below 0", func(x *Experiment) { async(x); x.Net.DropProb = -0.1 }, true},
+		{"drop prob above 1", func(x *Experiment) { async(x); x.Net.DropProb = 1.5 }, true},
+		{"churn below 0", func(x *Experiment) { x.VMChurn = -0.5 }, true},
+		{"churn above 1", func(x *Experiment) { x.VMChurn = 1.5 }, true},
+		{"negative latency", func(x *Experiment) { async(x); x.Net.Latency = -1 }, true},
+		{"negative rack size", func(x *Experiment) { x.RackSize = -1 }, true},
+		{"unknown policy", func(x *Experiment) { x.Policy = "bogus" }, true},
+		{"view larger than cluster", func(x *Experiment) { x.CyclonViewSize = 100 }, false},
+		{"shuffle longer than view", func(x *Experiment) { x.CyclonViewSize = 5; x.CyclonShuffleLen = 9 }, false},
+		{"negative workers", func(x *Experiment) { x.Workers = -9 }, false},
+		{"ratio 50", func(x *Experiment) { x.Ratio = 50 }, false},
+	}
+	for _, tc := range cases {
+		x := Experiment{
+			PMs: 10, Ratio: 2, Rounds: 5, Seed: 3, Policy: PolicyGLAP,
+			GLAP: glap.Config{LearnRounds: 5, AggRounds: 3},
+		}
+		tc.mut(&x)
+		if _, err := Run(x); tc.mustErr && err == nil {
+			t.Errorf("%s: Run accepted a configuration Validate rules out", tc.name)
+		}
+	}
+}

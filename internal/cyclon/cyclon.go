@@ -157,15 +157,6 @@ func viewOf(e *sim.Engine, n *sim.Node) *View {
 	return e.State(ProtocolName, n).(*View)
 }
 
-// InactiveSpan implements sim.QuiescentRound. Cyclon shuffles mutate only
-// the overlay views and the protocol's random stream; neither appears in the
-// simulation's outputs. Their sole downstream effect is which peers the
-// sampling selectors return — and the engine only skips when every protocol
-// consuming those samples is simultaneously inert for EVERY possible peer
-// choice, which is exactly the proviso of the QuiescentRound contract. The
-// overlay therefore certifies any span unconditionally.
-func (c *Protocol) InactiveSpan(e *sim.Engine, from, to int) int { return to - from }
-
 // Round implements one Cyclon shuffle for node n: age the view, pick the
 // oldest live neighbour q, exchange ShuffleLen entries, and merge replies
 // preferring fresh entries. Entries pointing at switched-off nodes are

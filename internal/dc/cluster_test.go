@@ -355,6 +355,24 @@ func TestAdvanceRoundAccounting(t *testing.T) {
 	if pm.EnergyJ() <= 93*120 {
 		t.Fatalf("energy %g should exceed idle floor", pm.EnergyJ())
 	}
+	// Over a constant-demand window every accumulator is linear in the
+	// number of rounds and the running average stays at the demand.
+	perRound := pm.EnergyJ()
+	for r := 2; r <= 9; r++ {
+		c.AdvanceRound(r)
+	}
+	if pm.ActiveSeconds() != 9*120 || c.Round() != 9 {
+		t.Fatalf("after 9 rounds: active seconds %g, round %d", pm.ActiveSeconds(), c.Round())
+	}
+	if math.Abs(pm.EnergyJ()-9*perRound) > 1e-6 {
+		t.Fatalf("energy %g, want 9 x %g", pm.EnergyJ(), perRound)
+	}
+	if c.vmCount[0] != 10 || math.Abs(c.vmRequested[0]-9*0.5*c.vmCap[0][CPU]*120) > 1e-6 {
+		t.Fatalf("vm 0: %d observations, %g MIPS·s requested", c.vmCount[0], c.vmRequested[0])
+	}
+	if a := c.VMs[0].AvgDemand(); math.Abs(a[CPU]-0.5) > 1e-12 || math.Abs(a[Mem]-0.2) > 1e-12 {
+		t.Fatalf("running average drifted off constant demand: %v", a)
+	}
 	// Overloaded PM accrues overload time; energy capped at max power.
 	c2 := newTestCluster(t, 1, 6, 1.0, 0.2)
 	c2.AdvanceRound(1)

@@ -170,6 +170,40 @@ func BenchmarkIOFlat(b *testing.B) {
 	}
 }
 
+// benchProfiles synthesises a deterministic base profile set whose demands
+// span the calibrated level range, against the given PM capacity.
+func benchProfiles(baseVMs int, seed uint64) []profile {
+	rng := sim.NewRNG(seed)
+	ps := make([]profile, baseVMs)
+	for i := range ps {
+		var cur, avg dc.Vec
+		for r := 0; r < dc.NumResources; r++ {
+			avg[r] = 0.05 + 0.6*rng.Float64()
+			cur[r] = 0.05 + 0.6*rng.Float64()
+		}
+		ps[i] = profile{cur: cur, avg: avg, cap: dc.Vec{500, 613}}
+	}
+	return ps
+}
+
+// benchCapacity is the PM capacity the synthetic kernel benchmark trains
+// against (one PM hosting small-spec VMs, as in the evaluation clusters).
+var benchCapacity = dc.Vec{2660, 4096}
+
+// profileToKernel converts a reference profile into the fused kernel's
+// precomputed form — the same precomputation appendKernelProfile applies
+// when collecting live VMs.
+func profileToKernel(p profile) kernelProfile {
+	var k kernelProfile
+	for r := 0; r < dc.NumResources; r++ {
+		k.wAvg[r] = p.avg[r] * p.cap[r]
+		k.wCur[r] = p.cur[r] * p.cap[r]
+	}
+	k.actAvg = LevelsOf(p.avg).Action()
+	k.actCur = LevelsOf(p.cur).Action()
+	return k
+}
+
 // BenchmarkTrainOnce measures one fused simulated-migration training
 // iteration — Algorithm 1's inner loop — over a typical collected profile
 // set. The fused kernel must run allocation-free in steady state; CI runs

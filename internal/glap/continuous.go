@@ -32,12 +32,6 @@ func (p *phased) Parallelizable() bool {
 	return ok && pr.Parallelizable()
 }
 
-// PairSharded delegates pair-sharded capability to the wrapped protocol.
-func (p *phased) PairSharded() bool {
-	pp, ok := p.inner.(sim.PairRound)
-	return ok && pp.PairSharded()
-}
-
 // Lanes and RunLane delegate the lane path to the wrapped protocol.
 func (p *phased) Lanes() int {
 	if lp, ok := p.inner.(sim.LaneRound); ok {
@@ -50,49 +44,13 @@ func (p *phased) RunLane(e *sim.Engine, lane int, pairs []par.Pair, r int) {
 	p.inner.(sim.LaneRound).RunLane(e, lane, pairs, r)
 }
 
-// DrawPair delegates, returning no pair on inactive rounds so the sharded and
-// lane paths reproduce the phased gating exactly (no draws, no exchanges).
+// DrawPair delegates, returning no pair on inactive rounds so the lane path
+// reproduces the phased gating exactly (no draws, no exchanges).
 func (p *phased) DrawPair(e *sim.Engine, n *sim.Node, r int) int {
 	if !p.active(r) {
 		return -1
 	}
-	return p.inner.(sim.PairDrawer).DrawPair(e, n, r)
-}
-
-func (p *phased) BeginPairs(e *sim.Engine, r, npairs int) {
-	p.inner.(sim.PairRound).BeginPairs(e, r, npairs)
-}
-
-func (p *phased) RunPair(e *sim.Engine, a, b *sim.Node, r, idx int) {
-	p.inner.(sim.PairRound).RunPair(e, a, b, r, idx)
-}
-
-func (p *phased) EndPairs(e *sim.Engine, r int) {
-	p.inner.(sim.PairRound).EndPairs(e, r)
-}
-
-// InactiveSpan implements sim.QuiescentRound for the phased wrapper: rounds
-// gated off by the phase predicate are inert by construction, and active
-// rounds delegate to the wrapped protocol's certificate (blocking unless it
-// certifies everything from the first active round on). The scan is bounded
-// by the phase predicate's period in practice — the first active round ends
-// it.
-func (p *phased) InactiveSpan(e *sim.Engine, from, to int) int {
-	first := -1
-	for r := from; r < to; r++ {
-		if p.active(r) {
-			first = r
-			break
-		}
-	}
-	if first < 0 {
-		return to - from
-	}
-	q, ok := p.inner.(sim.QuiescentRound)
-	if ok && q.InactiveSpan(e, first, to) >= to-first {
-		return to - from
-	}
-	return first - from
+	return p.inner.(sim.LaneRound).DrawPair(e, n, r)
 }
 
 // InstallContinuous registers the full GLAP stack in the paper's continuous

@@ -42,9 +42,9 @@ func pmView(c *dc.Cluster, pm *dc.PM) decision.View {
 
 // selectOffer lowers pm's live VM list into π_out. The list is read into a
 // call-local stack buffer (AppendVMs spills to the heap past 64 VMs): the
-// read is per exchange, nearly every exchange migrates nothing, and
-// pair-sharded rounds run exchanges concurrently, so the buffer can be
-// neither garbage nor protocol state.
+// read is per exchange and nearly every exchange migrates nothing, so it must
+// not build garbage, and a stack buffer serves both transports without
+// either owning scratch.
 func selectOffer(out *qlearn.Table, sender qlearn.State, pm *dc.PM, action func(*dc.VM) qlearn.Action) (decision.Offer, bool) {
 	var buf [64]*dc.VM
 	return decision.SelectOffer(out, sender, pm.AppendVMs(buf[:0]), action)

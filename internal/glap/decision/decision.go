@@ -99,9 +99,8 @@ type Offer struct {
 //
 // Most exchanges migrate nothing, so the call must not build garbage: each
 // VM's action is recorded once in call-local scratch that lives on the stack
-// (append spills to the heap past 64 VMs or 16 distinct actions), never in
-// state shared between calls — pair-sharded rounds run SelectOffer
-// concurrently.
+// (append spills to the heap past 64 VMs or 16 distinct actions), so the
+// function stays pure: no state is shared between calls or transports.
 func SelectOffer(out *qlearn.Table, sender qlearn.State, vms []*dc.VM, action func(*dc.VM) qlearn.Action) (Offer, bool) {
 	var perVMBuf [64]qlearn.Action
 	var distinctBuf [16]qlearn.Action

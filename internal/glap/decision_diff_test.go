@@ -409,7 +409,7 @@ func TestSyncProtocolMatchesCoreReplay(t *testing.T) {
 			if s == o {
 				continue
 			}
-			proto.updateState(eA, eA.Node(s), clA.PMs[s], clA.PMs[o], nil)
+			proto.updateState(eA, eA.Node(s), clA.PMs[s], clA.PMs[o])
 			replay(clB.PMs[s], clB.PMs[o])
 			if err := diffClusters(clA, clB); err != nil {
 				t.Fatalf("round %d after pair (%d,%d): %v", round, s, o, err)

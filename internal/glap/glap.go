@@ -110,9 +110,7 @@ func Pretrain(cfg Config, cl *dc.Cluster, seed uint64, opts PretrainOptions) (*P
 	}
 
 	// Phase attribution: an observer timestamps the learning→aggregation
-	// boundary. Registering a plain observer is safe here — the pretrain
-	// engine never enables quiescence skipping, so every round is executed
-	// and observed.
+	// boundary.
 	start := time.Now()
 	boundary := start
 	e.Observe(func(e *sim.Engine, round int) {

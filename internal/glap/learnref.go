@@ -13,9 +13,9 @@ import (
 // iteration partitions it and runs four O(P) subset aggregation scans.
 // It exists for the differential tests (TestLearnKernelDifferential pins
 // the fused kernel against it draw-for-draw) and for the before/after
-// measurement of `glapbench -exp learn`. Both kernels consume the node
-// stream identically: one Bernoulli coin per multiset element per attempt,
-// then one Intn for the eviction pick.
+// measurement of BenchmarkTrainOnce against BenchmarkTrainOnceReference.
+// Both kernels consume the node stream identically: one Bernoulli coin per
+// multiset element per attempt, then one Intn for the eviction pick.
 //
 // The only arithmetic difference is the FP evaluation order of the
 // sender's post-action state: the reference scans the sender subset

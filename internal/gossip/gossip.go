@@ -58,11 +58,6 @@ type Protocol[T any] struct {
 	Merge func(a, b T)
 	// Select picks the gossip partner; nil defaults to CyclonSelector.
 	Select PeerSelector
-	// Sharded opts the protocol into the engine's pair-sharded execution
-	// path (see sim.PairRound). Only set it when Merge confines its writes
-	// to the two endpoint states and commutes across node-disjoint pairs;
-	// the engine's option additionally gates the path globally.
-	Sharded bool
 
 	rng sim.BoundRNG
 }
@@ -89,29 +84,6 @@ func (g *Protocol[T]) Round(e *sim.Engine, n *sim.Node, round int) {
 	b := e.State(g.ProtoName, e.Node(peer)).(T)
 	g.Merge(a, b)
 }
-
-// PairSharded implements sim.PairRound (see the Sharded field).
-func (g *Protocol[T]) PairSharded() bool { return g.Sharded }
-
-// DrawPair implements sim.PairRound: Round's peer draw.
-func (g *Protocol[T]) DrawPair(e *sim.Engine, n *sim.Node, round int) int {
-	sel := g.Select
-	if sel == nil {
-		sel = CyclonSelector
-	}
-	return sel(e, n, g.rng.For(e, 0x60551b, hashName(g.ProtoName)))
-}
-
-// BeginPairs implements sim.PairRound (no per-pair accounting).
-func (g *Protocol[T]) BeginPairs(e *sim.Engine, round, npairs int) {}
-
-// RunPair implements sim.PairRound: the symmetric merge of pair (a, b).
-func (g *Protocol[T]) RunPair(e *sim.Engine, a, b *sim.Node, round, idx int) {
-	g.Merge(e.State(g.ProtoName, a).(T), e.State(g.ProtoName, b).(T))
-}
-
-// EndPairs implements sim.PairRound (nothing to fold).
-func (g *Protocol[T]) EndPairs(e *sim.Engine, round int) {}
 
 // StateOf returns node n's gossip state.
 func StateOf[T any](e *sim.Engine, name string, n *sim.Node) T {

@@ -86,15 +86,9 @@ type Collector struct {
 
 // Attach registers a collector on engine e observing cluster c and returns
 // its series.
-//
-// The collector is span-capable: every Snapshot field is a function of the
-// cluster's current state and cumulative counters only, all of which are
-// frozen across a certified-quiet span, so the span form computes the
-// snapshot once and replicates it with the round number varying — exactly
-// the samples the per-round path would have appended.
 func Attach(e *sim.Engine, c *dc.Cluster, fromRound int) *Series {
 	col := &Collector{C: c, Series: &Series{baseMigrations: c.Migrations}, From: fromRound}
-	sample := func(round int) {
+	e.Observe(func(e *sim.Engine, round int) {
 		if round < col.From {
 			col.Series.baseMigrations = c.Migrations
 			return
@@ -106,34 +100,6 @@ func Attach(e *sim.Engine, c *dc.Cluster, fromRound int) *Series {
 			Migrations:       c.Migrations,
 			MigrationEnergyJ: c.MigrationEnergyJ,
 		})
-	}
-	e.ObserveSpan(sim.SpanHook{
-		Each: func(e *sim.Engine, round int) { sample(round) },
-		Quiet: func(e *sim.Engine, from, to int) bool {
-			return true // sampling never blocks: pure reads of frozen state
-		},
-		Span: func(e *sim.Engine, from, to int) {
-			if to <= col.From {
-				// Entirely inside the discard window: track the base only.
-				col.Series.baseMigrations = c.Migrations
-				return
-			}
-			lo := from
-			if lo < col.From {
-				col.Series.baseMigrations = c.Migrations
-				lo = col.From
-			}
-			snap := Snapshot{
-				ActivePMs:        c.ActivePMs(),
-				OverloadedPMs:    c.OverloadedPMs(),
-				Migrations:       c.Migrations,
-				MigrationEnergyJ: c.MigrationEnergyJ,
-			}
-			for r := lo; r < to; r++ {
-				snap.Round = r
-				col.Series.Samples = append(col.Series.Samples, snap)
-			}
-		},
 	})
 	return col.Series
 }

@@ -1,122 +1,7 @@
 package par
 
-// Pair scheduling for deterministic pair-sharded round execution.
-//
-// A gossip round is a list of node pairs drawn in a fixed sequence from the
-// per-node RNG streams. Two pairs conflict when they share an endpoint: their
-// exchanges mutate the same per-node state and must not run concurrently.
-// PairSchedule greedy-colors the draw-ordered pair list into batches of
-// node-disjoint pairs; batches run one after another, each batch fanned out
-// over ForChunks. The coloring depends only on the pair list — never on the
-// worker count — so sharded execution inherits the package determinism
-// contract: byte-identical results at any worker count.
-//
-// The greedy rule assigns pair i to batch 1 + max(batch of the latest earlier
-// pair touching either endpoint), i.e. the earliest batch that keeps every
-// batch node-disjoint without reordering conflicting pairs. Consequences the
-// protocols rely on:
-//
-//   - Within a batch, pairs keep draw order (the coloring pass is stable).
-//   - Two pairs sharing a node run in draw order across batches, so a node's
-//     own exchange sequence is exactly the sequential one.
-//   - Independent pairs may run in any interleaving; protocols opting in via
-//     sim.PairRound must make pair effects commute across disjoint pairs
-//     (exact integer/set updates, or order-folded accounting at EndPairs).
-
-// Pair is one scheduled interaction between two distinct node indices.
+// Pair is one drawn interaction between two distinct node indices: A
+// initiated, B is the peer.
 type Pair struct {
 	A, B int32
-}
-
-// PairSchedule is a batch-major reordering of a drawn pair list: batch b is
-// Order[Offsets[b]:Offsets[b+1]], each entry the index of a pair in the
-// original draw-ordered slice. All pairs within a batch are node-disjoint.
-type PairSchedule struct {
-	Order   []int32 // permutation of [0, len(pairs)), batch-major, draw-stable within a batch
-	Offsets []int32 // len = Batches()+1; batch b spans Order[Offsets[b]:Offsets[b+1]]
-
-	batchOf []int32 // scratch: latest batch touching each node, -1 = none
-	touched []int32 // scratch: nodes written in batchOf this Build
-	counts  []int32 // scratch: pairs per batch, then the placement cursor
-	colors  []int32 // scratch: per-pair batch assignment
-}
-
-// Batches returns the number of batches in the current schedule.
-func (s *PairSchedule) Batches() int {
-	if len(s.Offsets) == 0 {
-		return 0
-	}
-	return len(s.Offsets) - 1
-}
-
-// Build greedy-colors pairs (drawn over node indices [0, n)) into node-
-// disjoint batches, reusing the schedule's scratch storage. The result is a
-// pure function of the pair list; Build does not allocate once the scratch
-// has grown to a given (n, len(pairs)) high-water mark.
-func (s *PairSchedule) Build(pairs []Pair, n int) {
-	if cap(s.batchOf) < n {
-		grown := make([]int32, n)
-		for i := range grown {
-			grown[i] = -1
-		}
-		s.batchOf, s.touched = grown, s.touched[:0]
-	}
-	s.batchOf = s.batchOf[:cap(s.batchOf)]
-	// Reset only the entries the previous Build dirtied.
-	for _, v := range s.touched {
-		s.batchOf[v] = -1
-	}
-	s.touched = s.touched[:0]
-	s.counts = s.counts[:0]
-	if cap(s.colors) < len(pairs) {
-		s.colors = make([]int32, 0, len(pairs))
-	}
-	s.colors = s.colors[:0]
-
-	// Pass 1: color each pair and count batch sizes.
-	maxBatch := int32(-1)
-	for _, p := range pairs {
-		b := s.batchOf[p.A]
-		if bb := s.batchOf[p.B]; bb > b {
-			b = bb
-		}
-		b++
-		if s.batchOf[p.A] == -1 {
-			s.touched = append(s.touched, p.A)
-		}
-		if s.batchOf[p.B] == -1 {
-			s.touched = append(s.touched, p.B)
-		}
-		s.batchOf[p.A], s.batchOf[p.B] = b, b
-		if b > maxBatch {
-			maxBatch = b
-			s.counts = append(s.counts, 0)
-		}
-		s.counts[b]++
-		s.colors = append(s.colors, b)
-	}
-
-	// Offsets from the batch-size prefix sum.
-	batches := int(maxBatch + 1)
-	if cap(s.Offsets) < batches+1 {
-		s.Offsets = make([]int32, batches+1)
-	}
-	s.Offsets = s.Offsets[:batches+1]
-	s.Offsets[0] = 0
-	for b := 0; b < batches; b++ {
-		s.Offsets[b+1] = s.Offsets[b] + s.counts[b]
-	}
-
-	// Pass 2: stable batch-major placement (counts becomes the write cursor).
-	for b := range s.counts {
-		s.counts[b] = s.Offsets[b]
-	}
-	if cap(s.Order) < len(pairs) {
-		s.Order = make([]int32, len(pairs))
-	}
-	s.Order = s.Order[:len(pairs)]
-	for i, b := range s.colors {
-		s.Order[s.counts[b]] = int32(i)
-		s.counts[b]++
-	}
 }

@@ -24,21 +24,8 @@ func Bind(e *sim.Engine, c *dc.Cluster) (*Binding, error) {
 		return nil, fmt.Errorf("policy: cluster has %d PMs but engine has %d nodes", len(c.PMs), e.N())
 	}
 	b := &Binding{E: e, C: c}
-	// Span-capable: QuietSpan is the pure probe certifying that every round
-	// of a window would be a pure repetition (constant demand, no lifecycle
-	// events, no reservations), and AdvanceSpan replays the window's
-	// accounting bit-identically in one fused pass. This is what lets the
-	// engine's quiescence-skipping batch-advance the cluster.
-	e.BeforeRoundSpan(sim.SpanHook{
-		Each: func(e *sim.Engine, round int) {
-			c.AdvanceRound(round)
-		},
-		Quiet: func(e *sim.Engine, from, to int) bool {
-			return c.QuietSpan(from, to)
-		},
-		Span: func(e *sim.Engine, from, to int) {
-			c.AdvanceSpan(from, to)
-		},
+	e.BeforeRound(func(e *sim.Engine, round int) {
+		c.AdvanceRound(round)
 	})
 	return b, nil
 }

@@ -150,9 +150,8 @@ type backing struct {
 	// instead of rehashing thousands of cells per exchange: a union that
 	// equals one input's cell set inherits that side's hash, and a backing
 	// built against a canonical array carries the canonical hash from birth.
-	// Atomic because a backing shared by several tables can be read by
-	// concurrent sharded merges, and the lazily computed hash is written
-	// back through cellSetHash.
+	// Atomic so that merges on different goroutines may share a backing: the
+	// lazily computed hash is written back through cellSetHash.
 	idxHash atomic.Uint64
 
 	// rowMax caches MaxKnown per in-span state (NaN = stale; nil = no cache,
@@ -330,8 +329,8 @@ func fnvIdx(idx []uint16) uint64 {
 }
 
 // cellSetHash returns the backing's cell-set identity, computing and caching
-// it on first use. The write-back is atomic: concurrent sharded merges may
-// fill the cache of one shared backing simultaneously, each storing the same
+// it on first use. The write-back is atomic: concurrent merges may fill the
+// cache of one shared backing simultaneously, each storing the same
 // deterministic value.
 func (b *backing) cellSetHash() uint64 {
 	if h := b.idxHash.Load(); h != 0 {

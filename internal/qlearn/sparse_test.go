@@ -8,7 +8,7 @@ import "sort"
 // cell, per-exchange map allocation on adopt, optimistic-zero reads.
 //
 // Production code must use Table; Sparse exists for the sparse-vs-dense
-// differential tests and the glapbench kernel before/after comparison.
+// differential tests and benchmarks.
 type Sparse struct {
 	// Alpha is the learning rate in (0, 1].
 	Alpha float64

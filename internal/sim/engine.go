@@ -7,7 +7,6 @@ package sim
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"github.com/glap-sim/glap/internal/par"
 )
@@ -48,9 +47,9 @@ type Protocol interface {
 // other nodes' states, the cluster, the engine — are only READ, and no two
 // nodes' rounds observe each other's writes within the same pass. Protocols
 // that mutate peer state (push-pull gossip exchanges, Algorithm 3
-// consolidation moving VMs) must not declare it and always run sequentially
-// — unless they additionally implement PairRound or LaneRound, which
-// parallelise exactly those peer-mutating exchanges.
+// consolidation moving VMs) must not declare it and always run sequentially;
+// LaneRound is the one exception, for exchanges that split into independent
+// lanes.
 //
 // Determinism is the caller's headline invariant: because each conforming
 // Round is self-contained and draws from per-node randomness, the round's
@@ -64,55 +63,6 @@ type ParallelRound interface {
 	Parallelizable() bool
 }
 
-// PairRound is the opt-in contract for deterministic pair-sharded execution
-// of a protocol whose round is a sequence of pairwise exchanges (push-pull
-// gossip, Algorithm 3 consolidation). When Engine.PairSharded is set and the
-// protocol reports PairSharded(), the engine splits the round into two
-// phases: a sequential DRAW phase that walks the shuffled node order and
-// collects one (initiator, peer) pair per up node — consuming the protocol's
-// random streams in exactly the order the sequential Round path would — and
-// an EXECUTE phase that greedy-colors the pair list into batches of
-// node-disjoint pairs (par.PairSchedule) and fans each batch out over
-// ForChunks. The schedule depends only on the drawn pairs, never on the
-// worker count, so sharded execution is byte-identical at any worker count.
-//
-// RunPair must confine its writes to the two endpoint nodes' state (their
-// protocol states, their PMs' cluster columns, the pair's acct slot) and may
-// read shared structures only through race-safe paths; global accounting
-// must be diverted into per-pair slots (BeginPairs sizes them, idx addresses
-// them in draw order) and folded deterministically in EndPairs. RunPair must
-// not read other nodes' up-ness or state: batch barriers order conflicting
-// pairs, but nothing orders disjoint ones.
-//
-// Note the sharded semantics are a distinct reference point from sequential
-// Round execution: all draws observe the round-start state, whereas the
-// sequential path interleaves draws with exchange effects. Each mode is
-// internally deterministic; golden fingerprints pin them separately.
-type PairRound interface {
-	Protocol
-	PairDrawer
-	// PairSharded reports whether Round decomposes into DrawPair/RunPair
-	// under the protocol's current configuration.
-	PairSharded() bool
-	// BeginPairs announces the number of drawn pairs before execution so the
-	// protocol can size per-pair accounting.
-	BeginPairs(e *Engine, round, npairs int)
-	// RunPair executes the exchange of pair idx (its index in draw order)
-	// between initiator a and peer b.
-	RunPair(e *Engine, a, b *Node, round, idx int)
-	// EndPairs folds per-pair accounting back into shared state, in draw
-	// order, after all batches joined.
-	EndPairs(e *Engine, round int)
-}
-
-// PairDrawer is the draw half that PairRound and LaneRound share.
-type PairDrawer interface {
-	// DrawPair performs initiator n's peer draw exactly as Round would
-	// (including node-local side effects such as view pruning or scratch
-	// resets) and returns the peer's node ID, or -1 for no exchange.
-	DrawPair(e *Engine, n *Node, round int) int
-}
-
 // LaneRound is the always-on opt-in for a pairwise protocol whose exchange is
 // several independent sub-exchanges ("lanes": Algorithm 2 merges φ^out and
 // φ^in, which share no state) and whose peer draw reads nothing an exchange
@@ -124,7 +74,10 @@ type PairDrawer interface {
 // worker budget simply runs lane after lane inline.
 type LaneRound interface {
 	Protocol
-	PairDrawer
+	// DrawPair performs initiator n's peer draw exactly as Round would
+	// (including node-local side effects such as view pruning or scratch
+	// resets) and returns the peer's node ID, or -1 for no exchange.
+	DrawPair(e *Engine, n *Node, round int) int
 	// Lanes returns the number of independent lanes, or 0 to take the
 	// per-node Round path (a wrapper whose inner protocol has none).
 	Lanes() int
@@ -133,68 +86,15 @@ type LaneRound interface {
 	RunLane(e *Engine, lane int, pairs []par.Pair, round int)
 }
 
-// QuiescentRound is the opt-in contract for quiescence-skipping. A protocol
-// implements it to certify, from the current state, that running its Round
-// on every node for every due round in [from, to) would have no effect
-// observable in the simulation's outputs (metrics series, cluster
-// accounting) — PROVIDED every other installed protocol and hook is
-// simultaneously inert over the same span, which the engine establishes
-// before skipping. Effects confined to overlay or RNG state that only
-// influence other inert exchanges (e.g. Cyclon view churn) are not
-// observable under that proviso and may be certified away.
-type QuiescentRound interface {
-	Protocol
-	// InactiveSpan returns how many rounds starting at from (capped at to)
-	// the protocol certifies as inert. Returning to-from certifies the full
-	// span; anything less blocks skipping (the engine only skips whole
-	// tails).
-	InactiveSpan(e *Engine, from, to int) int
-}
-
 // Observer is called at the end of every completed round, after all
 // protocols ran on all nodes.
 type Observer func(e *Engine, round int)
-
-// SpanHook is the span-capable form of a BeforeRound/Observe hook: Each
-// fires per round exactly like a plain Observer, while Quiet/Span let the
-// engine batch-advance a certified-quiet tail. Quiet must be a pure check —
-// it reports whether the hook can reproduce rounds [from, to) in one fused
-// Span call, without mutating anything — because the engine probes every
-// hook before committing to a skip. Span must then produce state and
-// samples bit-identical to calling Each for every round of the span.
-// Hooks registered through the plain BeforeRound/Observe methods are not
-// span-capable and block skipping, which keeps fault injectors and
-// specialised observers conservative by default.
-type SpanHook struct {
-	Each  Observer
-	Quiet func(e *Engine, from, to int) bool
-	Span  func(e *Engine, from, to int)
-}
 
 type protoReg struct {
 	proto Protocol
 	every int // run each `every` rounds
 	from  int // first round in which the protocol runs
 	until int // last round (inclusive); <0 means forever
-}
-
-// dueIn reports whether the protocol would run in at least one round of
-// [from, to) under its (every, from, until) window.
-func (reg *protoReg) dueIn(from, to int) bool {
-	lo := from
-	if lo < reg.from {
-		lo = reg.from
-	}
-	hi := to
-	if reg.until >= 0 && reg.until+1 < hi {
-		hi = reg.until + 1
-	}
-	if lo >= hi {
-		return false
-	}
-	// First multiple of `every` (counted from reg.from) at or after lo.
-	next := reg.from + ((lo-reg.from+reg.every-1)/reg.every)*reg.every
-	return next < hi
 }
 
 // Engine drives one simulation run.
@@ -206,54 +106,24 @@ type Engine struct {
 	queue     eventQueue
 	now       int64
 	observers []Observer
-	obsSpan   []*SpanHook // parallel to observers; nil = plain hook
 	pre       []Observer
-	preSpan   []*SpanHook // parallel to pre; nil = plain hook
 	round     int
 	stopReq   bool
-	upCount   atomic.Int64
-
-	// Pair-sharded execution scratch and counters (see PairRound).
-	pairBuf       []par.Pair
-	pairSched     par.PairSchedule
-	pairRounds    int64 // protocol passes executed via the sharded path
-	pairBatches   int64 // total batches across those passes
-	pairTotal     int64 // total pairs across those passes
-	roundsSkipped int64 // rounds batch-advanced by quiescence-skipping
+	upCount   int
+	pairBuf   []par.Pair // drawPairs scratch, reused across rounds
 
 	// RoundPeriod is the virtual duration of one round. The paper uses
 	// 2-minute rounds; the default is 120 (seconds).
 	RoundPeriod int64
 
 	// Workers bounds intra-run fork-join parallelism for protocols that
-	// declare ParallelRound, LaneRound or (under PairSharded) PairRound.
-	// <= 0 (the default) sizes automatically from the machine-wide worker
-	// budget shared with RunReplications, so nested parallelism cannot
-	// oversubscribe; 1 forces sequential execution; an explicit count > 1 is
-	// honored exactly (differential and race tests rely on that). Results
-	// are identical for every setting.
+	// declare ParallelRound or LaneRound. <= 0 (the default) sizes
+	// automatically from the machine-wide worker budget shared with
+	// RunReplications, so nested parallelism cannot oversubscribe; 1 forces
+	// sequential execution; an explicit count > 1 is honored exactly
+	// (differential and race tests rely on that). Results are identical for
+	// every setting.
 	Workers int
-
-	// PairSharded enables the pair-sharded execution path for protocols that
-	// implement PairRound and report PairSharded() — synchronous
-	// consolidation and gossip.Protocol with Sharded set. Algorithm-2
-	// aggregation is not among them: it is a LaneRound and takes the lane
-	// path whether or not this is set. Off by default: the sequential Round
-	// path stays the reference. Sharded execution is deterministic and
-	// byte-identical across worker counts, but is its own reference point
-	// (draws observe round-start state), so it is pinned by its own golden
-	// fingerprints.
-	PairSharded bool
-
-	// SkipQuiescent enables quiescence-skipping: when the event queue is
-	// empty and every due protocol plus every registered hook certifies the
-	// entire remaining tail of the run as inert, RunRounds batch-advances
-	// demand accounting and metrics in one fused pass instead of grinding
-	// through the quiet rounds. Only whole tails are skipped — protocol and
-	// shuffle randomness is not drawn for skipped rounds, which is provably
-	// unobservable only when no live round follows. Results are
-	// byte-identical with the option on or off.
-	SkipQuiescent bool
 }
 
 // NewEngine builds an engine with n nodes, all initially up, seeded by seed.
@@ -267,7 +137,7 @@ func NewEngine(n int, seed uint64) *Engine {
 	for i := range e.nodes {
 		e.nodes[i] = &Node{ID: i, up: true}
 	}
-	e.upCount.Store(int64(n))
+	e.upCount = n
 	return e
 }
 
@@ -294,22 +164,21 @@ func (e *Engine) Node(id int) *Node { return e.nodes[id] }
 // UpCount returns the number of nodes currently up. The count is maintained
 // incrementally by SetUp — observers call this every round, and the former
 // O(n) scan was pure overhead on large clusters.
-func (e *Engine) UpCount() int { return int(e.upCount.Load()) }
+func (e *Engine) UpCount() int { return e.upCount }
 
 // SetUp switches node n on or off. Switched-off nodes do not execute
 // protocol rounds and are skipped by peer samplers that filter dead peers.
-// The shared counter is atomic so that pair-sharded consolidation batches
-// may power off their (node-disjoint) endpoints concurrently; the per-node
-// flag itself is only ever written by the node's own pair within a batch.
+// The up count is a plain word: only sequential Round passes, hooks and
+// events may call this, never a ParallelRound or LaneRound pass.
 func (e *Engine) SetUp(n *Node, up bool) {
 	if n.up == up {
 		return
 	}
 	n.up = up
 	if up {
-		e.upCount.Add(1)
+		e.upCount++
 	} else {
-		e.upCount.Add(-1)
+		e.upCount--
 	}
 }
 
@@ -337,45 +206,13 @@ func (e *Engine) RegisterWindow(p Protocol, every, from, until int) {
 	e.protocols = append(e.protocols, protoReg{proto: p, every: every, from: from, until: until})
 }
 
-// Observe adds an end-of-round observer. Plain observers block
-// quiescence-skipping; use ObserveSpan for hooks that can batch-advance.
-func (e *Engine) Observe(o Observer) {
-	e.observers = append(e.observers, o)
-	e.obsSpan = append(e.obsSpan, nil)
-}
-
-// ObserveSpan adds a span-capable end-of-round observer (see SpanHook).
-func (e *Engine) ObserveSpan(h SpanHook) {
-	hc := h
-	e.observers = append(e.observers, h.Each)
-	e.obsSpan = append(e.obsSpan, &hc)
-}
+// Observe adds an end-of-round observer.
+func (e *Engine) Observe(o Observer) { e.observers = append(e.observers, o) }
 
 // BeforeRound adds a hook that fires at the start of every round, before any
 // protocol runs. The cluster binding uses it to refresh VM demand so that
-// protocols observe the round's workload. Plain hooks block
-// quiescence-skipping; use BeforeRoundSpan for hooks that can batch-advance.
-func (e *Engine) BeforeRound(o Observer) {
-	e.pre = append(e.pre, o)
-	e.preSpan = append(e.preSpan, nil)
-}
-
-// BeforeRoundSpan adds a span-capable start-of-round hook (see SpanHook).
-func (e *Engine) BeforeRoundSpan(h SpanHook) {
-	hc := h
-	e.pre = append(e.pre, h.Each)
-	e.preSpan = append(e.preSpan, &hc)
-}
-
-// RoundsSkipped returns the number of rounds batch-advanced by
-// quiescence-skipping so far.
-func (e *Engine) RoundsSkipped() int64 { return e.roundsSkipped }
-
-// PairStats returns the pair-sharded execution counters: sharded protocol
-// passes executed, total node-disjoint batches, and total pairs across them.
-func (e *Engine) PairStats() (passes, batches, pairs int64) {
-	return e.pairRounds, e.pairBatches, e.pairTotal
-}
+// protocols observe the round's workload.
+func (e *Engine) BeforeRound(o Observer) { e.pre = append(e.pre, o) }
 
 // State returns node n's state for the named protocol. It panics on unknown
 // protocol names: that is always a wiring bug, not a runtime condition.
@@ -439,17 +276,6 @@ func (e *Engine) RunRounds(rounds int) {
 		roundStart := int64(r) * e.RoundPeriod
 		e.drainUntil(roundStart)
 		e.now = roundStart
-		// Quiescence fast path: only whole tails are skipped, because
-		// skipped rounds draw no shuffle or protocol randomness — provably
-		// unobservable only when no live round follows. r >= 1 keeps round 0
-		// (protocol warm-up, From-gating) on the reference path.
-		if e.SkipQuiescent && r >= 1 && len(e.queue.items) == 0 && e.quietTail(r, rounds) {
-			e.skipTail(r, rounds)
-			e.roundsSkipped += int64(rounds - r)
-			e.round = rounds
-			e.now = int64(rounds) * e.RoundPeriod
-			return
-		}
 		for _, o := range e.pre {
 			o(e, r)
 		}
@@ -465,12 +291,6 @@ func (e *Engine) RunRounds(rounds int) {
 			if lp, ok := reg.proto.(LaneRound); ok && lp.Lanes() > 0 {
 				e.runLanes(lp, order, r)
 				continue
-			}
-			if e.PairSharded {
-				if pp, ok := reg.proto.(PairRound); ok && pp.PairSharded() {
-					e.runPairsSharded(pp, order, r)
-					continue
-				}
 			}
 			if pr, ok := reg.proto.(ParallelRound); ok && pr.Parallelizable() {
 				e.runNodesParallel(reg.proto, order, r)
@@ -495,95 +315,16 @@ func (e *Engine) RunRounds(rounds int) {
 	e.drainUntil(e.now)
 }
 
-// quietTail reports whether rounds [from, to) are provably inert: every
-// pre/observer hook is span-capable and certifies the span quiet, and every
-// protocol due in the span implements QuiescentRound and certifies all of it.
-// Checks are ordered cheapest-failure-first: hook capability is O(hooks), the
-// cluster demand probe (a pre-hook Quiet) fails O(1) on noisy workloads, and
-// the consolidation certificate scans PMs/VMs only when demand is constant.
-func (e *Engine) quietTail(from, to int) bool {
-	for _, h := range e.preSpan {
-		if h == nil {
-			return false
-		}
-	}
-	for _, h := range e.obsSpan {
-		if h == nil {
-			return false
-		}
-	}
-	for _, h := range e.preSpan {
-		if h.Quiet == nil || !h.Quiet(e, from, to) {
-			return false
-		}
-	}
-	for pi := range e.protocols {
-		reg := &e.protocols[pi]
-		if !reg.dueIn(from, to) {
-			continue
-		}
-		q, ok := reg.proto.(QuiescentRound)
-		if !ok || q.InactiveSpan(e, from, to) < to-from {
-			return false
-		}
-	}
-	for _, h := range e.obsSpan {
-		if h.Quiet == nil || !h.Quiet(e, from, to) {
-			return false
-		}
-	}
-	return true
-}
-
-// skipTail batch-advances the certified-quiet rounds [from, to): pre-hook
-// spans apply in registration order (demand accounting), then observer spans
-// (metrics), reproducing exactly what the per-round path would have produced.
-func (e *Engine) skipTail(from, to int) {
-	for _, h := range e.preSpan {
-		h.Span(e, from, to)
-	}
-	for _, h := range e.obsSpan {
-		h.Span(e, from, to)
-	}
-}
-
-// runPairsSharded executes one PairRound protocol pass: a sequential draw
-// phase over the shuffled order (consuming the protocol's random streams in
-// exactly the sequential path's order), then batch-wise parallel execution of
-// the node-disjoint pair schedule. The schedule and the per-batch barriers
-// depend only on the drawn pairs, so the pass is byte-identical at any worker
-// count.
-func (e *Engine) runPairsSharded(pp PairRound, order []*Node, r int) {
-	pairs := e.drawPairs(pp, order, r)
-	pp.BeginPairs(e, r, len(pairs))
-	e.pairSched.Build(pairs, len(e.nodes))
-	sched := &e.pairSched
-	for b := 0; b < sched.Batches(); b++ {
-		batch := sched.Order[sched.Offsets[b]:sched.Offsets[b+1]]
-		chunk := (len(batch) + 31) / 32
-		par.ForChunks(len(batch), chunk, e.Workers, func(lo, hi int) {
-			for _, idx := range batch[lo:hi] {
-				p := pairs[idx]
-				pp.RunPair(e, e.nodes[p.A], e.nodes[p.B], r, int(idx))
-			}
-		})
-	}
-	pp.EndPairs(e, r)
-	e.pairRounds++
-	e.pairBatches += int64(sched.Batches())
-	e.pairTotal += int64(len(pairs))
-}
-
-// drawPairs is the sequential draw phase shared by the pair-sharded and lane
-// paths: one draw per up node in shuffled order, exactly as the per-node
-// Round loop would make them, collected into the engine's reused pair buffer.
-func (e *Engine) drawPairs(d PairDrawer, order []*Node, r int) []par.Pair {
+// drawPairs is the lane path's sequential draw phase: one draw per up node in
+// shuffled order, exactly as the per-node Round loop would make them,
+// collected into the engine's reused pair buffer.
+func (e *Engine) drawPairs(lp LaneRound, order []*Node, r int) []par.Pair {
 	pairs := e.pairBuf[:0]
 	for _, n := range order {
 		if !n.up {
 			continue
 		}
-		if peer := d.DrawPair(e, n, r); peer >= 0 {
+		if peer := lp.DrawPair(e, n, r); peer >= 0 {
 			pairs = append(pairs, par.Pair{A: int32(n.ID), B: int32(peer)})
 		}
 	}

@@ -12,6 +12,11 @@ import (
 	"strings"
 )
 
+// validUtil reports whether x is a utilisation fraction. The test is written
+// positively because NaN — which ParseFloat accepts — fails every ordered
+// comparison, so "x < 0 || x > 1" lets it through into the demand sums.
+func validUtil(x float64) bool { return x >= 0 && x <= 1 }
+
 // LoadCSV reads a workload Set from CSV rows of the form
 //
 //	vm,round,cpu,mem
@@ -76,8 +81,11 @@ func LoadCSV(r io.Reader) (*Set, error) {
 		if vm < 0 || round < 0 {
 			return nil, fmt.Errorf("trace: line %d: negative vm or round", line)
 		}
-		if cpu < 0 || cpu > 1 || mem < 0 || mem > 1 {
-			return nil, fmt.Errorf("trace: line %d: utilisation out of [0,1]", line)
+		if !validUtil(cpu) {
+			return nil, fmt.Errorf("trace: line %d: cpu %q not in [0,1]", line, rec[2])
+		}
+		if !validUtil(mem) {
+			return nil, fmt.Errorf("trace: line %d: mem %q not in [0,1]", line, rec[3])
 		}
 		byVM[vm] = append(byVM[vm], cell{round, Sample{CPU: cpu, Mem: mem}})
 	}

@@ -186,21 +186,35 @@ func TestCSVRoundTrip(t *testing.T) {
 }
 
 func TestLoadCSVErrors(t *testing.T) {
-	cases := map[string]string{
-		"empty":            "",
-		"bad vm":           "vm,round,cpu,mem\nx,0,0.5,0.5\nx,1,0.5,0.5\n",
-		"bad round":        "0,x,0.5,0.5\n",
-		"bad cpu":          "0,0,x,0.5\n",
-		"bad mem":          "0,0,0.5,x\n",
-		"cpu out of range": "0,0,1.5,0.5\n",
-		"negative vm":      "-1,0,0.5,0.5\n",
-		"sparse vm ids":    "0,0,0.5,0.5\n5,0,0.5,0.5\n",
-		"missing round":    "0,0,0.5,0.5\n0,2,0.5,0.5\n",
-		"uneven rounds":    "0,0,0.5,0.5\n0,1,0.5,0.5\n1,0,0.5,0.5\n",
+	// input → a fragment the error must carry (the line and field it blames).
+	cases := map[string][2]string{
+		"empty":            {"", "empty CSV"},
+		"bad vm":           {"vm,round,cpu,mem\nx,0,0.5,0.5\nx,1,0.5,0.5\n", "line 2: bad vm"},
+		"bad round":        {"0,x,0.5,0.5\n", "line 1: bad round"},
+		"bad cpu":          {"0,0,x,0.5\n", "line 1: bad cpu"},
+		"bad mem":          {"0,0,0.5,x\n", "line 1: bad mem"},
+		"cpu out of range": {"0,0,1.5,0.5\n", "line 1: cpu"},
+		"mem out of range": {"0,0,0.5,0.5\n0,1,0.5,-0.1\n", "line 2: mem"},
+		"cpu NaN":          {"0,0,NaN,0.5\n", "line 1: cpu"},
+		"cpu nan":          {"0,0,0.5,0.5\n0,1,nan,0.5\n", "line 2: cpu"},
+		"cpu +Inf":         {"0,0,+Inf,0.5\n", "line 1: cpu"},
+		"cpu -inf":         {"0,0,-inf,0.5\n", "line 1: cpu"},
+		"mem NaN":          {"0,0,0.5,NaN\n", "line 1: mem"},
+		"mem nan":          {"0,0,0.5,nan\n", "line 1: mem"},
+		"mem +Inf":         {"0,0,0.5,+Inf\n", "line 1: mem"},
+		"mem -inf":         {"0,0,0.5,-inf\n", "line 1: mem"},
+		"negative vm":      {"-1,0,0.5,0.5\n", "negative vm"},
+		"sparse vm ids":    {"0,0,0.5,0.5\n5,0,0.5,0.5\n", "dense"},
+		"missing round":    {"0,0,0.5,0.5\n0,2,0.5,0.5\n", "missing or duplicate round"},
+		"uneven rounds":    {"0,0,0.5,0.5\n0,1,0.5,0.5\n1,0,0.5,0.5\n", "vm 1 has 1 rounds"},
 	}
-	for name, input := range cases {
-		if _, err := LoadCSV(strings.NewReader(input)); err == nil {
+	for name, tc := range cases {
+		_, err := LoadCSV(strings.NewReader(tc[0]))
+		if err == nil {
 			t.Fatalf("case %q: expected error", name)
+		}
+		if !strings.Contains(err.Error(), tc[1]) {
+			t.Fatalf("case %q: error %q does not mention %q", name, err, tc[1])
 		}
 	}
 }

@@ -34,10 +34,6 @@ type RobustConfig struct {
 	Workers int
 	// GLAP overrides the GLAP configuration.
 	GLAP glap.Config
-	// PairSharded / SkipQuiescent forward the engine options into every run
-	// of the grid (see Experiment); the grid outcome is invariant to both.
-	PairSharded   bool
-	SkipQuiescent bool
 }
 
 func (r RobustConfig) withDefaults() RobustConfig {
@@ -184,7 +180,6 @@ func runRobustRep(cfg RobustConfig, rep int) (out robustRep) {
 		// historical grid wired cyclon.New(20, 8) explicitly, so pin the
 		// same overlay parameters for seed-for-seed identical cells.
 		CyclonViewSize: 20, CyclonShuffleLen: 8,
-		PairSharded: cfg.PairSharded, SkipQuiescent: cfg.SkipQuiescent,
 	}
 	if err := x.Validate(); err != nil {
 		out.err = err

@@ -2,6 +2,7 @@ package glapsim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -55,6 +56,17 @@ func TestRobustGridEquivalenceAndLeaks(t *testing.T) {
 	}
 	if !sawLoss {
 		t.Fatal("loss injection never fired in the lossy cells")
+	}
+
+	// The replication fan-out is unobservable: one worker reproduces the
+	// whole result, sync reference and every async cell.
+	cfg.Workers = 1
+	seq, err := RunRobust(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, seq) {
+		t.Fatalf("robust grid diverged between default workers and Workers=1:\n%+v\nvs\n%+v", res, seq)
 	}
 }
 

@@ -73,11 +73,6 @@ type ScenarioConfig struct {
 	GLAP glap.Config
 	// Scenarios selects the families to run (default DefaultScenarios).
 	Scenarios []Scenario
-	// PairSharded / SkipQuiescent forward the engine's pair-sharded
-	// execution and quiescence-skipping options into every cell (see
-	// Experiment); the suite's series hashes are invariant to both.
-	PairSharded   bool
-	SkipQuiescent bool
 }
 
 func (c ScenarioConfig) withDefaults() ScenarioConfig {
@@ -189,7 +184,6 @@ func baseScenarioExperiment(cfg ScenarioConfig, pms int, seed uint64) Experiment
 		PMs: pms, Ratio: cfg.Ratio, Rounds: cfg.Rounds, Seed: seed,
 		Workers: cfg.Workers, GLAP: cfg.GLAP,
 		CyclonViewSize: 20, CyclonShuffleLen: 8,
-		PairSharded: cfg.PairSharded, SkipQuiescent: cfg.SkipQuiescent,
 	}
 }
 

@@ -162,17 +162,18 @@ func TestRunScenariosSuite(t *testing.T) {
 	}
 }
 
-// TestScenarioRowDeterminism reruns one cell and requires bit-identical
-// series fingerprints.
+// TestScenarioRowDeterminism reruns one cell, sequentially and then fanned
+// out, and requires bit-identical series fingerprints.
 func TestScenarioRowDeterminism(t *testing.T) {
 	cfg := ScenarioConfig{
-		Sizes: []int{16}, Rounds: 20, Seed: 1,
+		Sizes: []int{16}, Rounds: 20, Seed: 1, Workers: 1,
 		Scenarios: []Scenario{ScenarioHetero},
 	}
 	a, err := RunScenarios(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.Workers = 8
 	b, err := RunScenarios(cfg)
 	if err != nil {
 		t.Fatal(err)
