@@ -126,13 +126,15 @@ type Experiment struct {
 	// population. 0 disables churn.
 	VMChurn float64
 
-	// Workers bounds the deterministic fork-join parallelism inside this
-	// run: the parallel learning phase, the two lanes of the aggregation
-	// phase (φ^out and φ^in merge concurrently), the cluster's demand
-	// refresh, and the metrics scans. <= 0 (the default) auto-sizes from the
-	// machine-wide worker budget shared with RunReplicated; 1 forces fully
-	// sequential execution; an explicit count > 1 is honored exactly.
-	// Results are byte-identical for every setting.
+	// Workers bounds the deterministic parallelism inside this run: the
+	// parallel learning phase, the two lanes of the aggregation phase (φ^out
+	// and φ^in merge concurrently), the helper goroutine that synthesises
+	// the next round's VM demand beside a round of sequential gossip passes,
+	// the demand refresh of a large cluster, and the final metrics scans.
+	// <= 0 (the default) auto-sizes from the machine-wide worker budget
+	// shared with RunReplicated; 1 forces fully sequential execution, no
+	// goroutine at all; an explicit count > 1 is honored exactly. Results
+	// are byte-identical for every setting.
 	Workers int
 
 	// Net configures the message transport for message-passing policies

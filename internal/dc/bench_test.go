@@ -1,6 +1,7 @@
 package dc
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/glap-sim/glap/internal/sim"
@@ -30,6 +31,35 @@ func BenchmarkAdvanceRound(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.AdvanceRound(i % 720)
+	}
+}
+
+// BenchmarkAdvanceRoundSizes is the measurement behind forkMinVMs/forkMinPMs
+// and the round pipeline: one AdvanceRound over a streaming workload at the
+// consolidate_warm size (below the fork thresholds: Workers changes nothing)
+// and at a size above them, with the round's samples prefetched (hit, the
+// pipelined evaluation rounds) or synthesised on the spot (miss, pre-training
+// rounds and Workers 1). Run with -cpu 2 or more for the w=2 rows to fork.
+func BenchmarkAdvanceRoundSizes(b *testing.B) {
+	for _, sz := range []struct{ pms, ratio int }{{600, 4}, {5000, 4}} {
+		for _, hit := range []bool{true, false} {
+			for _, workers := range []int{1, 2} {
+				b.Run(fmt.Sprintf("pms=%d/vms=%d/hit=%v/w=%d", sz.pms, sz.pms*sz.ratio, hit, workers), func(b *testing.B) {
+					c := streamingCluster(b, sz.pms, sz.ratio, 720)
+					c.PlaceRandom(sim.NewRNG(1).Intn)
+					c.Workers = workers
+					b.ResetTimer()
+					for r := 1; r <= b.N; r++ {
+						if hit {
+							b.StopTimer()
+							c.Prefetch(r)
+							b.StartTimer()
+						}
+						c.AdvanceRound(r)
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package dc
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -214,18 +215,24 @@ type Cluster struct {
 	// aggregates (see reserve.go).
 	reservations map[resKey]Vec
 
-	workload  *trace.Set
-	round     int
-	migBW     func(src, dst int) float64
-	placeIntn func(n int) int
+	workload *trace.Set
+	// ahead is the look-ahead buffer: every VM's sample at round aheadRound,
+	// filled by Prefetch and read through sample (aheadRound -1: empty).
+	ahead      []trace.Sample
+	aheadRound int
+	round      int
+	migBW      func(src, dst int) float64
+	placeIntn  func(n int) int
 
 	// RoundSeconds is the wall-clock length of one round (the paper: 120 s).
 	RoundSeconds float64
 
-	// Workers bounds fork-join parallelism in AdvanceRound, the PM counting
-	// scans, and CheckInvariants (see sim.Engine.Workers for the semantics:
-	// <= 0 auto-sizes from the shared budget, 1 runs sequentially, > 1 is
-	// honored exactly). Results are identical for every setting.
+	// Workers bounds fork-join parallelism in AdvanceRound and
+	// CheckInvariants (see sim.Engine.Workers for the semantics: <= 0
+	// auto-sizes from the shared budget, 1 runs sequentially, > 1 is honored
+	// exactly). AdvanceRound forks only from forkMinVMs / forkMinPMs items
+	// up; a smaller cluster's passes run inline whatever the setting. Results
+	// are identical for every setting.
 	Workers int
 
 	// Migrations is the cumulative migration count.
@@ -319,6 +326,7 @@ func New(cfg Config) (*Cluster, error) {
 	numVMs := cfg.Workload.NumVMs()
 	c := &Cluster{
 		workload:      cfg.Workload,
+		aheadRound:    -1,
 		RoundSeconds:  cfg.RoundSeconds,
 		logMigrations: cfg.LogMigrations,
 		migBW:         cfg.MigrationBandwidth,
@@ -597,25 +605,78 @@ func (c *Cluster) Migrate(vm *VM, dst *PM) error {
 const (
 	vmChunk = 256
 	pmChunk = 64
+
+	// AdvanceRound splits a pass into chunks only from this many items up;
+	// a shorter pass is one chunk and runs inline whatever c.Workers says.
+	// With the samples prefetched a pass is a few flops an item, and waking
+	// a second core for so little lost at every bench/ size; above these the
+	// fork still pays when the samples are synthesised on the spot
+	// (BenchmarkAdvanceRoundSizes; EXPERIMENTS.md, "Does the second core buy
+	// wall time in the evaluation rounds?").
+	forkMinVMs = 8192
+	forkMinPMs = 2048
 )
 
+// chunkOf is the chunk size of a pass over n items: chunk from min items up,
+// else n itself. A function of n alone, like the constants it chooses
+// between.
+func chunkOf(n, chunk, min int) int {
+	if n < min {
+		return n
+	}
+	return chunk
+}
+
+// Prefetch synthesises every VM's sample at round r into the look-ahead
+// buffer, from which AdvanceRound(r) will take it. A sample is a pure function
+// of (workload, VM, round) — demand is replayed, never a consequence of
+// placement — so this may run any time after AdvanceRound(r-1) has returned,
+// in particular on another goroutine while round r-1's protocols move VMs
+// about: it reads and advances only the workload's per-VM streams and writes
+// only the buffer, and nothing else touches either until the caller has
+// joined it. Every VM is fetched, placed or not: whether a VM is placed is
+// state a round writes, and a stream tolerates being advanced past rounds
+// nobody asks for. Not calling it changes nothing but who pays for the
+// synthesis.
+func (c *Cluster) Prefetch(r int) {
+	if c.ahead == nil {
+		c.ahead = make([]trace.Sample, len(c.VMs))
+	}
+	c.aheadRound = -1 // the tag never names a half-filled buffer
+	for id := range c.ahead {
+		c.ahead[id] = c.workload.At(id, r)
+	}
+	c.aheadRound = r
+}
+
+// sample is VM id's demand at round r: the look-ahead buffer's when it holds
+// round r, synthesised on the spot otherwise.
+func (c *Cluster) sample(id, r int) trace.Sample {
+	if c.aheadRound == r {
+		return c.ahead[id]
+	}
+	return c.workload.At(id, r)
+}
+
 // AdvanceRound moves the cluster to round r: every VM's current demand is
-// refreshed from the workload and folded into its running average, and PM
-// time/energy accounting advances by one round. Both passes fan out over
-// c.Workers: the VM refresh writes only the VM's own slots, and each PM's
-// rebuild writes only that PM — with its demand sums folded in ascending
-// VM-ID order (the per-PM hosted lists are maintained sorted), exactly the
-// order the former sequential rebuild used, so the floats are bit-identical
-// for every worker count.
+// refreshed from the workload — taken from the look-ahead buffer when
+// Prefetch(r) filled it, synthesised on the spot otherwise, the same sample
+// either way — and folded into its running average, and PM time/energy
+// accounting advances by one round. On a cluster large enough for it to pay
+// (forkMinVMs, forkMinPMs) the two passes fan out over c.Workers: the VM
+// refresh writes only the VM's own slots, and each PM's rebuild writes only
+// that PM — with its demand sums folded in ascending VM-ID order (the per-PM
+// hosted lists are maintained sorted), so the floats are bit-identical for
+// every worker count and chunking.
 func (c *Cluster) AdvanceRound(r int) {
 	c.round = r
 	c.stepLifecycle(r)
-	par.ForChunks(len(c.VMs), vmChunk, c.Workers, func(lo, hi int) {
+	par.ForChunks(len(c.VMs), chunkOf(len(c.VMs), vmChunk, forkMinVMs), c.Workers, func(lo, hi int) {
 		for id := lo; id < hi; id++ {
 			if c.vmHost[id] < 0 {
 				continue
 			}
-			s := c.workload.At(id, r)
+			s := c.sample(id, r)
 			cur := Vec{s.CPU, s.Mem}
 			c.vmCur[id] = cur
 			// Running average: ((c*v) + d(t)) / (c+1), per resource.
@@ -634,7 +695,7 @@ func (c *Cluster) AdvanceRound(r int) {
 	// hosted lists make each fold run in ascending VM-ID order — a fixed
 	// order, because float addition is order-sensitive and any randomized
 	// order would make runs only probabilistically reproducible.
-	par.ForChunks(len(c.PMs), pmChunk, c.Workers, func(lo, hi int) {
+	par.ForChunks(len(c.PMs), chunkOf(len(c.PMs), pmChunk, forkMinPMs), c.Workers, func(lo, hi int) {
 		for p := lo; p < hi; p++ {
 			var curSum, avgSum Vec
 			for _, id := range c.pmVMs[p] {
@@ -659,19 +720,27 @@ func (c *Cluster) AdvanceRound(r int) {
 	})
 }
 
-// ActivePMs returns the number of powered PMs.
+// ActivePMs returns the number of powered PMs: the population count of the
+// powered-state bitset, whose bits past the last PM are never set.
 func (c *Cluster) ActivePMs() int {
-	return par.OrderedCount(len(c.PMs), pmChunk, c.Workers, func(i int) bool {
-		return c.pmOn(i)
-	})
+	n := 0
+	for _, w := range c.pmUp {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // OverloadedPMs returns the number of powered PMs whose current demand
-// saturates at least one resource.
+// saturates at least one resource. A plain scan: a fork-join over it did not
+// pay at any cluster size measured (120 to 5000 PMs).
 func (c *Cluster) OverloadedPMs() int {
-	return par.OrderedCount(len(c.PMs), pmChunk, c.Workers, func(i int) bool {
-		return c.pmOn(i) && c.Overloaded(c.PMs[i])
-	})
+	n := 0
+	for p, pm := range c.PMs {
+		if c.pmOn(p) && c.Overloaded(pm) {
+			n++
+		}
+	}
+	return n
 }
 
 // CheckInvariants verifies structural consistency (every VM on exactly one

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -446,68 +447,147 @@ func TestDegradationRatioZeroWhenNoRequest(t *testing.T) {
 	}
 }
 
-// TestAdvanceRoundWorkerCountBitEquivalence drives two identically-seeded
-// clusters through the same rounds, one sequential and one with 8 explicit
-// workers, and requires every float accumulator to match bit-for-bit — the
-// determinism contract of the fork-join AdvanceRound.
+// stateDump renders every piece of the cluster's mutable per-VM and per-PM
+// state with exact bit-level float encoding, so two clusters compare equal
+// only when they are the same bit for bit.
+func stateDump(c *Cluster) string {
+	var b strings.Builder
+	bits := math.Float64bits
+	vec := func(v Vec) string { return fmt.Sprintf("%016x/%016x", bits(v[CPU]), bits(v[Mem])) }
+	for id := range c.VMs {
+		fmt.Fprintf(&b, "vm%d host=%d cur=%s avg=%s n=%d migs=%d deg=%016x req=%016x flags=%d\n",
+			id, c.vmHost[id], vec(c.vmCur[id]), vec(c.vmAvg[id]), c.vmCount[id], c.vmMigs[id],
+			bits(c.vmDegraded[id]), bits(c.vmRequested[id]), c.vmFlags[id])
+	}
+	for p := range c.PMs {
+		fmt.Fprintf(&b, "pm%d on=%v cur=%s avg=%s alloc=%s act=%016x over=%016x e=%016x vms=%v\n",
+			p, c.pmOn(p), vec(c.pmCurSum[p]), vec(c.pmAvgSum[p]), vec(c.pmAllocSum[p]),
+			bits(c.pmActiveSec[p]), bits(c.pmOverloadSec[p]), bits(c.pmEnergyJ[p]), c.pmVMs[p])
+	}
+	fmt.Fprintf(&b, "active=%d over=%d failed=%d\n", c.ActivePMs(), c.OverloadedPMs(), c.FailedPlacements)
+	return b.String()
+}
+
+// requireSameState fails the test at the first line where two clusters'
+// state dumps differ.
+func requireSameState(t *testing.T, what string, a, b *Cluster) {
+	t.Helper()
+	la, lb := strings.Split(stateDump(a), "\n"), strings.Split(stateDump(b), "\n")
+	for i := range la {
+		if la[i] != lb[i] {
+			t.Fatalf("%s: clusters diverge:\n  %s\n  %s", what, la[i], lb[i])
+		}
+	}
+}
+
+// streamingCluster builds a cluster, VMs not yet placed, over its own
+// streaming workload; two calls with the same arguments build the same one.
+func streamingCluster(t testing.TB, pms, ratio, rounds int) *Cluster {
+	t.Helper()
+	set, err := trace.GenerateStreaming(trace.DefaultGenConfig(pms*ratio, rounds, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Config{PMs: pms, Workload: set})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestAdvanceRoundWorkerCountBitEquivalence drives identically-seeded
+// clusters through the same rounds, one sequential, one with 8 explicit
+// workers and one auto-sized, and requires every float accumulator to match
+// bit-for-bit — the determinism contract of the fork-join AdvanceRound. The
+// cluster is large enough for both passes to fork (forkMinVMs, forkMinPMs).
 func TestAdvanceRoundWorkerCountBitEquivalence(t *testing.T) {
 	build := func(workers int) *Cluster {
-		set, err := trace.Generate(trace.DefaultGenConfig(40, 120, 3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := New(Config{PMs: 40, Workload: set})
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := streamingCluster(t, forkMinPMs+50, 4, 12)
 		c.Workers = workers
-		rng := sim.NewRNG(11)
-		c.PlaceRandom(rng.Intn)
+		c.PlaceRandom(sim.NewRNG(11).Intn)
 		return c
 	}
-	a, b := build(1), build(8)
-	bits := math.Float64bits
-	for r := 0; r < 60; r++ {
+	a, b, auto := build(1), build(8), build(0)
+	for r := 0; r < 8; r++ {
 		a.AdvanceRound(r)
 		b.AdvanceRound(r)
+		auto.AdvanceRound(r)
 	}
-	if got, want := b.ActivePMs(), a.ActivePMs(); got != want {
-		t.Fatalf("ActivePMs: %d vs %d", got, want)
-	}
-	if got, want := b.OverloadedPMs(), a.OverloadedPMs(); got != want {
-		t.Fatalf("OverloadedPMs: %d vs %d", got, want)
-	}
-	for i := range a.PMs {
-		for res := 0; res < NumResources; res++ {
-			if bits(a.pmCurSum[i][res]) != bits(b.pmCurSum[i][res]) {
-				t.Fatalf("PM %d curSum[%d] diverges: %x vs %x", i, res, bits(a.pmCurSum[i][res]), bits(b.pmCurSum[i][res]))
-			}
-			if bits(a.pmAvgSum[i][res]) != bits(b.pmAvgSum[i][res]) {
-				t.Fatalf("PM %d avgSum[%d] diverges", i, res)
-			}
-		}
-		if bits(a.pmEnergyJ[i]) != bits(b.pmEnergyJ[i]) {
-			t.Fatalf("PM %d energyJ diverges: %x vs %x", i, bits(a.pmEnergyJ[i]), bits(b.pmEnergyJ[i]))
-		}
-		if a.pmActiveSec[i] != b.pmActiveSec[i] || a.pmOverloadSec[i] != b.pmOverloadSec[i] {
-			t.Fatalf("PM %d time accounting diverges", i)
-		}
-	}
-	for i := range a.VMs {
-		for res := 0; res < NumResources; res++ {
-			if bits(a.vmAvg[i][res]) != bits(b.vmAvg[i][res]) {
-				t.Fatalf("VM %d avg[%d] diverges", i, res)
-			}
-		}
-		if bits(a.vmRequested[i]) != bits(b.vmRequested[i]) {
-			t.Fatalf("VM %d requestedCPU diverges", i)
-		}
-	}
+	requireSameState(t, "Workers 1 vs 8", a, b)
+	requireSameState(t, "Workers 1 vs auto", a, auto)
 	if err := a.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAdvanceRoundPrefetchBitEquivalence: AdvanceRound takes a round's samples
+// from the look-ahead buffer when Prefetch filled it for that round and
+// synthesises them otherwise — the same cluster either way, bit for bit,
+// including the arrival read in stepLifecycle (late arrivals, a departure
+// and crash-stranded VMs retrying placement are all in the run) and a run
+// longer than the trace (the stream wraps and seeks backward). A buffer
+// holding any other round is ignored.
+func TestAdvanceRoundPrefetchBitEquivalence(t *testing.T) {
+	const rounds, traceRounds = 30, 20
+	build := func() *Cluster {
+		c := streamingCluster(t, 6, 3, traceRounds)
+		if err := c.SetLifecycle(2, 4, 9); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SetLifecycle(5, 6, -1); err != nil {
+			t.Fatal(err)
+		}
+		c.PlaceRandom(sim.NewRNG(11).Intn)
+		return c
+	}
+	plain, buffered, stale := build(), build(), build()
+	for r := 0; r < rounds; r++ {
+		if r == 13 {
+			// Pile every VM onto PM 0, power the rest down and crash it: with
+			// no PM left to evacuate to, every VM is stranded and comes back
+			// through the arrival path once PM 0 recovers.
+			for _, c := range []*Cluster{plain, buffered, stale} {
+				for _, vm := range c.VMs {
+					if vm.Present() && vm.Host() != 0 {
+						if err := c.Migrate(vm, c.PMs[0]); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				for _, pm := range c.PMs[1:] {
+					if err := c.SetPMOn(pm, false); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if rep, err := c.CrashPM(c.PMs[0]); err != nil || rep.Stranded == 0 {
+					t.Fatalf("setup: crash stranded %d VMs, err %v", rep.Stranded, err)
+				}
+				if err := c.RecoverPM(c.PMs[0]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		plain.AdvanceRound(r)
+		if r%3 != 0 { // hits and misses: VM 2 arrives on a hit, VM 5 on a miss
+			buffered.Prefetch(r)
+		}
+		buffered.AdvanceRound(r)
+		stale.Prefetch(r + 2)
+		stale.AdvanceRound(r)
+		requireSameState(t, fmt.Sprintf("round %d, buffered", r), plain, buffered)
+		requireSameState(t, fmt.Sprintf("round %d, stale buffer", r), plain, stale)
+		if err := buffered.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if plain.VMs[2].Present() || !plain.VMs[2].Departed() || !plain.VMs[5].Present() {
+		t.Fatal("setup: the lifecycle did not run")
+	}
+	if plain.PresentVMs() != len(plain.VMs)-1 {
+		t.Fatalf("setup: %d of %d VMs present after the stranded ones retried", plain.PresentVMs(), len(plain.VMs))
 	}
 }
 

@@ -90,7 +90,7 @@ func (c *Cluster) stepLifecycle(r int) {
 			// a slot, but monitoring restarts only once per arrival: a
 			// placement retry in a later round must not wipe the running
 			// average back to a single sample.
-			sample := c.workload.At(id, r)
+			sample := c.sample(id, r)
 			c.vmCur[id] = Vec{sample.CPU, sample.Mem}
 			if c.vmFlags[id]&vmFlagSeeded == 0 {
 				c.vmAvg[id] = c.vmCur[id]

@@ -166,6 +166,77 @@ func ForChunks(n, chunk, workers int, fn func(lo, hi int)) {
 	}
 }
 
+// Task is a reusable slot for one helper goroutine that runs beside its owner:
+// the fork-now, join-later counterpart of ForChunks, for work that may overlap
+// a stretch of the owner's own sequential code. The zero value is ready. A Task
+// is driven by one goroutine — Start and Wait are not themselves concurrent.
+type Task struct {
+	done  chan struct{} // capacity 1: the helper's one completion send never blocks
+	live  bool          // a helper is running or finished and not yet joined
+	token bool          // the helper holds one extra-worker token
+	fn    func()
+	pv    any // recovered panic value, re-raised by Wait
+	hasPV bool
+}
+
+// Start runs fn on a helper goroutine when the package worker-count semantics
+// grant one and reports whether it did: workers == 1 never, workers > 1
+// always, auto (<= 0) only while the shared budget yields a token without
+// blocking — so a saturated machine, or GOMAXPROCS 1, leaves the work to the
+// caller. Nothing runs when it returns false. Every true return must be paired
+// with a Wait before the next Start.
+func (t *Task) Start(workers int, fn func()) bool {
+	if t.live {
+		panic("par: Task started twice without Wait")
+	}
+	if workers == 1 {
+		return false
+	}
+	if workers <= 0 {
+		if acquireExtra(1) == 0 {
+			return false
+		}
+		t.token = true
+	}
+	if t.done == nil {
+		t.done = make(chan struct{}, 1)
+	}
+	t.live, t.fn = true, fn
+	go t.run()
+	return true
+}
+
+func (t *Task) run() {
+	defer func() {
+		if r := recover(); r != nil {
+			t.pv, t.hasPV = r, true
+		}
+		t.done <- struct{}{}
+	}()
+	t.fn()
+}
+
+// Wait joins the helper Start launched, returns its token to the budget and
+// re-raises its panic, if any, in the caller with the original value — as
+// ForChunks does for its workers. Without a live helper it does nothing, so it
+// is safe to defer.
+func (t *Task) Wait() {
+	if !t.live {
+		return
+	}
+	<-t.done
+	t.live, t.fn = false, nil
+	if t.token {
+		t.token = false
+		releaseExtra(1)
+	}
+	if t.hasPV {
+		pv := t.pv
+		t.pv, t.hasPV = nil, false
+		panic(pv)
+	}
+}
+
 // OrderedSum computes sum(fn(0) + fn(1) + ... + fn(n-1)) with the per-item
 // evaluations fanned out over workers but the final float summation folded
 // strictly in index order, so the result is bit-identical to the sequential

@@ -195,3 +195,72 @@ func TestForChunksEdgeTable(t *testing.T) {
 		}
 	}
 }
+
+func TestTaskRunsBesideCallerAndJoins(t *testing.T) {
+	var task Task
+	task.Wait() // no live helper: a no-op, safe to defer
+
+	if task.Start(1, func() { t.Error("workers=1 must not run fn") }) {
+		t.Fatal("workers=1 launched a helper")
+	}
+	task.Wait()
+
+	// An explicit count always launches. The helper waits for the caller, so
+	// it can only finish if it truly runs beside it; Wait is the join.
+	for round := 0; round < 3; round++ { // the slot is reusable
+		release := make(chan struct{})
+		done := false
+		if !task.Start(2, func() { <-release; done = true }) {
+			t.Fatal("workers=2 did not launch a helper")
+		}
+		close(release)
+		task.Wait()
+		if !done {
+			t.Fatal("Wait returned before the helper finished")
+		}
+	}
+}
+
+func TestTaskAutoHoldsOneBudgetToken(t *testing.T) {
+	// Drain the budget: auto must decline rather than block or oversubscribe.
+	held := acquireExtra(cap(extraTokens))
+	var task Task
+	if task.Start(0, func() { t.Error("fn ran without a token") }) {
+		t.Fatal("auto launched with the budget drained")
+	}
+	releaseExtra(held)
+	if cap(extraTokens) == 0 {
+		return // GOMAXPROCS 1: auto never launches
+	}
+	if !task.Start(0, func() {}) {
+		t.Fatal("auto declined with the budget full")
+	}
+	if got := len(extraTokens); got != cap(extraTokens)-1 {
+		t.Fatalf("helper holds %d tokens, want 1", cap(extraTokens)-got)
+	}
+	task.Wait()
+	if len(extraTokens) != cap(extraTokens) {
+		t.Fatal("Wait did not return the token")
+	}
+}
+
+func TestTaskPanicPropagates(t *testing.T) {
+	var task Task
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("recovered %v, want \"boom\"", r)
+			}
+		}()
+		task.Start(2, func() { panic("boom") })
+		task.Wait()
+		t.Fatal("Wait returned without panicking")
+	}()
+	// The slot is clean again: no stale panic, no live helper.
+	ran := false
+	task.Start(2, func() { ran = true })
+	task.Wait()
+	if !ran {
+		t.Fatal("Task unusable after a panic")
+	}
+}

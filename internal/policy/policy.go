@@ -17,8 +17,11 @@ type Binding struct {
 }
 
 // Bind wires cluster c into engine e: a BeforeRound hook advances the
-// workload so every protocol observes the current round's demand. The
-// cluster must have exactly as many PMs as the engine has nodes.
+// workload so every protocol observes the current round's demand, and — for a
+// streaming workload, whose samples cost a synthesis each — the engine's
+// look-ahead runs c.Prefetch for the next round beside the current one's
+// sequential passes. The cluster must have exactly as many PMs as the engine
+// has nodes.
 func Bind(e *sim.Engine, c *dc.Cluster) (*Binding, error) {
 	if len(c.PMs) != e.N() {
 		return nil, fmt.Errorf("policy: cluster has %d PMs but engine has %d nodes", len(c.PMs), e.N())
@@ -27,6 +30,9 @@ func Bind(e *sim.Engine, c *dc.Cluster) (*Binding, error) {
 	e.BeforeRound(func(e *sim.Engine, round int) {
 		c.AdvanceRound(round)
 	})
+	if c.Workload().Streaming() {
+		e.LookAhead(c.Prefetch)
+	}
 	return b, nil
 }
 

@@ -128,3 +128,63 @@ func TestTryPowerOffIfEmpty(t *testing.T) {
 		}
 	}
 }
+
+// idleProto is a sequential protocol that does nothing: a pass for the
+// engine's look-ahead helper to run beside.
+type idleProto struct{}
+
+func (idleProto) Name() string                      { return "idle" }
+func (idleProto) Setup(*sim.Engine, *sim.Node) any  { return nil }
+func (idleProto) Round(*sim.Engine, *sim.Node, int) {}
+
+// TestBindPrefetchLeavesWorkloadQuiescent: Bind hands a streaming workload's
+// next round to the engine's look-ahead helper, which advances the Set's
+// per-VM streams from another goroutine. The facade builds the run cluster
+// over the pre-training cluster's Set the moment pre-training returns, so the
+// Set must be at rest by then — however RunRounds returned. Under -race a
+// helper still alive is a reported race with dc.New's round-0 read (a backward
+// seek that rewrites the stream) and with the second run's own reads.
+func TestBindPrefetchLeavesWorkloadQuiescent(t *testing.T) {
+	const pms, ratio, rounds = 6, 3, 12
+	set, err := trace.GenerateStreaming(trace.DefaultGenConfig(pms*ratio, rounds, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := trace.Generate(trace.DefaultGenConfig(pms*ratio, rounds, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(stopAt int) *dc.Cluster {
+		c, err := dc.New(dc.Config{PMs: pms, Workload: set})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.PlaceRandom(sim.NewRNG(3).Intn)
+		for id, vm := range c.VMs {
+			if s := want.At(id, 0); vm.CurDemand() != (dc.Vec{s.CPU, s.Mem}) {
+				t.Fatalf("VM %d seeded with %v, want round 0's %v", id, vm.CurDemand(), s)
+			}
+		}
+		e := sim.NewEngine(pms, 1)
+		e.Workers = 2 // explicit: a real helper goroutine on any machine
+		if _, err := Bind(e, c); err != nil {
+			t.Fatal(err)
+		}
+		e.Register(idleProto{})
+		e.Observe(func(e *sim.Engine, r int) {
+			for id, vm := range c.VMs {
+				if s := want.At(id, r); vm.CurDemand() != (dc.Vec{s.CPU, s.Mem}) {
+					t.Fatalf("round %d: VM %d demand %v, want %v", r, id, vm.CurDemand(), s)
+				}
+			}
+			if r == stopAt {
+				e.Stop()
+			}
+		})
+		e.RunRounds(rounds)
+		return c
+	}
+	run(-1)         // to the last round, which prefetches nothing
+	run(rounds / 2) // Stop with round rounds/2+1 already being prefetched
+	run(-1)
+}

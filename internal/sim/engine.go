@@ -97,6 +97,14 @@ type protoReg struct {
 	until int // last round (inclusive); <0 means forever
 }
 
+// due reports whether the protocol runs in round r.
+func (reg *protoReg) due(r int) bool {
+	if r < reg.from || (reg.until >= 0 && r > reg.until) {
+		return false
+	}
+	return (r-reg.from)%reg.every == 0
+}
+
 // Engine drives one simulation run.
 type Engine struct {
 	rng       *RNG
@@ -111,18 +119,21 @@ type Engine struct {
 	stopReq   bool
 	upCount   int
 	pairBuf   []par.Pair // drawPairs scratch, reused across rounds
+	ahead     []func(next int)
+	helper    par.Task // the round pipeline's one helper goroutine
 
 	// RoundPeriod is the virtual duration of one round. The paper uses
 	// 2-minute rounds; the default is 120 (seconds).
 	RoundPeriod int64
 
-	// Workers bounds intra-run fork-join parallelism for protocols that
-	// declare ParallelRound or LaneRound. <= 0 (the default) sizes
-	// automatically from the machine-wide worker budget shared with
-	// RunReplications, so nested parallelism cannot oversubscribe; 1 forces
-	// sequential execution; an explicit count > 1 is honored exactly
-	// (differential and race tests rely on that). Results are identical for
-	// every setting.
+	// Workers bounds intra-run parallelism: the fork-join passes of protocols
+	// that declare ParallelRound or LaneRound, and the one helper goroutine
+	// that runs the LookAhead hooks beside a round of sequential passes. <= 0
+	// (the default) sizes automatically from the machine-wide worker budget
+	// shared with RunReplications, so nested parallelism cannot oversubscribe;
+	// 1 forces sequential execution on the caller, no goroutine at all; an
+	// explicit count > 1 is honored exactly (differential and race tests rely
+	// on that). Results are identical for every setting.
 	Workers int
 }
 
@@ -214,6 +225,21 @@ func (e *Engine) Observe(o Observer) { e.observers = append(e.observers, o) }
 // protocols observe the round's workload.
 func (e *Engine) BeforeRound(o Observer) { e.pre = append(e.pre, o) }
 
+// LookAhead registers fn as a pure function of the next round: something
+// round r+1's BeforeRound hooks will want and that depends on nothing rounds
+// write — the cluster binding registers the synthesis of the next round's VM
+// demand. While round r's protocol passes, observers and the event drain
+// ahead of round r+1 run on the caller, RunRounds may call fn(r+1) on one
+// helper goroutine, joined before round r+1's BeforeRound hooks fire. fn must
+// therefore read nothing a protocol, observer or event writes and write
+// nothing they read, and its consumer must treat the result as a cache keyed
+// by round: fn is not called for round 0, for a round that follows one with a
+// ParallelRound or LaneRound pass due (those own the spare cores) or with no
+// pass due at all (nothing to run beside), or when no spare worker is to be
+// had, and after Stop it has been called for a round that never runs — the
+// run must come out the same regardless.
+func (e *Engine) LookAhead(fn func(next int)) { e.ahead = append(e.ahead, fn) }
+
 // State returns node n's state for the named protocol. It panics on unknown
 // protocol names: that is always a wiring bug, not a runtime condition.
 func (e *Engine) State(name string, n *Node) any {
@@ -266,26 +292,40 @@ func (e *Engine) Stop() { e.stopReq = true }
 // in a freshly shuffled order, then observers fire. Events scheduled via
 // At/After with timestamps inside the round window fire before the round's
 // protocol pass.
+//
+// The loop is a two-stage software pipeline: in a round that has passes due,
+// all of them sequential, the LookAhead hooks for the next round run on one
+// helper goroutine beside them (see LookAhead). The helper is joined before
+// the next round's BeforeRound hooks and on every way out — the last round
+// launches none, and Stop or a panicking protocol joins through the deferred
+// Wait — so no goroutine outlives the call, and a helper's panic is re-raised
+// here with its original value.
 func (e *Engine) RunRounds(rounds int) {
 	e.setup()
 	order := make([]*Node, len(e.nodes))
 	copy(order, e.nodes)
 	shuffleRNG := e.rng.Derive(0x5aff1e)
+	defer e.helper.Wait()
 	for r := 0; r < rounds; r++ {
 		e.round = r
 		roundStart := int64(r) * e.RoundPeriod
 		e.drainUntil(roundStart)
 		e.now = roundStart
+		e.helper.Wait()
 		for _, o := range e.pre {
 			o(e, r)
 		}
 		shuffleRNG.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		if next := r + 1; next < rounds && len(e.ahead) > 0 && e.sequentialRound(r) {
+			e.helper.Start(e.Workers, func() {
+				for _, fn := range e.ahead {
+					fn(next)
+				}
+			})
+		}
 		for pi := range e.protocols {
 			reg := &e.protocols[pi]
-			if r < reg.from || (reg.until >= 0 && r > reg.until) {
-				continue
-			}
-			if (r-reg.from)%reg.every != 0 {
+			if !reg.due(r) {
 				continue
 			}
 			if lp, ok := reg.proto.(LaneRound); ok && lp.Lanes() > 0 {
@@ -313,6 +353,31 @@ func (e *Engine) RunRounds(rounds int) {
 	e.round = rounds
 	e.now = int64(rounds) * e.RoundPeriod
 	e.drainUntil(e.now)
+}
+
+// sequentialRound reports whether round r has protocol passes due and every
+// one of them runs on the caller alone. Only then may the look-ahead helper
+// take a spare worker. It would otherwise hold the budget's token when a
+// ParallelRound or LaneRound fork-join asks for it, and that pass — far more
+// work than the look-ahead — would run inline; and with no pass due at all (a
+// centralised policy that lives in a BeforeRound hook) the caller would reach
+// the join at once and wait out the helper's start-up on top of its work.
+func (e *Engine) sequentialRound(r int) bool {
+	due := false
+	for pi := range e.protocols {
+		reg := &e.protocols[pi]
+		if !reg.due(r) {
+			continue
+		}
+		if lp, ok := reg.proto.(LaneRound); ok && lp.Lanes() > 0 {
+			return false
+		}
+		if pr, ok := reg.proto.(ParallelRound); ok && pr.Parallelizable() {
+			return false
+		}
+		due = true
+	}
+	return due
 }
 
 // drawPairs is the lane path's sequential draw phase: one draw per up node in

@@ -14,8 +14,12 @@ import (
 // samples.
 //
 // The state is advanced by At; two goroutines must not query the same VM
-// concurrently. Distinct VMs are fully independent, which is the access
-// pattern of the chunk-parallel cluster refresh.
+// concurrently. Distinct VMs are fully independent. The simulator's two
+// readers keep to that by taking turns on the whole Set: the round pipeline's
+// helper walks every VM for round r+1 (dc.Cluster.Prefetch) strictly between
+// the cluster refresh of round r and its join ahead of round r+1's, and the
+// refresh itself — chunk-parallel on large clusters — gives each VM to one
+// chunk.
 type vmStream struct {
 	// init is the RNG state immediately after archetype selection; reset
 	// replays the series header from it, so backward seeks (trace

@@ -100,8 +100,10 @@ func (s *Set) Streaming() bool { return s.streams != nil }
 //
 // For streaming sets, At advances VM vm's synthesis state; callers may
 // query distinct VMs concurrently but must not query the same VM from two
-// goroutines at once. Materialised sets are read-only and safe for any
-// concurrent access.
+// goroutines at once, and a sample is a function of (vm, r) alone whichever
+// goroutine asks and whatever was asked before — which is what lets
+// sim.Engine's look-ahead helper fetch round r+1 while round r runs.
+// Materialised sets are read-only and safe for any concurrent access.
 func (s *Set) At(vm, r int) Sample {
 	if s.streams != nil {
 		return s.streamAt(vm, r)
