@@ -1,6 +1,8 @@
 package glap
 
 import (
+	"math/bits"
+
 	"github.com/glap-sim/glap/internal/cyclon"
 	"github.com/glap-sim/glap/internal/dc"
 	"github.com/glap-sim/glap/internal/policy"
@@ -111,27 +113,13 @@ type IOKey struct {
 	In bool
 }
 
-// profile is a VM workload profile exchanged during the learning phase:
-// current and average demand fractions plus the VM's nominal capacity. The
-// fused kernel works on the precomputed kernelProfile form; profile remains
-// the reference kernel's (and the paper's) exchange unit.
-type profile struct {
-	cur, avg dc.Vec
-	cap      dc.Vec
-}
-
-func profileOf(vm *dc.VM) profile {
-	return profile{cur: vm.CurDemand(), avg: vm.AvgDemand(), cap: vm.Spec.Capacity}
-}
-
-// kernelProfile is one collected VM profile in the fused kernel's
-// representation: the demand fractions pre-multiplied by the VM's capacity
-// (the only form the aggregation ever needs) and the VM's calibrated action
-// under both demand signals. Everything trainOnce touches per multiset
-// element is precomputed here once per round.
+// kernelProfile is one collected VM profile — Algorithm 1's exchange unit — in
+// the kernel's representation: the demand fractions pre-multiplied by the
+// VM's capacity (the only form the aggregation ever needs) and the VM's
+// calibrated action under both demand signals. Everything trainOnce touches
+// per multiset element is precomputed here once per round.
 type kernelProfile struct {
-	// wAvg and wCur are the weighted demand vectors avg·cap and cur·cap.
-	wAvg, wCur dc.Vec
+	weighted
 	// actAvg and actCur are the VM's calibrated migration action from
 	// average and current demand respectively (the CurrentDemandOnly
 	// ablation switches between them).
@@ -154,14 +142,28 @@ type learnScratch struct {
 	total int
 	// totAvg and totCur are the duplicated multiset's summed weighted demand
 	// vectors, precomputed once per Round (they are constant across training
-	// iterations and partition-retry attempts). trainOnce folds only the
+	// iterations and partition-retry attempts). trainOnce accumulates only the
 	// sender side of each partition and derives the recipient sums as
-	// totals − sender, halving the FP work of the partition loop.
+	// totals − sender.
 	totAvg, totCur dc.Vec
-	// sender is trainOnce's sender-partition buffer: multiset indices, kept
-	// across iterations and rounds so steady-state training allocates
-	// nothing.
-	sender []int32
+	// sel is the sender fold's select table, rebuilt once per Round: row 2j
+	// is all zeros and row 2j+1 is base[j]'s {wAvg, wCur}, so the fold adds
+	// sel[2j+bit] for every multiset element whichever way its coin fell.
+	sel []weighted
+	// bits is trainOnce's partition bitset: bit k is set when multiset
+	// element k landed sender-side. It grows to the high-water multiset size
+	// and is kept across iterations and rounds.
+	bits []uint64
+	// cal is the level-boundary table of the PM capacity it was last built
+	// for (rebuilt when the capacity differs, which on one node it never does).
+	cal calibration
+}
+
+// weighted holds a profile's weighted demand vectors avg·cap and cur·cap side
+// by side: the part of a kernelProfile the sender fold reads, and one row of
+// the select table.
+type weighted struct {
+	wAvg, wCur dc.Vec
 }
 
 // appendKernelProfile collects vm into the scratch base set.
@@ -185,12 +187,6 @@ func appendKernelProfile(dst []kernelProfile, vm *dc.VM) []kernelProfile {
 type LearnProtocol struct {
 	Cfg Config
 	B   *policy.Binding
-
-	// Reference selects the retired pre-fusion kernel (kept, like
-	// qlearn.Sparse, as a differential baseline — see learnref.go). Both
-	// kernels draw the identical random sequence, so a Reference run is
-	// comparable draw-for-draw with a fused run.
-	Reference bool
 
 	rng sim.BoundNodeRNG
 }
@@ -226,17 +222,13 @@ func TablesOf(e *sim.Engine, n *sim.Node) *NodeTables {
 // The round is allocation-free in steady state: profile collection refills
 // the node's scratch buffers instead of rebuilding slices from nil,
 // duplication computes a repeat count instead of materialising copies, and
-// the training iterations run the fused single-pass kernel below.
+// the training iterations run the straight-line kernel below.
 func (l *LearnProtocol) Round(e *sim.Engine, n *sim.Node, round int) {
 	rng := l.rng.For(e, n.ID, 0x61ea51)
 	c := l.B.C
 	pm := l.B.PM(n)
 	// Only lightly loaded PMs train, to avoid impacting collocated VMs.
 	if c.AvgUtil(pm)[dc.CPU] > l.Cfg.LearnUtilThreshold {
-		return
-	}
-	if l.Reference {
-		l.roundReference(e, n, rng, pm)
 		return
 	}
 
@@ -265,12 +257,30 @@ func (l *LearnProtocol) Round(e *sim.Engine, n *sim.Node, round int) {
 	// states are visited during training. Only the multiset size is
 	// computed; elements are addressed as base[k mod len(base)].
 	sc.total = coverCount(sc.base, pm.Spec.Capacity[dc.CPU], l.Cfg.DuplicationTargetUtil)
-	sc.totAvg, sc.totCur = multisetTotals(sc.base, sc.total)
+	sc.prepare(pm.Spec.Capacity)
 
 	for it := 0; it < l.Cfg.LearnIterations; it++ {
-		l.trainOnce(rng, st, sc, pm.Spec.Capacity)
+		l.trainOnce(rng, st, sc)
 	}
 	st.Trained = true
+}
+
+// prepare derives, from the collected base set and multiset size, everything
+// trainOnce reads that is constant across a Round's iterations: the multiset
+// totals, the select table, a bitset large enough for the multiset, and the
+// boundary table of the PM capacity pmCap.
+func (sc *learnScratch) prepare(pmCap dc.Vec) {
+	sc.totAvg, sc.totCur = multisetTotals(sc.base, sc.total)
+	sc.sel = sc.sel[:0]
+	for i := range sc.base {
+		sc.sel = append(sc.sel, weighted{}, sc.base[i].weighted)
+	}
+	if words := (sc.total + 63) >> 6; cap(sc.bits) < words {
+		sc.bits = make([]uint64, words)
+	}
+	if sc.cal.cap != pmCap {
+		sc.cal = calibrationFor(pmCap)
+	}
 }
 
 // coverCount returns the size of the duplicated profile multiset: the base
@@ -328,21 +338,24 @@ func multisetTotals(base []kernelProfile, total int) (avg, cur dc.Vec) {
 // and apply updateOUT / updateIN per Equation 1. Pre-action states use
 // average demand; post-action states use current demand (Figure 3).
 //
-// Partition and aggregation are fused into a single pass: every multiset
-// element draws its Bernoulli coin (the same sequence the reference kernel
-// draws) and, when it lands sender-side, immediately folds its weighted
-// average- and current-demand vectors into the sender accumulators. The
-// recipient partition is never folded at all: its sums are derived as the
-// precomputed multiset totals minus the sender sums, halving the FP work of
-// the partition loop (the derived sums differ from a direct fold only at ulp
-// scale, which level quantisation absorbs — see DESIGN.md §7). The Bernoulli
-// threshold is converted once per trainOnce and the k-loop runs the one-shift
-// one-compare form. Post-action states derive incrementally: sAfter is the
-// sender's current-demand sum minus the evicted VM, tAfter the recipient's
-// sum plus it. Only the sender indices are materialised (the eviction pick
-// needs them); the recipient partition exists solely as its derived sums.
-func (l *LearnProtocol) trainOnce(rng *sim.RNG, st *NodeTables, sc *learnScratch, pmCap dc.Vec) {
-	base := sc.base
+// The iteration is three straight-line stages (DESIGN.md §7, "Bulk partition
+// and exact calibration"). The partition draws one Bernoulli coin per
+// multiset element — the sequence the reference kernel draws — in bulk, into
+// a bitset; a coin is a 15–85 % event no predictor learns, so nothing here
+// branches on one. The fold then adds sel[2j+bit] for every element in
+// multiset order: recipient-side elements add +0.0, which leaves the sender
+// sums exactly what a fold over the sender elements alone produces. The
+// recipient partition is never folded: its sums are the precomputed multiset
+// totals minus the sender sums (the derived sums differ from a direct fold
+// only at ulp scale, which level quantisation absorbs). Post-action states
+// derive incrementally: sAfter is the sender's current-demand sum minus the
+// evicted VM, tAfter the recipient's sum plus it. The four sums are
+// calibrated against the PM capacity through sc.cal, without dividing.
+//
+// sc must have been through prepare since its base set, total or the PM
+// capacity last changed.
+func (l *LearnProtocol) trainOnce(rng *sim.RNG, st *NodeTables, sc *learnScratch) {
+	base, sel := sc.base, sc.sel
 	nb := len(base)
 	// Random partition with a freshly drawn split bias per iteration so
 	// the virtual recipient's pre-state sweeps the whole load range — from
@@ -350,55 +363,47 @@ func (l *LearnProtocol) trainOnce(rng *sim.RNG, st *NodeTables, sc *learnScratch
 	// for rejection decisions are actually visited during training.
 	pSender := 0.15 + 0.7*rng.Float64()
 	thresh := sim.Thresh53(pSender)
-	sender := sc.sender[:cap(sc.sender)]
-	if len(sender) < sc.total {
-		// Grow once to the high-water multiset size so the k-loop writes by
-		// index instead of appending (no per-element capacity check).
-		sender = make([]int32, sc.total)
-	}
-	sc.sender = sender // keep the grown buffer for the next iteration
+	bs := sc.bits[:(sc.total+63)>>6]
 	cnt := 0
-	var sAvg, sCur dc.Vec
-	for attempt := 0; attempt < 8; attempt++ {
-		cnt = 0
-		sAvg, sCur = dc.Vec{}, dc.Vec{}
-		// Walk the multiset cycle by cycle: the inner loop's bound is the
-		// base length (or the final partial cycle), so element addressing
-		// needs no wrap branch and profiles stream linearly.
-		for k := 0; k < sc.total; {
-			span := nb
-			if rem := sc.total - k; rem < span {
-				span = rem
-			}
-			for j := 0; j < span; j++ {
-				if rng.BernoulliThresh(thresh) {
-					sender[cnt] = int32(k + j)
-					cnt++
-					p := &base[j]
-					for r := 0; r < dc.NumResources; r++ {
-						sAvg[r] += p.wAvg[r]
-						sCur[r] += p.wCur[r]
-					}
-				}
-			}
-			k += span
-		}
-		if cnt > 0 {
-			break
-		}
+	for attempt := 0; attempt < 8 && cnt == 0; attempt++ {
+		cnt = rng.BernoulliBits(bs, sc.total, thresh)
 	}
 	if cnt == 0 {
 		return
 	}
-	sender = sender[:cnt]
+	// Walk the multiset cycle by cycle: the inner loop's bound is the base
+	// length (or the final partial cycle), so element addressing needs no
+	// wrap branch and the select table streams linearly. The four sums are
+	// scalars so that they stay in registers: an indexed dc.Vec accumulator
+	// lives in memory and puts a store-to-load round trip on every add.
+	var avgCPU, avgMem, curCPU, curMem float64
+	for k := 0; k < sc.total; {
+		span := nb
+		if rem := sc.total - k; rem < span {
+			span = rem
+		}
+		for j := 0; j < span; j++ {
+			e := uint(k + j)
+			row := &sel[2*j+int(bs[e>>6]>>(e&63)&1)]
+			avgCPU += row.wAvg[dc.CPU]
+			avgMem += row.wAvg[dc.Mem]
+			curCPU += row.wCur[dc.CPU]
+			curMem += row.wCur[dc.Mem]
+		}
+		k += span
+	}
+	sAvg, sCur := dc.Vec{dc.CPU: avgCPU, dc.Mem: avgMem}, dc.Vec{dc.CPU: curCPU, dc.Mem: curMem}
 	tAvg := sc.totAvg.Sub(sAvg)
 	tCur := sc.totCur.Sub(sCur)
 	// An all-sender draw leaves the recipient partition empty; training
 	// proceeds regardless — an empty virtual recipient is the legitimate
 	// (Low, Low) pre-state of an idle PM, and φ^in needs those transitions
 	// (see TestTrainOncePartitionRetry for the characterisation).
-	pick := int(sender[rng.Intn(len(sender))])
-	p := &base[pick%nb]
+	//
+	// The evicted VM is uniform over the sender elements: the Intn(cnt)-th
+	// set bit is the element a materialised sender list would hold at that
+	// index.
+	p := &base[selectBit(bs, rng.Intn(cnt))%nb]
 	useAvg := !l.Cfg.CurrentDemandOnly
 	action := p.actAvg
 	if !useAvg {
@@ -410,14 +415,30 @@ func (l *LearnProtocol) trainOnce(rng *sim.RNG, st *NodeTables, sc *learnScratch
 	if !useAvg {
 		sBefore = sCur
 	}
-	l.updateOut(st.Out, stateOfSum(sBefore, pmCap), action, stateOfSum(sCur.Sub(p.wCur), pmCap))
+	l.updateOut(st.Out, sc.cal.state(sBefore), action, sc.cal.state(sCur.Sub(p.wCur)))
 
 	// updateIN: the recipient's transition after accepting it.
 	tBefore := tAvg
 	if !useAvg {
 		tBefore = tCur
 	}
-	l.updateIn(st.In, stateOfSum(tBefore, pmCap), action, stateOfSum(tCur.Add(p.wCur), pmCap))
+	l.updateIn(st.In, sc.cal.state(tBefore), action, sc.cal.state(tCur.Add(p.wCur)))
+}
+
+// selectBit returns the position of the r-th set bit (counting from zero) of
+// the bitset bs, which must have more than r bits set.
+func selectBit(bs []uint64, r int) int {
+	for i, w := range bs {
+		c := bits.OnesCount64(w)
+		if r < c {
+			for ; r > 0; r-- {
+				w &= w - 1 // clear the lowest set bit
+			}
+			return i<<6 + bits.TrailingZeros64(w)
+		}
+		r -= c
+	}
+	panic("glap: selectBit rank beyond the bitset's population")
 }
 
 // stateOfSum calibrates an aggregate absolute demand vector against a PM

@@ -9,22 +9,64 @@ import (
 	"github.com/glap-sim/glap/internal/policy"
 	"github.com/glap-sim/glap/internal/qlearn"
 	"github.com/glap-sim/glap/internal/sim"
+	"github.com/glap-sim/glap/internal/trace"
 )
 
-// runLearnPhase builds a fresh cluster+engine pair and runs rounds learning
-// rounds with the given kernel, returning every node's tables.
-func runLearnPhase(t *testing.T, reference bool, pms, vms, rounds int, seed uint64) []*NodeTables {
+// learner returns Algorithm 1 as the production protocol or, with reference
+// set, as the test-only protocol that runs the pre-fusion kernel.
+func learner(reference bool, cfg Config, b *policy.Binding) sim.Protocol {
+	if reference {
+		return &refLearnProtocol{LearnProtocol{Cfg: cfg, B: b}}
+	}
+	return &LearnProtocol{Cfg: cfg, B: b}
+}
+
+// learnCase is one corpus of the kernel differential: a cluster, a learning
+// configuration and a run length.
+type learnCase struct {
+	pms, vms, rounds int
+	seed             uint64
+	cfg              Config
+	// specFor, when set, assigns per-PM hardware (a heterogeneous fleet).
+	specFor func(pm int) dc.PMSpec
+}
+
+// twoGenerations alternates the two PM models of the heterogeneous fleet.
+func twoGenerations(pm int) dc.PMSpec {
+	if pm%2 == 1 {
+		return dc.HPProLiantML110G4
+	}
+	return dc.HPProLiantML110G5
+}
+
+// cluster builds the case's cluster with a random initial placement.
+func (lc learnCase) cluster(t *testing.T) *dc.Cluster {
 	t.Helper()
-	cl := genCluster(t, pms, vms, rounds+10, seed)
-	e := sim.NewEngine(pms, seed)
+	set, err := trace.Generate(trace.DefaultGenConfig(lc.vms, lc.rounds+10, lc.seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := dc.New(dc.Config{PMs: lc.pms, Workload: set, PMSpecFor: lc.specFor})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.PlaceRandom(sim.NewRNG(lc.seed).Intn)
+	return cl
+}
+
+// runLearnPhase builds a fresh cluster+engine pair and runs the case's
+// learning rounds with the given kernel, returning every node's tables.
+func runLearnPhase(t *testing.T, reference bool, lc learnCase) []*NodeTables {
+	t.Helper()
+	cl := lc.cluster(t)
+	e := sim.NewEngine(lc.pms, lc.seed)
 	b, err := policy.Bind(e, cl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.Register(cyclon.New(8, 4))
-	learn := &LearnProtocol{Cfg: DefaultConfig(), B: b, Reference: reference}
-	e.Register(learn)
-	e.RunRounds(rounds)
+	e.Register(learner(reference, lc.cfg, b))
+	e.RunRounds(lc.rounds)
 	out := make([]*NodeTables, e.N())
 	for i, n := range e.Nodes() {
 		out[i] = TablesOf(e, n)
@@ -32,65 +74,84 @@ func runLearnPhase(t *testing.T, reference bool, pms, vms, rounds int, seed uint
 	return out
 }
 
-// TestLearnKernelDifferential pins the fused single-pass kernel against the
-// retained reference kernel draw-for-draw: identical clusters, seeds and
-// random streams must yield cell-identical Q-tables on every node. The two
-// kernels differ in the FP evaluation order of the sender's post-action
-// state (subtract-from-total vs skip-during-scan); the calibrated level
-// quantisation absorbs that ulp-level difference, and this test is the
-// witness that it does across a multi-seed corpus.
+// requireSameTables asserts exact table equality node by node.
+func requireSameTables(t *testing.T, ref, got []*NodeTables) {
+	t.Helper()
+	for i := range ref {
+		if ref[i].Trained != got[i].Trained {
+			t.Fatalf("node %d: Trained diverged (ref=%v kernel=%v)", i, ref[i].Trained, got[i].Trained)
+		}
+		if !qlearn.Equal(ref[i].Out, got[i].Out) {
+			t.Fatalf("node %d: φ^out diverged (ref %d cells, kernel %d cells)",
+				i, ref[i].Out.Len(), got[i].Out.Len())
+		}
+		if !qlearn.Equal(ref[i].In, got[i].In) {
+			t.Fatalf("node %d: φ^in diverged (ref %d cells, kernel %d cells)",
+				i, ref[i].In.Len(), got[i].In.Len())
+		}
+	}
+}
+
+// TestLearnKernelDifferential pins the production kernel against the
+// reference kernel draw-for-draw: identical clusters, seeds and random
+// streams must yield cell-identical Q-tables on every node. The two kernels
+// differ in the FP evaluation order of the sender's post-action state
+// (subtract-from-total vs skip-during-scan) and of the recipient's sums
+// (totals minus sender vs a direct scan); the calibrated level quantisation
+// absorbs those ulp-level differences, and this test is the witness that it
+// does across a multi-seed corpus. The partition bitset, the +0.0 fold and
+// the division-free calibration add no difference of their own.
 func TestLearnKernelDifferential(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3, 7, 11, 42} {
-		seed := seed
+		lc := learnCase{pms: 20, vms: 60, rounds: 30, seed: seed, cfg: DefaultConfig()}
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			ref := runLearnPhase(t, true, 20, 60, 30, seed)
-			fused := runLearnPhase(t, false, 20, 60, 30, seed)
-			for i := range ref {
-				if ref[i].Trained != fused[i].Trained {
-					t.Fatalf("node %d: Trained diverged (ref=%v fused=%v)",
-						i, ref[i].Trained, fused[i].Trained)
-				}
-				if !qlearn.Equal(ref[i].Out, fused[i].Out) {
-					t.Fatalf("node %d: φ^out diverged (ref %d cells, fused %d cells)",
-						i, ref[i].Out.Len(), fused[i].Out.Len())
-				}
-				if !qlearn.Equal(ref[i].In, fused[i].In) {
-					t.Fatalf("node %d: φ^in diverged (ref %d cells, fused %d cells)",
-						i, ref[i].In.Len(), fused[i].In.Len())
-				}
-			}
+			requireSameTables(t, runLearnPhase(t, true, lc), runLearnPhase(t, false, lc))
 		})
 	}
+
+	// Two PM generations: every node calibrates against its own capacity, and
+	// a node's peer set mixes both.
+	t.Run("heterogeneous", func(t *testing.T) {
+		lc := learnCase{pms: 20, vms: 60, rounds: 30, seed: 13, cfg: DefaultConfig(), specFor: twoGenerations}
+		got := runLearnPhase(t, false, lc)
+		requireSameTables(t, runLearnPhase(t, true, lc), got)
+		caps := map[dc.Vec]bool{}
+		for _, nt := range got {
+			if nt.Trained {
+				caps[nt.scratch.cal.cap] = true
+			}
+		}
+		if len(caps) != 2 {
+			t.Fatalf("trained nodes calibrated against %d capacities, want 2", len(caps))
+		}
+	})
+
+	// A coverage target far above capacity inflates the multisets past one
+	// bitset word and drives small base sets into the 64× duplication cap.
+	t.Run("multi-word", func(t *testing.T) {
+		lc := learnCase{pms: 20, vms: 60, rounds: 30, seed: 17, cfg: DefaultConfig()}
+		lc.cfg.DuplicationTargetUtil = 12
+		got := runLearnPhase(t, false, lc)
+		requireSameTables(t, runLearnPhase(t, true, lc), got)
+		var multiWord, capped bool
+		for _, nt := range got {
+			sc := &nt.scratch
+			multiWord = multiWord || cap(sc.bits) > 1
+			capped = capped || (len(sc.base) > 0 && sc.total == 64*len(sc.base))
+		}
+		if !multiWord || !capped {
+			t.Fatalf("corpus too small: multi-word bitset %v, 64× cap reached %v", multiWord, capped)
+		}
+	})
 }
 
 // TestLearnKernelDifferentialCurrentDemandOnly repeats the differential
 // check under the CurrentDemandOnly ablation, which flips every pre-action
 // state and action to the current-demand signal.
 func TestLearnKernelDifferentialCurrentDemandOnly(t *testing.T) {
-	run := func(reference bool) []*NodeTables {
-		cl := genCluster(t, 15, 45, 40, 5)
-		e := sim.NewEngine(15, 5)
-		b, err := policy.Bind(e, cl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.Register(cyclon.New(8, 4))
-		cfg := DefaultConfig()
-		cfg.CurrentDemandOnly = true
-		e.Register(&LearnProtocol{Cfg: cfg, B: b, Reference: reference})
-		e.RunRounds(25)
-		out := make([]*NodeTables, e.N())
-		for i, n := range e.Nodes() {
-			out[i] = TablesOf(e, n)
-		}
-		return out
-	}
-	ref, fused := run(true), run(false)
-	for i := range ref {
-		if !qlearn.Equal(ref[i].Out, fused[i].Out) || !qlearn.Equal(ref[i].In, fused[i].In) {
-			t.Fatalf("node %d: tables diverged under CurrentDemandOnly", i)
-		}
-	}
+	lc := learnCase{pms: 15, vms: 45, rounds: 25, seed: 5, cfg: DefaultConfig()}
+	lc.cfg.CurrentDemandOnly = true
+	requireSameTables(t, runLearnPhase(t, true, lc), runLearnPhase(t, false, lc))
 }
 
 // TestCoverCountMatchesDuplicateToCover pins the arithmetic multiset size
@@ -201,7 +262,8 @@ func TestTrainOncePartitionRetry(t *testing.T) {
 		sc := &fused.scratch
 		sc.base = append(sc.base[:0], profileToKernel(p))
 		sc.total = 1
-		l.trainOnce(sim.NewRNG(seed), fused, sc, cap)
+		sc.prepare(cap)
+		l.trainOnce(sim.NewRNG(seed), fused, sc)
 		ref = newStore()
 		l.refTrainOnce(sim.NewRNG(seed), ref, []profile{p}, cap)
 		return fused, ref
@@ -243,12 +305,14 @@ func TestTrainOncePartitionRetry(t *testing.T) {
 	}
 }
 
-// TestLearnRoundZeroAlloc asserts the tentpole invariant: once buffers and
-// table backings are warm, a full learning round — profile collection,
-// duplication bookkeeping and LearnIterations fused training iterations —
-// performs zero heap allocations.
+// TestLearnRoundZeroAlloc asserts the kernel's allocation invariant: once
+// buffers and table backings are warm, a full learning round — profile
+// collection, duplication bookkeeping, the select table and LearnIterations
+// training iterations — performs zero heap allocations. The fleet is
+// heterogeneous, so consecutive nodes of the measured pass calibrate against
+// different capacities, each through the table in its own scratch.
 func TestLearnRoundZeroAlloc(t *testing.T) {
-	cl := genCluster(t, 20, 60, 80, 9)
+	cl := learnCase{pms: 20, vms: 60, rounds: 70, seed: 9, specFor: twoGenerations}.cluster(t)
 	e := sim.NewEngine(20, 9)
 	b, err := policy.Bind(e, cl)
 	if err != nil {
@@ -274,8 +338,11 @@ func TestLearnRoundZeroAlloc(t *testing.T) {
 		if cap(sc.base) < 64 {
 			sc.base = make([]kernelProfile, 0, 64)
 		}
-		if cap(sc.sender) < 64*64 {
-			sc.sender = make([]int32, 0, 64*64)
+		if cap(sc.sel) < 2*64 {
+			sc.sel = make([]weighted, 0, 2*64)
+		}
+		if cap(sc.bits) < 64 {
+			sc.bits = make([]uint64, 64)
 		}
 	}
 

@@ -7,29 +7,54 @@ import (
 	"github.com/glap-sim/glap/internal/sim"
 )
 
-// This file preserves the pre-fusion Algorithm-1 training kernel as a
-// reference implementation (the qlearn.Sparse pattern): the profile
-// multiset is materialised by slice duplication and every training
-// iteration partitions it and runs four O(P) subset aggregation scans.
-// It exists for the differential tests (TestLearnKernelDifferential pins
-// the fused kernel against it draw-for-draw) and for the before/after
-// measurement of BenchmarkTrainOnce against BenchmarkTrainOnceReference.
-// Both kernels consume the node stream identically: one Bernoulli coin per
+// This file preserves the pre-fusion Algorithm-1 training kernel as the
+// test-only reference implementation (the qlearn.Sparse pattern): the
+// profile multiset is materialised by slice duplication and every training
+// iteration partitions it and runs four O(P) subset aggregation scans. It
+// is written the way the paper states the algorithm, and it is the one
+// oracle of the differential tests (TestLearnKernelDifferential pins the
+// production kernel against it draw-for-draw) and the baseline
+// BenchmarkTrainOnceReference measures beside BenchmarkTrainOnce. Both
+// kernels consume the node stream identically: one Bernoulli coin per
 // multiset element per attempt, then one Intn for the eviction pick.
 //
-// The only arithmetic difference is the FP evaluation order of the
-// sender's post-action state: the reference scans the sender subset
-// skipping the evicted VM, the fused kernel subtracts the evicted VM from
-// the full sender sum. The two orderings agree to an ulp, and the
-// calibrated level state they feed quantises far more coarsely than that
-// (boundaries at 0.1-wide utilisation steps), so the resulting Q-tables
-// coincide exactly on every corpus the differential test replays — see
-// DESIGN.md §7.
+// The only arithmetic differences are FP evaluation orders: the reference
+// scans the sender subset skipping the evicted VM and scans the recipient
+// subset, where the production kernel subtracts the evicted VM from the full
+// sender sum and derives the recipient sums from the multiset totals. The
+// orderings agree to an ulp, and the calibrated level state they feed
+// quantises far more coarsely than that (boundaries at 0.1-wide utilisation
+// steps), so the resulting Q-tables coincide exactly on every corpus the
+// differential test replays — see DESIGN.md §7.
 
-// roundReference is the body of the pre-fusion learning round: collect,
-// materialise the duplicated multiset, train. The caller has already
-// applied the utilisation gate and derived rng.
-func (l *LearnProtocol) roundReference(e *sim.Engine, n *sim.Node, rng *sim.RNG, pm *dc.PM) {
+// profile is a VM workload profile as the paper exchanges it during the
+// learning phase: current and average demand fractions plus the VM's nominal
+// capacity. The production kernel works on the precomputed kernelProfile.
+type profile struct {
+	cur, avg dc.Vec
+	cap      dc.Vec
+}
+
+func profileOf(vm *dc.VM) profile {
+	return profile{cur: vm.CurDemand(), avg: vm.AvgDemand(), cap: vm.Spec.Capacity}
+}
+
+// refLearnProtocol is LearnProtocol running the reference kernel: same name,
+// same node state, same utilisation gate and the same per-node streams, so a
+// reference run is comparable draw-for-draw with a production run.
+type refLearnProtocol struct {
+	LearnProtocol
+}
+
+// Round implements sim.Protocol with the pre-fusion learning round: collect,
+// materialise the duplicated multiset, train.
+func (l *refLearnProtocol) Round(e *sim.Engine, n *sim.Node, round int) {
+	rng := l.rng.For(e, n.ID, 0x61ea51)
+	pm := l.B.PM(n)
+	if l.B.C.AvgUtil(pm)[dc.CPU] > l.Cfg.LearnUtilThreshold {
+		return
+	}
+
 	// Collect profiles: local VMs plus the VMs of one random neighbour.
 	var profiles []profile
 	for _, vm := range pm.AppendVMs(nil) {

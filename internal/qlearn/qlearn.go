@@ -190,18 +190,25 @@ func newRowMax() *[DenseSpan]float64 {
 }
 
 // find binary-searches idx for cell ci, returning the position and whether
-// it is present. Absent cells report the insertion point.
+// it is present. Absent cells report the insertion point. The halving step is
+// arithmetic rather than a branch: Update looks up the cell of a freshly
+// simulated transition, so successive targets are unrelated and a compare-
+// and-jump mispredicts about every other level (EXPERIMENTS.md, "Does
+// Algorithm 1 still pay for its branches?").
 func (b *backing) find(ci uint16) (int, bool) {
-	lo, hi := 0, len(b.idx)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if b.idx[mid] < ci {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	idx := b.idx
+	lo, n := 0, len(idx)
+	for n > 1 {
+		half := n >> 1
+		// Advance past the lower half when its last cell is below ci: the
+		// difference is negative exactly then, and its sign fills the mask.
+		lo += half & ((int(idx[lo+half-1]) - int(ci)) >> 63)
+		n -= half
 	}
-	return lo, lo < len(b.idx) && b.idx[lo] == ci
+	if n == 1 && idx[lo] < ci {
+		lo++
+	}
+	return lo, lo < len(idx) && idx[lo] == ci
 }
 
 // val returns the widened value at in-span position i.

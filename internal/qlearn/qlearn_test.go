@@ -59,6 +59,40 @@ func TestMaxKnown(t *testing.T) {
 	}
 }
 
+// TestFindMatchesLinearScan holds find's arithmetic halving to a linear
+// lower-bound scan: the same position and presence for every cell index,
+// present or absent, on cell sets of every small size and on larger random
+// ones.
+func TestFindMatchesLinearScan(t *testing.T) {
+	seed := uint64(1)
+	next := func() uint64 {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		return seed >> 33
+	}
+	for trial := 0; trial < 120; trial++ {
+		cells := trial
+		if trial >= 40 {
+			cells = int(next() % 3000)
+		}
+		b := &backing{}
+		for ci := 0; ci < DenseSpan*DenseSpan && len(b.idx) < cells; ci++ {
+			if int(next()%uint64(DenseSpan*DenseSpan)) < cells+cells/2+1 {
+				b.idx = append(b.idx, uint16(ci))
+			}
+		}
+		want := 0 // lower bound of ci in b.idx, advanced as ci grows
+		for ci := 0; ci <= DenseSpan*DenseSpan; ci++ {
+			for want < len(b.idx) && int(b.idx[want]) < ci {
+				want++
+			}
+			wok := want < len(b.idx) && int(b.idx[want]) == ci
+			if gi, gok := b.find(uint16(ci)); gi != want || gok != wok {
+				t.Fatalf("%d cells, index %d: find = (%d, %v), linear scan = (%d, %v)", len(b.idx), ci, gi, gok, want, wok)
+			}
+		}
+	}
+}
+
 func TestUpdateFormula(t *testing.T) {
 	q := New(0.5, 0.8)
 	q.Set(1, 1, 10)  // Q_t(s,a)

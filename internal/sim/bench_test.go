@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func BenchmarkRNGUint64(b *testing.B) {
 	r := NewRNG(1)
@@ -29,6 +32,43 @@ func BenchmarkRNGDerive(b *testing.B) {
 		_ = r.Derive(uint64(i))
 	}
 }
+
+// BenchmarkBernoulliBits measures the bulk coin draw beside the loop of
+// BernoulliThresh calls it replaces, at one word and at a six-word multiset
+// (the 64× duplication cap on a six-profile base). p = 0.5 is the predictor's
+// worst case for the loop form.
+func BenchmarkBernoulliBits(b *testing.B) {
+	thresh := Thresh53(0.5)
+	for _, n := range []int{64, 384} {
+		b.Run(fmt.Sprintf("bulk/n=%d", n), func(b *testing.B) {
+			r := NewRNG(1)
+			dst := make([]uint64, (n+63)/64)
+			cnt := 0
+			for i := 0; i < b.N; i++ {
+				cnt += r.BernoulliBits(dst, n, thresh)
+			}
+			benchSink = cnt
+		})
+		b.Run(fmt.Sprintf("loop/n=%d", n), func(b *testing.B) {
+			r := NewRNG(1)
+			idx := make([]int32, n)
+			cnt := 0
+			for i := 0; i < b.N; i++ {
+				c := 0
+				for k := 0; k < n; k++ {
+					if r.BernoulliThresh(thresh) {
+						idx[c] = int32(k)
+						c++
+					}
+				}
+				cnt += c
+			}
+			benchSink = cnt
+		})
+	}
+}
+
+var benchSink int
 
 type nopProto struct{}
 

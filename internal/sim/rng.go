@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -152,6 +153,53 @@ func Thresh53(p float64) uint64 {
 // Hot loops with a fixed p hoist the threshold conversion out of the loop and
 // run one shift and one integer compare per coin.
 func (r *RNG) BernoulliThresh(t uint64) bool { return r.Uint64()>>11 < t }
+
+// BernoulliBits makes the n draws that n BernoulliThresh(t) calls would make
+// for a Thresh53 threshold t (at most 2⁵³), stores decision k in bit k&63 of
+// dst[k>>6] and returns how many came up true. The ⌈n/64⌉ words it writes are
+// overwritten whole (bits at and above n in the last word are zero); later
+// words of dst are left alone. It panics if dst is shorter than ⌈n/64⌉ words.
+//
+// The bulk form exists for loops whose per-draw decision is a coin flip the
+// branch predictor cannot learn: the generator state stays in registers for
+// the whole batch and each decision is the sign bit of a subtraction, so the
+// loop body has no data-dependent branch. Both operands are below 2⁵⁴, so
+// (draw − t) wraps to a value with its top bit set exactly when draw < t.
+func (r *RNG) BernoulliBits(dst []uint64, n int, t uint64) int {
+	dst = dst[:(n+63)>>6]
+	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
+	for w := range dst {
+		span := n - w<<6
+		if span > 64 {
+			span = 64
+		}
+		// Decisions enter at the top bit and move down one place per draw, so
+		// the loop needs no variable shift; a short last word is moved down
+		// the rest of the way afterwards.
+		var word uint64
+		for b := 0; b < span; b++ {
+			x := s1 * 5
+			draw := (x<<7 | x>>57) * 9
+			u := s1 << 17
+			s2 ^= s0
+			s3 ^= s1
+			s1 ^= s2
+			s0 ^= s3
+			s2 ^= u
+			s3 = s3<<45 | s3>>19
+			word = word>>1 | (draw>>11-t)&(1<<63)
+		}
+		dst[w] = word >> (uint(64-span) & 63)
+	}
+	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
+	// Counted in a second pass: a call in the draw loop (the popcount's
+	// fallback path) would spill the generator state every iteration.
+	cnt := 0
+	for _, word := range dst {
+		cnt += bits.OnesCount64(word)
+	}
+	return cnt
+}
 
 // Bernoulli returns true with probability p. The integer-threshold compare is
 // bit-identical, draw for draw, to the former `Float64() < p` (see Thresh53)

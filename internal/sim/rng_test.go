@@ -265,8 +265,8 @@ func floatBernoulli(r *RNG, p float64) bool { return r.Float64() < p }
 // TestBernoulliThresholdEquivalence sweeps p over a dense grid plus
 // adversarial values and asserts the threshold compare is decision-identical
 // to `Float64() < p` over pinned RNG streams — the draw-sequence contract
-// that LearnProtocol{Reference: true} (and every golden fingerprint) relies
-// on.
+// that the learning kernel's differential reference (and every golden
+// fingerprint) relies on.
 func TestBernoulliThresholdEquivalence(t *testing.T) {
 	ps := []float64{
 		0, 1, -1, -0.5, 2, 1e300, -1e300,
@@ -296,6 +296,58 @@ func TestBernoulliThresholdEquivalence(t *testing.T) {
 			ref2, got2 := NewRNG(uint64(i)), NewRNG(uint64(i))
 			if w, g := floatBernoulli(ref2, p), got2.BernoulliThresh(thresh); w != g {
 				t.Fatalf("BernoulliThresh(Thresh53(%v)) seed %d: got %v, want %v", p, i, g, w)
+			}
+		}
+	}
+}
+
+// TestBernoulliBitsMatchesThresh pins the bulk draw against the call it
+// batches: bit k is the k-th BernoulliThresh decision, the returned count is
+// the number of true decisions, words past ⌈n/64⌉ are untouched, and the
+// stream stands where n single draws would have left it.
+func TestBernoulliBitsMatchesThresh(t *testing.T) {
+	ps := []float64{
+		0, 1, -1, 2, math.NaN(),
+		math.SmallestNonzeroFloat64, 0x1p-1040, // subnormals: threshold 1
+		0x1p-53, math.Nextafter(0x1p-53, 1),
+		0.15, 0.5, 0.85, math.Nextafter(1.0, 0),
+	}
+	for p := 0.0; p <= 1.0; p += 1.0 / 16 {
+		ps = append(ps, p)
+	}
+	const sentinel = 0xa5a5a5a5a5a5a5a5
+	for _, n := range []int{0, 1, 63, 64, 65, 384} {
+		for pi, p := range ps {
+			thresh := Thresh53(p)
+			seed := uint64(1000*n + pi)
+			ref, got := NewRNG(seed), NewRNG(seed)
+			words := (n + 63) / 64
+			dst := make([]uint64, words+1)
+			for i := range dst {
+				dst[i] = sentinel
+			}
+			cnt := got.BernoulliBits(dst, n, thresh)
+			want := 0
+			for k := 0; k < n; k++ {
+				w := ref.BernoulliThresh(thresh)
+				if w {
+					want++
+				}
+				if g := dst[k>>6]>>(uint(k)&63)&1 == 1; g != w {
+					t.Fatalf("n=%d p=%v: bit %d = %v, BernoulliThresh %v", n, p, k, g, w)
+				}
+			}
+			if cnt != want {
+				t.Fatalf("n=%d p=%v: count %d, want %d", n, p, cnt, want)
+			}
+			if n&63 != 0 && dst[words-1]>>(uint(n)&63) != 0 {
+				t.Fatalf("n=%d p=%v: bits at or above n set in the last word: %#x", n, p, dst[words-1])
+			}
+			if dst[words] != sentinel {
+				t.Fatalf("n=%d p=%v: word %d past the batch was written", n, p, words)
+			}
+			if *got != *ref {
+				t.Fatalf("n=%d p=%v: stream position diverged after the batch", n, p)
 			}
 		}
 	}
