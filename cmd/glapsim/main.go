@@ -102,8 +102,15 @@ func main() {
 		last.ActivePMs, res.BFDBaseline, last.OverloadedPMs, last.Migrations, last.MigrationEnergyJ/1000)
 	fmt.Fprintf(os.Stderr, "SLA:   SLAVO=%.6g SLALM=%.6g SLAV=%.6g\n",
 		res.Series.SLAVO, res.Series.SLALM, res.Series.SLAV)
-	if res.Pretrain != nil {
-		fmt.Fprintf(os.Stderr, "GLAP:  pre-training convergence=%.4f (learn %d + aggregate %d rounds)\n",
-			res.Pretrain.FinalSimilarity(), res.Pretrain.LearnRounds, res.Pretrain.AggRounds)
+	if p := res.Pretrain; p != nil {
+		consensus := ""
+		switch {
+		case p.ConsensusRound >= 0:
+			consensus = fmt.Sprintf(" (identical tables from round %d)", p.ConsensusRound)
+		case p.AggRounds > 0:
+			consensus = " (tables never identical)"
+		}
+		fmt.Fprintf(os.Stderr, "GLAP:  pre-training convergence=%.4f, learn %d rounds + aggregate %d rounds%s\n",
+			p.FinalSimilarity(), p.LearnRounds, p.AggRounds, consensus)
 	}
 }

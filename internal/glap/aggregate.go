@@ -22,6 +22,13 @@ type AggProtocol struct {
 	Select gossip.PeerSelector
 
 	rng sim.BoundRNG
+
+	// settled is set between rounds by Pretrain once every node's φ^out and
+	// φ^in are qlearn.Identical. Nothing trains in the aggregation phase, so
+	// they stay so, and an exchange is from then on the backing adoption a
+	// merge of identical tables amounts to: the same pairs end up sharing
+	// the same backings, with no table scanned.
+	settled bool
 }
 
 // Name implements sim.Protocol.
@@ -37,7 +44,10 @@ func (a *AggProtocol) Setup(e *sim.Engine, n *sim.Node) any {
 // sequential reference of the lane path below, which the engine runs instead.
 func (a *AggProtocol) Round(e *sim.Engine, n *sim.Node, round int) {
 	if peer := a.DrawPair(e, n, round); peer >= 0 {
-		MergeTables(TablesOf(e, n), TablesOf(e, e.Node(peer)))
+		p, q := TablesOf(e, n), TablesOf(e, e.Node(peer))
+		for lane := 0; lane < mergeLanes; lane++ {
+			mergeLane(p, q, lane, a.settled)
+		}
 	}
 }
 
@@ -64,7 +74,7 @@ func (a *AggProtocol) DrawPair(e *sim.Engine, n *sim.Node, round int) int {
 // draw order — for each table, the merge sequence Round gives it.
 func (a *AggProtocol) RunLane(e *sim.Engine, lane int, pairs []par.Pair, round int) {
 	for _, pr := range pairs {
-		mergeLane(TablesOf(e, e.Node(int(pr.A))), TablesOf(e, e.Node(int(pr.B))), lane)
+		mergeLane(TablesOf(e, e.Node(int(pr.A))), TablesOf(e, e.Node(int(pr.B))), lane, a.settled)
 	}
 }
 

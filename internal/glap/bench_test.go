@@ -1,6 +1,7 @@
 package glap
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/glap-sim/glap/internal/cyclon"
@@ -45,11 +46,21 @@ func BenchmarkLearningRound(b *testing.B) {
 // inline. Run it with -benchtime 50x: the tables converge within a few
 // hundred rounds, after which a round is pointer compares.
 func BenchmarkAggRound(b *testing.B) {
-	cl := benchGenCluster(b, 300, 900)
+	e := aggBenchEngine(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.RunRounds(1)
+	}
+}
+
+// aggBenchEngine is BenchmarkAggRound's set-up: a 300-PM engine whose tables
+// 40 learning rounds filled, on which RunRounds(1) is one aggregation round.
+func aggBenchEngine(tb testing.TB) *sim.Engine {
+	cl := benchGenCluster(tb, 300, 900)
 	e := sim.NewEngine(300, 1)
 	bd, err := policy.Bind(e, cl)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	e.Register(newBenchCyclon())
 	learning := true
@@ -60,9 +71,43 @@ func BenchmarkAggRound(b *testing.B) {
 	e.Register(&phased{inner: &AggProtocol{}, active: func(int) bool { return !learning }})
 	e.RunRounds(40) // populate tables first
 	learning = false
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.RunRounds(1)
+	return e
+}
+
+// BenchmarkConsensusCheck measures Pretrain's end-of-round consensus check on
+// BenchmarkAggRound's cluster after a given number of aggregation rounds —
+// the cost it adds to each of them. Early on the second node's tables already
+// differ; the check grows only as the nodes come to agree, and at consensus
+// (settled: once, in the round the check first holds) it scans every
+// distinct backing in full.
+func BenchmarkConsensusCheck(b *testing.B) {
+	for _, rounds := range []int{1, 30, 60, 0} {
+		name := fmt.Sprintf("agg-rounds=%d", rounds)
+		if rounds == 0 {
+			name = "settled"
+		}
+		b.Run(name, func(b *testing.B) {
+			e := aggBenchEngine(b)
+			var c consensusCheck
+			switch {
+			case rounds > 0:
+				e.RunRounds(rounds)
+				if c.holds(e) {
+					b.Fatalf("tables identical after %d rounds: pick an earlier stage", rounds)
+				}
+			default:
+				for i := 0; !c.holds(e); i++ {
+					if i == 500 {
+						b.Fatal("no consensus in 500 aggregation rounds")
+					}
+					e.RunRounds(1)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.holds(e)
+			}
+		})
 	}
 }
 

@@ -21,19 +21,25 @@ import (
 // are merged independently, which is what AggProtocol's lanes rely on.
 func MergeTables(p, q *NodeTables) {
 	for lane := 0; lane < mergeLanes; lane++ {
-		mergeLane(p, q, lane)
+		mergeLane(p, q, lane, false)
 	}
 }
 
 // mergeLanes is the number of independent halves of MergeTables — φ^out and
-// φ^in share no cell, backing or cache — and mergeLane runs one of them.
+// φ^in share no cell, backing or cache — and mergeLane runs one of them. With
+// settled, the caller knows the two tables are qlearn.Identical, and the
+// merge is the backing adoption it would come to.
 const mergeLanes = 2
 
-func mergeLane(p, q *NodeTables, lane int) {
-	if lane == 0 {
-		qlearn.Merge(p.Out, q.Out)
+func mergeLane(p, q *NodeTables, lane int, settled bool) {
+	pt, qt := p.Out, q.Out
+	if lane == 1 {
+		pt, qt = p.In, q.In
+	}
+	if settled {
+		qlearn.Adopt(pt, qt)
 	} else {
-		qlearn.Merge(p.In, q.In)
+		qlearn.Merge(pt, qt)
 	}
 }
 

@@ -25,6 +25,7 @@ package qlearn
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -271,20 +272,52 @@ var backingPool struct {
 // poolMax bounds each recycled free list.
 const poolMax = 16
 
-// poolTake removes and returns a pooled array with capacity for need
-// elements, or nil when none fits. Callers hold backingPool.mu.
+// poolTake removes and returns the smallest pooled array with capacity for
+// need elements, or nil when none fits. Taking the smallest fit leaves the
+// large arrays poolPut keeps for the large requests, instead of handing one
+// to a small union that would hold it, mostly unused, for as long as it
+// lives. Callers hold backingPool.mu.
 func poolTake[T any](free *[][]T, need int) []T {
 	f := *free
+	best := -1
 	for i, a := range f {
-		if cap(a) >= need {
-			last := len(f) - 1
-			f[i] = f[last]
-			f[last] = nil
-			*free = f[:last]
-			return a[:0]
+		if cap(a) >= need && (best < 0 || cap(a) < cap(f[best])) {
+			best = i
 		}
 	}
-	return nil
+	if best < 0 {
+		return nil
+	}
+	a := f[best]
+	last := len(f) - 1
+	f[best] = f[last]
+	f[last] = nil
+	*free = f[:last]
+	return a[:0]
+}
+
+// poolPut returns an array to a free list. A full list keeps its largest
+// arrays: a released array larger than the smallest entry displaces it, any
+// other is dropped. Aggregation needs this — the learning phase fills
+// every list with arrays of a few dozen cells, the unions that follow ask for
+// thousands, and a list that only ever appended stayed full of arrays no
+// request fits while every union-sized release went to the collector. Callers
+// hold backingPool.mu.
+func poolPut[T any](free *[][]T, a []T) {
+	f := *free
+	if len(f) < poolMax {
+		*free = append(f, a[:0])
+		return
+	}
+	small := 0
+	for i := range f {
+		if cap(f[i]) < cap(f[small]) {
+			small = i
+		}
+	}
+	if cap(a) > cap(f[small]) {
+		f[small] = a[:0]
+	}
 }
 
 // poolPutIdx returns a private idx array to the pool; union merges use it
@@ -292,9 +325,7 @@ func poolTake[T any](free *[][]T, need int) []T {
 // just built.
 func poolPutIdx(a []uint16) {
 	backingPool.mu.Lock()
-	if len(backingPool.idxs) < poolMax {
-		backingPool.idxs = append(backingPool.idxs, a[:0])
-	}
+	poolPut(&backingPool.idxs, a)
 	backingPool.mu.Unlock()
 }
 
@@ -521,14 +552,14 @@ func releaseBacking(b *backing) {
 	if len(backingPool.nodes) < poolMax {
 		backingPool.nodes = append(backingPool.nodes, b)
 	}
-	if !shared && idx != nil && len(backingPool.idxs) < poolMax {
-		backingPool.idxs = append(backingPool.idxs, idx[:0])
+	if !shared && idx != nil {
+		poolPut(&backingPool.idxs, idx)
 	}
-	if vals != nil && len(backingPool.vals) < poolMax {
-		backingPool.vals = append(backingPool.vals, vals[:0])
+	if vals != nil {
+		poolPut(&backingPool.vals, vals)
 	}
-	if vals32 != nil && len(backingPool.vals32) < poolMax {
-		backingPool.vals32 = append(backingPool.vals32, vals32[:0])
+	if vals32 != nil {
+		poolPut(&backingPool.vals32, vals32)
 	}
 	backingPool.mu.Unlock()
 }
@@ -1529,6 +1560,108 @@ func Equal(p, q *Table) bool {
 		}
 	}
 	return true
+}
+
+// Identical reports whether every table in ts holds exactly the cells of
+// ts[0], each with a value of the same bits — exactly the tables Merge would
+// settle by sharing one backing without writing a value (see Adopt). It is
+// stricter than Equal: +0 and −0 differ, because Merge would overwrite one
+// with the other, and so do two NaNs, because Merge averages them. A table
+// sharing ts[0]'s backing costs a pointer compare, every other distinct
+// backing is scanned at most once, and the scan stops at the first
+// difference. Tables on different precision tiers are never identical.
+func Identical(ts []*Table) bool {
+	if len(ts) == 0 {
+		return true
+	}
+	ref, prec := ts[0].b, ts[0].prec
+	var seen map[*backing]struct{}
+	for _, t := range ts[1:] {
+		b := t.b
+		if t.prec != prec {
+			return false
+		}
+		if b == ref {
+			continue
+		}
+		if _, ok := seen[b]; ok {
+			continue
+		}
+		if !identicalBackings(ref, b) {
+			return false
+		}
+		if seen == nil {
+			seen = make(map[*backing]struct{})
+		}
+		seen[b] = struct{}{}
+	}
+	return true
+}
+
+// identicalBackings is Identical for two distinct backings, either possibly
+// nil.
+func identicalBackings(a, b *backing) bool {
+	if a == nil || b == nil {
+		return (a == nil || a.len() == 0) && (b == nil || b.len() == 0)
+	}
+	if len(a.idx) != len(b.idx) || len(a.over) != len(b.over) {
+		return false
+	}
+	if len(a.idx) > 0 && &a.idx[0] != &b.idx[0] && !slices.Equal(a.idx, b.idx) {
+		return false
+	}
+	if a.f32 {
+		if !sameValues(a.vals32, b.vals32) {
+			return false
+		}
+	} else if !sameValues(a.vals, b.vals) {
+		return false
+	}
+	for k, v := range a.over {
+		if w, ok := b.over[k]; !ok || !sameValue(v, w) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameValues reports whether two value arrays agree cell by cell under
+// sameValue.
+func sameValues[V value](a, b []V) bool {
+	b = b[:len(a)]
+	for i := range a {
+		if !sameValue(float64(a[i]), float64(b[i])) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameValue reports whether x and y are the same non-NaN value with the same
+// sign — for floats, the same bits. Widening a float32 is exact and keeps the
+// sign, so both tiers compare through it.
+func sameValue(x, y float64) bool {
+	return x == y && math.Signbit(x) == math.Signbit(y)
+}
+
+// Adopt has q share p's backing: the whole effect of Merge on two Identical
+// tables, without the comparison scan that finds it out. The tables must be
+// Identical; Adopt does not check, and MergeStats does not count it.
+func Adopt(p, q *Table) {
+	pb, qb := p.b, q.b
+	switch {
+	case pb == qb:
+	case pb == nil:
+		p.b = qb
+		qb.ref.Add(1)
+	case qb == nil:
+		q.b = pb
+		pb.ref.Add(1)
+	default:
+		q.b = pb
+		pb.ref.Add(1)
+		deref(qb)
+	}
 }
 
 // EpsilonGreedy selects among candidates: with probability eps a uniformly

@@ -85,29 +85,16 @@ func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic("sim: Intn with non-positive n")
 	}
-	// Lemire's nearly-divisionless bounded generation.
-	v := r.Uint64()
-	hi, lo := mul64(v, uint64(n))
+	// Lemire's nearly-divisionless bounded generation. bits.Mul64 is the
+	// full 128-bit product in one multiply instruction.
+	hi, lo := bits.Mul64(r.Uint64(), uint64(n))
 	if lo < uint64(n) {
 		thresh := uint64(-int64(n)) % uint64(n)
 		for lo < thresh {
-			v = r.Uint64()
-			hi, lo = mul64(v, uint64(n))
+			hi, lo = bits.Mul64(r.Uint64(), uint64(n))
 		}
 	}
 	return int(hi)
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	a0, a1 := a&mask, a>>32
-	b0, b1 := b&mask, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	w1 := t&mask + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return
 }
 
 // Float64 returns a uniform random float64 in [0, 1).

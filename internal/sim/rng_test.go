@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -225,14 +226,86 @@ func TestInt63NonNegative(t *testing.T) {
 	}
 }
 
-func TestMul64(t *testing.T) {
-	hi, lo := mul64(math.MaxUint64, math.MaxUint64)
-	if hi != math.MaxUint64-1 || lo != 1 {
-		t.Fatalf("mul64 max*max = (%d, %d)", hi, lo)
+// mul64 is the portable 128-bit product Intn used before bits.Mul64: four
+// 32-bit partial products. It stays here as the oracle the draw-sequence test
+// replays.
+func mul64(a, b uint64) (hi, lo uint64) {
+	const mask = 0xffffffff
+	a0, a1 := a&mask, a>>32
+	b0, b1 := b&mask, b>>32
+	t := a1*b0 + (a0*b0)>>32
+	w1 := t&mask + a0*b1
+	hi = a1*b1 + t>>32 + w1>>32
+	lo = a * b
+	return
+}
+
+// refIntn is Intn over mul64 — the formula every pinned fingerprint was drawn
+// with.
+func refIntn(r *RNG, n int) int {
+	v := r.Uint64()
+	hi, lo := mul64(v, uint64(n))
+	if lo < uint64(n) {
+		thresh := uint64(-int64(n)) % uint64(n)
+		for lo < thresh {
+			v = r.Uint64()
+			hi, lo = mul64(v, uint64(n))
+		}
 	}
-	hi, lo = mul64(2, 3)
-	if hi != 0 || lo != 6 {
-		t.Fatalf("mul64 2*3 = (%d, %d)", hi, lo)
+	return int(hi)
+}
+
+func TestMul64(t *testing.T) {
+	for _, c := range []struct{ a, b, hi, lo uint64 }{
+		{math.MaxUint64, math.MaxUint64, math.MaxUint64 - 1, 1},
+		{2, 3, 0, 6},
+		{1 << 63, 2, 1, 0},
+		{math.MaxUint64, 1, 0, math.MaxUint64},
+	} {
+		if hi, lo := mul64(c.a, c.b); hi != c.hi || lo != c.lo {
+			t.Fatalf("mul64(%d, %d) = (%d, %d), want (%d, %d)", c.a, c.b, hi, lo, c.hi, c.lo)
+		}
+		if hi, lo := bits.Mul64(c.a, c.b); hi != c.hi || lo != c.lo {
+			t.Fatalf("bits.Mul64(%d, %d) = (%d, %d), want (%d, %d)", c.a, c.b, hi, lo, c.hi, c.lo)
+		}
+	}
+	if err := quick.Check(func(a, b uint64) bool {
+		h1, l1 := mul64(a, b)
+		h2, l2 := bits.Mul64(a, b)
+		return h1 == h2 && l1 == l2
+	}, &quick.Config{MaxCount: 100000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestIntnMatchesPortableProduct replays Intn against refIntn draw for draw:
+// the same values and the same stream position (a rejection consumes a draw,
+// so a differing retry would shift everything after it). The bounds cover the
+// edges of Lemire's rejection — 1, powers of two and their neighbours, where
+// the threshold −n mod n changes shape, and MaxInt, where nearly half the
+// draws are rejected — plus random bounds of every magnitude.
+func TestIntnMatchesPortableProduct(t *testing.T) {
+	ns := []int{1, 2, 3, math.MaxInt, math.MaxInt - 1}
+	for k := 2; k < 63; k++ {
+		ns = append(ns, 1<<k-1, 1<<k, 1<<k+1)
+	}
+	pick := NewRNG(77)
+	for i := 0; i < 200; i++ {
+		ns = append(ns, int(pick.Uint64()>>(1+pick.Uint64()%63)))
+	}
+	for _, n := range ns {
+		if n <= 0 {
+			continue
+		}
+		got, want := NewRNG(uint64(n)), NewRNG(uint64(n))
+		for i := 0; i < 500; i++ {
+			if g, w := got.Intn(n), refIntn(want, n); g != w {
+				t.Fatalf("n=%d draw %d: Intn %d, portable product %d", n, i, g, w)
+			}
+		}
+		if got.Uint64() != want.Uint64() {
+			t.Fatalf("n=%d: streams out of step after 500 draws", n)
+		}
 	}
 }
 
