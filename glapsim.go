@@ -186,7 +186,9 @@ func (x *Experiment) Validate() error {
 	if _, ok := policySpec(x.Policy); !ok {
 		return fmt.Errorf("glapsim: unknown policy %q", x.Policy)
 	}
-	if x.Net.DropProb < 0 || x.Net.DropProb > 1 {
+	// Both probability checks are written positively so that NaN, which
+	// fails every comparison, is refused rather than read as zero.
+	if !(x.Net.DropProb >= 0 && x.Net.DropProb <= 1) {
 		return fmt.Errorf("glapsim: Net.DropProb %g out of [0,1]", x.Net.DropProb)
 	}
 	if x.Net.Latency < 0 || x.Net.OfferTimeout < 0 {
@@ -204,7 +206,7 @@ func (x *Experiment) Validate() error {
 	if x.Net.TopoLatency && x.RackSize == 0 {
 		return fmt.Errorf("glapsim: Net.TopoLatency requires RackSize > 0")
 	}
-	if x.VMChurn < 0 || x.VMChurn > 1 {
+	if !(x.VMChurn >= 0 && x.VMChurn <= 1) {
 		return fmt.Errorf("glapsim: VMChurn %g out of [0,1]", x.VMChurn)
 	}
 	return nil

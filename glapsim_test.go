@@ -1,6 +1,7 @@
 package glapsim
 
 import (
+	"math"
 	"testing"
 
 	"github.com/glap-sim/glap/internal/glap"
@@ -308,6 +309,14 @@ func TestRunHostileExperiments(t *testing.T) {
 		{"drop prob above 1", func(x *Experiment) { async(x); x.Net.DropProb = 1.5 }, true},
 		{"churn below 0", func(x *Experiment) { x.VMChurn = -0.5 }, true},
 		{"churn above 1", func(x *Experiment) { x.VMChurn = 1.5 }, true},
+		// NaN fails both range comparisons; the run would silently go
+		// lossless or churn-free.
+		{"drop prob NaN", func(x *Experiment) { async(x); x.Net.DropProb = math.NaN() }, true},
+		{"drop prob +Inf", func(x *Experiment) { async(x); x.Net.DropProb = math.Inf(1) }, true},
+		{"drop prob -Inf", func(x *Experiment) { async(x); x.Net.DropProb = math.Inf(-1) }, true},
+		{"churn NaN", func(x *Experiment) { x.VMChurn = math.NaN() }, true},
+		{"churn +Inf", func(x *Experiment) { x.VMChurn = math.Inf(1) }, true},
+		{"churn -Inf", func(x *Experiment) { x.VMChurn = math.Inf(-1) }, true},
 		{"negative latency", func(x *Experiment) { async(x); x.Net.Latency = -1 }, true},
 		{"negative rack size", func(x *Experiment) { x.RackSize = -1 }, true},
 		{"unknown policy", func(x *Experiment) { x.Policy = "bogus" }, true},

@@ -34,10 +34,10 @@ func BenchmarkAdvanceRound(b *testing.B) {
 	}
 }
 
-// BenchmarkAdvanceRoundSizes is the measurement behind forkMinVMs/forkMinPMs
-// and the round pipeline: one AdvanceRound over a streaming workload at the
-// consolidate_warm size (below the fork thresholds: Workers changes nothing)
-// and at a size above them, with the round's samples prefetched (hit, the
+// BenchmarkAdvanceRoundSizes is the measurement behind forkMinVMs and the
+// round pipeline: one AdvanceRound over a streaming workload at the
+// consolidate_warm size (below the fork threshold: Workers changes nothing)
+// and at a size above it, with the round's samples prefetched (hit, the
 // pipelined evaluation rounds) or synthesised on the spot (miss, pre-training
 // rounds and Workers 1). Run with -cpu 2 or more for the w=2 rows to fork.
 func BenchmarkAdvanceRoundSizes(b *testing.B) {

@@ -227,12 +227,12 @@ type Cluster struct {
 	// RoundSeconds is the wall-clock length of one round (the paper: 120 s).
 	RoundSeconds float64
 
-	// Workers bounds fork-join parallelism in AdvanceRound and
-	// CheckInvariants (see sim.Engine.Workers for the semantics: <= 0
-	// auto-sizes from the shared budget, 1 runs sequentially, > 1 is honored
-	// exactly). AdvanceRound forks only from forkMinVMs / forkMinPMs items
-	// up; a smaller cluster's passes run inline whatever the setting. Results
-	// are identical for every setting.
+	// Workers bounds fork-join parallelism in AdvanceRound's demand refresh,
+	// CheckInvariants and the metrics package's cluster scans (see
+	// sim.Engine.Workers for the semantics: <= 0 auto-sizes from the shared
+	// budget, 1 runs sequentially, > 1 is honored exactly). AdvanceRound
+	// forks only from forkMinVMs VMs up; a smaller cluster's refresh runs
+	// inline whatever the setting. Results are identical for every setting.
 	Workers int
 
 	// Migrations is the cumulative migration count.
@@ -599,22 +599,20 @@ func (c *Cluster) Migrate(vm *VM, dst *PM) error {
 	return nil
 }
 
-// Fork-join chunk sizes. Per-VM demand refresh is a handful of flops, so
-// chunks are large; per-PM work folds a whole hosted-VM list, so chunks are
-// smaller. Both depend only on the problem size, never on worker count.
+// Fork-join chunk sizes. Per-VM work is a handful of flops, so chunks are
+// large; per-PM checks walk a whole hosted-VM list, so chunks are smaller.
+// Both depend only on the problem size, never on worker count.
 const (
 	vmChunk = 256
 	pmChunk = 64
 
-	// AdvanceRound splits a pass into chunks only from this many items up;
-	// a shorter pass is one chunk and runs inline whatever c.Workers says.
-	// With the samples prefetched a pass is a few flops an item, and waking
-	// a second core for so little lost at every bench/ size; above these the
-	// fork still pays when the samples are synthesised on the spot
-	// (BenchmarkAdvanceRoundSizes; EXPERIMENTS.md, "Does the second core buy
-	// wall time in the evaluation rounds?").
+	// AdvanceRound's demand refresh splits into chunks only from this many
+	// VMs up; a smaller cluster's refresh is one chunk and runs inline
+	// whatever c.Workers says. Below it waking a second core lost at every
+	// bench/ size; above it the fork pays when the samples are synthesised
+	// on the spot (BenchmarkAdvanceRoundSizes; EXPERIMENTS.md, "Does the
+	// message-driven half pay for its allocations?").
 	forkMinVMs = 8192
-	forkMinPMs = 2048
 )
 
 // chunkOf is the chunk size of a pass over n items: chunk from min items up,
@@ -661,13 +659,11 @@ func (c *Cluster) sample(id, r int) trace.Sample {
 // AdvanceRound moves the cluster to round r: every VM's current demand is
 // refreshed from the workload — taken from the look-ahead buffer when
 // Prefetch(r) filled it, synthesised on the spot otherwise, the same sample
-// either way — and folded into its running average, and PM time/energy
-// accounting advances by one round. On a cluster large enough for it to pay
-// (forkMinVMs, forkMinPMs) the two passes fan out over c.Workers: the VM
-// refresh writes only the VM's own slots, and each PM's rebuild writes only
-// that PM — with its demand sums folded in ascending VM-ID order (the per-PM
-// hosted lists are maintained sorted), so the floats are bit-identical for
-// every worker count and chunking.
+// either way — and folded into its running average, the PMs' demand sums are
+// rebuilt, and PM time/energy accounting advances by one round. On a cluster
+// large enough for it to pay (forkMinVMs) the demand refresh fans out over
+// c.Workers; it writes only each VM's own slots, so the result is the same
+// for every worker count and chunking.
 func (c *Cluster) AdvanceRound(r int) {
 	c.round = r
 	c.stepLifecycle(r)
@@ -690,34 +686,41 @@ func (c *Cluster) AdvanceRound(r int) {
 			c.vmRequested[id] += cur[CPU] * c.vmCap[id][CPU] * c.RoundSeconds
 		}
 	})
-	// Rebuild the cached demand sums from scratch: demand changed for every
-	// VM, and a fresh summation avoids accumulating float drift. The sorted
-	// hosted lists make each fold run in ascending VM-ID order — a fixed
-	// order, because float addition is order-sensitive and any randomized
-	// order would make runs only probabilistically reproducible.
-	par.ForChunks(len(c.PMs), chunkOf(len(c.PMs), pmChunk, forkMinPMs), c.Workers, func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			var curSum, avgSum Vec
-			for _, id := range c.pmVMs[p] {
-				cur, avg, cp := c.vmCur[id], c.vmAvg[id], c.vmCap[id]
-				curSum = curSum.Add(Vec{cur[CPU] * cp[CPU], cur[Mem] * cp[Mem]})
-				avgSum = avgSum.Add(Vec{avg[CPU] * cp[CPU], avg[Mem] * cp[Mem]})
-			}
-			c.pmCurSum[p] = curSum
-			c.pmAvgSum[p] = avgSum
-			if !c.pmOn(p) {
-				continue
-			}
-			pm := c.PMs[p]
-			c.pmActiveSec[p] += c.RoundSeconds
-			cpuU := curSum.Div(pm.Spec.Capacity)[CPU]
-			if cpuU >= 1 {
-				c.pmOverloadSec[p] += c.RoundSeconds
-				cpuU = 1
-			}
-			c.pmEnergyJ[p] += (pm.Spec.PowerIdleW + (pm.Spec.PowerMaxW-pm.Spec.PowerIdleW)*cpuU) * c.RoundSeconds
+	// Rebuild the cached demand sums afresh — demand changed for every
+	// VM, and a fresh summation accumulates no float drift — by scattering
+	// each hosted VM's absolute demand into its host: unit-stride loads, where
+	// gathering each PM's VMs was a scattered load per VM. The sweep runs in
+	// ascending VM-ID order, so each PM's sums add its VMs from +0 in
+	// ascending-ID order: the order of a fold over its sorted hosted list, and
+	// the same bits. The order is fixed because float addition is
+	// order-sensitive; the explicit float64 conversions round each product
+	// before its add, so a target that fuses multiply-add cannot change the
+	// bits either.
+	clear(c.pmCurSum)
+	clear(c.pmAvgSum)
+	for id, h := range c.vmHost {
+		if h < 0 {
+			continue
 		}
-	})
+		cur, avg, cp := c.vmCur[id], c.vmAvg[id], c.vmCap[id]
+		curSum, avgSum := &c.pmCurSum[h], &c.pmAvgSum[h]
+		curSum[CPU] += float64(cur[CPU] * cp[CPU])
+		curSum[Mem] += float64(cur[Mem] * cp[Mem])
+		avgSum[CPU] += float64(avg[CPU] * cp[CPU])
+		avgSum[Mem] += float64(avg[Mem] * cp[Mem])
+	}
+	for p, pm := range c.PMs {
+		if !c.pmOn(p) {
+			continue
+		}
+		c.pmActiveSec[p] += c.RoundSeconds
+		cpuU := c.pmCurSum[p].Div(pm.Spec.Capacity)[CPU]
+		if cpuU >= 1 {
+			c.pmOverloadSec[p] += c.RoundSeconds
+			cpuU = 1
+		}
+		c.pmEnergyJ[p] += (pm.Spec.PowerIdleW + (pm.Spec.PowerMaxW-pm.Spec.PowerIdleW)*cpuU) * c.RoundSeconds
+	}
 }
 
 // ActivePMs returns the number of powered PMs: the population count of the

@@ -497,29 +497,219 @@ func streamingCluster(t testing.TB, pms, ratio, rounds int) *Cluster {
 
 // TestAdvanceRoundWorkerCountBitEquivalence drives identically-seeded
 // clusters through the same rounds, one sequential, one with 8 explicit
-// workers and one auto-sized, and requires every float accumulator to match
-// bit-for-bit — the determinism contract of the fork-join AdvanceRound. The
-// cluster is large enough for both passes to fork (forkMinVMs, forkMinPMs).
+// workers and one auto-sized, next to the gather oracle, and requires every
+// float accumulator to match bit-for-bit — the determinism contract of the
+// fork-join demand refresh and of the scatter after it. The cluster is large
+// enough for the refresh to fork (forkMinVMs).
 func TestAdvanceRoundWorkerCountBitEquivalence(t *testing.T) {
 	build := func(workers int) *Cluster {
-		c := streamingCluster(t, forkMinPMs+50, 4, 12)
+		c := streamingCluster(t, forkMinVMs/4+50, 4, 12)
 		c.Workers = workers
 		c.PlaceRandom(sim.NewRNG(11).Intn)
 		return c
 	}
-	a, b, auto := build(1), build(8), build(0)
+	a, b, auto, gather := build(1), build(8), build(0), build(1)
 	for r := 0; r < 8; r++ {
 		a.AdvanceRound(r)
 		b.AdvanceRound(r)
 		auto.AdvanceRound(r)
+		gatherAdvanceRound(gather, r)
 	}
 	requireSameState(t, "Workers 1 vs 8", a, b)
 	requireSameState(t, "Workers 1 vs auto", a, auto)
+	requireSameState(t, "scatter vs gather", a, gather)
 	if err := a.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// gatherAdvanceRound is AdvanceRound as it was before the scatter: a VM pass
+// refreshes demand, then a PM pass re-sums each PM's demand by gathering its
+// hosted VMs' cur/avg/cap in hosted-list order and does the energy
+// accounting. It is the oracle of TestAdvanceRoundScatterBitEquivalence.
+func gatherAdvanceRound(c *Cluster, r int) {
+	c.round = r
+	c.stepLifecycle(r)
+	for id := range c.VMs {
+		if c.vmHost[id] < 0 {
+			continue
+		}
+		s := c.sample(id, r)
+		cur := Vec{s.CPU, s.Mem}
+		c.vmCur[id] = cur
+		n := float64(c.vmCount[id])
+		avg := c.vmAvg[id]
+		for res := 0; res < NumResources; res++ {
+			avg[res] = (n*avg[res] + cur[res]) / (n + 1)
+		}
+		c.vmAvg[id] = avg
+		c.vmCount[id]++
+		c.vmRequested[id] += cur[CPU] * c.vmCap[id][CPU] * c.RoundSeconds
+	}
+	for p := range c.PMs {
+		var curSum, avgSum Vec
+		for _, id := range c.pmVMs[p] {
+			cur, avg, cp := c.vmCur[id], c.vmAvg[id], c.vmCap[id]
+			curSum = curSum.Add(Vec{cur[CPU] * cp[CPU], cur[Mem] * cp[Mem]})
+			avgSum = avgSum.Add(Vec{avg[CPU] * cp[CPU], avg[Mem] * cp[Mem]})
+		}
+		c.pmCurSum[p] = curSum
+		c.pmAvgSum[p] = avgSum
+		if !c.pmOn(p) {
+			continue
+		}
+		pm := c.PMs[p]
+		c.pmActiveSec[p] += c.RoundSeconds
+		cpuU := curSum.Div(pm.Spec.Capacity)[CPU]
+		if cpuU >= 1 {
+			c.pmOverloadSec[p] += c.RoundSeconds
+			cpuU = 1
+		}
+		c.pmEnergyJ[p] += (pm.Spec.PowerIdleW + (pm.Spec.PowerMaxW-pm.Spec.PowerIdleW)*cpuU) * c.RoundSeconds
+	}
+}
+
+// TestAdvanceRoundScatterBitEquivalence drives twin clusters through the same
+// 60 rounds, one advanced by AdvanceRound's scatter and one by the gather it
+// replaced, and requires every float accumulator to match bit for bit after
+// every round. Between rounds both receive the same random migrations and
+// power-offs of emptied PMs; VMs arrive late, depart and come back under
+// recycled IDs; PMs crash (evacuating their VMs) and recover, and once the
+// whole population is stranded by a crash and re-placed through the arrival
+// path. Every other round is served from the look-ahead buffer.
+func TestAdvanceRoundScatterBitEquivalence(t *testing.T) {
+	const pms, ratio, rounds, traceRounds = 40, 4, 60, 25
+	build := func() *Cluster {
+		c := streamingCluster(t, pms, ratio, traceRounds)
+		for id := 0; id < 30; id++ {
+			arrive, depart := 1+id, -1
+			if id >= 20 {
+				arrive = 0
+			}
+			if id%3 == 0 {
+				depart = arrive + 5 + id%7
+			}
+			if err := c.SetLifecycle(id, arrive, depart); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.PlaceRandom(sim.NewRNG(11).Intn)
+		return c
+	}
+	scatter, gather := build(), build()
+	both := []*Cluster{scatter, gather}
+	ops := sim.NewRNG(5) // one operation stream, applied to both clusters
+	var crashed []int
+	evacuated, stranded, recycled := 0, 0, 0
+	for r := 0; r < rounds; r++ {
+		for k := 0; k < 12; k++ {
+			vm, dst := ops.Intn(pms*ratio), ops.Intn(pms)
+			for _, c := range both {
+				if c.VMs[vm].Present() && c.VMs[vm].Host() != dst && c.PMs[dst].On() {
+					if err := c.Migrate(c.VMs[vm], c.PMs[dst]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		if p := ops.Intn(pms); scatter.PMs[p].On() && scatter.PMs[p].NumVMs() == 0 && ops.Intn(2) == 0 {
+			for _, c := range both {
+				if err := c.SetPMOn(c.PMs[p], false); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		switch {
+		case r == 30:
+			// Pile every VM onto PM 0, power the rest down and crash it: no
+			// PM is left to evacuate to, so the whole population is stranded
+			// and comes back through the arrival path once PM 0 recovers;
+			// the rest power up again over the following rounds.
+			for _, c := range both {
+				for _, vm := range c.VMs {
+					if vm.Present() && vm.Host() != 0 {
+						if err := c.Migrate(vm, c.PMs[0]); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				for _, pm := range c.PMs[1:] {
+					if pm.On() {
+						if err := c.SetPMOn(pm, false); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				rep, err := c.CrashPM(c.PMs[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				stranded += rep.Stranded
+				if err := c.RecoverPM(c.PMs[0]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case r > 30 && r < 40:
+			for _, c := range both {
+				for p := 4 * (r - 31); p < 4*(r-30); p++ {
+					if !c.PMs[p].On() {
+						if err := c.SetPMOn(c.PMs[p], true); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+		case r%5 == 2 && len(crashed) == 0:
+			if p := ops.Intn(pms); scatter.PMs[p].On() {
+				for _, c := range both {
+					rep, err := c.CrashPM(c.PMs[p])
+					if err != nil {
+						t.Fatal(err)
+					}
+					evacuated += rep.Evacuated
+				}
+				crashed = append(crashed, p)
+			}
+		case r%5 == 4:
+			for _, p := range crashed {
+				for _, c := range both {
+					if err := c.RecoverPM(c.PMs[p]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			crashed = crashed[:0]
+		}
+		if r%9 == 8 {
+			for id, vm := range scatter.VMs {
+				if vm.Departed() {
+					for _, c := range both {
+						if err := c.RecycleVM(id, r+2, -1); err != nil {
+							t.Fatal(err)
+						}
+					}
+					recycled++
+				}
+			}
+		}
+		for _, c := range both {
+			if r%2 == 1 {
+				c.Prefetch(r)
+			}
+		}
+		scatter.AdvanceRound(r)
+		gatherAdvanceRound(gather, r)
+		requireSameState(t, fmt.Sprintf("round %d, scatter vs gather", r), scatter, gather)
+		if err := scatter.CheckInvariants(); err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+	}
+	if scatter.Migrations == 0 || evacuated == 0 || stranded == 0 || recycled == 0 {
+		t.Fatalf("setup: %d migrations, %d evacuated, %d stranded, %d recycled",
+			scatter.Migrations, evacuated, stranded, recycled)
 	}
 }
 

@@ -73,6 +73,11 @@ type AsyncConsolidateProtocol struct {
 	rt        *sim.ReqTable
 	rtEngine  *sim.Engine
 	nextToken uint64
+	// loads is the free list of state-exchange payloads: one is taken per
+	// acLoad sent and given back by Deliver, so the exchange sends pointers
+	// without boxing a snapshot per message. A payload the transport drops is
+	// left to the collector.
+	loads []*acLoad
 }
 
 // loadState is the PM state travelling in an exchange: absolute current and
@@ -147,6 +152,10 @@ type acNode struct {
 	pendingToken uint64
 	exchReq      uint64
 	offerReq     uint64
+	// exchEpoch is the epoch of the exchange exchReq times; onExchExpire,
+	// bound once in Setup, is its expiry callback.
+	exchEpoch    uint64
+	onExchExpire func(uint64)
 	// done records tokens whose outcome this sender already settled, so a
 	// late duplicate verdict is never answered with a second (contradictory)
 	// acDone.
@@ -188,11 +197,20 @@ func (p *AsyncConsolidateProtocol) Name() string { return AsyncConsolidateProtoc
 
 // Setup implements sim.Protocol.
 func (p *AsyncConsolidateProtocol) Setup(e *sim.Engine, n *sim.Node) any {
-	return &acNode{
+	st := &acNode{
 		done:     make(map[uint64]bool),
 		holds:    make(map[uint64]uint64),
 		finished: make(map[uint64]bool),
 	}
+	st.onExchExpire = func(uint64) {
+		// The reply was lost (or the peer died): release the busy flag so
+		// the next round can try again.
+		if st.busy && st.epoch == st.exchEpoch && st.pendingToken == 0 {
+			st.busy = false
+			p.Expired++
+		}
+	}
+	return st
 }
 
 func (p *AsyncConsolidateProtocol) state(e *sim.Engine, n *sim.Node) *acNode {
@@ -257,23 +275,34 @@ func (p *AsyncConsolidateProtocol) Round(e *sim.Engine, n *sim.Node, round int) 
 	st.epoch++
 	st.target = peer
 	p.Exchanges++
-	ep := st.epoch
-	p.Tr.Send(n.ID, peer, AsyncConsolidateProtocolName, acLoad{Epoch: ep, From: p.snapshot(pm)})
-	st.exchReq = p.reqs(e).Add(p.timeout(e), func(uint64) {
-		// The reply was lost (or the peer died): release the busy flag so
-		// the next round can try again.
-		if st.busy && st.epoch == ep && st.pendingToken == 0 {
-			st.busy = false
-			p.Expired++
-		}
-	})
+	st.exchEpoch = st.epoch
+	p.Tr.Send(n.ID, peer, AsyncConsolidateProtocolName, p.load(st.epoch, p.snapshot(pm), false))
+	st.exchReq = p.reqs(e).Add(p.timeout(e), st.onExchExpire)
 }
 
-// Deliver implements sim.Handler.
+// load takes a state-exchange payload off the free list and fills it.
+func (p *AsyncConsolidateProtocol) load(epoch uint64, from loadState, reply bool) *acLoad {
+	var ld *acLoad
+	if k := len(p.loads); k > 0 {
+		ld, p.loads = p.loads[k-1], p.loads[:k-1]
+	} else {
+		ld = new(acLoad)
+	}
+	*ld = acLoad{Epoch: epoch, From: from, Reply: reply}
+	return ld
+}
+
+// Deliver implements sim.Handler. A state-exchange payload is copied out and
+// returned to the free list before it is handled, so the reply reuses it.
+// The recycling lives here rather than in the transport: a handler may be
+// wrapped (a timing decorator, say), and only the protocol knows which of
+// its payloads it owns.
 func (p *AsyncConsolidateProtocol) Deliver(e *sim.Engine, n *sim.Node, m sim.Message) {
 	switch msg := m.Payload.(type) {
-	case acLoad:
-		p.onLoad(e, n, m.From, msg)
+	case *acLoad:
+		ld := *msg
+		p.loads = append(p.loads, msg)
+		p.onLoad(e, n, m.From, ld)
 	case acOffer:
 		p.onOffer(e, n, m.From, msg)
 	case acVerdict:
@@ -300,8 +329,7 @@ func (p *AsyncConsolidateProtocol) onLoad(e *sim.Engine, n *sim.Node, from int, 
 		// Passive endpoint: answer with our state (echoing the initiator's
 		// epoch), then run the direction rule ourselves — either side of an
 		// exchange may become the sender.
-		p.Tr.Send(n.ID, from, AsyncConsolidateProtocolName,
-			acLoad{Epoch: msg.Epoch, From: p.snapshot(pm), Reply: true})
+		p.Tr.Send(n.ID, from, AsyncConsolidateProtocolName, p.load(msg.Epoch, p.snapshot(pm), true))
 		if st.busy {
 			return
 		}

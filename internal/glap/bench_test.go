@@ -2,6 +2,7 @@ package glap
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/glap-sim/glap/internal/cyclon"
@@ -111,12 +112,9 @@ func BenchmarkConsensusCheck(b *testing.B) {
 	}
 }
 
-// settledConsolidation builds a 200-PM consolidation stack over converged
-// tables, lets Algorithm 3 pack the cluster for 30 rounds, and then swaps in
-// a φ^in that vetoes every offer: from there each exchange is the
-// no-migration exchange that makes up nearly all of a long run — direction
-// rule, VM-list read, π_out, π_in — whichever peers it draws.
-func settledConsolidation(tb testing.TB) (*sim.Engine, *ConsolidateProtocol) {
+// benchSharedTables pre-trains a 50-PM cluster and collapses the result into
+// the one shared Q store the consolidation benchmarks run on.
+func benchSharedTables(tb testing.TB) *NodeTables {
 	tb.Helper()
 	res, err := Pretrain(Config{LearnRounds: 20, AggRounds: 10}, benchGenCluster(tb, 50, 150), 1, PretrainOptions{})
 	if err != nil {
@@ -126,6 +124,28 @@ func settledConsolidation(tb testing.TB) (*sim.Engine, *ConsolidateProtocol) {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	return shared
+}
+
+// vetoingTables pairs φ^out with a φ^in that vetoes every offer.
+func vetoingTables(out *qlearn.Table) *NodeTables {
+	veto := &NodeTables{Out: out, In: qlearn.New(0.5, 0.8)}
+	for s := 0; s < ioSpan; s++ {
+		for a := 0; a < ioSpan; a++ {
+			veto.In.Set(qlearn.State(s), qlearn.Action(a), -1)
+		}
+	}
+	return veto
+}
+
+// settledConsolidation builds a 200-PM consolidation stack over converged
+// tables, lets Algorithm 3 pack the cluster for 30 rounds, and then swaps in
+// a φ^in that vetoes every offer: from there each exchange is the
+// no-migration exchange that makes up nearly all of a long run — direction
+// rule, VM-list read, π_out, π_in — whichever peers it draws.
+func settledConsolidation(tb testing.TB) (*sim.Engine, *ConsolidateProtocol) {
+	tb.Helper()
+	shared := benchSharedTables(tb)
 	cl := benchGenCluster(tb, 200, 600)
 	e := sim.NewEngine(200, 2)
 	bd, err := policy.Bind(e, cl)
@@ -137,12 +157,7 @@ func settledConsolidation(tb testing.TB) (*sim.Engine, *ConsolidateProtocol) {
 	if cl.ActivePMs() < 2 {
 		tb.Fatalf("only %d active PMs: no exchange left to measure", cl.ActivePMs())
 	}
-	veto := &NodeTables{Out: shared.Out, In: qlearn.New(0.5, 0.8)}
-	for s := 0; s < ioSpan; s++ {
-		for a := 0; a < ioSpan; a++ {
-			veto.In.Set(qlearn.State(s), qlearn.Action(a), -1)
-		}
-	}
+	veto := vetoingTables(shared.Out)
 	cons.Tables = func(*sim.Engine, *sim.Node) *NodeTables { return veto }
 	return e, cons
 }
@@ -179,6 +194,112 @@ func TestConsolidateRoundZeroAlloc(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("consolidation round allocates: %.1f allocs/run, want 0", allocs)
+	}
+}
+
+// asyncConsolidation builds the message-carried Algorithm-3 stack on a
+// pms-PM, ratio-4 cluster over pre-trained shared tables — latency and loss
+// as given, the facade's request timeout — and warms it with 30 engine
+// rounds, so the Cyclon views, the free lists, the maps and the event queue
+// have their working size.
+func asyncConsolidation(tb testing.TB, pms int, latency int64, drop float64) (*sim.Engine, *AsyncConsolidateProtocol) {
+	tb.Helper()
+	shared := benchSharedTables(tb)
+	cl := benchGenCluster(tb, pms, 4*pms)
+	e := sim.NewEngine(pms, 2)
+	bd, err := policy.Bind(e, cl)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e.Register(newBenchCyclon())
+	tr := sim.NewTransport(e, sim.ConstantLatency(latency))
+	tr.DropProb = drop
+	cons := &AsyncConsolidateProtocol{
+		B: bd, Tr: tr,
+		Tables:       func(*sim.Engine, *sim.Node) *NodeTables { return shared },
+		OfferTimeout: 2*e.RoundPeriod + 4*latency,
+	}
+	tr.Handle(cons)
+	e.Register(cons)
+	e.RunRounds(30)
+	if cl.ActivePMs() < 2 {
+		tb.Fatalf("only %d active PMs: no exchange left to measure", cl.ActivePMs())
+	}
+	return e, cons
+}
+
+// asyncPass runs one round of the message-carried protocol outside RunRounds
+// (which restarts at round 0 on every call): one exchange per live
+// node, then the round period's deliveries, retries and expiries.
+func asyncPass(e *sim.Engine, cons *AsyncConsolidateProtocol) {
+	for _, n := range e.Nodes() {
+		if n.Up() {
+			cons.Round(e, n, e.Round())
+		}
+	}
+	e.RunEvents(e.Now() + e.RoundPeriod)
+}
+
+// BenchmarkAsyncConsolidateRound measures one round of Algorithm 3 carried by
+// messages — exchange, offer, verdict and commit traffic, timeouts and
+// retries — on a warm 720-PM × 4 cluster at latency 30 and 10 % loss (the
+// async_lossy shape at 0.12 × the paper's largest cluster).
+func BenchmarkAsyncConsolidateRound(b *testing.B) {
+	e, cons := asyncConsolidation(b, 720, 30, 0.1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		asyncPass(e, cons)
+	}
+}
+
+// TestAsyncConsolidateRoundZeroAlloc pins the message-carried no-offer
+// exchange — load push and reply through the transport, the exchange
+// deadline, both endpoints' direction rule, π_out and π_in — at zero heap
+// allocations on a warm lossless cluster (φ^in swapped for one that vetoes
+// every offer, as in TestConsolidateRoundZeroAlloc), and what a committed
+// offer still allocates at a small constant — 8.0 per commit here, rejected
+// offers included: its boxed offer, verdict and done payloads, the offer
+// request's two callbacks, the target's hold callback and the amortised
+// growth of the token maps.
+func TestAsyncConsolidateRoundZeroAlloc(t *testing.T) {
+	e, cons := asyncConsolidation(t, 200, 30, 0)
+	live := cons.Tables(e, e.Nodes()[0])
+	veto := vetoingTables(live.Out)
+	cons.Tables = func(*sim.Engine, *sim.Node) *NodeTables { return veto }
+	for i := 0; i < 4; i++ { // let every sequence started on the live tables finish
+		asyncPass(e, cons)
+	}
+	exchanges, offers := cons.Exchanges, cons.Offers
+	allocs := testing.AllocsPerRun(20, func() { asyncPass(e, cons) })
+	if cons.Offers != offers {
+		t.Fatalf("%d offers during the measurement: not the no-offer exchange", cons.Offers-offers)
+	}
+	if cons.Exchanges == exchanges {
+		t.Fatal("no exchange during the measurement")
+	}
+	if allocs != 0 {
+		t.Fatalf("message-carried consolidation round allocates: %.1f allocs/run, want 0", allocs)
+	}
+
+	// Committed offers: live tables, demand advancing every round.
+	cons.Tables = func(*sim.Engine, *sim.Node) *NodeTables { return live }
+	c := cons.B.C
+	commits := cons.Commits
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for r := 30; r < 60; r++ {
+		c.AdvanceRound(r)
+		asyncPass(e, cons)
+	}
+	runtime.ReadMemStats(&after)
+	n := cons.Commits - commits
+	if n < 10 {
+		t.Fatalf("only %d commits in 30 rounds: the offer path went unmeasured", n)
+	}
+	const perCommit = 10
+	if per := float64(after.Mallocs-before.Mallocs) / float64(n); per > perCommit {
+		t.Fatalf("%.1f allocations per committed offer, want at most %d", per, perCommit)
 	}
 }
 

@@ -268,12 +268,20 @@ func (e *Engine) setup() {
 
 // At schedules fn at virtual time t (>= now).
 func (e *Engine) At(t int64, priority int, fn func()) *Event {
+	ev := &Event{Fn: fn}
+	e.schedule(ev, t, priority)
+	return ev
+}
+
+// schedule queues ev at virtual time t (clamped to now) — At's queueing for
+// an event the caller built, which is how kernel-owned records re-enter the
+// queue.
+func (e *Engine) schedule(ev *Event, t int64, priority int) {
 	if t < e.now {
 		t = e.now
 	}
-	ev := &Event{Time: t, Priority: priority, Fn: fn}
+	ev.Time, ev.Priority = t, priority
 	e.queue.push(ev)
-	return ev
 }
 
 // After schedules fn after d time units.
@@ -438,7 +446,7 @@ func (e *Engine) drainUntil(t int64) {
 		}
 		ev := e.queue.pop()
 		e.now = ev.Time
-		ev.Fn()
+		ev.run()
 	}
 }
 
@@ -454,6 +462,6 @@ func (e *Engine) RunEvents(horizon int64) {
 		}
 		ev := e.queue.pop()
 		e.now = ev.Time
-		ev.Fn()
+		ev.run()
 	}
 }

@@ -12,12 +12,31 @@ type Event struct {
 	// Fn is invoked when the event fires.
 	Fn func()
 
+	// rec, when set, fires instead of Fn: the event is embedded in a record
+	// the kernel owns and recycles (a Transport delivery, a ReqTable
+	// deadline), which no caller ever holds a pointer to.
+	rec record
+
 	seq   uint64
-	index int // heap index; -1 once popped or cancelled
+	index int // heap index; -1 once popped, -2 once cancelled
 }
+
+// record is a kernel-owned event payload with its own firing logic. It runs
+// in place of a heap closure, so scheduling one allocates nothing once the
+// owner's free list is warm.
+type record interface{ fire() }
 
 // Cancelled reports whether the event was removed before firing.
 func (e *Event) Cancelled() bool { return e.index == -2 }
+
+// run fires a popped event.
+func (e *Event) run() {
+	if e.rec != nil {
+		e.rec.fire()
+		return
+	}
+	e.Fn()
+}
 
 // eventQueue is a binary min-heap of events in strict (Time, Priority, seq)
 // order. It is typed rather than built on container/heap — whose Push/Pop

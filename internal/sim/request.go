@@ -7,15 +7,34 @@ package sim
 // fires exactly once. Protocols use it so that lost messages abort cleanly —
 // releasing whatever state (capacity reservations, busy flags) the request
 // pinned — instead of leaking it.
+//
+// Each request is one recycled record whose embedded event is its deadline,
+// re-armed on every attempt, so a steady stream of requests allocates
+// nothing beyond the callbacks its caller passes in.
 type ReqTable struct {
 	e       *Engine
 	nextID  uint64
-	pending map[uint64]*Event
+	pending map[uint64]*request
+	free    *request
+}
+
+// request is one outstanding request: its deadline event and what to do when
+// the deadline passes. No caller holds its event, so the table recycles it
+// once the request fails or is resolved.
+type request struct {
+	Event
+	rt      *ReqTable
+	id      uint64
+	timeout int64
+	left    int // attempts not yet issued, this one included
+	send    func()
+	onFail  func(id uint64)
+	next    *request
 }
 
 // NewReqTable builds a request table on engine e.
 func NewReqTable(e *Engine) *ReqTable {
-	return &ReqTable{e: e, pending: make(map[uint64]*Event)}
+	return &ReqTable{e: e, pending: make(map[uint64]*request)}
 }
 
 // Add registers a request that expires after timeout virtual time units and
@@ -39,25 +58,50 @@ func (rt *ReqTable) AddRetry(timeout int64, attempts int, send func(), onFail fu
 		attempts = 1
 	}
 	rt.nextID++
-	id := rt.nextID
-	var arm func(left int)
-	arm = func(left int) {
-		if send != nil {
-			send()
-		}
-		rt.pending[id] = rt.e.After(timeout, 2, func() {
-			if left > 1 {
-				arm(left - 1)
-				return
-			}
-			delete(rt.pending, id)
-			if onFail != nil {
-				onFail(id)
-			}
-		})
+	q := rt.free
+	if q != nil {
+		rt.free = q.next
+	} else {
+		q = &request{rt: rt}
+		q.rec = q
 	}
-	arm(attempts)
-	return id
+	q.id, q.timeout, q.left, q.send, q.onFail = rt.nextID, timeout, attempts, send, onFail
+	q.arm()
+	return q.id
+}
+
+// arm issues one attempt: send, then the attempt's deadline. The request is
+// (re-)entered in the pending map only after send returns, so a Resolve
+// from inside send finds what the table held before the attempt.
+func (q *request) arm() {
+	if q.send != nil {
+		q.send()
+	}
+	rt := q.rt
+	rt.e.schedule(&q.Event, rt.e.now+q.timeout, 2)
+	rt.pending[q.id] = q
+}
+
+// fire is the deadline: the next attempt, or failure once none is left. On
+// failure the record is recycled before onFail runs — its fields copied out
+// — so a request onFail adds may reuse it.
+func (q *request) fire() {
+	if q.left > 1 {
+		q.left--
+		q.arm()
+		return
+	}
+	rt, id, onFail := q.rt, q.id, q.onFail
+	delete(rt.pending, id)
+	rt.recycle(q)
+	if onFail != nil {
+		onFail(id)
+	}
+}
+
+func (rt *ReqTable) recycle(q *request) {
+	q.send, q.onFail = nil, nil
+	q.next, rt.free = rt.free, q
 }
 
 // Resolve marks the request answered, cancelling its deadline and any
@@ -65,12 +109,18 @@ func (rt *ReqTable) AddRetry(timeout int64, attempts int, send func(), onFail fu
 // resolving an unknown or already-expired id is a no-op returning false, so
 // duplicate or late responses are safe to feed through.
 func (rt *ReqTable) Resolve(id uint64) bool {
-	ev, ok := rt.pending[id]
+	q, ok := rt.pending[id]
 	if !ok {
 		return false
 	}
 	delete(rt.pending, id)
-	rt.e.Cancel(ev)
+	if q.index < 0 {
+		// Popped and mid-retry (Resolve from inside its own send): arm
+		// re-queues and re-registers it when send returns.
+		return true
+	}
+	rt.e.Cancel(&q.Event)
+	rt.recycle(q)
 	return true
 }
 

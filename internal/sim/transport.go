@@ -60,6 +60,9 @@ type Transport struct {
 
 	rng *RNG
 
+	// free is the list of delivery records no event queue holds.
+	free *delivery
+
 	// Sent counts every message accepted from a live sender; Delivered and
 	// Dropped partition those by outcome (loss injection, or a destination
 	// that is down at delivery time). Once all in-flight messages have been
@@ -91,9 +94,38 @@ func (t *Transport) Handle(h Handler) {
 	t.handlers[h.Name()] = h
 }
 
+// delivery is one message in flight: the event that delivers it, with the
+// handler and the message it delivers. The transport owns it — no caller
+// sees the event — and puts it back on its free list as the event fires.
+type delivery struct {
+	Event
+	t    *Transport
+	h    Handler
+	m    Message
+	next *delivery
+}
+
+// fire delivers the message, or drops it when the destination is down. The
+// record is recycled first, its fields copied out, so the reply a handler
+// usually sends reuses it.
+func (d *delivery) fire() {
+	t, h, m := d.t, d.h, d.m
+	d.h, d.m = nil, Message{}
+	d.next, t.free = t.free, d
+	dst := t.e.Node(m.To)
+	if !dst.Up() {
+		t.Dropped++
+		return
+	}
+	t.Delivered++
+	h.Deliver(t.e, dst, m)
+}
+
 // Send schedules delivery of a message. Sending from a down node is a
 // no-op (dead nodes cannot talk); the recipient's liveness is checked at
 // delivery time, so messages in flight to a node that dies are lost.
+// Steady-state sends allocate nothing: the delivery event is a recycled
+// record, not a closure.
 func (t *Transport) Send(from, to int, proto string, payload any) {
 	h, ok := t.handlers[proto]
 	if !ok {
@@ -107,14 +139,14 @@ func (t *Transport) Send(from, to int, proto string, payload any) {
 		t.Dropped++
 		return
 	}
-	m := Message{From: from, To: to, Proto: proto, Payload: payload}
-	t.e.After(t.latency(from, to), 1, func() {
-		dst := t.e.Node(to)
-		if !dst.Up() {
-			t.Dropped++
-			return
-		}
-		t.Delivered++
-		h.Deliver(t.e, dst, m)
-	})
+	d := t.free
+	if d != nil {
+		t.free = d.next
+	} else {
+		d = &delivery{t: t}
+		d.rec = d
+	}
+	d.h = h
+	d.m = Message{From: from, To: to, Proto: proto, Payload: payload}
+	t.e.schedule(&d.Event, t.e.now+t.latency(from, to), 1)
 }
