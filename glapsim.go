@@ -18,9 +18,7 @@ import (
 	"github.com/glap-sim/glap/internal/cyclon"
 	"github.com/glap-sim/glap/internal/dc"
 	"github.com/glap-sim/glap/internal/glap"
-	"github.com/glap-sim/glap/internal/gossip"
 	"github.com/glap-sim/glap/internal/metrics"
-	"github.com/glap-sim/glap/internal/newscast"
 	"github.com/glap-sim/glap/internal/policy"
 	"github.com/glap-sim/glap/internal/sim"
 	"github.com/glap-sim/glap/internal/topology"
@@ -48,30 +46,6 @@ const (
 
 // Policies lists the four evaluated policies in the paper's order.
 var Policies = []Policy{PolicyGLAP, PolicyEcoCloud, PolicyGRMP, PolicyPABFD}
-
-// Overlay selects the peer-sampling service.
-type Overlay string
-
-// The two peer-sampling overlays shipped with the kernel.
-const (
-	OverlayCyclon   Overlay = "cyclon"
-	OverlayNewscast Overlay = "newscast"
-)
-
-// overlayFor registers the configured overlay on e and returns the matching
-// peer selector (nil means the protocol defaults, which are Cyclon-based).
-func overlayFor(x Experiment, e *sim.Engine) (gossip.PeerSelector, error) {
-	switch x.Overlay {
-	case "", OverlayCyclon:
-		e.Register(cyclon.New(x.CyclonViewSize, x.CyclonShuffleLen))
-		return nil, nil
-	case OverlayNewscast:
-		e.Register(newscast.New(x.CyclonViewSize))
-		return newscast.Selector, nil
-	default:
-		return nil, fmt.Errorf("glapsim: unknown overlay %q", x.Overlay)
-	}
-}
 
 // Experiment configures one simulation run (one policy, one cluster size,
 // one VM:PM ratio). The same Experiment with the same Seed produces the
@@ -104,15 +78,9 @@ type Experiment struct {
 	PretrainedTables *glap.NodeTables
 	// Pretrain tunes GLAP pre-training measurement (optional).
 	Pretrain glap.PretrainOptions
-	// Overlay selects the peer-sampling service for the distributed
-	// policies: "cyclon" (default, the paper's choice) or "newscast".
-	// GLAP pre-training always runs over Cyclon; the overlay choice
-	// applies to the consolidation run, where peer sampling actually
-	// shapes the outcome.
-	Overlay Overlay
-	// CyclonViewSize / CyclonShuffleLen configure the overlay for the
-	// distributed policies (defaults 20 / 8; for Newscast only the view
-	// size applies).
+	// CyclonViewSize / CyclonShuffleLen configure the Cyclon peer-sampling
+	// overlay of the distributed policies and of GLAP pre-training
+	// (defaults 20 / 8).
 	CyclonViewSize   int
 	CyclonShuffleLen int
 	// LogMigrations keeps per-migration records on the cluster.
@@ -331,7 +299,7 @@ func deriveSeed(seed uint64, purpose seedPurpose) uint64 {
 
 // prepareStack assembles one fully wired run: an identically placed cluster
 // for the experiment's seed, a fresh engine, the cluster binding, the
-// topology model, the overlay (when the policy's spec wants one) and the
+// topology model, the Cyclon overlay (when the policy's spec wants one) and the
 // policy stack itself. Run, the robustness grid and the scenario suite all
 // build their paired runs through this one path, so two calls with the same
 // Experiment and workload differ in nothing but what the caller installs on
@@ -358,9 +326,7 @@ func prepareStack(x Experiment, w *trace.Set, shared *glap.NodeTables) (*dc.Clus
 	}
 	ctx := &StackContext{X: x, E: e, B: b, Tables: shared, Tree: tree, Artifacts: &StackArtifacts{}}
 	if spec.Overlay {
-		if ctx.Select, err = overlayFor(x, e); err != nil {
-			return nil, nil, nil, err
-		}
+		e.Register(cyclon.New(x.CyclonViewSize, x.CyclonShuffleLen))
 	}
 	if err := spec.Build(ctx); err != nil {
 		return nil, nil, nil, err

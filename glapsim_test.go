@@ -324,6 +324,26 @@ func TestRunHostileExperiments(t *testing.T) {
 		{"shuffle longer than view", func(x *Experiment) { x.CyclonViewSize = 5; x.CyclonShuffleLen = 9 }, false},
 		{"negative workers", func(x *Experiment) { x.Workers = -9 }, false},
 		{"ratio 50", func(x *Experiment) { x.Ratio = 50 }, false},
+		// GLAP fields: NaN and ±Inf used to pass glap.Config.Validate and
+		// fill the pre-trained tables with NaN cells.
+		{"GLAP alpha NaN", func(x *Experiment) { x.GLAP.Alpha = math.NaN() }, true},
+		{"GLAP gamma NaN", func(x *Experiment) { x.GLAP.Gamma = math.NaN() }, true},
+		{"GLAP learn threshold NaN", func(x *Experiment) { x.GLAP.LearnUtilThreshold = math.NaN() }, true},
+		{"GLAP duplication target NaN", func(x *Experiment) { x.GLAP.DuplicationTargetUtil = math.NaN() }, true},
+		{"GLAP duplication target -1", func(x *Experiment) { x.GLAP.DuplicationTargetUtil = -1 }, true},
+		{"GLAP duplication target +Inf", func(x *Experiment) { x.GLAP.DuplicationTargetUtil = math.Inf(1) }, true},
+		{"GLAP out-reward NaN", func(x *Experiment) {
+			x.GLAP.RewardOut = glap.DefaultRewardOut
+			x.GLAP.RewardOut[3] = math.NaN()
+		}, true},
+		{"GLAP out-reward +Inf", func(x *Experiment) {
+			x.GLAP.RewardOut = glap.DefaultRewardOut
+			x.GLAP.RewardOut[0] = math.Inf(1)
+		}, true},
+		{"GLAP in-reward NaN", func(x *Experiment) {
+			x.GLAP.RewardIn = glap.DefaultRewardIn
+			x.GLAP.RewardIn[2] = math.NaN()
+		}, true},
 	}
 	for _, tc := range cases {
 		x := Experiment{

@@ -101,14 +101,3 @@ func IOVectorDense(e *sim.Engine, n *sim.Node) []float64 {
 	}
 	return t.IOVec()
 }
-
-// IOVectorDense32 is IOVectorDense over the float32 buffer — the adapter
-// F32-tier stacks feed to gossip.MeanPairwiseCosineDense32 so convergence
-// measurement reads the narrow backings directly.
-func IOVectorDense32(e *sim.Engine, n *sim.Node) []float32 {
-	t := TablesOf(e, n)
-	if t.Out.Len()+t.In.Len() == 0 {
-		return nil
-	}
-	return t.IOVec32()
-}

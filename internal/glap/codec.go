@@ -63,9 +63,7 @@ func CheckpointTables(t *NodeTables) ([]byte, error) {
 
 // RestoreTables rebuilds a Q store from a CheckpointTables snapshot. The
 // restored store is byte-identical under re-checkpointing: the codec is the
-// warm-restart contract, so a restore must lose nothing. The value-precision
-// tier rides in the embedded qlearn envelopes (version 2 records "f32";
-// version-1 documents restore as F64), so an F32 PM warm-restarts as F32.
+// warm-restart contract, so a restore must lose nothing.
 func RestoreTables(b []byte) (*NodeTables, error) {
 	return LoadTables(bytes.NewReader(b))
 }

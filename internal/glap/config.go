@@ -2,8 +2,7 @@ package glap
 
 import (
 	"fmt"
-
-	"github.com/glap-sim/glap/internal/qlearn"
+	"math"
 )
 
 // Config parameterises the GLAP stack. Zero-valued fields take the defaults
@@ -40,13 +39,6 @@ type Config struct {
 	// The paper pre-trains for 700 rounds total.
 	LearnRounds int
 	AggRounds   int
-
-	// Precision selects the Q-value storage tier for every table in the
-	// stack (learning kernel, merges, snapshots, checkpoints, and the
-	// dense φ^io convergence vectors). The zero value is qlearn.F64, the
-	// bit-exact default; qlearn.F32 halves the value-memory floor at the
-	// cost of one rounding step per stored update (see DESIGN.md §7).
-	Precision qlearn.Precision
 
 	// CurrentDemandOnly is an ablation switch: when set, pre-action states
 	// and actions are calibrated from *current* instead of *average* VM
@@ -109,31 +101,33 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate reports configuration errors after defaulting.
+// Validate reports configuration errors after defaulting. Range checks are
+// written in positive form — "inside the range", negated — so that NaN,
+// which fails every comparison, fails them too.
 func (c Config) Validate() error {
-	if c.Alpha <= 0 || c.Alpha > 1 {
+	if !(c.Alpha > 0 && c.Alpha <= 1) {
 		return fmt.Errorf("glap: Alpha %g out of (0,1]", c.Alpha)
 	}
-	if c.Gamma < 0 || c.Gamma >= 1 {
+	if !(c.Gamma >= 0 && c.Gamma < 1) {
 		return fmt.Errorf("glap: Gamma %g out of [0,1)", c.Gamma)
 	}
-	if c.LearnUtilThreshold <= 0 || c.LearnUtilThreshold > 1 {
+	if !(c.LearnUtilThreshold > 0 && c.LearnUtilThreshold <= 1) {
 		return fmt.Errorf("glap: LearnUtilThreshold %g out of (0,1]", c.LearnUtilThreshold)
 	}
 	if c.LearnIterations < 1 {
 		return fmt.Errorf("glap: LearnIterations must be >= 1")
 	}
+	if !(c.DuplicationTargetUtil > 0 && !math.IsInf(c.DuplicationTargetUtil, 1)) {
+		return fmt.Errorf("glap: DuplicationTargetUtil %g must be finite and > 0", c.DuplicationTargetUtil)
+	}
 	if !c.RewardOut.validStrictlyDecreasing() {
-		return fmt.Errorf("glap: RewardOut must be positive and strictly decreasing across levels")
+		return fmt.Errorf("glap: RewardOut must be finite, positive and strictly decreasing across levels")
 	}
 	if !c.RewardIn.validInShape() {
-		return fmt.Errorf("glap: RewardIn must be positive below Overload and negative at Overload")
+		return fmt.Errorf("glap: RewardIn must be finite, positive below Overload and negative at Overload")
 	}
 	if c.LearnRounds < 0 || c.AggRounds < 0 {
 		return fmt.Errorf("glap: negative phase lengths")
-	}
-	if c.Precision > qlearn.F32 {
-		return fmt.Errorf("glap: unknown precision tier %d", c.Precision)
 	}
 	return nil
 }

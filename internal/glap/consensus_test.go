@@ -56,12 +56,7 @@ func fullPretrain(t *testing.T, cfg Config, cl *dc.Cluster, seed uint64, every .
 			if round%k != 0 {
 				return
 			}
-			var v float64
-			if cfg.Precision == qlearn.F32 {
-				v = gossip.MeanPairwiseCosineDense32(e, IOVectorDense32, samplePairs, rng)
-			} else {
-				v = gossip.MeanPairwiseCosineDense(e, IOVectorDense, samplePairs, rng)
-			}
+			v := gossip.MeanPairwiseCosineDense(e, IOVectorDense, samplePairs, rng)
 			run.conv[k] = append(run.conv[k], v)
 			run.rounds[k] = append(run.rounds[k], round)
 		})
@@ -89,12 +84,9 @@ func fullPretrain(t *testing.T, cfg Config, cl *dc.Cluster, seed uint64, every .
 }
 
 // sameCells is qlearn.Identical for two tables, by definition and through
-// the public accessors: the same tier, the same cells, and in every cell the
-// same non-NaN value bits.
+// the public accessors: the same cells, and in every cell the same non-NaN
+// value bits.
 func sameCells(a, b *qlearn.Table) bool {
-	if a.Precision() != b.Precision() {
-		return false
-	}
 	ak, bk := a.Keys(), b.Keys()
 	if len(ak) != len(bk) {
 		return false
@@ -197,8 +189,8 @@ func checkAgainstFull(t *testing.T, label string, res *PretrainResult, full *ful
 // TestPretrainConsensusMatchesFullRun is the differential behind the
 // consensus rule: Pretrain, which freezes the cluster after the learning
 // phase and only adopts backings once the tables are identical, against the
-// full-length assembly, on every combination of seed, size, tier, worker
-// count and measurement period. The shapes reach consensus with rounds to
+// full-length assembly, on every combination of seed, size, worker count and
+// measurement period. The shapes reach consensus with rounds to
 // spare, so the rounds after it are what is being compared. -short (the
 // race-detector steps) keeps three of the twelve size × seed groups.
 func TestPretrainConsensusMatchesFullRun(t *testing.T) {
@@ -212,21 +204,19 @@ func TestPretrainConsensusMatchesFullRun(t *testing.T) {
 			for seed := uint64(1); seed <= seeds[si]; seed++ {
 				t.Run(fmt.Sprintf("pms=%d/seed=%d", pms, seed), func(t *testing.T) {
 					t.Parallel()
-					for _, prec := range []qlearn.Precision{qlearn.F64, qlearn.F32} {
-						cfg := Config{LearnRounds: 8, AggRounds: 90, Precision: prec}
-						full := fullPretrain(t, cfg, genCluster(t, pms, 3*pms, 120, seed), seed, 1, 5)
-						if full.consensus >= 0 && full.consensus < cfg.LearnRounds+cfg.AggRounds-1 {
-							settledEarly[si].Add(1)
-						}
-						for _, workers := range []int{1, 2} {
-							for _, every := range []int{0, 1, 5} {
-								res, err := Pretrain(cfg, genCluster(t, pms, 3*pms, 120, seed), seed,
-									PretrainOptions{Workers: workers, MeasureEvery: every, MeasurePairs: samplePairs})
-								if err != nil {
-									t.Fatal(err)
-								}
-								checkAgainstFull(t, fmt.Sprintf("%s workers=%d every=%d", prec, workers, every), res, full, every)
+					cfg := Config{LearnRounds: 8, AggRounds: 90}
+					full := fullPretrain(t, cfg, genCluster(t, pms, 3*pms, 120, seed), seed, 1, 5)
+					if full.consensus >= 0 && full.consensus < cfg.LearnRounds+cfg.AggRounds-1 {
+						settledEarly[si].Add(1)
+					}
+					for _, workers := range []int{1, 2} {
+						for _, every := range []int{0, 1, 5} {
+							res, err := Pretrain(cfg, genCluster(t, pms, 3*pms, 120, seed), seed,
+								PretrainOptions{Workers: workers, MeasureEvery: every, MeasurePairs: samplePairs})
+							if err != nil {
+								t.Fatal(err)
 							}
+							checkAgainstFull(t, fmt.Sprintf("workers=%d every=%d", workers, every), res, full, every)
 						}
 					}
 				})
@@ -234,7 +224,7 @@ func TestPretrainConsensusMatchesFullRun(t *testing.T) {
 		}
 	})
 	for si, pms := range sizes {
-		if n, runs := settledEarly[si].Load(), 2*int32(seeds[si]); 4*n < 3*runs {
+		if n, runs := settledEarly[si].Load(), int32(seeds[si]); 4*n < 3*runs {
 			t.Errorf("%d PMs: only %d of %d runs reached consensus before their last round; the shape no longer tests the rounds after it", pms, n, runs)
 		}
 	}

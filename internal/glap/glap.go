@@ -118,14 +118,7 @@ func Pretrain(cfg Config, cl *dc.Cluster, seed uint64, opts PretrainOptions) (*P
 			if round%opts.MeasureEvery != 0 {
 				return
 			}
-			// F32 stacks measure over the narrow buffers directly; both
-			// branches consume one pair-draw sequence from measureRNG.
-			var sim1 float64
-			if cfg.Precision == qlearn.F32 {
-				sim1 = gossip.MeanPairwiseCosineDense32(e, IOVectorDense32, pairs, measureRNG)
-			} else {
-				sim1 = gossip.MeanPairwiseCosineDense(e, IOVectorDense, pairs, measureRNG)
-			}
+			sim1 := gossip.MeanPairwiseCosineDense(e, IOVectorDense, pairs, measureRNG)
 			res.Convergence = append(res.Convergence, sim1)
 			res.ConvergenceRound = append(res.ConvergenceRound, round)
 		})

@@ -41,7 +41,7 @@ func laneGate(r int) bool { return r%3 != 1 }
 // the rest on one engine, with a fifth of the nodes down from the start and
 // node 0 going down and coming back mid-aggregation, so SelectPeer prunes
 // views while lanes run. reference selects the per-node Round path.
-func laneStack(t *testing.T, pms int, seed uint64, prec qlearn.Precision, workers int, gated, reference bool) (*sim.Engine, *countedAgg) {
+func laneStack(t *testing.T, pms int, seed uint64, workers int, gated, reference bool) (*sim.Engine, *countedAgg) {
 	t.Helper()
 	cl := genCluster(t, pms, 3*pms, laneRounds, seed)
 	cl.Workers = workers
@@ -52,7 +52,7 @@ func laneStack(t *testing.T, pms int, seed uint64, prec qlearn.Precision, worker
 		t.Fatal(err)
 	}
 	e.Register(cyclon.New(0, 0))
-	cfg := Config{Precision: prec}.withDefaults()
+	cfg := Config{}.withDefaults()
 	e.RegisterWindow(&LearnProtocol{Cfg: cfg, B: b}, 1, 0, laneLearnRounds-1)
 	agg := &countedAgg{AggProtocol: &AggProtocol{}}
 	var p sim.Protocol = agg
@@ -80,53 +80,51 @@ func laneStack(t *testing.T, pms int, seed uint64, prec qlearn.Precision, worker
 // executing Algorithm 2 as two concurrent lanes and one as per-node Round
 // calls, advance in lockstep, and after every round every node's φ^out and
 // φ^in must be equal cell for cell and the engine and protocol streams must
-// stand at the same position — over seeds, sizes, worker counts and both
-// precision tiers, with nodes down and, on odd seeds, through phased with
-// inactive rounds. Under -race it is also the check on what the lanes share:
-// the backing pool, the interning cache and lazily cached cell-set hashes.
+// stand at the same position — over seeds, sizes and worker counts, with
+// nodes down and, on odd seeds, through phased with inactive rounds. Under
+// -race it is also the check on what the lanes share: the backing pool, the
+// interning cache and lazily cached cell-set hashes.
 func TestAggLanesMatchRound(t *testing.T) {
-	for _, prec := range []qlearn.Precision{qlearn.F64, qlearn.F32} {
-		for _, pms := range []int{2, 17, 120} {
-			for _, workers := range []int{1, 2, 8} {
-				for seed := uint64(1); seed <= 6; seed++ {
-					gated := seed%2 == 1
-					name := fmt.Sprintf("%s/pms%d/w%d/seed%d", prec, pms, workers, seed)
-					lane, laneAgg := laneStack(t, pms, seed, prec, workers, gated, false)
-					ref, refAgg := laneStack(t, pms, seed, prec, workers, gated, true)
+	for _, pms := range []int{2, 17, 120} {
+		for _, workers := range []int{1, 2, 8} {
+			for seed := uint64(1); seed <= 6; seed++ {
+				gated := seed%2 == 1
+				name := fmt.Sprintf("pms%d/w%d/seed%d", pms, workers, seed)
+				lane, laneAgg := laneStack(t, pms, seed, workers, gated, false)
+				ref, refAgg := laneStack(t, pms, seed, workers, gated, true)
 
-					// Lockstep: the reference engine runs on its own goroutine
-					// and parks in its observer until the lane engine has
-					// compared the round.
-					step, resume := make(chan int), make(chan struct{})
-					ref.Observe(func(_ *sim.Engine, r int) { step <- r; <-resume })
-					active := 0
-					lane.Observe(func(_ *sim.Engine, r int) {
-						if got := <-step; got != r {
-							t.Errorf("%s: engines out of step: %d vs %d", name, got, r)
-						}
-						compareLaneRound(t, name, r, lane, ref, laneAgg, refAgg)
-						if r >= laneLearnRounds && (!gated || laneGate(r)) {
-							active++
-						}
-						resume <- struct{}{}
-					})
-					done := make(chan struct{})
-					go func() { defer close(done); ref.RunRounds(laneRounds) }()
-					lane.RunRounds(laneRounds)
-					<-done
+				// Lockstep: the reference engine runs on its own goroutine
+				// and parks in its observer until the lane engine has
+				// compared the round.
+				step, resume := make(chan int), make(chan struct{})
+				ref.Observe(func(_ *sim.Engine, r int) { step <- r; <-resume })
+				active := 0
+				lane.Observe(func(_ *sim.Engine, r int) {
+					if got := <-step; got != r {
+						t.Errorf("%s: engines out of step: %d vs %d", name, got, r)
+					}
+					compareLaneRound(t, name, r, lane, ref, laneAgg, refAgg)
+					if r >= laneLearnRounds && (!gated || laneGate(r)) {
+						active++
+					}
+					resume <- struct{}{}
+				})
+				done := make(chan struct{})
+				go func() { defer close(done); ref.RunRounds(laneRounds) }()
+				lane.RunRounds(laneRounds)
+				<-done
 
-					if n := refAgg.laneCalls.Load(); n != 0 {
-						t.Errorf("%s: reference engine took the lane path %d times", name, n)
-					}
-					// One RunLane per lane per round that drew a pair; only a
-					// round in which no up node finds a peer draws none.
-					n := laneAgg.laneCalls.Load()
-					if n > int64(mergeLanes*active) || (pms > 2 && n != int64(mergeLanes*active)) {
-						t.Errorf("%s: %d RunLane calls over %d active rounds", name, n, active)
-					}
-					if t.Failed() {
-						return
-					}
+				if n := refAgg.laneCalls.Load(); n != 0 {
+					t.Errorf("%s: reference engine took the lane path %d times", name, n)
+				}
+				// One RunLane per lane per round that drew a pair; only a
+				// round in which no up node finds a peer draws none.
+				n := laneAgg.laneCalls.Load()
+				if n > int64(mergeLanes*active) || (pms > 2 && n != int64(mergeLanes*active)) {
+					t.Errorf("%s: %d RunLane calls over %d active rounds", name, n, active)
+				}
+				if t.Failed() {
+					return
 				}
 			}
 		}

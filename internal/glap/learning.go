@@ -27,10 +27,7 @@ type NodeTables struct {
 	// ioVec is the node's reusable dense φ^io buffer, (re)filled by IOVec.
 	// Convergence measurement samples it every measured round, so the
 	// buffer is kept across samples instead of building a map each time.
-	// F32-tier stacks use ioVec32 instead, so measurement never
-	// materialises a whole-table float64 copy of float32 values.
-	ioVec   []float64
-	ioVec32 []float32
+	ioVec []float64
 
 	// scratch holds the node's reusable training buffers. Keeping them in
 	// the per-node store (rather than on the protocol) preserves the
@@ -51,8 +48,8 @@ func (t *NodeTables) Clone() *NodeTables {
 func NewNodeTables(cfg Config) *NodeTables {
 	cfg = cfg.withDefaults()
 	return &NodeTables{
-		Out: qlearn.NewP(cfg.Alpha, cfg.Gamma, cfg.Precision),
-		In:  qlearn.NewP(cfg.Alpha, cfg.Gamma, cfg.Precision),
+		Out: qlearn.New(cfg.Alpha, cfg.Gamma),
+		In:  qlearn.New(cfg.Alpha, cfg.Gamma),
 	}
 }
 
@@ -77,19 +74,6 @@ func (t *NodeTables) IOVec() []float64 {
 	t.Out.FillDense(t.ioVec[:ioSpan*ioSpan], ioSpan, ioSpan)
 	t.In.FillDense(t.ioVec[ioSpan*ioSpan:], ioSpan, ioSpan)
 	return t.ioVec
-}
-
-// IOVec32 is the float32 counterpart of IOVec for F32-tier stacks: it
-// reads the float32 backings directly (and narrows any float64 cells),
-// keeping convergence measurement free of whole-table f64 materialisation
-// and halving the bytes each cosine scan touches.
-func (t *NodeTables) IOVec32() []float32 {
-	if t.ioVec32 == nil {
-		t.ioVec32 = make([]float32, IOVecLen)
-	}
-	t.Out.FillDense32(t.ioVec32[:ioSpan*ioSpan], ioSpan, ioSpan)
-	t.In.FillDense32(t.ioVec32[ioSpan*ioSpan:], ioSpan, ioSpan)
-	return t.ioVec32
 }
 
 // IOFlat flattens both tables into one sparse vector, namespacing in-cells
@@ -205,8 +189,8 @@ func (l *LearnProtocol) Parallelizable() bool { return true }
 // Setup creates the node's empty Q store.
 func (l *LearnProtocol) Setup(e *sim.Engine, n *sim.Node) any {
 	return &NodeTables{
-		Out: qlearn.NewP(l.Cfg.Alpha, l.Cfg.Gamma, l.Cfg.Precision),
-		In:  qlearn.NewP(l.Cfg.Alpha, l.Cfg.Gamma, l.Cfg.Precision),
+		Out: qlearn.New(l.Cfg.Alpha, l.Cfg.Gamma),
+		In:  qlearn.New(l.Cfg.Alpha, l.Cfg.Gamma),
 	}
 }
 

@@ -1,6 +1,7 @@
 package glap
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -142,6 +143,32 @@ func TestConfigValidation(t *testing.T) {
 	cfg.RewardIn[Overload] = 5
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("positive Overload in-reward should fail validation")
+	}
+	// NaN fails every comparison and ±Inf passes the ordering ones, so each
+	// must be refused explicitly rather than poison the Q-tables.
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, mut := range map[string]func(c *Config){
+		"Alpha NaN":                  func(c *Config) { c.Alpha = nan },
+		"Alpha +Inf":                 func(c *Config) { c.Alpha = inf },
+		"Gamma NaN":                  func(c *Config) { c.Gamma = nan },
+		"Gamma -Inf":                 func(c *Config) { c.Gamma = -inf },
+		"LearnUtilThreshold NaN":     func(c *Config) { c.LearnUtilThreshold = nan },
+		"LearnUtilThreshold +Inf":    func(c *Config) { c.LearnUtilThreshold = inf },
+		"DuplicationTargetUtil NaN":  func(c *Config) { c.DuplicationTargetUtil = nan },
+		"DuplicationTargetUtil -1":   func(c *Config) { c.DuplicationTargetUtil = -1 },
+		"DuplicationTargetUtil +Inf": func(c *Config) { c.DuplicationTargetUtil = inf },
+		"RewardOut[3] NaN":           func(c *Config) { c.RewardOut[3] = nan },
+		"RewardOut[0] +Inf":          func(c *Config) { c.RewardOut[0] = inf },
+		"RewardOut[Overload] NaN":    func(c *Config) { c.RewardOut[Overload] = nan },
+		"RewardIn[2] NaN":            func(c *Config) { c.RewardIn[2] = nan },
+		"RewardIn[X5High] +Inf":      func(c *Config) { c.RewardIn[X5High] = inf },
+		"RewardIn[Overload] -Inf":    func(c *Config) { c.RewardIn[Overload] = -inf },
+	} {
+		cfg := DefaultConfig()
+		mut(&cfg)
+		if err := cfg.withDefaults().Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 

@@ -1,6 +1,10 @@
 package glap
 
-import "github.com/glap-sim/glap/internal/dc"
+import (
+	"math"
+
+	"github.com/glap-sim/glap/internal/dc"
+)
 
 // RewardTable assigns a per-resource reward to the destination level of a
 // transition. The total reward of a transition is the sum over resources of
@@ -58,24 +62,36 @@ var DefaultRewardIn = RewardTable{
 	Overload: -1000,
 }
 
-// validStrictlyDecreasing reports whether the out-reward ordering constraint
-// of Section IV-A holds.
-func (rt RewardTable) validStrictlyDecreasing() bool {
-	for i := 1; i < NumLevels; i++ {
-		if rt[i] >= rt[i-1] {
+// finite reports whether every entry is a finite number: a NaN or ±Inf
+// reward turns every Q-value it reaches into NaN or ±Inf.
+func (rt RewardTable) finite() bool {
+	for _, r := range rt {
+		if math.IsNaN(r) || math.IsInf(r, 0) {
 			return false
 		}
 	}
-	return rt[Overload] > 0
+	return true
 }
 
-// validInShape reports whether the in-reward shape constraint holds:
-// positive everywhere except a strongly negative Overload entry.
-func (rt RewardTable) validInShape() bool {
-	for i := Low; i < Overload; i++ {
-		if rt[i] <= 0 {
+// validStrictlyDecreasing reports whether the out-reward ordering constraint
+// of Section IV-A holds over finite entries.
+func (rt RewardTable) validStrictlyDecreasing() bool {
+	for i := 1; i < NumLevels; i++ {
+		if !(rt[i] < rt[i-1]) {
 			return false
 		}
 	}
-	return rt[Overload] < 0
+	return rt[Overload] > 0 && rt.finite()
+}
+
+// validInShape reports whether the in-reward shape constraint holds over
+// finite entries: positive everywhere except a strongly negative Overload
+// entry.
+func (rt RewardTable) validInShape() bool {
+	for i := Low; i < Overload; i++ {
+		if !(rt[i] > 0) {
+			return false
+		}
+	}
+	return rt[Overload] < 0 && rt.finite()
 }

@@ -92,8 +92,8 @@ func BenchmarkUnifySparse(b *testing.B) {
 
 // disjointPair builds a merge pair with no shared cells (300 each, union
 // 600) — the worst case for mergeTables: a full union build every time.
-func disjointPair(prec Precision) (*Table, *Table) {
-	p, q := NewP(0.5, 0.8, prec), NewP(0.5, 0.8, prec)
+func disjointPair() (*Table, *Table) {
+	p, q := New(0.5, 0.8), New(0.5, 0.8)
 	for i := 0; i < 300; i++ {
 		p.Set(State(i/81), Action(i%81), float64(i+1))
 		j := i + 3000
@@ -132,7 +132,7 @@ func benchMerge(b *testing.B, p *Table, qs ...*Table) {
 	}
 }
 
-// BenchmarkMergeTables covers mergeTables' regimes on both precision tiers:
+// BenchmarkMergeTables covers mergeTables' regimes:
 //
 //	aligned  — converged steady state: both cell sets alias one canonical
 //	    interned array, values differ → the pointer-equality fast path
@@ -143,52 +143,50 @@ func benchMerge(b *testing.B, p *Table, qs ...*Table) {
 //	shared   — the pair already shares one backing: pure pointer compare.
 //	disjoint — no common cells: the general unionScan + unionBuild path.
 func BenchmarkMergeTables(b *testing.B) {
-	for _, prec := range []Precision{F64, F32} {
-		b.Run("aligned/"+prec.String(), func(b *testing.B) {
-			p := alignedTable(b, prec, 1)
-			q := alignedTable(b, prec, 2)
+	b.Run("aligned", func(b *testing.B) {
+		p := alignedTable(b, 1)
+		q := alignedTable(b, 2)
+		if &p.b.idx[0] != &q.b.idx[0] {
+			b.Fatal("setup did not produce aligned canonical backings")
+		}
+		benchMerge(b, p, q)
+	})
+	b.Run("aligned-mixed", func(b *testing.B) {
+		p := alignedTable(b, 1)
+		// 64 peers, each differing from p in its own random five cells out
+		// of six (the measured mid-aggregation mix), so that no predictor
+		// learns the pattern from one iteration to the next. Written
+		// through the backing: Set would detach q onto a private copy of
+		// the cell set and lose the alignment.
+		rng := rand.New(rand.NewSource(3))
+		qs := make([]*Table, 64)
+		for k := range qs {
+			q := alignedTable(b, 1)
+			for i := range q.b.idx {
+				if rng.Intn(6) != 0 {
+					q.b.vals[i] *= 2
+				}
+			}
 			if &p.b.idx[0] != &q.b.idx[0] {
 				b.Fatal("setup did not produce aligned canonical backings")
 			}
-			benchMerge(b, p, q)
-		})
-		b.Run("aligned-mixed/"+prec.String(), func(b *testing.B) {
-			p := alignedTable(b, prec, 1)
-			// 64 peers, each differing from p in its own random five cells out
-			// of six (the measured mid-aggregation mix), so that no predictor
-			// learns the pattern from one iteration to the next. Written
-			// through the backing: Set would detach q onto a private copy of
-			// the cell set and lose the alignment.
-			rng := rand.New(rand.NewSource(3))
-			qs := make([]*Table, 64)
-			for k := range qs {
-				q := alignedTable(b, prec, 1)
-				for i := range q.b.idx {
-					if rng.Intn(6) != 0 {
-						q.b.setVal(i, 2*q.b.val(i))
-					}
-				}
-				if &p.b.idx[0] != &q.b.idx[0] {
-					b.Fatal("setup did not produce aligned canonical backings")
-				}
-				qs[k] = q
-			}
-			benchMerge(b, p, qs...)
-		})
-		b.Run("shared/"+prec.String(), func(b *testing.B) {
-			p, q := fastPathPair(prec, 1)
-			Unify(p, q)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				Merge(p, q)
-			}
-		})
-		b.Run("disjoint/"+prec.String(), func(b *testing.B) {
-			p, q := disjointPair(prec)
-			benchMerge(b, p, q)
-		})
-	}
+			qs[k] = q
+		}
+		benchMerge(b, p, qs...)
+	})
+	b.Run("shared", func(b *testing.B) {
+		p, q := fastPathPair(1)
+		Unify(p, q)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			Merge(p, q)
+		}
+	})
+	b.Run("disjoint", func(b *testing.B) {
+		p, q := disjointPair()
+		benchMerge(b, p, q)
+	})
 }
 
 // BenchmarkEqual measures the cheap-exit pre-check AggProtocol runs before

@@ -64,53 +64,35 @@ func TestCodecEmptyTable(t *testing.T) {
 }
 
 func TestCodecPrecision(t *testing.T) {
-	// F64 tables must keep writing the version-1 envelope with no
-	// precision field: default-tier checkpoints stay byte-compatible with
-	// every pre-tier reader and writer.
-	var b64 bytes.Buffer
-	f64 := New(0.5, 0.8)
-	f64.Set(1, 2, 3.25)
-	if err := f64.Encode(&b64); err != nil {
+	// Tables write the version-1 envelope with no precision field, and a
+	// decoded table reports the float64 width.
+	var buf bytes.Buffer
+	tab := New(0.5, 0.8)
+	tab.Set(1, 2, 3.25)
+	if err := tab.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if s := b64.String(); strings.Contains(s, "precision") || !strings.Contains(s, `"version":1`) {
-		t.Fatalf("F64 envelope changed: %s", s)
+	if s := buf.String(); strings.Contains(s, "precision") || !strings.Contains(s, `"version":1`) {
+		t.Fatalf("envelope changed: %s", s)
 	}
-
-	// F32 tables round-trip through the version-2 envelope with the tier
-	// and every (already-rounded) value preserved exactly.
-	f32 := NewP(0.5, 0.8, F32)
-	f32.Set(1, 2, 3.25)
-	f32.Set(4, 5, 0.1) // rounds to float32(0.1) on store
-	var b32 bytes.Buffer
-	if err := f32.Encode(&b32); err != nil {
-		t.Fatal(err)
-	}
-	if s := b32.String(); !strings.Contains(s, `"precision":"f32"`) || !strings.Contains(s, `"version":2`) {
-		t.Fatalf("F32 envelope missing tier: %s", s)
-	}
-	got, err := Decode(&b32)
+	got, err := Decode(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Precision() != F32 {
-		t.Fatalf("round-trip tier = %v, want F32", got.Precision())
-	}
-	if !Equal(f32, got) {
-		t.Fatal("F32 round-trip lost values")
-	}
-	if got.Get(4, 5) != float64(float32(0.1)) {
-		t.Fatalf("Get(4,5) = %v, want rounded 0.1", got.Get(4, 5))
+	if got.Precision() != F64 {
+		t.Fatalf("decoded width = %v, want F64", got.Precision())
 	}
 
-	// A version-2 envelope may also spell out "f64" explicitly.
-	in := `{"version":2,"precision":"f64","alpha":0.5,"gamma":0.8,"cells":[{"s":1,"a":2,"q":3.25}]}`
-	got, err = Decode(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Precision() != F64 || got.Get(1, 2) != 3.25 {
-		t.Fatal("explicit f64 v2 envelope mis-decoded")
+	// Version-2 documents, written by a retired float32 width, are refused
+	// with an error naming the version.
+	for _, in := range []string{
+		`{"version":2,"precision":"f32","alpha":0.5,"gamma":0.8,"cells":[{"s":1,"a":2,"q":3.25}]}`,
+		`{"version":2,"precision":"f64","alpha":0.5,"gamma":0.8}`,
+	} {
+		_, err := Decode(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "version 2") {
+			t.Fatalf("Decode(%s) err = %v, want an unsupported-version-2 error", in, err)
+		}
 	}
 }
 
@@ -121,14 +103,13 @@ func TestDecodeErrors(t *testing.T) {
 		"bad alpha":   `{"version":1,"alpha":0,"gamma":0.8}`,
 		"bad gamma":   `{"version":1,"alpha":0.5,"gamma":1.0}`,
 		// Hostile payloads that smuggle non-finite floats as strings or
-		// out-of-range literals die in the JSON layer; oversized keys and
-		// bogus tiers die in the envelope checks. Either way Decode must
-		// error, never build a table.
+		// out-of-range literals die in the JSON layer; oversized keys die in
+		// the cell checks. Either way Decode must error, never build a table.
 		"string nan alpha": `{"version":1,"alpha":"NaN","gamma":0.8}`,
 		"string nan q":     `{"version":1,"alpha":0.5,"gamma":0.8,"cells":[{"s":1,"a":2,"q":"NaN"}]}`,
 		"overflow inf q":   `{"version":1,"alpha":0.5,"gamma":0.8,"cells":[{"s":1,"a":2,"q":1e999}]}`,
 		"huge key":         `{"version":1,"alpha":0.5,"gamma":0.8,"cells":[{"s":99999999,"a":2,"q":1}]}`,
-		"v2 bad tier":      `{"version":2,"precision":"f16","alpha":0.5,"gamma":0.8}`,
+		"alpha above one":  `{"version":1,"alpha":1.5,"gamma":0.8}`,
 	}
 	for name, in := range cases {
 		if _, err := Decode(strings.NewReader(in)); err == nil {
@@ -148,7 +129,7 @@ func TestDecodeErrors(t *testing.T) {
 		"-inf gamma": {Version: 1, Alpha: 0.5, Gamma: math.Inf(-1)},
 	}
 	for name, env := range badEnvelopes {
-		if _, err := validateEnvelope(&env); err == nil {
+		if err := validateEnvelope(&env); err == nil {
 			t.Fatalf("envelope %q: expected error", name)
 		}
 	}

@@ -19,64 +19,62 @@ import (
 // canonMinCells, so interning, which allocates its canonical copies once by
 // design, stays out of the count: a warmed replay must not allocate at all.
 func TestWarmAggregationReplayAllocatesNoValueArrays(t *testing.T) {
-	for _, prec := range []Precision{F64, F32} {
-		backingPool.mu.Lock()
-		backingPool.nodes, backingPool.idxs = nil, nil
-		backingPool.vals, backingPool.vals32 = nil, nil
-		backingPool.mu.Unlock()
-		rng := rand.New(rand.NewSource(5))
+	backingPool.mu.Lock()
+	backingPool.nodes, backingPool.idxs = nil, nil
+	backingPool.vals = nil
+	backingPool.mu.Unlock()
+	rng := rand.New(rand.NewSource(5))
 
-		var learned []*Table
-		for i := 0; i < 8*poolMax; i++ {
-			tb := NewP(0.5, 0.8, prec)
-			tb.Set(State(rng.Intn(15)), Action(rng.Intn(15)), rng.NormFloat64())
-			learned = append(learned, tb)
-			if i%2 == 1 {
-				Merge(learned[i-1], tb)
-			}
+	var learned []*Table
+	for i := 0; i < 8*poolMax; i++ {
+		tb := New(0.5, 0.8)
+		tb.Set(State(rng.Intn(15)), Action(rng.Intn(15)), rng.NormFloat64())
+		learned = append(learned, tb)
+		if i%2 == 1 {
+			Merge(learned[i-1], tb)
 		}
-		const n, cells, rounds = 12, 225, 5
-		backingPool.mu.Lock()
-		full := len(backingPool.idxs) == poolMax
-		for _, a := range backingPool.idxs {
-			full = full && cap(a) < cells
-		}
-		backingPool.mu.Unlock()
-		if !full {
-			t.Fatalf("%s: the learning-phase merges did not fill the pool with small arrays", prec)
-		}
+	}
+	const n, cells, rounds = 12, 225, 5
+	backingPool.mu.Lock()
+	full := len(backingPool.idxs) == poolMax
+	for _, a := range backingPool.idxs {
+		full = full && cap(a) < cells
+	}
+	backingPool.mu.Unlock()
+	if !full {
+		t.Fatal("the learning-phase merges did not fill the pool with small arrays")
+	}
 
-		ts := make([]*Table, n)
-		for i := range ts {
-			ts[i] = NewP(0.5, 0.8, prec)
-			for c := 0; c < cells; c++ {
-				ts[i].Set(State(c/15), Action(c%15), rng.NormFloat64())
+	ts := make([]*Table, n)
+	for i := range ts {
+		ts[i] = New(0.5, 0.8)
+		for c := 0; c < cells; c++ {
+			ts[i].Set(State(c/15), Action(c%15), rng.NormFloat64())
+		}
+	}
+	var schedule [][2]int
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < n; i++ {
+			j := rng.Intn(n - 1)
+			if j >= i {
+				j++
 			}
+			schedule = append(schedule, [2]int{i, j})
 		}
-		var schedule [][2]int
-		for r := 0; r < rounds; r++ {
-			for i := 0; i < n; i++ {
-				j := rng.Intn(n - 1)
-				if j >= i {
-					j++
-				}
-				schedule = append(schedule, [2]int{i, j})
-			}
+	}
+	replay := func() {
+		for _, tb := range ts {
+			c := rng.Intn(cells)
+			tb.Set(State(c/15), Action(c%15), rng.NormFloat64())
 		}
-		replay := func() {
-			for _, tb := range ts {
-				c := rng.Intn(cells)
-				tb.Set(State(c/15), Action(c%15), rng.NormFloat64())
-			}
-			for _, p := range schedule {
-				Merge(ts[p[0]], ts[p[1]])
-			}
+		for _, p := range schedule {
+			Merge(ts[p[0]], ts[p[1]])
 		}
-		for i := 0; i < 3; i++ {
-			replay()
-		}
-		if allocs := testing.AllocsPerRun(20, replay); allocs != 0 {
-			t.Fatalf("%s: a warmed replay (%d detaches, %d merges) allocates %v objects", prec, n, len(schedule), allocs)
-		}
+	}
+	for i := 0; i < 3; i++ {
+		replay()
+	}
+	if allocs := testing.AllocsPerRun(20, replay); allocs != 0 {
+		t.Fatalf("a warmed replay (%d detaches, %d merges) allocates %v objects", n, len(schedule), allocs)
 	}
 }

@@ -45,48 +45,16 @@ type Key struct {
 	A Action
 }
 
-// Precision selects the storage width of a table's Q-values. Reads always
-// widen to float64 and Equation 1's arithmetic always accumulates in
-// float64; the precision only decides how a value is rounded when it is
-// stored. F64 is the exact default every fingerprinted run uses; F32 halves
-// the value bytes of the dominant cluster-scale memory term (see Footprint)
-// for a bounded, quantified drift — GLAP's Q-values live in a quantised
-// level space whose pairwise-averaging merge collapses variance across PMs,
-// so they carry far fewer than 53 significant bits of information.
+// Precision names the storage width of a table's Q-values. Q-values are
+// float64 only — Algorithm 2 averages real-valued tables and every
+// fingerprinted run is exact float64 arithmetic — so F64 is the sole value.
+// The type survives because callers that report a table's value width (the
+// benchmark ledger's fixture check among them) name it through
+// (*Table).Precision.
 type Precision uint8
 
-const (
-	// F64 stores Q-values as float64 (exact, the default).
-	F64 Precision = iota
-	// F32 stores Q-values as float32: float64 accumulation, one rounding
-	// point on store.
-	F32
-)
-
-// String returns the tier's short name ("f64"/"f32").
-func (p Precision) String() string {
-	if p == F32 {
-		return "f32"
-	}
-	return "f64"
-}
-
-// ValueBytes returns the storage width of one Q-value under this tier.
-func (p Precision) ValueBytes() int {
-	if p == F32 {
-		return 4
-	}
-	return 8
-}
-
-// round applies the tier's single rounding point: the value a store under
-// this precision actually retains.
-func (p Precision) round(v float64) float64 {
-	if p == F32 {
-		return float64(float32(v))
-	}
-	return v
-}
+// F64 stores Q-values as float64.
+const F64 Precision = 0
 
 // DenseSpan is the per-dimension size of the calibrated cell space: GLAP's
 // level pairs (9 levels × 2 resources = 81 packed states and actions).
@@ -109,17 +77,11 @@ type Table struct {
 	Gamma float64
 
 	b *backing // nil until the first write
-
-	// prec is the value-storage tier (F64 default). It is fixed at
-	// construction: a table and its backing always agree, and merges
-	// require both endpoints on one tier.
-	prec Precision
 }
 
 // backing is the shared cell store. idx holds the written in-span cells as
 // s*DenseSpan+a in ascending order — (state, action) lexicographic — and
-// vals (F64 tier) or vals32 (F32 tier) the matching Q-values. over holds
-// the rare out-of-span cells.
+// vals the matching Q-values. over holds the rare out-of-span cells.
 type backing struct {
 	// ref counts the Tables referencing this backing. It is atomic because
 	// re-learning phases (InstallContinuous) run parallel training rounds on
@@ -127,17 +89,9 @@ type backing struct {
 	// their first writes race to detach.
 	ref atomic.Int32
 
-	idx    []uint16
-	vals   []float64 // F64 tier value array (nil on F32 backings)
-	vals32 []float32 // F32 tier value array (nil on F64 backings)
-	over   map[Key]float64
-
-	// f32 marks the backing as storing its in-span values in vals32. The
-	// overflow map stays float64 on both tiers (out-of-span cells are
-	// hostile-checkpoint territory, never hot); its values are still rounded
-	// through the tier's rounding point on store so both stores of a table
-	// quantise identically.
-	f32 bool
+	idx  []uint16
+	vals []float64
+	over map[Key]float64
 
 	// idxShared marks idx as an alias of an immutable canonical cell-set
 	// array (see canonicalIdx). Canonical arrays are built with cap==len,
@@ -212,43 +166,6 @@ func (b *backing) find(ci uint16) (int, bool) {
 	return lo, lo < len(idx) && idx[lo] == ci
 }
 
-// val returns the widened value at in-span position i.
-func (b *backing) val(i int) float64 {
-	if b.f32 {
-		return float64(b.vals32[i])
-	}
-	return b.vals[i]
-}
-
-// setVal writes the (already rounded) value at in-span position i.
-func (b *backing) setVal(i int, v float64) {
-	if b.f32 {
-		b.vals32[i] = float32(v)
-	} else {
-		b.vals[i] = v
-	}
-}
-
-// insertVal opens a slot at position i in the tier's value array (the idx
-// insertion happens in Set, which owns the canonical-array copy semantics).
-func (b *backing) insertVal(i int) {
-	if b.f32 {
-		b.vals32 = append(b.vals32, 0)
-		copy(b.vals32[i+1:], b.vals32[i:])
-	} else {
-		b.vals = append(b.vals, 0)
-		copy(b.vals[i+1:], b.vals[i:])
-	}
-}
-
-// value constrains the generic merge kernels to the two storage tiers. The
-// float64 instantiations compile to the exact pre-tier arithmetic (the
-// float64→float64 conversions are no-ops), which is what keeps the default
-// tier's golden fingerprints byte-identical.
-type value interface {
-	~float32 | ~float64
-}
-
 // backingPool recycles the building blocks of freed backings — the structs
 // and their two cell arrays — when a merge collapses a pair onto one store
 // or a copy-on-write detaches the last other holder. Aggregation gossip
@@ -258,15 +175,11 @@ type value interface {
 // arrays. The parts are pooled separately because a backing whose
 // cell set was interned (idxShared) surrenders only its vals array; tying
 // the parts together would slowly drain the pool of usable idx capacity.
-// The two value tiers keep disjoint free lists (vals/vals32): a float64
-// array can never be handed to an F32 backing or vice versa, so mixed-tier
-// runs recycle within each tier without cross-contamination.
 var backingPool struct {
-	mu     sync.Mutex
-	nodes  []*backing
-	idxs   [][]uint16
-	vals   [][]float64
-	vals32 [][]float32
+	mu    sync.Mutex
+	nodes []*backing
+	idxs  [][]uint16
+	vals  [][]float64
 }
 
 // poolMax bounds each recycled free list.
@@ -446,25 +359,18 @@ func capRound(need int) int {
 	return (need + 127) &^ 63
 }
 
-// newBacking allocates a fresh unshared backing with room for need cells on
-// the given tier.
-func newBacking(need int, f32 bool) *backing {
+// newBacking allocates a fresh unshared backing with room for need cells.
+func newBacking(need int) *backing {
 	c := capRound(need)
-	b := &backing{idx: make([]uint16, 0, c), f32: f32}
-	if f32 {
-		b.vals32 = make([]float32, 0, c)
-	} else {
-		b.vals = make([]float64, 0, c)
-	}
+	b := &backing{idx: make([]uint16, 0, c), vals: make([]float64, 0, c)}
 	b.ref.Store(1)
 	b.invalidateRowMax()
 	return b
 }
 
-// acquireBacking returns an empty unshared backing on the given tier with
-// capacity for need cells, assembled from pooled parts when they fit. Only
-// the matching tier's value free list is consulted.
-func acquireBacking(need int, f32 bool) *backing {
+// acquireBacking returns an empty unshared backing with capacity for need
+// cells, assembled from pooled parts when they fit.
+func acquireBacking(need int) *backing {
 	backingPool.mu.Lock()
 	var b *backing
 	if n := len(backingPool.nodes); n > 0 {
@@ -473,13 +379,7 @@ func acquireBacking(need int, f32 bool) *backing {
 		backingPool.nodes = backingPool.nodes[:n-1]
 	}
 	idx := poolTake(&backingPool.idxs, need)
-	var vals []float64
-	var vals32 []float32
-	if f32 {
-		vals32 = poolTake(&backingPool.vals32, need)
-	} else {
-		vals = poolTake(&backingPool.vals, need)
-	}
+	vals := poolTake(&backingPool.vals, need)
 	backingPool.mu.Unlock()
 	if b == nil {
 		b = &backing{}
@@ -488,13 +388,10 @@ func acquireBacking(need int, f32 bool) *backing {
 	if idx == nil {
 		idx = make([]uint16, 0, c)
 	}
-	if f32 && vals32 == nil {
-		vals32 = make([]float32, 0, c)
-	}
-	if !f32 && vals == nil {
+	if vals == nil {
 		vals = make([]float64, 0, c)
 	}
-	b.idx, b.vals, b.vals32, b.over, b.idxShared, b.f32 = idx, vals, vals32, nil, false, f32
+	b.idx, b.vals, b.over, b.idxShared = idx, vals, nil, false
 	b.idxHash.Store(0)
 	b.ref.Store(1)
 	b.invalidateRowMax()
@@ -507,7 +404,7 @@ func acquireBacking(need int, f32 bool) *backing {
 // aligned merge fast path's destination: no idx array is consumed from the
 // pool and no cells are copied — the union of two backings over one canonical
 // set is that set.
-func acquireAliasBacking(canon []uint16, f32 bool, h uint64) *backing {
+func acquireAliasBacking(canon []uint16, h uint64) *backing {
 	backingPool.mu.Lock()
 	var b *backing
 	if n := len(backingPool.nodes); n > 0 {
@@ -515,24 +412,15 @@ func acquireAliasBacking(canon []uint16, f32 bool, h uint64) *backing {
 		backingPool.nodes[n-1] = nil
 		backingPool.nodes = backingPool.nodes[:n-1]
 	}
-	var vals []float64
-	var vals32 []float32
-	if f32 {
-		vals32 = poolTake(&backingPool.vals32, len(canon))
-	} else {
-		vals = poolTake(&backingPool.vals, len(canon))
-	}
+	vals := poolTake(&backingPool.vals, len(canon))
 	backingPool.mu.Unlock()
 	if b == nil {
 		b = &backing{}
 	}
-	if f32 && vals32 == nil {
-		vals32 = make([]float32, 0, capRound(len(canon)))
-	}
-	if !f32 && vals == nil {
+	if vals == nil {
 		vals = make([]float64, 0, capRound(len(canon)))
 	}
-	b.idx, b.vals, b.vals32, b.over, b.idxShared, b.f32 = canon, vals, vals32, nil, true, f32
+	b.idx, b.vals, b.over, b.idxShared = canon, vals, nil, true
 	b.idxHash.Store(h)
 	b.ref.Store(1)
 	b.invalidateRowMax()
@@ -541,12 +429,11 @@ func acquireAliasBacking(canon []uint16, f32 bool, h uint64) *backing {
 
 // releaseBacking returns an unreferenced backing's parts to the pool. A
 // canonical (shared) idx array is dropped, not pooled: other backings may
-// still alias it, and pooled arrays get written through. Value arrays go
-// back to their own tier's free list.
+// still alias it, and pooled arrays get written through.
 func releaseBacking(b *backing) {
-	idx, vals, vals32 := b.idx, b.vals, b.vals32
+	idx, vals := b.idx, b.vals
 	shared := b.idxShared
-	b.idx, b.vals, b.vals32, b.over, b.idxShared, b.f32 = nil, nil, nil, nil, false, false
+	b.idx, b.vals, b.over, b.idxShared = nil, nil, nil, false
 	b.idxHash.Store(0)
 	backingPool.mu.Lock()
 	if len(backingPool.nodes) < poolMax {
@@ -557,9 +444,6 @@ func releaseBacking(b *backing) {
 	}
 	if vals != nil {
 		poolPut(&backingPool.vals, vals)
-	}
-	if vals32 != nil {
-		poolPut(&backingPool.vals32, vals32)
 	}
 	backingPool.mu.Unlock()
 }
@@ -578,19 +462,15 @@ func deref(b *backing) {
 func (t *Table) own(extra int) *backing {
 	b := t.b
 	if b == nil {
-		b = newBacking(extra, t.prec == F32)
+		b = newBacking(extra)
 		t.b = b
 		return b
 	}
 	if b.ref.Load() > 1 {
-		nb := acquireBacking(len(b.idx)+extra, b.f32)
+		nb := acquireBacking(len(b.idx) + extra)
 		nb.idx = append(nb.idx, b.idx...)
 		nb.idxHash.Store(b.idxHash.Load()) // same cell set, same identity
-		if b.f32 {
-			nb.vals32 = append(nb.vals32, b.vals32...)
-		} else {
-			nb.vals = append(nb.vals, b.vals...)
-		}
+		nb.vals = append(nb.vals, b.vals...)
 		if len(b.over) > 0 {
 			nb.over = make(map[Key]float64, len(b.over))
 			for k, v := range b.over {
@@ -608,29 +488,22 @@ func (t *Table) own(extra int) *backing {
 	return b
 }
 
-// New returns an empty F64 table with the given learning rate and discount.
+// New returns an empty table with the given learning rate and discount.
 // The backing is allocated lazily on first write, so never-trained tables
-// (PMs that end the learning phase without Q-values) stay cheap.
+// (PMs that end the learning phase without Q-values) stay cheap. The range
+// checks are written in positive form so that NaN fails them.
 func New(alpha, gamma float64) *Table {
-	return NewP(alpha, gamma, F64)
-}
-
-// NewP is New with an explicit value-storage tier.
-func NewP(alpha, gamma float64, prec Precision) *Table {
-	if alpha <= 0 || alpha > 1 {
+	if !(alpha > 0 && alpha <= 1) {
 		panic(fmt.Sprintf("qlearn: alpha %g out of (0,1]", alpha))
 	}
-	if gamma < 0 || gamma >= 1 {
+	if !(gamma >= 0 && gamma < 1) {
 		panic(fmt.Sprintf("qlearn: gamma %g out of [0,1)", gamma))
 	}
-	if prec > F32 {
-		panic(fmt.Sprintf("qlearn: unknown precision %d", prec))
-	}
-	return &Table{Alpha: alpha, Gamma: gamma, prec: prec}
+	return &Table{Alpha: alpha, Gamma: gamma}
 }
 
-// Precision returns the table's value-storage tier.
-func (t *Table) Precision() Precision { return t.prec }
+// Precision returns the table's value-storage width: always F64.
+func (t *Table) Precision() Precision { return F64 }
 
 // Len returns the number of (state, action) cells present.
 func (t *Table) Len() int {
@@ -654,7 +527,7 @@ func (t *Table) Get(s State, a Action) float64 {
 	}
 	if inSpan(s, a) {
 		if i, ok := b.find(uint16(int(s)*DenseSpan + int(a))); ok {
-			return b.val(i)
+			return b.vals[i]
 		}
 		return 0
 	}
@@ -675,13 +548,10 @@ func (t *Table) Has(s State, a Action) bool {
 	return ok
 }
 
-// Set writes the Q-value for (s, a), rounded through the table's precision
-// (the tier's single rounding point — all arithmetic upstream of a store is
-// float64). Writing to a shared backing detaches a private copy first;
-// in-span writes to an owned backing with spare capacity — the training
-// steady state — do not allocate.
+// Set writes the Q-value for (s, a). Writing to a shared backing detaches a
+// private copy first; in-span writes to an owned backing with spare
+// capacity — the training steady state — do not allocate.
 func (t *Table) Set(s State, a Action, v float64) {
-	v = t.prec.round(v)
 	if !inSpan(s, a) {
 		b := t.own(0)
 		if b.over == nil {
@@ -695,7 +565,7 @@ func (t *Table) Set(s State, a Action, v float64) {
 	i, ok := b.find(ci)
 	old := 0.0
 	if ok {
-		old = b.val(i)
+		old = b.vals[i]
 	} else {
 		// A canonical (shared) idx array has cap==len, so this append
 		// reallocates a private copy before the in-place shift below.
@@ -704,7 +574,8 @@ func (t *Table) Set(s State, a Action, v float64) {
 		b.idx[i] = ci
 		b.idxShared = false
 		b.idxHash.Store(0) // cell set changed; identity stale
-		b.insertVal(i)
+		b.vals = append(b.vals, 0)
+		copy(b.vals[i+1:], b.vals[i:])
 	}
 	if cache := b.rowMax; cache != nil {
 		if rm := cache[s]; rm == rm { // cache valid (not NaN)
@@ -719,7 +590,7 @@ func (t *Table) Set(s State, a Action, v float64) {
 			}
 		}
 	}
-	b.setVal(i, v)
+	b.vals[i] = v
 }
 
 // Reserve grows the table's backing to hold at least cells in-span cells
@@ -736,16 +607,9 @@ func (t *Table) Reserve(cells int) {
 	}
 	idx := make([]uint16, len(b.idx), cells)
 	copy(idx, b.idx)
-	if b.f32 {
-		vals32 := make([]float32, len(b.vals32), cells)
-		copy(vals32, b.vals32)
-		b.vals32 = vals32
-	} else {
-		vals := make([]float64, len(b.vals), cells)
-		copy(vals, b.vals)
-		b.vals = vals
-	}
-	b.idx = idx
+	vals := make([]float64, len(b.vals), cells)
+	copy(vals, b.vals)
+	b.idx, b.vals = idx, vals
 	b.idxShared = false
 }
 
@@ -756,7 +620,7 @@ func (b *backing) rowScanMax(s int) float64 {
 	hi := s*DenseSpan + DenseSpan
 	best, found := 0.0, false
 	for i := lo; i < len(b.idx) && int(b.idx[i]) < hi; i++ {
-		if v := b.val(i); !found || v > best {
+		if v := b.vals[i]; !found || v > best {
 			best, found = v, true
 		}
 	}
@@ -799,7 +663,7 @@ func (t *Table) MaxKnown(s State) float64 {
 		lo, _ := b.find(uint16(int(s) * DenseSpan))
 		hi := int(s)*DenseSpan + DenseSpan
 		for i := lo; i < len(b.idx) && int(b.idx[i]) < hi; i++ {
-			if v := b.val(i); !found || v > best {
+			if v := b.vals[i]; !found || v > best {
 				best, found = v, true
 			}
 		}
@@ -813,11 +677,8 @@ func (t *Table) MaxKnown(s State) float64 {
 }
 
 // Update applies Equation 1 for the transition (s, a) -> next with observed
-// reward r, and returns the new Q-value. The blend accumulates in float64
-// on both tiers (reads widen); only the final store rounds, so an F32
-// table's drift per update is one rounding, not three. In steady state
-// (owned backing with capacity for the touched cells) it performs no
-// allocation.
+// reward r, and returns the new Q-value. In steady state (owned backing with
+// capacity for the touched cells) it performs no allocation.
 func (t *Table) Update(s State, a Action, r float64, next State) float64 {
 	// Fast path: an in-span cell already present on an unshared backing —
 	// the common case from the second visit of a transition onward. One
@@ -826,8 +687,8 @@ func (t *Table) Update(s State, a Action, r float64, next State) float64 {
 	// row-start probe inside an uncached MaxKnown).
 	if b := t.b; b != nil && inSpan(s, a) && b.ref.Load() == 1 {
 		if i, ok := b.find(uint16(int(s)*DenseSpan + int(a))); ok {
-			old := b.val(i)
-			v := t.prec.round((1-t.Alpha)*old + t.Alpha*(r+t.Gamma*t.MaxKnown(next)))
+			old := b.vals[i]
+			v := (1-t.Alpha)*old + t.Alpha*(r+t.Gamma*t.MaxKnown(next))
 			if cache := b.rowMax; cache != nil {
 				if rm := cache[s]; rm == rm { // cache valid (not NaN)
 					switch {
@@ -838,14 +699,14 @@ func (t *Table) Update(s State, a Action, r float64, next State) float64 {
 					}
 				}
 			}
-			b.setVal(i, v)
+			b.vals[i] = v
 			return v
 		}
 	}
 	old := t.Get(s, a)
 	v := (1-t.Alpha)*old + t.Alpha*(r+t.Gamma*t.MaxKnown(next))
 	t.Set(s, a, v)
-	return t.prec.round(v)
+	return v
 }
 
 // Best returns the action among candidates with the highest Q-value in
@@ -927,7 +788,7 @@ func (t *Table) Flat() map[Key]float64 {
 		return out
 	}
 	for i, ci := range t.b.idx {
-		out[cellKey(ci)] = t.b.val(i)
+		out[cellKey(ci)] = t.b.vals[i]
 	}
 	for k, v := range t.b.over {
 		out[k] = v
@@ -953,7 +814,7 @@ func (t *Table) FillDense(dst []float64, numS, numA int) []float64 {
 	for i, ci := range t.b.idx {
 		s, a := int(ci)/DenseSpan, int(ci)%DenseSpan
 		if s < numS && a < numA {
-			dst[s*numA+a] = t.b.val(i)
+			dst[s*numA+a] = t.b.vals[i]
 		}
 	}
 	for k, v := range t.b.over {
@@ -964,53 +825,15 @@ func (t *Table) FillDense(dst []float64, numS, numA int) []float64 {
 	return dst
 }
 
-// FillDense32 is FillDense into a float32 buffer — the convergence
-// measurement path of the F32 tier, which reads the vals32 arrays directly
-// instead of materialising whole tables as float64. On an F32 table every
-// copied value is exact; on an F64 table values are rounded into the buffer
-// (measurement-only narrowing, never written back).
-func (t *Table) FillDense32(dst []float32, numS, numA int) []float32 {
-	if len(dst) < numS*numA {
-		panic(fmt.Sprintf("qlearn: FillDense32 dst len %d < %d×%d", len(dst), numS, numA))
-	}
-	for i := range dst[:numS*numA] {
-		dst[i] = 0
-	}
-	if t.b == nil {
-		return dst
-	}
-	b := t.b
-	for i, ci := range b.idx {
-		s, a := int(ci)/DenseSpan, int(ci)%DenseSpan
-		if s < numS && a < numA {
-			if b.f32 {
-				dst[s*numA+a] = b.vals32[i]
-			} else {
-				dst[s*numA+a] = float32(b.vals[i])
-			}
-		}
-	}
-	for k, v := range b.over {
-		if int(k.S) < numS && int(k.A) < numA {
-			dst[int(k.S)*numA+int(k.A)] = float32(v)
-		}
-	}
-	return dst
-}
-
 // Clone returns a deep copy of the table with its own unshared backing.
 func (t *Table) Clone() *Table {
-	c := &Table{Alpha: t.Alpha, Gamma: t.Gamma, prec: t.prec}
+	c := &Table{Alpha: t.Alpha, Gamma: t.Gamma}
 	if t.b != nil {
 		b := t.b
-		nb := newBacking(len(b.idx), b.f32)
+		nb := newBacking(len(b.idx))
 		nb.idx = append(nb.idx, b.idx...)
 		nb.idxHash.Store(b.idxHash.Load())
-		if b.f32 {
-			nb.vals32 = append(nb.vals32, b.vals32...)
-		} else {
-			nb.vals = append(nb.vals, b.vals...)
-		}
+		nb.vals = append(nb.vals, b.vals...)
 		if len(b.over) > 0 {
 			nb.over = make(map[Key]float64, len(b.over))
 			for k, v := range b.over {
@@ -1030,9 +853,9 @@ func (t *Table) Clone() *Table {
 // of distinct backings (a backing shared by several tables counts once),
 // the bytes they reserve — including append slack and overflow maps — and,
 // separately, the bytes of the value arrays alone (valueBytes ⊆ bytes; 8
-// per reserved cell on the F64 tier, 4 on F32). The scale benchmark uses
-// the split to attribute the precision tier's saving directly; the cells
-// figure is the logical total (shared backings still counted once).
+// per reserved cell). The scale benchmark reports the value share on its
+// own; the cells figure is the logical total (shared backings still counted
+// once).
 func Footprint(tables []*Table) (backings int, bytes, valueBytes int64, cells int) {
 	seen := make(map[*backing]struct{}, len(tables))
 	for _, t := range tables {
@@ -1052,7 +875,7 @@ func Footprint(tables []*Table) (backings int, bytes, valueBytes int64, cells in
 			// canonMaxSets such arrays exist process-wide).
 			bytes += int64(cap(b.idx)) * 2
 		}
-		valueBytes += int64(cap(b.vals))*8 + int64(cap(b.vals32))*4
+		valueBytes += int64(cap(b.vals)) * 8
 		bytes += int64(len(b.over)) * 32
 		if b.rowMax != nil {
 			bytes += int64(len(b.rowMax)) * 8
@@ -1080,8 +903,8 @@ func Merge(p, q *Table) bool {
 }
 
 // overUnion merges the overflow maps of pb and qb into a fresh map,
-// averaging through prec's rounding point (a no-op on F64).
-func overUnion(pb, qb *backing, prec Precision) map[Key]float64 {
+// averaging the cells both hold.
+func overUnion(pb, qb *backing) map[Key]float64 {
 	if len(pb.over) == 0 && len(qb.over) == 0 {
 		return nil
 	}
@@ -1092,7 +915,7 @@ func overUnion(pb, qb *backing, prec Precision) map[Key]float64 {
 	for k, v := range qb.over {
 		if pv, ok := out[k]; ok {
 			if pv != v {
-				out[k] = prec.round((pv + v) / 2)
+				out[k] = (pv + v) / 2
 			}
 		} else {
 			out[k] = v
@@ -1164,12 +987,12 @@ func ResetMergeStats() {
 	mergeStats.unions.Store(0)
 }
 
-// unionScan is mergeTables' comparison pass over one tier's value arrays:
+// unionScan is mergeTables' comparison pass over two backings' cell arrays:
 // union size of the two sorted cell sets plus value equality on the shared
 // cells. Values are compared only up to the first difference — one settles
 // valsEqual, and mid-convergence, when most cells differ in their last bits,
 // the rest of the scan is index-only.
-func unionScan[V value](pi, qi []uint16, pvals, qvals []V) (union int, valsEqual bool) {
+func unionScan(pi, qi []uint16, pvals, qvals []float64) (union int, valsEqual bool) {
 	i, j := 0, 0
 	valsEqual = true
 	if len(pi) == len(qi) {
@@ -1208,31 +1031,27 @@ func unionScan[V value](pi, qi []uint16, pvals, qvals []V) (union int, valsEqual
 }
 
 // merged returns Algorithm 2's value for a cell present on both sides: a
-// verbatim when a == b, otherwise the float64 midpoint rounded once into the
-// tier (for V=float64 the conversions are no-ops and this is the exact
-// pre-tier arithmetic). Mid-convergence the two cases alternate cell by cell
-// with no pattern a branch predictor can learn, so the midpoint is computed
-// unconditionally and a is selected over it in the integer domain: widening
-// is exact and injective on both tiers, so a == b exactly when the widened
-// bit patterns agree or both are zeros of either sign. Keeping a is what
-// preserves -0 against +0 and |a| > MaxFloat64/2, where a+a overflows. The
-// two ifs each compile to a conditional move; joined by || they compile to a
-// branch.
-func merged[V value](a, b V) V {
-	fa, fb := float64(a), float64(b)
-	ab, bb := math.Float64bits(fa), math.Float64bits(fb)
-	mb := math.Float64bits(float64(V((fa + fb) / 2)))
+// verbatim when a == b, otherwise the midpoint. Mid-convergence the two
+// cases alternate cell by cell with no pattern a branch predictor can learn,
+// so the midpoint is computed unconditionally and a is selected over it in
+// the integer domain: a == b exactly when the bit patterns agree or both are
+// zeros of either sign. Keeping a is what preserves -0 against +0 and
+// |a| > MaxFloat64/2, where a+a overflows. The two ifs each compile to a
+// conditional move; joined by || they compile to a branch.
+func merged(a, b float64) float64 {
+	ab, bb := math.Float64bits(a), math.Float64bits(b)
+	mb := math.Float64bits((a + b) / 2)
 	if ab == bb {
 		mb = ab
 	}
 	if (ab|bb)<<1 == 0 {
 		mb = ab
 	}
-	return V(math.Float64frombits(mb))
+	return math.Float64frombits(mb)
 }
 
 // averageInto folds o's values into d's for equal cell sets.
-func averageInto[V value](dvals, ovals []V) {
+func averageInto(dvals, ovals []float64) {
 	ovals = ovals[:len(dvals)]
 	for i := range dvals {
 		dvals[i] = merged(dvals[i], ovals[i])
@@ -1242,7 +1061,7 @@ func averageInto[V value](dvals, ovals []V) {
 // valsEqualAligned reports cell-wise value equality of two aligned value
 // arrays — the comparison scan of the aligned fast path, with the same !=
 // semantics as unionScan's shared-cell compare.
-func valsEqualAligned[V value](a, b []V) bool {
+func valsEqualAligned(a, b []float64) bool {
 	for i := range a {
 		if a[i] != b[i] {
 			return false
@@ -1253,7 +1072,7 @@ func valsEqualAligned[V value](a, b []V) bool {
 
 // averageAligned writes the merge of two aligned value arrays into dst —
 // bit-identical to what unionBuild produces for a cell present on both sides.
-func averageAligned[V value](dst, a, b []V) {
+func averageAligned(dst, a, b []float64) {
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
 		dst[i] = merged(a[i], b[i])
@@ -1265,7 +1084,7 @@ func averageAligned[V value](dst, a, b []V) {
 // averaging shared cells exactly as unionBuild does. It is the value pass of
 // the superset-alias fast path, which skips rebuilding an idx array the
 // union provably equals.
-func mergeValsInto[V value](dvals []V, pi, qi []uint16, pvals, qvals []V) {
+func mergeValsInto(dvals []float64, pi, qi []uint16, pvals, qvals []float64) {
 	j := 0
 	for i := range pi {
 		v := pvals[i]
@@ -1278,9 +1097,8 @@ func mergeValsInto[V value](dvals []V, pi, qi []uint16, pvals, qvals []V) {
 }
 
 // unionBuild writes the merged union of (pi, pvals) and (qi, qvals) into
-// the pre-sized didx/dvals, averaging shared cells in float64 with one
-// rounding point on store.
-func unionBuild[V value](didx []uint16, dvals []V, pi, qi []uint16, pvals, qvals []V) {
+// the pre-sized didx/dvals, averaging shared cells.
+func unionBuild(didx []uint16, dvals []float64, pi, qi []uint16, pvals, qvals []float64) {
 	i, j := 0, 0
 	for k := range didx {
 		switch {
@@ -1323,12 +1141,6 @@ func unionBuild[V value](didx []uint16, dvals []V, pi, qi []uint16, pvals, qvals
 // side's canonical cell set aliases that array instead of rebuilding it and
 // inherits its cached FNV identity instead of rehashing.
 func mergeTables(p, q *Table) bool {
-	if p.prec != q.prec {
-		// A cross-tier merge would have to pick a rounding regime for the
-		// surviving shared backing; GLAP clusters run one tier, so this is a
-		// wiring bug, not a state to average through.
-		panic(fmt.Sprintf("qlearn: merging %s table with %s table", p.prec, q.prec))
-	}
 	mergeStats.merges.Add(1)
 	pb, qb := p.b, q.b
 	if pb == qb {
@@ -1360,13 +1172,7 @@ func mergeTables(p, q *Table) bool {
 	case aligned:
 		mergeStats.alignedIdx.Add(1)
 		union = len(pi)
-		if pb.f32 {
-			valsEqual = valsEqualAligned(pb.vals32, qb.vals32)
-		} else {
-			valsEqual = valsEqualAligned(pb.vals, qb.vals)
-		}
-	case pb.f32:
-		union, valsEqual = unionScan(pi, qi, pb.vals32, qb.vals32)
+		valsEqual = valsEqualAligned(pb.vals, qb.vals)
 	default:
 		union, valsEqual = unionScan(pi, qi, pb.vals, qb.vals)
 	}
@@ -1419,14 +1225,10 @@ func mergeTables(p, q *Table) bool {
 			if !pOwned {
 				d, o, other = qb, pb, p
 			}
-			if d.f32 {
-				averageInto(d.vals32, o.vals32)
-			} else {
-				averageInto(d.vals, o.vals)
-			}
+			averageInto(d.vals, o.vals)
 			for k, v := range d.over {
 				if ov := o.over[k]; ov != v {
-					d.over[k] = p.prec.round((v + ov) / 2)
+					d.over[k] = (v + ov) / 2
 				}
 			}
 			d.invalidateRowMax()
@@ -1453,45 +1255,24 @@ func mergeTables(p, q *Table) bool {
 	var d *backing
 	switch {
 	case aligned:
-		d = acquireAliasBacking(pi, pb.f32, pb.cellSetHash())
-		if d.f32 {
-			d.vals32 = d.vals32[:union]
-			averageAligned(d.vals32, pb.vals32, qb.vals32)
-		} else {
-			d.vals = d.vals[:union]
-			averageAligned(d.vals, pb.vals, qb.vals)
-		}
+		d = acquireAliasBacking(pi, pb.cellSetHash())
+		d.vals = d.vals[:union]
+		averageAligned(d.vals, pb.vals, qb.vals)
 	case union == len(pi) && pb.idxShared:
 		mergeStats.unions.Add(1)
-		d = acquireAliasBacking(pi, pb.f32, pb.cellSetHash())
-		if d.f32 {
-			d.vals32 = d.vals32[:union]
-			mergeValsInto(d.vals32, pi, qi, pb.vals32, qb.vals32)
-		} else {
-			d.vals = d.vals[:union]
-			mergeValsInto(d.vals, pi, qi, pb.vals, qb.vals)
-		}
+		d = acquireAliasBacking(pi, pb.cellSetHash())
+		d.vals = d.vals[:union]
+		mergeValsInto(d.vals, pi, qi, pb.vals, qb.vals)
 	case union == len(qi) && qb.idxShared:
 		mergeStats.unions.Add(1)
-		d = acquireAliasBacking(qi, qb.f32, qb.cellSetHash())
-		if d.f32 {
-			d.vals32 = d.vals32[:union]
-			mergeValsInto(d.vals32, qi, pi, qb.vals32, pb.vals32)
-		} else {
-			d.vals = d.vals[:union]
-			mergeValsInto(d.vals, qi, pi, qb.vals, pb.vals)
-		}
+		d = acquireAliasBacking(qi, qb.cellSetHash())
+		d.vals = d.vals[:union]
+		mergeValsInto(d.vals, qi, pi, qb.vals, pb.vals)
 	default:
 		mergeStats.unions.Add(1)
-		d = acquireBacking(union, pb.f32)
-		d.idx = d.idx[:union]
-		if d.f32 {
-			d.vals32 = d.vals32[:union]
-			unionBuild(d.idx, d.vals32, pi, qi, pb.vals32, qb.vals32)
-		} else {
-			d.vals = d.vals[:union]
-			unionBuild(d.idx, d.vals, pi, qi, pb.vals, qb.vals)
-		}
+		d = acquireBacking(union)
+		d.idx, d.vals = d.idx[:union], d.vals[:union]
+		unionBuild(d.idx, d.vals, pi, qi, pb.vals, qb.vals)
 		if len(d.idx) >= canonMinCells {
 			var h uint64
 			switch {
@@ -1510,7 +1291,7 @@ func mergeTables(p, q *Table) bool {
 			}
 		}
 	}
-	d.over = overUnion(pb, qb, p.prec)
+	d.over = overUnion(pb, qb)
 	deref(pb)
 	deref(qb)
 	p.b, q.b = d, d
@@ -1547,10 +1328,8 @@ func Equal(p, q *Table) bool {
 			return false
 		}
 	}
-	// Values compare widened, so an F64 table and an F32 table holding the
-	// same representable values are equal.
 	for i := range pb.idx {
-		if pb.val(i) != qb.val(i) {
+		if pb.vals[i] != qb.vals[i] {
 			return false
 		}
 	}
@@ -1569,18 +1348,15 @@ func Equal(p, q *Table) bool {
 // with the other, and so do two NaNs, because Merge averages them. A table
 // sharing ts[0]'s backing costs a pointer compare, every other distinct
 // backing is scanned at most once, and the scan stops at the first
-// difference. Tables on different precision tiers are never identical.
+// difference.
 func Identical(ts []*Table) bool {
 	if len(ts) == 0 {
 		return true
 	}
-	ref, prec := ts[0].b, ts[0].prec
+	ref := ts[0].b
 	var seen map[*backing]struct{}
 	for _, t := range ts[1:] {
 		b := t.b
-		if t.prec != prec {
-			return false
-		}
 		if b == ref {
 			continue
 		}
@@ -1610,11 +1386,7 @@ func identicalBackings(a, b *backing) bool {
 	if len(a.idx) > 0 && &a.idx[0] != &b.idx[0] && !slices.Equal(a.idx, b.idx) {
 		return false
 	}
-	if a.f32 {
-		if !sameValues(a.vals32, b.vals32) {
-			return false
-		}
-	} else if !sameValues(a.vals, b.vals) {
+	if !sameValues(a.vals, b.vals) {
 		return false
 	}
 	for k, v := range a.over {
@@ -1627,10 +1399,10 @@ func identicalBackings(a, b *backing) bool {
 
 // sameValues reports whether two value arrays agree cell by cell under
 // sameValue.
-func sameValues[V value](a, b []V) bool {
+func sameValues(a, b []float64) bool {
 	b = b[:len(a)]
 	for i := range a {
-		if !sameValue(float64(a[i]), float64(b[i])) {
+		if !sameValue(a[i], b[i]) {
 			return false
 		}
 	}
@@ -1638,8 +1410,7 @@ func sameValues[V value](a, b []V) bool {
 }
 
 // sameValue reports whether x and y are the same non-NaN value with the same
-// sign — for floats, the same bits. Widening a float32 is exact and keeps the
-// sign, so both tiers compare through it.
+// sign — for floats, the same bits.
 func sameValue(x, y float64) bool {
 	return x == y && math.Signbit(x) == math.Signbit(y)
 }

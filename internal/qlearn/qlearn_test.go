@@ -9,6 +9,7 @@ import (
 func TestNewValidation(t *testing.T) {
 	for _, tc := range []struct{ alpha, gamma float64 }{
 		{0, 0.5}, {-0.1, 0.5}, {1.1, 0.5}, {0.5, -0.1}, {0.5, 1}, {0.5, 1.5},
+		{math.NaN(), 0.5}, {0.5, math.NaN()}, {math.Inf(1), 0.5}, {0.5, math.Inf(-1)},
 	} {
 		func() {
 			defer func() {
@@ -316,5 +317,93 @@ func TestEpsilonGreedy(t *testing.T) {
 	// Empty candidates.
 	if _, ok := q.EpsilonGreedy(1, nil, 0.5, rnd, func() float64 { return 0 }); ok {
 		t.Fatal("empty candidates should report !ok")
+	}
+}
+
+// TestCanonInterning pins the seen-once filter of canonical cell-set
+// interning: a union's cell set is interned on its second sighting, and a
+// later union over the same set aliases that one immutable array.
+func TestCanonInterning(t *testing.T) {
+	// Start from an empty cache, so the first union below is the first
+	// sighting of its cell set however the package's tests are ordered or
+	// repeated.
+	canonIdx.mu.Lock()
+	canonIdx.m, canonIdx.seen = nil, nil
+	canonIdx.mu.Unlock()
+	pair := func() (*Table, *Table) {
+		p, q := New(0.5, 0.8), New(0.5, 0.8)
+		for i := 1000; i < 1300; i++ {
+			s, a := State(i/DenseSpan), Action(i%DenseSpan)
+			if i != 1000 {
+				p.Set(s, a, float64(i))
+			}
+			if i != 1299 {
+				q.Set(s, a, -float64(i))
+			}
+		}
+		return p, q
+	}
+	p, q := pair()
+	Unify(p, q)
+	if p.b.idxShared {
+		t.Fatal("first union interned its cell set")
+	}
+	p, q = pair()
+	Unify(p, q)
+	if !p.b.idxShared {
+		t.Fatal("second union did not intern its cell set")
+	}
+	canon := &p.b.idx[0]
+	p, q = pair()
+	Unify(p, q)
+	if !p.b.idxShared || &p.b.idx[0] != canon {
+		t.Fatal("third union built a private array instead of aliasing the canonical one")
+	}
+}
+
+// TestCapRoundPinned pins the capacity schedule: a fresh backing's cell and
+// value arrays both follow capRound.
+func TestCapRoundPinned(t *testing.T) {
+	cases := map[int]int{
+		0:    minBackingCap,
+		1:    minBackingCap,
+		15:   minBackingCap,
+		16:   128,
+		100:  192,
+		500:  576,
+		2047: 2112,
+		2048: 2048,
+		2049: 2064,
+		5000: 5008,
+	}
+	for need, want := range cases {
+		if got := capRound(need); got != want {
+			t.Fatalf("capRound(%d) = %d, want %d", need, got, want)
+		}
+	}
+	for need := range cases {
+		b := newBacking(need)
+		if cap(b.vals) != capRound(need) || cap(b.idx) != capRound(need) {
+			t.Fatalf("newBacking(%d): caps idx=%d vals=%d", need, cap(b.idx), cap(b.vals))
+		}
+	}
+}
+
+// TestFootprintValueBytes: Footprint's value-byte accounting charges 8 bytes
+// per reserved value slot, inside the total.
+func TestFootprintValueBytes(t *testing.T) {
+	tb := New(0.5, 0.8)
+	for i := 0; i < 300; i++ {
+		tb.Set(State(i/81), Action(i%81), float64(i))
+	}
+	backings, bytes, vb, cells := Footprint([]*Table{tb})
+	if backings != 1 || cells != 300 {
+		t.Fatalf("backings = %d, cells = %d, want 1 and 300", backings, cells)
+	}
+	if vb != int64(cap(tb.b.vals))*8 {
+		t.Fatalf("valueBytes = %d, want 8 per slot of %d", vb, cap(tb.b.vals))
+	}
+	if vb > bytes {
+		t.Fatal("valueBytes exceeds total bytes")
 	}
 }

@@ -150,24 +150,6 @@ func CosineAligned(a, b []float64) float64 {
 	return dot / (math.Sqrt(na) * math.Sqrt(nb))
 }
 
-// CosineAligned32 is CosineAligned over float32 vectors: the inputs stay
-// narrow (half the bytes per scan — the point of the F32 Q-value tier) while
-// the dot product and norms accumulate in float64, so the result carries the
-// full accumulator precision of the float64 path over the same values.
-func CosineAligned32(a, b []float32) float64 {
-	var dot, na, nb float64
-	for i, x := range a {
-		va, vb := float64(x), float64(b[i])
-		dot += va * vb
-		na += va * va
-		nb += vb * vb
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / (math.Sqrt(na) * math.Sqrt(nb))
-}
-
 // CosineMaps computes cosine similarity between two sparse vectors
 // represented as maps. Keys missing from one map contribute a zero
 // coordinate. Identical maps yield exactly 1 (up to float rounding).

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"github.com/glap-sim/glap/internal/glap"
-	"github.com/glap-sim/glap/internal/gossip"
 	"github.com/glap-sim/glap/internal/policy"
 	"github.com/glap-sim/glap/internal/sim"
 	"github.com/glap-sim/glap/internal/topology"
@@ -27,10 +26,6 @@ type StackContext struct {
 	E *sim.Engine
 	// B binds the engine's nodes to the cluster's PMs.
 	B *policy.Binding
-	// Select is the configured overlay's peer selector; nil means the
-	// protocol default (Cyclon sampling). Only set when the spec requested
-	// an overlay.
-	Select gossip.PeerSelector
 	// Tables is GLAP's shared Q store: the pre-training outcome, or the
 	// experiment's injected PretrainedTables. Nil for stacks whose spec does
 	// not request pre-training.
@@ -58,10 +53,10 @@ type StackBuilder func(*StackContext) error
 // PolicySpec describes a registered policy: which facade services it needs
 // around the build, and the builder itself.
 type PolicySpec struct {
-	// Overlay: register the experiment's peer-sampling overlay before Build
-	// runs and pass its selector in StackContext.Select. Centralized
-	// policies (pabfd, none) leave this false and skip overlay
-	// construction entirely.
+	// Overlay: register the experiment's Cyclon peer-sampling overlay
+	// before Build runs; the distributed protocols sample peers from it by
+	// default. Centralized policies (pabfd, none) leave this false and skip
+	// overlay construction entirely.
 	Overlay bool
 	// Pretrain: run GLAP pre-training before the consolidation run (unless
 	// the experiment injects PretrainedTables) and pass the shared tables in

@@ -21,7 +21,7 @@ func TestRegisteredPoliciesContainBuiltins(t *testing.T) {
 
 // TestCentralizedSpecsSkipOverlay pins that PABFD and None never construct a
 // peer-sampling overlay: their specs leave Overlay (and Pretrain) unset, so
-// Run skips overlayFor entirely, as the pre-registry switch did.
+// Run registers no Cyclon protocol for them, as the pre-registry switch did.
 func TestCentralizedSpecsSkipOverlay(t *testing.T) {
 	for _, p := range []Policy{PolicyPABFD, PolicyNone} {
 		spec, ok := policySpec(p)

@@ -176,9 +176,9 @@ func runRobustRep(cfg RobustConfig, rep int) (out robustRep) {
 	x := Experiment{
 		PMs: cfg.PMs, Ratio: cfg.Ratio, Rounds: cfg.Rounds,
 		Seed: sim.ReplicationSeed(cfg.Seed, rep), Policy: PolicyGLAP, GLAP: cfg.GLAP,
-		// The registry builders default these through overlayFor; the
-		// historical grid wired cyclon.New(20, 8) explicitly, so pin the
-		// same overlay parameters for seed-for-seed identical cells.
+		// prepareStack's Cyclon overlay defaults these; the historical grid
+		// wired cyclon.New(20, 8) explicitly, so pin the same overlay
+		// parameters for seed-for-seed identical cells.
 		CyclonViewSize: 20, CyclonShuffleLen: 8,
 	}
 	if err := x.Validate(); err != nil {

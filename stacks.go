@@ -30,7 +30,6 @@ func buildGLAP(ctx *StackContext) error {
 	cons := &glap.ConsolidateProtocol{
 		B:                 ctx.B,
 		Tables:            func(e *sim.Engine, n *sim.Node) *glap.NodeTables { return shared },
-		Select:            ctx.Select,
 		CurrentDemandOnly: ctx.X.GLAP.CurrentDemandOnly,
 	}
 	if ctx.X.TopologyAware && ctx.Tree != nil {
@@ -70,7 +69,6 @@ func buildGLAPAsync(ctx *StackContext) error {
 		B:                 ctx.B,
 		Tr:                tr,
 		Tables:            func(e *sim.Engine, n *sim.Node) *glap.NodeTables { return shared },
-		Select:            ctx.Select,
 		CurrentDemandOnly: x.GLAP.CurrentDemandOnly,
 		OfferTimeout:      timeout,
 	}
@@ -89,17 +87,13 @@ func buildGLAPAsync(ctx *StackContext) error {
 
 // buildGRMP installs the GRMP baseline.
 func buildGRMP(ctx *StackContext) error {
-	p := grmp.New(ctx.B)
-	p.Select = ctx.Select
-	ctx.E.Register(p)
+	ctx.E.Register(grmp.New(ctx.B))
 	return nil
 }
 
 // buildEcoCloud installs the EcoCloud baseline.
 func buildEcoCloud(ctx *StackContext) error {
-	p := ecocloud.New(ctx.B)
-	p.Select = ctx.Select
-	ctx.E.Register(p)
+	ctx.E.Register(ecocloud.New(ctx.B))
 	return nil
 }
 
