@@ -78,8 +78,13 @@ func flatEqual(t *testing.T, got *Table, want map[Key]float64, label string) {
 // aliasing one canonical cell-set array, both backings shared — and checks
 // the merge takes the aligned fast path (no union build), produces exactly
 // the reference averages, and leaves the pair on one canonical-backed
-// backing.
+// backing. The merge tests here and in merge_kernel_test.go run their body
+// as an "f64" subtest, named for the float64 width Q-values are stored in.
 func TestMergeFastPathAligned(t *testing.T) {
+	t.Run("f64", testMergeFastPathAligned)
+}
+
+func testMergeFastPathAligned(t *testing.T) {
 	a := alignedTable(t, 1)
 	b := alignedTable(t, 2)
 	if &a.b.idx[0] != &b.b.idx[0] {
@@ -111,6 +116,10 @@ func TestMergeFastPathAligned(t *testing.T) {
 // TestMergeFastPathAlignedCollapse: an aligned pair with identical values
 // must collapse onto one backing with no writes and report no change.
 func TestMergeFastPathAlignedCollapse(t *testing.T) {
+	t.Run("f64", testMergeFastPathAlignedCollapse)
+}
+
+func testMergeFastPathAlignedCollapse(t *testing.T) {
 	a := alignedTable(t, 1)
 	b := alignedTable(t, 1)
 	before := ReadMergeStats()
@@ -130,6 +139,10 @@ func TestMergeFastPathAlignedCollapse(t *testing.T) {
 // cell set must alias that array instead of rebuilding it, and still produce
 // the reference result.
 func TestMergeFastPathSupersetAlias(t *testing.T) {
+	t.Run("f64", testMergeFastPathSupersetAlias)
+}
+
+func testMergeFastPathSupersetAlias(t *testing.T) {
 	a := alignedTable(t, 1)
 	canon := &a.b.idx[0]
 	sub := New(0.5, 0.8)
@@ -183,6 +196,10 @@ func TestMergeFastPathSharedBacking(t *testing.T) {
 // fast path once interning saturates — and every table must match the
 // reference cell-for-cell after every exchange.
 func TestMergeFastPathGossipDifferential(t *testing.T) {
+	t.Run("f64", testMergeFastPathGossipDifferential)
+}
+
+func testMergeFastPathGossipDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 8
 	tables := make([]*Table, n)

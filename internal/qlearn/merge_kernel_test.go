@@ -179,6 +179,10 @@ func seq(n int) []uint16 {
 // adversarial values the branch-free kernels must give exactly the bits the
 // branching loops gave.
 func TestMergeKernelsMatchBranchingOnAdversaries(t *testing.T) {
+	t.Run("f64", testMergeKernelsMatchBranchingOnAdversaries)
+}
+
+func testMergeKernelsMatchBranchingOnAdversaries(t *testing.T) {
 	adv := adversaries()
 	var p, q []float64
 	for _, a := range adv {
@@ -212,6 +216,10 @@ func TestMergeKernelsMatchBranchingOnAdversaries(t *testing.T) {
 // cells, so the replay keeps passing through the states that matter: mostly
 // equal arrays with scattered differences, and midpoints of extreme values.
 func TestMergeKernelsMatchBranchingOnGossipReplay(t *testing.T) {
+	t.Run("f64", testMergeKernelsMatchBranchingOnGossipReplay)
+}
+
+func testMergeKernelsMatchBranchingOnGossipReplay(t *testing.T) {
 	const n, cells, steps = 8, 400, 600
 	rng := rand.New(rand.NewSource(11))
 	adv := adversaries()
