@@ -8,9 +8,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 
 	glapsim "github.com/glap-sim/glap"
@@ -19,17 +20,30 @@ import (
 )
 
 func main() {
-	policy := flag.String("policy", "glap", "policy: glap, grmp, ecocloud, pabfd or none")
-	pms := flag.Int("pms", 100, "number of physical machines")
-	ratio := flag.Int("ratio", 3, "VM:PM ratio (ignored when -trace is given)")
-	rounds := flag.Int("rounds", 240, "number of 2-minute rounds")
-	seed := flag.Uint64("seed", 1, "simulation seed")
-	every := flag.Int("every", 10, "print a CSV row every N rounds")
-	tracePath := flag.String("trace", "", "CSV workload trace (vm,round,cpu,mem); empty = synthetic")
-	saveQ := flag.String("save-qtables", "", "write GLAP's converged Q store to this file after the run")
-	loadQ := flag.String("load-qtables", "", "skip GLAP pre-training and load a checkpointed Q store")
-	workers := flag.Int("workers", 0, "fork-join workers inside the run (0 = auto, 1 = sequential); results are identical for every setting")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "glapsim:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, checks the flags, runs the simulation and writes the CSV
+// rows to stdout and the summary to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("glapsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	policy := fs.String("policy", "glap", "policy: glap, grmp, ecocloud, pabfd or none")
+	pms := fs.Int("pms", 100, "number of physical machines")
+	ratio := fs.Int("ratio", 3, "VM:PM ratio (ignored when -trace is given)")
+	rounds := fs.Int("rounds", 240, "number of 2-minute rounds")
+	seed := fs.Uint64("seed", 1, "simulation seed")
+	every := fs.Int("every", 10, "print a CSV row every N rounds")
+	tracePath := fs.String("trace", "", "CSV workload trace (vm,round,cpu,mem); empty = synthetic")
+	saveQ := fs.String("save-qtables", "", "write GLAP's converged Q store to this file after the run")
+	loadQ := fs.String("load-qtables", "", "skip GLAP pre-training and load a checkpointed Q store")
+	workers := fs.Int("workers", 0, "fork-join workers inside the run (0 = auto, 1 = sequential); results are identical for every setting")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	x := glapsim.Experiment{
 		PMs:     *pms,
@@ -39,14 +53,23 @@ func main() {
 		Policy:  glapsim.Policy(*policy),
 		Workers: *workers,
 	}
+	if *every < 1 {
+		return fmt.Errorf("-every must be >= 1, got %d", *every)
+	}
+	if *saveQ != "" && (!x.Policy.Pretrains() || *loadQ != "") {
+		return fmt.Errorf("-save-qtables needs a policy that pre-trains (glap, glap-async) and no -load-qtables")
+	}
 	if *tracePath != "" {
+		if *pms <= 1 {
+			return fmt.Errorf("-pms must be > 1, got %d", *pms)
+		}
 		set, err := trace.LoadFile(*tracePath)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		x.Workload = set
 		if set.NumVMs()%*pms != 0 {
-			log.Fatalf("trace has %d VMs which is not a multiple of %d PMs", set.NumVMs(), *pms)
+			return fmt.Errorf("trace has %d VMs which is not a multiple of %d PMs", set.NumVMs(), *pms)
 		}
 		x.Ratio = set.NumVMs() / *pms
 	}
@@ -54,53 +77,54 @@ func main() {
 	if *loadQ != "" {
 		f, err := os.Open(*loadQ)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		tables, err := glap.LoadTables(f)
 		f.Close()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		x.PretrainedTables = tables
 	}
 
 	res, err := glapsim.Run(x)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	if *saveQ != "" && res.Pretrain != nil {
+	if *saveQ != "" {
 		tables, err := glap.SharedTables(res.Pretrain)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		f, err := os.Create(*saveQ)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := glap.SaveTables(f, tables); err != nil {
-			log.Fatal(err)
+			f.Close()
+			return err
 		}
 		if err := f.Close(); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "saved Q store to %s\n", *saveQ)
+		fmt.Fprintf(stderr, "saved Q store to %s\n", *saveQ)
 	}
 
-	fmt.Println("round,active_pms,overloaded_pms,cum_migrations,migration_energy_j")
+	fmt.Fprintln(stdout, "round,active_pms,overloaded_pms,cum_migrations,migration_energy_j")
 	for i, s := range res.Series.Samples {
 		if (i+1)%*every != 0 && i != len(res.Series.Samples)-1 {
 			continue
 		}
-		fmt.Printf("%d,%d,%d,%d,%.1f\n",
+		fmt.Fprintf(stdout, "%d,%d,%d,%d,%.1f\n",
 			s.Round, s.ActivePMs, s.OverloadedPMs, s.Migrations, s.MigrationEnergyJ)
 	}
 
 	last, _ := res.Series.Last()
-	fmt.Fprintf(os.Stderr, "\npolicy=%s pms=%d vms=%d rounds=%d\n", x.Policy, x.PMs, x.PMs*x.Ratio, x.Rounds)
-	fmt.Fprintf(os.Stderr, "final: active=%d (BFD oracle %d) overloaded=%d migrations=%d energy=%.1fkJ\n",
+	fmt.Fprintf(stderr, "\npolicy=%s pms=%d vms=%d rounds=%d\n", x.Policy, x.PMs, x.PMs*x.Ratio, x.Rounds)
+	fmt.Fprintf(stderr, "final: active=%d (BFD oracle %d) overloaded=%d migrations=%d energy=%.1fkJ\n",
 		last.ActivePMs, res.BFDBaseline, last.OverloadedPMs, last.Migrations, last.MigrationEnergyJ/1000)
-	fmt.Fprintf(os.Stderr, "SLA:   SLAVO=%.6g SLALM=%.6g SLAV=%.6g\n",
+	fmt.Fprintf(stderr, "SLA:   SLAVO=%.6g SLALM=%.6g SLAV=%.6g\n",
 		res.Series.SLAVO, res.Series.SLALM, res.Series.SLAV)
 	if p := res.Pretrain; p != nil {
 		consensus := ""
@@ -110,7 +134,8 @@ func main() {
 		case p.AggRounds > 0:
 			consensus = " (tables never identical)"
 		}
-		fmt.Fprintf(os.Stderr, "GLAP:  pre-training convergence=%.4f, learn %d rounds + aggregate %d rounds%s\n",
+		fmt.Fprintf(stderr, "GLAP:  pre-training convergence=%.4f, learn %d rounds + aggregate %d rounds%s\n",
 			p.FinalSimilarity(), p.LearnRounds, p.AggRounds, consensus)
 	}
+	return nil
 }

@@ -78,22 +78,10 @@ func (a *AggProtocol) RunLane(e *sim.Engine, lane int, pairs []par.Pair, round i
 	}
 }
 
-// IOVector adapts a node's φ^io to the map-based convergence
-// instrumentation; nodes with empty tables are excluded from similarity
-// measurement, matching the paper's remark that PMs lacking resources may
-// own no Q-values after the learning phase. Kept as a compatibility adapter
-// for tests; measurement hot paths use IOVectorDense.
-func IOVector(e *sim.Engine, n *sim.Node) map[IOKey]float64 {
-	t := TablesOf(e, n)
-	if t.Out.Len()+t.In.Len() == 0 {
-		return nil
-	}
-	return t.IOFlat()
-}
-
 // IOVectorDense adapts a node's dense φ^io buffer to the aligned-slice
-// convergence instrumentation, with the same empty-table exclusion as
-// IOVector.
+// convergence instrumentation. Nodes with empty tables are excluded from
+// similarity measurement, matching the paper's remark that PMs lacking
+// resources may own no Q-values after the learning phase.
 func IOVectorDense(e *sim.Engine, n *sim.Node) []float64 {
 	t := TablesOf(e, n)
 	if t.Out.Len()+t.In.Len() == 0 {

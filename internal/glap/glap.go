@@ -207,23 +207,3 @@ func InstallConsolidation(e *sim.Engine, b *policy.Binding, tables *NodeTables, 
 	e.Register(cons)
 	return cons
 }
-
-// InstallOnline registers the full GLAP stack on a single engine: Cyclon
-// always on, the learning phase for cfg.LearnRounds rounds, the aggregation
-// phase for cfg.AggRounds rounds, and the consolidation component from the
-// end of pre-training onward — the paper's continuous deployment where the
-// learning component periodically feeds the consolidation component.
-// Consolidation rounds therefore begin at round cfg.LearnRounds+cfg.AggRounds.
-func InstallOnline(e *sim.Engine, b *policy.Binding, cfg Config, opts PretrainOptions) (*ConsolidateProtocol, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	e.Register(cyclon.New(opts.CyclonViewSize, opts.CyclonShuffleLen))
-	learn := &LearnProtocol{Cfg: cfg, B: b}
-	e.RegisterWindow(learn, 1, 0, cfg.LearnRounds-1)
-	e.RegisterWindow(&AggProtocol{}, 1, cfg.LearnRounds, cfg.LearnRounds+cfg.AggRounds-1)
-	cons := &ConsolidateProtocol{B: b, CurrentDemandOnly: cfg.CurrentDemandOnly}
-	e.RegisterWindow(cons, 1, cfg.LearnRounds+cfg.AggRounds, -1)
-	return cons, nil
-}

@@ -377,38 +377,6 @@ func TestConsolidationCapacityGuard(t *testing.T) {
 	}
 }
 
-func TestInstallOnlineEndToEnd(t *testing.T) {
-	cl := genCluster(t, 16, 32, 100, 17)
-	e := sim.NewEngine(16, 17)
-	b, err := policy.Bind(e, cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{LearnRounds: 20, AggRounds: 20}
-	if _, err := InstallOnline(e, b, cfg, PretrainOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	e.RunRounds(80) // 40 pre-training + 40 consolidation
-	if cl.ActivePMs() >= 16 {
-		t.Fatalf("online stack did not consolidate: %d active", cl.ActivePMs())
-	}
-	if err := cl.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestInstallOnlineValidates(t *testing.T) {
-	cl := genCluster(t, 4, 8, 10, 1)
-	e := sim.NewEngine(4, 1)
-	b, err := policy.Bind(e, cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := InstallOnline(e, b, Config{Gamma: 2}, PretrainOptions{}); err == nil {
-		t.Fatal("expected validation error")
-	}
-}
-
 func TestPMStateHelpers(t *testing.T) {
 	cl := constCluster(t, 1, 4, 0.5, 0.25)
 	pm := cl.PMs[0]

@@ -2,6 +2,7 @@ package glap
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"github.com/glap-sim/glap/internal/policy"
 	"github.com/glap-sim/glap/internal/qlearn"
 	"github.com/glap-sim/glap/internal/sim"
+	"github.com/glap-sim/glap/internal/stats"
 )
 
 // roundOnly hides every optional engine contract of the wrapped protocol, so
@@ -149,6 +151,100 @@ func compareLaneRound(t *testing.T, name string, r int, lane, ref *sim.Engine, l
 	ld, rd := *laneAgg.rng.For(lane, 0xa66a66), *refAgg.rng.For(ref, 0xa66a66)
 	if ld.Uint64() != rd.Uint64() {
 		t.Errorf("%s round %d: aggregation draw streams differ", name, r)
+	}
+}
+
+// TestAggLanesConserveMass is the lossless-aggregation property behind the
+// gossip-TD conditions: every node's φ^out and φ^in start with the same cells
+// holding distinct values, and AggProtocol runs, lanes inline (Workers 1) and
+// concurrent (Workers 2). After every round, for each table separately, the
+// live nodes' sum of every cell must equal its initial sum up to a few ulps ×
+// N of rounding, and the cell's variance across nodes must not rise. A node
+// down from the start neither acts nor is picked as a peer: its tables stay
+// bit for bit as seeded.
+func TestAggLanesConserveMass(t *testing.T) {
+	const nodes, rounds, down = 40, 12, 7
+	cells := []qlearn.Key{{S: 0, A: 0}, {S: 0, A: 3}, {S: 5, A: 1}, {S: 9, A: 9}, {S: 40, A: 2}}
+	for _, workers := range []int{1, 2} {
+		e := sim.NewEngine(nodes, 3)
+		e.Workers = workers
+		e.Register(cyclon.New(0, 0))
+		storeOnly(e)
+		e.Register(&AggProtocol{})
+		e.RunRounds(0) // set up the stores
+		rng := sim.NewRNG(5)
+		for _, n := range e.Nodes() {
+			tb := TablesOf(e, n)
+			for _, k := range cells {
+				tb.Out.Set(k.S, k.A, rng.Float64()*10-5)
+				tb.In.Set(k.S, k.A, rng.Float64()*10-5)
+			}
+		}
+		e.SetUp(e.Node(down), false)
+
+		// column returns one cell of one table across the live nodes, and the
+		// down node's value.
+		column := func(lane int, k qlearn.Key) (live []float64, off float64) {
+			for _, n := range e.Nodes() {
+				tb := TablesOf(e, n).Out
+				if lane == 1 {
+					tb = TablesOf(e, n).In
+				}
+				if n.ID == down {
+					off = tb.Get(k.S, k.A)
+				} else {
+					live = append(live, tb.Get(k.S, k.A))
+				}
+			}
+			return live, off
+		}
+		type cellStat struct{ sum, tol, variance, off float64 }
+		var initial, last [mergeLanes][]cellStat
+		measure := func() (st [mergeLanes][]cellStat) {
+			for lane := range st {
+				for _, k := range cells {
+					live, off := column(lane, k)
+					sum, abs := 0.0, 0.0
+					for _, v := range live {
+						sum, abs = sum+v, abs+math.Abs(v)
+					}
+					ulp := math.Nextafter(abs, math.Inf(1)) - abs
+					st[lane] = append(st[lane], cellStat{
+						sum: sum, tol: 4 * nodes * ulp,
+						variance: stats.Variance(live), off: off,
+					})
+				}
+			}
+			return st
+		}
+		initial = measure()
+		last = initial
+		e.Observe(func(e *sim.Engine, r int) {
+			now := measure()
+			for lane := range now {
+				for i, c := range now[lane] {
+					c0, prev := initial[lane][i], last[lane][i]
+					if math.Abs(c.sum-c0.sum) > c0.tol {
+						t.Errorf("workers=%d round %d lane %d cell %v: sum %v, initially %v", workers, r, lane, cells[i], c.sum, c0.sum)
+					}
+					if c.variance > prev.variance {
+						t.Errorf("workers=%d round %d lane %d cell %v: variance rose %g -> %g", workers, r, lane, cells[i], prev.variance, c.variance)
+					}
+					if math.Float64bits(c.off) != math.Float64bits(c0.off) {
+						t.Errorf("workers=%d round %d lane %d cell %v: down node's value moved %v -> %v", workers, r, lane, cells[i], c0.off, c.off)
+					}
+				}
+			}
+			last = now
+		})
+		e.RunRounds(rounds)
+		for lane := range last {
+			for i, c := range last[lane] {
+				if c.variance > initial[lane][i].variance/100 {
+					t.Errorf("workers=%d lane %d cell %v: variance only fell %g -> %g in %d rounds", workers, lane, cells[i], initial[lane][i].variance, c.variance, rounds)
+				}
+			}
+		}
 	}
 }
 

@@ -7,63 +7,6 @@ import (
 	"github.com/glap-sim/glap/internal/stats"
 )
 
-// BenchmarkAverageRound measures one push-pull averaging round over 1000
-// nodes with uniform sampling.
-func BenchmarkAverageRound(b *testing.B) {
-	e := sim.NewEngine(1000, 1)
-	e.Register(NewAverage("avg", func(e *sim.Engine, n *sim.Node) float64 {
-		return float64(n.ID)
-	}, UniformSelector))
-	e.RunRounds(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.RunRounds(1)
-	}
-}
-
-// BenchmarkAsyncAverageRound measures the event-driven variant: one round of
-// message sends plus delivery draining.
-func BenchmarkAsyncAverageRound(b *testing.B) {
-	e := sim.NewEngine(1000, 1)
-	tr := sim.NewTransport(e, sim.ConstantLatency(1))
-	avg := &AsyncAverage{
-		ProtoName: "async",
-		Tr:        tr,
-		Init:      func(e *sim.Engine, n *sim.Node) float64 { return float64(n.ID) },
-	}
-	tr.Handle(avg)
-	e.Register(avg)
-	e.RunRounds(1)
-	e.RunEvents(-1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.RunRounds(1)
-		e.RunEvents(-1)
-	}
-}
-
-// BenchmarkMeanPairwiseCosine measures the Figure 5 instrumentation over 500
-// nodes with 200-cell sparse vectors.
-func BenchmarkMeanPairwiseCosine(b *testing.B) {
-	e := sim.NewEngine(500, 1)
-	e.Register(NewAverage("x", func(e *sim.Engine, n *sim.Node) float64 { return 0 }, UniformSelector))
-	e.RunRounds(1)
-	vecs := make([]map[int]float64, 500)
-	for i := range vecs {
-		v := make(map[int]float64, 200)
-		for k := 0; k < 200; k++ {
-			v[(i+k)%300] = float64(k)
-		}
-		vecs[i] = v
-	}
-	vf := func(e *sim.Engine, n *sim.Node) map[int]float64 { return vecs[n.ID] }
-	rng := sim.NewRNG(2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = MeanPairwiseCosine(e, vf, 64, rng)
-	}
-}
-
 // glapIOCells is the GLAP φ^io vector length: two 81×81 Q-tables.
 const glapIOCells = 2 * 81 * 81
 
@@ -103,8 +46,6 @@ func BenchmarkCosineSparse(b *testing.B) {
 // 500 nodes holding GLAP-sized dense vectors.
 func BenchmarkMeanPairwiseCosineDense(b *testing.B) {
 	e := sim.NewEngine(500, 1)
-	e.Register(NewAverage("x", func(e *sim.Engine, n *sim.Node) float64 { return 0 }, UniformSelector))
-	e.RunRounds(1)
 	vecs := make([][]float64, 500)
 	for i := range vecs {
 		v := make([]float64, glapIOCells)

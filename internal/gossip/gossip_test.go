@@ -8,53 +8,43 @@ import (
 	"github.com/glap-sim/glap/internal/sim"
 )
 
-func TestAverageConvergesUniformSelector(t *testing.T) {
-	const n = 50
-	e := sim.NewEngine(n, 1)
-	avg := NewAverage("avg", func(e *sim.Engine, node *sim.Node) float64 {
-		return float64(node.ID) // mean = (n-1)/2
-	}, UniformSelector)
-	e.Register(avg)
-	e.RunRounds(40)
-
-	want := float64(n-1) / 2
-	for _, node := range e.Nodes() {
-		got := StateOf[*Scalar](e, "avg", node).V
-		if math.Abs(got-want) > 0.5 {
-			t.Fatalf("node %d converged to %g, want ~%g", node.ID, got, want)
-		}
-	}
+// average is a push-pull averaging epidemic over CyclonSelector: each round
+// every up node picks a peer and both take the mean of their two values. It
+// conserves the live nodes' sum exactly as long as the selector only ever
+// returns a live peer.
+type average struct {
+	init func(n *sim.Node) float64
+	rng  *sim.RNG
 }
 
-func TestAverageConvergesCyclonSelector(t *testing.T) {
-	const n = 50
-	e := sim.NewEngine(n, 2)
-	e.Register(cyclon.New(8, 4))
-	avg := NewAverage("avg", func(e *sim.Engine, node *sim.Node) float64 {
-		if node.ID == 0 {
-			return float64(n) // one hot node
-		}
-		return 0
-	}, nil) // default: Cyclon
-	e.Register(avg)
-	e.RunRounds(60)
+func (a *average) Name() string { return "avg" }
 
-	for _, node := range e.Nodes() {
-		got := StateOf[*Scalar](e, "avg", node).V
-		if math.Abs(got-1) > 0.5 {
-			t.Fatalf("node %d converged to %g, want ~1", node.ID, got)
-		}
-	}
+func (a *average) Setup(e *sim.Engine, n *sim.Node) any {
+	v := a.init(n)
+	return &v
 }
+
+func (a *average) Round(e *sim.Engine, n *sim.Node, round int) {
+	peer := CyclonSelector(e, n, a.rng)
+	if peer < 0 {
+		return
+	}
+	if !e.Node(peer).Up() {
+		panic("CyclonSelector returned a down peer")
+	}
+	x, y := valueOf(e, n), valueOf(e, e.Node(peer))
+	*x = (*x + *y) / 2
+	*y = *x
+}
+
+func valueOf(e *sim.Engine, n *sim.Node) *float64 { return e.State("avg", n).(*float64) }
 
 func TestAveragePreservesMass(t *testing.T) {
-	// Push-pull averaging conserves the sum exactly.
+	// Push-pull averaging over Cyclon peers conserves the sum.
 	const n = 16
 	e := sim.NewEngine(n, 3)
-	avg := NewAverage("avg", func(e *sim.Engine, node *sim.Node) float64 {
-		return float64(node.ID * node.ID)
-	}, UniformSelector)
-	e.Register(avg)
+	e.Register(cyclon.New(8, 4))
+	e.Register(&average{init: func(n *sim.Node) float64 { return float64(n.ID * n.ID) }, rng: sim.NewRNG(3)})
 	var want float64
 	for i := 0; i < n; i++ {
 		want += float64(i * i)
@@ -62,218 +52,27 @@ func TestAveragePreservesMass(t *testing.T) {
 	e.RunRounds(25)
 	var got float64
 	for _, node := range e.Nodes() {
-		got += StateOf[*Scalar](e, "avg", node).V
+		got += *valueOf(e, node)
 	}
 	if math.Abs(got-want) > 1e-6 {
 		t.Fatalf("mass not conserved: %g vs %g", got, want)
 	}
 }
 
-func TestUniformSelector(t *testing.T) {
-	e := sim.NewEngine(10, 4)
-	e.Register(NewAverage("x", func(e *sim.Engine, n *sim.Node) float64 { return 0 }, UniformSelector))
-	e.RunRounds(1)
-	rng := sim.NewRNG(5)
-	counts := map[int]int{}
-	self := e.Node(0)
-	for i := 0; i < 2000; i++ {
-		p := UniformSelector(e, self, rng)
-		if p == 0 || p < 0 {
-			t.Fatalf("selected %d", p)
-		}
-		counts[p]++
-	}
-	for id := 1; id < 10; id++ {
-		if counts[id] < 120 {
-			t.Fatalf("peer %d selected only %d times", id, counts[id])
-		}
-	}
-}
-
-func TestUniformSelectorSkipsDead(t *testing.T) {
-	e := sim.NewEngine(5, 6)
-	e.Register(NewAverage("x", func(e *sim.Engine, n *sim.Node) float64 { return 0 }, UniformSelector))
-	e.RunRounds(1)
-	for id := 1; id < 4; id++ {
-		e.SetUp(e.Node(id), false)
-	}
-	rng := sim.NewRNG(7)
-	for i := 0; i < 50; i++ {
-		if p := UniformSelector(e, e.Node(0), rng); p != 4 {
-			t.Fatalf("selected %d, want 4 (only live peer)", p)
-		}
-	}
-	e.SetUp(e.Node(4), false)
-	if p := UniformSelector(e, e.Node(0), rng); p != -1 {
-		t.Fatalf("selected %d with no live peers", p)
-	}
-}
-
-func TestMeanPairwiseCosine(t *testing.T) {
-	e := sim.NewEngine(6, 8)
-	vecs := map[int]map[string]float64{
-		0: {"a": 1, "b": 2},
-		1: {"a": 1, "b": 2},
-		2: {"a": 1, "b": 2},
-		3: {"a": 1, "b": 2},
-		4: {"a": 1, "b": 2},
-		5: {"a": 1, "b": 2},
-	}
-	vf := func(e *sim.Engine, n *sim.Node) map[string]float64 { return vecs[n.ID] }
-	rng := sim.NewRNG(9)
-	if got := MeanPairwiseCosine(e, vf, 32, rng); math.Abs(got-1) > 1e-9 {
-		t.Fatalf("identical vectors similarity = %g", got)
-	}
-	// Orthogonal halves: mean similarity well below 1.
-	for id := 3; id < 6; id++ {
-		vecs[id] = map[string]float64{"c": 1}
-	}
-	if got := MeanPairwiseCosine(e, vf, 256, rng); got > 0.8 {
-		t.Fatalf("orthogonal halves similarity = %g", got)
-	}
-}
-
-func TestMeanPairwiseCosineEdgeCases(t *testing.T) {
-	e := sim.NewEngine(3, 10)
-	rng := sim.NewRNG(1)
-	// No holders at all: trivially converged.
-	empty := func(e *sim.Engine, n *sim.Node) map[string]float64 { return nil }
-	if got := MeanPairwiseCosine(e, empty, 8, rng); got != 1 {
-		t.Fatalf("no holders similarity = %g, want 1", got)
-	}
-	// Single holder.
-	one := func(e *sim.Engine, n *sim.Node) map[string]float64 {
-		if n.ID == 0 {
-			return map[string]float64{"a": 1}
-		}
-		return nil
-	}
-	if got := MeanPairwiseCosine(e, one, 8, rng); got != 1 {
-		t.Fatalf("single holder similarity = %g, want 1", got)
-	}
-}
-
-func TestAllPairsCosine(t *testing.T) {
-	e := sim.NewEngine(4, 11)
-	vecs := map[int]map[string]float64{
-		0: {"a": 1},
-		1: {"a": 1},
-		2: {"b": 1},
-		3: nil,
-	}
-	vf := func(e *sim.Engine, n *sim.Node) map[string]float64 { return vecs[n.ID] }
-	// Pairs: (0,1)=1, (0,2)=0, (1,2)=0 -> mean 1/3.
-	if got := AllPairsCosine(e, vf); math.Abs(got-1.0/3) > 1e-9 {
-		t.Fatalf("AllPairsCosine = %g, want 1/3", got)
-	}
-}
-
 func TestDeadNodesDoNotGossip(t *testing.T) {
 	e := sim.NewEngine(4, 12)
-	avg := NewAverage("avg", func(e *sim.Engine, n *sim.Node) float64 {
-		return float64(n.ID)
-	}, UniformSelector)
-	e.Register(avg)
+	e.Register(cyclon.New(8, 4))
+	e.Register(&average{init: func(n *sim.Node) float64 { return float64(n.ID) }, rng: sim.NewRNG(12)})
 	e.SetUp(e.Node(3), false)
 	e.RunRounds(30)
 	// Node 3's value must be untouched: nobody selects it, it never acts.
-	if got := StateOf[*Scalar](e, "avg", e.Node(3)).V; got != 3 {
+	if got := *valueOf(e, e.Node(3)); got != 3 {
 		t.Fatalf("dead node value changed to %g", got)
 	}
 	// Live nodes converge to mean of 0,1,2 = 1.
 	for id := 0; id < 3; id++ {
-		got := StateOf[*Scalar](e, "avg", e.Node(id)).V
-		if math.Abs(got-1) > 0.2 {
+		if got := *valueOf(e, e.Node(id)); math.Abs(got-1) > 0.2 {
 			t.Fatalf("node %d converged to %g, want ~1", id, got)
 		}
-	}
-}
-
-func TestMeanPairwiseCosineDense(t *testing.T) {
-	e := sim.NewEngine(6, 8)
-	vecs := make([][]float64, 6)
-	for i := range vecs {
-		vecs[i] = []float64{1, 2, 0}
-	}
-	vf := func(e *sim.Engine, n *sim.Node) []float64 { return vecs[n.ID] }
-	rng := sim.NewRNG(9)
-	if got := MeanPairwiseCosineDense(e, vf, 32, rng); math.Abs(got-1) > 1e-9 {
-		t.Fatalf("identical vectors similarity = %g", got)
-	}
-	// Orthogonal halves: mean similarity well below 1.
-	for id := 3; id < 6; id++ {
-		vecs[id] = []float64{0, 0, 1}
-	}
-	if got := MeanPairwiseCosineDense(e, vf, 256, rng); got > 0.8 {
-		t.Fatalf("orthogonal halves similarity = %g", got)
-	}
-}
-
-func TestMeanPairwiseCosineDenseEdgeCases(t *testing.T) {
-	e := sim.NewEngine(3, 10)
-	rng := sim.NewRNG(1)
-	empty := func(e *sim.Engine, n *sim.Node) []float64 { return nil }
-	if got := MeanPairwiseCosineDense(e, empty, 8, rng); got != 1 {
-		t.Fatalf("no holders similarity = %g, want 1", got)
-	}
-	one := func(e *sim.Engine, n *sim.Node) []float64 {
-		if n.ID == 0 {
-			return []float64{1}
-		}
-		return nil
-	}
-	if got := MeanPairwiseCosineDense(e, one, 8, rng); got != 1 {
-		t.Fatalf("single holder similarity = %g, want 1", got)
-	}
-	// Down nodes are excluded like in the map-based variant.
-	all := func(e *sim.Engine, n *sim.Node) []float64 { return []float64{1} }
-	e.SetUp(e.Node(1), false)
-	e.SetUp(e.Node(2), false)
-	if got := MeanPairwiseCosineDense(e, all, 8, rng); got != 1 {
-		t.Fatalf("single up holder similarity = %g, want 1", got)
-	}
-}
-
-func TestAllPairsCosineDense(t *testing.T) {
-	e := sim.NewEngine(4, 11)
-	vecs := [][]float64{
-		{1, 0},
-		{1, 0},
-		{0, 1},
-		nil,
-	}
-	vf := func(e *sim.Engine, n *sim.Node) []float64 { return vecs[n.ID] }
-	// Pairs: (0,1)=1, (0,2)=0, (1,2)=0 -> mean 1/3.
-	if got := AllPairsCosineDense(e, vf); math.Abs(got-1.0/3) > 1e-9 {
-		t.Fatalf("AllPairsCosineDense = %g, want 1/3", got)
-	}
-}
-
-// TestDenseMatchesMapCosine cross-checks the two instrumentation paths on
-// identical data: the dense vectors are the map vectors laid out over a
-// fixed index space, so all-pairs similarity must agree to float rounding.
-func TestDenseMatchesMapCosine(t *testing.T) {
-	const dim = 64
-	e := sim.NewEngine(8, 13)
-	rng := sim.NewRNG(17)
-	maps := make([]map[int]float64, 8)
-	dense := make([][]float64, 8)
-	for i := range maps {
-		maps[i] = make(map[int]float64)
-		dense[i] = make([]float64, dim)
-		for k := 0; k < dim; k++ {
-			if rng.Float64() < 0.4 {
-				v := rng.Float64()*4 - 2
-				maps[i][k] = v
-				dense[i][k] = v
-			}
-		}
-	}
-	mf := func(e *sim.Engine, n *sim.Node) map[int]float64 { return maps[n.ID] }
-	df := func(e *sim.Engine, n *sim.Node) []float64 { return dense[n.ID] }
-	got := AllPairsCosineDense(e, df)
-	want := AllPairsCosine(e, mf)
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("dense %g vs map %g", got, want)
 	}
 }

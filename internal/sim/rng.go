@@ -77,9 +77,6 @@ func (r *RNG) Uint64() uint64 {
 	return result
 }
 
-// Int63 returns a non-negative random int64.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Intn returns a uniform random int in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
@@ -201,16 +198,6 @@ func (r *RNG) NormFloat64() float64 {
 		s := u*u + v*v
 		if s > 0 && s < 1 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
-// ExpFloat64 returns an exponential variate with rate 1.
-func (r *RNG) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
 		}
 	}
 }

@@ -177,22 +177,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestExpFloat64(t *testing.T) {
-	r := NewRNG(37)
-	const n = 100000
-	var sum float64
-	for i := 0; i < n; i++ {
-		v := r.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("negative exponential variate: %g", v)
-		}
-		sum += v
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.03 {
-		t.Fatalf("exponential mean too far from 1: %g", mean)
-	}
-}
-
 func TestParetoAndLogNormalPositive(t *testing.T) {
 	r := NewRNG(41)
 	for i := 0; i < 1000; i++ {
@@ -213,15 +197,6 @@ func TestBernoulliExtremes(t *testing.T) {
 		}
 		if !r.Bernoulli(1) {
 			t.Fatal("Bernoulli(1) returned false")
-		}
-	}
-}
-
-func TestInt63NonNegative(t *testing.T) {
-	r := NewRNG(47)
-	for i := 0; i < 1000; i++ {
-		if r.Int63() < 0 {
-			t.Fatal("Int63 returned negative")
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit used throughout the
 // GLAP reproduction: summary statistics, percentiles, cosine similarity
-// between Q-tables, histograms, and the normality diagnostics used to check
+// between Q-tables, and the normality diagnostics used to check
 // Theorem 1 (convergence of gossip-aggregated Q-values to a normal
 // distribution).
 package stats
@@ -227,77 +227,6 @@ func JarqueBera(xs []float64) float64 {
 	return n / 6 * (s*s + k*k/4)
 }
 
-// Histogram bins xs into nbins equal-width bins spanning [min, max] and
-// returns the bin counts together with the bin edges (nbins+1 values). A
-// sample equal to max lands in the last bin.
-func Histogram(xs []float64, nbins int) (counts []int, edges []float64, err error) {
-	if len(xs) == 0 {
-		return nil, nil, ErrEmpty
-	}
-	if nbins <= 0 {
-		return nil, nil, errors.New("stats: nbins must be positive")
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	if lo == hi {
-		hi = lo + 1
-	}
-	counts = make([]int, nbins)
-	edges = make([]float64, nbins+1)
-	width := (hi - lo) / float64(nbins)
-	for i := range edges {
-		edges[i] = lo + float64(i)*width
-	}
-	for _, x := range xs {
-		bin := int((x - lo) / width)
-		if bin >= nbins {
-			bin = nbins - 1
-		}
-		counts[bin]++
-	}
-	return counts, edges, nil
-}
-
-// Welford is an online mean/variance accumulator (Welford's algorithm). The
-// zero value is ready to use.
-type Welford struct {
-	n    int64
-	mean float64
-	m2   float64
-}
-
-// Add folds x into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of samples added.
-func (w *Welford) N() int64 { return w.n }
-
-// Mean returns the running mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the running population variance.
-func (w *Welford) Variance() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// StdDev returns the running population standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
 // Autocorrelation returns the lag-k autocorrelation of xs, used to validate
 // that generated traces carry the strong temporal correlation seen in the
 // Google cluster data.
@@ -319,17 +248,4 @@ func Autocorrelation(xs []float64, lag int) float64 {
 		num += (xs[i] - m) * (xs[i+lag] - m)
 	}
 	return num / den
-}
-
-// CI95 returns the half-width of the normal-approximation 95% confidence
-// interval of the mean of xs (1.96·s/√n). It returns 0 for fewer than two
-// samples; for the small replication counts used here it slightly
-// understates the t-based interval, which is acceptable for the
-// order-of-magnitude comparisons the harness prints.
-func CI95(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	return 1.96 * StdDev(xs) / math.Sqrt(float64(n))
 }

@@ -226,53 +226,6 @@ func TestJarqueBera(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	counts, edges, err := Histogram([]float64{0, 0.5, 1, 1.5, 2}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(counts) != 2 || len(edges) != 3 {
-		t.Fatalf("bad shapes: %v %v", counts, edges)
-	}
-	if counts[0]+counts[1] != 5 {
-		t.Fatalf("counts don't sum to n: %v", counts)
-	}
-	// Max value must land in the last bin, not overflow.
-	if counts[1] < 1 {
-		t.Fatal("max sample not binned")
-	}
-	if _, _, err := Histogram(nil, 3); err != ErrEmpty {
-		t.Fatal("expected ErrEmpty")
-	}
-	if _, _, err := Histogram([]float64{1}, 0); err == nil {
-		t.Fatal("expected error for nbins=0")
-	}
-	// Constant data should not divide by zero.
-	counts, _, err = Histogram([]float64{3, 3, 3}, 4)
-	if err != nil || counts[0] != 3 {
-		t.Fatalf("constant data: %v %v", counts, err)
-	}
-}
-
-func TestWelfordMatchesBatch(t *testing.T) {
-	xs := []float64{1.5, -2, 3.25, 0, 7, -1.125}
-	var w Welford
-	for _, x := range xs {
-		w.Add(x)
-	}
-	if w.N() != int64(len(xs)) {
-		t.Fatalf("N = %d", w.N())
-	}
-	almost(t, w.Mean(), Mean(xs), 1e-12, "welford mean")
-	almost(t, w.Variance(), Variance(xs), 1e-12, "welford variance")
-	almost(t, w.StdDev(), StdDev(xs), 1e-12, "welford stddev")
-
-	var empty Welford
-	if empty.Variance() != 0 {
-		t.Fatal("empty Welford variance should be 0")
-	}
-}
-
 func TestAutocorrelation(t *testing.T) {
 	// A constant series has zero denominator -> 0 by convention.
 	if Autocorrelation([]float64{1, 1, 1}, 1) != 0 {
@@ -308,16 +261,4 @@ func TestMedian(t *testing.T) {
 	almost(t, m, 5, 1e-12, "odd median")
 	m, _ = Median([]float64{1, 2, 3, 4})
 	almost(t, m, 2.5, 1e-12, "even median")
-}
-
-func TestCI95(t *testing.T) {
-	if CI95([]float64{5}) != 0 {
-		t.Fatal("single sample CI should be 0")
-	}
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9} // stddev 2, n 8
-	want := 1.96 * 2 / math.Sqrt(8)
-	almost(t, CI95(xs), want, 1e-12, "CI95")
-	if CI95([]float64{3, 3, 3}) != 0 {
-		t.Fatal("constant sample CI should be 0")
-	}
 }

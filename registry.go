@@ -91,6 +91,13 @@ func policySpec(p Policy) (PolicySpec, bool) {
 	return spec, ok
 }
 
+// Pretrains reports whether p's stack runs GLAP pre-training, and so whether
+// Run fills Result.Pretrain for an experiment without PretrainedTables.
+func (p Policy) Pretrains() bool {
+	spec, ok := policySpec(p)
+	return ok && spec.Pretrain
+}
+
 // RegisteredPolicies lists every registered policy name in sorted order.
 func RegisteredPolicies() []Policy {
 	names := make([]Policy, 0, len(policyRegistry))

@@ -118,8 +118,21 @@ type robustCellRep struct {
 // runs the synchronous reference, and then replays every (loss, latency)
 // cell on an identically placed cluster with the same shared tables, so all
 // comparisons are paired.
+// Every cell's experiment is validated before any replication starts.
 func RunRobust(cfg RobustConfig) (*RobustResult, error) {
 	cfg = cfg.withDefaults()
+	x := robustExperiment(cfg, 0)
+	if err := x.Validate(); err != nil {
+		return nil, err
+	}
+	for _, drop := range cfg.DropProbs {
+		for _, lat := range cfg.Latencies {
+			xc := robustCell(x, drop, lat)
+			if err := xc.Validate(); err != nil {
+				return nil, fmt.Errorf("robustness cell %v: %w", RobustCell{DropProb: drop, Latency: lat}, err)
+			}
+		}
+	}
 	reps := sim.RunReplications(cfg.Reps, cfg.Workers, func(rep int) robustRep {
 		return runRobustRep(cfg, rep)
 	})
@@ -170,10 +183,9 @@ func RunRobust(cfg RobustConfig) (*RobustResult, error) {
 	return res, nil
 }
 
-// runRobustRep executes one full replication: pretrain, sync reference, and
-// every async grid cell.
-func runRobustRep(cfg RobustConfig, rep int) (out robustRep) {
-	x := Experiment{
+// robustExperiment is replication rep's synchronous reference experiment.
+func robustExperiment(cfg RobustConfig, rep int) Experiment {
+	return Experiment{
 		PMs: cfg.PMs, Ratio: cfg.Ratio, Rounds: cfg.Rounds,
 		Seed: sim.ReplicationSeed(cfg.Seed, rep), Policy: PolicyGLAP, GLAP: cfg.GLAP,
 		// prepareStack's Cyclon overlay defaults these; the historical grid
@@ -181,10 +193,20 @@ func runRobustRep(cfg RobustConfig, rep int) (out robustRep) {
 		// parameters for seed-for-seed identical cells.
 		CyclonViewSize: 20, CyclonShuffleLen: 8,
 	}
-	if err := x.Validate(); err != nil {
-		out.err = err
-		return
-	}
+}
+
+// robustCell is the reference experiment x run over messages with one grid
+// cell's loss probability and latency.
+func robustCell(x Experiment, drop float64, lat int64) Experiment {
+	x.Policy = PolicyGLAPAsync
+	x.Net = NetConfig{Latency: lat, DropProb: drop}
+	return x
+}
+
+// runRobustRep executes one full replication: pretrain, sync reference, and
+// every async grid cell. RunRobust has validated every experiment it builds.
+func runRobustRep(cfg RobustConfig, rep int) (out robustRep) {
+	x := robustExperiment(cfg, rep)
 	w, err := workloadFor(x)
 	if err != nil {
 		out.err = err
@@ -228,10 +250,7 @@ func runRobustRep(cfg RobustConfig, rep int) (out robustRep) {
 	// shuffling match the reference and only the transport differs.
 	for _, drop := range cfg.DropProbs {
 		for _, lat := range cfg.Latencies {
-			xc := x
-			xc.Policy = PolicyGLAPAsync
-			xc.Net = NetConfig{Latency: lat, DropProb: drop}
-			c, e, ctx, err := prepareStack(xc, w, shared)
+			c, e, ctx, err := prepareStack(robustCell(x, drop, lat), w, shared)
 			if err != nil {
 				out.err = err
 				return

@@ -3,6 +3,7 @@ package glapsim
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -67,6 +68,28 @@ func TestRobustGridEquivalenceAndLeaks(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res, seq) {
 		t.Fatalf("robust grid diverged between default workers and Workers=1:\n%+v\nvs\n%+v", res, seq)
+	}
+}
+
+// TestRobustRejectsHostileGrid: a loss probability outside [0, 1] — NaN
+// included — or a negative latency is refused with an error naming the cell,
+// before any replication runs.
+func TestRobustRejectsHostileGrid(t *testing.T) {
+	cases := []struct {
+		drops []float64
+		lats  []int64
+	}{
+		{[]float64{2}, []int64{1}},
+		{[]float64{-0.1}, []int64{1}},
+		{[]float64{math.NaN()}, []int64{1}},
+		{[]float64{0}, []int64{-1}},
+	}
+	for _, c := range cases {
+		cfg := RobustConfig{PMs: 20, Ratio: 2, Rounds: 10, Reps: 1, DropProbs: c.drops, Latencies: c.lats}
+		res, err := RunRobust(cfg)
+		if err == nil || !strings.Contains(err.Error(), "robustness cell") {
+			t.Fatalf("drops %v lats %v: got %+v, %v; want the cell refused", c.drops, c.lats, res, err)
+		}
 	}
 }
 
