@@ -7,10 +7,7 @@ package glapsim
 import (
 	"testing"
 
-	"github.com/glap-sim/glap/internal/cyclon"
 	"github.com/glap-sim/glap/internal/glap"
-	"github.com/glap-sim/glap/internal/metrics"
-	"github.com/glap-sim/glap/internal/policy"
 	"github.com/glap-sim/glap/internal/sim"
 	"github.com/glap-sim/glap/internal/stats"
 )
@@ -30,34 +27,18 @@ func runNoAggregationAblation(tb testing.TB, agg bool, seed uint64) float64 {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	preCluster, err := buildCluster(x, w)
+	pre, shared, err := pretrain(x, w)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	pre, err := glap.Pretrain(x.GLAP, preCluster, deriveSeed(x.Seed, seedPretrain), glap.PretrainOptions{})
+	s, err := prepareStack(x, w, shared)
 	if err != nil {
 		tb.Fatal(err)
 	}
-
-	cl, err := buildCluster(x, w)
-	if err != nil {
-		tb.Fatal(err)
+	s.sync.Tables = func(e *sim.Engine, n *sim.Node) *glap.NodeTables {
+		return pre.Tables[n.ID] // per-node tables, merged or not
 	}
-	e := sim.NewEngine(x.PMs, deriveSeed(x.Seed, seedEngine))
-	bnd, err := policy.Bind(e, cl)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	e.Register(cyclon.New(0, 0))
-	cons := &glap.ConsolidateProtocol{
-		B: bnd,
-		Tables: func(e *sim.Engine, n *sim.Node) *glap.NodeTables {
-			return pre.Tables[n.ID] // per-node tables, merged or not
-		},
-	}
-	e.Register(cons)
-	series := metrics.Attach(e, cl, 0)
-	e.RunRounds(x.Rounds)
+	series, _ := s.run()
 	return stats.Mean(series.OverloadedPerRound())
 }
 

@@ -8,45 +8,21 @@ import (
 	"testing"
 
 	"github.com/glap-sim/glap/internal/cyclon"
-	"github.com/glap-sim/glap/internal/glap"
-	"github.com/glap-sim/glap/internal/metrics"
 	"github.com/glap-sim/glap/internal/policy"
 	"github.com/glap-sim/glap/internal/sim"
 )
 
-// buildGLAPRun assembles a GLAP consolidation engine with freshly
-// pre-trained tables, returning the engine, binding and series so tests can
-// drive rounds manually and inject events between them.
-func buildGLAPRun(t *testing.T, x Experiment) (*sim.Engine, *policy.Binding, *metrics.Series) {
+// buildGLAPRun prepares a GLAP consolidation run over freshly pre-trained
+// tables and returns its engine and binding, so tests can drive rounds
+// manually and inject events between them.
+func buildGLAPRun(t *testing.T, x Experiment) (*sim.Engine, *policy.Binding) {
 	t.Helper()
 	w, err := workloadFor(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	preCluster, err := buildCluster(x, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pre, err := glap.Pretrain(x.GLAP, preCluster, deriveSeed(x.Seed, seedPretrain), glap.PretrainOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared, err := glap.SharedTables(pre)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := buildCluster(x, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := sim.NewEngine(x.PMs, deriveSeed(x.Seed, seedEngine))
-	b, err := policy.Bind(e, cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	glap.InstallConsolidation(e, b, shared, x.GLAP, glap.PretrainOptions{})
-	series := metrics.Attach(e, cl, 0)
-	return e, b, series
+	s := testStack(t, x, w)
+	return s.e, s.b
 }
 
 func TestChurnCapacityExpansion(t *testing.T) {
@@ -57,7 +33,7 @@ func TestChurnCapacityExpansion(t *testing.T) {
 	x := smallExperiment(PolicyGLAP)
 	x.PMs = 30
 	x.Rounds = 120
-	e, b, _ := buildGLAPRun(t, x)
+	e, b := buildGLAPRun(t, x)
 
 	e.RunRounds(50)
 	cl := b.C
@@ -89,7 +65,7 @@ func TestChurnOverlaySurvivesMassPowerOff(t *testing.T) {
 	x := smallExperiment(PolicyGLAP)
 	x.PMs = 30
 	x.Rounds = 100
-	e, b, _ := buildGLAPRun(t, x)
+	e, b := buildGLAPRun(t, x)
 
 	e.RunRounds(20)
 	cl := b.C
@@ -161,44 +137,14 @@ func TestInvariantsEveryRoundAllPolicies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			x.Workload = w
-			// Rebuild the run manually so we can observe per-round.
-			var shared *glap.NodeTables
-			if p == PolicyGLAP {
-				preCluster, err := buildCluster(x, w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pre, err := glap.Pretrain(x.GLAP, preCluster, deriveSeed(x.Seed, seedPretrain), glap.PretrainOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				shared, err = glap.SharedTables(pre)
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			cl, err := buildCluster(x, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e := sim.NewEngine(x.PMs, deriveSeed(x.Seed, seedEngine))
-			b, err := policy.Bind(e, cl)
-			if err != nil {
-				t.Fatal(err)
-			}
-			switch p {
-			case PolicyGLAP:
-				glap.InstallConsolidation(e, b, shared, x.GLAP, glap.PretrainOptions{})
-			default:
-				installBaseline(t, e, b, p)
-			}
-			e.Observe(func(e *sim.Engine, round int) {
-				if err := cl.CheckInvariants(); err != nil {
+			// Assemble the run as Run does, observing every round.
+			s := testStack(t, x, w)
+			s.e.Observe(func(e *sim.Engine, round int) {
+				if err := s.c.CheckInvariants(); err != nil {
 					t.Fatalf("round %d: %v", round, err)
 				}
 			})
-			e.RunRounds(x.Rounds)
+			s.run()
 		})
 	}
 }

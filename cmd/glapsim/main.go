@@ -134,8 +134,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		case p.AggRounds > 0:
 			consensus = " (tables never identical)"
 		}
-		fmt.Fprintf(stderr, "GLAP:  pre-training convergence=%.4f, learn %d rounds + aggregate %d rounds%s\n",
-			p.FinalSimilarity(), p.LearnRounds, p.AggRounds, consensus)
+		fmt.Fprintf(stderr, "GLAP:  pre-training learn %d rounds + aggregate %d rounds%s\n",
+			p.LearnRounds, p.AggRounds, consensus)
 	}
 	return nil
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -57,5 +59,22 @@ func TestRunRows(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "policy=none pms=4 vms=8 rounds=7") {
 		t.Fatalf("summary missing:\n%s", stderr.String())
+	}
+}
+
+// TestRunSummaryReportsConsensus: a GLAP run's summary line names the
+// pre-training round from which every PM held identical tables, and prints
+// no convergence figure, which a run never measures.
+func TestRunSummaryReportsConsensus(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-pms", "6", "-ratio", "2", "-rounds", "3"}, &stdout, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`\nGLAP:  pre-training learn 500 rounds \+ aggregate 200 rounds \(identical tables from round (\d+)\)\n`).FindStringSubmatch(stderr.String())
+	if m == nil || strings.Contains(stderr.String(), "convergence") {
+		t.Fatalf("summary line missing or reports an unmeasured convergence:\n%s", stderr.String())
+	}
+	if r, _ := strconv.Atoi(m[1]); r < 500 || r >= 700 {
+		t.Fatalf("consensus round %d outside the aggregation phase [500, 700)", r)
 	}
 }

@@ -34,7 +34,7 @@ func main() {
 
 	last, _ := res.Series.Last()
 	fmt.Printf("GLAP quickstart — %d PMs, %d VMs, %d rounds\n", cfg.PMs, cfg.PMs*cfg.Ratio, cfg.Rounds)
-	fmt.Printf("  pre-training convergence (cosine): %.4f\n", res.Pretrain.FinalSimilarity())
+	fmt.Printf("  pre-training consensus round:      %d (first with identical Q-tables; -1: none)\n", res.Pretrain.ConsensusRound)
 	fmt.Printf("  active PMs at end:                 %d (BFD oracle: %d)\n", last.ActivePMs, res.BFDBaseline)
 	fmt.Printf("  overloaded PMs at end:             %d\n", last.OverloadedPMs)
 	fmt.Printf("  total migrations:                  %d\n", last.Migrations)

@@ -10,24 +10,25 @@
 //
 // res.Series then holds the per-round metrics the paper's figures are drawn
 // from, and res.Series.SLAV the Table I metric.
+//
+// The six policies are a fixed set: stacks.go switches on Experiment.Policy
+// to install each one's protocols, and every runner in the package (Run,
+// RunRobust, RunScenarios) assembles its runs through that file.
 package glapsim
 
 import (
 	"fmt"
 
-	"github.com/glap-sim/glap/internal/cyclon"
 	"github.com/glap-sim/glap/internal/dc"
 	"github.com/glap-sim/glap/internal/glap"
 	"github.com/glap-sim/glap/internal/metrics"
-	"github.com/glap-sim/glap/internal/policy"
 	"github.com/glap-sim/glap/internal/sim"
 	"github.com/glap-sim/glap/internal/topology"
 	"github.com/glap-sim/glap/internal/trace"
 )
 
-// Policy selects the consolidation algorithm under test. Each policy is a
-// registry entry (see RegisterPolicy); the constants below are the built-in
-// stacks registered in stacks.go.
+// Policy selects the consolidation algorithm under test: one of the
+// constants below, each installed by prepareStack's switch in stacks.go.
 type Policy string
 
 // The four policies of the evaluation plus None (no consolidation) and the
@@ -76,11 +77,10 @@ type Experiment struct {
 	// PretrainedTables skips GLAP pre-training and uses this checkpointed
 	// Q store directly (see glap.SaveTables / glap.LoadTables).
 	PretrainedTables *glap.NodeTables
-	// Pretrain tunes GLAP pre-training measurement (optional).
-	Pretrain glap.PretrainOptions
 	// CyclonViewSize / CyclonShuffleLen configure the Cyclon peer-sampling
-	// overlay of the distributed policies and of GLAP pre-training
-	// (defaults 20 / 8).
+	// overlay of the distributed policies and of GLAP pre-training. Zero
+	// takes cyclon.New's defaults: view 20, shuffle (view+1)/2, so 10 at
+	// the default view.
 	CyclonViewSize   int
 	CyclonShuffleLen int
 	// LogMigrations keeps per-migration records on the cluster.
@@ -118,8 +118,9 @@ type Experiment struct {
 	RacksPerPod int
 	// TopologyAware switches GLAP's consolidation to locality-aware peer
 	// selection (same rack, then same pod, then anywhere), so racks drain
-	// and their switches sleep. Only meaningful with PolicyGLAP and
-	// RackSize > 0.
+	// and their switches sleep. Requires RackSize > 0. Under PolicyGLAP it
+	// also turns on the rack-occupancy direction rule; under PolicyGLAPAsync
+	// it changes peer selection only. Other policies ignore it.
 	TopologyAware bool
 }
 
@@ -151,7 +152,7 @@ func (x *Experiment) Validate() error {
 	if x.Rounds <= 0 {
 		return fmt.Errorf("glapsim: Rounds must be positive, got %d", x.Rounds)
 	}
-	if _, ok := policySpec(x.Policy); !ok {
+	if _, _, ok := x.Policy.needs(); !ok {
 		return fmt.Errorf("glapsim: unknown policy %q", x.Policy)
 	}
 	// Both probability checks are written positively so that NaN, which
@@ -297,114 +298,34 @@ func deriveSeed(seed uint64, purpose seedPurpose) uint64 {
 	return sim.NewRNG(seed).Derive(uint64(purpose)).Uint64()
 }
 
-// prepareStack assembles one fully wired run: an identically placed cluster
-// for the experiment's seed, a fresh engine, the cluster binding, the
-// topology model, the Cyclon overlay (when the policy's spec wants one) and the
-// policy stack itself. Run, the robustness grid and the scenario suite all
-// build their paired runs through this one path, so two calls with the same
-// Experiment and workload differ in nothing but what the caller installs on
-// top (metrics, fault plans, per-node table stores).
-func prepareStack(x Experiment, w *trace.Set, shared *glap.NodeTables) (*dc.Cluster, *sim.Engine, *StackContext, error) {
-	spec, ok := policySpec(x.Policy)
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("glapsim: unknown policy %q", x.Policy)
-	}
-	c, err := buildCluster(x, w)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	c.Workers = x.Workers
-	e := sim.NewEngine(x.PMs, deriveSeed(x.Seed, seedEngine))
-	e.Workers = x.Workers
-	b, err := policy.Bind(e, c)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	tree, err := x.tree()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	ctx := &StackContext{X: x, E: e, B: b, Tables: shared, Tree: tree, Artifacts: &StackArtifacts{}}
-	if spec.Overlay {
-		e.Register(cyclon.New(x.CyclonViewSize, x.CyclonShuffleLen))
-	}
-	if err := spec.Build(ctx); err != nil {
-		return nil, nil, nil, err
-	}
-	return c, e, ctx, nil
-}
-
 // Run executes one replication of the experiment and returns its result.
-// The policy's registered spec drives the wiring: pre-training and overlay
-// construction happen only when the spec asks for them, and the stack
-// itself is installed by the spec's builder.
+// GLAP's policies pre-train first, unless the experiment injects
+// PretrainedTables.
 func Run(x Experiment) (*Result, error) {
 	if err := x.Validate(); err != nil {
 		return nil, err
-	}
-	spec, ok := policySpec(x.Policy)
-	if !ok {
-		return nil, fmt.Errorf("glapsim: unknown policy %q", x.Policy)
 	}
 	w, err := workloadFor(x)
 	if err != nil {
 		return nil, err
 	}
-
-	var pretrain *glap.PretrainResult
+	var pre *glap.PretrainResult
 	shared := x.PretrainedTables
-	if spec.Pretrain && shared == nil {
-		// Pre-train on a separate, identically placed cluster so the
-		// comparison run replays the same trace window as the baselines
-		// (the paper executes "700 more rounds to calculate Q-values
-		// beforehand").
-		preCluster, err := buildCluster(x, w)
-		if err != nil {
-			return nil, err
-		}
-		opts := x.Pretrain
-		if opts.CyclonViewSize == 0 {
-			opts.CyclonViewSize = x.CyclonViewSize
-		}
-		if opts.CyclonShuffleLen == 0 {
-			opts.CyclonShuffleLen = x.CyclonShuffleLen
-		}
-		if opts.Workers == 0 {
-			opts.Workers = x.Workers
-		}
-		pretrain, err = glap.Pretrain(x.GLAP, preCluster, deriveSeed(x.Seed, seedPretrain), opts)
-		if err != nil {
-			return nil, err
-		}
-		shared, err = glap.SharedTables(pretrain)
-		if err != nil {
+	if x.Policy.Pretrains() && shared == nil {
+		if pre, shared, err = pretrain(x, w); err != nil {
 			return nil, err
 		}
 	}
-
-	c, e, ctx, err := prepareStack(x, w, shared)
+	s, err := prepareStack(x, w, shared)
 	if err != nil {
 		return nil, err
 	}
-
-	series := metrics.Attach(e, c, 0)
-	var network *metrics.NetworkSeries
-	if ctx.Tree != nil {
-		network = metrics.AttachNetwork(e, c, ctx.Tree, topology.DefaultSwitchSpec)
-	}
-	e.RunRounds(x.Rounds)
-	if spec.Drain {
-		// Run the event queue dry so in-flight messages, request timeouts
-		// and reservation holds settle before the final measurements.
-		e.RunEvents(-1)
-	}
-	series.Finalize(c)
-
+	series, network := s.run()
 	return &Result{
 		Series:      series,
-		Cluster:     c,
-		Pretrain:    pretrain,
-		BFDBaseline: bfdOracle(c),
+		Cluster:     s.c,
+		Pretrain:    pre,
+		BFDBaseline: bfdOracle(s.c),
 		Network:     network,
 	}, nil
 }

@@ -53,7 +53,11 @@ func TestRunEveryPolicy(t *testing.T) {
 	for _, p := range append([]Policy{PolicyNone}, Policies...) {
 		p := p
 		t.Run(string(p), func(t *testing.T) {
-			res, err := Run(smallExperiment(p))
+			x := smallExperiment(p)
+			// Exact consensus at 20 PMs takes about 66 aggregation rounds,
+			// more than fastGLAP's 20.
+			x.GLAP.AggRounds = 100
+			res, err := Run(x)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,8 +90,8 @@ func TestRunEveryPolicy(t *testing.T) {
 				if res.Pretrain == nil {
 					t.Fatal("GLAP result missing pretrain info")
 				}
-				if res.Pretrain.FinalSimilarity() < 0.99 {
-					t.Fatalf("pretrain similarity %g", res.Pretrain.FinalSimilarity())
+				if pre := res.Pretrain; pre.ConsensusRound < pre.LearnRounds {
+					t.Fatalf("no aggregation round reached identical tables: ConsensusRound %d", pre.ConsensusRound)
 				}
 			} else if res.Pretrain != nil {
 				t.Fatal("non-GLAP policies must not pretrain")

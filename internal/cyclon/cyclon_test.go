@@ -138,8 +138,8 @@ func TestNewDefaults(t *testing.T) {
 	if p.ViewSize != 20 {
 		t.Fatalf("default view size %d", p.ViewSize)
 	}
-	if p.ShuffleLen <= 0 || p.ShuffleLen > p.ViewSize {
-		t.Fatalf("default shuffle length %d", p.ShuffleLen)
+	if p.ShuffleLen != 10 { // (20+1)/2
+		t.Fatalf("default shuffle length %d, want 10", p.ShuffleLen)
 	}
 	p = New(10, 99) // shuffle > view clamps
 	if p.ShuffleLen > p.ViewSize {

@@ -13,6 +13,11 @@ import (
 // variant.
 const AsyncConsolidateProtocolName = "glap-consolidate-async"
 
+// offerAttempts is the number of times an offer is (re)sent before the
+// sequence is abandoned. Retries reuse the offer token, so duplicates are
+// idempotent at the target.
+const offerAttempts = 2
+
 // AsyncConsolidateProtocol is the message-passing realisation of Algorithm 3:
 // where ConsolidateProtocol uses the simulator shortcut of running both
 // endpoints' UPDATESTATE inside one round callback, this variant performs the
@@ -55,10 +60,6 @@ type AsyncConsolidateProtocol struct {
 	// 2×RoundPeriod at first use. Deployments on slow links should scale it
 	// with the expected round-trip.
 	OfferTimeout int64
-	// OfferAttempts is the number of times an offer is (re)sent before the
-	// sequence is abandoned (default 2). Retries reuse the offer token, so
-	// duplicates are idempotent at the target.
-	OfferAttempts int
 
 	// Counters for robustness instrumentation.
 	Exchanges int64 // state exchanges initiated
@@ -248,13 +249,6 @@ func (p *AsyncConsolidateProtocol) timeout(e *sim.Engine) int64 {
 	return 2 * e.RoundPeriod
 }
 
-func (p *AsyncConsolidateProtocol) attempts() int {
-	if p.OfferAttempts > 0 {
-		return p.OfferAttempts
-	}
-	return 2
-}
-
 // Round implements the active thread: start one state exchange per round
 // unless a previous sequence is still in flight.
 func (p *AsyncConsolidateProtocol) Round(e *sim.Engine, n *sim.Node, round int) {
@@ -400,7 +394,7 @@ func (p *AsyncConsolidateProtocol) offerNext(e *sim.Engine, n *sim.Node, st *acN
 	p.Offers++
 	offer := acOffer{Token: token, VM: vm.ID, Action: off.Action, Demand: vm.CurAbs(), AvgDemand: vm.AvgAbs()}
 	target := st.target
-	st.offerReq = p.reqs(e).AddRetry(p.timeout(e), p.attempts(), func() {
+	st.offerReq = p.reqs(e).AddRetry(p.timeout(e), offerAttempts, func() {
 		p.Tr.Send(n.ID, target, AsyncConsolidateProtocolName, offer)
 	}, func(uint64) {
 		// All attempts lost: abandon the sequence. The target's hold timer

@@ -152,7 +152,9 @@ func settledConsolidation(tb testing.TB) (*sim.Engine, *ConsolidateProtocol) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cons := InstallConsolidation(e, bd, shared, Config{}, PretrainOptions{})
+	e.Register(cyclon.New(0, 0))
+	cons := &ConsolidateProtocol{B: bd, Tables: func(*sim.Engine, *sim.Node) *NodeTables { return shared }}
+	e.Register(cons)
 	e.RunRounds(30)
 	if cl.ActivePMs() < 2 {
 		tb.Fatalf("only %d active PMs: no exchange left to measure", cl.ActivePMs())

@@ -2,6 +2,7 @@ package glap
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/glap-sim/glap/internal/cyclon"
@@ -38,11 +39,12 @@ type PretrainResult struct {
 	LearnSec, AggSec float64
 }
 
-// FinalSimilarity returns the last measured convergence value (1 when
-// nothing was measured).
+// FinalSimilarity returns the last measured convergence value, or NaN when
+// nothing was measured (PretrainOptions.MeasureEvery 0, as in every
+// consolidation run); ConsensusRound is always recorded.
 func (r *PretrainResult) FinalSimilarity() float64 {
 	if len(r.Convergence) == 0 {
-		return 1
+		return math.NaN()
 	}
 	return r.Convergence[len(r.Convergence)-1]
 }
@@ -55,8 +57,9 @@ type PretrainOptions struct {
 	// MeasurePairs is the number of random node pairs per sample
 	// (default 64).
 	MeasurePairs int
-	// CyclonViewSize / CyclonShuffleLen configure the overlay
-	// (defaults 20 / 8).
+	// CyclonViewSize / CyclonShuffleLen configure the overlay. Zero takes
+	// cyclon.New's defaults: view 20, shuffle (view+1)/2, so 10 at the
+	// default view.
 	CyclonViewSize   int
 	CyclonShuffleLen int
 	// Workers bounds fork-join parallelism inside the pretraining engine —
@@ -190,20 +193,4 @@ func SharedTables(res *PretrainResult) (*NodeTables, error) {
 		return nil, fmt.Errorf("glap: pretraining produced no Q-values")
 	}
 	return best, nil
-}
-
-// InstallConsolidation registers the Cyclon overlay and the consolidation
-// component on engine e, bound to b's cluster, using the given pre-trained
-// Q store for every node. cfg only contributes runtime switches (currently
-// CurrentDemandOnly); learning parameters have already been baked into the
-// tables. It returns the consolidation protocol.
-func InstallConsolidation(e *sim.Engine, b *policy.Binding, tables *NodeTables, cfg Config, opts PretrainOptions) *ConsolidateProtocol {
-	e.Register(cyclon.New(opts.CyclonViewSize, opts.CyclonShuffleLen))
-	cons := &ConsolidateProtocol{
-		B:                 b,
-		Tables:            func(e *sim.Engine, n *sim.Node) *NodeTables { return tables },
-		CurrentDemandOnly: cfg.CurrentDemandOnly,
-	}
-	e.Register(cons)
-	return cons
 }

@@ -170,6 +170,9 @@ func TestPretrainConverges(t *testing.T) {
 	if len(res.Convergence) == 0 || len(res.Convergence) != len(res.ConvergenceRound) {
 		t.Fatal("convergence series malformed")
 	}
+	if got := (&PretrainResult{}).FinalSimilarity(); !math.IsNaN(got) {
+		t.Fatalf("FinalSimilarity with nothing measured = %g, want NaN", got)
+	}
 	// All nodes hold the same cells with near-identical values after
 	// aggregation (push-pull averaging converges exponentially, so exact
 	// float equality is not guaranteed).
@@ -274,7 +277,8 @@ func installConsolidation(t *testing.T, cl *dc.Cluster, tables *NodeTables, seed
 	if err != nil {
 		t.Fatal(err)
 	}
-	InstallConsolidation(e, b, tables, Config{}, PretrainOptions{CyclonViewSize: 6, CyclonShuffleLen: 3})
+	e.Register(cyclon.New(6, 3))
+	e.Register(&ConsolidateProtocol{B: b, Tables: func(*sim.Engine, *sim.Node) *NodeTables { return tables }})
 	return e, b
 }
 

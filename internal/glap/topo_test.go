@@ -132,9 +132,11 @@ func TestTopologyAwareConsolidationDrainsRacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cons := InstallConsolidation(e, b, shared, Config{}, PretrainOptions{})
-	cons.Select = LocalitySelector(tree)
-	cons.Topo = tree
+	e.Register(cyclon.New(0, 0))
+	e.Register(&ConsolidateProtocol{
+		B: b, Tables: func(*sim.Engine, *sim.Node) *NodeTables { return shared },
+		Select: LocalitySelector(tree), Topo: tree,
+	})
 	e.RunRounds(60)
 
 	racksUp := map[int]bool{}

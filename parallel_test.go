@@ -9,18 +9,16 @@ import (
 	"testing"
 
 	"github.com/glap-sim/glap/internal/dc"
-	"github.com/glap-sim/glap/internal/glap"
-	"github.com/glap-sim/glap/internal/metrics"
 	"github.com/glap-sim/glap/internal/sim"
 )
 
 // TestWorkerCountDifferential is the headline invariant of the fork-join
-// layer: for every registered policy, the full Series fingerprint must be
+// layer: for each of the six policies, the full Series fingerprint must be
 // byte-identical between Workers=1 (fully sequential) and Workers=8
 // (explicit fan-out). CI also runs this under -race, which turns it into a
 // data-race check on every parallelized stage at once.
 func TestWorkerCountDifferential(t *testing.T) {
-	for _, p := range RegisteredPolicies() {
+	for _, p := range allPolicies {
 		p := p
 		t.Run(string(p), func(t *testing.T) {
 			run := func(workers int) string {
@@ -87,7 +85,7 @@ func TestWorkerCountPipelineDifferential(t *testing.T) {
 		{name: "wrap", apply: func(x *Experiment) { x.Rounds = 2*traceRounds - 10 }},
 		{name: "lossy", only: PolicyGLAPAsync, apply: func(x *Experiment) { x.Net = NetConfig{Latency: 30, DropProb: 0.1} }},
 	}
-	for _, p := range RegisteredPolicies() {
+	for _, p := range allPolicies {
 		for _, v := range variants {
 			if v.only != "" && v.only != p {
 				continue
@@ -116,31 +114,14 @@ func TestWorkerCountPipelineDifferential(t *testing.T) {
 // series and the final cluster state rendered bit-exactly.
 func pipelineRun(t *testing.T, x Experiment, traceRounds int, crash bool) string {
 	t.Helper()
-	spec, _ := policySpec(x.Policy)
 	xw := x
 	xw.Rounds = traceRounds
 	w, err := workloadFor(xw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var shared *glap.NodeTables
-	if spec.Pretrain {
-		pre, err := buildCluster(x, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := glap.Pretrain(x.GLAP, pre, deriveSeed(x.Seed, seedPretrain), glap.PretrainOptions{Workers: x.Workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if shared, err = glap.SharedTables(res); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c, e, _, err := prepareStack(x, w, shared)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := testStack(t, x, w)
+	c, e := s.c, s.e
 	crashes := 0
 	if crash {
 		plan := sim.GenerateFaults(sim.NewRNG(deriveSeed(x.Seed, seedFaults)), x.PMs, x.Rounds, x.PMs/4, 5)
@@ -174,12 +155,7 @@ func pipelineRun(t *testing.T, x Experiment, traceRounds int, crash bool) string
 			t.Fatalf("Workers=%d round %d: %v", x.Workers, r, err)
 		}
 	})
-	series := metrics.Attach(e, c, 0)
-	e.RunRounds(x.Rounds)
-	if spec.Drain {
-		e.RunEvents(-1)
-	}
-	series.Finalize(c)
+	series, _ := s.run()
 	if crash && crashes == 0 {
 		t.Fatal("setup: the fault plan crashed no powered PM")
 	}

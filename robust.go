@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/glap-sim/glap/internal/glap"
-	"github.com/glap-sim/glap/internal/metrics"
 	"github.com/glap-sim/glap/internal/sim"
 	"github.com/glap-sim/glap/internal/stats"
 )
@@ -115,8 +114,9 @@ type robustCellRep struct {
 }
 
 // RunRobust executes the robustness grid. Each replication pretrains once,
-// runs the synchronous reference, and then replays every (loss, latency)
-// cell on an identically placed cluster with the same shared tables, so all
+// runs the synchronous reference — the run Run makes of the replication's
+// experiment — and then replays every (loss, latency) cell on an
+// identically placed cluster with the same shared tables, so all
 // comparisons are paired.
 // Every cell's experiment is validated before any replication starts.
 func RunRobust(cfg RobustConfig) (*RobustResult, error) {
@@ -134,7 +134,9 @@ func RunRobust(cfg RobustConfig) (*RobustResult, error) {
 		}
 	}
 	reps := sim.RunReplications(cfg.Reps, cfg.Workers, func(rep int) robustRep {
-		return runRobustRep(cfg, rep)
+		r, err := runRobustRep(cfg, rep)
+		r.err = err
+		return r
 	})
 
 	res := &RobustResult{}
@@ -183,14 +185,13 @@ func RunRobust(cfg RobustConfig) (*RobustResult, error) {
 	return res, nil
 }
 
-// robustExperiment is replication rep's synchronous reference experiment.
+// robustExperiment is replication rep's synchronous reference experiment:
+// RunRobust's reference row is Run of it, and every grid cell replays it over
+// messages (robustCell).
 func robustExperiment(cfg RobustConfig, rep int) Experiment {
 	return Experiment{
 		PMs: cfg.PMs, Ratio: cfg.Ratio, Rounds: cfg.Rounds,
 		Seed: sim.ReplicationSeed(cfg.Seed, rep), Policy: PolicyGLAP, GLAP: cfg.GLAP,
-		// prepareStack's Cyclon overlay defaults these; the historical grid
-		// wired cyclon.New(20, 8) explicitly, so pin the same overlay
-		// parameters for seed-for-seed identical cells.
 		CyclonViewSize: 20, CyclonShuffleLen: 8,
 	}
 }
@@ -203,73 +204,49 @@ func robustCell(x Experiment, drop float64, lat int64) Experiment {
 	return x
 }
 
-// runRobustRep executes one full replication: pretrain, sync reference, and
-// every async grid cell. RunRobust has validated every experiment it builds.
-func runRobustRep(cfg RobustConfig, rep int) (out robustRep) {
+// runRobustRep executes one full replication: it pre-trains once, runs the
+// synchronous reference, and replays every async grid cell on the same
+// workload and tables. prepareStack gives each run an identically placed
+// cluster and the same engine seed, so the overlay and round shuffling match
+// the reference and only the transport differs. RunRobust has validated
+// every experiment it builds.
+func runRobustRep(cfg RobustConfig, rep int) (out robustRep, err error) {
 	x := robustExperiment(cfg, rep)
 	w, err := workloadFor(x)
 	if err != nil {
-		out.err = err
-		return
+		return out, err
 	}
-	pre, err := buildCluster(x, w)
+	_, shared, err := pretrain(x, w)
 	if err != nil {
-		out.err = err
-		return
+		return out, err
 	}
-	pretrain, err := glap.Pretrain(x.GLAP, pre, deriveSeed(x.Seed, seedPretrain), x.Pretrain)
+	s, err := prepareStack(x, w, shared)
 	if err != nil {
-		out.err = err
-		return
+		return out, err
 	}
-	shared, err := glap.SharedTables(pretrain)
-	if err != nil {
-		out.err = err
-		return
-	}
-	// prepareStack builds each paired run — identically placed cluster, same
-	// engine seed — so the sync reference and every grid cell differ only in
-	// the transport.
+	series, _ := s.run()
+	out.syncActive = float64(s.c.ActivePMs())
+	out.syncMig = float64(s.c.Migrations)
+	out.syncSLAV = series.SLAV
 
-	// Synchronous reference.
-	{
-		c, e, _, err := prepareStack(x, w, shared)
-		if err != nil {
-			out.err = err
-			return
-		}
-		series := metrics.Attach(e, c, 0)
-		e.RunRounds(x.Rounds)
-		series.Finalize(c)
-		out.syncActive = float64(c.ActivePMs())
-		out.syncMig = float64(c.Migrations)
-		out.syncSLAV = series.SLAV
-	}
-
-	// Async grid: same engine seed per cell, so the overlay and round
-	// shuffling match the reference and only the transport differs.
 	for _, drop := range cfg.DropProbs {
 		for _, lat := range cfg.Latencies {
-			c, e, ctx, err := prepareStack(robustCell(x, drop, lat), w, shared)
+			s, err := prepareStack(robustCell(x, drop, lat), w, shared)
 			if err != nil {
-				out.err = err
-				return
+				return out, err
 			}
-			cons, tr := ctx.Artifacts.AsyncConsolidate, ctx.Artifacts.Transport
-			series := metrics.Attach(e, c, 0)
-			e.RunRounds(x.Rounds)
-			e.RunEvents(-1)
-			series.Finalize(c)
+			series, _ := s.run()
+			cons, tr := s.async, s.tr
 			out.cells = append(out.cells, robustCellRep{
-				active:     float64(c.ActivePMs()),
-				migrations: float64(c.Migrations),
+				active:     float64(s.c.ActivePMs()),
+				migrations: float64(s.c.Migrations),
 				slav:       series.SLAV,
 				sent:       tr.Sent, delivered: tr.Delivered, dropped: tr.Dropped,
 				offers: cons.Offers, commits: cons.Commits,
 				aborts: cons.Aborts, expired: cons.Expired,
-				leaked: c.OpenReservations(),
+				leaked: s.c.OpenReservations(),
 			})
 		}
 	}
-	return
+	return out, nil
 }

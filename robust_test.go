@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/glap-sim/glap/internal/stats"
 )
 
 // TestRobustGridEquivalenceAndLeaks runs a small loss × latency grid and
@@ -68,6 +70,36 @@ func TestRobustGridEquivalenceAndLeaks(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res, seq) {
 		t.Fatalf("robust grid diverged between default workers and Workers=1:\n%+v\nvs\n%+v", res, seq)
+	}
+}
+
+// TestRobustSyncReferenceIsRun: the grid's synchronous reference of
+// replication r is Run of robustExperiment(cfg, r) — the same pre-training
+// overlay, stack and run tail — so its active PMs, migrations and SLAV
+// summaries are bit-equal to those of the Run results.
+func TestRobustSyncReferenceIsRun(t *testing.T) {
+	cfg := RobustConfig{
+		PMs: 30, Ratio: 2, Rounds: 40, Reps: 2, Seed: 3, GLAP: fastGLAP(),
+		DropProbs: []float64{0}, Latencies: []int64{1},
+	}
+	res, err := RunRobust(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var active, migrations, slav []float64
+	for r := 0; r < cfg.Reps; r++ {
+		run, err := Run(robustExperiment(cfg.withDefaults(), r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		active = append(active, float64(run.Cluster.ActivePMs()))
+		migrations = append(migrations, float64(run.Cluster.Migrations))
+		slav = append(slav, run.Series.SLAV)
+	}
+	want := RobustResult{SyncActive: stats.Summarize(active), SyncMigrations: stats.Summarize(migrations), SyncSLAV: stats.Summarize(slav)}
+	got := RobustResult{SyncActive: res.SyncActive, SyncMigrations: res.SyncMigrations, SyncSLAV: res.SyncSLAV}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("sync reference differs from Run:\n got %+v\nwant %+v", got, want)
 	}
 }
 

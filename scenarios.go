@@ -354,51 +354,39 @@ const (
 	reconvergeCosine = 0.9999
 )
 
+// crashCell is the setup both variants of one crash-churn cell share: the
+// experiment, its workload, the pre-trained Q store and the fault schedule.
+func crashCell(cfg ScenarioConfig, pms int, seed uint64) (x Experiment, w *trace.Set, shared *glap.NodeTables, plan sim.FaultPlan, err error) {
+	x = baseScenarioExperiment(cfg, pms, seed)
+	x.Policy = PolicyGLAPAsync
+	x.Net = NetConfig{Latency: 30, DropProb: 0.05}
+	if err = x.Validate(); err != nil {
+		return
+	}
+	if w, err = workloadFor(x); err != nil {
+		return
+	}
+	if _, shared, err = pretrain(x, w); err != nil {
+		return
+	}
+	crashes := pms / 10
+	if crashes < 1 {
+		crashes = 1
+	}
+	plan = sim.GenerateFaults(sim.NewRNG(deriveSeed(x.Seed, seedFaults)), pms, x.Rounds, crashes, crashMTTR)
+	return
+}
+
 // runCrashScenario pre-trains once, generates one fault schedule, and plays
 // it against two otherwise identical runs: warm (recovered PMs restore
 // their checkpointed Q-tables) and cold (recovered PMs restart empty and
 // wait for table gossip). The reported metrics come from the warm run; both
 // reconvergence figures ride on the row.
 func runCrashScenario(cfg ScenarioConfig, pms int, seed uint64) (ScenarioRow, error) {
-	x := baseScenarioExperiment(cfg, pms, seed)
-	x.Policy = PolicyGLAPAsync
-	x.Net = NetConfig{Latency: 30, DropProb: 0.05}
-	if err := x.Validate(); err != nil {
-		return ScenarioRow{}, err
-	}
-	w, err := workloadFor(x)
+	x, w, shared, plan, err := crashCell(cfg, pms, seed)
 	if err != nil {
 		return ScenarioRow{}, err
 	}
-	pre, err := buildCluster(x, w)
-	if err != nil {
-		return ScenarioRow{}, err
-	}
-	opts := x.Pretrain
-	if opts.CyclonViewSize == 0 {
-		opts.CyclonViewSize = x.CyclonViewSize
-	}
-	if opts.CyclonShuffleLen == 0 {
-		opts.CyclonShuffleLen = x.CyclonShuffleLen
-	}
-	if opts.Workers == 0 {
-		opts.Workers = x.Workers
-	}
-	pretrain, err := glap.Pretrain(x.GLAP, pre, deriveSeed(x.Seed, seedPretrain), opts)
-	if err != nil {
-		return ScenarioRow{}, err
-	}
-	shared, err := glap.SharedTables(pretrain)
-	if err != nil {
-		return ScenarioRow{}, err
-	}
-
-	crashes := pms / 10
-	if crashes < 1 {
-		crashes = 1
-	}
-	plan := sim.GenerateFaults(sim.NewRNG(deriveSeed(x.Seed, seedFaults)), pms, x.Rounds, crashes, crashMTTR)
-
 	warm, err := runCrashVariant(x, w, shared, plan, true, nil)
 	if err != nil {
 		return ScenarioRow{}, err
@@ -458,20 +446,20 @@ type crashOutcome struct {
 // the failure-injection tests use it to assert cluster invariants under
 // churn.
 func runCrashVariant(x Experiment, w *trace.Set, shared *glap.NodeTables, plan sim.FaultPlan, warm bool, check func(c *dc.Cluster, e *sim.Engine, round int) error) (*crashOutcome, error) {
-	c, e, ctx, err := prepareStack(x, w, shared)
+	s, err := prepareStack(x, w, shared)
 	if err != nil {
 		return nil, err
 	}
-	cons := ctx.Artifacts.AsyncConsolidate
-	if cons == nil {
+	if s.async == nil {
 		return nil, fmt.Errorf("glapsim: crash scenario requires the async GLAP stack")
 	}
+	c, e := s.c, s.e
 
 	tabs := make([]*glap.NodeTables, x.PMs)
 	for i := range tabs {
 		tabs[i] = shared.Clone()
 	}
-	cons.Tables = func(e *sim.Engine, n *sim.Node) *glap.NodeTables { return tabs[n.ID] }
+	s.async.Tables = func(e *sim.Engine, n *sim.Node) *glap.NodeTables { return tabs[n.ID] }
 	e.RegisterEvery(&tableGossipProtocol{tabs: tabs, drop: x.Net.DropProb}, tableGossipEvery)
 
 	out := &crashOutcome{c: c}
@@ -590,14 +578,10 @@ func runCrashVariant(x Experiment, w *trace.Set, shared *glap.NodeTables, plan s
 		}
 	})
 
-	series := metrics.Attach(e, c, 0)
-	e.RunRounds(x.Rounds)
-	e.RunEvents(-1)
+	out.series, _ = s.run()
 	if runErr != nil {
 		return nil, runErr
 	}
-	series.Finalize(c)
-	out.series = series
 	out.leaked = c.OpenReservations()
 
 	ids := make([]int, 0, len(recoveredAt))

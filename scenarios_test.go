@@ -11,40 +11,14 @@ import (
 )
 
 // crashScenarioFixture pre-trains one small crash-churn cell and returns the
-// pieces runCrashVariant needs, mirroring runCrashScenario's setup.
+// pieces runCrashVariant needs, through runCrashScenario's own setup.
 func crashScenarioFixture(t *testing.T, pms, rounds int) (Experiment, *trace.Set, *glap.NodeTables, sim.FaultPlan) {
 	t.Helper()
 	cfg := ScenarioConfig{Sizes: []int{pms}, Rounds: rounds, Seed: 1}.withDefaults()
-	x := baseScenarioExperiment(cfg, pms, sim.ReplicationSeed(cfg.Seed, 0))
-	x.Policy = PolicyGLAPAsync
-	x.Net = NetConfig{Latency: 30, DropProb: 0.05}
-	if err := x.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	w, err := workloadFor(x)
+	x, w, shared, plan, err := crashCell(cfg, pms, sim.ReplicationSeed(cfg.Seed, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := buildCluster(x, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := x.Pretrain
-	opts.CyclonViewSize = x.CyclonViewSize
-	opts.CyclonShuffleLen = x.CyclonShuffleLen
-	pretrain, err := glap.Pretrain(x.GLAP, pre, deriveSeed(x.Seed, seedPretrain), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared, err := glap.SharedTables(pretrain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crashes := pms / 10
-	if crashes < 1 {
-		crashes = 1
-	}
-	plan := sim.GenerateFaults(sim.NewRNG(deriveSeed(x.Seed, seedFaults)), pms, x.Rounds, crashes, crashMTTR)
 	return x, w, shared, plan
 }
 
