@@ -227,8 +227,8 @@ type Cluster struct {
 	// RoundSeconds is the wall-clock length of one round (the paper: 120 s).
 	RoundSeconds float64
 
-	// Workers bounds fork-join parallelism in AdvanceRound's demand refresh,
-	// CheckInvariants and the metrics package's cluster scans (see
+	// Workers bounds fork-join parallelism in AdvanceRound's demand refresh
+	// and the metrics package's cluster scans (see
 	// sim.Engine.Workers for the semantics: <= 0 auto-sizes from the shared
 	// budget, 1 runs sequentially, > 1 is honored exactly). AdvanceRound
 	// forks only from forkMinVMs VMs up; a smaller cluster's refresh runs
@@ -599,12 +599,10 @@ func (c *Cluster) Migrate(vm *VM, dst *PM) error {
 	return nil
 }
 
-// Fork-join chunk sizes. Per-VM work is a handful of flops, so chunks are
-// large; per-PM checks walk a whole hosted-VM list, so chunks are smaller.
-// Both depend only on the problem size, never on worker count.
+// Fork-join chunk size. Per-VM work is a handful of flops, so chunks are
+// large; the size depends only on the problem size, never on worker count.
 const (
 	vmChunk = 256
-	pmChunk = 64
 
 	// AdvanceRound's demand refresh splits into chunks only from this many
 	// VMs up; a smaller cluster's refresh is one chunk and runs inline
@@ -748,119 +746,66 @@ func (c *Cluster) OverloadedPMs() int {
 
 // CheckInvariants verifies structural consistency (every VM on exactly one
 // powered PM that also lists it, sorted hosted lists, reservation caches in
-// sync). It is used by tests and returns the first violation found. The
-// per-PM scans fan out over c.Workers with per-chunk hosting counts merged
-// in chunk-index order afterwards, so the reported violation is
-// deterministic: the one from the lowest PM index range wins, matching the
-// former sequential scan.
+// sync). It is used by tests and the benchmark's per-run checks, never on a
+// timed path, and returns the first violation of one sequential pass: the
+// hosted-list checks in PM order, then the VM hosting counts in VM order,
+// then the reservation caches in PM order.
 func (c *Cluster) CheckInvariants() error {
-	pmChunks := chunkCount(len(c.PMs), pmChunk)
-	pmErrs := make([]error, pmChunks)
-	counts := make([]map[int]int, pmChunks)
-	par.ForChunks(len(c.PMs), pmChunk, c.Workers, func(lo, hi int) {
-		ci := lo / pmChunk
-		seen := make(map[int]int)
-		counts[ci] = seen
-		for p := lo; p < hi; p++ {
-			prev := int32(-1)
-			var alloc Vec
-			for _, id := range c.pmVMs[p] {
-				if id <= prev {
-					pmErrs[ci] = fmt.Errorf("dc: PM %d hosted list not sorted at id %d", p, id)
-					return
-				}
-				prev = id
-				if int(id) >= len(c.VMs) {
-					pmErrs[ci] = fmt.Errorf("dc: PM %d lists unknown VM %d", p, id)
-					return
-				}
-				if c.vmHost[id] != int32(p) {
-					pmErrs[ci] = fmt.Errorf("dc: VM %d hosted by PM %d but Host=%d", id, p, c.vmHost[id])
-					return
-				}
-				if !c.pmOn(p) {
-					pmErrs[ci] = fmt.Errorf("dc: powered-off PM %d hosts VM %d", p, id)
-					return
-				}
-				alloc = alloc.Add(c.vmCap[id])
-				seen[int(id)]++
+	seen := make([]int, len(c.VMs))
+	for p := range c.PMs {
+		prev := int32(-1)
+		var alloc Vec
+		for _, id := range c.pmVMs[p] {
+			if id <= prev {
+				return fmt.Errorf("dc: PM %d hosted list not sorted at id %d", p, id)
 			}
-			for r := 0; r < NumResources; r++ {
-				diff := alloc[r] - c.pmAllocSum[p][r]
-				if diff < -1e-6 || diff > 1e-6 {
-					pmErrs[ci] = fmt.Errorf("dc: PM %d allocSum drifted: cached %v, actual %v", p, c.pmAllocSum[p], alloc)
-					return
-				}
+			prev = id
+			if int(id) >= len(c.VMs) {
+				return fmt.Errorf("dc: PM %d lists unknown VM %d", p, id)
 			}
+			if c.vmHost[id] != int32(p) {
+				return fmt.Errorf("dc: VM %d hosted by PM %d but Host=%d", id, p, c.vmHost[id])
+			}
+			if !c.pmOn(p) {
+				return fmt.Errorf("dc: powered-off PM %d hosts VM %d", p, id)
+			}
+			alloc = alloc.Add(c.vmCap[id])
+			seen[id]++
 		}
-	})
-	for _, err := range pmErrs {
-		if err != nil {
-			return err
+		for r := 0; r < NumResources; r++ {
+			diff := alloc[r] - c.pmAllocSum[p][r]
+			if diff < -1e-6 || diff > 1e-6 {
+				return fmt.Errorf("dc: PM %d allocSum drifted: cached %v, actual %v", p, c.pmAllocSum[p], alloc)
+			}
 		}
 	}
-	seen := make(map[int]int)
-	for _, m := range counts {
-		for id, n := range m {
-			seen[id] += n
-		}
-	}
-	vmErrs := make([]error, chunkCount(len(c.VMs), vmChunk))
-	par.ForChunks(len(c.VMs), vmChunk, c.Workers, func(lo, hi int) {
-		for id := lo; id < hi; id++ {
-			if c.vmHost[id] >= 0 && seen[id] != 1 {
-				vmErrs[lo/vmChunk] = fmt.Errorf("dc: VM %d appears on %d PMs", id, seen[id])
-				return
-			}
-		}
-	})
-	for _, err := range vmErrs {
-		if err != nil {
-			return err
+	for id, n := range seen {
+		if c.vmHost[id] >= 0 && n != 1 {
+			return fmt.Errorf("dc: VM %d appears on %d PMs", id, n)
 		}
 	}
 	// Reservation caches: fold the cluster-level map into per-PM sums once,
-	// then compare against the cached aggregates chunk-parallel.
+	// then compare against the cached aggregates.
 	actualSum := make(map[int32]Vec)
 	actualCount := make(map[int32]int32)
 	for k, d := range c.reservations {
 		actualSum[k.pm] = actualSum[k.pm].Add(d)
 		actualCount[k.pm]++
 	}
-	resErrs := make([]error, pmChunks)
-	par.ForChunks(len(c.PMs), pmChunk, c.Workers, func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			if actualCount[int32(p)] != c.pmResCount[p] {
-				resErrs[lo/pmChunk] = fmt.Errorf("dc: PM %d reservation count drifted: cached %d, actual %d", p, c.pmResCount[p], actualCount[int32(p)])
-				return
-			}
-			sum := actualSum[int32(p)]
-			for r := 0; r < NumResources; r++ {
-				diff := sum[r] - c.pmResSum[p][r]
-				if diff < -1e-6 || diff > 1e-6 {
-					resErrs[lo/pmChunk] = fmt.Errorf("dc: PM %d reservedSum drifted: cached %v, actual %v", p, c.pmResSum[p], sum)
-					return
-				}
-			}
-			if !c.pmOn(p) && c.pmResCount[p] > 0 {
-				resErrs[lo/pmChunk] = fmt.Errorf("dc: powered-off PM %d holds %d reservations", p, c.pmResCount[p])
-				return
+	for p := range c.PMs {
+		if actualCount[int32(p)] != c.pmResCount[p] {
+			return fmt.Errorf("dc: PM %d reservation count drifted: cached %d, actual %d", p, c.pmResCount[p], actualCount[int32(p)])
+		}
+		sum := actualSum[int32(p)]
+		for r := 0; r < NumResources; r++ {
+			diff := sum[r] - c.pmResSum[p][r]
+			if diff < -1e-6 || diff > 1e-6 {
+				return fmt.Errorf("dc: PM %d reservedSum drifted: cached %v, actual %v", p, c.pmResSum[p], sum)
 			}
 		}
-	})
-	for _, err := range resErrs {
-		if err != nil {
-			return err
+		if !c.pmOn(p) && c.pmResCount[p] > 0 {
+			return fmt.Errorf("dc: powered-off PM %d holds %d reservations", p, c.pmResCount[p])
 		}
 	}
 	return nil
-}
-
-// chunkCount mirrors par.ForChunks's partitioning: the number of chunks a
-// problem of size n splits into.
-func chunkCount(n, chunk int) int {
-	if n <= 0 {
-		return 0
-	}
-	return (n + chunk - 1) / chunk
 }

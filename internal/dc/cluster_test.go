@@ -438,6 +438,24 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	if err := c.CheckInvariants(); err == nil {
 		t.Fatal("expected invariant violation")
 	}
+
+	// A violation planted on the last PM of a larger cluster is caught too.
+	set := mustSyntheticConst(t, 10, 2, 0.1, 0.1)
+	c, err := New(Config{PMs: 192, Workload: set})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := sim.NewRNG(5)
+	c.PlaceRandom(rng.Intn)
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	vm := c.VMs[0]
+	c.hostedRemove(vm.Host(), int32(vm.ID))
+	c.hostedInsert(len(c.PMs)-1, int32(vm.ID))
+	if err := c.CheckInvariants(); err == nil {
+		t.Fatal("corruption on the last PM went undetected")
+	}
 }
 
 func TestDegradationRatioZeroWhenNoRequest(t *testing.T) {
@@ -778,27 +796,5 @@ func TestAdvanceRoundPrefetchBitEquivalence(t *testing.T) {
 	}
 	if plain.PresentVMs() != len(plain.VMs)-1 {
 		t.Fatalf("setup: %d of %d VMs present after the stranded ones retried", plain.PresentVMs(), len(plain.VMs))
-	}
-}
-
-func TestCheckInvariantsParallelDetectsCorruption(t *testing.T) {
-	// The chunked scan must still catch a violation planted anywhere,
-	// including in the last chunk of a cluster spanning several chunks.
-	set := mustSyntheticConst(t, 10, 2, 0.1, 0.1)
-	c, err := New(Config{PMs: 3 * pmChunk, Workload: set})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := sim.NewRNG(5)
-	c.PlaceRandom(rng.Intn)
-	c.Workers = 8
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	vm := c.VMs[0]
-	c.hostedRemove(vm.Host(), int32(vm.ID))
-	c.hostedInsert(len(c.PMs)-1, int32(vm.ID))
-	if err := c.CheckInvariants(); err == nil {
-		t.Fatal("corruption in last chunk went undetected")
 	}
 }

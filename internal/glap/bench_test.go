@@ -130,8 +130,8 @@ func benchSharedTables(tb testing.TB) *NodeTables {
 // vetoingTables pairs φ^out with a φ^in that vetoes every offer.
 func vetoingTables(out *qlearn.Table) *NodeTables {
 	veto := &NodeTables{Out: out, In: qlearn.New(0.5, 0.8)}
-	for s := 0; s < ioSpan; s++ {
-		for a := 0; a < ioSpan; a++ {
+	for s := 0; s < qlearn.DenseSpan; s++ {
+		for a := 0; a < qlearn.DenseSpan; a++ {
 			veto.In.Set(qlearn.State(s), qlearn.Action(a), -1)
 		}
 	}
@@ -305,8 +305,8 @@ func TestAsyncConsolidateRoundZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkIOVec measures the reusable dense φ^io fill that replaced the
-// per-sample IOFlat map build in convergence measurement.
+// BenchmarkIOVec measures the reusable dense φ^io fill that convergence
+// measurement samples.
 func BenchmarkIOVec(b *testing.B) {
 	tb := &NodeTables{Out: qlearn.New(0.5, 0.8), In: qlearn.New(0.5, 0.8)}
 	for s := 0; s < 81; s++ {
@@ -319,22 +319,6 @@ func BenchmarkIOVec(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = tb.IOVec()
-	}
-}
-
-// BenchmarkIOFlat is the retired map-based baseline for BenchmarkIOVec.
-func BenchmarkIOFlat(b *testing.B) {
-	tb := &NodeTables{Out: qlearn.New(0.5, 0.8), In: qlearn.New(0.5, 0.8)}
-	for s := 0; s < 81; s++ {
-		for a := 0; a < 81; a++ {
-			tb.Out.Set(qlearn.State(s), qlearn.Action(a), float64(s+a))
-			tb.In.Set(qlearn.State(s), qlearn.Action(a), float64(s-a))
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = tb.IOFlat()
 	}
 }
 

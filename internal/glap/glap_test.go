@@ -231,17 +231,28 @@ func TestSharedTables(t *testing.T) {
 	}
 }
 
-func TestIOFlatNamespaces(t *testing.T) {
+// TestIOVecLayout pins the dense φ^io layout: φ^out cells fill the first
+// half at s*DenseSpan+a and φ^in cells the second, so the same cell of the
+// two tables never collides, and absent cells read 0.
+func TestIOVecLayout(t *testing.T) {
 	tb := &NodeTables{Out: qlearn.New(0.5, 0.8), In: qlearn.New(0.5, 0.8)}
 	tb.Out.Set(1, 1, 5)
 	tb.In.Set(1, 1, -3)
-	flat := tb.IOFlat()
-	if len(flat) != 2 {
-		t.Fatalf("in/out cells collided: %v", flat)
+	tb.In.Set(qlearn.DenseSpan-1, qlearn.DenseSpan-1, 7)
+	const half = qlearn.DenseSpan * qlearn.DenseSpan
+	vec := tb.IOVec()
+	want := map[int]float64{
+		1*qlearn.DenseSpan + 1:        5,
+		half + 1*qlearn.DenseSpan + 1: -3,
+		2*half - 1:                    7,
 	}
-	if flat[IOKey{Key: qlearn.Key{S: 1, A: 1}}] != 5 ||
-		flat[IOKey{Key: qlearn.Key{S: 1, A: 1}, In: true}] != -3 {
-		t.Fatalf("flat values wrong: %v", flat)
+	if len(vec) != IOVecLen || IOVecLen != 2*half {
+		t.Fatalf("len %d, IOVecLen %d, want %d", len(vec), IOVecLen, 2*half)
+	}
+	for i, v := range vec {
+		if v != want[i] {
+			t.Fatalf("vec[%d] = %g, want %g", i, v, want[i])
+		}
 	}
 }
 

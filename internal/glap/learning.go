@@ -53,48 +53,28 @@ func NewNodeTables(cfg Config) *NodeTables {
 	}
 }
 
-// ioSpan is the per-dimension size of the dense φ^io layout: the calibrated
-// level space (NumLevels² packed states and actions).
-const ioSpan = NumLevels * NumLevels
+// tableCells is the cell count of one table over the calibrated space:
+// NumLevels² packed states by NumLevels² packed actions (levels.go pins
+// NumLevels² == qlearn.DenseSpan).
+const tableCells = qlearn.DenseSpan * qlearn.DenseSpan
 
 // IOVecLen is the length of the dense φ^io vector: the φ^out cells over the
 // full calibrated state×action space followed by the φ^in cells.
-const IOVecLen = 2 * ioSpan * ioSpan
+const IOVecLen = 2 * tableCells
 
 // IOVec flattens both tables into one dense vector (the paper's
 // φ^io = φ^in ∪ φ^out) aligned over the calibrated space, reusing the
 // node's buffer. Out-cells occupy the first half and in-cells the second,
-// so the two tables never collide — the dense counterpart of IOFlat's key
-// namespacing. All NodeTables share one layout, so vectors from different
-// nodes feed straight into aligned-slice cosine similarity.
+// so the two tables never collide. All NodeTables share one layout, so
+// vectors from different nodes feed straight into aligned-slice cosine
+// similarity.
 func (t *NodeTables) IOVec() []float64 {
 	if t.ioVec == nil {
 		t.ioVec = make([]float64, IOVecLen)
 	}
-	t.Out.FillDense(t.ioVec[:ioSpan*ioSpan], ioSpan, ioSpan)
-	t.In.FillDense(t.ioVec[ioSpan*ioSpan:], ioSpan, ioSpan)
+	t.Out.FillDense(t.ioVec[:tableCells])
+	t.In.FillDense(t.ioVec[tableCells:])
 	return t.ioVec
-}
-
-// IOFlat flattens both tables into one sparse vector, namespacing in-cells
-// and out-cells so they never collide. It is retained as a compatibility
-// adapter for tests and map-based tooling; the measurement hot path uses
-// IOVec.
-func (t *NodeTables) IOFlat() map[IOKey]float64 {
-	out := make(map[IOKey]float64, t.Out.Len()+t.In.Len())
-	for k, v := range t.Out.Flat() {
-		out[IOKey{Key: k}] = v
-	}
-	for k, v := range t.In.Flat() {
-		out[IOKey{Key: k, In: true}] = v
-	}
-	return out
-}
-
-// IOKey namespaces a Q-table cell by table direction.
-type IOKey struct {
-	qlearn.Key
-	In bool
 }
 
 // kernelProfile is one collected VM profile — Algorithm 1's exchange unit — in

@@ -120,6 +120,11 @@ func (ls Levels) HasOverload() bool {
 	return false
 }
 
+// Packed states and actions range over the NumLevels² level pairs, which is
+// exactly the span a Q-table covers; qlearn.Table.Set panics beyond it. A
+// mismatch makes one of these conversions negative and fails the build.
+const _ = uint(qlearn.DenseSpan-NumLevels*NumLevels) + uint(NumLevels*NumLevels-qlearn.DenseSpan)
+
 // State packs the level pair into a Q-learning state.
 func (ls Levels) State() qlearn.State {
 	v := uint32(0)

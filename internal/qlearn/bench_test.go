@@ -234,6 +234,6 @@ func BenchmarkFillDense(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = t.FillDense(buf, 81, 81)
+		_ = t.FillDense(buf)
 	}
 }

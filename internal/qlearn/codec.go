@@ -27,12 +27,6 @@ type cellJSON struct {
 // float32 value width once wrote version 2; such documents are refused.
 const codecVersion = 1
 
-// maxCodecKey bounds the state/action values Decode accepts. The dense
-// backing allocates numS×numA cells, so an absurd key in a corrupt or
-// hostile checkpoint must fail the decode instead of forcing a huge
-// allocation. GLAP's calibrated spaces are < 100 per dimension.
-const maxCodecKey = 1 << 20
-
 // Encode writes the table as JSON. Cells are emitted in deterministic
 // (state, action) order so encodings of equal tables are byte-identical —
 // convenient for checkpoint diffing.
@@ -50,10 +44,8 @@ func (t *Table) Encode(w io.Writer) error {
 }
 
 // Decode reads a table previously written by Encode. Non-finite parameters
-// or cell values are
-// rejected: a NaN Q-value would poison the NaN-sentinel row-max cache and
-// propagate through every subsequent merge, so a corrupt or hostile
-// checkpoint must fail loudly here instead.
+// or cell values and cells outside the span are rejected: a corrupt or
+// hostile checkpoint must fail loudly here instead of reaching the table.
 func Decode(r io.Reader) (*Table, error) {
 	var in tableJSON
 	dec := json.NewDecoder(bufio.NewReader(r))
@@ -91,12 +83,14 @@ func validateEnvelope(in *tableJSON) error {
 	return nil
 }
 
-// validateCell rejects out-of-range keys and non-finite Q-values: a NaN Q
-// would poison the NaN-sentinel row-max cache and spread through every
-// subsequent merge average, so a corrupt or hostile checkpoint fails here.
+// validateCell rejects keys outside the DenseSpan×DenseSpan span and
+// non-finite Q-values, so a corrupt or hostile checkpoint fails here rather
+// than reaching Set, which panics on an out-of-span cell. A NaN Q would
+// poison the NaN-sentinel row-max cache and spread through every subsequent
+// merge average.
 func validateCell(c cellJSON) error {
-	if c.S >= maxCodecKey || c.A >= maxCodecKey {
-		return fmt.Errorf("qlearn: cell key (%d, %d) out of range", c.S, c.A)
+	if !inSpan(c.S, c.A) {
+		return fmt.Errorf("qlearn: cell key (%d, %d) outside the %d×%d span", c.S, c.A, DenseSpan, DenseSpan)
 	}
 	if math.IsNaN(c.Q) || math.IsInf(c.Q, 0) {
 		return fmt.Errorf("qlearn: non-finite Q-value %g at cell (%d, %d)", c.Q, c.S, c.A)

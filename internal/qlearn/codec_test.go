@@ -2,6 +2,7 @@ package qlearn
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -93,6 +94,25 @@ func TestCodecPrecision(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "version 2") {
 			t.Fatalf("Decode(%s) err = %v, want an unsupported-version-2 error", in, err)
 		}
+	}
+}
+
+// TestDecodeRefusesOutOfSpanCells pins the codec's span rule: a cell outside
+// DenseSpan×DenseSpan fails the decode with an error naming its key, before
+// Set could panic on it.
+func TestDecodeRefusesOutOfSpanCells(t *testing.T) {
+	for _, c := range []struct{ s, a int }{{100, 100}, {DenseSpan, 0}, {0, DenseSpan}} {
+		in := fmt.Sprintf(`{"version":1,"alpha":0.5,"gamma":0.8,"cells":[{"s":1,"a":2,"q":1},{"s":%d,"a":%d,"q":9}]}`, c.s, c.a)
+		tab, err := Decode(strings.NewReader(in))
+		want := fmt.Sprintf("(%d, %d)", c.s, c.a)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Decode cell %s: table %v, err %v; want an error naming the key", want, tab, err)
+		}
+	}
+	last := fmt.Sprintf(`{"version":1,"alpha":0.5,"gamma":0.8,"cells":[{"s":%d,"a":%d,"q":9}]}`, DenseSpan-1, DenseSpan-1)
+	tab, err := Decode(strings.NewReader(last))
+	if err != nil || tab.Get(DenseSpan-1, DenseSpan-1) != 9 {
+		t.Fatalf("Decode of the span's last cell: %v", err)
 	}
 }
 

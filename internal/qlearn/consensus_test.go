@@ -36,7 +36,7 @@ func TestIdenticalIsBitwise(t *testing.T) {
 		}
 		return tb
 	}
-	base := map[Key]float64{{1, 2}: 0.25, {3, 4}: -1, {200, 7}: 2}
+	base := map[Key]float64{{1, 2}: 0.25, {3, 4}: -1, {80, 7}: 2}
 	with := func(k Key, v float64) map[Key]float64 {
 		m := map[Key]float64{}
 		for kk, vv := range base {
@@ -65,8 +65,6 @@ func TestIdenticalIsBitwise(t *testing.T) {
 		{"+0 against -0", []*Table{fill(with(Key{9, 9}, 0)), fill(with(Key{9, 9}, negZero))}, false},
 		{"-0 against -0", []*Table{fill(with(Key{9, 9}, negZero)), fill(with(Key{9, 9}, negZero))}, true},
 		{"an extra in-span cell", []*Table{a, fill(with(Key{8, 8}, 0))}, false},
-		{"an extra overflow cell", []*Table{a, fill(with(Key{300, 1}, 2))}, false},
-		{"an overflow value differs", []*Table{a, fill(with(Key{200, 7}, 3))}, false},
 		{"NaN on two backings", []*Table{shared, shared.Clone()}, false},
 		{"NaN on one shared backing", []*Table{shared, sharer}, true},
 		{"nil backing against a cell-less one", []*Table{empty, emptyOwned, empty}, true},
@@ -142,7 +140,6 @@ func TestAdoptIsMergeOfIdenticalTables(t *testing.T) {
 	for k := 0; k < 300; k++ {
 		src.Set(State(rng.Intn(81)), Action(rng.Intn(81)), rng.NormFloat64())
 	}
-	src.Set(300, 2, 1) // an overflow cell too
 	const n = 16
 	viaMerge, viaAdopt := make([]*Table, n), make([]*Table, n)
 	for i := 0; i < n; i++ {

@@ -2,11 +2,12 @@ package qlearn
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // tablesMatch compares a dense and a sparse table cell-for-cell over a
-// probe window comfortably larger than any key the test wrote.
+// probe window; probes past the span check that such cells read absent.
 func tablesMatch(t *testing.T, d *Table, s *Sparse, probe int) {
 	t.Helper()
 	if d.Len() != s.Len() {
@@ -56,8 +57,8 @@ func TestSparseDenseDifferential(t *testing.T) {
 			v := rng.NormFloat64()
 			d1.Set(s, a, v)
 			s1.Set(s, a, v)
-		case op < 9: // occasional key outside the calibrated span
-			s, a := State(81+rng.Intn(40)), Action(81+rng.Intn(40))
+		case op < 9: // raw write on the other endpoint
+			s, a := randState(), randAction()
 			v := rng.NormFloat64()
 			d2.Set(s, a, v)
 			s2.Set(s, a, v)
@@ -70,15 +71,15 @@ func TestSparseDenseDifferential(t *testing.T) {
 			if !EqualSparse(s1, s2) {
 				t.Fatalf("step %d: sparse tables differ after UnifySparse", step)
 			}
-			tablesMatch(t, d1, s1, 140)
-			tablesMatch(t, d2, s2, 140)
+			tablesMatch(t, d1, s1, 90)
+			tablesMatch(t, d2, s2, 90)
 		}
 	}
-	tablesMatch(t, d1, s1, 140)
-	tablesMatch(t, d2, s2, 140)
+	tablesMatch(t, d1, s1, 90)
+	tablesMatch(t, d2, s2, 90)
 
 	// The MaxKnown landscape must agree too (it drives Update's bootstrap).
-	for s := State(0); s < 140; s++ {
+	for s := State(0); s < 90; s++ {
 		if d1.MaxKnown(s) != s1.MaxKnown(s) {
 			t.Fatalf("MaxKnown(%d): dense %g, sparse %g", s, d1.MaxKnown(s), s1.MaxKnown(s))
 		}
@@ -163,67 +164,71 @@ func TestUnifyPostEqual(t *testing.T) {
 	}
 }
 
-// TestGrowthBeyondSpan exercises the growth path: keys outside the
-// calibrated 81×81 span must work, including merges and equality between
-// tables that grew at different times (and so have different dimensions).
+// TestGrowthBeyondSpan pins that a table never grows past the calibrated
+// DenseSpan×DenseSpan span: Set panics on a cell outside it, leaving the
+// table as it was, and Get, Has and MaxKnown read such a cell as absent —
+// including the (1, 81) whose packed index aliases the real cell (2, 0).
 func TestGrowthBeyondSpan(t *testing.T) {
 	p := New(0.5, 0.8)
 	p.Set(1, 1, 2)
-	p.Set(200, 300, 7) // forces growth of both dimensions
-	if !p.Has(200, 300) || p.Get(200, 300) != 7 || p.Get(1, 1) != 2 {
-		t.Fatal("growth lost cells")
+	p.Set(2, 0, 5)
+	for _, k := range []Key{{DenseSpan, 0}, {0, DenseSpan}, {1, DenseSpan}, {200, 300}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Set%v outside the span did not panic", k)
+				}
+			}()
+			p.Set(k.S, k.A, 7)
+		}()
+		if p.Has(k.S, k.A) || p.Get(k.S, k.A) != 0 {
+			t.Fatalf("cell %v outside the span reads as present", k)
+		}
 	}
-	if p.Get(5000, 5000) != 0 || p.Has(5000, 5000) {
-		t.Fatal("far out-of-range reads must be zero/absent")
+	if p.Len() != 2 || p.Get(1, 1) != 2 || p.Get(2, 0) != 5 {
+		t.Fatal("a refused Set changed the table")
 	}
-
-	q := New(0.5, 0.8) // stays at calibrated dims after first write
-	q.Set(1, 1, 2)
-	q.Set(200, 300, 7)
-	if !Equal(p, q) {
-		t.Fatal("same contents, different growth history: Equal must hold")
-	}
-
-	small := New(0.5, 0.8)
-	small.Set(3, 4, -1)
-	Unify(p, small)
-	if !Equal(p, small) || small.Get(200, 300) != 7 || p.Get(3, 4) != -1 {
-		t.Fatal("Unify across different dimensions broken")
+	if p.MaxKnown(DenseSpan) != 0 || p.MaxKnown(5000) != 0 {
+		t.Fatal("MaxKnown of a state outside the span must be 0")
 	}
 }
 
 // TestKeysOrderAfterGrowth pins Keys' deterministic (state, action) order on
-// grown tables.
+// a table whose backing grew past its first capacity, filled in descending
+// cell order so that every write inserts at the front.
 func TestKeysOrderAfterGrowth(t *testing.T) {
 	p := New(0.5, 0.8)
-	p.Set(90, 2, 1)
-	p.Set(1, 85, 1)
-	p.Set(1, 2, 1)
-	want := []Key{{1, 2}, {1, 85}, {90, 2}}
-	keys := p.Keys()
-	if len(keys) != len(want) {
-		t.Fatalf("keys %v", keys)
-	}
-	for i := range want {
-		if keys[i] != want[i] {
-			t.Fatalf("keys %v, want %v", keys, want)
+	var want []Key
+	for s := State(DenseSpan - 1); ; s -= 8 {
+		for a := Action(DenseSpan - 1); a < DenseSpan; a -= 20 {
+			p.Set(s, a, float64(s)-float64(a))
+			want = append(want, Key{s, a})
 		}
+		if s < 8 {
+			break
+		}
+	}
+	if len(want) <= minBackingCap {
+		t.Fatalf("only %d cells: the backing never grew", len(want))
+	}
+	slices.Reverse(want)
+	if keys := p.Keys(); !slices.Equal(keys, want) {
+		t.Fatalf("keys %v, want %v", keys, want)
 	}
 }
 
 // TestFillDense checks the dense vector adapter: layout, zero-fill of
-// absent cells, clipping of out-of-span cells, buffer reuse.
+// absent cells, buffer reuse.
 func TestFillDense(t *testing.T) {
 	p := New(0.5, 0.8)
 	p.Set(1, 2, 5)
 	p.Set(3, 0, -2)
-	p.Set(100, 100, 9) // outside the requested span: dropped
 
 	buf := make([]float64, 81*81)
 	for i := range buf {
 		buf[i] = 99 // stale garbage that FillDense must clear
 	}
-	got := p.FillDense(buf, 81, 81)
+	got := p.FillDense(buf)
 	if &got[0] != &buf[0] {
 		t.Fatal("FillDense must fill the caller's buffer")
 	}
@@ -286,20 +291,21 @@ func TestMergeMatchesUnify(t *testing.T) {
 	}
 }
 
-// TestMergeMisalignedBackings exercises Merge's slow path: tables grown to
-// different dimensions must still end up unified and equal.
+// TestMergeMisalignedBackings exercises Merge's slow path: tables with
+// different cell sets, each holding a cell the other lacks, must still end
+// up unified and equal.
 func TestMergeMisalignedBackings(t *testing.T) {
 	p := New(0.5, 0.8)
 	p.Set(1, 1, 2)
-	p.Set(200, 300, 7) // grown past the calibrated span
+	p.Set(80, 80, 7) // the span's last cell
 	q := New(0.5, 0.8)
 	q.Set(1, 1, 4)
 	q.Set(3, 4, -1)
 	if !Merge(p, q) {
 		t.Fatal("differing tables: Merge must report a change")
 	}
-	if !Equal(p, q) || p.Get(1, 1) != 3 || q.Get(200, 300) != 7 || p.Get(3, 4) != -1 {
-		t.Fatal("Merge across different dimensions broken")
+	if !Equal(p, q) || p.Get(1, 1) != 3 || q.Get(80, 80) != 7 || p.Get(3, 4) != -1 {
+		t.Fatal("Merge across different cell sets broken")
 	}
 	if Merge(p, q) {
 		t.Fatal("second Merge of equal tables must be a no-op")

@@ -7,12 +7,13 @@ import (
 )
 
 // FuzzDecode feeds arbitrary bytes to the checkpoint codec. Decode must
-// never panic; every table it accepts must hold only finite cells under
-// in-range keys with in-range learning parameters; and re-encoding an
-// accepted table must decode to an Equal table that encodes to the same
-// bytes again. The seed corpus in testdata/fuzz/FuzzDecode covers a plain
-// version-1 document, empty and duplicate cells, an oversized key, an
-// out-of-range alpha and a version-2 document, which must be refused.
+// never panic; every table it accepts must hold only finite cells inside
+// the DenseSpan×DenseSpan span with in-range learning parameters; and
+// re-encoding an accepted table must decode to an Equal table that encodes
+// to the same bytes again. The seed corpus in testdata/fuzz/FuzzDecode
+// covers a plain version-1 document, empty and duplicate cells, an
+// oversized key, a key just outside the span, an out-of-range alpha and a
+// version-2 document, which must be refused.
 func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		tab, err := Decode(bytes.NewReader(in))
@@ -23,7 +24,7 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("accepted alpha=%g gamma=%g", tab.Alpha, tab.Gamma)
 		}
 		for _, k := range tab.Keys() {
-			if k.S >= maxCodecKey || k.A >= maxCodecKey {
+			if k.S >= DenseSpan || k.A >= DenseSpan {
 				t.Fatalf("accepted key %v", k)
 			}
 			if v := tab.Get(k.S, k.A); math.IsNaN(v) || math.IsInf(v, 0) {

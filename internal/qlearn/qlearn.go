@@ -3,9 +3,9 @@
 //
 //	Q_{t+1}(s,a) = (1-α)·Q_t(s,a) + α·(R + γ·max_a' Q_t(s',a'))
 //
-// (Equation 1 of the paper), greedy/ε-greedy action selection, and the
-// gossip merge ("average when both know the pair, adopt when only one does")
-// that Algorithm 2's aggregation phase applies.
+// (Equation 1 of the paper), greedy action selection, and the gossip merge
+// ("average when both know the pair, adopt when only one does") that
+// Algorithm 2's aggregation phase applies.
 //
 // Tables are backed by a compact sorted cell array — parallel idx/vals
 // slices holding only the written cells of the calibrated 81×81 span, ~10
@@ -18,15 +18,14 @@
 // trained table holds only a few hundred cells and a fully aggregated one a
 // few thousand. Writes to a shared backing copy first; freed backings are
 // recycled through a small pool so the merge loop and post-merge writes stay
-// allocation-free in steady state. Keys outside the calibrated span are
-// legal and spill to an overflow map.
+// allocation-free in steady state. A cell outside the calibrated span is
+// a programming error: Set panics on one, and Decode refuses one.
 package qlearn
 
 import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -58,8 +57,8 @@ const F64 Precision = 0
 
 // DenseSpan is the per-dimension size of the calibrated cell space: GLAP's
 // level pairs (9 levels × 2 resources = 81 packed states and actions).
-// Cells inside DenseSpan×DenseSpan live in the sorted backing array; cells
-// beyond it (legal, but absent from calibrated runs) spill to a map.
+// Every cell a table holds lies inside DenseSpan×DenseSpan: Set panics on
+// any other, and Get and Has read such a cell as absent.
 const DenseSpan = 81
 
 // Table is a Q-table together with its learning parameters. The zero value
@@ -79,9 +78,9 @@ type Table struct {
 	b *backing // nil until the first write
 }
 
-// backing is the shared cell store. idx holds the written in-span cells as
+// backing is the shared cell store. idx holds the written cells as
 // s*DenseSpan+a in ascending order — (state, action) lexicographic — and
-// vals the matching Q-values. over holds the rare out-of-span cells.
+// vals the matching Q-values.
 type backing struct {
 	// ref counts the Tables referencing this backing. It is atomic because
 	// re-learning phases (InstallContinuous) run parallel training rounds on
@@ -91,7 +90,6 @@ type backing struct {
 
 	idx  []uint16
 	vals []float64
-	over map[Key]float64
 
 	// idxShared marks idx as an alias of an immutable canonical cell-set
 	// array (see canonicalIdx). Canonical arrays are built with cap==len,
@@ -129,7 +127,7 @@ var nan = math.NaN()
 // minBackingCap is the smallest cell capacity a backing is created with.
 const minBackingCap = 16
 
-func (b *backing) len() int { return len(b.idx) + len(b.over) }
+func (b *backing) len() int { return len(b.idx) }
 
 func (b *backing) invalidateRowMax() {
 	b.rowMax = nil
@@ -391,7 +389,7 @@ func acquireBacking(need int) *backing {
 	if vals == nil {
 		vals = make([]float64, 0, c)
 	}
-	b.idx, b.vals, b.over, b.idxShared = idx, vals, nil, false
+	b.idx, b.vals, b.idxShared = idx, vals, false
 	b.idxHash.Store(0)
 	b.ref.Store(1)
 	b.invalidateRowMax()
@@ -420,7 +418,7 @@ func acquireAliasBacking(canon []uint16, h uint64) *backing {
 	if vals == nil {
 		vals = make([]float64, 0, capRound(len(canon)))
 	}
-	b.idx, b.vals, b.over, b.idxShared = canon, vals, nil, true
+	b.idx, b.vals, b.idxShared = canon, vals, true
 	b.idxHash.Store(h)
 	b.ref.Store(1)
 	b.invalidateRowMax()
@@ -433,7 +431,7 @@ func acquireAliasBacking(canon []uint16, h uint64) *backing {
 func releaseBacking(b *backing) {
 	idx, vals := b.idx, b.vals
 	shared := b.idxShared
-	b.idx, b.vals, b.over, b.idxShared = nil, nil, nil, false
+	b.idx, b.vals, b.idxShared = nil, nil, false
 	b.idxHash.Store(0)
 	backingPool.mu.Lock()
 	if len(backingPool.nodes) < poolMax {
@@ -471,12 +469,6 @@ func (t *Table) own(extra int) *backing {
 		nb.idx = append(nb.idx, b.idx...)
 		nb.idxHash.Store(b.idxHash.Load()) // same cell set, same identity
 		nb.vals = append(nb.vals, b.vals...)
-		if len(b.over) > 0 {
-			nb.over = make(map[Key]float64, len(b.over))
-			for k, v := range b.over {
-				nb.over[k] = v
-			}
-		}
 		if b.rowMax != nil {
 			rm := *b.rowMax
 			nb.rowMax = &rm
@@ -513,52 +505,44 @@ func (t *Table) Len() int {
 	return t.b.len()
 }
 
-// inSpan reports whether the cell lives in the sorted in-span array.
+// inSpan reports whether (s, a) lies in the DenseSpan×DenseSpan cell space.
+// Every lookup checks it first: the packed index of an out-of-span cell would
+// alias a real one.
 func inSpan(s State, a Action) bool {
 	return int(s) < DenseSpan && int(a) < DenseSpan
 }
 
 // Get returns the Q-value for (s, a); missing cells read as 0, matching the
-// optimistic-zero initialisation the paper's reward design assumes.
+// optimistic-zero initialisation the paper's reward design assumes. A cell
+// outside the span is never present.
 func (t *Table) Get(s State, a Action) float64 {
 	b := t.b
-	if b == nil {
+	if b == nil || !inSpan(s, a) {
 		return 0
 	}
-	if inSpan(s, a) {
-		if i, ok := b.find(uint16(int(s)*DenseSpan + int(a))); ok {
-			return b.vals[i]
-		}
-		return 0
+	if i, ok := b.find(uint16(int(s)*DenseSpan + int(a))); ok {
+		return b.vals[i]
 	}
-	return b.over[Key{s, a}]
+	return 0
 }
 
 // Has reports whether the cell (s, a) has been written.
 func (t *Table) Has(s State, a Action) bool {
 	b := t.b
-	if b == nil {
+	if b == nil || !inSpan(s, a) {
 		return false
 	}
-	if inSpan(s, a) {
-		_, ok := b.find(uint16(int(s)*DenseSpan + int(a)))
-		return ok
-	}
-	_, ok := b.over[Key{s, a}]
+	_, ok := b.find(uint16(int(s)*DenseSpan + int(a)))
 	return ok
 }
 
-// Set writes the Q-value for (s, a). Writing to a shared backing detaches a
-// private copy first; in-span writes to an owned backing with spare
-// capacity — the training steady state — do not allocate.
+// Set writes the Q-value for (s, a), which must lie inside the
+// DenseSpan×DenseSpan span. Writing to a shared backing detaches a private
+// copy first; writes to an owned backing with spare capacity — the training
+// steady state — do not allocate.
 func (t *Table) Set(s State, a Action, v float64) {
 	if !inSpan(s, a) {
-		b := t.own(0)
-		if b.over == nil {
-			b.over = make(map[Key]float64)
-		}
-		b.over[Key{s, a}] = v
-		return
+		panic(fmt.Sprintf("qlearn: cell (%d, %d) outside the %d×%d span", s, a, DenseSpan, DenseSpan))
 	}
 	b := t.own(1)
 	ci := uint16(int(s)*DenseSpan + int(a))
@@ -593,8 +577,8 @@ func (t *Table) Set(s State, a Action, v float64) {
 	b.vals[i] = v
 }
 
-// Reserve grows the table's backing to hold at least cells in-span cells
-// without further allocation, detaching from a shared backing if needed.
+// Reserve grows the table's backing to hold at least the given number of
+// cells without further allocation, detaching from a shared backing if needed.
 // Steady-state-sensitive callers (and the zero-alloc training tests) use it
 // to pre-size tables past their high-water cell count.
 func (t *Table) Reserve(cells int) {
@@ -613,7 +597,7 @@ func (t *Table) Reserve(cells int) {
 	b.idxShared = false
 }
 
-// rowScanMax returns the maximum over the present in-span cells of row s,
+// rowScanMax returns the maximum over the present cells of row s,
 // 0 when the row has none (the bootstrap value for unseen states).
 func (b *backing) rowScanMax(s int) float64 {
 	lo, _ := b.find(uint16(s * DenseSpan))
@@ -638,40 +622,20 @@ func (t *Table) MaxKnown(s State) float64 {
 	if b == nil {
 		return 0
 	}
-	if len(b.over) == 0 {
-		if int(s) >= DenseSpan {
-			return 0
-		}
-		if cache := b.rowMax; cache != nil {
-			if rm := cache[s]; rm == rm {
-				return rm
-			}
-		}
-		best := b.rowScanMax(int(s))
-		if b.ref.Load() == 1 {
-			if b.rowMax == nil {
-				b.rowMax = newRowMax()
-			}
-			b.rowMax[s] = best
-		}
-		return best
+	if int(s) >= DenseSpan {
+		return 0
 	}
-	// Out-of-span cells present (test and hostile-checkpoint territory):
-	// combine a full row scan with the overflow cells of the same state.
-	best, found := 0.0, false
-	if int(s) < DenseSpan {
-		lo, _ := b.find(uint16(int(s) * DenseSpan))
-		hi := int(s)*DenseSpan + DenseSpan
-		for i := lo; i < len(b.idx) && int(b.idx[i]) < hi; i++ {
-			if v := b.vals[i]; !found || v > best {
-				best, found = v, true
-			}
+	if cache := b.rowMax; cache != nil {
+		if rm := cache[s]; rm == rm {
+			return rm
 		}
 	}
-	for k, v := range b.over {
-		if k.S == s && (!found || v > best) {
-			best, found = v, true
+	best := b.rowScanMax(int(s))
+	if b.ref.Load() == 1 {
+		if b.rowMax == nil {
+			b.rowMax = newRowMax()
 		}
+		b.rowMax[s] = best
 	}
 	return best
 }
@@ -726,56 +690,21 @@ func (t *Table) Best(s State, candidates []Action) (a Action, q float64, ok bool
 	return a, q, true
 }
 
-// sortedOverKeys returns the overflow cells' keys in (state, action) order.
-func (b *backing) sortedOverKeys() []Key {
-	if len(b.over) == 0 {
-		return nil
-	}
-	keys := make([]Key, 0, len(b.over))
-	for k := range b.over {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].S != keys[j].S {
-			return keys[i].S < keys[j].S
-		}
-		return keys[i].A < keys[j].A
-	})
-	return keys
-}
-
-// keyLess orders cell keys lexicographically by (state, action).
-func keyLess(a, b Key) bool {
-	if a.S != b.S {
-		return a.S < b.S
-	}
-	return a.A < b.A
-}
-
-// cellKey converts an in-span array index entry to its Key.
+// cellKey converts a cell-array index entry to its Key.
 func cellKey(ci uint16) Key {
 	return Key{State(ci / DenseSpan), Action(ci % DenseSpan)}
 }
 
 // Keys returns all written cells in (state, action) order: one walk of the
-// sorted in-span array, interleaved with the (rare) overflow cells.
+// sorted cell array.
 func (t *Table) Keys() []Key {
 	if t.b == nil {
 		return nil
 	}
-	b := t.b
-	keys := make([]Key, 0, b.len())
-	overs := b.sortedOverKeys()
-	j := 0
-	for _, ci := range b.idx {
-		k := cellKey(ci)
-		for j < len(overs) && keyLess(overs[j], k) {
-			keys = append(keys, overs[j])
-			j++
-		}
-		keys = append(keys, k)
+	keys := make([]Key, len(t.b.idx))
+	for i, ci := range t.b.idx {
+		keys[i] = cellKey(ci)
 	}
-	keys = append(keys, overs[j:]...)
 	return keys
 }
 
@@ -790,37 +719,24 @@ func (t *Table) Flat() map[Key]float64 {
 	for i, ci := range t.b.idx {
 		out[cellKey(ci)] = t.b.vals[i]
 	}
-	for k, v := range t.b.over {
-		out[k] = v
-	}
 	return out
 }
 
-// FillDense writes the table's cells into dst laid out as numS×numA
-// (dst[s*numA+a], unwritten cells 0) and returns dst. Cells outside the
-// requested span are dropped; GLAP's calibrated tables never have any. The
-// caller supplies dst so per-sample convergence measurement can reuse one
-// buffer instead of building a map per node per round.
-func (t *Table) FillDense(dst []float64, numS, numA int) []float64 {
-	if len(dst) < numS*numA {
-		panic(fmt.Sprintf("qlearn: FillDense dst len %d < %d×%d", len(dst), numS, numA))
+// FillDense writes the table's cells into dst laid out as
+// DenseSpan×DenseSpan (dst[s*DenseSpan+a], unwritten cells 0) and returns
+// dst. The caller supplies dst so per-sample convergence measurement can
+// reuse one buffer instead of building a map per node per round.
+func (t *Table) FillDense(dst []float64) []float64 {
+	const n = DenseSpan * DenseSpan
+	if len(dst) < n {
+		panic(fmt.Sprintf("qlearn: FillDense dst len %d < %d", len(dst), n))
 	}
-	for i := range dst[:numS*numA] {
-		dst[i] = 0
-	}
+	clear(dst[:n])
 	if t.b == nil {
 		return dst
 	}
 	for i, ci := range t.b.idx {
-		s, a := int(ci)/DenseSpan, int(ci)%DenseSpan
-		if s < numS && a < numA {
-			dst[s*numA+a] = t.b.vals[i]
-		}
-	}
-	for k, v := range t.b.over {
-		if int(k.S) < numS && int(k.A) < numA {
-			dst[int(k.S)*numA+int(k.A)] = v
-		}
+		dst[ci] = t.b.vals[i]
 	}
 	return dst
 }
@@ -834,12 +750,6 @@ func (t *Table) Clone() *Table {
 		nb.idx = append(nb.idx, b.idx...)
 		nb.idxHash.Store(b.idxHash.Load())
 		nb.vals = append(nb.vals, b.vals...)
-		if len(b.over) > 0 {
-			nb.over = make(map[Key]float64, len(b.over))
-			for k, v := range b.over {
-				nb.over[k] = v
-			}
-		}
 		if b.rowMax != nil {
 			rm := *b.rowMax
 			nb.rowMax = &rm
@@ -851,7 +761,7 @@ func (t *Table) Clone() *Table {
 
 // Footprint reports the physical memory behind a set of tables: the number
 // of distinct backings (a backing shared by several tables counts once),
-// the bytes they reserve — including append slack and overflow maps — and,
+// the bytes they reserve — including append slack — and,
 // separately, the bytes of the value arrays alone (valueBytes ⊆ bytes; 8
 // per reserved cell). The scale benchmark reports the value share on its
 // own; the cells figure is the logical total (shared backings still counted
@@ -876,7 +786,6 @@ func Footprint(tables []*Table) (backings int, bytes, valueBytes int64, cells in
 			bytes += int64(cap(b.idx)) * 2
 		}
 		valueBytes += int64(cap(b.vals)) * 8
-		bytes += int64(len(b.over)) * 32
 		if b.rowMax != nil {
 			bytes += int64(len(b.rowMax)) * 8
 		}
@@ -900,28 +809,6 @@ func Unify(p, q *Table) {
 // no-op merge of already-equal tables just collapses them onto one backing.
 func Merge(p, q *Table) bool {
 	return mergeTables(p, q)
-}
-
-// overUnion merges the overflow maps of pb and qb into a fresh map,
-// averaging the cells both hold.
-func overUnion(pb, qb *backing) map[Key]float64 {
-	if len(pb.over) == 0 && len(qb.over) == 0 {
-		return nil
-	}
-	out := make(map[Key]float64, len(pb.over)+len(qb.over))
-	for k, v := range pb.over {
-		out[k] = v
-	}
-	for k, v := range qb.over {
-		if pv, ok := out[k]; ok {
-			if pv != v {
-				out[k] = (pv + v) / 2
-			}
-		} else {
-			out[k] = v
-		}
-	}
-	return out
 }
 
 // MergeStats is a snapshot of mergeTables' outcome counters since the last
@@ -1178,23 +1065,7 @@ func mergeTables(p, q *Table) bool {
 	}
 	setsEqual := union == len(pi) && union == len(qi)
 
-	overSetsEqual, overEqual := true, true
-	if len(pb.over) != len(qb.over) {
-		overSetsEqual, overEqual = false, false
-	} else {
-		for k, v := range pb.over {
-			qv, ok := qb.over[k]
-			if !ok {
-				overSetsEqual, overEqual = false, false
-				break
-			}
-			if qv != v {
-				overEqual = false
-			}
-		}
-	}
-
-	if setsEqual && valsEqual && overEqual {
+	if setsEqual && valsEqual {
 		// Identical content: collapse the pair onto p's backing.
 		if !aligned {
 			mergeStats.equalCollapse.Add(1)
@@ -1208,35 +1079,28 @@ func mergeTables(p, q *Table) bool {
 	pOwned := pb.ref.Load() == 1
 	qOwned := qb.ref.Load() == 1
 
-	if setsEqual && overSetsEqual {
-		if pOwned || qOwned {
-			// Write averages into an unshared side and have the other table
-			// adopt it, so the pair leaves the merge sharing one backing.
-			// (An earlier revision dual-wrote averages into both owned
-			// backings; that kept every node's table privately backed
-			// through the whole aggregation phase — both sides of a
-			// push-pull merge hold identical content afterwards, and at
-			// cluster scale the N-fold duplication was the dominant term of
-			// pretrain's peak heap.)
-			if !aligned {
-				mergeStats.adoptedIdx.Add(1)
-			}
-			d, o, other := pb, qb, q
-			if !pOwned {
-				d, o, other = qb, pb, p
-			}
-			averageInto(d.vals, o.vals)
-			for k, v := range d.over {
-				if ov := o.over[k]; ov != v {
-					d.over[k] = (v + ov) / 2
-				}
-			}
-			d.invalidateRowMax()
-			other.b = d
-			d.ref.Add(1)
-			deref(o)
-			return true
+	if setsEqual && (pOwned || qOwned) {
+		// Write averages into an unshared side and have the other table
+		// adopt it, so the pair leaves the merge sharing one backing.
+		// (An earlier revision dual-wrote averages into both owned
+		// backings; that kept every node's table privately backed
+		// through the whole aggregation phase — both sides of a
+		// push-pull merge hold identical content afterwards, and at
+		// cluster scale the N-fold duplication was the dominant term of
+		// pretrain's peak heap.)
+		if !aligned {
+			mergeStats.adoptedIdx.Add(1)
 		}
+		d, o, other := pb, qb, q
+		if !pOwned {
+			d, o, other = qb, pb, p
+		}
+		averageInto(d.vals, o.vals)
+		d.invalidateRowMax()
+		other.b = d
+		d.ref.Add(1)
+		deref(o)
+		return true
 	}
 
 	// Differing cell sets or both backings shared: build the union into a
@@ -1291,7 +1155,6 @@ func mergeTables(p, q *Table) bool {
 			}
 		}
 	}
-	d.over = overUnion(pb, qb)
 	deref(pb)
 	deref(qb)
 	p.b, q.b = d, d
@@ -1303,42 +1166,20 @@ func mergeTables(p, q *Table) bool {
 // A pair sharing one backing — the invariable case once aggregation gossip
 // has merged them — is equal by identity; otherwise two slice scans.
 func Equal(p, q *Table) bool {
-	pb, qb := p.b, q.b
-	if pb == qb {
+	if p.b == q.b {
 		return true
 	}
-	pl, ql := 0, 0
-	if pb != nil {
-		pl = pb.len()
+	pi, pv := p.b.cells()
+	qi, qv := q.b.cells()
+	return slices.Equal(pi, qi) && slices.Equal(pv, qv)
+}
+
+// cells returns the backing's cell and value arrays; a nil backing has none.
+func (b *backing) cells() ([]uint16, []float64) {
+	if b == nil {
+		return nil, nil
 	}
-	if qb != nil {
-		ql = qb.len()
-	}
-	if pl != ql {
-		return false
-	}
-	if pl == 0 {
-		return true
-	}
-	if len(pb.idx) != len(qb.idx) {
-		return false
-	}
-	for i := range pb.idx {
-		if pb.idx[i] != qb.idx[i] {
-			return false
-		}
-	}
-	for i := range pb.idx {
-		if pb.vals[i] != qb.vals[i] {
-			return false
-		}
-	}
-	for k, v := range pb.over {
-		if qv, ok := qb.over[k]; !ok || qv != v {
-			return false
-		}
-	}
-	return true
+	return b.idx, b.vals
 }
 
 // Identical reports whether every table in ts holds exactly the cells of
@@ -1377,24 +1218,15 @@ func Identical(ts []*Table) bool {
 // identicalBackings is Identical for two distinct backings, either possibly
 // nil.
 func identicalBackings(a, b *backing) bool {
-	if a == nil || b == nil {
-		return (a == nil || a.len() == 0) && (b == nil || b.len() == 0)
-	}
-	if len(a.idx) != len(b.idx) || len(a.over) != len(b.over) {
+	ai, av := a.cells()
+	bi, bv := b.cells()
+	if len(ai) != len(bi) {
 		return false
 	}
-	if len(a.idx) > 0 && &a.idx[0] != &b.idx[0] && !slices.Equal(a.idx, b.idx) {
+	if len(ai) > 0 && &ai[0] != &bi[0] && !slices.Equal(ai, bi) {
 		return false
 	}
-	if !sameValues(a.vals, b.vals) {
-		return false
-	}
-	for k, v := range a.over {
-		if w, ok := b.over[k]; !ok || !sameValue(v, w) {
-			return false
-		}
-	}
-	return true
+	return sameValues(av, bv)
 }
 
 // sameValues reports whether two value arrays agree cell by cell under
@@ -1433,19 +1265,4 @@ func Adopt(p, q *Table) {
 		pb.ref.Add(1)
 		deref(qb)
 	}
-}
-
-// EpsilonGreedy selects among candidates: with probability eps a uniformly
-// random candidate (exploration), otherwise the Best action (exploitation).
-// rnd(n) must return a uniform integer in [0, n). ok is false when
-// candidates is empty.
-func (t *Table) EpsilonGreedy(s State, candidates []Action, eps float64, rnd func(n int) int, coin func() float64) (a Action, ok bool) {
-	if len(candidates) == 0 {
-		return 0, false
-	}
-	if eps > 0 && coin() < eps {
-		return candidates[rnd(len(candidates))], true
-	}
-	a, _, ok = t.Best(s, candidates)
-	return a, ok
 }

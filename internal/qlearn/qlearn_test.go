@@ -297,29 +297,6 @@ func TestEqual(t *testing.T) {
 	}
 }
 
-func TestEpsilonGreedy(t *testing.T) {
-	q := New(0.5, 0.8)
-	q.Set(1, 10, 5)
-	q.Set(1, 20, 9)
-	cands := []Action{10, 20}
-	rnd := func(n int) int { return 0 }
-
-	// eps = 0: always exploit.
-	a, ok := q.EpsilonGreedy(1, cands, 0, rnd, func() float64 { return 0 })
-	if !ok || a != 20 {
-		t.Fatalf("exploit = %d, %v", a, ok)
-	}
-	// eps = 1: always explore (rnd picks index 0).
-	a, ok = q.EpsilonGreedy(1, cands, 1, rnd, func() float64 { return 0.5 })
-	if !ok || a != 10 {
-		t.Fatalf("explore = %d, %v", a, ok)
-	}
-	// Empty candidates.
-	if _, ok := q.EpsilonGreedy(1, nil, 0.5, rnd, func() float64 { return 0 }); ok {
-		t.Fatal("empty candidates should report !ok")
-	}
-}
-
 // TestCanonInterning pins the seen-once filter of canonical cell-set
 // interning: a union's cell set is interned on its second sighting, and a
 // later union over the same set aliases that one immutable array.
