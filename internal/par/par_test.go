@@ -223,12 +223,12 @@ func TestTaskRunsBesideCallerAndJoins(t *testing.T) {
 
 func TestTaskAutoHoldsOneBudgetToken(t *testing.T) {
 	// Drain the budget: auto must decline rather than block or oversubscribe.
-	held := acquireExtra(cap(extraTokens))
+	held := drainBudget()
 	var task Task
 	if task.Start(0, func() { t.Error("fn ran without a token") }) {
 		t.Fatal("auto launched with the budget drained")
 	}
-	releaseExtra(held)
+	refillBudget(held)
 	if cap(extraTokens) == 0 {
 		return // GOMAXPROCS 1: auto never launches
 	}
@@ -262,5 +262,20 @@ func TestTaskPanicPropagates(t *testing.T) {
 	task.Wait()
 	if !ran {
 		t.Fatal("Task unusable after a panic")
+	}
+}
+
+// drainBudget takes every budget worker; refillBudget returns them.
+func drainBudget() []*worker {
+	var held []*worker
+	for w := acquire(true); w != nil; w = acquire(true) {
+		held = append(held, w)
+	}
+	return held
+}
+
+func refillBudget(held []*worker) {
+	for _, w := range held {
+		release(w, true)
 	}
 }

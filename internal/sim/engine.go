@@ -120,18 +120,18 @@ type Engine struct {
 	upCount   int
 	pairBuf   []par.Pair // drawPairs scratch, reused across rounds
 	ahead     []func(next int)
-	helper    par.Task // the round pipeline's one helper goroutine
+	helper    par.Task // the round pipeline's one helper
 
 	// RoundPeriod is the virtual duration of one round. The paper uses
 	// 2-minute rounds; the default is 120 (seconds).
 	RoundPeriod int64
 
 	// Workers bounds intra-run parallelism: the fork-join passes of protocols
-	// that declare ParallelRound or LaneRound, and the one helper goroutine
+	// that declare ParallelRound or LaneRound, and the one helper worker
 	// that runs the LookAhead hooks beside a round of sequential passes. <= 0
 	// (the default) sizes automatically from the machine-wide worker budget
 	// shared with RunReplications, so nested parallelism cannot oversubscribe;
-	// 1 forces sequential execution on the caller, no goroutine at all; an
+	// 1 forces sequential execution on the caller, no other goroutine; an
 	// explicit count > 1 is honored exactly (differential and race tests rely
 	// on that). Results are identical for every setting.
 	Workers int
@@ -230,7 +230,7 @@ func (e *Engine) BeforeRound(o Observer) { e.pre = append(e.pre, o) }
 // write — the cluster binding registers the synthesis of the next round's VM
 // demand. While round r's protocol passes, observers and the event drain
 // ahead of round r+1 run on the caller, RunRounds may call fn(r+1) on one
-// helper goroutine, joined before round r+1's BeforeRound hooks fire. fn must
+// helper worker, joined before round r+1's BeforeRound hooks fire. fn must
 // therefore read nothing a protocol, observer or event writes and write
 // nothing they read, and its consumer must treat the result as a cache keyed
 // by round: fn is not called for round 0, for a round that follows one with a
@@ -303,11 +303,11 @@ func (e *Engine) Stop() { e.stopReq = true }
 //
 // The loop is a two-stage software pipeline: in a round that has passes due,
 // all of them sequential, the LookAhead hooks for the next round run on one
-// helper goroutine beside them (see LookAhead). The helper is joined before
+// helper worker beside them (see LookAhead). The helper is joined before
 // the next round's BeforeRound hooks and on every way out — the last round
 // launches none, and Stop or a panicking protocol joins through the deferred
-// Wait — so no goroutine outlives the call, and a helper's panic is re-raised
-// here with its original value.
+// Wait — so no look-ahead work outlives the call, and a helper's panic is
+// re-raised here with its original value.
 func (e *Engine) RunRounds(rounds int) {
 	e.setup()
 	order := make([]*Node, len(e.nodes))
@@ -368,8 +368,9 @@ func (e *Engine) RunRounds(rounds int) {
 // take a spare worker. It would otherwise hold the budget's token when a
 // ParallelRound or LaneRound fork-join asks for it, and that pass — far more
 // work than the look-ahead — would run inline; and with no pass due at all (a
-// centralised policy that lives in a BeforeRound hook) the caller would reach
-// the join at once and wait out the helper's start-up on top of its work.
+// centralised policy that lives in a BeforeRound hook) only the observers and
+// the event drain would run beside the helper before the join, so the caller
+// would mostly wait out the helper's work instead of doing it.
 func (e *Engine) sequentialRound(r int) bool {
 	due := false
 	for pi := range e.protocols {
