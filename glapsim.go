@@ -131,10 +131,6 @@ type NetConfig struct {
 	Latency int64
 	// DropProb is the per-message loss probability.
 	DropProb float64
-	// OfferTimeout bounds each request stage of the offer handshake in
-	// virtual time; 0 defaults to 2×RoundPeriod + 4×MaxLatency (the base
-	// latency, tripled when TopoLatency is on).
-	OfferTimeout int64
 	// TopoLatency scales each message's delay by the topology's path length
 	// (×1 in-rack, ×2 cross-rack, ×3 cross-pod) instead of a constant
 	// Latency. Requires RackSize > 0.
@@ -160,8 +156,8 @@ func (x *Experiment) Validate() error {
 	if !(x.Net.DropProb >= 0 && x.Net.DropProb <= 1) {
 		return fmt.Errorf("glapsim: Net.DropProb %g out of [0,1]", x.Net.DropProb)
 	}
-	if x.Net.Latency < 0 || x.Net.OfferTimeout < 0 {
-		return fmt.Errorf("glapsim: negative Net timing")
+	if x.Net.Latency < 0 {
+		return fmt.Errorf("glapsim: negative Net.Latency %d", x.Net.Latency)
 	}
 	if x.Workload != nil && x.Workload.NumVMs() != x.PMs*x.Ratio {
 		return fmt.Errorf("glapsim: workload has %d VMs, want %d", x.Workload.NumVMs(), x.PMs*x.Ratio)
@@ -332,10 +328,11 @@ func Run(x Experiment) (*Result, error) {
 
 // RunReplicated executes reps independent replications of the experiment in
 // parallel (the paper repeats every experiment 20 times) and returns the
-// per-replication results. workers <= 0 uses GOMAXPROCS. Replication r uses
-// seed Seed+r-derived streams but the identical workload and placement
-// question is per replication: each replication gets its own workload and
-// placement, matching the paper's repeated random setups.
+// per-replication results. workers <= 0 uses GOMAXPROCS. Replication r runs
+// under sim.ReplicationSeed(Seed, r) and regenerates its workload from that
+// seed (a set x.Workload is ignored), so each replication gets its own
+// workload, placement and random streams, matching the paper's repeated
+// random setups.
 func RunReplicated(x Experiment, reps, workers int) ([]*Result, error) {
 	if err := x.Validate(); err != nil {
 		return nil, err

@@ -12,8 +12,8 @@ import (
 	"math"
 	"sort"
 
+	"github.com/glap-sim/glap/internal/cyclon"
 	"github.com/glap-sim/glap/internal/dc"
-	"github.com/glap-sim/glap/internal/gossip"
 	"github.com/glap-sim/glap/internal/policy"
 	"github.com/glap-sim/glap/internal/sim"
 )
@@ -32,8 +32,6 @@ type Protocol struct {
 	// Candidates is the number of peers polled per migration attempt
 	// (EcoCloud broadcasts; the gossip port polls a view sample).
 	Candidates int
-	// Select overrides the peer selector (defaults to Cyclon sampling).
-	Select gossip.PeerSelector
 
 	rng sim.BoundRNG
 }
@@ -147,12 +145,8 @@ func (p *Protocol) evacuate(e *sim.Engine, n *sim.Node, pm *dc.PM) {
 func (p *Protocol) findAssenting(e *sim.Engine, n *sim.Node, vm *dc.VM) *dc.PM {
 	rng := p.rng.For(e, 0xec0c1d)
 	c := p.B.C
-	sel := p.Select
-	if sel == nil {
-		sel = gossip.CyclonSelector
-	}
 	for i := 0; i < p.Candidates; i++ {
-		peer := sel(e, n, rng)
+		peer := cyclon.SelectPeer(e, n, rng)
 		if peer < 0 {
 			return nil
 		}

@@ -11,8 +11,8 @@ package grmp
 import (
 	"sort"
 
+	"github.com/glap-sim/glap/internal/cyclon"
 	"github.com/glap-sim/glap/internal/dc"
-	"github.com/glap-sim/glap/internal/gossip"
 	"github.com/glap-sim/glap/internal/policy"
 	"github.com/glap-sim/glap/internal/sim"
 )
@@ -26,8 +26,6 @@ type Protocol struct {
 	// Threshold is the static upper utilisation bound for accepting VMs
 	// (the paper configures 0.8).
 	Threshold float64
-	// Select overrides the peer selector (defaults to Cyclon sampling).
-	Select gossip.PeerSelector
 
 	rng sim.BoundRNG
 }
@@ -49,11 +47,7 @@ func (g *Protocol) Setup(e *sim.Engine, n *sim.Node) any {
 // utilisation and the lower one aggressively migrates VMs into the other,
 // stopping only at the 0.8 threshold; an overloaded endpoint sheds first.
 func (g *Protocol) Round(e *sim.Engine, n *sim.Node, round int) {
-	sel := g.Select
-	if sel == nil {
-		sel = gossip.CyclonSelector
-	}
-	peer := sel(e, n, g.rng.For(e, 0x62e3))
+	peer := cyclon.SelectPeer(e, n, g.rng.For(e, 0x62e3))
 	if peer < 0 {
 		return
 	}

@@ -133,6 +133,47 @@ func TestSelectPeerPrunesDead(t *testing.T) {
 	}
 }
 
+// TestSelectPeerNeverReturnsDown draws repeatedly from views that mix live
+// and dead peers, as every protocol's partner draw does after a crash: each
+// draw is a live peer from the node's own view, and a view holding a live
+// peer never yields -1.
+func TestSelectPeerNeverReturnsDown(t *testing.T) {
+	e := runCyclon(t, 30, 15, 8, 4, 9)
+	for id := 0; id < 30; id += 3 {
+		e.SetUp(e.Node(id), false)
+	}
+	rng := sim.NewRNG(5)
+	mixed := 0
+	for _, n := range e.Nodes() {
+		if !n.Up() {
+			continue
+		}
+		inView := map[int]bool{}
+		live := 0
+		for _, entry := range ViewOf(e, n).Entries() {
+			inView[entry.Peer] = true
+			if e.Node(entry.Peer).Up() {
+				live++
+			}
+		}
+		if live > 0 && live < len(inView) {
+			mixed++
+		}
+		for i := 0; i < 50; i++ {
+			p := SelectPeer(e, n, rng)
+			if p < 0 && live > 0 {
+				t.Fatalf("node %d: SelectPeer = -1 with %d live peers in view", n.ID, live)
+			}
+			if p >= 0 && (!inView[p] || !e.Node(p).Up()) {
+				t.Fatalf("node %d: SelectPeer = %d (in view %v, up %v)", n.ID, p, inView[p], e.Node(p).Up())
+			}
+		}
+	}
+	if mixed == 0 {
+		t.Fatal("degenerate run: no view mixes live and dead peers")
+	}
+}
+
 func TestNewDefaults(t *testing.T) {
 	p := New(0, 0)
 	if p.ViewSize != 20 {

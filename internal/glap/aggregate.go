@@ -1,7 +1,7 @@
 package glap
 
 import (
-	"github.com/glap-sim/glap/internal/gossip"
+	"github.com/glap-sim/glap/internal/cyclon"
 	"github.com/glap-sim/glap/internal/par"
 	"github.com/glap-sim/glap/internal/sim"
 )
@@ -18,9 +18,6 @@ const AggProtocolName = "glap-aggregate"
 // The protocol operates on the Q store owned by LearnProtocol, which must be
 // registered on the same engine.
 type AggProtocol struct {
-	// Select overrides the peer selector (defaults to Cyclon sampling).
-	Select gossip.PeerSelector
-
 	rng sim.BoundRNG
 
 	// settled is set between rounds by Pretrain once every node's φ^out and
@@ -54,20 +51,16 @@ func (a *AggProtocol) Round(e *sim.Engine, n *sim.Node, round int) {
 // Lanes implements sim.LaneRound: one lane per half of MergeTables.
 func (a *AggProtocol) Lanes() int { return mergeLanes }
 
-// DrawPair implements sim.LaneRound: Round's peer draw. It reads the overlay
-// view and the protocol's RNG stream, never a table (nor may a Select
-// override), so drawing a whole round before any merge makes exactly the
+// DrawPair implements sim.LaneRound: Round's peer draw, a uniform sample of
+// the Cyclon view. It reads the overlay view and the protocol's RNG stream,
+// never a table, so drawing a whole round before any merge makes exactly the
 // draws Round makes.
 func (a *AggProtocol) DrawPair(e *sim.Engine, n *sim.Node, round int) int {
 	// Training is over for this node once aggregation runs, and its scratch
 	// buffers (a few KB each) are dead weight exactly when merge unions drive
 	// the peak heap: drop them. A re-learning phase regrows them lazily.
 	TablesOf(e, n).scratch = learnScratch{}
-	sel := a.Select
-	if sel == nil {
-		sel = gossip.CyclonSelector
-	}
-	return sel(e, n, a.rng.For(e, 0xa66a66))
+	return cyclon.SelectPeer(e, n, a.rng.For(e, 0xa66a66))
 }
 
 // RunLane implements sim.LaneRound: one half of every drawn pair's merge, in

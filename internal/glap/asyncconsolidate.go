@@ -1,9 +1,9 @@
 package glap
 
 import (
+	"github.com/glap-sim/glap/internal/cyclon"
 	"github.com/glap-sim/glap/internal/dc"
 	"github.com/glap-sim/glap/internal/glap/decision"
-	"github.com/glap-sim/glap/internal/gossip"
 	"github.com/glap-sim/glap/internal/policy"
 	"github.com/glap-sim/glap/internal/qlearn"
 	"github.com/glap-sim/glap/internal/sim"
@@ -52,7 +52,7 @@ type AsyncConsolidateProtocol struct {
 	// deployments inject tables here.
 	Tables func(e *sim.Engine, n *sim.Node) *NodeTables
 	// Select overrides the peer selector (defaults to Cyclon sampling).
-	Select gossip.PeerSelector
+	Select PeerSelector
 	// CurrentDemandOnly mirrors Config.CurrentDemandOnly for the runtime
 	// decision states (ablation switch).
 	CurrentDemandOnly bool
@@ -193,7 +193,7 @@ type acDone struct {
 	Commit bool
 }
 
-// Name implements sim.Protocol and sim.Handler.
+// Name implements sim.Protocol.
 func (p *AsyncConsolidateProtocol) Name() string { return AsyncConsolidateProtocolName }
 
 // Setup implements sim.Protocol.
@@ -259,7 +259,7 @@ func (p *AsyncConsolidateProtocol) Round(e *sim.Engine, n *sim.Node, round int) 
 	}
 	sel := p.Select
 	if sel == nil {
-		sel = gossip.CyclonSelector
+		sel = cyclon.SelectPeer
 	}
 	peer := sel(e, n, p.rng.For(e, 0xa57c05))
 	if peer < 0 {
@@ -270,7 +270,7 @@ func (p *AsyncConsolidateProtocol) Round(e *sim.Engine, n *sim.Node, round int) 
 	st.target = peer
 	p.Exchanges++
 	st.exchEpoch = st.epoch
-	p.Tr.Send(n.ID, peer, AsyncConsolidateProtocolName, p.load(st.epoch, p.snapshot(pm), false))
+	p.Tr.Send(n.ID, peer, p.load(st.epoch, p.snapshot(pm), false))
 	st.exchReq = p.reqs(e).Add(p.timeout(e), st.onExchExpire)
 }
 
@@ -323,7 +323,7 @@ func (p *AsyncConsolidateProtocol) onLoad(e *sim.Engine, n *sim.Node, from int, 
 		// Passive endpoint: answer with our state (echoing the initiator's
 		// epoch), then run the direction rule ourselves — either side of an
 		// exchange may become the sender.
-		p.Tr.Send(n.ID, from, AsyncConsolidateProtocolName, p.load(msg.Epoch, p.snapshot(pm), true))
+		p.Tr.Send(n.ID, from, p.load(msg.Epoch, p.snapshot(pm), true))
 		if st.busy {
 			return
 		}
@@ -395,7 +395,7 @@ func (p *AsyncConsolidateProtocol) offerNext(e *sim.Engine, n *sim.Node, st *acN
 	offer := acOffer{Token: token, VM: vm.ID, Action: off.Action, Demand: vm.CurAbs(), AvgDemand: vm.AvgAbs()}
 	target := st.target
 	st.offerReq = p.reqs(e).AddRetry(p.timeout(e), offerAttempts, func() {
-		p.Tr.Send(n.ID, target, AsyncConsolidateProtocolName, offer)
+		p.Tr.Send(n.ID, target, offer)
 	}, func(uint64) {
 		// All attempts lost: abandon the sequence. The target's hold timer
 		// releases any reservation a lost verdict left behind.
@@ -413,7 +413,7 @@ func (p *AsyncConsolidateProtocol) onOffer(e *sim.Engine, n *sim.Node, from int,
 	st := p.state(e, n)
 	pm := p.B.PM(n)
 	reply := func(accept bool) {
-		p.Tr.Send(n.ID, from, AsyncConsolidateProtocolName, acVerdict{Token: msg.Token, Accept: accept})
+		p.Tr.Send(n.ID, from, acVerdict{Token: msg.Token, Accept: accept})
 	}
 	if _, open := st.holds[msg.Token]; open {
 		// Duplicate of an offer we already accepted (the verdict is in
@@ -471,7 +471,7 @@ func (p *AsyncConsolidateProtocol) onVerdict(e *sim.Engine, n *sim.Node, from in
 		if msg.Accept && !st.done[msg.Token] {
 			st.done[msg.Token] = true
 			p.Aborts++
-			p.Tr.Send(n.ID, from, AsyncConsolidateProtocolName, acDone{Token: msg.Token})
+			p.Tr.Send(n.ID, from, acDone{Token: msg.Token})
 		}
 		return
 	}
@@ -491,12 +491,12 @@ func (p *AsyncConsolidateProtocol) onVerdict(e *sim.Engine, n *sim.Node, from in
 		// The VM departed or moved, or the target died after accepting:
 		// abort so the reservation is released promptly.
 		p.Aborts++
-		p.Tr.Send(n.ID, from, AsyncConsolidateProtocolName, acDone{Token: msg.Token})
+		p.Tr.Send(n.ID, from, acDone{Token: msg.Token})
 		st.busy = false
 		return
 	}
 	p.Commits++
-	p.Tr.Send(n.ID, from, AsyncConsolidateProtocolName, acDone{Token: msg.Token, Commit: true})
+	p.Tr.Send(n.ID, from, acDone{Token: msg.Token, Commit: true})
 	// Advance the remote estimate so follow-up offers in this sequence vet
 	// against the target's expected post-migration state.
 	st.remote.Cur = st.remote.Cur.Add(vm.CurAbs())

@@ -9,7 +9,6 @@ import (
 
 	"github.com/glap-sim/glap/internal/cyclon"
 	"github.com/glap-sim/glap/internal/dc"
-	"github.com/glap-sim/glap/internal/gossip"
 	"github.com/glap-sim/glap/internal/policy"
 	"github.com/glap-sim/glap/internal/qlearn"
 	"github.com/glap-sim/glap/internal/sim"
@@ -56,7 +55,7 @@ func fullPretrain(t *testing.T, cfg Config, cl *dc.Cluster, seed uint64, every .
 			if round%k != 0 {
 				return
 			}
-			v := gossip.MeanPairwiseCosineDense(e, IOVectorDense, samplePairs, rng)
+			v := meanPairwiseCosineDense(e, IOVectorDense, samplePairs, rng)
 			run.conv[k] = append(run.conv[k], v)
 			run.rounds[k] = append(run.rounds[k], round)
 		})

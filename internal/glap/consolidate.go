@@ -1,9 +1,9 @@
 package glap
 
 import (
+	"github.com/glap-sim/glap/internal/cyclon"
 	"github.com/glap-sim/glap/internal/dc"
 	"github.com/glap-sim/glap/internal/glap/decision"
-	"github.com/glap-sim/glap/internal/gossip"
 	"github.com/glap-sim/glap/internal/policy"
 	"github.com/glap-sim/glap/internal/qlearn"
 	"github.com/glap-sim/glap/internal/sim"
@@ -12,6 +12,11 @@ import (
 
 // ConsolidateProtocolName registers the Gossip Consolidation component.
 const ConsolidateProtocolName = "glap-consolidate"
+
+// PeerSelector picks a consolidation partner for node n, returning -1 when
+// none is available. Nil on either consolidation protocol means uniform
+// Cyclon sampling (cyclon.SelectPeer); LocalitySelector is the other.
+type PeerSelector func(e *sim.Engine, n *sim.Node, rng *sim.RNG) int
 
 // ConsolidateProtocol is Algorithm 3: each round every PM push-pulls its
 // load state with one random neighbour. An overloaded endpoint sheds VMs
@@ -28,7 +33,7 @@ type ConsolidateProtocol struct {
 	// deployments inject tables here.
 	Tables func(e *sim.Engine, n *sim.Node) *NodeTables
 	// Select overrides the peer selector (defaults to Cyclon sampling).
-	Select gossip.PeerSelector
+	Select PeerSelector
 	// CurrentDemandOnly mirrors Config.CurrentDemandOnly for the runtime
 	// decision states (ablation switch).
 	CurrentDemandOnly bool
@@ -73,7 +78,7 @@ func (p *ConsolidateProtocol) tables(e *sim.Engine, n *sim.Node) *NodeTables {
 func (p *ConsolidateProtocol) Round(e *sim.Engine, n *sim.Node, round int) {
 	sel := p.Select
 	if sel == nil {
-		sel = gossip.CyclonSelector
+		sel = cyclon.SelectPeer
 	}
 	peer := sel(e, n, p.rng.For(e, 0xc0501))
 	if peer < 0 {

@@ -1,4 +1,4 @@
-package gossip
+package glap
 
 import (
 	"math"
@@ -8,16 +8,16 @@ import (
 	"github.com/glap-sim/glap/internal/stats"
 )
 
-// VectorFunc extracts a sparse vector from a node for similarity
+// vectorFunc extracts a sparse vector from a node for similarity
 // measurement; nodes returning nil are skipped (e.g. PMs that never ran the
 // learning phase).
-type VectorFunc[K comparable] func(e *sim.Engine, n *sim.Node) map[K]float64
+type vectorFunc[K comparable] func(e *sim.Engine, n *sim.Node) map[K]float64
 
-// MeanPairwiseCosine is the map-based form of MeanPairwiseCosineDense and
+// meanPairwiseCosine is the map-based form of meanPairwiseCosineDense and
 // its oracle: the same holder scan and the same pair draws, with each pair's
 // similarity taken over sparse maps. It returns 1 for fewer than two
 // eligible nodes.
-func MeanPairwiseCosine[K comparable](e *sim.Engine, vec VectorFunc[K], pairs int, rng *sim.RNG) float64 {
+func meanPairwiseCosine[K comparable](e *sim.Engine, vec vectorFunc[K], pairs int, rng *sim.RNG) float64 {
 	var holders []*sim.Node
 	vecs := make(map[int]map[K]float64)
 	for _, n := range e.Nodes() {
@@ -63,14 +63,14 @@ func TestMeanPairwiseCosine(t *testing.T) {
 	}
 	vf := func(e *sim.Engine, n *sim.Node) map[string]float64 { return vecs[n.ID] }
 	rng := sim.NewRNG(9)
-	if got := MeanPairwiseCosine(e, vf, 32, rng); math.Abs(got-1) > 1e-9 {
+	if got := meanPairwiseCosine(e, vf, 32, rng); math.Abs(got-1) > 1e-9 {
 		t.Fatalf("identical vectors similarity = %g", got)
 	}
 	// Orthogonal halves: mean similarity well below 1.
 	for id := 3; id < 6; id++ {
 		vecs[id] = map[string]float64{"c": 1}
 	}
-	if got := MeanPairwiseCosine(e, vf, 256, rng); got > 0.8 {
+	if got := meanPairwiseCosine(e, vf, 256, rng); got > 0.8 {
 		t.Fatalf("orthogonal halves similarity = %g", got)
 	}
 }
@@ -80,7 +80,7 @@ func TestMeanPairwiseCosineEdgeCases(t *testing.T) {
 	rng := sim.NewRNG(1)
 	// No holders at all: trivially converged.
 	empty := func(e *sim.Engine, n *sim.Node) map[string]float64 { return nil }
-	if got := MeanPairwiseCosine(e, empty, 8, rng); got != 1 {
+	if got := meanPairwiseCosine(e, empty, 8, rng); got != 1 {
 		t.Fatalf("no holders similarity = %g, want 1", got)
 	}
 	// Single holder.
@@ -90,7 +90,7 @@ func TestMeanPairwiseCosineEdgeCases(t *testing.T) {
 		}
 		return nil
 	}
-	if got := MeanPairwiseCosine(e, one, 8, rng); got != 1 {
+	if got := meanPairwiseCosine(e, one, 8, rng); got != 1 {
 		t.Fatalf("single holder similarity = %g, want 1", got)
 	}
 }
@@ -103,14 +103,14 @@ func TestMeanPairwiseCosineDense(t *testing.T) {
 	}
 	vf := func(e *sim.Engine, n *sim.Node) []float64 { return vecs[n.ID] }
 	rng := sim.NewRNG(9)
-	if got := MeanPairwiseCosineDense(e, vf, 32, rng); math.Abs(got-1) > 1e-9 {
+	if got := meanPairwiseCosineDense(e, vf, 32, rng); math.Abs(got-1) > 1e-9 {
 		t.Fatalf("identical vectors similarity = %g", got)
 	}
 	// Orthogonal halves: mean similarity well below 1.
 	for id := 3; id < 6; id++ {
 		vecs[id] = []float64{0, 0, 1}
 	}
-	if got := MeanPairwiseCosineDense(e, vf, 256, rng); got > 0.8 {
+	if got := meanPairwiseCosineDense(e, vf, 256, rng); got > 0.8 {
 		t.Fatalf("orthogonal halves similarity = %g", got)
 	}
 }
@@ -119,7 +119,7 @@ func TestMeanPairwiseCosineDenseEdgeCases(t *testing.T) {
 	e := sim.NewEngine(3, 10)
 	rng := sim.NewRNG(1)
 	empty := func(e *sim.Engine, n *sim.Node) []float64 { return nil }
-	if got := MeanPairwiseCosineDense(e, empty, 8, rng); got != 1 {
+	if got := meanPairwiseCosineDense(e, empty, 8, rng); got != 1 {
 		t.Fatalf("no holders similarity = %g, want 1", got)
 	}
 	one := func(e *sim.Engine, n *sim.Node) []float64 {
@@ -128,14 +128,14 @@ func TestMeanPairwiseCosineDenseEdgeCases(t *testing.T) {
 		}
 		return nil
 	}
-	if got := MeanPairwiseCosineDense(e, one, 8, rng); got != 1 {
+	if got := meanPairwiseCosineDense(e, one, 8, rng); got != 1 {
 		t.Fatalf("single holder similarity = %g, want 1", got)
 	}
 	// Down nodes are excluded like in the map-based variant.
 	all := func(e *sim.Engine, n *sim.Node) []float64 { return []float64{1} }
 	e.SetUp(e.Node(1), false)
 	e.SetUp(e.Node(2), false)
-	if got := MeanPairwiseCosineDense(e, all, 8, rng); got != 1 {
+	if got := meanPairwiseCosineDense(e, all, 8, rng); got != 1 {
 		t.Fatalf("single up holder similarity = %g, want 1", got)
 	}
 }
@@ -167,10 +167,32 @@ func TestDenseMatchesMapCosine(t *testing.T) {
 	mf := func(e *sim.Engine, n *sim.Node) map[int]float64 { return maps[n.ID] }
 	df := func(e *sim.Engine, n *sim.Node) []float64 { return dense[n.ID] }
 	for seed := uint64(1); seed <= 4; seed++ {
-		got := MeanPairwiseCosineDense(e, df, 200, sim.NewRNG(seed))
-		want := MeanPairwiseCosine(e, mf, 200, sim.NewRNG(seed))
+		got := meanPairwiseCosineDense(e, df, 200, sim.NewRNG(seed))
+		want := meanPairwiseCosine(e, mf, 200, sim.NewRNG(seed))
 		if math.Abs(got-want) > 1e-12 {
 			t.Fatalf("seed %d: dense %g vs map %g", seed, got, want)
 		}
+	}
+}
+
+// BenchmarkMeanPairwiseCosineDense measures the full Figure 5 sample over
+// 500 nodes holding GLAP-sized dense vectors (two 81×81 Q-tables).
+func BenchmarkMeanPairwiseCosineDense(b *testing.B) {
+	const ioCells = 2 * 81 * 81
+	e := sim.NewEngine(500, 1)
+	vecs := make([][]float64, 500)
+	for i := range vecs {
+		v := make([]float64, ioCells)
+		for k := range v {
+			v[k] = float64((i + k) % 301)
+		}
+		vecs[i] = v
+	}
+	vf := func(e *sim.Engine, n *sim.Node) []float64 { return vecs[n.ID] }
+	rng := sim.NewRNG(2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = meanPairwiseCosineDense(e, vf, 64, rng)
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"github.com/glap-sim/glap/internal/cyclon"
 	"github.com/glap-sim/glap/internal/dc"
-	"github.com/glap-sim/glap/internal/gossip"
 	"github.com/glap-sim/glap/internal/policy"
 	"github.com/glap-sim/glap/internal/qlearn"
 	"github.com/glap-sim/glap/internal/sim"
@@ -121,7 +120,7 @@ func Pretrain(cfg Config, cl *dc.Cluster, seed uint64, opts PretrainOptions) (*P
 			if round%opts.MeasureEvery != 0 {
 				return
 			}
-			sim1 := gossip.MeanPairwiseCosineDense(e, IOVectorDense, pairs, measureRNG)
+			sim1 := meanPairwiseCosineDense(e, IOVectorDense, pairs, measureRNG)
 			res.Convergence = append(res.Convergence, sim1)
 			res.ConvergenceRound = append(res.ConvergenceRound, round)
 		})

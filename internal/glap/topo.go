@@ -2,9 +2,17 @@ package glap
 
 import (
 	"github.com/glap-sim/glap/internal/cyclon"
-	"github.com/glap-sim/glap/internal/gossip"
 	"github.com/glap-sim/glap/internal/sim"
 	"github.com/glap-sim/glap/internal/topology"
+)
+
+// Tier weights: mostly rack-local pairs, but enough same-pod and cross-pod
+// pairings that residual VMs in nearly-empty racks can still drain away and
+// whole racks switch off. A strict rack-first preference would trap one
+// partially-filled PM per rack and keep every edge switch powered.
+const (
+	pSameRack = 0.60
+	pSamePod  = 0.25
 )
 
 // LocalitySelector implements the paper's future-work extension at the peer
@@ -18,16 +26,7 @@ import (
 // The selector only reorders candidates the overlay already provides; the
 // overlay itself remains the uniform Cyclon graph, so convergence of the
 // learning and aggregation phases is unaffected.
-// Tier weights: mostly rack-local pairs, but enough same-pod and cross-pod
-// pairings that residual VMs in nearly-empty racks can still drain away and
-// whole racks switch off. A strict rack-first preference would trap one
-// partially-filled PM per rack and keep every edge switch powered.
-const (
-	pSameRack = 0.60
-	pSamePod  = 0.25
-)
-
-func LocalitySelector(tree *topology.Tree) gossip.PeerSelector {
+func LocalitySelector(tree *topology.Tree) PeerSelector {
 	return func(e *sim.Engine, n *sim.Node, rng *sim.RNG) int {
 		view := cyclon.ViewOf(e, n)
 		var sameRack, samePod, other []int

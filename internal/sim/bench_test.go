@@ -102,7 +102,6 @@ func BenchmarkEventQueue(b *testing.B) {
 // nopHandler accepts every message and does nothing with it.
 type nopHandler struct{}
 
-func (nopHandler) Name() string                          { return "nop" }
 func (nopHandler) Deliver(e *Engine, n *Node, m Message) {}
 
 // BenchmarkTransportSend measures one message's trip through the transport:
@@ -116,7 +115,7 @@ func BenchmarkTransportSend(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Send(i&63, (i*7+1)&63, "nop", nil)
+		tr.Send(i&63, (i*7+1)&63, nil)
 		if i&63 == 63 {
 			e.RunEvents(-1)
 		}

@@ -13,27 +13,23 @@ import (
 type refTransport struct {
 	e        *Engine
 	latency  LatencyFunc
-	handlers map[string]Handler
+	h        Handler
 	DropProb float64
 	rng      *RNG
 
 	Sent, Delivered, Dropped int64
 }
 
-func newRefTransport(e *Engine, latency LatencyFunc) *refTransport {
+func newRefTransport(e *Engine, latency LatencyFunc, h Handler) *refTransport {
 	return &refTransport{
-		e:        e,
-		latency:  latency,
-		handlers: make(map[string]Handler),
-		rng:      e.RNG().Derive(0x7a5b07),
+		e:       e,
+		latency: latency,
+		h:       h,
+		rng:     e.RNG().Derive(0x7a5b07),
 	}
 }
 
-func (t *refTransport) Send(from, to int, proto string, payload any) {
-	h, ok := t.handlers[proto]
-	if !ok {
-		panic(fmt.Sprintf("sim: no handler for protocol %q", proto))
-	}
+func (t *refTransport) Send(from, to int, payload any) {
 	if !t.e.Node(from).Up() {
 		return
 	}
@@ -42,7 +38,7 @@ func (t *refTransport) Send(from, to int, proto string, payload any) {
 		t.Dropped++
 		return
 	}
-	m := Message{From: from, To: to, Proto: proto, Payload: payload}
+	m := Message{From: from, To: to, Payload: payload}
 	t.e.After(t.latency(from, to), 1, func() {
 		dst := t.e.Node(to)
 		if !dst.Up() {
@@ -50,7 +46,7 @@ func (t *refTransport) Send(from, to int, proto string, payload any) {
 			return
 		}
 		t.Delivered++
-		h.Deliver(t.e, dst, m)
+		t.h.Deliver(t.e, dst, m)
 	})
 }
 
@@ -126,13 +122,13 @@ const msgNodes = 6
 func newMsgWorld(oracle bool) *msgWorld {
 	w := &msgWorld{e: NewEngine(msgNodes, 17), ops: NewRNG(23)}
 	w.e.RoundPeriod = 10
-	lat := UniformLatency(NewRNG(29), -3, 20) // negative latencies clamp to now
+	latRNG := NewRNG(29)
+	lat := func(from, to int) int64 { return -3 + int64(latRNG.Intn(24)) } // negative latencies clamp to now
 	h := msgHandler{w}
 	if oracle {
-		tr := newRefTransport(w.e, lat)
-		tr.handlers[h.Name()] = h
+		tr := newRefTransport(w.e, lat, h)
 		rt := &refReqTable{e: w.e, pending: make(map[uint64]*Event)}
-		w.send = func(from, to int, payload any) { tr.Send(from, to, h.Name(), payload) }
+		w.send = tr.Send
 		w.setDrop = func(p float64) { tr.DropProb = p }
 		w.addRetry, w.resolve = rt.AddRetry, rt.Resolve
 		w.open = func() int { return len(rt.pending) }
@@ -142,7 +138,7 @@ func newMsgWorld(oracle bool) *msgWorld {
 	tr := NewTransport(w.e, lat)
 	tr.Handle(h)
 	rt := NewReqTable(w.e)
-	w.send = func(from, to int, payload any) { tr.Send(from, to, h.Name(), payload) }
+	w.send = tr.Send
 	w.setDrop = func(p float64) { tr.DropProb = p }
 	w.addRetry, w.resolve, w.open = rt.AddRetry, rt.Resolve, rt.Open
 	w.counters = func() [3]int64 { return [3]int64{tr.Sent, tr.Delivered, tr.Dropped} }
@@ -228,8 +224,6 @@ func (w *msgWorld) op() {
 // msgHandler logs every delivery; on some payloads it replies, on others it
 // resolves a request from inside the delivery.
 type msgHandler struct{ w *msgWorld }
-
-func (h msgHandler) Name() string { return "diff" }
 
 func (h msgHandler) Deliver(e *Engine, n *Node, m Message) {
 	w := h.w
@@ -318,11 +312,9 @@ func TestTransportAndReqTableMatchClosureOracles(t *testing.T) {
 // so deliveries exercise sends made from inside a delivery.
 type pingHandler struct{ tr *Transport }
 
-func (pingHandler) Name() string { return "ping" }
-
 func (h pingHandler) Deliver(e *Engine, n *Node, m Message) {
 	if m.Payload == nil {
-		h.tr.Send(n.ID, m.From, "ping", h)
+		h.tr.Send(n.ID, m.From, h)
 	}
 }
 
@@ -336,7 +328,7 @@ func TestTransportZeroAlloc(t *testing.T) {
 	tr.Handle(pingHandler{tr})
 	burst := func() {
 		for i := 0; i < 64; i++ {
-			tr.Send(i%4, (i+1)%4, "ping", nil)
+			tr.Send(i%4, (i+1)%4, nil)
 		}
 		e.RunEvents(-1)
 	}

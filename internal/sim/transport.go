@@ -1,23 +1,17 @@
 package sim
 
-import "fmt"
-
 // Message is a unit of communication routed through a Transport.
 type Message struct {
 	// From and To are node ids.
 	From, To int
-	// Proto names the handler that receives the message.
-	Proto string
 	// Payload is the protocol-defined content.
 	Payload any
 }
 
-// Handler consumes messages for one protocol. Protocols that also need a
+// Handler consumes a transport's messages. Protocols that also need a
 // periodic active thread implement Protocol as well and register with the
 // engine in the usual way.
 type Handler interface {
-	// Name identifies the protocol the handler serves.
-	Name() string
 	// Deliver handles message m arriving at node n.
 	Deliver(e *Engine, n *Node, m Message)
 }
@@ -31,28 +25,15 @@ func ConstantLatency(d int64) LatencyFunc {
 	return func(from, to int) int64 { return d }
 }
 
-// UniformLatency returns a latency model drawing uniformly from [min, max]
-// per message using the given stream.
-func UniformLatency(rng *RNG, min, max int64) LatencyFunc {
-	if max < min {
-		min, max = max, min
-	}
-	return func(from, to int) int64 {
-		if max == min {
-			return min
-		}
-		return min + int64(rng.Intn(int(max-min+1)))
-	}
-}
-
 // Transport delivers messages between nodes through the engine's event
 // queue, enabling PeerSim-style event-driven (asynchronous) protocols next
 // to the cycle-driven ones. Deliveries to nodes that are down when the
-// message arrives are dropped, as are messages when DropProb fires.
+// message arrives are dropped, as are messages when DropProb fires. Every
+// message goes to the transport's one handler, the protocol it carries.
 type Transport struct {
-	e        *Engine
-	latency  LatencyFunc
-	handlers map[string]Handler
+	e       *Engine
+	latency LatencyFunc
+	h       Handler
 
 	// DropProb is the probability a message is silently lost (failure
 	// injection for robustness tests).
@@ -78,29 +59,27 @@ func NewTransport(e *Engine, latency LatencyFunc) *Transport {
 		latency = ConstantLatency(1)
 	}
 	return &Transport{
-		e:        e,
-		latency:  latency,
-		handlers: make(map[string]Handler),
-		rng:      e.RNG().Derive(0x7a5b07),
+		e:       e,
+		latency: latency,
+		rng:     e.RNG().Derive(0x7a5b07),
 	}
 }
 
-// Handle registers a message handler. Registering two handlers for one
-// protocol name panics: that is a wiring bug.
+// Handle sets the handler every message is delivered to. A transport has
+// one; a second call panics: that is a wiring bug.
 func (t *Transport) Handle(h Handler) {
-	if _, dup := t.handlers[h.Name()]; dup {
-		panic(fmt.Sprintf("sim: duplicate handler %q", h.Name()))
+	if t.h != nil {
+		panic("sim: transport handler already set")
 	}
-	t.handlers[h.Name()] = h
+	t.h = h
 }
 
 // delivery is one message in flight: the event that delivers it, with the
-// handler and the message it delivers. The transport owns it — no caller
-// sees the event — and puts it back on its free list as the event fires.
+// message it delivers. The transport owns it — no caller sees the event —
+// and puts it back on its free list as the event fires.
 type delivery struct {
 	Event
 	t    *Transport
-	h    Handler
 	m    Message
 	next *delivery
 }
@@ -109,8 +88,8 @@ type delivery struct {
 // record is recycled first, its fields copied out, so the reply a handler
 // usually sends reuses it.
 func (d *delivery) fire() {
-	t, h, m := d.t, d.h, d.m
-	d.h, d.m = nil, Message{}
+	t, m := d.t, d.m
+	d.m = Message{}
 	d.next, t.free = t.free, d
 	dst := t.e.Node(m.To)
 	if !dst.Up() {
@@ -118,18 +97,17 @@ func (d *delivery) fire() {
 		return
 	}
 	t.Delivered++
-	h.Deliver(t.e, dst, m)
+	t.h.Deliver(t.e, dst, m)
 }
 
 // Send schedules delivery of a message. Sending from a down node is a
 // no-op (dead nodes cannot talk); the recipient's liveness is checked at
 // delivery time, so messages in flight to a node that dies are lost.
 // Steady-state sends allocate nothing: the delivery event is a recycled
-// record, not a closure.
-func (t *Transport) Send(from, to int, proto string, payload any) {
-	h, ok := t.handlers[proto]
-	if !ok {
-		panic(fmt.Sprintf("sim: no handler for protocol %q", proto))
+// record, not a closure. Sending before Handle panics: that is a wiring bug.
+func (t *Transport) Send(from, to int, payload any) {
+	if t.h == nil {
+		panic("sim: Send before Handle")
 	}
 	if !t.e.Node(from).Up() {
 		return
@@ -146,7 +124,6 @@ func (t *Transport) Send(from, to int, proto string, payload any) {
 		d = &delivery{t: t}
 		d.rec = d
 	}
-	d.h = h
-	d.m = Message{From: from, To: to, Proto: proto, Payload: payload}
+	d.m = Message{From: from, To: to, Payload: payload}
 	t.e.schedule(&d.Event, t.e.now+t.latency(from, to), 1)
 }

@@ -3,11 +3,9 @@ package sim
 import "testing"
 
 type recordingHandler struct {
-	name     string
 	received []Message
 }
 
-func (h *recordingHandler) Name() string { return h.name }
 func (h *recordingHandler) Deliver(e *Engine, n *Node, m Message) {
 	h.received = append(h.received, m)
 }
@@ -15,10 +13,10 @@ func (h *recordingHandler) Deliver(e *Engine, n *Node, m Message) {
 func TestTransportDelivery(t *testing.T) {
 	e := NewEngine(3, 1)
 	tr := NewTransport(e, ConstantLatency(5))
-	h := &recordingHandler{name: "h"}
+	h := &recordingHandler{}
 	tr.Handle(h)
-	tr.Send(0, 1, "h", "hello")
-	tr.Send(2, 1, "h", 42)
+	tr.Send(0, 1, "hello")
+	tr.Send(2, 1, 42)
 	e.RunEvents(-1)
 	if len(h.received) != 2 {
 		t.Fatalf("delivered %d messages", len(h.received))
@@ -39,10 +37,10 @@ func TestTransportLatencyOrdering(t *testing.T) {
 		}
 		return 1 // fast path
 	})
-	h := &recordingHandler{name: "h"}
+	h := &recordingHandler{}
 	tr.Handle(h)
-	tr.Send(0, 1, "h", "slow")
-	tr.Send(1, 0, "h", "fast")
+	tr.Send(0, 1, "slow")
+	tr.Send(1, 0, "fast")
 	e.RunEvents(-1)
 	if h.received[0].Payload.(string) != "fast" || h.received[1].Payload.(string) != "slow" {
 		t.Fatalf("latency ordering broken: %+v", h.received)
@@ -52,9 +50,9 @@ func TestTransportLatencyOrdering(t *testing.T) {
 func TestTransportDropsToDeadNodes(t *testing.T) {
 	e := NewEngine(2, 1)
 	tr := NewTransport(e, ConstantLatency(10))
-	h := &recordingHandler{name: "h"}
+	h := &recordingHandler{}
 	tr.Handle(h)
-	tr.Send(0, 1, "h", "in-flight")
+	tr.Send(0, 1, "in-flight")
 	e.SetUp(e.Node(1), false) // dies before delivery
 	e.RunEvents(-1)
 	if len(h.received) != 0 {
@@ -64,7 +62,7 @@ func TestTransportDropsToDeadNodes(t *testing.T) {
 		t.Fatalf("Dropped = %d", tr.Dropped)
 	}
 	// Sending *from* a dead node is a no-op.
-	tr.Send(1, 0, "h", "ghost")
+	tr.Send(1, 0, "ghost")
 	e.RunEvents(-1)
 	if len(h.received) != 0 || tr.Sent != 1 {
 		t.Fatal("dead node sent a message")
@@ -75,10 +73,10 @@ func TestTransportDropProb(t *testing.T) {
 	e := NewEngine(2, 3)
 	tr := NewTransport(e, ConstantLatency(1))
 	tr.DropProb = 1
-	h := &recordingHandler{name: "h"}
+	h := &recordingHandler{}
 	tr.Handle(h)
 	for i := 0; i < 50; i++ {
-		tr.Send(0, 1, "h", i)
+		tr.Send(0, 1, i)
 	}
 	e.RunEvents(-1)
 	if len(h.received) != 0 || tr.Dropped != 50 {
@@ -95,12 +93,12 @@ func TestTransportCounterInvariant(t *testing.T) {
 	e := NewEngine(nodes, 11)
 	tr := NewTransport(e, ConstantLatency(7))
 	tr.DropProb = 0.3
-	h := &recordingHandler{name: "h"}
+	h := &recordingHandler{}
 	tr.Handle(h)
 	rng := NewRNG(99)
 	for step := 0; step < 400; step++ {
 		from, to := rng.Intn(nodes), rng.Intn(nodes)
-		tr.Send(from, to, "h", step)
+		tr.Send(from, to, step)
 		// Churn: nodes flap while traffic is in flight.
 		if step%17 == 0 {
 			n := e.Node(rng.Intn(nodes))
@@ -123,7 +121,7 @@ func TestTransportCounterInvariant(t *testing.T) {
 	}
 }
 
-func TestTransportUnknownProtoPanics(t *testing.T) {
+func TestTransportSendBeforeHandlePanics(t *testing.T) {
 	e := NewEngine(2, 1)
 	tr := NewTransport(e, nil)
 	defer func() {
@@ -131,32 +129,17 @@ func TestTransportUnknownProtoPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	tr.Send(0, 1, "nope", nil)
+	tr.Send(0, 1, nil)
 }
 
 func TestTransportDuplicateHandlerPanics(t *testing.T) {
 	e := NewEngine(1, 1)
 	tr := NewTransport(e, nil)
-	tr.Handle(&recordingHandler{name: "h"})
+	tr.Handle(&recordingHandler{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	tr.Handle(&recordingHandler{name: "h"})
-}
-
-func TestUniformLatencyRange(t *testing.T) {
-	rng := NewRNG(1)
-	lat := UniformLatency(rng, 5, 9)
-	for i := 0; i < 200; i++ {
-		d := lat(0, 1)
-		if d < 5 || d > 9 {
-			t.Fatalf("latency %d out of range", d)
-		}
-	}
-	fixed := UniformLatency(rng, 7, 7)
-	if fixed(0, 1) != 7 {
-		t.Fatal("degenerate range broken")
-	}
+	tr.Handle(&recordingHandler{})
 }

@@ -123,14 +123,16 @@ func LoadCSV(r io.Reader) (*Set, error) {
 }
 
 // WriteCSV writes the set in the format accepted by LoadCSV, including a
-// header row.
+// header row. It reads through At, so materialised and streaming sets alike
+// write every sample; a streaming set's VMs are each read in round order.
 func WriteCSV(w io.Writer, s *Set) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintln(bw, "vm,round,cpu,mem"); err != nil {
 		return err
 	}
-	for vm := range s.series {
-		for r, sm := range s.series[vm] {
+	for vm := 0; vm < s.NumVMs(); vm++ {
+		for r := 0; r < s.Rounds(); r++ {
+			sm := s.At(vm, r)
 			if _, err := fmt.Fprintf(bw, "%d,%d,%.6f,%.6f\n", vm, r, sm.CPU, sm.Mem); err != nil {
 				return err
 			}

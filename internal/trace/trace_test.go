@@ -158,30 +158,28 @@ func TestAtWrapsAround(t *testing.T) {
 	}
 }
 
+// TestCSVRoundTrip writes a materialised and a streaming set — the
+// representation every generated workload uses — and loads each back: every
+// sample must come back as At gives it, to the %.6f WriteCSV writes.
 func TestCSVRoundTrip(t *testing.T) {
-	orig := genSmall(t, 7, 15, 8)
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.NumVMs() != 7 || loaded.Rounds() != 15 {
-		t.Fatalf("round-trip shape %d x %d", loaded.NumVMs(), loaded.Rounds())
-	}
-	for vm := 0; vm < 7; vm++ {
-		for r := 0; r < 15; r++ {
-			a, b := orig.At(vm, r), loaded.At(vm, r)
-			if diff := a.CPU - b.CPU; diff > 1e-5 || diff < -1e-5 {
-				t.Fatalf("cpu mismatch vm %d round %d: %g vs %g", vm, r, a.CPU, b.CPU)
-			}
+	for name, gen := range map[string]func(GenConfig) (*Set, error){"materialised": Generate, "streaming": GenerateStreaming} {
+		orig, err := gen(DefaultGenConfig(7, 15, 8))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Loaded (non-synthetic) sets report Stable archetypes.
-	if loaded.ArchetypeOf(0) != Stable {
-		t.Fatal("loaded set should report Stable archetype")
+		var buf bytes.Buffer
+		if err := WriteCSV(&buf, orig); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadCSV(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		checkRoundTrip(t, orig, loaded)
+		// Loaded (non-synthetic) sets report Stable archetypes.
+		if loaded.ArchetypeOf(0) != Stable {
+			t.Fatal("loaded set should report Stable archetype")
+		}
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 	"path/filepath"
 	"sort"
 
+	"github.com/glap-sim/glap/internal/cyclon"
 	"github.com/glap-sim/glap/internal/dc"
 	"github.com/glap-sim/glap/internal/glap"
-	"github.com/glap-sim/glap/internal/gossip"
 	"github.com/glap-sim/glap/internal/metrics"
 	"github.com/glap-sim/glap/internal/sim"
 	"github.com/glap-sim/glap/internal/stats"
@@ -619,7 +619,7 @@ func (g *tableGossipProtocol) Setup(e *sim.Engine, n *sim.Node) any { return str
 // Round implements one push-pull table exchange.
 func (g *tableGossipProtocol) Round(e *sim.Engine, n *sim.Node, round int) {
 	rng := g.rng.For(e, 0x7ab1e5)
-	peer := gossip.CyclonSelector(e, n, rng)
+	peer := cyclon.SelectPeer(e, n, rng)
 	if peer < 0 {
 		return
 	}

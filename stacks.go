@@ -157,17 +157,14 @@ func (s *stack) installAsync(tables func(*sim.Engine, *sim.Node) *glap.NodeTable
 	}
 	s.tr = sim.NewTransport(s.e, latFn)
 	s.tr.DropProb = x.Net.DropProb
-	timeout := x.Net.OfferTimeout
-	if timeout == 0 {
-		// Cover a full offer round-trip even on slow links.
-		timeout = 2*s.e.RoundPeriod + 4*maxLat
-	}
 	s.async = &glap.AsyncConsolidateProtocol{
 		B:                 s.b,
 		Tr:                s.tr,
 		Tables:            tables,
 		CurrentDemandOnly: x.GLAP.CurrentDemandOnly,
-		OfferTimeout:      timeout,
+		// Each request stage covers a full offer round-trip even on slow
+		// links: two rounds plus four of the longest one-way delays.
+		OfferTimeout: 2*s.e.RoundPeriod + 4*maxLat,
 	}
 	if x.TopologyAware {
 		// Locality-aware peer selection only: prefer same-rack, then
