@@ -438,7 +438,7 @@ func BenchmarkTrainOnceReference(b *testing.B) {
 // exactly zero — the regression guard behind BenchmarkTrainOnce. A measured
 // run is a whole prepare + train sequence against alternating PM capacities
 // (what a node on a heterogeneous fleet would see if its capacity could
-// change): the select table and bitset are refilled in place and the
+// change): the element masks and bitset are refilled in place and the
 // boundary table is rebuilt inside the scratch, so none of it may allocate.
 func TestTrainOnceZeroAllocs(t *testing.T) {
 	cfg := DefaultConfig()

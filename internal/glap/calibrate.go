@@ -80,7 +80,7 @@ func (c *calibration) state(sum dc.Vec) qlearn.State {
 	return qlearn.State((NumLevels-1-belowCPU)*NumLevels + (NumLevels - 1 - belowMem))
 }
 
-// The kernel names its two resources (here and in trainOnce's scalar sums)
+// The kernel names its two resources (here and in senderSums' scalar sums)
 // instead of looping over dc.NumResources; a third resource must fail to
 // compile rather than be silently dropped from the state.
 var _ = [1]struct{}{}[dc.NumResources-2]

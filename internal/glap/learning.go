@@ -80,10 +80,11 @@ func (t *NodeTables) IOVec() []float64 {
 // kernelProfile is one collected VM profile — Algorithm 1's exchange unit — in
 // the kernel's representation: the demand fractions pre-multiplied by the
 // VM's capacity (the only form the aggregation ever needs) and the VM's
-// calibrated action under both demand signals. Everything trainOnce touches
-// per multiset element is precomputed here once per round.
+// calibrated action under both demand signals. Everything trainOnce reads of
+// a profile is precomputed here once per round.
 type kernelProfile struct {
-	weighted
+	// wAvg and wCur are the weighted demand vectors avg·cap and cur·cap.
+	wAvg, wCur dc.Vec
 	// actAvg and actCur are the VM's calibrated migration action from
 	// average and current demand respectively (the CurrentDemandOnly
 	// ablation switches between them).
@@ -95,7 +96,8 @@ type kernelProfile struct {
 // repeat count: multiset element k is base[k mod len(base)], because
 // duplication appends the base profiles cyclically. Duplication is thereby
 // O(1) space bookkeeping instead of slice inflation (the reference kernel
-// materialises up to 64× the base set).
+// materialises up to 64× the base set), and a partition's sums are counted
+// per base profile rather than folded per element.
 type learnScratch struct {
 	// ids is the VM-id collection buffer fed to dc.PM.AppendVMIDs.
 	ids []int
@@ -110,24 +112,19 @@ type learnScratch struct {
 	// sender side of each partition and derives the recipient sums as
 	// totals − sender.
 	totAvg, totCur dc.Vec
-	// sel is the sender fold's select table, rebuilt once per Round: row 2j
-	// is all zeros and row 2j+1 is base[j]'s {wAvg, wCur}, so the fold adds
-	// sel[2j+bit] for every multiset element whichever way its coin fell.
-	sel []weighted
 	// bits is trainOnce's partition bitset: bit k is set when multiset
 	// element k landed sender-side. It grows to the high-water multiset size
 	// and is kept across iterations and rounds.
 	bits []uint64
+	// masks selects each base profile's elements from the bitset, rebuilt
+	// once per Round: word w of profile j's row (masks[j*words+w], words =
+	// ⌈total/64⌉) has bit b set iff element 64w+b is a copy of base[j], so
+	// popcount(bits[w] & mask) counts the copies of base[j] a partition put
+	// sender-side in that word.
+	masks []uint64
 	// cal is the level-boundary table of the PM capacity it was last built
 	// for (rebuilt when the capacity differs, which on one node it never does).
 	cal calibration
-}
-
-// weighted holds a profile's weighted demand vectors avg·cap and cur·cap side
-// by side: the part of a kernelProfile the sender fold reads, and one row of
-// the select table.
-type weighted struct {
-	wAvg, wCur dc.Vec
 }
 
 // appendKernelProfile collects vm into the scratch base set.
@@ -231,20 +228,49 @@ func (l *LearnProtocol) Round(e *sim.Engine, n *sim.Node, round int) {
 
 // prepare derives, from the collected base set and multiset size, everything
 // trainOnce reads that is constant across a Round's iterations: the multiset
-// totals, the select table, a bitset large enough for the multiset, and the
-// boundary table of the PM capacity pmCap.
+// totals, a bitset large enough for the multiset, the per-profile element
+// masks over it, and the boundary table of the PM capacity pmCap.
 func (sc *learnScratch) prepare(pmCap dc.Vec) {
 	sc.totAvg, sc.totCur = multisetTotals(sc.base, sc.total)
-	sc.sel = sc.sel[:0]
-	for i := range sc.base {
-		sc.sel = append(sc.sel, weighted{}, sc.base[i].weighted)
-	}
-	if words := (sc.total + 63) >> 6; cap(sc.bits) < words {
+	words := (sc.total + 63) >> 6
+	if cap(sc.bits) < words {
 		sc.bits = make([]uint64, words)
 	}
+	sc.masks = profileMasks(sc.masks, len(sc.base), words)
 	if sc.cal.cap != pmCap {
 		sc.cal = calibrationFor(pmCap)
 	}
+}
+
+// profileMasks fills dst (grown when too small) with the nb × words element
+// masks of a multiset whose element k is base profile k mod nb: row j, word w
+// has bit b set iff 64w+b ≡ j (mod nb). Every row is one periodic pattern —
+// a bit every nb places from bit 0 — shifted up to the row's first element in
+// the word. A shift of 64 or more (nb > 64) leaves the word empty, which is
+// right: no element of that word is a copy of base[j]. Bits at and above the
+// multiset size are set too; the partition bitset is zero there.
+func profileMasks(dst []uint64, nb, words int) []uint64 {
+	if cap(dst) < nb*words {
+		dst = make([]uint64, nb*words)
+	}
+	dst = dst[:nb*words]
+	if nb == 0 {
+		return dst
+	}
+	var period uint64
+	for b := 0; b < 64; b += nb {
+		period |= 1 << uint(b)
+	}
+	for j := 0; j < nb; j++ {
+		row := dst[j*words : (j+1)*words]
+		for w := range row {
+			// The first element of word w that is a copy of base[j] sits
+			// (j − 64w) mod nb places into the word.
+			shift := ((j-64*w)%nb + nb) % nb
+			row[w] = period << uint(shift)
+		}
+	}
+	return dst
 }
 
 // coverCount returns the size of the duplicated profile multiset: the base
@@ -306,12 +332,15 @@ func multisetTotals(base []kernelProfile, total int) (avg, cur dc.Vec) {
 // and exact calibration"). The partition draws one Bernoulli coin per
 // multiset element — the sequence the reference kernel draws — in bulk, into
 // a bitset; a coin is a 15–85 % event no predictor learns, so nothing here
-// branches on one. The fold then adds sel[2j+bit] for every element in
-// multiset order: recipient-side elements add +0.0, which leaves the sender
-// sums exactly what a fold over the sender elements alone produces. The
-// recipient partition is never folded: its sums are the precomputed multiset
-// totals minus the sender sums (the derived sums differ from a direct fold
-// only at ulp scale, which level quantisation absorbs). Post-action states
+// branches on one. The sender sums then come from per-profile counts: every
+// multiset element is a copy of one base profile, so the sender holds c_j
+// copies of base[j], counted by a popcount of the bitset under base[j]'s
+// element masks, and each sum is Σ_j c_j·w_j in base order — one multiply-add
+// per base profile instead of one add per multiset element. The recipient
+// partition is never folded: its sums are the precomputed multiset totals
+// minus the sender sums. Both the count-weighted sums and the derived ones
+// differ from a per-element fold only at ulp scale, which level quantisation
+// absorbs (TestLearnKernelDifferential is the witness). Post-action states
 // derive incrementally: sAfter is the sender's current-demand sum minus the
 // evicted VM, tAfter the recipient's sum plus it. The four sums are
 // calibrated against the PM capacity through sc.cal, without dividing.
@@ -319,7 +348,7 @@ func multisetTotals(base []kernelProfile, total int) (avg, cur dc.Vec) {
 // sc must have been through prepare since its base set, total or the PM
 // capacity last changed.
 func (l *LearnProtocol) trainOnce(rng *sim.RNG, st *NodeTables, sc *learnScratch) {
-	base, sel := sc.base, sc.sel
+	base := sc.base
 	nb := len(base)
 	// Random partition with a freshly drawn split bias per iteration so
 	// the virtual recipient's pre-state sweeps the whole load range — from
@@ -335,28 +364,7 @@ func (l *LearnProtocol) trainOnce(rng *sim.RNG, st *NodeTables, sc *learnScratch
 	if cnt == 0 {
 		return
 	}
-	// Walk the multiset cycle by cycle: the inner loop's bound is the base
-	// length (or the final partial cycle), so element addressing needs no
-	// wrap branch and the select table streams linearly. The four sums are
-	// scalars so that they stay in registers: an indexed dc.Vec accumulator
-	// lives in memory and puts a store-to-load round trip on every add.
-	var avgCPU, avgMem, curCPU, curMem float64
-	for k := 0; k < sc.total; {
-		span := nb
-		if rem := sc.total - k; rem < span {
-			span = rem
-		}
-		for j := 0; j < span; j++ {
-			e := uint(k + j)
-			row := &sel[2*j+int(bs[e>>6]>>(e&63)&1)]
-			avgCPU += row.wAvg[dc.CPU]
-			avgMem += row.wAvg[dc.Mem]
-			curCPU += row.wCur[dc.CPU]
-			curMem += row.wCur[dc.Mem]
-		}
-		k += span
-	}
-	sAvg, sCur := dc.Vec{dc.CPU: avgCPU, dc.Mem: avgMem}, dc.Vec{dc.CPU: curCPU, dc.Mem: curMem}
+	sAvg, sCur := senderSums(base, sc.masks, bs)
 	tAvg := sc.totAvg.Sub(sAvg)
 	tCur := sc.totCur.Sub(sCur)
 	// An all-sender draw leaves the recipient partition empty; training
@@ -387,6 +395,33 @@ func (l *LearnProtocol) trainOnce(rng *sim.RNG, st *NodeTables, sc *learnScratch
 		tBefore = tCur
 	}
 	l.updateIn(st.In, sc.cal.state(tBefore), action, sc.cal.state(tCur.Add(p.wCur)))
+}
+
+// senderSums returns the summed weighted average- and current-demand vectors
+// of the partition bs selects from the multiset whose element masks are masks
+// (profileMasks of len(base) profiles over len(bs) words): Σ_j c_j·w_j in
+// base order, c_j the popcount of bs under base[j]'s row.
+func senderSums(base []kernelProfile, masks, bs []uint64) (avg, cur dc.Vec) {
+	words := len(bs)
+	// Four scalar sums, not an indexed dc.Vec accumulator, which lives in
+	// memory and puts a store-to-load round trip on every add. Each product
+	// is converted explicitly so that it is rounded before the add: Go then
+	// never fuses the pair into an FMA, whose single rounding would make the
+	// sums depend on the target architecture.
+	var avgCPU, avgMem, curCPU, curMem float64
+	for j := range base {
+		row := masks[j*words : (j+1)*words]
+		c := 0
+		for w, x := range bs {
+			c += bits.OnesCount64(x & row[w])
+		}
+		cj, p := float64(c), &base[j]
+		avgCPU += float64(cj * p.wAvg[dc.CPU])
+		avgMem += float64(cj * p.wAvg[dc.Mem])
+		curCPU += float64(cj * p.wCur[dc.CPU])
+		curMem += float64(cj * p.wCur[dc.Mem])
+	}
+	return dc.Vec{dc.CPU: avgCPU, dc.Mem: avgMem}, dc.Vec{dc.CPU: curCPU, dc.Mem: curMem}
 }
 
 // selectBit returns the position of the r-th set bit (counting from zero) of

@@ -2,6 +2,8 @@ package glap
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"testing"
 
 	"github.com/glap-sim/glap/internal/cyclon"
@@ -94,13 +96,18 @@ func requireSameTables(t *testing.T, ref, got []*NodeTables) {
 
 // TestLearnKernelDifferential pins the production kernel against the
 // reference kernel draw-for-draw: identical clusters, seeds and random
-// streams must yield cell-identical Q-tables on every node. The two kernels
-// differ in the FP evaluation order of the sender's post-action state
-// (subtract-from-total vs skip-during-scan) and of the recipient's sums
-// (totals minus sender vs a direct scan); the calibrated level quantisation
-// absorbs those ulp-level differences, and this test is the witness that it
-// does across a multi-seed corpus. The partition bitset, the +0.0 fold and
-// the division-free calibration add no difference of their own.
+// streams must yield cell-identical Q-tables on every node. Both kernels draw
+// the same coins and evict the same VM; they differ only in how they add.
+// The reference scans each partition element by element; the production
+// kernel sums the sender as per-profile counts times the profile weights,
+// derives the recipient as totals minus sender and the sender's post-action
+// state by subtracting the evicted VM. Each of those sums can differ from the
+// reference's at ulp scale, so equal tables are not guaranteed by
+// construction: the calibrated level quantisation absorbs the differences,
+// and this test is the witness that it does, across a multi-seed corpus, a
+// heterogeneous fleet, multisets spanning several bitset words, base sets
+// wider than one word, and a paper-shaped learning phase. The partition
+// bitset and the division-free calibration are exact.
 func TestLearnKernelDifferential(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3, 7, 11, 42} {
 		lc := learnCase{pms: 20, vms: 60, rounds: 30, seed: seed, cfg: DefaultConfig()}
@@ -143,6 +150,36 @@ func TestLearnKernelDifferential(t *testing.T) {
 			t.Fatalf("corpus too small: multi-word bitset %v, 64× cap reached %v", multiWord, capped)
 		}
 	})
+
+	// PMs thirty times a G5 host fifty VMs each and stay under the learning
+	// gate, so a node's own and peer VMs make a base set wider than one
+	// bitset word: profile j ≥ 64 starts in word 0 at a mask shift of 64 or
+	// more, past the word's end.
+	t.Run("wide-base", func(t *testing.T) {
+		lc := learnCase{pms: 6, vms: 300, rounds: 20, seed: 19, cfg: DefaultConfig(), specFor: bigBox}
+		got := runLearnPhase(t, false, lc)
+		requireSameTables(t, runLearnPhase(t, true, lc), got)
+		wide := 0
+		for _, nt := range got {
+			wide = max(wide, len(nt.scratch.base))
+		}
+		if wide <= 64 {
+			t.Fatalf("corpus too small: widest base set %d profiles, want > 64", wide)
+		}
+	})
+
+	// The paper_glap shape: 120 PMs at three VMs per PM for fifty rounds.
+	t.Run("paper-shaped", func(t *testing.T) {
+		lc := learnCase{pms: 120, vms: 360, rounds: 50, seed: 1, cfg: DefaultConfig()}
+		requireSameTables(t, runLearnPhase(t, true, lc), runLearnPhase(t, false, lc))
+	})
+}
+
+// bigBox is a PM model with thirty times the G5's capacity.
+func bigBox(int) dc.PMSpec {
+	s := dc.HPProLiantML110G5
+	s.Capacity = s.Capacity.Scale(30)
+	return s
 }
 
 // TestLearnKernelDifferentialCurrentDemandOnly repeats the differential
@@ -182,6 +219,82 @@ func TestCoverCountMatchesDuplicateToCover(t *testing.T) {
 				trial, n, target, got, want)
 		}
 	}
+}
+
+// TestSenderCountsMatchElementFold pins the sender sums' per-profile counts
+// against a per-element walk of the multiset, over random base sets and
+// partitions: base-set sizes on both sides of one bitset word, multiset sizes
+// from one copy of the base up to the 64× duplication cap. The count of
+// base[j]'s copies under its element masks must equal the per-element count
+// exactly; the count-weighted sums must lie within a few ulps of the fold
+// that adds every sender element in multiset order, the one the reference
+// kernel's subset scans perform. "A few" grows with the fold's length: the
+// fold of m positive terms rounds m−1 times, each time by at most half an
+// ulp of the running sum, so against it the tolerance is max(4, m/2) ulps of
+// the result, plus the count-weighted sum's own nb roundings.
+func TestSenderCountsMatchElementFold(t *testing.T) {
+	rng := sim.NewRNG(123)
+	var worst float64
+	for _, nb := range []int{1, 6, 63, 64, 65, 70} {
+		base := make([]kernelProfile, nb)
+		for trial := 0; trial < 40; trial++ {
+			for j := range base {
+				base[j] = profileToKernel(profile{
+					avg: dc.Vec{rng.Float64(), rng.Float64()},
+					cur: dc.Vec{rng.Float64(), rng.Float64()},
+					cap: dc.Vec{100 + 2000*rng.Float64(), 128 + 4000*rng.Float64()},
+				})
+			}
+			total := nb + rng.Intn(63*nb+1)
+			if trial == 0 {
+				total = 64 * nb
+			}
+			words := (total + 63) >> 6
+			masks := profileMasks(nil, nb, words)
+			bs := make([]uint64, words)
+			rng.BernoulliBits(bs, total, sim.Thresh53(0.15+0.7*rng.Float64()))
+
+			counts := make([]int, nb)
+			m := 0
+			var fAvg, fCur dc.Vec
+			for k := 0; k < total; k++ {
+				if bs[k>>6]>>(uint(k)&63)&1 == 0 {
+					continue
+				}
+				p := &base[k%nb]
+				counts[k%nb]++
+				m++
+				for r := 0; r < dc.NumResources; r++ {
+					fAvg[r] += p.wAvg[r]
+					fCur[r] += p.wCur[r]
+				}
+			}
+			for j := range base {
+				c := 0
+				for w, x := range bs {
+					c += bits.OnesCount64(x & masks[j*words+w])
+				}
+				if c != counts[j] {
+					t.Fatalf("nb=%d total=%d: profile %d counted %d times under its masks, %d by element",
+						nb, total, j, c, counts[j])
+				}
+			}
+			sAvg, sCur := senderSums(base, masks, bs)
+			maxULPs := math.Max(4, float64(m)/2) + float64(nb)
+			for r := 0; r < dc.NumResources; r++ {
+				for _, pair := range [][2]float64{{sAvg[r], fAvg[r]}, {sCur[r], fCur[r]}} {
+					got, want := pair[0], pair[1]
+					ulps := math.Abs(got-want) / (math.Nextafter(want, math.Inf(1)) - want)
+					worst = math.Max(worst, ulps/maxULPs)
+					if ulps > maxULPs {
+						t.Fatalf("nb=%d total=%d resource %d: count-weighted sum %v, element fold %v (%.0f ulps apart)",
+							nb, total, r, got, want, ulps)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("worst count-weighted vs element-fold gap: %.2f of the tolerance", worst)
 }
 
 // TestDuplicateToCoverEdgeCases covers the corners of the duplication rule
@@ -307,7 +420,7 @@ func TestTrainOncePartitionRetry(t *testing.T) {
 
 // TestLearnRoundZeroAlloc asserts the kernel's allocation invariant: once
 // buffers and table backings are warm, a full learning round — profile
-// collection, duplication bookkeeping, the select table and LearnIterations
+// collection, duplication bookkeeping, the element masks and LearnIterations
 // training iterations — performs zero heap allocations. The fleet is
 // heterogeneous, so consecutive nodes of the measured pass calibrate against
 // different capacities, each through the table in its own scratch.
@@ -338,8 +451,8 @@ func TestLearnRoundZeroAlloc(t *testing.T) {
 		if cap(sc.base) < 64 {
 			sc.base = make([]kernelProfile, 0, 64)
 		}
-		if cap(sc.sel) < 2*64 {
-			sc.sel = make([]weighted, 0, 2*64)
+		if cap(sc.masks) < 64*64 {
+			sc.masks = make([]uint64, 64*64)
 		}
 		if cap(sc.bits) < 64 {
 			sc.bits = make([]uint64, 64)

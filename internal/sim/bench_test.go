@@ -34,12 +34,13 @@ func BenchmarkRNGDerive(b *testing.B) {
 }
 
 // BenchmarkBernoulliBits measures the bulk coin draw beside the loop of
-// BernoulliThresh calls it replaces, at one word and at a six-word multiset
+// BernoulliThresh calls it replaces, at a part word (n=32, the mean multiset
+// of a paper-shaped learning phase), at one word and at a six-word multiset
 // (the 64× duplication cap on a six-profile base). p = 0.5 is the predictor's
 // worst case for the loop form.
 func BenchmarkBernoulliBits(b *testing.B) {
 	thresh := Thresh53(0.5)
-	for _, n := range []int{64, 384} {
+	for _, n := range []int{32, 64, 384} {
 		b.Run(fmt.Sprintf("bulk/n=%d", n), func(b *testing.B) {
 			r := NewRNG(1)
 			dst := make([]uint64, (n+63)/64)

@@ -152,37 +152,42 @@ func (r *RNG) BernoulliThresh(t uint64) bool { return r.Uint64()>>11 < t }
 func (r *RNG) BernoulliBits(dst []uint64, n int, t uint64) int {
 	dst = dst[:(n+63)>>6]
 	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
+	cnt := 0
 	for w := range dst {
 		span := n - w<<6
 		if span > 64 {
 			span = 64
 		}
-		// Decisions enter at the top bit and move down one place per draw, so
-		// the loop needs no variable shift; a short last word is moved down
-		// the rest of the way afterwards.
-		var word uint64
-		for b := 0; b < span; b++ {
-			x := s1 * 5
-			draw := (x<<7 | x>>57) * 9
-			u := s1 << 17
-			s2 ^= s0
-			s3 ^= s1
-			s1 ^= s2
-			s0 ^= s3
-			s2 ^= u
-			s3 = s3<<45 | s3>>19
-			word = word>>1 | (draw>>11-t)&(1<<63)
-		}
-		dst[w] = word >> (uint(64-span) & 63)
+		dst[w], s0, s1, s2, s3 = drawWord(s0, s1, s2, s3, span, t)
+		cnt += bits.OnesCount64(dst[w])
 	}
 	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
-	// Counted in a second pass: a call in the draw loop (the popcount's
-	// fallback path) would spill the generator state every iteration.
-	cnt := 0
-	for _, word := range dst {
-		cnt += bits.OnesCount64(word)
-	}
 	return cnt
+}
+
+// drawWord is BernoulliBits' draw loop for one word: span ≤ 64 threshold
+// draws from the xoshiro state (s0, s1, s2, s3), returned as bits 0..span−1
+// of word together with the advanced state. It is a function of its own so
+// that the loop's live values — the state, the word, the threshold and the
+// trip count — fit the register file: inlined into the per-word loop, the
+// word and s1 were spilled to the stack on every draw.
+func drawWord(s0, s1, s2, s3 uint64, span int, t uint64) (word, n0, n1, n2, n3 uint64) {
+	// Decisions enter at the top bit and move down one place per draw, so
+	// the loop needs no variable shift; a short word is moved down the rest
+	// of the way afterwards.
+	for b := 0; b < span; b++ {
+		x := s1 * 5
+		draw := (x<<7 | x>>57) * 9
+		u := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= u
+		s3 = s3<<45 | s3>>19
+		word = word>>1 | (draw>>11-t)&(1<<63)
+	}
+	return word >> (uint(64-span) & 63), s0, s1, s2, s3
 }
 
 // Bernoulli returns true with probability p. The integer-threshold compare is

@@ -364,7 +364,7 @@ func TestBernoulliBitsMatchesThresh(t *testing.T) {
 		ps = append(ps, p)
 	}
 	const sentinel = 0xa5a5a5a5a5a5a5a5
-	for _, n := range []int{0, 1, 63, 64, 65, 384} {
+	for _, n := range []int{0, 1, 32, 63, 64, 65, 384} {
 		for pi, p := range ps {
 			thresh := Thresh53(p)
 			seed := uint64(1000*n + pi)
