@@ -159,25 +159,40 @@ func TestPairedPlacementAcrossPolicies(t *testing.T) {
 	}
 }
 
+// TestRunReplicated runs each baseline's replications on two workers. Each
+// run builds its own controller, whose round-path scratch concurrent
+// replications must never share: under -race a shared buffer is a report,
+// and without it a replication would stop matching its sequential twin.
 func TestRunReplicated(t *testing.T) {
-	results, err := RunReplicated(smallExperiment(PolicyGRMP), 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("%d results", len(results))
-	}
-	// Replications must differ (independent workloads).
-	l0, _ := results[0].Series.Last()
-	l1, _ := results[1].Series.Last()
-	if l0 == l1 {
-		t.Log("warning: two replications identical (unlikely)")
-	}
-	// And be individually valid.
-	for i, r := range results {
-		if err := r.Cluster.CheckInvariants(); err != nil {
-			t.Fatalf("replication %d: %v", i, err)
-		}
+	for _, p := range []Policy{PolicyGRMP, PolicyEcoCloud, PolicyPABFD} {
+		t.Run(string(p), func(t *testing.T) {
+			results, err := RunReplicated(smallExperiment(p), 3, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(results) != 3 {
+				t.Fatalf("%d results", len(results))
+			}
+			// Replications must differ (independent workloads).
+			l0, _ := results[0].Series.Last()
+			l1, _ := results[1].Series.Last()
+			if l0 == l1 {
+				t.Log("warning: two replications identical (unlikely)")
+			}
+			sequential, err := RunReplicated(smallExperiment(p), 3, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// And be individually valid and the same as run alone.
+			for i, r := range results {
+				if err := r.Cluster.CheckInvariants(); err != nil {
+					t.Fatalf("replication %d: %v", i, err)
+				}
+				if got, want := serializeSeries(r), serializeSeries(sequential[i]); got != want {
+					t.Fatalf("replication %d on two workers differs from its sequential run: %s", i, firstDiff(got, want))
+				}
+			}
+		})
 	}
 }
 

@@ -10,8 +10,8 @@ package ecocloud
 
 import (
 	"math"
-	"sort"
 
+	"github.com/glap-sim/glap/internal/baselines"
 	"github.com/glap-sim/glap/internal/cyclon"
 	"github.com/glap-sim/glap/internal/dc"
 	"github.com/glap-sim/glap/internal/policy"
@@ -34,6 +34,10 @@ type Protocol struct {
 	Candidates int
 
 	rng sim.BoundRNG
+	// vms and keyed are shed's and evacuate's buffers, reused across calls:
+	// Round is a sequential pass and every run builds its own Protocol.
+	vms   []*dc.VM
+	keyed []baselines.KeyedVM
 }
 
 // New returns the baseline with the paper's configuration (T1=0.3, T2=0.8).
@@ -98,16 +102,16 @@ func (p *Protocol) Round(e *sim.Engine, n *sim.Node, round int) {
 func (p *Protocol) shed(e *sim.Engine, n *sim.Node, pm *dc.PM) {
 	c := p.B.C
 	for c.CurUtil(pm)[dc.CPU] > p.T2 {
-		vms := pm.AppendVMs(nil)
-		if len(vms) == 0 {
+		p.vms = pm.AppendVMs(p.vms[:0])
+		if len(p.vms) == 0 {
 			return
 		}
 		// Smallest memory first: cheapest migrations to exit overload.
-		sort.Slice(vms, func(i, j int) bool {
-			return vms[i].CurAbs()[dc.Mem] < vms[j].CurAbs()[dc.Mem]
-		})
+		p.keyed = baselines.AppendKeyed(p.keyed[:0], p.vms, dc.Mem)
+		baselines.SortAscending(p.keyed)
 		moved := false
-		for _, vm := range vms {
+		for _, k := range p.keyed {
+			vm := k.VM
 			if dst := p.findAssenting(e, n, vm); dst != nil {
 				if c.Migrate(vm, dst) == nil {
 					moved = true
@@ -127,7 +131,8 @@ func (p *Protocol) shed(e *sim.Engine, n *sim.Node, pm *dc.PM) {
 // makes this baseline *less* aggressive).
 func (p *Protocol) evacuate(e *sim.Engine, n *sim.Node, pm *dc.PM) {
 	c := p.B.C
-	for _, vm := range pm.AppendVMs(nil) {
+	p.vms = pm.AppendVMs(p.vms[:0])
+	for _, vm := range p.vms {
 		dst := p.findAssenting(e, n, vm)
 		if dst == nil {
 			return

@@ -9,8 +9,7 @@
 package grmp
 
 import (
-	"sort"
-
+	"github.com/glap-sim/glap/internal/baselines"
 	"github.com/glap-sim/glap/internal/cyclon"
 	"github.com/glap-sim/glap/internal/dc"
 	"github.com/glap-sim/glap/internal/policy"
@@ -28,6 +27,10 @@ type Protocol struct {
 	Threshold float64
 
 	rng sim.BoundRNG
+	// vms and keyed are migrateOne's buffers, reused across calls: Round is
+	// a sequential pass and every run builds its own Protocol.
+	vms   []*dc.VM
+	keyed []baselines.KeyedVM
 }
 
 // New returns the baseline with the paper's static 0.8 threshold.
@@ -87,17 +90,17 @@ func (g *Protocol) updateState(s, o *dc.PM) {
 // exact check that makes GRMP blind to demand growth.
 func (g *Protocol) migrateOne(s, o *dc.PM) bool {
 	c := g.B.C
-	vms := s.AppendVMs(nil)
-	if len(vms) == 0 {
+	g.vms = s.AppendVMs(g.vms[:0])
+	if len(g.vms) == 0 {
 		return false
 	}
 	// Largest current CPU demand first: pack big items early, as bin
 	// packing heuristics do.
-	sort.Slice(vms, func(i, j int) bool {
-		return vms[i].CurAbs()[dc.CPU] > vms[j].CurAbs()[dc.CPU]
-	})
+	g.keyed = baselines.AppendKeyed(g.keyed[:0], g.vms, dc.CPU)
+	baselines.SortDescending(g.keyed)
 	oUtil := c.CurUtil(o)
-	for _, vm := range vms {
+	for _, k := range g.keyed {
+		vm := k.VM
 		after := oUtil.Add(vm.CurAbs().Div(o.Spec.Capacity))
 		if after[dc.CPU] <= g.Threshold && after[dc.Mem] <= g.Threshold {
 			return c.Migrate(vm, o) == nil

@@ -10,8 +10,9 @@
 package pabfd
 
 import (
-	"sort"
+	"slices"
 
+	"github.com/glap-sim/glap/internal/baselines"
 	"github.com/glap-sim/glap/internal/dc"
 	"github.com/glap-sim/glap/internal/policy"
 	"github.com/glap-sim/glap/internal/sim"
@@ -24,7 +25,8 @@ type Controller struct {
 	// Safety is the MAD safety parameter s in T_u = 1 − s·MAD
 	// (Beloglazov's evaluation uses s = 2.5).
 	Safety float64
-	// HistoryLen bounds the per-host utilisation history window.
+	// HistoryLen bounds the per-host utilisation history window. The first
+	// Step sizes the windows from it; later changes have no effect.
 	HistoryLen int
 	// FallbackThreshold is used until a host has enough history for a MAD
 	// estimate.
@@ -36,7 +38,104 @@ type Controller struct {
 	// structural disadvantage of centralized DVMC the paper highlights.
 	Period int
 
-	history [][]float64
+	// wins holds each host's utilisation window. The rest is Step's scratch,
+	// reused from call to call (a run builds its own Controller): the
+	// per-host thresholds, overload marks and booked plan demand, the
+	// pending VMs, a VM list and its keyed sort, and planPlacement's
+	// destinations by VM ID.
+	wins       []window
+	th         []float64
+	overloaded []bool
+	extra      []dc.Vec
+	pending    []*dc.VM
+	vms        []*dc.VM
+	keyed      []baselines.KeyedVM
+	plan       []*dc.PM
+}
+
+// window is one host's utilisation history: the last len(ring) samples in
+// arrival order, and the same samples in ascending order. One binary-search
+// delete and one insert per sample keep the second sorted, so the median and
+// the MAD need no sort.
+type window struct {
+	ring   []float64
+	sorted []float64 // len is the number of samples held
+	head   int       // ring slot of the oldest sample once the ring is full
+}
+
+// newWindows returns n empty windows of size samples each, on two shared
+// backings.
+func newWindows(n, size int) []window {
+	size = max(size, 0)
+	ring, sorted := make([]float64, n*size), make([]float64, n*size)
+	w := make([]window, n)
+	for i := range w {
+		lo, hi := i*size, (i+1)*size
+		w[i] = window{ring: ring[lo:hi:hi], sorted: sorted[lo:lo:hi]}
+	}
+	return w
+}
+
+// record appends sample u, evicting the oldest sample once the window is
+// full.
+func (w *window) record(u float64) {
+	size, n := len(w.ring), len(w.sorted)
+	if size == 0 {
+		return
+	}
+	if n < size {
+		w.ring[n] = u
+	} else {
+		old := w.ring[w.head]
+		w.ring[w.head] = u
+		if w.head++; w.head == size {
+			w.head = 0
+		}
+		i, _ := slices.BinarySearch(w.sorted, old)
+		w.sorted = slices.Delete(w.sorted, i, i+1)
+	}
+	i, _ := slices.BinarySearch(w.sorted, u)
+	w.sorted = slices.Insert(w.sorted, i, u)
+}
+
+// mad returns the Median Absolute Deviation of the samples held (at least
+// one), bit for bit what sorting a copy, taking its median m, sorting the
+// deviations |x − m| and taking their median gives. The samples below index
+// n/2 lie at or under m and the rest at or over it, so walking down from the
+// split and up from it yields two ascending deviation runs (rounding is
+// monotone); merging them up to the middle reads the sorted deviations'
+// median.
+func (w *window) mad() float64 {
+	s := w.sorted
+	n := len(s)
+	m := s[n/2]
+	if n%2 == 0 {
+		m = (s[n/2-1] + m) / 2
+	}
+	lo, hi := n/2-1, n/2
+	var prev, cur float64
+	for k := 0; k <= n/2; k++ {
+		prev = cur
+		if lo >= 0 && (hi == n || absDev(s[lo], m) <= absDev(s[hi], m)) {
+			cur = absDev(s[lo], m)
+			lo--
+		} else {
+			cur = absDev(s[hi], m)
+			hi++
+		}
+	}
+	if n%2 == 1 {
+		return cur
+	}
+	return (prev + cur) / 2
+}
+
+func absDev(x, m float64) float64 {
+	d := x - m
+	if d < 0 {
+		d = -d
+	}
+	return d
 }
 
 // Install wires a PABFD controller into engine e; it executes at the start
@@ -49,7 +148,6 @@ func Install(e *sim.Engine, b *policy.Binding) *Controller {
 		FallbackThreshold: 0.8,
 		Period:            3,
 	}
-	c.history = make([][]float64, len(b.C.PMs))
 	e.BeforeRound(func(e *sim.Engine, round int) {
 		if c.Period > 1 && round%c.Period != 0 {
 			return
@@ -63,24 +161,27 @@ func Install(e *sim.Engine, b *policy.Binding) *Controller {
 // mitigate overloads, then consolidate underloaded hosts.
 func (c *Controller) Step(round int) {
 	cl := c.B.C
+	if c.wins == nil {
+		n := len(cl.PMs)
+		c.wins = newWindows(n, c.HistoryLen)
+		c.th, c.overloaded, c.extra = make([]float64, n), make([]bool, n), make([]dc.Vec, n)
+	}
 	// 1. Record utilisation history for active hosts.
 	for _, pm := range cl.PMs {
 		if pm.On() {
-			c.history[pm.ID] = append(c.history[pm.ID], cl.CurUtil(pm)[dc.CPU])
-			if len(c.history[pm.ID]) > c.HistoryLen {
-				c.history[pm.ID] = c.history[pm.ID][1:]
-			}
+			c.wins[pm.ID].record(cl.CurUtil(pm)[dc.CPU])
 		}
 	}
-	th := make([]float64, len(cl.PMs))
+	th := c.th
 	for _, pm := range cl.PMs {
 		th[pm.ID] = c.threshold(pm.ID)
 	}
 
 	// 2. Overload mitigation: collect VMs from hosts above their threshold
 	// using Minimum Migration Time (smallest memory first).
-	var pending []*dc.VM
-	overloaded := make(map[int]bool)
+	pending := c.pending[:0]
+	overloaded := c.overloaded
+	clear(overloaded)
 	for _, pm := range cl.PMs {
 		if !pm.On() {
 			continue
@@ -89,17 +190,16 @@ func (c *Controller) Step(round int) {
 			continue
 		}
 		overloaded[pm.ID] = true
-		vms := pm.AppendVMs(nil)
-		sort.Slice(vms, func(i, j int) bool {
-			return vms[i].CurAbs()[dc.Mem] < vms[j].CurAbs()[dc.Mem]
-		})
-		for _, vm := range vms {
+		c.vms = pm.AppendVMs(c.vms[:0])
+		c.keyed = baselines.AppendKeyed(c.keyed[:0], c.vms, dc.Mem)
+		baselines.SortAscending(c.keyed)
+		for _, k := range c.keyed {
 			if cl.CurUtil(pm)[dc.CPU] <= th[pm.ID] {
 				break
 			}
 			// Detach decision is made here; actual migration happens at
 			// placement. Model it as migrate-on-place: mark pending.
-			pending = append(pending, vm)
+			pending = append(pending, k.VM)
 			// Simulate removal for the threshold check by testing the
 			// utilisation without this VM.
 			if c.utilWithout(pm, pending) <= th[pm.ID] {
@@ -107,6 +207,7 @@ func (c *Controller) Step(round int) {
 			}
 		}
 	}
+	c.pending = pending
 	c.place(pending, th, overloaded)
 
 	// 3. Power off hosts that are already empty.
@@ -124,16 +225,14 @@ func (c *Controller) Step(round int) {
 		if src == nil {
 			break
 		}
-		vms := src.AppendVMs(nil)
-		plan, ok := c.planPlacement(vms, th, map[int]bool{src.ID: true})
-		if !ok {
+		c.vms = src.AppendVMs(c.vms[:0])
+		if !c.planPlacement(c.vms, th, src.ID) {
 			break
 		}
-		// Execute the plan in the stable ascending-ID order: plan is keyed by
-		// pointer, and ranging over it directly would replay the migrations
-		// in an order that varies run to run.
-		for _, vm := range vms {
-			_ = cl.Migrate(vm, plan[vm])
+		// Execute the plan in ascending VM ID order, not the placement
+		// order it was computed in.
+		for _, vm := range c.vms {
+			_ = cl.Migrate(vm, c.plan[vm.ID])
 		}
 		_ = c.B.TryPowerOffIfEmpty(src.ID)
 	}
@@ -143,11 +242,11 @@ func (c *Controller) Step(round int) {
 // falling back to the static default while history is short. The result is
 // floored so pathological MADs cannot force the threshold to zero.
 func (c *Controller) threshold(id int) float64 {
-	h := c.history[id]
-	if len(h) < 10 {
+	w := &c.wins[id]
+	if len(w.sorted) < 10 {
 		return c.FallbackThreshold
 	}
-	t := 1 - c.Safety*mad(h)
+	t := 1 - c.Safety*w.mad()
 	if t < 0.4 {
 		t = 0.4
 	}
@@ -155,31 +254,6 @@ func (c *Controller) threshold(id int) float64 {
 		t = 1
 	}
 	return t
-}
-
-// mad returns the Median Absolute Deviation of xs.
-func mad(xs []float64) float64 {
-	m := median(xs)
-	dev := make([]float64, len(xs))
-	for i, x := range xs {
-		d := x - m
-		if d < 0 {
-			d = -d
-		}
-		dev[i] = d
-	}
-	return median(dev)
-}
-
-func median(xs []float64) float64 {
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
 }
 
 // utilWithout returns pm's CPU utilisation excluding the pending VMs still
@@ -200,12 +274,12 @@ func (c *Controller) utilWithout(pm *dc.PM, pending []*dc.VM) float64 {
 // below its threshold and memory within capacity. When no active host fits,
 // an off host is powered on — the centralized controller, unlike the
 // distributed protocols, can reactivate machines.
-func (c *Controller) place(pending []*dc.VM, th []float64, exclude map[int]bool) {
+func (c *Controller) place(pending []*dc.VM, th []float64, exclude []bool) {
 	cl := c.B.C
-	sort.Slice(pending, func(i, j int) bool {
-		return pending[i].CurAbs()[dc.CPU] > pending[j].CurAbs()[dc.CPU]
-	})
-	for _, vm := range pending {
+	c.keyed = baselines.AppendKeyed(c.keyed[:0], pending, dc.CPU)
+	baselines.SortDescending(c.keyed)
+	for _, k := range c.keyed {
+		vm := k.VM
 		dst := c.bestFit(vm, th, exclude)
 		if dst == nil {
 			dst = c.powerOnOne()
@@ -217,23 +291,26 @@ func (c *Controller) place(pending []*dc.VM, th []float64, exclude map[int]bool)
 	}
 }
 
-// planPlacement computes destinations for all vms without performing the
-// migrations, so full-evacuation attempts are atomic. It accounts for the
-// capacity consumed by earlier VMs in the same plan.
-func (c *Controller) planPlacement(vms []*dc.VM, th []float64, exclude map[int]bool) (map[*dc.VM]*dc.PM, bool) {
+// planPlacement computes a destination for each of vms without performing
+// the migrations, so full-evacuation attempts are atomic, and reports
+// whether every VM found one; the plan is c.plan[vm.ID]. It accounts for the
+// capacity consumed by earlier VMs in the same plan, and never places on PM
+// exclude.
+func (c *Controller) planPlacement(vms []*dc.VM, th []float64, exclude int) bool {
 	cl := c.B.C
-	plan := make(map[*dc.VM]*dc.PM, len(vms))
-	extra := make(map[int]dc.Vec)
-	sorted := make([]*dc.VM, len(vms))
-	copy(sorted, vms)
-	sort.Slice(sorted, func(i, j int) bool {
-		return sorted[i].CurAbs()[dc.CPU] > sorted[j].CurAbs()[dc.CPU]
-	})
-	for _, vm := range sorted {
+	if len(c.plan) < len(cl.VMs) {
+		c.plan = make([]*dc.PM, len(cl.VMs))
+	}
+	extra := c.extra
+	c.keyed = baselines.AppendKeyed(c.keyed[:0], vms, dc.CPU)
+	baselines.SortDescending(c.keyed)
+	placed := 0
+	for _, k := range c.keyed {
+		vm := k.VM
 		var best *dc.PM
 		var bestU float64
 		for _, pm := range cl.PMs {
-			if !pm.On() || exclude[pm.ID] || pm.ID == vm.Host() {
+			if !pm.On() || pm.ID == exclude || pm.ID == vm.Host() {
 				continue
 			}
 			u := cl.CurUtil(pm).Add(extra[pm.ID].Div(pm.Spec.Capacity))
@@ -246,17 +323,22 @@ func (c *Controller) planPlacement(vms []*dc.VM, th []float64, exclude map[int]b
 			}
 		}
 		if best == nil {
-			return nil, false
+			break
 		}
-		plan[vm] = best
+		c.plan[vm.ID] = best
 		extra[best.ID] = extra[best.ID].Add(vm.CurAbs())
+		placed++
 	}
-	return plan, true
+	// Return the booked demand to zero for the next plan.
+	for _, k := range c.keyed[:placed] {
+		extra[c.plan[k.VM.ID].ID] = dc.Vec{}
+	}
+	return placed == len(c.keyed)
 }
 
 // bestFit returns the powered host that can take vm with the least power
 // increase, preferring the fullest feasible host.
-func (c *Controller) bestFit(vm *dc.VM, th []float64, exclude map[int]bool) *dc.PM {
+func (c *Controller) bestFit(vm *dc.VM, th []float64, exclude []bool) *dc.PM {
 	cl := c.B.C
 	var best *dc.PM
 	var bestPower, bestU float64
@@ -292,7 +374,7 @@ func (c *Controller) powerOnOne() *dc.PM {
 // leastUtilisedEvacuable returns the active host with the lowest CPU
 // utilisation that hosts at least one VM and was not overloaded this round,
 // or nil when none qualifies.
-func (c *Controller) leastUtilisedEvacuable(th []float64, overloaded map[int]bool) *dc.PM {
+func (c *Controller) leastUtilisedEvacuable(th []float64, overloaded []bool) *dc.PM {
 	cl := c.B.C
 	var best *dc.PM
 	var bestU float64

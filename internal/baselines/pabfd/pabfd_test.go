@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"github.com/glap-sim/glap/internal/dc"
@@ -46,6 +48,52 @@ func install(t *testing.T, cl *dc.Cluster, seed uint64) (*sim.Engine, *Controlle
 	return e, ctrl
 }
 
+// mad and median are the retired sort-based Median Absolute Deviation, kept
+// as the oracle the controller's sorted window must reproduce bit for bit.
+func mad(xs []float64) float64 {
+	m := median(xs)
+	dev := make([]float64, len(xs))
+	for i, x := range xs {
+		d := x - m
+		if d < 0 {
+			d = -d
+		}
+		dev[i] = d
+	}
+	return median(dev)
+}
+
+func median(xs []float64) float64 {
+	s := make([]float64, len(xs))
+	copy(s, xs)
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
+}
+
+// oracleThreshold is threshold over the sort-based MAD of fifo.
+func oracleThreshold(c *Controller, fifo []float64) float64 {
+	if len(fifo) < 10 {
+		return c.FallbackThreshold
+	}
+	t := 1 - c.Safety*mad(fifo)
+	if t < 0.4 {
+		t = 0.4
+	}
+	if t > 1 {
+		t = 1
+	}
+	return t
+}
+
+// windowController is a one-host controller whose window holds size samples.
+func windowController(size int) *Controller {
+	return &Controller{Safety: 2.5, FallbackThreshold: 0.8, HistoryLen: size, wins: newWindows(1, size)}
+}
+
 func TestMedianAndMAD(t *testing.T) {
 	if got := median([]float64{3, 1, 2}); got != 2 {
 		t.Fatalf("median odd = %g", got)
@@ -64,28 +112,67 @@ func TestMedianAndMAD(t *testing.T) {
 }
 
 func TestThresholdBounds(t *testing.T) {
-	c := &Controller{Safety: 2.5, FallbackThreshold: 0.8, history: make([][]float64, 1)}
+	c := windowController(20)
 	// Short history: fallback.
-	c.history[0] = []float64{0.5, 0.5}
+	c.wins[0].record(0.5)
+	c.wins[0].record(0.5)
 	if got := c.threshold(0); got != 0.8 {
 		t.Fatalf("short-history threshold = %g", got)
 	}
 	// Stable history: MAD ~ 0, threshold ~ 1 (the robust-statistic trap
 	// that lets PABFD pack to saturation).
-	c.history[0] = make([]float64, 20)
-	for i := range c.history[0] {
-		c.history[0][i] = 0.5
+	for i := 0; i < 18; i++ {
+		c.wins[0].record(0.5)
 	}
 	if got := c.threshold(0); math.Abs(got-1) > 1e-9 {
 		t.Fatalf("stable-history threshold = %g, want 1", got)
 	}
-	// Wild history: floored at 0.4.
-	for i := range c.history[0] {
-		c.history[0][i] = float64(i%2) * 0.9
+	// Wild history: every stable sample evicted, floored at 0.4.
+	for i := 0; i < 20; i++ {
+		c.wins[0].record(float64(i%2) * 0.9)
 	}
 	if got := c.threshold(0); got < 0.4-1e-9 {
 		t.Fatalf("threshold below floor: %g", got)
 	}
+}
+
+// TestMADWindowMatchesSort drives random sample sequences through windows of
+// 1 to HistoryLen+10 samples. Half the values come from a coarse grid, so
+// exact ties, tied medians and evictions of a duplicated value all occur.
+// After every sample the window must hold the FIFO's last samples, its MAD
+// must equal the sort-based oracle's bit for bit, and so must the threshold.
+func TestMADWindowMatchesSort(t *testing.T) {
+	rng := sim.NewRNG(11)
+	for size := 1; size <= 30+10; size++ {
+		c := windowController(size)
+		var fifo []float64
+		for step := 0; step < 20*size+50; step++ {
+			u := rng.Float64() * 1.2
+			if rng.Intn(2) == 0 {
+				u = float64(rng.Intn(6)) / 5
+			}
+			c.wins[0].record(u)
+			if fifo = append(fifo, u); len(fifo) > size {
+				fifo = fifo[1:]
+			}
+			w := &c.wins[0]
+			if !slices.Equal(w.sorted, sortedCopy(fifo)) {
+				t.Fatalf("size %d step %d: sorted window %v, FIFO %v", size, step, w.sorted, fifo)
+			}
+			if got, want := w.mad(), mad(fifo); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("size %d step %d: mad %v, sort-based %v (FIFO %v)", size, step, got, want, fifo)
+			}
+			if got, want := c.threshold(0), oracleThreshold(c, fifo); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("size %d step %d: threshold %v, sort-based %v", size, step, got, want)
+			}
+		}
+	}
+}
+
+func sortedCopy(xs []float64) []float64 {
+	s := slices.Clone(xs)
+	sort.Float64s(s)
+	return s
 }
 
 func TestConsolidatesUnderload(t *testing.T) {
@@ -175,12 +262,10 @@ func TestPeriodSkipsRounds(t *testing.T) {
 	ctrl := Install(e, b)
 	ctrl.Period = 100 // only round 0 triggers
 	steps := 0
-	origHist := ctrl.history
-	_ = origHist
 	e.BeforeRound(func(e *sim.Engine, round int) {
 		// Count controller activity indirectly via history growth.
-		if len(ctrl.history[0]) > steps {
-			steps = len(ctrl.history[0])
+		if ctrl.wins != nil && len(ctrl.wins[0].sorted) > steps {
+			steps = len(ctrl.wins[0].sorted)
 		}
 	})
 	e.RunRounds(5)
