@@ -227,12 +227,12 @@ type Cluster struct {
 	// RoundSeconds is the wall-clock length of one round (the paper: 120 s).
 	RoundSeconds float64
 
-	// Workers bounds fork-join parallelism in AdvanceRound's demand refresh
-	// and the metrics package's cluster scans (see
-	// sim.Engine.Workers for the semantics: <= 0 auto-sizes from the shared
-	// budget, 1 runs sequentially, > 1 is honored exactly). AdvanceRound
-	// forks only from forkMinVMs VMs up; a smaller cluster's refresh runs
-	// inline whatever the setting. Results are identical for every setting.
+	// Workers bounds the fork-join of AdvanceRound's demand refresh, the one
+	// cluster pass that forks (see sim.Engine.Workers for the semantics:
+	// <= 0 auto-sizes from the shared budget, 1 runs sequentially, > 1 is
+	// honored exactly). The refresh forks only from forkMinVMs VMs up; a
+	// smaller cluster's runs inline whatever the setting. Results are
+	// identical for every setting.
 	Workers int
 
 	// Migrations is the cumulative migration count.

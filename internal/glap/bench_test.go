@@ -41,11 +41,12 @@ func BenchmarkLearningRound(b *testing.B) {
 // BenchmarkAggRound measures one Algorithm 2 round (pairwise table
 // unification across a 300-PM cluster, tables as 40 training rounds leave
 // them) — the aggregation-phase hot path the dense Q-table backing exists
-// for. RunRounds restarts at round 0 on every call, so a registration window
-// cannot keep training out of the timed rounds; a flag gates the phases
-// instead. -cpu 1,2 shows the lane speed-up: one processor runs the two lanes
-// inline. Run it with -benchtime 50x: the tables converge within a few
-// hundred rounds, after which a round is pointer compares.
+// for. RunRounds restarts at round 0 on every call, so a round window
+// cannot keep training out of the timed rounds; both phases are registered
+// with RegisterWhen over a flag instead. -cpu 1,2 shows the lane speed-up:
+// one processor runs the two lanes inline. Run it with -benchtime 50x: the
+// tables converge within a few hundred rounds, after which a round is
+// pointer compares.
 func BenchmarkAggRound(b *testing.B) {
 	e := aggBenchEngine(b)
 	b.ResetTimer()
@@ -65,11 +66,8 @@ func aggBenchEngine(tb testing.TB) *sim.Engine {
 	}
 	e.Register(newBenchCyclon())
 	learning := true
-	e.Register(&phased{
-		inner:  &LearnProtocol{Cfg: DefaultConfig(), B: bd},
-		active: func(int) bool { return learning },
-	})
-	e.Register(&phased{inner: &AggProtocol{}, active: func(int) bool { return !learning }})
+	e.RegisterWhen(&LearnProtocol{Cfg: DefaultConfig(), B: bd}, func(int) bool { return learning })
+	e.RegisterWhen(&AggProtocol{}, func(int) bool { return !learning })
 	e.RunRounds(40) // populate tables first
 	learning = false
 	return e

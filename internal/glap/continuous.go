@@ -4,54 +4,9 @@ import (
 	"fmt"
 
 	"github.com/glap-sim/glap/internal/cyclon"
-	"github.com/glap-sim/glap/internal/par"
 	"github.com/glap-sim/glap/internal/policy"
 	"github.com/glap-sim/glap/internal/sim"
 )
-
-// phased wraps a protocol and runs it only on rounds where active(round)
-// holds, which lets the learning and aggregation phases recur periodically
-// while the engine's registration windows stay simple.
-type phased struct {
-	inner  sim.Protocol
-	active func(round int) bool
-}
-
-func (p *phased) Name() string                         { return p.inner.Name() }
-func (p *phased) Setup(e *sim.Engine, n *sim.Node) any { return p.inner.Setup(e, n) }
-func (p *phased) Round(e *sim.Engine, n *sim.Node, r int) {
-	if p.active(r) {
-		p.inner.Round(e, n, r)
-	}
-}
-
-// Parallelizable delegates to the wrapped protocol, so that a phased learning
-// component still fans out.
-func (p *phased) Parallelizable() bool {
-	pr, ok := p.inner.(sim.ParallelRound)
-	return ok && pr.Parallelizable()
-}
-
-// Lanes and RunLane delegate the lane path to the wrapped protocol.
-func (p *phased) Lanes() int {
-	if lp, ok := p.inner.(sim.LaneRound); ok {
-		return lp.Lanes()
-	}
-	return 0
-}
-
-func (p *phased) RunLane(e *sim.Engine, lane int, pairs []par.Pair, r int) {
-	p.inner.(sim.LaneRound).RunLane(e, lane, pairs, r)
-}
-
-// DrawPair delegates, returning no pair on inactive rounds so the lane path
-// reproduces the phased gating exactly (no draws, no exchanges).
-func (p *phased) DrawPair(e *sim.Engine, n *sim.Node, r int) int {
-	if !p.active(r) {
-		return -1
-	}
-	return p.inner.(sim.LaneRound).DrawPair(e, n, r)
-}
 
 // InstallContinuous registers the full GLAP stack in the paper's continuous
 // deployment: the two-phase learning protocol re-runs on a fixed interval —
@@ -75,22 +30,14 @@ func InstallContinuous(e *sim.Engine, b *policy.Binding, cfg Config, relearnEver
 		return nil, fmt.Errorf("glap: relearnEvery %d shorter than one learning cycle (%d)", relearnEvery, pretrainLen)
 	}
 	e.Register(cyclon.New(opts.CyclonViewSize, opts.CyclonShuffleLen))
-	learn := &LearnProtocol{Cfg: cfg, B: b}
-	e.Register(&phased{
-		inner:  learn,
-		active: func(r int) bool { return r%relearnEvery < cfg.LearnRounds },
+	e.RegisterWhen(&LearnProtocol{Cfg: cfg, B: b}, func(r int) bool {
+		return r%relearnEvery < cfg.LearnRounds
 	})
-	e.Register(&phased{
-		inner: &AggProtocol{},
-		active: func(r int) bool {
-			phase := r % relearnEvery
-			return phase >= cfg.LearnRounds && phase < pretrainLen
-		},
+	e.RegisterWhen(&AggProtocol{}, func(r int) bool {
+		phase := r % relearnEvery
+		return phase >= cfg.LearnRounds && phase < pretrainLen
 	})
 	cons := &ConsolidateProtocol{B: b, CurrentDemandOnly: cfg.CurrentDemandOnly}
-	e.RegisterWindow(&phased{
-		inner:  cons,
-		active: func(r int) bool { return r >= pretrainLen },
-	}, 1, 0, -1)
+	e.RegisterWindow(cons, 1, pretrainLen, -1)
 	return cons, nil
 }

@@ -58,13 +58,10 @@ func laneStack(t *testing.T, pms int, seed uint64, workers int, gated, reference
 	e.RegisterWindow(&LearnProtocol{Cfg: cfg, B: b}, 1, 0, laneLearnRounds-1)
 	agg := &countedAgg{AggProtocol: &AggProtocol{}}
 	var p sim.Protocol = agg
-	if gated {
-		p = &phased{inner: agg, active: laneGate}
-	}
 	if reference {
 		p = roundOnly{p}
 	}
-	e.RegisterWindow(p, 1, laneLearnRounds, -1)
+	e.RegisterWhen(p, func(r int) bool { return r >= laneLearnRounds && (!gated || laneGate(r)) })
 	for _, n := range e.Nodes() {
 		if n.ID%5 == 3 {
 			e.SetUp(n, false)
@@ -83,9 +80,10 @@ func laneStack(t *testing.T, pms int, seed uint64, workers int, gated, reference
 // calls, advance in lockstep, and after every round every node's φ^out and
 // φ^in must be equal cell for cell and the engine and protocol streams must
 // stand at the same position — over seeds, sizes and worker counts, with
-// nodes down and, on odd seeds, through phased with inactive rounds. Under
-// -race it is also the check on what the lanes share: the backing pool, the
-// interning cache and lazily cached cell-set hashes.
+// nodes down and, on odd seeds, with RegisterWhen skipping a third of the
+// aggregation rounds. Under -race it is also the check on what the lanes
+// share: the backing pool, the interning cache and lazily cached cell-set
+// hashes.
 func TestAggLanesMatchRound(t *testing.T) {
 	for _, pms := range []int{2, 17, 120} {
 		for _, workers := range []int{1, 2, 8} {

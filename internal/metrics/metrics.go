@@ -6,31 +6,22 @@ package metrics
 
 import (
 	"github.com/glap-sim/glap/internal/dc"
-	"github.com/glap-sim/glap/internal/par"
 	"github.com/glap-sim/glap/internal/sim"
 )
-
-// The SLA and energy scans fan out over c.Workers via par.OrderedSum, whose
-// index-ordered fold keeps the float results bit-identical to the sequential
-// loops for every worker count. Skipped items contribute +0.0, which leaves
-// a sum of non-negative terms unchanged bit-for-bit.
 
 // SLAVO is Eq. 1 left: the mean, over PMs that were ever active, of the
 // fraction of active time spent at 100% CPU utilisation.
 func SLAVO(c *dc.Cluster) float64 {
-	n := par.OrderedCount(len(c.PMs), 64, c.Workers, func(i int) bool {
-		return c.PMs[i].ActiveSeconds() > 0
-	})
+	n, sum := 0, 0.0
+	for _, pm := range c.PMs {
+		if active := pm.ActiveSeconds(); active > 0 {
+			n++
+			sum += pm.OverloadSeconds() / active
+		}
+	}
 	if n == 0 {
 		return 0
 	}
-	sum := par.OrderedSum(len(c.PMs), 64, c.Workers, func(i int) float64 {
-		pm := c.PMs[i]
-		if pm.ActiveSeconds() <= 0 {
-			return 0
-		}
-		return pm.OverloadSeconds() / pm.ActiveSeconds()
-	})
 	return sum / float64(n)
 }
 
@@ -40,9 +31,10 @@ func SLALM(c *dc.Cluster) float64 {
 	if len(c.VMs) == 0 {
 		return 0
 	}
-	sum := par.OrderedSum(len(c.VMs), 256, c.Workers, func(i int) float64 {
-		return c.VMs[i].DegradationRatio()
-	})
+	sum := 0.0
+	for _, vm := range c.VMs {
+		sum += vm.DegradationRatio()
+	}
 	return sum / float64(len(c.VMs))
 }
 
@@ -178,18 +170,9 @@ func (s *Series) FractionOverloaded() []float64 {
 // baseline power of active PMs plus the live-migration overhead — in kWh,
 // the unit Beloglazov & Buyya report energy in.
 func TotalEnergyKWh(c *dc.Cluster) float64 {
-	// The fold starts at MigrationEnergyJ (not 0), so par.OrderedSum would
-	// associate differently; gather the per-PM terms in parallel and fold
-	// them here in the original order from the original initial value.
-	vals := make([]float64, len(c.PMs))
-	par.ForChunks(len(c.PMs), 64, c.Workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			vals[i] = c.PMs[i].EnergyJ()
-		}
-	})
 	total := c.MigrationEnergyJ
-	for _, v := range vals {
-		total += v
+	for _, pm := range c.PMs {
+		total += pm.EnergyJ()
 	}
 	return total / 3.6e6
 }

@@ -290,23 +290,3 @@ func OrderedSum(n, chunk, workers int, fn func(i int) float64) float64 {
 	}
 	return sum
 }
-
-// OrderedCount counts the i in [0, n) for which pred(i) holds, with the
-// predicate evaluations fanned out over workers. Integer addition is exact,
-// so per-chunk partials may be combined in any order.
-func OrderedCount(n, chunk, workers int, pred func(i int) bool) int {
-	if n <= 0 {
-		return 0
-	}
-	var total atomic.Int64
-	ForChunks(n, chunk, workers, func(lo, hi int) {
-		c := 0
-		for i := lo; i < hi; i++ {
-			if pred(i) {
-				c++
-			}
-		}
-		total.Add(int64(c))
-	})
-	return int(total.Load())
-}

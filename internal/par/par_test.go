@@ -121,15 +121,6 @@ func TestOrderedSumMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestOrderedCount(t *testing.T) {
-	for _, workers := range []int{0, 1, 5} {
-		got := OrderedCount(1000, 13, workers, func(i int) bool { return i%3 == 0 })
-		if got != 334 {
-			t.Fatalf("workers=%d: count %d, want 334", workers, got)
-		}
-	}
-}
-
 func TestWorkersResolution(t *testing.T) {
 	if Workers(5) != 5 {
 		t.Fatal("explicit count must pass through")

@@ -58,8 +58,7 @@ type Protocol interface {
 type ParallelRound interface {
 	Protocol
 	// Parallelizable reports whether Round currently satisfies the contract
-	// above. Wrappers delegate to the wrapped protocol; a plain protocol
-	// returns a constant true.
+	// above.
 	Parallelizable() bool
 }
 
@@ -79,7 +78,7 @@ type LaneRound interface {
 	// resets) and returns the peer's node ID, or -1 for no exchange.
 	DrawPair(e *Engine, n *Node, round int) int
 	// Lanes returns the number of independent lanes, or 0 to take the
-	// per-node Round path (a wrapper whose inner protocol has none).
+	// per-node Round path.
 	Lanes() int
 	// RunLane runs lane's share of every drawn pair, in draw order. It may
 	// write only state no other lane touches.
@@ -92,17 +91,7 @@ type Observer func(e *Engine, round int)
 
 type protoReg struct {
 	proto Protocol
-	every int // run each `every` rounds
-	from  int // first round in which the protocol runs
-	until int // last round (inclusive); <0 means forever
-}
-
-// due reports whether the protocol runs in round r.
-func (reg *protoReg) due(r int) bool {
-	if r < reg.from || (reg.until >= 0 && r > reg.until) {
-		return false
-	}
-	return (r-reg.from)%reg.every == 0
+	due   func(round int) bool // whether the protocol's pass runs in round
 }
 
 // Engine drives one simulation run.
@@ -117,7 +106,6 @@ type Engine struct {
 	pre       []Observer
 	round     int
 	stopReq   bool
-	upCount   int
 	pairBuf   []par.Pair // drawPairs scratch, reused across rounds
 	ahead     []func(next int)
 	helper    par.Task // the round pipeline's one helper
@@ -148,7 +136,6 @@ func NewEngine(n int, seed uint64) *Engine {
 	for i := range e.nodes {
 		e.nodes[i] = &Node{ID: i, up: true}
 	}
-	e.upCount = n
 	return e
 }
 
@@ -172,49 +159,43 @@ func (e *Engine) Nodes() []*Node { return e.nodes }
 // Node returns the node with the given id.
 func (e *Engine) Node(id int) *Node { return e.nodes[id] }
 
-// UpCount returns the number of nodes currently up. The count is maintained
-// incrementally by SetUp — observers call this every round, and the former
-// O(n) scan was pure overhead on large clusters.
-func (e *Engine) UpCount() int { return e.upCount }
-
 // SetUp switches node n on or off. Switched-off nodes do not execute
 // protocol rounds and are skipped by peer samplers that filter dead peers.
-// The up count is a plain word: only sequential Round passes, hooks and
-// events may call this, never a ParallelRound or LaneRound pass.
-func (e *Engine) SetUp(n *Node, up bool) {
-	if n.up == up {
-		return
-	}
-	n.up = up
-	if up {
-		e.upCount++
-	} else {
-		e.upCount--
-	}
-}
+// Every pass's peer draws read the flag, so only sequential Round passes,
+// hooks and events may call this, never a ParallelRound or LaneRound pass.
+func (e *Engine) SetUp(n *Node, up bool) { n.up = up }
 
-// Register adds a protocol that runs every round, starting at round 0.
-func (e *Engine) Register(p Protocol) {
-	e.RegisterWindow(p, 1, 0, -1)
-}
-
-// RegisterEvery adds a protocol that runs once per `every` rounds.
-func (e *Engine) RegisterEvery(p Protocol, every int) {
-	e.RegisterWindow(p, every, 0, -1)
-}
-
-// RegisterWindow adds a protocol that runs every `every` rounds within the
-// round window [from, until]; until < 0 means no upper bound. Registration
-// order determines intra-round execution order.
-func (e *Engine) RegisterWindow(p Protocol, every, from, until int) {
-	if every < 1 {
-		panic("sim: protocol period must be >= 1")
-	}
+// RegisterWhen adds a protocol whose pass runs in exactly the rounds for which
+// due returns true. due must be a pure function of the round: the engine may
+// ask it more than once per round, to schedule the pass and to decide whether
+// the round's passes are all sequential (see LookAhead). A round in which due
+// is false runs nothing of the protocol — no Round, no DrawPair, no fork.
+// Registration order determines intra-round execution order.
+func (e *Engine) RegisterWhen(p Protocol, due func(round int) bool) {
 	if _, dup := e.protoIdx[p.Name()]; dup {
 		panic(fmt.Sprintf("sim: duplicate protocol %q", p.Name()))
 	}
 	e.protoIdx[p.Name()] = len(e.protocols)
-	e.protocols = append(e.protocols, protoReg{proto: p, every: every, from: from, until: until})
+	e.protocols = append(e.protocols, protoReg{proto: p, due: due})
+}
+
+// Register adds a protocol that runs every round, starting at round 0.
+func (e *Engine) Register(p Protocol) {
+	e.RegisterWhen(p, func(int) bool { return true })
+}
+
+// RegisterWindow adds a protocol that runs every `every` rounds within the
+// round window [from, until]; until < 0 means no upper bound.
+func (e *Engine) RegisterWindow(p Protocol, every, from, until int) {
+	if every < 1 {
+		panic("sim: protocol period must be >= 1")
+	}
+	e.RegisterWhen(p, func(r int) bool {
+		if r < from || (until >= 0 && r > until) {
+			return false
+		}
+		return (r-from)%every == 0
+	})
 }
 
 // Observe adds an end-of-round observer.
@@ -411,7 +392,7 @@ func (e *Engine) drawPairs(lp LaneRound, order []*Node, r int) []par.Pair {
 func (e *Engine) runLanes(lp LaneRound, order []*Node, r int) {
 	pairs := e.drawPairs(lp, order, r)
 	if len(pairs) == 0 {
-		return // nothing drawn (a gated-off round, say): nothing to fork for
+		return // nothing drawn (no up node found a peer): nothing to fork for
 	}
 	par.ForChunks(lp.Lanes(), 1, e.Workers, func(lo, hi int) {
 		for lane := lo; lane < hi; lane++ {

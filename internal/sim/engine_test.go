@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"maps"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -72,9 +74,6 @@ func TestEngineSkipsDownNodes(t *testing.T) {
 	}
 	if len(p.rounds[0]) != 4 || len(p.rounds[2]) != 4 {
 		t.Fatal("up nodes should run every round")
-	}
-	if e.UpCount() != 2 {
-		t.Fatalf("UpCount = %d", e.UpCount())
 	}
 }
 
@@ -264,7 +263,66 @@ func TestRegisterPanicsOnBadPeriod(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	e.RegisterEvery(newCountingProto("p"), 0)
+	e.RegisterWindow(newCountingProto("p"), 0, 0, -1)
+}
+
+// recorder counts the engine's calls into each entry point per round; par
+// and lanes pick its dispatch: sequential Round, ParallelRound or LaneRound.
+type recorder struct {
+	par   bool
+	lanes int
+	mu    sync.Mutex
+	calls map[string]int // "entry@round" -> calls
+}
+
+func (p *recorder) saw(entry string, r int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.calls[fmt.Sprintf("%s@%d", entry, r)]++
+}
+
+func (p *recorder) Name() string                    { return "recorder" }
+func (p *recorder) Setup(*Engine, *Node) any        { return nil }
+func (p *recorder) Round(e *Engine, n *Node, r int) { p.saw("Round", r) }
+func (p *recorder) Parallelizable() bool            { return p.par }
+func (p *recorder) Lanes() int                      { return p.lanes }
+func (p *recorder) DrawPair(e *Engine, n *Node, r int) int {
+	p.saw("DrawPair", r)
+	return (n.ID + 1) % e.N()
+}
+func (p *recorder) RunLane(e *Engine, lane int, pairs []par.Pair, r int) { p.saw("RunLane", r) }
+
+// TestRegisterWhenRunsExactlyTheDueRounds pins RegisterWhen for each of the
+// engine's three dispatches: the pass runs over every up node in exactly the
+// rounds due accepts, and in no other round does the engine call the protocol
+// at all — no Round, no DrawPair, no RunLane.
+func TestRegisterWhenRunsExactlyTheDueRounds(t *testing.T) {
+	const nodes, rounds = 12, 20
+	due := func(r int) bool { return r%5 == 1 || r%5 == 2 || r == 9 }
+	for _, workers := range []int{1, 2, 8} {
+		for _, p := range []*recorder{{}, {par: true}, {lanes: 2}} {
+			want := map[string]int{}
+			for r := 0; r < rounds; r++ {
+				switch {
+				case !due(r):
+				case p.lanes > 0:
+					want[fmt.Sprintf("DrawPair@%d", r)] = nodes - 1 // node 5 is down
+					want[fmt.Sprintf("RunLane@%d", r)] = p.lanes
+				default:
+					want[fmt.Sprintf("Round@%d", r)] = nodes - 1
+				}
+			}
+			p.calls = map[string]int{}
+			e := NewEngine(nodes, 4)
+			e.Workers = workers
+			e.RegisterWhen(p, due)
+			e.SetUp(e.Node(5), false)
+			e.RunRounds(rounds)
+			if !maps.Equal(p.calls, want) {
+				t.Fatalf("workers=%d par=%v lanes=%d: calls %v, want %v", workers, p.par, p.lanes, p.calls, want)
+			}
+		}
+	}
 }
 
 // parallelProto is a ParallelRound-conforming protocol: each Round writes
@@ -347,35 +405,6 @@ func TestParallelRoundPanicPropagates(t *testing.T) {
 			e.RunRounds(1)
 			t.Fatalf("workers=%d: RunRounds returned without panicking", workers)
 		}()
-	}
-}
-
-func TestUpCountTracksScan(t *testing.T) {
-	e := NewEngine(50, 3)
-	scan := func() int {
-		c := 0
-		for _, n := range e.Nodes() {
-			if n.Up() {
-				c++
-			}
-		}
-		return c
-	}
-	rng := NewRNG(99)
-	for i := 0; i < 500; i++ {
-		n := e.Node(rng.Intn(50))
-		e.SetUp(n, rng.Bool())
-		if got, want := e.UpCount(), scan(); got != want {
-			t.Fatalf("step %d: UpCount() = %d, scan = %d", i, got, want)
-		}
-	}
-	// Redundant transitions must not skew the counter.
-	n := e.Node(0)
-	e.SetUp(n, true)
-	e.SetUp(n, true)
-	e.SetUp(n, true)
-	if got, want := e.UpCount(), scan(); got != want {
-		t.Fatalf("after redundant SetUp: UpCount() = %d, scan = %d", got, want)
 	}
 }
 

@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// oracleItem is one event as the container/heap oracle sees it: ordered by
-// (time, priority, insertion order), with no field of the typed heap's own.
+// oracleItem is one event as the container/heap oracle of the event-queue
+// tests sees it: ordered by (time, priority, insertion order), with no field
+// of the typed heap's own.
 type oracleItem struct {
 	time  int64
 	prio  int

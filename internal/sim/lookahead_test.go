@@ -44,8 +44,9 @@ func lookAheadEngine(workers int, fn func(next int)) *Engine {
 // with stub protocols: the hook runs exactly once for each next round that
 // follows a round of sequential passes, never for round 0 or for `rounds`,
 // never in a round where a ParallelRound or LaneRound pass is due (the helper
-// would hold the budget's only token when their fork-join asks for it) or
-// where no pass is due at all, it starts
+// would hold the budget's only token when their fork-join asks for it) but in
+// every round where such a protocol is registered and not due, never where no
+// pass is due at all, it starts
 // after its own round's BeforeRound hooks and is joined before the next
 // round's. The hook and the hooks share plain variables on purpose: under
 // -race a missing join is a reported race, not a flaky assertion.
@@ -90,6 +91,18 @@ func TestLookAheadSkipsParallelRoundAndLaneRounds(t *testing.T) {
 	e.RunRounds(3)
 	if want := []int{1, 2}; !slices.Equal(calls, want) {
 		t.Fatalf("declined ParallelRound: hook ran for rounds %v, want %v", calls, want)
+	}
+
+	// A ParallelRound gated by RegisterWhen holds the spare core only in its
+	// due rounds (0, 3, 6): in its off rounds the helper runs beside the
+	// sequential pass.
+	calls = nil
+	e = lookAheadEngine(2, func(next int) { calls = append(calls, next) })
+	e.Register(seqProto(nopRound))
+	e.RegisterWhen(&parallelProto{name: "pp", par: true}, func(r int) bool { return r%3 == 0 })
+	e.RunRounds(8)
+	if want := []int{2, 3, 5, 6}; !slices.Equal(calls, want) {
+		t.Fatalf("gated ParallelRound: hook ran for rounds %v, want %v", calls, want)
 	}
 
 	// A round with no pass due has nothing to run the hook beside.

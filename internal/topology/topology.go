@@ -38,9 +38,6 @@ func New(nPMs, pmsPerRack, racksPerPod int) (*Tree, error) {
 	return &Tree{PMsPerRack: pmsPerRack, RacksPerPod: racksPerPod, nPMs: nPMs}, nil
 }
 
-// NumPMs returns the number of machines.
-func (t *Tree) NumPMs() int { return t.nPMs }
-
 // RackOf returns the rack index of PM id.
 func (t *Tree) RackOf(pm int) int { return pm / t.PMsPerRack }
 

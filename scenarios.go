@@ -460,7 +460,7 @@ func runCrashVariant(x Experiment, w *trace.Set, shared *glap.NodeTables, plan s
 		tabs[i] = shared.Clone()
 	}
 	s.async.Tables = func(e *sim.Engine, n *sim.Node) *glap.NodeTables { return tabs[n.ID] }
-	e.RegisterEvery(&tableGossipProtocol{tabs: tabs, drop: x.Net.DropProb}, tableGossipEvery)
+	e.RegisterWindow(&tableGossipProtocol{tabs: tabs, drop: x.Net.DropProb}, tableGossipEvery, 0, -1)
 
 	out := &crashOutcome{c: c}
 	refVec := append([]float64(nil), shared.IOVec()...)
