@@ -217,9 +217,9 @@ func workloadFor(x Experiment) (*trace.Set, error) {
 		gen.Rounds = x.Rounds
 		gen.Seed = deriveSeed(x.Seed, seedTrace)
 	}
-	// The streaming source synthesises samples on demand from ~200 bytes of
-	// per-VM state — bit-identical to the materialised generator, but a
-	// 200k-VM workload no longer costs rounds×16 bytes per VM up front.
+	// The streaming source synthesises samples on demand from a 120-byte
+	// per-VM cursor — the very synthesis the materialised generator holds,
+	// but a 200k-VM workload no longer costs rounds×16 bytes per VM up front.
 	return trace.GenerateStreaming(gen)
 }
 

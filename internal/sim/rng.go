@@ -30,7 +30,13 @@ func splitmix64(x *uint64) uint64 {
 // NewRNG returns a generator seeded from seed. Two generators built from the
 // same seed produce identical streams.
 func NewRNG(seed uint64) *RNG {
-	r := &RNG{}
+	r := seeded(seed)
+	return &r
+}
+
+// seeded is NewRNG by value.
+func seeded(seed uint64) RNG {
+	var r RNG
 	x := seed
 	r.s0 = splitmix64(&x)
 	r.s1 = splitmix64(&x)
@@ -48,12 +54,19 @@ func NewRNG(seed uint64) *RNG {
 // same stream; different key tuples yield (statistically) independent ones.
 // The parent generator is not advanced.
 func (r *RNG) Derive(keys ...uint64) *RNG {
+	d := r.DeriveValue(keys...)
+	return &d
+}
+
+// DeriveValue is Derive returning the stream by value: a caller that keeps
+// the stream in a field or a local re-derives it without allocating.
+func (r *RNG) DeriveValue(keys ...uint64) RNG {
 	x := r.s0 ^ rotl(r.s2, 17)
 	for _, k := range keys {
 		x ^= splitmix64(&x) ^ (k * 0xd1342543de82ef95)
 		_ = splitmix64(&x)
 	}
-	return NewRNG(x)
+	return seeded(x)
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

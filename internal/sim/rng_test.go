@@ -48,6 +48,9 @@ func TestDeriveDeterministicAndIndependent(t *testing.T) {
 	a := root.Derive(1, 2)
 	b := root.Derive(1, 2)
 	c := root.Derive(1, 3)
+	if v := root.DeriveValue(1, 2); v != *a {
+		t.Fatal("DeriveValue and Derive disagree on the same keys")
+	}
 	for i := 0; i < 100; i++ {
 		if a.Uint64() != b.Uint64() {
 			t.Fatal("same keys should derive same stream")

@@ -29,6 +29,30 @@ func BenchmarkAt(b *testing.B) {
 	}
 }
 
+// BenchmarkStreamSweep times At on a streaming set the way every streamed
+// run reads it: round by round over 720 rounds, every one of 2400 VMs each
+// round. One op is the whole sweep; from the second op on it opens with
+// each VM's backward seek to round 0. BenchmarkAt reads a materialised set.
+func BenchmarkStreamSweep(b *testing.B) {
+	const vms, rounds = 2400, 720
+	set, err := GenerateStreaming(DefaultGenConfig(vms, rounds, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for r := 0; r < rounds; r++ {
+			for vm := 0; vm < vms; vm++ {
+				sampleSink = set.At(vm, r)
+			}
+		}
+	}
+}
+
+// sampleSink keeps the compiler from discarding a benchmarked At.
+var sampleSink Sample
+
 func BenchmarkCSVRoundTrip(b *testing.B) {
 	set, err := Generate(DefaultGenConfig(50, 100, 1))
 	if err != nil {

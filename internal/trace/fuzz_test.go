@@ -65,6 +65,65 @@ func FuzzLoadFile(f *testing.F) {
 	})
 }
 
+// FuzzStreamAccess drives a streaming set through an arbitrary sequence of
+// queries and holds every answer bit for bit to the reference generator.
+// The seed picks the workload, mix selects the default mix or (1 to 5) a
+// single archetype, shape sets 1–8 VMs and 1–64 rounds, and each pair of op
+// bytes is one step: repeat the query, move forward by a gap, jump to any
+// round (backward, or past Rounds so it wraps), step back, switch VM, or
+// read a whole Series or MeanUtilisation between point queries. The seed
+// corpus in testdata/fuzz/FuzzStreamAccess covers in-order access with
+// repeats, wrap and replay, and each single-archetype state machine.
+func FuzzStreamAccess(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64, mix uint8, shape uint16, ops []byte) {
+		cfg := DefaultGenConfig(1+int(shape%8), 1+int(shape/8%64), seed)
+		if a := Archetype(mix % (numArchetypes + 1)); a > 0 {
+			cfg.Mix = map[Archetype]float64{a - 1: 1}
+		}
+		ref, err := refGenerate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		str, err := GenerateStreaming(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vm, r := 0, 0
+		for i := 0; i+1 < len(ops); i += 2 {
+			arg := int(ops[i+1])
+			switch ops[i] % 7 {
+			case 0: // repeat
+			case 1, 2:
+				r += arg % 8
+			case 3:
+				r = arg
+			case 4:
+				r = max(0, r-arg)
+			case 5:
+				vm = arg % cfg.VMs
+			case 6:
+				if arg%2 == 0 {
+					v := arg / 2 % cfg.VMs
+					want, got := ref.Series(v), str.Series(v)
+					for k := range want {
+						if !sampleEq(got[k], want[k]) {
+							t.Fatalf("Series(%d)[%d] = %+v, want %+v", v, k, got[k], want[k])
+						}
+					}
+				} else {
+					wc, wm := ref.MeanUtilisation()
+					if c, m := str.MeanUtilisation(); math.Float64bits(c) != math.Float64bits(wc) || math.Float64bits(m) != math.Float64bits(wm) {
+						t.Fatalf("MeanUtilisation = (%v, %v), want (%v, %v)", c, m, wc, wm)
+					}
+				}
+			}
+			if want, got := ref.At(vm, r), str.At(vm, r); !sampleEq(got, want) {
+				t.Fatalf("step %d: At(%d, %d) = %+v, want %+v", i/2, vm, r, got, want)
+			}
+		}
+	})
+}
+
 // checkAccepted fails unless set has at least one VM and one round, every VM
 // holds exactly Rounds samples, and every sample is finite and in [0, 1].
 func checkAccepted(t *testing.T, set *Set) {

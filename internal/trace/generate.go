@@ -95,35 +95,30 @@ func (c *GenConfig) Validate() error {
 	if c.Rounds <= 0 {
 		return fmt.Errorf("trace: Rounds must be positive, got %d", c.Rounds)
 	}
+	if c.Rounds > math.MaxInt32 {
+		return fmt.Errorf("trace: Rounds must fit a stream's int32 round cursor, got %d", c.Rounds)
+	}
 	if c.ARPhi < 0 || c.ARPhi >= 1 {
 		return fmt.Errorf("trace: ARPhi must be in [0,1), got %g", c.ARPhi)
 	}
 	return nil
 }
 
-// Generate builds a synthetic workload Set from cfg.
+// Generate builds a synthetic workload Set from cfg with every series
+// materialised: GenerateStreaming's samples, synthesised once and held.
 func Generate(cfg GenConfig) (*Set, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	src, err := GenerateStreaming(cfg)
+	if err != nil {
 		return nil, err
 	}
-	root := sim.NewRNG(cfg.Seed)
 	set := &Set{
-		rounds: cfg.Rounds,
-		series: make([][]Sample, cfg.VMs),
-		arch:   make([]Archetype, cfg.VMs),
+		rounds: src.rounds,
+		series: make([][]Sample, len(src.streams)),
+		arch:   make([]Archetype, len(src.streams)),
 	}
-	cum := cumulativeMix(cfg.Mix)
-	// Diurnal VMs share one cluster-wide phase (plus small per-VM jitter):
-	// user-facing load peaks at the same local time across a data center,
-	// which is what makes threshold-based consolidation at the trough so
-	// dangerous and demand prediction valuable.
-	basePhase := root.Float64()
-	for vm := 0; vm < cfg.VMs; vm++ {
-		rng := root.Derive(uint64(vm), 0x77ace)
-		arch := pickArchetype(rng, cum)
-		set.arch[vm] = arch
-		set.series[vm] = genSeries(rng, arch, cfg, basePhase)
+	for vm := range src.streams {
+		set.arch[vm] = src.streams[vm].arch
+		set.series[vm] = src.streamSeries(vm)
 	}
 	return set, nil
 }
@@ -157,117 +152,4 @@ func pickArchetype(rng *sim.RNG, cum [numArchetypes]float64) Archetype {
 		}
 	}
 	return Stable
-}
-
-// genSeries produces one VM's (cpu, mem) series. CPU follows the archetype
-// pattern with AR(1) noise; memory tracks a dampened version of the pattern
-// with its own, quieter noise — memory demand in the cluster traces is far
-// steadier than CPU.
-func genSeries(rng *sim.RNG, arch Archetype, cfg GenConfig, basePhase float64) []Sample {
-	meanCPU := clampRange(rng.LogNormal(cfg.MeanLogMu, cfg.MeanLogSigma), cfg.MinMean, cfg.MaxMean)
-	// Memory mean is positively correlated with CPU mean but regresses
-	// toward a moderate level.
-	meanMem := clampRange(0.5*meanCPU+0.15+0.08*rng.NormFloat64(), cfg.MinMean, cfg.MaxMean)
-
-	out := make([]Sample, cfg.Rounds)
-	pat := newPattern(rng, arch, meanCPU, cfg)
-	noiseC, noiseM := 0.0, 0.0
-	phase := rng.Float64()
-	if arch == Diurnal {
-		phase = basePhase + 0.04*rng.NormFloat64()
-	}
-	sigmaStat := cfg.NoiseSigma / math.Sqrt(1-cfg.ARPhi*cfg.ARPhi)
-	noiseC = sigmaStat * rng.NormFloat64()
-	noiseM = 0.4 * sigmaStat * rng.NormFloat64()
-	for t := 0; t < cfg.Rounds; t++ {
-		base := pat.at(rng, t, phase)
-		noiseC = cfg.ARPhi*noiseC + cfg.NoiseSigma*rng.NormFloat64()
-		noiseM = cfg.ARPhi*noiseM + 0.4*cfg.NoiseSigma*rng.NormFloat64()
-		cpu := clamp01(base + noiseC)
-		memBase := meanMem + 0.3*(base-meanCPU)
-		mem := clamp01(memBase + noiseM)
-		out[t] = Sample{CPU: cpu, Mem: mem}
-	}
-	return out
-}
-
-// pattern is the deterministic (pre-noise) load shape of one VM.
-type pattern struct {
-	arch   Archetype
-	mean   float64
-	amp    float64
-	period float64
-	// bursty two-state Markov chain
-	high     bool
-	pLowHigh float64
-	pHighLow float64
-	lowLevel float64
-	hiLevel  float64
-	// spiky state
-	spikeLeft int
-	spikeLvl  float64
-	pSpike    float64
-}
-
-func newPattern(rng *sim.RNG, arch Archetype, mean float64, cfg GenConfig) *pattern {
-	p := makePattern(rng, arch, mean, cfg)
-	return &p
-}
-
-// makePattern is newPattern as a value: the streaming source embeds pattern
-// state directly in its per-VM record instead of chasing a pointer. Draw
-// order is identical to the materialised generator's.
-func makePattern(rng *sim.RNG, arch Archetype, mean float64, cfg GenConfig) pattern {
-	p := pattern{arch: arch, mean: mean}
-	switch arch {
-	case Stable:
-	case Diurnal:
-		p.amp = clampRange(0.5+0.4*rng.Float64(), 0, 0.95) * mean
-		p.period = float64(cfg.DayRounds)
-	case Periodic:
-		p.amp = clampRange(0.3+0.5*rng.Float64(), 0, 0.9) * mean
-		p.period = 20 + 60*rng.Float64()
-	case Bursty:
-		p.lowLevel = mean * 0.5
-		p.hiLevel = math.Min(mean*3.2, 1.0)
-		p.pLowHigh = 1.0 / 20 // mean low dwell: 20 rounds
-		p.pHighLow = 1.0 / 6  // mean high dwell: 6 rounds
-	case Spiky:
-		p.pSpike = 0.04
-	}
-	return p
-}
-
-func (p *pattern) at(rng *sim.RNG, t int, phase float64) float64 {
-	switch p.arch {
-	case Stable:
-		return p.mean
-	case Diurnal, Periodic:
-		return p.mean + p.amp*math.Sin(2*math.Pi*(float64(t)/p.period+phase))
-	case Bursty:
-		if p.high {
-			if rng.Bernoulli(p.pHighLow) {
-				p.high = false
-			}
-		} else if rng.Bernoulli(p.pLowHigh) {
-			p.high = true
-		}
-		if p.high {
-			return p.hiLevel
-		}
-		return p.lowLevel
-	case Spiky:
-		if p.spikeLeft > 0 {
-			p.spikeLeft--
-			return p.spikeLvl
-		}
-		if rng.Bernoulli(p.pSpike) {
-			p.spikeLeft = rng.Intn(5) + 1
-			p.spikeLvl = clampRange(p.mean+0.4+0.6*rng.Float64(), 0, 1.0)
-			return p.spikeLvl
-		}
-		return p.mean * 0.7
-	default:
-		return p.mean
-	}
 }

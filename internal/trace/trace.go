@@ -16,6 +16,8 @@ package trace
 import (
 	"fmt"
 	"math"
+
+	"github.com/glap-sim/glap/internal/sim"
 )
 
 // Sample is one observation of a VM's resource demand, expressed as
@@ -70,13 +72,19 @@ func (a Archetype) String() string {
 type Set struct {
 	rounds int
 	series [][]Sample
-	arch   []Archetype
+	// arch is each VM's generating archetype in a materialised synthetic
+	// set; nil for loaded sets. A streaming set keeps it in the cursor.
+	arch []Archetype
 
 	// Streaming mode (series == nil): samples are synthesised on demand
-	// from compact per-VM state instead of materialised slices. See
-	// stream.go.
+	// from compact per-VM cursors instead of materialised slices. root is
+	// the generator's root stream after the base-phase draw and cum the
+	// archetype distribution; a backward seek re-derives a cursor from
+	// them. See stream.go.
 	streams   []vmStream
 	streamCfg GenConfig
+	root      sim.RNG
+	cum       [numArchetypes]float64
 	basePhase float64
 }
 
@@ -104,7 +112,12 @@ func (s *Set) Streaming() bool { return s.streams != nil }
 // goroutine asks and whatever was asked before — which is what lets
 // sim.Engine's look-ahead helper fetch round r+1 while round r runs.
 // Materialised sets are read-only and safe for any concurrent access.
+//
+// At panics on a negative round, in either mode.
 func (s *Set) At(vm, r int) Sample {
+	if r < 0 {
+		panic(fmt.Sprintf("trace: At(%d, %d): negative round", vm, r))
+	}
 	if s.streams != nil {
 		return s.streamAt(vm, r)
 	}
@@ -115,6 +128,9 @@ func (s *Set) At(vm, r int) Sample {
 // ArchetypeOf returns the generating archetype for VM vm, or Stable for
 // loaded (non-synthetic) sets.
 func (s *Set) ArchetypeOf(vm int) Archetype {
+	if s.streams != nil {
+		return s.streams[vm].arch
+	}
 	if s.arch == nil {
 		return Stable
 	}
@@ -138,10 +154,9 @@ func (s *Set) MeanUtilisation() (cpu, mem float64) {
 	var n float64
 	if s.streams != nil {
 		for vm := range s.streams {
-			st := s.streams[vm]
-			st.resetHeader(s.arch[vm], &s.streamCfg, s.basePhase)
+			st := s.initStream(vm)
 			for t := 0; t < s.rounds; t++ {
-				sm := st.step(&s.streamCfg, t)
+				sm := st.step(&s.streamCfg)
 				cpu += sm.CPU
 				mem += sm.Mem
 				n++

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -148,6 +149,11 @@ func TestGenerateValidation(t *testing.T) {
 	}
 	if _, err := Generate(GenConfig{VMs: 1, Rounds: 1, ARPhi: 1.5}); err == nil {
 		t.Fatal("expected error for ARPhi >= 1")
+	}
+	tooLong := math.MaxInt32
+	tooLong++ // past a stream's int32 round cursor (negative where int is 32 bits)
+	if _, err := GenerateStreaming(GenConfig{VMs: 1, Rounds: tooLong}); err == nil {
+		t.Fatal("expected error for Rounds beyond the int32 round cursor")
 	}
 }
 
