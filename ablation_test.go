@@ -38,8 +38,8 @@ func runNoAggregationAblation(tb testing.TB, agg bool, seed uint64) float64 {
 	s.sync.Tables = func(e *sim.Engine, n *sim.Node) *glap.NodeTables {
 		return pre.Tables[n.ID] // per-node tables, merged or not
 	}
-	series, _ := s.run()
-	return stats.Mean(series.OverloadedPerRound())
+	s.run()
+	return stats.Mean(s.series.OverloadedPerRound())
 }
 
 // TestNoAggregationAblationRuns sanity-checks the ablation plumbing outside

@@ -1,6 +1,7 @@
 package glapsim
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -34,25 +35,19 @@ type Grid struct {
 
 // withDefaults fills zero fields.
 func (g Grid) withDefaults() Grid {
-	if len(g.Sizes) == 0 {
-		g.Sizes = []int{100}
-	}
-	if len(g.Ratios) == 0 {
-		g.Ratios = []int{2, 3, 4}
-	}
-	if g.Rounds == 0 {
-		g.Rounds = 240
-	}
-	if g.Reps == 0 {
-		g.Reps = 5
-	}
-	if g.Seed == 0 {
-		g.Seed = 1
-	}
-	if len(g.Policies) == 0 {
-		g.Policies = Policies
-	}
+	g.Sizes = orDefault(g.Sizes, []int{100})
+	g.Ratios = orDefault(g.Ratios, []int{2, 3, 4})
+	g.Rounds, g.Reps, g.Seed = cmp.Or(g.Rounds, 240), cmp.Or(g.Reps, 5), cmp.Or(g.Seed, 1)
+	g.Policies = orDefault(g.Policies, Policies)
 	return g
+}
+
+// orDefault is s, or d when s is empty.
+func orDefault[S ~[]E, E any](s, d S) S {
+	if len(s) == 0 {
+		return d
+	}
+	return s
 }
 
 // Cell identifies one grid cell.
@@ -103,89 +98,86 @@ type CellStats struct {
 	ESV            stats.Summary
 }
 
-// RunCell executes all replications of one grid cell and aggregates them.
-func RunCell(g Grid, cell Cell) (*CellStats, error) {
-	g = g.withDefaults()
-	x := Experiment{
-		PMs: cell.PMs, Ratio: cell.Ratio, Rounds: g.Rounds,
-		Seed: cellSeed(g.Seed, cell), Policy: cell.Policy, GLAP: g.GLAP,
-	}
-	results, err := RunReplicated(x, g.Reps, g.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return aggregate(cell, g.Rounds, results), nil
-}
-
 // cellSeed gives each (size, ratio) cell its own seed, shared across
 // policies so comparisons are paired on identical workloads and placements.
 func cellSeed(seed uint64, cell Cell) uint64 {
 	return sim.NewRNG(seed).Derive(uint64(cell.PMs), uint64(cell.Ratio)).Uint64()
 }
 
-func aggregate(cell Cell, rounds int, results []*Result) *CellStats {
-	cs := &CellStats{Cell: cell, Reps: len(results)}
-	var overloaded, frac, active, bfdBase, perRound, totals, energy, slav, slavo, slalm []float64
-	var totalKWh, esv []float64
-	cum := make([]float64, rounds)
-	for _, r := range results {
-		totalKWh = append(totalKWh, metrics.TotalEnergyKWh(r.Cluster))
-		esv = append(esv, metrics.ESV(r.Cluster))
-		overloaded = append(overloaded, r.Series.OverloadedPerRound()...)
-		frac = append(frac, r.Series.FractionOverloaded()...)
-		perRound = append(perRound, r.Series.MigrationsPerRound()...)
-		last, ok := r.Series.Last()
-		if ok {
-			active = append(active, float64(last.ActivePMs))
-			totals = append(totals, float64(last.Migrations))
-			energy = append(energy, last.MigrationEnergyJ/1000)
+// aggregate reduces one cell's replications to the statistics of the paper's
+// figures.
+func aggregate(cell Cell, rounds int, recs []outcome) *CellStats {
+	pooled := func(per func(*metrics.Series) []float64) stats.Summary {
+		var xs []float64
+		for _, o := range recs {
+			xs = append(xs, per(o.series)...)
 		}
-		bfdBase = append(bfdBase, float64(r.BFDBaseline))
-		slav = append(slav, r.Series.SLAV)
-		slavo = append(slavo, r.Series.SLAVO)
-		slalm = append(slalm, r.Series.SLALM)
-		for i, v := range r.Series.CumulativeMigrations() {
+		return stats.Summarize(xs)
+	}
+	last := func(o outcome) metrics.Snapshot { l, _ := o.series.Last(); return l }
+	cum := make([]float64, rounds)
+	for _, o := range recs {
+		for i, v := range o.series.CumulativeMigrations() {
 			if i < len(cum) {
-				cum[i] += v / float64(len(results))
+				cum[i] += v / float64(len(recs))
 			}
 		}
 	}
-	cs.Overloaded = stats.Summarize(overloaded)
-	cs.FracOverloaded = stats.Summarize(frac)
-	cs.Active = stats.Summarize(active)
-	cs.BFDBaseline = stats.Summarize(bfdBase)
-	cs.MigrationsPerRound = stats.Summarize(perRound)
-	cs.TotalMigrations = stats.Summarize(totals)
-	cs.CumMigrations = cum
-	cs.EnergyKJ = stats.Summarize(energy)
-	cs.SLAV = stats.Summarize(slav)
-	cs.SLAVO = stats.Summarize(slavo)
-	cs.SLALM = stats.Summarize(slalm)
-	cs.TotalEnergyKWh = stats.Summarize(totalKWh)
-	cs.ESV = stats.Summarize(esv)
-	return cs
+	return &CellStats{
+		Cell: cell, Reps: len(recs),
+		Overloaded:         pooled((*metrics.Series).OverloadedPerRound),
+		FracOverloaded:     pooled((*metrics.Series).FractionOverloaded),
+		Active:             summarize(recs, func(o outcome) float64 { return float64(last(o).ActivePMs) }),
+		BFDBaseline:        summarize(recs, func(o outcome) float64 { return float64(o.bfd) }),
+		MigrationsPerRound: pooled((*metrics.Series).MigrationsPerRound),
+		TotalMigrations:    summarize(recs, func(o outcome) float64 { return float64(last(o).Migrations) }),
+		CumMigrations:      cum,
+		EnergyKJ:           summarize(recs, func(o outcome) float64 { return last(o).MigrationEnergyJ / 1000 }),
+		SLAV:               summarize(recs, func(o outcome) float64 { return o.series.SLAV }),
+		SLAVO:              summarize(recs, func(o outcome) float64 { return o.series.SLAVO }),
+		SLALM:              summarize(recs, func(o outcome) float64 { return o.series.SLALM }),
+		TotalEnergyKWh:     summarize(recs, func(o outcome) float64 { return o.energyKWh }),
+		ESV:                summarize(recs, func(o outcome) float64 { return o.energyKWh * o.series.SLAV }),
+	}
 }
 
 // RunGrid executes every cell of the grid and returns the aggregated stats
-// keyed by cell, plus the deterministic cell order for presentation.
+// keyed by cell, plus the deterministic cell order for presentation. Every
+// cell is validated before any runs, and an error names its cell.
 func RunGrid(g Grid) (map[Cell]*CellStats, []Cell, error) {
 	g = g.withDefaults()
+	runs, order := gridRuns(g)
+	recs, err := sweep(runs, g.Workers, (*stack).outcome)
+	if err != nil {
+		return nil, nil, err
+	}
+	reps := max(g.Reps, 0)
+	out := make(map[Cell]*CellStats, len(order))
+	for i, cell := range order {
+		out[cell] = aggregate(cell, g.Rounds, recs[i*reps:(i+1)*reps])
+	}
+	return out, order, nil
+}
+
+// gridRuns lists the grid's runs, cell by cell in presentation order and
+// each cell's replications in turn, and returns that cell order.
+func gridRuns(g Grid) ([]sweepRun, []Cell) {
+	var runs []sweepRun
 	var order []Cell
-	out := make(map[Cell]*CellStats)
 	for _, size := range g.Sizes {
 		for _, ratio := range g.Ratios {
 			for _, p := range g.Policies {
 				cell := Cell{PMs: size, Ratio: ratio, Policy: p}
-				cs, err := RunCell(g, cell)
-				if err != nil {
-					return nil, nil, fmt.Errorf("cell %s: %w", cell, err)
+				x := Experiment{
+					PMs: size, Ratio: ratio, Rounds: g.Rounds,
+					Seed: cellSeed(g.Seed, cell), Policy: p, GLAP: g.GLAP,
 				}
-				out[cell] = cs
+				runs = append(runs, replications("cell "+cell.String(), x, g.Reps)...)
 				order = append(order, cell)
 			}
 		}
 	}
-	return out, order, nil
+	return runs, order
 }
 
 // ConvergenceResult is the Figure 5 experiment outcome for one VM:PM ratio:
@@ -203,12 +195,7 @@ type ConvergenceResult struct {
 // given size for each ratio, sampling Q-value similarity every measureEvery
 // rounds through both phases.
 func RunConvergence(pms int, ratios []int, cfg glap.Config, seed uint64, measureEvery int) ([]*ConvergenceResult, error) {
-	if len(ratios) == 0 {
-		ratios = []int{2, 3, 4}
-	}
-	if measureEvery <= 0 {
-		measureEvery = 1
-	}
+	ratios, measureEvery = orDefault(ratios, []int{2, 3, 4}), max(measureEvery, 1)
 	var out []*ConvergenceResult
 	for _, ratio := range ratios {
 		x := Experiment{

@@ -12,8 +12,10 @@
 // from, and res.Series.SLAV the Table I metric.
 //
 // The six policies are a fixed set: stacks.go switches on Experiment.Policy
-// to install each one's protocols, and every runner in the package (Run,
-// RunRobust, RunScenarios) assembles its runs through that file.
+// to install each one's protocols. Every runner in the package assembles its
+// runs through that file: Run plays one run, and RunGrid, RunReplicated,
+// RunRobust and RunScenarios are run lists over one replication loop
+// (sweep.go).
 package glapsim
 
 import (
@@ -100,9 +102,9 @@ type Experiment struct {
 	// the next round's VM demand beside a round of sequential gossip passes,
 	// the demand refresh of a large cluster, and the final metrics scans.
 	// <= 0 (the default) auto-sizes from the machine-wide worker budget
-	// shared with RunReplicated; 1 forces fully sequential execution, no
-	// goroutine at all; an explicit count > 1 is honored exactly. Results
-	// are byte-identical for every setting.
+	// shared with the sweeps' replication fan-out; 1 forces fully
+	// sequential execution, no goroutine at all; an explicit count > 1 is
+	// honored exactly. Results are byte-identical for every setting.
 	Workers int
 
 	// Net configures the message transport for message-passing policies
@@ -301,29 +303,11 @@ func Run(x Experiment) (*Result, error) {
 	if err := x.Validate(); err != nil {
 		return nil, err
 	}
-	w, err := workloadFor(x)
-	if err != nil {
+	var res *Result
+	if _, err := play([]sweepRun{{x: x}}, []int{0}, func(_ int, s *stack) { res = s.result() }); err != nil {
 		return nil, err
 	}
-	var pre *glap.PretrainResult
-	shared := x.PretrainedTables
-	if x.Policy.Pretrains() && shared == nil {
-		if pre, shared, err = pretrain(x, w); err != nil {
-			return nil, err
-		}
-	}
-	s, err := prepareStack(x, w, shared)
-	if err != nil {
-		return nil, err
-	}
-	series, network := s.run()
-	return &Result{
-		Series:      series,
-		Cluster:     s.c,
-		Pretrain:    pre,
-		BFDBaseline: bfdOracle(s.c),
-		Network:     network,
-	}, nil
+	return res, nil
 }
 
 // RunReplicated executes reps independent replications of the experiment in
@@ -331,29 +315,7 @@ func Run(x Experiment) (*Result, error) {
 // per-replication results. workers <= 0 uses GOMAXPROCS. Replication r runs
 // under sim.ReplicationSeed(Seed, r) and regenerates its workload from that
 // seed (a set x.Workload is ignored), so each replication gets its own
-// workload, placement and random streams, matching the paper's repeated
-// random setups.
+// workload, placement and random streams, as the paper's repeated setups do.
 func RunReplicated(x Experiment, reps, workers int) ([]*Result, error) {
-	if err := x.Validate(); err != nil {
-		return nil, err
-	}
-	type out struct {
-		res *Result
-		err error
-	}
-	results := sim.RunReplications(reps, workers, func(rep int) out {
-		xr := x
-		xr.Seed = sim.ReplicationSeed(x.Seed, rep)
-		xr.Workload = nil // regenerate per replication
-		r, err := Run(xr)
-		return out{r, err}
-	})
-	final := make([]*Result, len(results))
-	for i, o := range results {
-		if o.err != nil {
-			return nil, fmt.Errorf("glapsim: replication %d: %w", i, o.err)
-		}
-		final[i] = o.res
-	}
-	return final, nil
+	return sweep(replications("glapsim:", x, reps), workers, (*stack).result)
 }

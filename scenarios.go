@@ -2,6 +2,7 @@ package glapsim
 
 import (
 	"bytes"
+	"cmp"
 	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
@@ -12,7 +13,6 @@ import (
 	"sort"
 
 	"github.com/glap-sim/glap/internal/cyclon"
-	"github.com/glap-sim/glap/internal/dc"
 	"github.com/glap-sim/glap/internal/glap"
 	"github.com/glap-sim/glap/internal/metrics"
 	"github.com/glap-sim/glap/internal/sim"
@@ -64,7 +64,7 @@ type ScenarioConfig struct {
 	Rounds int
 	// Seed is the master seed (default 1).
 	Seed uint64
-	// Workers bounds intra-run parallelism (<= 0 auto).
+	// Workers bounds the run fan-out and each run's parallelism (<= 0 auto).
 	Workers int
 	// GLAP overrides the GLAP configuration. The default shortens
 	// pre-training to 120+60 rounds — the suite measures scenario deltas,
@@ -76,27 +76,10 @@ type ScenarioConfig struct {
 }
 
 func (c ScenarioConfig) withDefaults() ScenarioConfig {
-	if len(c.Sizes) == 0 {
-		c.Sizes = []int{40, 80}
-	}
-	if c.Ratio == 0 {
-		c.Ratio = 2
-	}
-	if c.Rounds == 0 {
-		c.Rounds = 60
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.GLAP.LearnRounds == 0 {
-		c.GLAP.LearnRounds = 120
-	}
-	if c.GLAP.AggRounds == 0 {
-		c.GLAP.AggRounds = 60
-	}
-	if len(c.Scenarios) == 0 {
-		c.Scenarios = DefaultScenarios
-	}
+	c.Sizes = orDefault(c.Sizes, []int{40, 80})
+	c.Ratio, c.Rounds, c.Seed = cmp.Or(c.Ratio, 2), cmp.Or(c.Rounds, 60), cmp.Or(c.Seed, 1)
+	c.GLAP.LearnRounds, c.GLAP.AggRounds = cmp.Or(c.GLAP.LearnRounds, 120), cmp.Or(c.GLAP.AggRounds, 60)
+	c.Scenarios = orDefault(c.Scenarios, DefaultScenarios)
 	return c
 }
 
@@ -142,69 +125,121 @@ type ScenarioRow struct {
 }
 
 // RunScenarios executes the configured suite and returns one row per
-// scenario × size, in configuration order.
+// scenario × size, in configuration order. Every run is validated before any
+// starts, and an error names its scenario and size.
 func RunScenarios(cfg ScenarioConfig) ([]ScenarioRow, error) {
 	cfg = cfg.withDefaults()
-	var rows []ScenarioRow
-	for _, scen := range cfg.Scenarios {
-		for si, pms := range cfg.Sizes {
-			// Per-size seeds are replication-split from the master so adding
-			// a size never perturbs the others.
-			seed := sim.ReplicationSeed(cfg.Seed, si)
-			var (
-				row ScenarioRow
-				err error
-			)
-			switch scen {
-			case ScenarioCrashChurn:
-				row, err = runCrashScenario(cfg, pms, seed)
-			case ScenarioHetero:
-				row, err = runHeteroScenario(cfg, pms, seed)
-			case ScenarioTopology:
-				row, err = runTopologyScenario(cfg, pms, seed)
-			case ScenarioRealTrace:
-				row, err = runRealTraceScenario(cfg, pms, seed)
-			default:
-				err = fmt.Errorf("glapsim: unknown scenario %q", scen)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("glapsim: scenario %s at %d PMs: %w", scen, pms, err)
-			}
-			rows = append(rows, row)
-		}
+	runs, cells, err := scenarioRuns(cfg)
+	if err != nil {
+		return nil, err
+	}
+	recs, err := sweep(runs, cfg.Workers, (*stack).outcome)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]ScenarioRow, len(cells))
+	for i, cell := range cells {
+		rows[i] = cell.row(runs[cell.run].x, recs[cell.run])
 	}
 	return rows, nil
 }
 
-// baseScenarioExperiment is the shared experiment skeleton of every
-// scenario cell; the overlay parameters are pinned like the robustness
-// grid's so cells stay comparable across suites.
-func baseScenarioExperiment(cfg ScenarioConfig, pms int, seed uint64) Experiment {
-	return Experiment{
-		PMs: pms, Ratio: cfg.Ratio, Rounds: cfg.Rounds, Seed: seed,
-		Workers: cfg.Workers, GLAP: cfg.GLAP,
-		CyclonViewSize: 20, CyclonShuffleLen: 8,
-	}
+// scenarioCell is one row of the suite: its family, the run it reports and,
+// for crash-churn, the warm and cold hooks, which hold what they counted.
+type scenarioCell struct {
+	scen       Scenario
+	run        int
+	warm, cold *crashRun
 }
 
-// scenarioRow fills the metrics every scenario reports.
-func scenarioRow(scen Scenario, x Experiment, series *metrics.Series, c *dc.Cluster) ScenarioRow {
-	energy := metrics.TotalEnergyKWh(c)
-	return ScenarioRow{
-		Scenario:         string(scen),
-		PMs:              x.PMs,
-		VMs:              x.PMs * x.Ratio,
-		Policy:           string(x.Policy),
-		Rounds:           x.Rounds,
-		SLAV:             series.SLAV,
-		SLAVO:            series.SLAVO,
-		SLALM:            series.SLALM,
-		EnergyKWh:        energy,
-		Migrations:       c.Migrations,
-		ActivePMs:        c.ActivePMs(),
-		FailedPlacements: c.FailedPlacements,
-		SeriesHash:       hashScenarioSeries(series, energy),
+// scenarioRuns lists the suite's runs and its rows, scenario by scenario and
+// size by size. Crash-churn plays one fault schedule twice, warm then cold,
+// and reports the warm run; real-trace prepares its workload here, through a
+// CSV file and back.
+func scenarioRuns(cfg ScenarioConfig) ([]sweepRun, []scenarioCell, error) {
+	var runs []sweepRun
+	var cells []scenarioCell
+	for _, scen := range cfg.Scenarios {
+		for si, pms := range cfg.Sizes {
+			name := fmt.Sprintf("glapsim: scenario %s at %d PMs", scen, pms)
+			// Per-size seeds are replication-split from the master so adding
+			// a size never perturbs the others. The overlay parameters are
+			// pinned like the robustness grid's.
+			x := Experiment{
+				PMs: pms, Ratio: cfg.Ratio, Rounds: cfg.Rounds, Seed: sim.ReplicationSeed(cfg.Seed, si),
+				Policy: PolicyGLAP, Workers: cfg.Workers, GLAP: cfg.GLAP,
+				CyclonViewSize: 20, CyclonShuffleLen: 8,
+			}
+			cell := scenarioCell{scen: scen, run: len(runs)}
+			switch scen {
+			case ScenarioCrashChurn:
+				x.Policy = PolicyGLAPAsync
+				x.Net = NetConfig{Latency: 30, DropProb: 0.05}
+				cell.warm, cell.cold = &crashRun{warm: true}, &crashRun{}
+				runs = append(runs, sweepRun{name, x, cell.warm.install}, sweepRun{name, x, cell.cold.install})
+			case ScenarioHetero:
+				x.Heterogeneous = true
+			case ScenarioTopology:
+				x.Policy = PolicyGLAPAsync
+				x.RackSize, x.RacksPerPod, x.TopologyAware = 8, 2, true
+				x.Net = NetConfig{Latency: 10, TopoLatency: true}
+			case ScenarioRealTrace:
+				w, err := realTraceExtract(x)
+				if err != nil {
+					return nil, nil, fmt.Errorf("%s: %w", name, err)
+				}
+				x.Workload = w
+			default:
+				return nil, nil, fmt.Errorf("glapsim: unknown scenario %q", scen)
+			}
+			if cell.warm == nil {
+				runs = append(runs, sweepRun{name: name, x: x})
+			}
+			cells = append(cells, cell)
+		}
 	}
+	return runs, cells, nil
+}
+
+// row fills the cell's report from its run's experiment and outcome.
+func (cell scenarioCell) row(x Experiment, o outcome) ScenarioRow {
+	row := ScenarioRow{
+		Scenario:           string(cell.scen),
+		PMs:                x.PMs,
+		VMs:                x.PMs * x.Ratio,
+		Policy:             string(x.Policy),
+		Rounds:             x.Rounds,
+		SLAV:               o.series.SLAV,
+		SLAVO:              o.series.SLAVO,
+		SLALM:              o.series.SLALM,
+		EnergyKWh:          o.energyKWh,
+		Migrations:         o.migrations,
+		ActivePMs:          o.active,
+		FailedPlacements:   o.failed,
+		SeriesHash:         hashScenarioSeries(o.series, o.energyKWh),
+		LeakedReservations: o.leaked,
+	}
+	if o.network != nil {
+		row.NetworkEnergyKWh = o.network.EnergyKWh()
+		row.MeanSwitchPowerW = o.network.MeanPowerW()
+	}
+	if w := x.Workload; w != nil {
+		row.TraceVMs, row.TraceRounds = w.NumVMs(), w.Rounds()
+	}
+	if warm := cell.warm; warm != nil {
+		row.Crashes, row.Recoveries = warm.crashes, warm.recoveries
+		row.Evacuated, row.Stranded = warm.evacuated, warm.stranded
+		row.ReservationsReleased = warm.released
+		if len(warm.reconverge) > 0 {
+			m := stats.Mean(warm.reconverge)
+			row.WarmReconvergeRounds = &m
+		}
+		if len(cell.cold.reconverge) > 0 {
+			m := stats.Mean(cell.cold.reconverge)
+			row.ColdReconvergeRounds = &m
+		}
+	}
+	return row
 }
 
 // hashScenarioSeries fingerprints every sample and the final SLA/energy
@@ -222,122 +257,50 @@ func hashScenarioSeries(s *metrics.Series, energyKWh float64) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// runHeteroScenario grows the heterogeneous-fleet hash pin into a measured
-// scenario: GLAP on the alternating G4/G5 fleet.
-func runHeteroScenario(cfg ScenarioConfig, pms int, seed uint64) (ScenarioRow, error) {
-	x := baseScenarioExperiment(cfg, pms, seed)
-	x.Policy = PolicyGLAP
-	x.Heterogeneous = true
-	res, err := Run(x)
-	if err != nil {
-		return ScenarioRow{}, err
-	}
-	return scenarioRow(ScenarioHetero, x, res.Series, res.Cluster), nil
-}
-
-// runTopologyScenario runs the message-passing stack under the three-tier
-// topology model: per-path latency, oversubscribed migration bandwidth,
-// locality-aware peer selection, and switch power in the energy report.
-func runTopologyScenario(cfg ScenarioConfig, pms int, seed uint64) (ScenarioRow, error) {
-	x := baseScenarioExperiment(cfg, pms, seed)
-	x.Policy = PolicyGLAPAsync
-	x.RackSize = 8
-	x.RacksPerPod = 2
-	x.TopologyAware = true
-	x.Net = NetConfig{Latency: 10, TopoLatency: true}
-	res, err := Run(x)
-	if err != nil {
-		return ScenarioRow{}, err
-	}
-	row := scenarioRow(ScenarioTopology, x, res.Series, res.Cluster)
-	row.NetworkEnergyKWh = res.Network.EnergyKWh()
-	row.MeanSwitchPowerW = res.Network.MeanPowerW()
-	row.LeakedReservations = res.Cluster.OpenReservations()
-	return row, nil
-}
-
-// runRealTraceScenario exercises the full real-trace pipeline end to end: a
-// ClusterData2011-style extract is written as a gzip CSV with a tool-style
-// comment header, loaded back through trace.LoadFile/LoadCSV, verified
-// against the source, and then drives an ordinary GLAP run. The write→load
-// round trip is the point — it runs exactly the code path a real Google
-// extract takes.
-func runRealTraceScenario(cfg ScenarioConfig, pms int, seed uint64) (ScenarioRow, error) {
-	x := baseScenarioExperiment(cfg, pms, seed)
-	x.Policy = PolicyGLAP
-
-	// Materialise a bursty-heavy extract (task-usage resamples are batch
-	// dominated) with the experiment's trace seed.
-	gen := trace.DefaultGenConfig(pms*cfg.Ratio, cfg.Rounds, deriveSeed(seed, seedTrace))
+// realTraceExtract prepares the real-trace workload through exactly the code
+// path a real Google extract takes: a bursty-heavy ClusterData2011-style
+// extract (task-usage resamples are batch dominated) goes out as a gzip CSV
+// whose first line is a tooling comment instead of the vm,round,cpu,mem
+// header, as real extracts carry, and comes back through trace.LoadFile.
+func realTraceExtract(x Experiment) (*trace.Set, error) {
+	gen := trace.DefaultGenConfig(x.PMs*x.Ratio, x.Rounds, deriveSeed(x.Seed, seedTrace))
 	gen.Mix = map[trace.Archetype]float64{
 		trace.Stable: 0.15, trace.Diurnal: 0.15, trace.Periodic: 0.10,
 		trace.Bursty: 0.40, trace.Spiky: 0.20,
 	}
 	src, err := trace.Generate(gen)
 	if err != nil {
-		return ScenarioRow{}, err
+		return nil, err
 	}
-
+	var csv, gz bytes.Buffer
+	if err := trace.WriteCSV(&csv, src); err != nil {
+		return nil, err
+	}
+	body := csv.Bytes()
+	zw := gzip.NewWriter(&gz)
+	fmt.Fprintln(zw, "# google-clusterdata-2011 task_usage extract (resampled to 120 s rounds)")
+	zw.Write(body[bytes.IndexByte(body, '\n')+1:]) // the comment replaces the header
+	if err := zw.Close(); err != nil {
+		return nil, err
+	}
 	dir, err := os.MkdirTemp("", "glap-scenario-trace-")
 	if err != nil {
-		return ScenarioRow{}, err
+		return nil, err
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "clusterdata_extract.csv.gz")
-	if err := writeExtract(path, src); err != nil {
-		return ScenarioRow{}, err
+	if err := os.WriteFile(path, gz.Bytes(), 0o644); err != nil {
+		return nil, err
 	}
 	loaded, err := trace.LoadFile(path)
 	if err != nil {
-		return ScenarioRow{}, err
+		return nil, err
 	}
 	if loaded.NumVMs() != src.NumVMs() || loaded.Rounds() != src.Rounds() {
-		return ScenarioRow{}, fmt.Errorf("glapsim: trace round trip changed shape: %d×%d -> %d×%d",
+		return nil, fmt.Errorf("glapsim: trace round trip changed shape: %d×%d -> %d×%d",
 			src.NumVMs(), src.Rounds(), loaded.NumVMs(), loaded.Rounds())
 	}
-
-	x.Workload = loaded
-	res, err := Run(x)
-	if err != nil {
-		return ScenarioRow{}, err
-	}
-	row := scenarioRow(ScenarioRealTrace, x, res.Series, res.Cluster)
-	row.TraceVMs = loaded.NumVMs()
-	row.TraceRounds = loaded.Rounds()
-	return row, nil
-}
-
-// writeExtract writes the set as a gzip CSV whose first line is a
-// ClusterData-tooling comment instead of the canonical vm,round,cpu,mem
-// header — the single-field first line real extracts carry, which the
-// loader must tolerate.
-func writeExtract(path string, s *trace.Set) error {
-	var buf bytes.Buffer
-	if err := trace.WriteCSV(&buf, s); err != nil {
-		return err
-	}
-	body := buf.Bytes()
-	if i := bytes.IndexByte(body, '\n'); i >= 0 {
-		body = body[i+1:] // replace the canonical header with the comment line
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	zw := gzip.NewWriter(f)
-	if _, err := fmt.Fprintln(zw, "# google-clusterdata-2011 task_usage extract (resampled to 120 s rounds)"); err != nil {
-		f.Close()
-		return err
-	}
-	if _, err := zw.Write(body); err != nil {
-		f.Close()
-		return err
-	}
-	if err := zw.Close(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return loaded, nil
 }
 
 // Crash-churn scenario parameters.
@@ -354,106 +317,27 @@ const (
 	reconvergeCosine = 0.9999
 )
 
-// crashCell is the setup both variants of one crash-churn cell share: the
-// experiment, its workload, the pre-trained Q store and the fault schedule.
-func crashCell(cfg ScenarioConfig, pms int, seed uint64) (x Experiment, w *trace.Set, shared *glap.NodeTables, plan sim.FaultPlan, err error) {
-	x = baseScenarioExperiment(cfg, pms, seed)
-	x.Policy = PolicyGLAPAsync
-	x.Net = NetConfig{Latency: 30, DropProb: 0.05}
-	if err = x.Validate(); err != nil {
-		return
-	}
-	if w, err = workloadFor(x); err != nil {
-		return
-	}
-	if _, shared, err = pretrain(x, w); err != nil {
-		return
-	}
-	crashes := pms / 10
-	if crashes < 1 {
-		crashes = 1
-	}
-	plan = sim.GenerateFaults(sim.NewRNG(deriveSeed(x.Seed, seedFaults)), pms, x.Rounds, crashes, crashMTTR)
-	return
-}
+// crashRun is the crash-churn scenario's install hook and what it counts.
+// It plays the cell's fault schedule against the prepared async stack.
+// Unlike the shared-table runs, every node owns a Clone of the pre-trained
+// store — a crash must be able to destroy one machine's (volatile) tables
+// without touching the rest of the fleet. A low-cadence table-gossip
+// protocol provides the re-acquisition channel cold restarts depend on;
+// warm restarts restore the node's checkpoint instead.
+type crashRun struct {
+	warm bool
 
-// runCrashScenario pre-trains once, generates one fault schedule, and plays
-// it against two otherwise identical runs: warm (recovered PMs restore
-// their checkpointed Q-tables) and cold (recovered PMs restart empty and
-// wait for table gossip). The reported metrics come from the warm run; both
-// reconvergence figures ride on the row.
-func runCrashScenario(cfg ScenarioConfig, pms int, seed uint64) (ScenarioRow, error) {
-	x, w, shared, plan, err := crashCell(cfg, pms, seed)
-	if err != nil {
-		return ScenarioRow{}, err
-	}
-	warm, err := runCrashVariant(x, w, shared, plan, true, nil)
-	if err != nil {
-		return ScenarioRow{}, err
-	}
-	cold, err := runCrashVariant(x, w, shared, plan, false, nil)
-	if err != nil {
-		return ScenarioRow{}, err
-	}
-
-	row := scenarioRow(ScenarioCrashChurn, x, warm.series, warm.c)
-	row.Crashes = warm.crashes
-	row.Recoveries = warm.recoveries
-	row.Evacuated = warm.evacuated
-	row.Stranded = warm.stranded
-	row.ReservationsReleased = warm.released
-	row.LeakedReservations = warm.leaked
-	if m, ok := meanOf(warm.reconverge); ok {
-		row.WarmReconvergeRounds = &m
-	}
-	if m, ok := meanOf(cold.reconverge); ok {
-		row.ColdReconvergeRounds = &m
-	}
-	return row, nil
-}
-
-func meanOf(xs []float64) (float64, bool) {
-	if len(xs) == 0 {
-		return 0, false
-	}
-	sum := 0.0
-	for _, v := range xs {
-		sum += v
-	}
-	return sum / float64(len(xs)), true
-}
-
-// crashOutcome is one crash-variant run's raw result.
-type crashOutcome struct {
-	series *metrics.Series
-	c      *dc.Cluster
-
-	crashes, recoveries int
-	evacuated, stranded int
-	released, leaked    int
+	crashes, recoveries, evacuated, stranded, released int
 	// reconverge holds, per recovery in node order, the rounds from
 	// recovery to φ^io realignment; still-unconverged nodes contribute the
 	// remaining run length (a lower bound).
 	reconverge []float64
 }
 
-// runCrashVariant plays one fault schedule against a freshly prepared async
-// stack. Unlike the shared-table runs, every node owns a Clone of the
-// pre-trained store — a crash must be able to destroy one machine's
-// (volatile) tables without touching the rest of the fleet. A low-cadence
-// table-gossip protocol provides the re-acquisition channel cold restarts
-// depend on. The check hook, when non-nil, runs at the end of every round;
-// the failure-injection tests use it to assert cluster invariants under
-// churn.
-func runCrashVariant(x Experiment, w *trace.Set, shared *glap.NodeTables, plan sim.FaultPlan, warm bool, check func(c *dc.Cluster, e *sim.Engine, round int) error) (*crashOutcome, error) {
-	s, err := prepareStack(x, w, shared)
-	if err != nil {
-		return nil, err
-	}
-	if s.async == nil {
-		return nil, fmt.Errorf("glapsim: crash scenario requires the async GLAP stack")
-	}
-	c, e := s.c, s.e
+// install implements sweepRun.install for the crash-churn runs.
+func (cr *crashRun) install(s *stack) func() error {
+	x, c, e, shared := s.x, s.c, s.e, s.shared
+	plan := sim.GenerateFaults(sim.NewRNG(deriveSeed(x.Seed, seedFaults)), x.PMs, x.Rounds, max(x.PMs/10, 1), crashMTTR)
 
 	tabs := make([]*glap.NodeTables, x.PMs)
 	for i := range tabs {
@@ -462,141 +346,114 @@ func runCrashVariant(x Experiment, w *trace.Set, shared *glap.NodeTables, plan s
 	s.async.Tables = func(e *sim.Engine, n *sim.Node) *glap.NodeTables { return tabs[n.ID] }
 	e.RegisterWindow(&tableGossipProtocol{tabs: tabs, drop: x.Net.DropProb}, tableGossipEvery, 0, -1)
 
-	out := &crashOutcome{c: c}
 	refVec := append([]float64(nil), shared.IOVec()...)
 	checkpoints := map[int][]byte{}
-	crashed := map[int]bool{}
-	// redirect maps a planned victim to the machine the crash actually hit:
-	// the consolidation policy powers emptied PMs off ahead of the fault
-	// schedule, and a fault that lands on a dark machine exercises nothing.
+	// redirect maps a planned victim to the machine the crash actually hit.
 	redirect := map[int]int{}
 	recoveredAt := map[int]int{}
 	reconvergedAt := map[int]int{}
 	var runErr error
+	failed := func(err error) bool {
+		if err != nil {
+			runErr = err
+		}
+		return err != nil
+	}
 
 	plan.Install(e, func(e *sim.Engine, ev sim.FaultEvent) {
 		if runErr != nil {
 			return
 		}
 		if !ev.Up {
+			// The policy powers emptied PMs off ahead of the schedule, and a
+			// crash on a dark machine would exercise nothing: such a fault
+			// hits the lowest-numbered live machine instead. Crashed PMs are
+			// off, so they cannot be picked twice.
 			victim := ev.Node
-			if !c.PMs[victim].On() {
-				// The policy already powered the planned victim off
-				// gracefully — a crash there would exercise nothing.
-				// Redirect the fault to the lowest-numbered live machine;
-				// crashed PMs are off, so they cannot be picked twice.
-				victim = -1
-				for id := range c.PMs {
-					if c.PMs[id].On() {
-						victim = id
-						break
-					}
-				}
-				if victim < 0 {
-					return // the whole fleet is dark; drop the event
+			for id := 0; !c.PMs[victim].On() && id < len(c.PMs); id++ {
+				if c.PMs[id].On() {
+					victim = id
 				}
 			}
+			if !c.PMs[victim].On() {
+				return // the whole fleet is dark; drop the event
+			}
 			redirect[ev.Node] = victim
-			crashed[victim] = true
-			if warm {
+			if cr.warm {
 				cp, err := glap.CheckpointTables(tabs[victim])
-				if err != nil {
-					runErr = err
+				if failed(err) {
 					return
 				}
 				checkpoints[victim] = cp
 			}
 			rep, err := c.CrashPM(c.PMs[victim])
-			if err != nil {
-				runErr = err
+			if failed(err) {
 				return
 			}
 			e.SetUp(e.Node(victim), false)
 			// Volatile memory is gone; what the node comes back with is the
 			// recovery path's decision below.
 			tabs[victim] = glap.NewNodeTables(x.GLAP)
-			out.crashes++
-			out.evacuated += rep.Evacuated
-			out.stranded += rep.Stranded
-			out.released += rep.ReservationsReleased
-		} else {
-			victim, ok := redirect[ev.Node]
-			if !ok {
-				return // the crash was dropped, so is the recovery
-			}
-			delete(redirect, ev.Node)
-			delete(crashed, victim)
-			if err := c.RecoverPM(c.PMs[victim]); err != nil {
-				runErr = err
+			cr.crashes++
+			cr.evacuated += rep.Evacuated
+			cr.stranded += rep.Stranded
+			cr.released += rep.ReservationsReleased
+			return
+		}
+		victim, ok := redirect[ev.Node]
+		if !ok {
+			return // the crash was dropped, so is the recovery
+		}
+		delete(redirect, ev.Node)
+		if failed(c.RecoverPM(c.PMs[victim])) {
+			return
+		}
+		e.SetUp(e.Node(victim), true)
+		if cr.warm {
+			// The warm-restart contract: re-checkpointing the restored store
+			// must reproduce the snapshot byte for byte.
+			restored, err := glap.RestoreTables(checkpoints[victim])
+			if failed(err) {
 				return
 			}
-			e.SetUp(e.Node(victim), true)
-			if warm {
-				restored, err := glap.RestoreTables(checkpoints[victim])
-				if err != nil {
-					runErr = err
-					return
-				}
-				// The warm-restart contract: re-checkpointing the restored
-				// store must reproduce the snapshot byte for byte.
-				again, err := glap.CheckpointTables(restored)
-				if err != nil {
-					runErr = err
-					return
-				}
-				if !bytes.Equal(checkpoints[victim], again) {
-					runErr = fmt.Errorf("glapsim: warm restart of PM %d is not byte-identical to its checkpoint", victim)
-					return
-				}
-				tabs[victim] = restored
+			again, err := glap.CheckpointTables(restored)
+			if failed(err) {
+				return
 			}
-			recoveredAt[victim] = e.Round()
-			out.recoveries++
+			if !bytes.Equal(checkpoints[victim], again) {
+				runErr = fmt.Errorf("glapsim: warm restart of PM %d is not byte-identical to its checkpoint", victim)
+				return
+			}
+			tabs[victim] = restored
 		}
+		recoveredAt[victim] = e.Round()
+		cr.recoveries++
 	})
 
 	e.Observe(func(e *sim.Engine, r int) {
-		if runErr != nil {
-			return
-		}
-		ids := make([]int, 0, len(recoveredAt))
 		for id := range recoveredAt {
-			if _, done := reconvergedAt[id]; !done {
-				ids = append(ids, id)
-			}
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			if stats.CosineAligned(tabs[id].IOVec(), refVec) >= reconvergeCosine {
+			if _, done := reconvergedAt[id]; !done && runErr == nil &&
+				stats.CosineAligned(tabs[id].IOVec(), refVec) >= reconvergeCosine {
 				reconvergedAt[id] = r
-			}
-		}
-		if check != nil {
-			if err := check(c, e, r); err != nil {
-				runErr = err
 			}
 		}
 	})
 
-	out.series, _ = s.run()
-	if runErr != nil {
-		return nil, runErr
-	}
-	out.leaked = c.OpenReservations()
-
-	ids := make([]int, 0, len(recoveredAt))
-	for id := range recoveredAt {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		if r, ok := reconvergedAt[id]; ok {
-			out.reconverge = append(out.reconverge, float64(r-recoveredAt[id]))
-		} else {
-			out.reconverge = append(out.reconverge, float64(x.Rounds-recoveredAt[id]))
+	return func() error {
+		ids := make([]int, 0, len(recoveredAt))
+		for id := range recoveredAt {
+			ids = append(ids, id)
 		}
+		sort.Ints(ids)
+		for _, id := range ids {
+			until, ok := reconvergedAt[id]
+			if !ok {
+				until = x.Rounds
+			}
+			cr.reconverge = append(cr.reconverge, float64(until-recoveredAt[id]))
+		}
+		return runErr
 	}
-	return out, nil
 }
 
 // tableGossipProtocol is the anti-entropy channel for whole Q stores: each

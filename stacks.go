@@ -1,8 +1,6 @@
 package glapsim
 
 import (
-	"fmt"
-
 	"github.com/glap-sim/glap/internal/baselines/bfd"
 	"github.com/glap-sim/glap/internal/baselines/ecocloud"
 	"github.com/glap-sim/glap/internal/baselines/grmp"
@@ -20,9 +18,9 @@ import (
 // This file assembles every run the facade makes, in three steps: pretrain
 // turns an experiment into GLAP's shared Q store, prepareStack switches on
 // the policy to build the cluster, engine and protocol stack, and
-// (*stack).run plays the rounds. Run, the robustness grid and the scenario
-// suite all go through these three, so two runs they pair differ only in
-// their Experiment and in what the caller installs on the prepared stack.
+// (*stack).run plays the rounds. play (sweep.go) calls these three for Run
+// and for every sweep, so two runs a sweep pairs differ only in their
+// Experiment and in what their install hook adds to the prepared stack.
 // It is the only facade file that imports the baseline packages.
 
 // needs reports what policy p's stack needs around its build: overlay, the
@@ -71,21 +69,28 @@ func pretrain(x Experiment, w *trace.Set) (*glap.PretrainResult, *glap.NodeTable
 	return res, shared, nil
 }
 
-// stack is one prepared run: a cluster, a fresh engine bound to it, and the
-// policy's protocols registered on the engine.
+// stack is one run: a cluster, a fresh engine bound to it, the policy's
+// protocols registered on the engine and, once run has played it, the
+// recorded series.
 type stack struct {
 	x    Experiment
 	c    *dc.Cluster
 	e    *sim.Engine
 	b    *policy.Binding
 	tree *topology.Tree // nil when the topology model is off
+	// shared is the pre-trained Q store the GLAP stacks consolidate with.
 	// sync and async are the consolidation protocols of the glap and
 	// glap-async stacks, tr is glap-async's transport; each is nil under
-	// every other policy. RunRobust reads the async counters; the crash
-	// scenario and the no-aggregation ablation swap per-node tables in.
-	sync  *glap.ConsolidateProtocol
-	async *glap.AsyncConsolidateProtocol
-	tr    *sim.Transport
+	// every other policy. The sweep's outcome records the async counters;
+	// the crash scenario and the no-aggregation ablation swap per-node
+	// tables in.
+	shared  *glap.NodeTables
+	sync    *glap.ConsolidateProtocol
+	async   *glap.AsyncConsolidateProtocol
+	tr      *sim.Transport
+	pre     *glap.PretrainResult // nil unless the policy pre-trains
+	series  *metrics.Series
+	network *metrics.NetworkSeries
 }
 
 // prepareStack builds an identically placed cluster for the experiment's
@@ -94,10 +99,7 @@ type stack struct {
 // policy's stack over shared, the Q store GLAP consolidates with. x must be
 // valid.
 func prepareStack(x Experiment, w *trace.Set, shared *glap.NodeTables) (*stack, error) {
-	overlay, _, ok := x.Policy.needs()
-	if !ok {
-		return nil, fmt.Errorf("glapsim: unknown policy %q", x.Policy)
-	}
+	overlay, _, _ := x.Policy.needs()
 	c, err := buildCluster(x, w)
 	if err != nil {
 		return nil, err
@@ -113,7 +115,7 @@ func prepareStack(x Experiment, w *trace.Set, shared *glap.NodeTables) (*stack, 
 	if err != nil {
 		return nil, err
 	}
-	s := &stack{x: x, c: c, e: e, b: b, tree: tree}
+	s := &stack{x: x, c: c, e: e, b: b, tree: tree, shared: shared}
 	if overlay {
 		e.Register(cyclon.New(x.CyclonViewSize, x.CyclonShuffleLen))
 	}
@@ -180,18 +182,16 @@ func (s *stack) installAsync(tables func(*sim.Engine, *sim.Node) *glap.NodeTable
 // accounting when the topology model is on), plays x.Rounds rounds, runs
 // glap-async's event queue dry so in-flight messages, request timeouts and
 // reservation holds settle, and finalises the series.
-func (s *stack) run() (*metrics.Series, *metrics.NetworkSeries) {
-	series := metrics.Attach(s.e, s.c, 0)
-	var network *metrics.NetworkSeries
+func (s *stack) run() {
+	s.series = metrics.Attach(s.e, s.c, 0)
 	if s.tree != nil {
-		network = metrics.AttachNetwork(s.e, s.c, s.tree, topology.DefaultSwitchSpec)
+		s.network = metrics.AttachNetwork(s.e, s.c, s.tree, topology.DefaultSwitchSpec)
 	}
 	s.e.RunRounds(s.x.Rounds)
 	if s.async != nil {
 		s.e.RunEvents(-1)
 	}
-	series.Finalize(s.c)
-	return series, network
+	s.series.Finalize(s.c)
 }
 
 // bfdOracle computes the centralized Best-Fit-Decreasing packing of the
