@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -19,15 +20,13 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"text/tabwriter"
 
 	glapsim "github.com/glap-sim/glap"
 	"github.com/glap-sim/glap/internal/glap"
 )
 
-// options carries the parsed flags to the experiments, and what one
-// experiment leaves for a later step: Figure 5's result for the CSV writer,
-// the shared grid pass for the figures that print from it.
+// options carries the parsed flags to the experiments, and the grid pass
+// to the tables drawn from it.
 type options struct {
 	grid       glapsim.Grid
 	drops      []float64
@@ -36,18 +35,20 @@ type options struct {
 	scenRounds int
 	scenOut    string
 
-	conv  []*glapsim.ConvergenceResult
 	cells map[glapsim.Cell]*glapsim.CellStats
 	order []glapsim.Cell
 }
 
-// experiment is one -exp name. The grid experiments print one figure each
-// from a single RunGrid pass, which main makes once after the others ran.
+// experiment is one -exp name. Each artifact of the paper's evaluation, and
+// so of -exp all, builds the table that -exp prints and -csv writes; a grid
+// one reads o.cells and o.order, which main fills from one RunGrid pass
+// after the other experiments ran. robust and scenarios have no table: they
+// run and print on their own.
 type experiment struct {
 	name  string
 	desc  string
-	paper bool // part of the paper's evaluation, so part of -exp all
-	grid  bool // run prints from o.cells / o.order
+	grid  bool // table reads the grid pass
+	table func(o *options) table
 	run   func(o *options)
 }
 
@@ -55,13 +56,41 @@ type experiment struct {
 // the validation of its value and the dispatch all read this table, and
 // TestDocsNameOnlyKnownExperiments holds the user-facing docs to it.
 var experiments = []experiment{
-	{name: "f5", desc: "Q-value convergence", paper: true, run: func(o *options) { o.conv = runF5(o.grid) }},
-	{name: "f6", desc: "packing vs BFD", paper: true, grid: true, run: func(o *options) { printF6(o.cells, o.order) }},
-	{name: "f7", desc: "overloaded PMs", paper: true, grid: true, run: func(o *options) { printF7(o.cells, o.order) }},
-	{name: "f8", desc: "migrations", paper: true, grid: true, run: func(o *options) { printF8(o.cells, o.order) }},
-	{name: "f9", desc: "cumulative migrations", paper: true, grid: true, run: func(o *options) { printF9(o.grid, o.cells, o.order) }},
-	{name: "f10", desc: "migration energy", paper: true, grid: true, run: func(o *options) { printF10(o.cells, o.order) }},
-	{name: "t1", desc: "SLAV table", paper: true, grid: true, run: func(o *options) { printT1(o.grid, o.cells) }},
+	{name: "f5", desc: "Q-value convergence", table: func(o *options) table {
+		pms := o.grid.Sizes[0]
+		res, err := glapsim.RunConvergence(pms, o.grid.Ratios, glap.Config{}, o.grid.Seed, 10)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return convergenceTable(pms, res)
+	}},
+	{name: "f6", desc: "packing vs BFD", grid: true, table: cellTable(
+		"Figure 6: fraction of overloaded/active PMs and packing vs BFD", "figure6_packing.csv",
+		[]string{"frac_overloaded_mean", "active_median", "bfd_baseline_median"},
+		func(s *glapsim.CellStats) []float64 {
+			return []float64{s.FracOverloaded.Mean, s.Active.Median, s.BFDBaseline.Median}
+		})},
+	{name: "f7", desc: "overloaded PMs", grid: true, table: cellTable(
+		"Figure 7: number of overloaded PMs (median [p10, p90] per round)", "figure7_overloaded.csv",
+		[]string{"median", "p10", "p90", "mean"},
+		func(s *glapsim.CellStats) []float64 {
+			return []float64{s.Overloaded.Median, s.Overloaded.P10, s.Overloaded.P90, s.Overloaded.Mean}
+		})},
+	{name: "f8", desc: "migrations", grid: true, table: cellTable(
+		"Figure 8: number of migrations (per-round median [p10, p90]; total)", "figure8_migrations.csv",
+		[]string{"per_round_median", "per_round_p10", "per_round_p90", "total_median"},
+		func(s *glapsim.CellStats) []float64 {
+			m := s.MigrationsPerRound
+			return []float64{m.Median, m.P10, m.P90, s.TotalMigrations.Median}
+		})},
+	{name: "f9", desc: "cumulative migrations", grid: true, table: cumulativeTable},
+	{name: "f10", desc: "migration energy", grid: true, table: cellTable(
+		"Figure 10: energy overhead of migrations (kJ, median [p10, p90])", "figure10_energy.csv",
+		[]string{"energy_kj_median", "p10", "p90"},
+		func(s *glapsim.CellStats) []float64 {
+			return []float64{s.EnergyKJ.Median, s.EnergyKJ.P10, s.EnergyKJ.P90}
+		})},
+	{name: "t1", desc: "SLAV table", grid: true, table: slavTable},
 	{name: "robust", desc: "async consolidation under loss × latency", run: func(o *options) {
 		runRobust(glapsim.RobustConfig{
 			PMs: o.grid.Sizes[0], Ratio: o.grid.Ratios[0], Rounds: o.grid.Rounds, Reps: o.grid.Reps,
@@ -71,6 +100,24 @@ var experiments = []experiment{
 	{name: "scenarios", desc: "crash-churn / hetero / topology / real-trace suite", run: func(o *options) {
 		runScenarios(o.grid.Seed, o.scenRounds, o.grid.Workers, o.scenSizes, o.scenOut)
 	}},
+}
+
+// energyESV is the grid artifact no -exp name prints: -csv writes it beside
+// the figures.
+var energyESV = cellTable("total energy and ESV (energy × SLAV)", "extra_energy_esv.csv",
+	[]string{"total_energy_kwh_median", "esv_median"},
+	func(s *glapsim.CellStats) []float64 { return []float64{s.TotalEnergyKWh.Median, s.ESV.Median} })
+
+// gridTables is every artifact of the grid pass, printed or not, in table
+// order with the energy/ESV extra last.
+func gridTables(o *options) []table {
+	var out []table
+	for _, x := range experiments {
+		if x.grid {
+			out = append(out, x.table(o))
+		}
+	}
+	return append(out, energyESV(o))
 }
 
 // expUsage renders the -exp help text from the experiment table.
@@ -103,7 +150,7 @@ func selectExperiments(spec string) ([]experiment, error) {
 	}
 	var picked []experiment
 	for _, x := range experiments {
-		if want[x.name] || (want["all"] && x.paper) {
+		if want[x.name] || (want["all"] && x.table != nil) {
 			picked = append(picked, x)
 		}
 	}
@@ -131,6 +178,29 @@ func main() {
 	picked, err := selectExperiments(*exp)
 	if err != nil {
 		log.Fatal(err)
+	}
+	gridSizes, err1 := parseList("sizes", *sizes, strconv.Atoi)
+	gridRatios, err2 := parseList("ratios", *ratios, strconv.Atoi)
+	dropList, err3 := parseList("drops", *drops, func(s string) (float64, error) { return strconv.ParseFloat(s, 64) })
+	latList, err4 := parseList("lats", *lats, func(s string) (int64, error) { return strconv.ParseInt(s, 10, 64) })
+	scenList, err5 := parseList("scen-sizes", *scenSizes, strconv.Atoi)
+	if err := errors.Join(err1, err2, err3, err4, err5); err != nil {
+		log.Fatal(err)
+	}
+	o := &options{
+		grid: glapsim.Grid{
+			Sizes:   gridSizes,
+			Ratios:  gridRatios,
+			Rounds:  *rounds,
+			Reps:    *reps,
+			Seed:    *seed,
+			Workers: *workers,
+		},
+		drops:      dropList,
+		lats:       latList,
+		scenSizes:  scenList,
+		scenRounds: *scenRounds,
+		scenOut:    *scenOut,
 	}
 
 	if *cpuProfile != "" {
@@ -160,28 +230,19 @@ func main() {
 		}()
 	}
 
-	o := &options{
-		grid: glapsim.Grid{
-			Sizes:   parseInts(*sizes),
-			Ratios:  parseInts(*ratios),
-			Rounds:  *rounds,
-			Reps:    *reps,
-			Seed:    *seed,
-			Workers: *workers,
-		},
-		drops:      parseFloats(*drops),
-		lats:       parseInt64s(*lats),
-		scenSizes:  parseInts(*scenSizes),
-		scenRounds: *scenRounds,
-		scenOut:    *scenOut,
-	}
-
+	// The tables -csv writes: Figure 5's if it ran, then gridTables.
+	var tables []table
 	needGrid := false
 	for _, x := range picked {
-		if x.grid {
+		switch {
+		case x.grid:
 			needGrid = true
-		} else {
+		case x.run != nil:
 			x.run(o)
+		default:
+			t := x.table(o)
+			t.print(os.Stdout)
+			tables = append(tables, t)
 		}
 	}
 	if !needGrid {
@@ -195,173 +256,34 @@ func main() {
 	}
 	for _, x := range picked {
 		if x.grid {
-			x.run(o)
+			x.table(o).print(os.Stdout)
 		}
 	}
 	if *csvDir != "" {
-		if err := writeCSVDir(*csvDir, o.grid, o.cells, o.order, o.conv); err != nil {
+		if err := writeCSVDir(*csvDir, append(tables, gridTables(o)...)); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("\nwrote CSV files to %s\n", *csvDir)
 	}
 }
 
-func parseInts(s string) []int {
-	var out []int
+// parseList parses the comma-separated value of the list flag name, skipping
+// blank items. An empty list is refused before any run starts: every
+// experiment indexes or sweeps its lists.
+func parseList[T any](name, s string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
 	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
+		if f = strings.TrimSpace(f); f == "" {
 			continue
 		}
-		v, err := strconv.Atoi(f)
+		v, err := parse(f)
 		if err != nil {
-			log.Fatalf("bad integer list %q: %v", s, err)
+			return nil, fmt.Errorf("-%s: bad list %q: %v", name, s, err)
 		}
 		out = append(out, v)
 	}
-	return out
-}
-
-func runF5(grid glapsim.Grid) []*glapsim.ConvergenceResult {
-	pms := grid.Sizes[0]
-	fmt.Printf("== Figure 5: Q-value convergence (cosine similarity), %d PMs ==\n", pms)
-	fmt.Println("   learning phase (WOG) then aggregation phase (WG)")
-	res, err := glapsim.RunConvergence(pms, grid.Ratios, glap.Config{}, grid.Seed, 10)
-	if err != nil {
-		log.Fatal(err)
+	if len(out) == 0 {
+		return nil, fmt.Errorf("-%s: empty list %q", name, s)
 	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprint(w, "round\tphase")
-	for _, r := range res {
-		fmt.Fprintf(w, "\tratio %d", r.Ratio)
-	}
-	fmt.Fprintln(w)
-	if len(res) > 0 {
-		for i, round := range res[0].Rounds {
-			phase := "WOG"
-			if round >= res[0].AggStart {
-				phase = "WG"
-			}
-			fmt.Fprintf(w, "%d\t%s", round, phase)
-			for _, r := range res {
-				if i < len(r.Cosine) {
-					fmt.Fprintf(w, "\t%.4f", r.Cosine[i])
-				} else {
-					fmt.Fprint(w, "\t-")
-				}
-			}
-			fmt.Fprintln(w)
-		}
-	}
-	w.Flush()
-	return res
-}
-
-func header(w *tabwriter.Writer, cols ...string) {
-	fmt.Fprintln(w, strings.Join(cols, "\t"))
-}
-
-func printF6(cells map[glapsim.Cell]*glapsim.CellStats, order []glapsim.Cell) {
-	fmt.Println("\n== Figure 6: fraction of overloaded/active PMs and packing vs BFD ==")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	header(w, "cell", "frac overl. (mean)", "active (median)", "BFD baseline")
-	for _, c := range order {
-		s := cells[c]
-		fmt.Fprintf(w, "%s\t%.4f\t%.0f\t%.0f\n",
-			c, s.FracOverloaded.Mean, s.Active.Median, s.BFDBaseline.Median)
-	}
-	w.Flush()
-}
-
-func printF7(cells map[glapsim.Cell]*glapsim.CellStats, order []glapsim.Cell) {
-	fmt.Println("\n== Figure 7: number of overloaded PMs (median [p10, p90] per round) ==")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	header(w, "cell", "median", "p10", "p90", "mean")
-	for _, c := range order {
-		s := cells[c]
-		fmt.Fprintf(w, "%s\t%.1f\t%.1f\t%.1f\t%.2f\n",
-			c, s.Overloaded.Median, s.Overloaded.P10, s.Overloaded.P90, s.Overloaded.Mean)
-	}
-	w.Flush()
-}
-
-func printF8(cells map[glapsim.Cell]*glapsim.CellStats, order []glapsim.Cell) {
-	fmt.Println("\n== Figure 8: number of migrations (per-round median [p10, p90]; total) ==")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	header(w, "cell", "median/round", "p10", "p90", "total (median)")
-	for _, c := range order {
-		s := cells[c]
-		fmt.Fprintf(w, "%s\t%.1f\t%.1f\t%.1f\t%.0f\n",
-			c, s.MigrationsPerRound.Median, s.MigrationsPerRound.P10,
-			s.MigrationsPerRound.P90, s.TotalMigrations.Median)
-	}
-	w.Flush()
-}
-
-func printF9(grid glapsim.Grid, cells map[glapsim.Cell]*glapsim.CellStats, order []glapsim.Cell) {
-	// The paper plots cumulative migrations for the 1000-node cluster; we
-	// use the middle configured size.
-	size := grid.Sizes[len(grid.Sizes)/2]
-	fmt.Printf("\n== Figure 9: cumulative migrations over time (%d PMs) ==\n", size)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprint(w, "round")
-	var series []*glapsim.CellStats
-	for _, c := range order {
-		if c.PMs == size {
-			fmt.Fprintf(w, "\t%d/%s", c.Ratio, c.Policy)
-			series = append(series, cells[c])
-		}
-	}
-	fmt.Fprintln(w)
-	if len(series) > 0 {
-		n := len(series[0].CumMigrations)
-		step := n / 12
-		if step == 0 {
-			step = 1
-		}
-		for i := step - 1; i < n; i += step {
-			fmt.Fprintf(w, "%d", i+1)
-			for _, s := range series {
-				fmt.Fprintf(w, "\t%.0f", s.CumMigrations[i])
-			}
-			fmt.Fprintln(w)
-		}
-	}
-	w.Flush()
-}
-
-func printF10(cells map[glapsim.Cell]*glapsim.CellStats, order []glapsim.Cell) {
-	fmt.Println("\n== Figure 10: energy overhead of migrations (kJ, median [p10, p90]) ==")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	header(w, "cell", "median", "p10", "p90")
-	for _, c := range order {
-		s := cells[c]
-		fmt.Fprintf(w, "%s\t%.2f\t%.2f\t%.2f\n", c, s.EnergyKJ.Median, s.EnergyKJ.P10, s.EnergyKJ.P90)
-	}
-	w.Flush()
-}
-
-func printT1(grid glapsim.Grid, cells map[glapsim.Cell]*glapsim.CellStats) {
-	fmt.Println("\n== Table I: SLAV for various cluster sizes and workload ratios ==")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprint(w, "size-ratio")
-	for _, p := range glapsim.Policies {
-		fmt.Fprintf(w, "\t%s", p)
-	}
-	fmt.Fprintln(w)
-	for _, size := range grid.Sizes {
-		for _, ratio := range grid.Ratios {
-			fmt.Fprintf(w, "%d-%d", size, ratio)
-			for _, p := range glapsim.Policies {
-				s, ok := cells[glapsim.Cell{PMs: size, Ratio: ratio, Policy: p}]
-				if !ok {
-					fmt.Fprint(w, "\t-")
-					continue
-				}
-				fmt.Fprintf(w, "\t%.3g", s.SLAV.Median)
-			}
-			fmt.Fprintln(w)
-		}
-	}
-	w.Flush()
+	return out, nil
 }

@@ -3,10 +3,14 @@ package main
 import (
 	"os"
 	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
 
+// TestParseInts covers the one list parser behind every list flag, for each
+// element type the flags use.
 func TestParseInts(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -18,15 +22,28 @@ func TestParseInts(t *testing.T) {
 		{"5,", []int{5}},
 	}
 	for _, tc := range cases {
-		got := parseInts(tc.in)
-		if len(got) != len(tc.want) {
-			t.Fatalf("parseInts(%q) = %v", tc.in, got)
+		got, err := parseList("sizes", tc.in, strconv.Atoi)
+		if err != nil || !slices.Equal(got, tc.want) {
+			t.Fatalf("parseList(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
 		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Fatalf("parseInts(%q) = %v, want %v", tc.in, got, tc.want)
-			}
+	}
+	floats, err := parseList("drops", "0, 0.1,0.25", func(s string) (float64, error) { return strconv.ParseFloat(s, 64) })
+	if err != nil || !slices.Equal(floats, []float64{0, 0.1, 0.25}) {
+		t.Fatalf("float list = %v, %v", floats, err)
+	}
+	int64s, err := parseList("lats", "1,30,8589934592", func(s string) (int64, error) { return strconv.ParseInt(s, 10, 64) })
+	if err != nil || !slices.Equal(int64s, []int64{1, 30, 1 << 33}) {
+		t.Fatalf("int64 list = %v, %v", int64s, err)
+	}
+	// An empty list used to reach the experiments, which index it (a panic)
+	// or default it; a bad item used to exit from inside the parser.
+	for _, in := range []string{"", " ", ",", " , "} {
+		if _, err := parseList("sizes", in, strconv.Atoi); err == nil || !strings.Contains(err.Error(), "-sizes") {
+			t.Fatalf("parseList(%q): got %v, want an error naming -sizes", in, err)
 		}
+	}
+	if _, err := parseList("ratios", "2,x", strconv.Atoi); err == nil || !strings.Contains(err.Error(), "-ratios") {
+		t.Fatalf("bad item: got %v, want an error naming -ratios", err)
 	}
 }
 

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strconv"
-	"strings"
-	"text/tabwriter"
 
 	glapsim "github.com/glap-sim/glap"
 )
@@ -23,47 +20,14 @@ func runRobust(cfg glapsim.RobustConfig) {
 	}
 	fmt.Printf("sync reference: active %.1f (median %.0f), migrations %.0f, SLAV %.3g\n",
 		res.SyncActive.Mean, res.SyncActive.Median, res.SyncMigrations.Mean, res.SyncSLAV.Mean)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	header(w, "cell", "active (mean)", "Δ vs sync", "migr.", "SLAV",
-		"offers", "commits", "aborts", "expired", "dropped/sent", "leaks")
+	rows := [][]string{{"cell", "active (mean)", "Δ vs sync", "migr.", "SLAV",
+		"offers", "commits", "aborts", "expired", "dropped/sent", "leaks"}}
 	for _, c := range res.Cells {
-		fmt.Fprintf(w, "%s\t%.1f\t%+.1f\t%.0f\t%.3g\t%d\t%d\t%d\t%d\t%d/%d\t%d\n",
+		rows = append(rows, fields("%s\t%.1f\t%+.1f\t%.0f\t%.3g\t%d\t%d\t%d\t%d\t%d/%d\t%d",
 			c.Cell, c.Active.Mean, c.Active.Mean-res.SyncActive.Mean,
 			c.Migrations.Mean, c.SLAV.Mean,
 			c.Offers, c.Commits, c.Aborts, c.Expired,
-			c.Dropped, c.Sent, c.LeakedReservations)
+			c.Dropped, c.Sent, c.LeakedReservations))
 	}
-	w.Flush()
-}
-
-func parseFloats(s string) []float64 {
-	var out []float64
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil {
-			log.Fatalf("bad float list %q: %v", s, err)
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-func parseInt64s(s string) []int64 {
-	var out []int64
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		v, err := strconv.ParseInt(f, 10, 64)
-		if err != nil {
-			log.Fatalf("bad integer list %q: %v", s, err)
-		}
-		out = append(out, v)
-	}
-	return out
+	table{rows: rows}.print(os.Stdout)
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"text/tabwriter"
 
 	glapsim "github.com/glap-sim/glap"
 )
@@ -34,8 +33,7 @@ func runScenarios(seed uint64, rounds, workers int, sizes []int, outPath string)
 		log.Fatal(err)
 	}
 
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "scenario\tpms\tpolicy\tslav\tenergy kWh\tmigrations\tactive\tnotes")
+	lines := [][]string{{"scenario", "pms", "policy", "slav", "energy kWh", "migrations", "active", "notes"}}
 	for _, r := range rows {
 		notes := ""
 		switch r.Scenario {
@@ -54,10 +52,10 @@ func runScenarios(seed uint64, rounds, workers int, sizes []int, outPath string)
 		case string(glapsim.ScenarioRealTrace):
 			notes = fmt.Sprintf("trace %d VMs × %d rounds via CSV", r.TraceVMs, r.TraceRounds)
 		}
-		fmt.Fprintf(w, "%s\t%d\t%s\t%.3g\t%.3f\t%d\t%d\t%s\n",
-			r.Scenario, r.PMs, r.Policy, r.SLAV, r.EnergyKWh, r.Migrations, r.ActivePMs, notes)
+		lines = append(lines, fields("%s\t%d\t%s\t%.3g\t%.3f\t%d\t%d\t%s",
+			r.Scenario, r.PMs, r.Policy, r.SLAV, r.EnergyKWh, r.Migrations, r.ActivePMs, notes))
 	}
-	w.Flush()
+	table{rows: lines}.print(os.Stdout)
 
 	report := scenarioReport{
 		envMeta: currentEnv(),

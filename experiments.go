@@ -21,7 +21,8 @@ type Grid struct {
 	Ratios []int
 	// Rounds is the consolidation-run length.
 	Rounds int
-	// Reps is the number of replications per cell.
+	// Reps is the number of replications per cell (default 5; a negative
+	// count is refused).
 	Reps int
 	// Workers bounds replication parallelism (<= 0: GOMAXPROCS).
 	Workers int
@@ -146,15 +147,17 @@ func aggregate(cell Cell, rounds int, recs []outcome) *CellStats {
 // cell is validated before any runs, and an error names its cell.
 func RunGrid(g Grid) (map[Cell]*CellStats, []Cell, error) {
 	g = g.withDefaults()
+	if g.Reps < 0 {
+		return nil, nil, fmt.Errorf("glapsim: negative Grid.Reps %d", g.Reps)
+	}
 	runs, order := gridRuns(g)
 	recs, err := sweep(runs, g.Workers, (*stack).outcome)
 	if err != nil {
 		return nil, nil, err
 	}
-	reps := max(g.Reps, 0)
 	out := make(map[Cell]*CellStats, len(order))
 	for i, cell := range order {
-		out[cell] = aggregate(cell, g.Rounds, recs[i*reps:(i+1)*reps])
+		out[cell] = aggregate(cell, g.Rounds, recs[i*g.Reps:(i+1)*g.Reps])
 	}
 	return out, order, nil
 }

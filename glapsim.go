@@ -176,6 +176,11 @@ func (x *Experiment) Validate() error {
 	if !(x.VMChurn >= 0 && x.VMChurn <= 1) {
 		return fmt.Errorf("glapsim: VMChurn %g out of [0,1]", x.VMChurn)
 	}
+	if x.Policy.Pretrains() {
+		if err := x.GLAP.Validate(); err != nil {
+			return fmt.Errorf("glapsim: GLAP: %w", err)
+		}
+	}
 	return nil
 }
 
@@ -312,10 +317,14 @@ func Run(x Experiment) (*Result, error) {
 
 // RunReplicated executes reps independent replications of the experiment in
 // parallel (the paper repeats every experiment 20 times) and returns the
-// per-replication results. workers <= 0 uses GOMAXPROCS. Replication r runs
-// under sim.ReplicationSeed(Seed, r) and regenerates its workload from that
-// seed (a set x.Workload is ignored), so each replication gets its own
-// workload, placement and random streams, as the paper's repeated setups do.
+// per-replication results; a negative reps is refused. workers <= 0 uses
+// GOMAXPROCS. Replication r runs under sim.ReplicationSeed(Seed, r) and
+// regenerates its workload from that seed (a set x.Workload is ignored), so
+// each replication gets its own workload, placement and random streams, as
+// the paper's repeated setups do.
 func RunReplicated(x Experiment, reps, workers int) ([]*Result, error) {
+	if reps < 0 {
+		return nil, fmt.Errorf("glapsim: negative reps %d", reps)
+	}
 	return sweep(replications("glapsim:", x, reps), workers, (*stack).result)
 }

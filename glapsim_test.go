@@ -27,6 +27,8 @@ func TestExperimentValidation(t *testing.T) {
 		{PMs: 10, Ratio: 0, Rounds: 10, Policy: PolicyGLAP},
 		{PMs: 10, Ratio: 2, Rounds: 0, Policy: PolicyGLAP},
 		{PMs: 10, Ratio: 2, Rounds: 10, Policy: "bogus"},
+		{PMs: 10, Ratio: 2, Rounds: 10, Policy: PolicyGLAP, GLAP: glap.Config{Alpha: 7}},
+		{PMs: 10, Ratio: 2, Rounds: 10, Policy: PolicyGLAPAsync, GLAP: glap.Config{Alpha: 7}},
 	}
 	for i, x := range cases {
 		if err := x.Validate(); err == nil {
@@ -36,6 +38,15 @@ func TestExperimentValidation(t *testing.T) {
 	good := smallExperiment(PolicyGRMP)
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	// A policy that never pre-trains never reads GLAP; zero fields default.
+	for _, x := range []Experiment{
+		{PMs: 10, Ratio: 2, Rounds: 10, Policy: PolicyGRMP, GLAP: glap.Config{Alpha: 7}},
+		{PMs: 10, Ratio: 2, Rounds: 10, Policy: PolicyGLAP},
+	} {
+		if err := x.Validate(); err != nil {
+			t.Fatalf("%s: %v", x.Policy, err)
+		}
 	}
 }
 
@@ -266,6 +277,29 @@ func TestRunGridRefusesBadCellFirst(t *testing.T) {
 	}
 	if _, _, err := RunGrid(g); err == nil || !strings.Contains(err.Error(), "cell 1-2/grmp") {
 		t.Fatalf("RunGrid: got %v, want cell 1-2/grmp refused", err)
+	}
+	// An invalid GLAP config is refused before the GRMP cell ahead of it
+	// starts, not in GLAP's pre-training.
+	g = Grid{Sizes: []int{16}, Ratios: []int{2}, Rounds: 20, Reps: 2, Workers: 1,
+		Policies: []Policy{PolicyGRMP, PolicyGLAP}, GLAP: glap.Config{Alpha: 7}}.withDefaults()
+	runs, _ = gridRuns(g)
+	started = countStarts(runs)
+	if _, err := sweep(runs, 1, (*stack).outcome); err == nil || !strings.Contains(err.Error(), "cell 16-2/glap") || started.Load() != 0 {
+		t.Fatalf("got %v after %d runs started; want cell 16-2/glap refused before any", err, started.Load())
+	}
+}
+
+// TestNegativeRepsRefused: a negative replication count is an error that
+// names it, not a run of nothing reported as all-zero statistics.
+func TestNegativeRepsRefused(t *testing.T) {
+	if _, _, err := RunGrid(Grid{Sizes: []int{16}, Ratios: []int{2}, Rounds: 20, Reps: -1}); err == nil || !strings.Contains(err.Error(), "Grid.Reps") {
+		t.Fatalf("RunGrid: got %v, want Grid.Reps refused", err)
+	}
+	if _, err := RunRobust(RobustConfig{PMs: 16, Rounds: 20, Reps: -1}); err == nil || !strings.Contains(err.Error(), "RobustConfig.Reps") {
+		t.Fatalf("RunRobust: got %v, want RobustConfig.Reps refused", err)
+	}
+	if _, err := RunReplicated(smallExperiment(PolicyGRMP), -1, 1); err == nil || !strings.Contains(err.Error(), "reps") {
+		t.Fatalf("RunReplicated: got %v, want reps refused", err)
 	}
 }
 

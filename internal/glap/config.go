@@ -101,10 +101,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate reports configuration errors after defaulting. Range checks are
-// written in positive form — "inside the range", negated — so that NaN,
-// which fails every comparison, fails them too.
+// Validate reports the errors of c as Pretrain uses it: zero fields take
+// their defaults first. Range checks are written in positive form — "inside
+// the range", negated — so that NaN, which fails every comparison, fails
+// them too.
 func (c Config) Validate() error {
+	c = c.withDefaults()
 	if !(c.Alpha > 0 && c.Alpha <= 1) {
 		return fmt.Errorf("glap: Alpha %g out of (0,1]", c.Alpha)
 	}

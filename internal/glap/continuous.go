@@ -21,10 +21,10 @@ import (
 // LearnRounds+AggRounds. Consolidation starts after the first full
 // pre-training cycle completes.
 func InstallContinuous(e *sim.Engine, b *policy.Binding, cfg Config, relearnEvery int, opts PretrainOptions) (*ConsolidateProtocol, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfg = cfg.withDefaults()
 	pretrainLen := cfg.LearnRounds + cfg.AggRounds
 	if relearnEvery < pretrainLen {
 		return nil, fmt.Errorf("glap: relearnEvery %d shorter than one learning cycle (%d)", relearnEvery, pretrainLen)

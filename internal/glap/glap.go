@@ -86,10 +86,10 @@ type PretrainOptions struct {
 // produces, value for value and backing for backing (DESIGN.md §7,
 // "Aggregation ends at consensus").
 func Pretrain(cfg Config, cl *dc.Cluster, seed uint64, opts PretrainOptions) (*PretrainResult, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfg = cfg.withDefaults()
 	e := sim.NewEngine(len(cl.PMs), seed)
 	e.Workers = opts.Workers
 	cl.Workers = opts.Workers

@@ -19,7 +19,8 @@ type RobustConfig struct {
 	Ratio int
 	// Rounds is the consolidation-run length (default 60).
 	Rounds int
-	// Reps is the number of replications (default 3).
+	// Reps is the number of replications (default 3; a negative count is
+	// refused).
 	Reps int
 	// Seed is the master seed.
 	Seed uint64
@@ -93,6 +94,9 @@ type RobustResult struct {
 // any starts.
 func RunRobust(cfg RobustConfig) (*RobustResult, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Reps < 0 {
+		return nil, fmt.Errorf("glapsim: negative RobustConfig.Reps %d", cfg.Reps)
+	}
 	x := Experiment{
 		PMs: cfg.PMs, Ratio: cfg.Ratio, Rounds: cfg.Rounds, Seed: cfg.Seed,
 		Policy: PolicyGLAP, GLAP: cfg.GLAP, CyclonViewSize: 20, CyclonShuffleLen: 8,
@@ -112,7 +116,7 @@ func RunRobust(cfg RobustConfig) (*RobustResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := max(cfg.Reps, 0) // the reference's replications, then each cell's
+	n := cfg.Reps // the reference's replications, then each cell's
 	active := func(o outcome) float64 { return float64(o.active) }
 	migrations := func(o outcome) float64 { return float64(o.migrations) }
 	slav := func(o outcome) float64 { return o.series.SLAV }
