@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -40,9 +41,9 @@ func currentEnv() envMeta {
 // warnIfSerial prints the shared single-thread warning at generation time,
 // so a throttled or single-core run announces itself in the log as well as
 // in the JSON.
-func (m envMeta) warnIfSerial() {
+func (m envMeta) warnIfSerial(w io.Writer) {
 	if m.GOMAXPROCS == 1 {
-		fmt.Println("WARNING: GOMAXPROCS=1 — parallel rows share one OS thread; " +
+		fmt.Fprintln(w, "WARNING: GOMAXPROCS=1 — parallel rows share one OS thread; "+
 			"wall-time columns measure scheduling overhead, not parallelism.")
 	}
 }

@@ -13,7 +13,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -28,6 +28,7 @@ import (
 // options carries the parsed flags to the experiments, and the grid pass
 // to the tables drawn from it.
 type options struct {
+	stdout     io.Writer
 	grid       glapsim.Grid
 	drops      []float64
 	lats       []int64
@@ -35,13 +36,14 @@ type options struct {
 	scenRounds int
 	scenOut    string
 
+	conv  []*glapsim.ConvergenceResult // Figure 5's run
 	cells map[glapsim.Cell]*glapsim.CellStats
 	order []glapsim.Cell
 }
 
 // experiment is one -exp name. Each artifact of the paper's evaluation, and
 // so of -exp all, builds the table that -exp prints and -csv writes; a grid
-// one reads o.cells and o.order, which main fills from one RunGrid pass
+// one reads o.cells and o.order, which run fills from one RunGrid pass
 // after the other experiments ran. robust and scenarios have no table: they
 // run and print on their own.
 type experiment struct {
@@ -49,21 +51,20 @@ type experiment struct {
 	desc  string
 	grid  bool // table reads the grid pass
 	table func(o *options) table
-	run   func(o *options)
+	run   func(o *options) error // runs before table, if both are set
+	// firstOf names the list flags of which the experiment reads only the
+	// first entry.
+	firstOf []string
 }
 
 // experiments is the single source of the -exp names: the flag's help text,
 // the validation of its value and the dispatch all read this table, and
 // TestDocsNameOnlyKnownExperiments holds the user-facing docs to it.
 var experiments = []experiment{
-	{name: "f5", desc: "Q-value convergence", table: func(o *options) table {
-		pms := o.grid.Sizes[0]
-		res, err := glapsim.RunConvergence(pms, o.grid.Ratios, glap.Config{}, o.grid.Seed, 10)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return convergenceTable(pms, res)
-	}},
+	{name: "f5", desc: "Q-value convergence", firstOf: []string{"sizes"}, run: func(o *options) (err error) {
+		o.conv, err = glapsim.RunConvergence(o.grid.Sizes[0], o.grid.Ratios, glap.Config{}, o.grid.Seed, 10)
+		return err
+	}, table: func(o *options) table { return convergenceTable(o.grid.Sizes[0], o.conv) }},
 	{name: "f6", desc: "packing vs BFD", grid: true, table: cellTable(
 		"Figure 6: fraction of overloaded/active PMs and packing vs BFD", "figure6_packing.csv",
 		[]string{"frac_overloaded_mean", "active_median", "bfd_baseline_median"},
@@ -91,14 +92,14 @@ var experiments = []experiment{
 			return []float64{s.EnergyKJ.Median, s.EnergyKJ.P10, s.EnergyKJ.P90}
 		})},
 	{name: "t1", desc: "SLAV table", grid: true, table: slavTable},
-	{name: "robust", desc: "async consolidation under loss × latency", run: func(o *options) {
-		runRobust(glapsim.RobustConfig{
+	{name: "robust", desc: "async consolidation under loss × latency", firstOf: []string{"sizes", "ratios"}, run: func(o *options) error {
+		return runRobust(o.stdout, glapsim.RobustConfig{
 			PMs: o.grid.Sizes[0], Ratio: o.grid.Ratios[0], Rounds: o.grid.Rounds, Reps: o.grid.Reps,
 			Seed: o.grid.Seed, DropProbs: o.drops, Latencies: o.lats, Workers: o.grid.Workers,
 		})
 	}},
-	{name: "scenarios", desc: "crash-churn / hetero / topology / real-trace suite", run: func(o *options) {
-		runScenarios(o.grid.Seed, o.scenRounds, o.grid.Workers, o.scenSizes, o.scenOut)
+	{name: "scenarios", desc: "crash-churn / hetero / topology / real-trace suite", run: func(o *options) error {
+		return runScenarios(o.stdout, o.grid.Seed, o.scenRounds, o.grid.Workers, o.scenSizes, o.scenOut)
 	}},
 }
 
@@ -158,26 +159,39 @@ func selectExperiments(spec string) ([]experiment, error) {
 }
 
 func main() {
-	exp := flag.String("exp", "all", expUsage())
-	sizes := flag.String("sizes", "100", "comma-separated cluster sizes")
-	ratios := flag.String("ratios", "2,3,4", "comma-separated VM:PM ratios")
-	rounds := flag.Int("rounds", 240, "consolidation rounds (2 simulated minutes each)")
-	reps := flag.Int("reps", 5, "replications per grid cell (paper: 20)")
-	seed := flag.Uint64("seed", 1, "master seed")
-	workers := flag.Int("workers", 0, "parallel replication workers (0 = GOMAXPROCS)")
-	csvDir := flag.String("csv", "", "also write per-figure CSV files into this directory")
-	drops := flag.String("drops", "0,0.1,0.2", "comma-separated message-loss probabilities for -exp robust")
-	lats := flag.String("lats", "1,30,90", "comma-separated one-way message latencies for -exp robust")
-	scenOut := flag.String("scen-out", "BENCH_scenarios.json", "output path for the -exp scenarios report")
-	scenSizes := flag.String("scen-sizes", "40,80", "comma-separated cluster sizes for -exp scenarios")
-	scenRounds := flag.Int("scen-rounds", 60, "consolidation rounds per scenario run for -exp scenarios")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "glapbench:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, checks the flags, runs the selected experiments and
+// writes their tables to stdout and notes on the flags to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("glapbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", expUsage())
+	sizes := fs.String("sizes", "100", "comma-separated cluster sizes")
+	ratios := fs.String("ratios", "2,3,4", "comma-separated VM:PM ratios")
+	rounds := fs.Int("rounds", 240, "consolidation rounds (2 simulated minutes each)")
+	reps := fs.Int("reps", 5, "replications per grid cell (paper: 20)")
+	seed := fs.Uint64("seed", 1, "master seed")
+	workers := fs.Int("workers", 0, "parallel replication workers (0 = GOMAXPROCS)")
+	csvDir := fs.String("csv", "", "also write per-figure CSV files into this directory")
+	drops := fs.String("drops", "0,0.1,0.2", "comma-separated message-loss probabilities for -exp robust")
+	lats := fs.String("lats", "1,30,90", "comma-separated one-way message latencies for -exp robust")
+	scenOut := fs.String("scen-out", "BENCH_scenarios.json", "output path for the -exp scenarios report")
+	scenSizes := fs.String("scen-sizes", "40,80", "comma-separated cluster sizes for -exp scenarios")
+	scenRounds := fs.Int("scen-rounds", 60, "consolidation rounds per scenario run for -exp scenarios")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	picked, err := selectExperiments(*exp)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	gridSizes, err1 := parseList("sizes", *sizes, strconv.Atoi)
 	gridRatios, err2 := parseList("ratios", *ratios, strconv.Atoi)
@@ -185,9 +199,21 @@ func main() {
 	latList, err4 := parseList("lats", *lats, func(s string) (int64, error) { return strconv.ParseInt(s, 10, 64) })
 	scenList, err5 := parseList("scen-sizes", *scenSizes, strconv.Atoi)
 	if err := errors.Join(err1, err2, err3, err4, err5); err != nil {
-		log.Fatal(err)
+		return err
+	}
+	if *csvDir != "" {
+		if err := csvWritable(picked); err != nil {
+			return err
+		}
+	}
+	lists := map[string][]int{"sizes": gridSizes, "ratios": gridRatios}
+	for _, x := range picked {
+		if note := firstOnlyNote(x, lists); note != "" {
+			fmt.Fprintln(stderr, "glapbench:", note)
+		}
 	}
 	o := &options{
+		stdout: stdout,
 		grid: glapsim.Grid{
 			Sizes:   gridSizes,
 			Ratios:  gridRatios,
@@ -206,10 +232,11 @@ func main() {
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
+			f.Close()
+			return err
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -220,11 +247,12 @@ func main() {
 		defer func() {
 			f, err := os.Create(*memProfile)
 			if err != nil {
-				log.Fatal(err)
+				fmt.Fprintln(stderr, "glapbench:", err)
+				return
 			}
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Fatal(err)
+				fmt.Fprintln(stderr, "glapbench:", err)
 			}
 			f.Close()
 		}()
@@ -234,37 +262,80 @@ func main() {
 	var tables []table
 	needGrid := false
 	for _, x := range picked {
+		if x.run != nil {
+			if err := x.run(o); err != nil {
+				return err
+			}
+		}
 		switch {
 		case x.grid:
 			needGrid = true
-		case x.run != nil:
-			x.run(o)
-		default:
+		case x.table != nil:
 			t := x.table(o)
-			t.print(os.Stdout)
+			t.print(stdout)
 			tables = append(tables, t)
 		}
 	}
-	if !needGrid {
-		return
-	}
-	fmt.Printf("\n== running grid: sizes=%v ratios=%v rounds=%d reps=%d ==\n",
-		o.grid.Sizes, o.grid.Ratios, o.grid.Rounds, o.grid.Reps)
-	o.cells, o.order, err = glapsim.RunGrid(o.grid)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, x := range picked {
-		if x.grid {
-			x.table(o).print(os.Stdout)
+	if needGrid {
+		fmt.Fprintf(stdout, "\n== running grid: sizes=%v ratios=%v rounds=%d reps=%d ==\n",
+			o.grid.Sizes, o.grid.Ratios, o.grid.Rounds, o.grid.Reps)
+		if o.cells, o.order, err = glapsim.RunGrid(o.grid); err != nil {
+			return err
 		}
+		for _, x := range picked {
+			if x.grid {
+				x.table(o).print(stdout)
+			}
+		}
+		tables = append(tables, gridTables(o)...)
 	}
 	if *csvDir != "" {
-		if err := writeCSVDir(*csvDir, append(tables, gridTables(o)...)); err != nil {
-			log.Fatal(err)
+		if err := writeCSVDir(*csvDir, tables); err != nil {
+			return err
 		}
-		fmt.Printf("\nwrote CSV files to %s\n", *csvDir)
+		fmt.Fprintf(stdout, "\nwrote CSV files to %s\n", *csvDir)
 	}
+	return nil
+}
+
+// csvWritable refuses -csv for a selection that builds no table, naming the
+// selected experiments: robust and scenarios print their results, and
+// scenarios writes its own JSON report.
+func csvWritable(picked []experiment) error {
+	var names []string
+	for _, x := range picked {
+		if x.table != nil {
+			return nil
+		}
+		names = append(names, x.name)
+	}
+	return fmt.Errorf("-csv: -exp %s builds no table to write; only f5 to t1 write CSV files", strings.Join(names, ","))
+}
+
+// firstOnlyNote is the line that tells a user which entry of a list flag
+// experiment x reads, when x reads only the first and the flag holds more;
+// empty when there is nothing to tell. -exp all takes f5's note with it, so
+// the paper-grid command's several sizes stay valid.
+func firstOnlyNote(x experiment, lists map[string][]int) string {
+	var used, ignored []string
+	for _, name := range x.firstOf {
+		if l := lists[name]; len(l) > 1 {
+			used = append(used, fmt.Sprintf("-%s %d", name, l[0]))
+			ignored = append(ignored, fmt.Sprintf("-%s %s", name, joinInts(l[1:])))
+		}
+	}
+	if len(used) == 0 {
+		return ""
+	}
+	return fmt.Sprintf("-exp %s runs %s only; ignoring %s", x.name, strings.Join(used, " and "), strings.Join(ignored, " and "))
+}
+
+func joinInts(l []int) string {
+	s := make([]string, len(l))
+	for i, v := range l {
+		s[i] = strconv.Itoa(v)
+	}
+	return strings.Join(s, ",")
 }
 
 // parseList parses the comma-separated value of the list flag name, skipping

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"encoding/csv"
 	"os"
+	"path/filepath"
 	"regexp"
 	"slices"
 	"strconv"
@@ -127,4 +130,86 @@ func TestDocsNameOnlyKnownExperiments(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRunF5WritesCSV runs Figure 5 alone with -csv: it must write its file,
+// the rows it printed, and note on stderr the sizes it ignores. The file
+// used to be written only when a grid experiment ran too.
+func TestRunF5WritesCSV(t *testing.T) {
+	dir := t.TempDir()
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-exp", "f5", "-sizes", "16,24", "-ratios", "2", "-csv", dir}, &stdout, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := csv.NewReader(mustOpen(t, filepath.Join(dir, "figure5_convergence.csv"))).ReadAll()
+	if err != nil || len(rows) < 2 || !slices.Equal(rows[0], []string{"round", "phase", "ratio2"}) {
+		t.Fatalf("figure5_convergence.csv: %v, %v", rows, err)
+	}
+	var printed bytes.Buffer
+	table{rows: rows}.print(&printed)
+	if !strings.Contains(stdout.String(), printed.String()) {
+		t.Fatalf("the CSV rows are not the printed ones:\n%s", stdout.String())
+	}
+	if want := "glapbench: -exp f5 runs -sizes 16 only; ignoring -sizes 24\n"; stderr.String() != want {
+		t.Fatalf("stderr %q, want %q", stderr.String(), want)
+	}
+}
+
+// TestRunRefusesCSVWithoutTable: a selection that builds no table has
+// nothing to write, so -csv is refused before any run, naming the
+// experiments selected, and no directory is made.
+func TestRunRefusesCSVWithoutTable(t *testing.T) {
+	for _, spec := range []string{"robust", "scenarios", "robust,scenarios"} {
+		dir := filepath.Join(t.TempDir(), "csv")
+		var stdout, stderr bytes.Buffer
+		err := run([]string{"-exp", spec, "-csv", dir, "-scen-out", filepath.Join(t.TempDir(), "s.json")}, &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), "-csv") || !strings.Contains(err.Error(), spec) {
+			t.Fatalf("-exp %s -csv: got %v, want an error naming -csv and %s", spec, err, spec)
+		}
+		if stdout.Len() != 0 {
+			t.Fatalf("-exp %s -csv ran before refusing: %s", spec, stdout.String())
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Fatalf("-exp %s -csv made %s", spec, dir)
+		}
+	}
+}
+
+// TestFirstOnlyNote: f5 reads the first -sizes entry and robust the first
+// -sizes and -ratios entries; each says so when given more, and nothing
+// else does.
+func TestFirstOnlyNote(t *testing.T) {
+	byName := map[string]experiment{}
+	for _, x := range experiments {
+		byName[x.name] = x
+	}
+	lists := map[string][]int{"sizes": {16, 32, 64}, "ratios": {2, 3}}
+	for name, want := range map[string]string{
+		"f5":        "-exp f5 runs -sizes 16 only; ignoring -sizes 32,64",
+		"robust":    "-exp robust runs -sizes 16 and -ratios 2 only; ignoring -sizes 32,64 and -ratios 3",
+		"f6":        "",
+		"t1":        "",
+		"scenarios": "",
+	} {
+		if got := firstOnlyNote(byName[name], lists); got != want {
+			t.Errorf("%s: note %q, want %q", name, got, want)
+		}
+	}
+	one := map[string][]int{"sizes": {16}, "ratios": {2, 3}}
+	if got := firstOnlyNote(byName["robust"], one); got != "-exp robust runs -ratios 2 only; ignoring -ratios 3" {
+		t.Errorf("robust with one size: note %q", got)
+	}
+	if got := firstOnlyNote(byName["f5"], one); got != "" {
+		t.Errorf("f5 with one size: note %q, want none", got)
+	}
+}
+
+func mustOpen(t *testing.T, path string) *os.File {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	return f
 }

@@ -2,8 +2,7 @@ package main
 
 import (
 	"fmt"
-	"log"
-	"os"
+	"io"
 
 	glapsim "github.com/glap-sim/glap"
 )
@@ -11,14 +10,14 @@ import (
 // runRobust executes the loss × latency robustness grid of the
 // message-passing consolidation protocol and prints the comparison against
 // the synchronous reference.
-func runRobust(cfg glapsim.RobustConfig) {
-	fmt.Printf("\n== robustness: async consolidation under loss × latency (%d PMs, ratio %d, %d rounds, %d reps) ==\n",
+func runRobust(w io.Writer, cfg glapsim.RobustConfig) error {
+	fmt.Fprintf(w, "\n== robustness: async consolidation under loss × latency (%d PMs, ratio %d, %d rounds, %d reps) ==\n",
 		cfg.PMs, cfg.Ratio, cfg.Rounds, cfg.Reps)
 	res, err := glapsim.RunRobust(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("sync reference: active %.1f (median %.0f), migrations %.0f, SLAV %.3g\n",
+	fmt.Fprintf(w, "sync reference: active %.1f (median %.0f), migrations %.0f, SLAV %.3g\n",
 		res.SyncActive.Mean, res.SyncActive.Median, res.SyncMigrations.Mean, res.SyncSLAV.Mean)
 	rows := [][]string{{"cell", "active (mean)", "Δ vs sync", "migr.", "SLAV",
 		"offers", "commits", "aborts", "expired", "dropped/sent", "leaks"}}
@@ -29,5 +28,6 @@ func runRobust(cfg glapsim.RobustConfig) {
 			c.Offers, c.Commits, c.Aborts, c.Expired,
 			c.Dropped, c.Sent, c.LeakedReservations))
 	}
-	table{rows: rows}.print(os.Stdout)
+	table{rows: rows}.print(w)
+	return nil
 }

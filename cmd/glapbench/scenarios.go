@@ -3,7 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"log"
+	"io"
 	"os"
 
 	glapsim "github.com/glap-sim/glap"
@@ -22,15 +22,15 @@ type scenarioReport struct {
 
 // runScenarios is the `-exp scenarios` mode: the failure/heterogeneity/
 // topology/real-trace suite.
-func runScenarios(seed uint64, rounds, workers int, sizes []int, outPath string) {
+func runScenarios(w io.Writer, seed uint64, rounds, workers int, sizes []int, outPath string) error {
 	cfg := glapsim.ScenarioConfig{
 		Sizes: sizes, Rounds: rounds, Seed: seed, Workers: workers,
 	}
-	fmt.Printf("== scenario suite: sizes=%v rounds=%d seed=%d ==\n", sizes, rounds, seed)
-	currentEnv().warnIfSerial()
+	fmt.Fprintf(w, "== scenario suite: sizes=%v rounds=%d seed=%d ==\n", sizes, rounds, seed)
+	currentEnv().warnIfSerial(w)
 	rows, err := glapsim.RunScenarios(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	lines := [][]string{{"scenario", "pms", "policy", "slav", "energy kWh", "migrations", "active", "notes"}}
@@ -55,7 +55,7 @@ func runScenarios(seed uint64, rounds, workers int, sizes []int, outPath string)
 		lines = append(lines, fields("%s\t%d\t%s\t%.3g\t%.3f\t%d\t%d\t%s",
 			r.Scenario, r.PMs, r.Policy, r.SLAV, r.EnergyKWh, r.Migrations, r.ActivePMs, notes))
 	}
-	table{rows: lines}.print(os.Stdout)
+	table{rows: lines}.print(w)
 
 	report := scenarioReport{
 		envMeta: currentEnv(),
@@ -63,10 +63,11 @@ func runScenarios(seed uint64, rounds, workers int, sizes []int, outPath string)
 	}
 	buf, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := os.WriteFile(outPath, append(buf, '\n'), 0o644); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nwrote %s (%d rows)\n", outPath, len(rows))
+	fmt.Fprintf(w, "\nwrote %s (%d rows)\n", outPath, len(rows))
+	return nil
 }

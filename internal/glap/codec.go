@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 
+	"github.com/glap-sim/glap/internal/jsonscan"
 	"github.com/glap-sim/glap/internal/qlearn"
 )
 
@@ -64,26 +65,50 @@ func CheckpointTables(t *NodeTables) ([]byte, error) {
 // RestoreTables rebuilds a Q store from a CheckpointTables snapshot. The
 // restored store is byte-identical under re-checkpointing: the codec is the
 // warm-restart contract, so a restore must lose nothing.
+//
+// It reads the snapshot in one pass, without reflection, and accepts what
+// SaveTables writes, modulo whitespace and key order: the four store keys,
+// each spelled exactly and given once, two tables in qlearn.DecodeFrom's
+// grammar, and nothing but whitespace after the document.
 func RestoreTables(b []byte) (*NodeTables, error) {
-	return LoadTables(bytes.NewReader(b))
+	return restore(jsonscan.New(b))
 }
 
-// LoadTables reads a Q store written by SaveTables.
+// LoadTables reads a Q store written by SaveTables; see RestoreTables for
+// what it accepts.
 func LoadTables(r io.Reader) (*NodeTables, error) {
-	var in storeJSON
-	if err := json.NewDecoder(bufio.NewReader(r)).Decode(&in); err != nil {
+	sc, err := jsonscan.Read(r)
+	if err != nil {
+		return nil, fmt.Errorf("glap: reading Q store: %w", err)
+	}
+	return restore(sc)
+}
+
+var storeKeys = []string{"version", "trained", "out", "in"}
+
+func restore(sc *jsonscan.Scanner) (*NodeTables, error) {
+	st := &NodeTables{}
+	err := sc.Object(storeKeys, func(k int) (err error) {
+		switch k {
+		case 0:
+			var v uint32
+			if v, err = sc.Uint32(); err == nil && v != storeVersion {
+				err = fmt.Errorf("unsupported Q store version %d", v)
+			}
+		case 1:
+			st.Trained, err = sc.Bool()
+		case 2:
+			st.Out, err = qlearn.DecodeFrom(sc)
+		case 3:
+			st.In, err = qlearn.DecodeFrom(sc)
+		}
+		return err
+	})
+	if err == nil {
+		err = sc.End()
+	}
+	if err != nil {
 		return nil, fmt.Errorf("glap: decoding Q store: %w", err)
 	}
-	if in.Version != storeVersion {
-		return nil, fmt.Errorf("glap: unsupported Q store version %d", in.Version)
-	}
-	out, err := qlearn.Decode(bytes.NewReader(in.Out))
-	if err != nil {
-		return nil, err
-	}
-	inTbl, err := qlearn.Decode(bytes.NewReader(in.In))
-	if err != nil {
-		return nil, err
-	}
-	return &NodeTables{Out: out, In: inTbl, Trained: in.Trained}, nil
+	return st, nil
 }

@@ -10,18 +10,27 @@ import (
 
 // FuzzLoadTables feeds arbitrary bytes to LoadTables, the Q-store loader
 // behind RestoreTables and the benchmark's restored-table fixture. It must
-// never panic; every cell of a store it accepts must lie inside the
+// never panic; every store it accepts the retired reflection loader
+// (refLoadTables) must accept too, with bit-identical cells, Alpha, Gamma and
+// Trained; every cell of an accepted store must lie inside the
 // qlearn.DenseSpan×DenseSpan span and hold a finite value; and an accepted
 // store must survive CheckpointTables → RestoreTables → CheckpointTables
 // byte for byte. The seed corpus in testdata/fuzz/FuzzLoadTables covers the
 // SaveTables output of a small pre-training, the same store truncated, a
-// store with a cell outside the span and a store of the wrong version.
+// store with a cell outside the span, a store of the wrong version, and the
+// documents SaveTables never writes that the retired loader accepted: the
+// store followed by data, and case-variant, unknown and repeated keys.
 func FuzzLoadTables(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		st, err := LoadTables(bytes.NewReader(in))
 		if err != nil {
 			return
 		}
+		ref, err := refLoadTables(bytes.NewReader(in))
+		if err != nil {
+			t.Fatalf("LoadTables accepted what the retired loader refuses (%v)", err)
+		}
+		requireSameStore(t, st, ref)
 		for _, tbl := range []*qlearn.Table{st.Out, st.In} {
 			for _, k := range tbl.Keys() {
 				if k.S >= qlearn.DenseSpan || k.A >= qlearn.DenseSpan {

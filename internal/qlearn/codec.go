@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"github.com/glap-sim/glap/internal/jsonscan"
 )
 
 // tableJSON is the serialised form of a Table: a versioned envelope with the
@@ -43,42 +45,115 @@ func (t *Table) Encode(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Decode reads a table previously written by Encode. Non-finite parameters
-// or cell values and cells outside the span are rejected: a corrupt or
-// hostile checkpoint must fail loudly here instead of reaching the table.
+// Decode reads a table previously written by Encode: the document must be
+// one table and nothing but whitespace after it. See DecodeFrom for the
+// grammar it accepts.
 func Decode(r io.Reader) (*Table, error) {
-	var in tableJSON
-	dec := json.NewDecoder(bufio.NewReader(r))
-	if err := dec.Decode(&in); err != nil {
-		return nil, fmt.Errorf("qlearn: decoding table: %w", err)
+	sc, err := jsonscan.Read(r)
+	if err != nil {
+		return nil, fmt.Errorf("qlearn: reading table: %w", err)
 	}
-	if err := validateEnvelope(&in); err != nil {
+	t, err := DecodeFrom(sc)
+	if err != nil {
 		return nil, err
 	}
-	t := New(in.Alpha, in.Gamma)
-	for _, c := range in.Cells {
-		if err := validateCell(c); err != nil {
-			return nil, err
-		}
-		t.Set(c.S, c.A, c.Q)
+	if err := sc.End(); err != nil {
+		return nil, fmt.Errorf("qlearn: decoding table: %w", err)
 	}
 	return t, nil
 }
 
+var (
+	tableKeys = []string{"version", "alpha", "gamma", "cells"}
+	cellKeys  = []string{"s", "a", "q"}
+)
+
+// DecodeFrom reads one table at sc's position, in one pass and without
+// reflection. It accepts what Encode writes, modulo whitespace and key
+// order: the four envelope keys and each cell's three, each spelled exactly
+// and given once; "cells" null for an empty table, else its cells in strictly
+// ascending (state, action) order. Non-finite parameters or cell values and
+// cells outside the span are rejected: a corrupt or hostile checkpoint must
+// fail loudly here instead of reaching the table.
+func DecodeFrom(sc *jsonscan.Scanner) (*Table, error) {
+	var (
+		env  tableJSON
+		c    cellJSON
+		prev = -1
+		// The cells may precede alpha and gamma, so the table takes its
+		// parameters once the envelope has been read and checked.
+		t = &Table{}
+	)
+	cellField := func(k int) (err error) {
+		var v uint32
+		switch k {
+		case 0:
+			v, err = sc.Uint32()
+			c.S = State(v)
+		case 1:
+			v, err = sc.Uint32()
+			c.A = Action(v)
+		case 2:
+			c.Q, err = sc.Float()
+		}
+		return err
+	}
+	cell := func() error {
+		if err := sc.Object(cellKeys, cellField); err != nil {
+			return err
+		}
+		if err := validateCell(c); err != nil {
+			return err
+		}
+		i := int(c.S)*DenseSpan + int(c.A)
+		if i <= prev {
+			return fmt.Errorf("cell (%d, %d) out of ascending order", c.S, c.A)
+		}
+		prev = i
+		t.Set(c.S, c.A, c.Q)
+		return nil
+	}
+	err := sc.Object(tableKeys, func(k int) (err error) {
+		switch k {
+		case 0:
+			var v uint32
+			if v, err = sc.Uint32(); err == nil && v != codecVersion {
+				err = fmt.Errorf("unsupported table version %d", v)
+			}
+			env.Version = int(v)
+		case 1:
+			env.Alpha, err = sc.Float()
+		case 2:
+			env.Gamma, err = sc.Float()
+		case 3:
+			err = sc.List(cell)
+		}
+		return err
+	})
+	if err == nil {
+		err = validateEnvelope(&env)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("qlearn: decoding table: %w", err)
+	}
+	t.Alpha, t.Gamma = env.Alpha, env.Gamma
+	return t, nil
+}
+
 // validateEnvelope checks the version and learning parameters of a decoded
-// envelope. The non-finite checks are explicit even though encoding/json
-// cannot parse a NaN or ±Inf number, and the range checks are written in
+// envelope. The non-finite checks are explicit even though no JSON number
+// spells a NaN or ±Inf, and the range checks are written in
 // positive form so a NaN fails them too: any future codec front-end that
 // can carry such values must hit this wall.
 func validateEnvelope(in *tableJSON) error {
 	if in.Version != codecVersion {
-		return fmt.Errorf("qlearn: unsupported table version %d", in.Version)
+		return fmt.Errorf("unsupported table version %d", in.Version)
 	}
 	if math.IsNaN(in.Alpha) || math.IsInf(in.Alpha, 0) || math.IsNaN(in.Gamma) || math.IsInf(in.Gamma, 0) {
-		return fmt.Errorf("qlearn: non-finite parameters alpha=%g gamma=%g", in.Alpha, in.Gamma)
+		return fmt.Errorf("non-finite parameters alpha=%g gamma=%g", in.Alpha, in.Gamma)
 	}
 	if !(in.Alpha > 0 && in.Alpha <= 1 && in.Gamma >= 0 && in.Gamma < 1) {
-		return fmt.Errorf("qlearn: invalid parameters alpha=%g gamma=%g", in.Alpha, in.Gamma)
+		return fmt.Errorf("invalid parameters alpha=%g gamma=%g", in.Alpha, in.Gamma)
 	}
 	return nil
 }
@@ -90,10 +165,10 @@ func validateEnvelope(in *tableJSON) error {
 // merge average.
 func validateCell(c cellJSON) error {
 	if !inSpan(c.S, c.A) {
-		return fmt.Errorf("qlearn: cell key (%d, %d) outside the %d×%d span", c.S, c.A, DenseSpan, DenseSpan)
+		return fmt.Errorf("cell key (%d, %d) outside the %d×%d span", c.S, c.A, DenseSpan, DenseSpan)
 	}
 	if math.IsNaN(c.Q) || math.IsInf(c.Q, 0) {
-		return fmt.Errorf("qlearn: non-finite Q-value %g at cell (%d, %d)", c.Q, c.S, c.A)
+		return fmt.Errorf("non-finite Q-value %g at cell (%d, %d)", c.Q, c.S, c.A)
 	}
 	return nil
 }

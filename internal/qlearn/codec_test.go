@@ -137,6 +137,35 @@ func TestDecodeErrors(t *testing.T) {
 		}
 	}
 
+	// Documents Encode never writes, which the retired reflection decoder
+	// (refDecode) accepted: trailing data, keys that differ in case, unknown,
+	// repeated or missing keys, an empty cell array and cells out of order.
+	const doc = `{"version":1,"alpha":0.5,"gamma":0.8,"cells":[{"s":1,"a":2,"q":3.25}]}`
+	narrowed := map[string]string{
+		"trailing garbage":      doc + "garbage",
+		"trailing brackets":     doc + "]]]",
+		"trailing document":     doc + `{"version":9}`,
+		"case-variant key":      `{"VERSION":1,"alpha":0.5,"gamma":0.8,"cells":null}`,
+		"case-variant cell key": `{"version":1,"alpha":0.5,"gamma":0.8,"cells":[{"S":1,"a":2,"q":3.25}]}`,
+		"escaped key":           `{"vers\u0069on":1,"alpha":0.5,"gamma":0.8,"cells":null}`,
+		"unknown key":           `{"version":1,"precision":"f64","alpha":0.5,"gamma":0.8,"cells":null}`,
+		"unknown cell key":      `{"version":1,"alpha":0.5,"gamma":0.8,"cells":[{"s":1,"a":2,"q":3.25,"n":4}]}`,
+		"duplicate key":         `{"version":1,"alpha":0.9,"alpha":0.5,"gamma":0.8,"cells":null}`,
+		"duplicate cell key":    `{"version":1,"alpha":0.5,"gamma":0.8,"cells":[{"s":7,"s":1,"a":2,"q":3.25}]}`,
+		"missing cells":         `{"version":1,"alpha":0.5,"gamma":0.8}`,
+		"empty cell array":      `{"version":1,"alpha":0.5,"gamma":0.8,"cells":[]}`,
+		"duplicate cells":       `{"version":1,"alpha":0.5,"gamma":0.8,"cells":[{"s":1,"a":2,"q":3},{"s":1,"a":2,"q":4}]}`,
+		"descending cells":      `{"version":1,"alpha":0.5,"gamma":0.8,"cells":[{"s":1,"a":3,"q":3},{"s":1,"a":2,"q":4}]}`,
+	}
+	for name, in := range narrowed {
+		if _, err := Decode(strings.NewReader(in)); err == nil {
+			t.Fatalf("case %q: expected error", name)
+		}
+		if _, err := refDecode(strings.NewReader(in)); err != nil {
+			t.Fatalf("case %q: the retired decoder refused it too (%v); it belongs with the cases above", name, err)
+		}
+	}
+
 	// encoding/json cannot parse a bare NaN/Inf token, so the explicit
 	// non-finite rejection is exercised at the validation layer directly —
 	// NaN in particular slips through pure range checks (NaN comparisons
@@ -166,4 +195,44 @@ func TestDecodeErrors(t *testing.T) {
 	if err := validateCell(cellJSON{S: 1, A: 2, Q: -1000}); err != nil {
 		t.Fatalf("finite cell rejected: %v", err)
 	}
+}
+
+// TestDecodeNumberForms holds Decode to encoding/json on every spelling of
+// a number JSON allows, including the exponent forms Encode writes below
+// 1e-6 and from 1e21 up, and refuses what JSON does not spell.
+func TestDecodeNumberForms(t *testing.T) {
+	doc := func(q string) string {
+		return `{"version":1,"alpha":0.5,"gamma":0.8,"cells":[{"s":1,"a":2,"q":` + q + `}]}`
+	}
+	for _, q := range []string{"0", "-0", "-0.0", "3.25", "1e-7", "1e+21", "1E21", "2.5e-3", "-1.5E+300",
+		"5e-324", "1e-400", "1.7976931348623157e308", "123456789012345678901234567890"} {
+		got, err := Decode(strings.NewReader(doc(q)))
+		if err != nil {
+			t.Fatalf("q=%s: %v", q, err)
+		}
+		want, err := refDecode(strings.NewReader(doc(q)))
+		if err != nil {
+			t.Fatalf("q=%s: retired decoder: %v", q, err)
+		}
+		requireBitIdentical(t, got, want)
+	}
+	for _, q := range []string{"+1", "01", "1.", ".5", "1e", "1e+", "0x10", "Inf", "NaN", "1_0", "--1", "1e999", `"1"`, "null"} {
+		if _, err := Decode(strings.NewReader(doc(q))); err == nil {
+			t.Fatalf("q=%s: expected error", q)
+		}
+	}
+	// Encode's own output for values that take each float form.
+	tab := New(1e-7, 0)
+	for i, v := range []float64{1e-7, 1e21, -1e-300, math.MaxFloat64, math.SmallestNonzeroFloat64, math.Copysign(0, -1), 123.456} {
+		tab.Set(State(i), Action(i), v)
+	}
+	var buf bytes.Buffer
+	if err := tab.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decode(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("Decode(%s): %v", buf.Bytes(), err)
+	}
+	requireBitIdentical(t, got, tab)
 }

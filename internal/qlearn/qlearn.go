@@ -546,7 +546,12 @@ func (t *Table) Set(s State, a Action, v float64) {
 	}
 	b := t.own(1)
 	ci := uint16(int(s)*DenseSpan + int(a))
-	i, ok := b.find(ci)
+	// A cell past the last one, as every cell of a restore is, appends
+	// without the search.
+	i, ok := len(b.idx), false
+	if i > 0 && b.idx[i-1] >= ci {
+		i, ok = b.find(ci)
+	}
 	old := 0.0
 	if ok {
 		old = b.vals[i]
