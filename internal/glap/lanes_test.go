@@ -82,8 +82,7 @@ func laneStack(t *testing.T, pms int, seed uint64, workers int, gated, reference
 // stand at the same position — over seeds, sizes and worker counts, with
 // nodes down and, on odd seeds, with RegisterWhen skipping a third of the
 // aggregation rounds. Under -race it is also the check on what the lanes
-// share: the backing pool, the interning cache and lazily cached cell-set
-// hashes.
+// share: the backing pool and the order in which cell arrays become shared.
 func TestAggLanesMatchRound(t *testing.T) {
 	for _, pms := range []int{2, 17, 120} {
 		for _, workers := range []int{1, 2, 8} {
@@ -248,8 +247,8 @@ func TestAggLanesConserveMass(t *testing.T) {
 
 // TestPretrainLanesWorkerIdentity runs the facade's pre-training, where the
 // lanes are always on, at Workers 1 (lanes inline), 2 and 8: every node's
-// tables must be identical, on tables large enough for canonical interning —
-// the one piece of merge state both lanes write — to engage.
+// tables must be identical, on tables large enough for merges to share cell
+// arrays between backings.
 func TestPretrainLanesWorkerIdentity(t *testing.T) {
 	run := func(workers int) *PretrainResult {
 		cl := genCluster(t, 60, 180, 80, 5)
@@ -265,7 +264,7 @@ func TestPretrainLanesWorkerIdentity(t *testing.T) {
 		most = max(most, tb.Out.Len(), tb.In.Len())
 	}
 	if most < 256 {
-		t.Fatalf("largest table has %d cells: too small for interning to engage", most)
+		t.Fatalf("largest table has %d cells: too small for cell arrays to be shared", most)
 	}
 	for _, workers := range []int{2, 8} {
 		res := run(workers)
@@ -273,6 +272,37 @@ func TestPretrainLanesWorkerIdentity(t *testing.T) {
 			if !qlearn.Equal(tb.Out, base.Tables[i].Out) || !qlearn.Equal(tb.In, base.Tables[i].In) {
 				t.Fatalf("Workers=%d node %d: tables differ from Workers=1", workers, i)
 			}
+		}
+	}
+}
+
+// TestPretrainLayoutDependsOnMergeSequence: which backings the tables of a
+// pre-training end up sharing is fixed by the merge sequence alone. The same
+// small Pretrain at Workers 1 (lanes inline) and 2, and once more in the same
+// process, must leave the same qlearn.Footprint backings and cells. Its
+// bytes are not compared: each array's capacity comes from the process-wide
+// backing pool, whose contents depend on how the lanes interleave and on
+// earlier runs. qlearn's TestAliasLayoutDependsOnMergeSequence pins which
+// backings alias which cell arrays.
+func TestPretrainLayoutDependsOnMergeSequence(t *testing.T) {
+	type layout struct{ backings, cells int }
+	run := func(workers int) layout {
+		cl := genCluster(t, 60, 180, 80, 5)
+		res, err := Pretrain(Config{LearnRounds: 45, AggRounds: 30}, cl, 23, PretrainOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ts []*qlearn.Table
+		for _, tb := range res.Tables {
+			ts = append(ts, tb.Out, tb.In)
+		}
+		backings, _, _, cells := qlearn.Footprint(ts)
+		return layout{backings, cells}
+	}
+	base := run(1)
+	for i, workers := range []int{2, 1} {
+		if got := run(workers); got != base {
+			t.Fatalf("run %d, Workers=%d: %+v, want %+v as at Workers=1", i+2, workers, got, base)
 		}
 	}
 }

@@ -134,8 +134,8 @@ func benchMerge(b *testing.B, p *Table, qs ...*Table) {
 
 // BenchmarkMergeTables covers mergeTables' regimes:
 //
-//	aligned  — converged steady state: both cell sets alias one canonical
-//	    interned array, values differ → the pointer-equality fast path
+//	aligned  — converged steady state: both cell sets alias one shared
+//	    cell array, values differ → the pointer-equality fast path
 //	    (averageAligned into an aliasing backing, no union build).
 //	aligned-mixed — the same cell set mid-convergence: values differ in a
 //	    random five cells out of six, so whether a cell averages is
@@ -144,33 +144,29 @@ func benchMerge(b *testing.B, p *Table, qs ...*Table) {
 //	disjoint — no common cells: the general unionScan + unionBuild path.
 func BenchmarkMergeTables(b *testing.B) {
 	b.Run("aligned", func(b *testing.B) {
-		p := alignedTable(b, 1)
-		q := alignedTable(b, 2)
-		if &p.b.idx[0] != &q.b.idx[0] {
-			b.Fatal("setup did not produce aligned canonical backings")
-		}
-		benchMerge(b, p, q)
+		ts := alignedTables(b, 1, 2)
+		benchMerge(b, ts[0], ts[1])
 	})
 	b.Run("aligned-mixed", func(b *testing.B) {
-		p := alignedTable(b, 1)
+		fs := make([]float64, 65)
+		for i := range fs {
+			fs[i] = 1
+		}
+		ts := alignedTables(b, fs...)
+		p := ts[0]
 		// 64 peers, each differing from p in its own random five cells out
 		// of six (the measured mid-aggregation mix), so that no predictor
 		// learns the pattern from one iteration to the next. Written
 		// through the backing: Set would detach q onto a private copy of
 		// the cell set and lose the alignment.
 		rng := rand.New(rand.NewSource(3))
-		qs := make([]*Table, 64)
-		for k := range qs {
-			q := alignedTable(b, 1)
+		qs := ts[1:]
+		for _, q := range qs {
 			for i := range q.b.idx {
 				if rng.Intn(6) != 0 {
 					q.b.vals[i] *= 2
 				}
 			}
-			if &p.b.idx[0] != &q.b.idx[0] {
-				b.Fatal("setup did not produce aligned canonical backings")
-			}
-			qs[k] = q
 		}
 		benchMerge(b, p, qs...)
 	})

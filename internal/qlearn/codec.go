@@ -75,14 +75,18 @@ var (
 // ascending (state, action) order. Non-finite parameters or cell values and
 // cells outside the span are rejected: a corrupt or hostile checkpoint must
 // fail loudly here instead of reaching the table.
+//
+// The table gets one backing at its final size. Its cell count is known only
+// once the list closes, so the cells gather first in a scratch array of the
+// span's size: strictly ascending in-span cells never overflow it.
 func DecodeFrom(sc *jsonscan.Scanner) (*Table, error) {
 	var (
 		env  tableJSON
 		c    cellJSON
 		prev = -1
-		// The cells may precede alpha and gamma, so the table takes its
-		// parameters once the envelope has been read and checked.
-		t = &Table{}
+		idx  [DenseSpan * DenseSpan]uint16
+		vals [DenseSpan * DenseSpan]float64
+		n    int
 	)
 	cellField := func(k int) (err error) {
 		var v uint32
@@ -110,7 +114,8 @@ func DecodeFrom(sc *jsonscan.Scanner) (*Table, error) {
 			return fmt.Errorf("cell (%d, %d) out of ascending order", c.S, c.A)
 		}
 		prev = i
-		t.Set(c.S, c.A, c.Q)
+		idx[n], vals[n] = uint16(i), c.Q
+		n++
 		return nil
 	}
 	err := sc.Object(tableKeys, func(k int) (err error) {
@@ -136,7 +141,12 @@ func DecodeFrom(sc *jsonscan.Scanner) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("qlearn: decoding table: %w", err)
 	}
-	t.Alpha, t.Gamma = env.Alpha, env.Gamma
+	t := &Table{Alpha: env.Alpha, Gamma: env.Gamma}
+	if n > 0 {
+		b := newBacking(n)
+		b.idx, b.vals = append(b.idx, idx[:n]...), append(b.vals, vals[:n]...)
+		t.b = b
+	}
 	return t, nil
 }
 

@@ -1,14 +1,14 @@
 package qlearn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
 
 // fastPathPair builds a merge pair whose union is the fixed 300-cell set
-// {0..299} (≥ canonMinCells) with values scaled by f: p misses cell 0 and q
-// misses cell 299, so merging takes the union path and the resulting cell
-// set qualifies for canonical interning.
+// {0..299} (≥ shareMinCells) with values scaled by f: p misses cell 0 and q
+// misses cell 299, so merging takes the general union path.
 func fastPathPair(f float64) (*Table, *Table) {
 	p, q := New(0.5, 0.8), New(0.5, 0.8)
 	for i := 0; i < 300; i++ {
@@ -23,22 +23,51 @@ func fastPathPair(f float64) (*Table, *Table) {
 	return p, q
 }
 
-// alignedTable returns a table whose backing aliases the canonical interned
-// array for fastPathPair's cell set (idxShared, ref > 1 — the converged
-// steady state), with values determined by f. Interning triggers on a set's
-// second sighting, so at most two union merges are needed; earlier tests in
-// the package may already have seeded the set.
-func alignedTable(t testing.TB, f float64) *Table {
+// fullSet returns a table holding every cell of fastPathPair's union, the
+// value of cell i being f·(i+1), in a private cell array.
+func fullSet(f float64) *Table {
+	t := New(0.5, 0.8)
+	for i := 0; i < 300; i++ {
+		t.Set(State(i/81), Action(i%81), f*float64(i+1))
+	}
+	return t
+}
+
+// holder returns a new table sharing t's backing, so that the backing's
+// reference count rises by one (a one-sided merge).
+func holder(t *Table) *Table {
+	h := New(t.Alpha, t.Gamma)
+	Merge(h, t)
+	return h
+}
+
+// alignedTables returns one table per factor f, each over fastPathPair's
+// cell set with values scaled by f, on distinct backings that all alias one
+// shared cell array and are each held twice — the converged steady state.
+// It is built the way aggregation builds it. Every table starts on a private
+// array, its backing held by a twin as well, and a pivot merges with each
+// twin in turn. Each such merge meets equal cell sets in different arrays,
+// keeps the older array — the pivot's — and re-points the backing the table
+// still holds to it. The pivot holds +Inf in every cell, and every average
+// with it stays +Inf, so it never matches a table and every merge takes the
+// union path.
+func alignedTables(t testing.TB, fs ...float64) []*Table {
 	t.Helper()
-	for attempt := 0; attempt < 3; attempt++ {
-		p, q := fastPathPair(f)
-		Unify(p, q)
-		if p.b.idxShared {
-			return p
+	pivot := fullSet(math.Inf(1))
+	holder(pivot)
+	out := make([]*Table, len(fs))
+	for i, f := range fs {
+		twin := fullSet(f)
+		out[i] = holder(twin)
+		Merge(pivot, twin)
+	}
+	for i, tb := range out {
+		holder(tb)
+		if !tb.b.idxShared || &tb.b.idx[0] != &pivot.b.idx[0] || tb.b.ref.Load() != 2 {
+			t.Fatalf("table %d does not alias the pivot's shared cell array", i)
 		}
 	}
-	t.Fatal("union merge never interned its cell set")
-	return nil
+	return out
 }
 
 // refMerge is the map-based reference of Algorithm 2's UPDATE: average cells
@@ -75,22 +104,19 @@ func flatEqual(t *testing.T, got *Table, want map[Key]float64, label string) {
 }
 
 // TestMergeFastPathAligned drives the converged steady state — two pairs
-// aliasing one canonical cell-set array, both backings shared — and checks
-// the merge takes the aligned fast path (no union build), produces exactly
-// the reference averages, and leaves the pair on one canonical-backed
-// backing. The merge tests here and in merge_kernel_test.go run their body
+// aliasing one shared cell array, both backings shared — and checks the
+// merge takes the aligned fast path (no union build), produces exactly the
+// reference averages, and leaves the pair on one backing aliasing that
+// array. The merge tests here and in merge_kernel_test.go run their body
 // as an "f64" subtest, named for the float64 width Q-values are stored in.
 func TestMergeFastPathAligned(t *testing.T) {
 	t.Run("f64", testMergeFastPathAligned)
 }
 
 func testMergeFastPathAligned(t *testing.T) {
-	a := alignedTable(t, 1)
-	b := alignedTable(t, 2)
-	if &a.b.idx[0] != &b.b.idx[0] {
-		t.Fatal("pairs did not alias one canonical cell-set array")
-	}
-	canon := &a.b.idx[0]
+	ts := alignedTables(t, 1, 2)
+	a, b := ts[0], ts[1]
+	shared := &a.b.idx[0]
 	want := refMerge(a.Flat(), b.Flat())
 	before := ReadMergeStats()
 	if !Merge(a, b) {
@@ -106,8 +132,8 @@ func testMergeFastPathAligned(t *testing.T) {
 	if a.b != b.b {
 		t.Fatal("merge left the pair on separate backings")
 	}
-	if !a.b.idxShared || &a.b.idx[0] != canon {
-		t.Fatal("merged backing does not alias the canonical cell set")
+	if !a.b.idxShared || &a.b.idx[0] != shared {
+		t.Fatal("merged backing does not alias the shared cell array")
 	}
 	flatEqual(t, a, want, "merged table")
 	flatEqual(t, b, want, "merged peer")
@@ -120,8 +146,8 @@ func TestMergeFastPathAlignedCollapse(t *testing.T) {
 }
 
 func testMergeFastPathAlignedCollapse(t *testing.T) {
-	a := alignedTable(t, 1)
-	b := alignedTable(t, 1)
+	ts := alignedTables(t, 1, 1)
+	a, b := ts[0], ts[1]
 	before := ReadMergeStats()
 	if Merge(a, b) {
 		t.Fatal("Merge of equal aligned tables reported a change")
@@ -135,16 +161,16 @@ func testMergeFastPathAlignedCollapse(t *testing.T) {
 	}
 }
 
-// TestMergeFastPathSupersetAlias: a union that equals one side's canonical
-// cell set must alias that array instead of rebuilding it, and still produce
-// the reference result.
+// TestMergeFastPathSupersetAlias: a union that equals one side's shared
+// cell array must alias that array instead of rebuilding it, and still
+// produce the reference result.
 func TestMergeFastPathSupersetAlias(t *testing.T) {
 	t.Run("f64", testMergeFastPathSupersetAlias)
 }
 
 func testMergeFastPathSupersetAlias(t *testing.T) {
-	a := alignedTable(t, 1)
-	canon := &a.b.idx[0]
+	a := alignedTables(t, 1)[0]
+	shared := &a.b.idx[0]
 	sub := New(0.5, 0.8)
 	for i := 10; i < 20; i++ {
 		sub.Set(State(i/81), Action(i%81), 5)
@@ -164,8 +190,8 @@ func testMergeFastPathSupersetAlias(t *testing.T) {
 	if a.b != sub.b {
 		t.Fatal("merge left the pair on separate backings")
 	}
-	if !a.b.idxShared || &a.b.idx[0] != canon {
-		t.Fatal("union did not alias the superset's canonical cell set")
+	if !a.b.idxShared || &a.b.idx[0] != shared {
+		t.Fatal("union did not alias the superset's shared cell array")
 	}
 	flatEqual(t, a, want, "superset table")
 	flatEqual(t, sub, want, "subset table")
@@ -193,7 +219,7 @@ func TestMergeFastPathSharedBacking(t *testing.T) {
 // schedule over eight tables against the map-based reference.
 // The schedule organically exercises every merge path — unions while cell
 // sets still differ, adopts and collapses as pairs converge, and the aligned
-// fast path once interning saturates — and every table must match the
+// fast path once shared arrays spread — and every table must match the
 // reference cell-for-cell after every exchange.
 func TestMergeFastPathGossipDifferential(t *testing.T) {
 	t.Run("f64", testMergeFastPathGossipDifferential)
@@ -239,28 +265,177 @@ func testMergeFastPathGossipDifferential(t *testing.T) {
 	}
 }
 
-// TestCellSetHashCache pins the idxHash lifecycle: lazily computed, carried
-// across detach copies and clones, and invalidated by cell-set growth.
-func TestCellSetHashCache(t *testing.T) {
-	p, q := fastPathPair(1)
-	Unify(p, q)
-	b := p.b
-	h := b.cellSetHash()
-	if h == 0 || h != fnvIdx(b.idx) {
-		t.Fatalf("cellSetHash = %#x, want fnvIdx %#x", h, fnvIdx(b.idx))
+// TestMergeStatsByOutcome merges one pair of each outcome class and checks
+// that exactly its MergeStats counter rises, alongside Merges; a one-sided
+// merge (one table empty) raises Merges alone, which is what the identity in
+// MergeStats' comment counts. ResetMergeStats must then zero every counter.
+func TestMergeStatsByOutcome(t *testing.T) {
+	cases := []struct {
+		name string
+		pair func() (*Table, *Table)
+		want MergeStats
+	}{
+		{"shared", func() (*Table, *Table) {
+			p, q := fastPathPair(1)
+			Unify(p, q)
+			return p, q
+		}, MergeStats{SharedBacking: 1}},
+		{"aligned", func() (*Table, *Table) {
+			ts := alignedTables(t, 1, 2)
+			return ts[0], ts[1]
+		}, MergeStats{AlignedIdx: 1}},
+		{"equal-collapse", func() (*Table, *Table) { return fullSet(1), fullSet(1) }, MergeStats{EqualCollapse: 1}},
+		{"adopted", func() (*Table, *Table) { return fullSet(1), fullSet(2) }, MergeStats{AdoptedIdx: 1}},
+		{"union", func() (*Table, *Table) { return fastPathPair(1) }, MergeStats{Unions: 1}},
+		{"one-sided", func() (*Table, *Table) { return New(0.5, 0.8), fullSet(1) }, MergeStats{}},
 	}
-	if b.idxHash.Load() != h {
-		t.Fatal("cellSetHash did not cache its result")
+	for _, c := range cases {
+		p, q := c.pair()
+		before := ReadMergeStats()
+		Merge(p, q)
+		after := ReadMergeStats()
+		got := MergeStats{
+			Merges:        after.Merges - before.Merges,
+			SharedBacking: after.SharedBacking - before.SharedBacking,
+			AlignedIdx:    after.AlignedIdx - before.AlignedIdx,
+			EqualCollapse: after.EqualCollapse - before.EqualCollapse,
+			AdoptedIdx:    after.AdoptedIdx - before.AdoptedIdx,
+			Unions:        after.Unions - before.Unions,
+		}
+		want := c.want
+		want.Merges = 1
+		if got != want {
+			t.Fatalf("%s: counters rose by %+v, want %+v", c.name, got, want)
+		}
+		oneSided := uint64(0)
+		if c.want == (MergeStats{}) {
+			oneSided = 1
+		}
+		if d := got.Merges - got.FastHits() - got.Unions; d != oneSided {
+			t.Fatalf("%s: Merges − FastHits − Unions = %d, want %d", c.name, d, oneSided)
+		}
 	}
-	c := p.Clone()
-	if c.b.idxHash.Load() != h {
-		t.Fatal("Clone dropped the cached cell-set identity")
+	s := ReadMergeStats()
+	if s.Merges == 0 || s.SharedBacking == 0 || s.AlignedIdx == 0 || s.EqualCollapse == 0 || s.AdoptedIdx == 0 || s.Unions == 0 {
+		t.Fatalf("some counter never rose: %+v", s)
 	}
-	c.Set(80, 80, 1) // new cell: identity must go stale
-	if got := c.b.idxHash.Load(); got != 0 {
-		t.Fatalf("insert left stale idxHash %#x", got)
+	ResetMergeStats()
+	if s := ReadMergeStats(); s != (MergeStats{}) {
+		t.Fatalf("ResetMergeStats left %+v", s)
 	}
-	if c.b.cellSetHash() != fnvIdx(c.b.idx) {
-		t.Fatal("recomputed hash does not match grown cell set")
+}
+
+// TestAliasLayoutDependsOnMergeSequence: which backings alias which cell
+// arrays is fixed by each lane's merge sequence alone, however the lanes'
+// merges interleave. Each of two lanes holds four groups of six tables, and
+// each group's tables together cover one cell set. A lane's fixed schedule
+// first gossips within each group, so that each group saturates onto an
+// array of its own, and then across the groups, where merges meet equal
+// cell sets in different arrays and keep the older. The lanes run one after
+// the other, in the reverse order, merge by merge in turn, and concurrently;
+// each time every table must end on a backing and a cell array in the same
+// position of the first-seen order, with the same length, sharing and
+// reference count — and hold the same values.
+func TestAliasLayoutDependsOnMergeSequence(t *testing.T) {
+	type cellLayout struct {
+		backing, array, len int
+		shared              bool
+		ref                 int32
+	}
+	const lanes, groups, size, steps = 2, 4, 6, 600
+	const n = groups * size
+	run := func(order string) ([]cellLayout, [][]float64) {
+		rng := rand.New(rand.NewSource(11))
+		tables := make([][]*Table, lanes)
+		schedules := make([][][2]int, lanes)
+		for l := range tables {
+			for i := 0; i < n; i++ {
+				tb := New(0.5, 0.8)
+				for ci := i % size; ci < 2400; ci += size {
+					tb.Set(State(ci/DenseSpan), Action(ci%DenseSpan), rng.NormFloat64())
+				}
+				tables[l] = append(tables[l], tb)
+			}
+			for s := 0; s < steps; s++ {
+				i, j := rng.Intn(n), rng.Intn(n-1)
+				if j >= i {
+					j++
+				}
+				if s < steps/2 {
+					// The first half of the schedule stays within groups.
+					i, j = i/size*size+i%size, i/size*size+j%size
+					if i == j {
+						j = i/size*size + (j+1)%size
+					}
+				}
+				schedules[l] = append(schedules[l], [2]int{i, j})
+			}
+		}
+		merge := func(l, s int) {
+			Merge(tables[l][schedules[l][s][0]], tables[l][schedules[l][s][1]])
+		}
+		lane := func(l int) {
+			for s := range schedules[l] {
+				merge(l, s)
+			}
+		}
+		switch order {
+		case "0 then 1":
+			lane(0)
+			lane(1)
+		case "1 then 0":
+			lane(1)
+			lane(0)
+		case "in turn":
+			for s := 0; s < steps; s++ {
+				merge(0, s)
+				merge(1, s)
+			}
+		case "concurrent":
+			done := make(chan struct{})
+			go func() { lane(1); close(done) }()
+			lane(0)
+			<-done
+		}
+		backings := map[*backing]int{}
+		arrays := map[*uint16]int{}
+		var out []cellLayout
+		var vals [][]float64
+		for _, ts := range tables {
+			for _, tb := range ts {
+				b := tb.b
+				if _, ok := backings[b]; !ok {
+					backings[b] = len(backings)
+				}
+				a := &b.idx[0]
+				if _, ok := arrays[a]; !ok {
+					arrays[a] = len(arrays)
+				}
+				out = append(out, cellLayout{backings[b], arrays[a], len(b.idx), b.idxShared, b.ref.Load()})
+				vals = append(vals, b.vals)
+			}
+		}
+		return out, vals
+	}
+	base, baseVals := run("0 then 1")
+	shared := 0
+	for _, c := range base {
+		if c.shared {
+			shared++
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no table ended on a shared cell array")
+	}
+	for _, order := range []string{"1 then 0", "in turn", "concurrent"} {
+		got, vals := run(order)
+		for i := range base {
+			if got[i] != base[i] {
+				t.Fatalf("lanes %s, table %d: layout %+v, want %+v", order, i, got[i], base[i])
+			}
+			if !sameValues(vals[i], baseVals[i]) {
+				t.Fatalf("lanes %s, table %d: values differ", order, i)
+			}
+		}
 	}
 }

@@ -126,9 +126,9 @@ type kernelCase struct {
 	pvals, qvals []float64
 }
 
-// checkKernels runs the four branch-free kernels and unionScan on c against
+// checkKernels runs the three branch-free kernels and unionScan on c against
 // their oracles. The aligned kernels run when the cell sets are equal, the
-// superset kernel when qi ⊆ pi.
+// superset kernel when either cell set contains the other.
 func checkKernels(t *testing.T, label string, c kernelCase) {
 	t.Helper()
 	union, valsEqual := unionScan(c.pi, c.qi, c.pvals, c.qvals)
@@ -150,9 +150,17 @@ func checkKernels(t *testing.T, label string, c kernelCase) {
 
 	if union == len(c.pi) {
 		got, want := make([]float64, union), make([]float64, union)
-		mergeValsInto(got, c.pi, c.qi, c.pvals, c.qvals)
+		mergeValsInto(got, c.pi, c.qi, c.pvals, c.qvals, false)
 		mergeValsIntoBranching(want, c.pi, c.qi, c.pvals, c.qvals)
 		sameBits(t, label+": mergeValsInto", got, want)
+		sameBits(t, label+": mergeValsInto against unionBuild", got, wvals)
+	}
+	if union == len(c.qi) {
+		// The q side is the superset: the values must still be unionBuild's,
+		// which passes p's value first.
+		got := make([]float64, union)
+		mergeValsInto(got, c.qi, c.pi, c.qvals, c.pvals, true)
+		sameBits(t, label+": mergeValsInto of a q superset", got, wvals)
 	}
 	if union == len(c.pi) && union == len(c.qi) {
 		got, want := make([]float64, union), make([]float64, union)
@@ -161,9 +169,9 @@ func checkKernels(t *testing.T, label string, c kernelCase) {
 		sameBits(t, label+": averageAligned", got, want)
 
 		got, want = append(got[:0], c.pvals...), append(want[:0], c.pvals...)
-		averageInto(got, c.qvals)
+		averageAligned(got, got, c.qvals)
 		averageIntoBranching(want, c.qvals)
-		sameBits(t, label+": averageInto", got, want)
+		sameBits(t, label+": averageAligned in place", got, want)
 	}
 }
 
@@ -264,7 +272,7 @@ func testMergeKernelsMatchBranchingOnGossipReplay(t *testing.T) {
 		checkKernels(t, label+" subsets", kernelCase{pi, qi, gather(vals[i], pi), gather(vals[j], qi)})
 		checkKernels(t, label+" superset", kernelCase{all, qi, vals[i], gather(vals[j], qi)})
 
-		averageInto(vals[i], vals[j])
+		averageAligned(vals[i], vals[i], vals[j])
 		copy(vals[j], vals[i])
 		if step%3 == 0 {
 			for k := 0; k < 5; k++ {

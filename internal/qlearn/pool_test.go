@@ -16,8 +16,8 @@ import (
 // than the pool can supply, so once a replay has run every array a later one
 // needs was released by an earlier exchange — and is still pooled only if the
 // full lists gave up their small arrays for it. The cell set stays under
-// canonMinCells, so interning, which allocates its canonical copies once by
-// design, stays out of the count: a warmed replay must not allocate at all.
+// shareMinCells, so every backing keeps a private cell array that returns to
+// the pool: a warmed replay must not allocate at all.
 func TestWarmAggregationReplayAllocatesNoValueArrays(t *testing.T) {
 	backingPool.mu.Lock()
 	backingPool.nodes, backingPool.idxs = nil, nil

@@ -16,9 +16,10 @@
 // what keeps hyperscale runs affordable: a dense 81×81 float64 array costs
 // ~52 KiB per table (≈ 10.5 GB for two tables across 100 000 PMs), while a
 // trained table holds only a few hundred cells and a fully aggregated one a
-// few thousand. Writes to a shared backing copy first; freed backings are
-// recycled through a small pool so the merge loop and post-merge writes stay
-// allocation-free in steady state. A cell outside the calibrated span is
+// few thousand. A merge whose union is one input's cell set aliases that
+// input's cell array instead of copying it. Writes to a shared backing copy
+// first; freed backings are recycled through a small pool so the merge loop
+// and post-merge writes stay allocation-free in steady state. A cell outside the calibrated span is
 // a programming error: Set panics on one, and Decode refuses one.
 package qlearn
 
@@ -91,21 +92,15 @@ type backing struct {
 	idx  []uint16
 	vals []float64
 
-	// idxShared marks idx as an alias of an immutable canonical cell-set
-	// array (see canonicalIdx). Canonical arrays are built with cap==len,
-	// so an insert's append reallocates a private copy automatically; the
-	// flag exists so releases don't recycle a shared array into the pool
-	// and footprint accounting doesn't count it once per aliasing backing.
+	// idxShared marks idx as immutable: a merge whose union equals this
+	// cell set made it shareable (see shareIdx), and other backings may
+	// alias it. An insert or Reserve copies a shared array before writing,
+	// and a release never pools one.
 	idxShared bool
-
-	// idxHash caches the FNV-1a identity of idx (see fnvIdx); 0 means not yet
-	// computed. The cache lets converged merges reuse cell-set identities
-	// instead of rehashing thousands of cells per exchange: a union that
-	// equals one input's cell set inherits that side's hash, and a backing
-	// built against a canonical array carries the canonical hash from birth.
-	// Atomic so that merges on different goroutines may share a backing: the
-	// lazily computed hash is written back through cellSetHash.
-	idxHash atomic.Uint64
+	// idxAge is the shared array's birth order (see shareIdx): when two
+	// backings hold equal cell sets in different arrays, a merge keeps the
+	// older one. Meaningless while idxShared is false.
+	idxAge uint64
 
 	// rowMax caches MaxKnown per in-span state (NaN = stale; nil = no cache,
 	// all rows stale). Equation 1 computes the max over the next state's row
@@ -171,7 +166,7 @@ func (b *backing) find(ci uint16) (int, bool) {
 // pool keeps the merge loop and the posterior copy-on-write writes
 // allocation-free in steady state without retaining more than a handful of
 // arrays. The parts are pooled separately because a backing whose
-// cell set was interned (idxShared) surrenders only its vals array; tying
+// cell set is shared (idxShared) surrenders only its vals array; tying
 // the parts together would slowly drain the pool of usable idx capacity.
 var backingPool struct {
 	mu    sync.Mutex
@@ -231,113 +226,53 @@ func poolPut[T any](free *[][]T, a []T) {
 	}
 }
 
-// poolPutIdx returns a private idx array to the pool; union merges use it
-// when interning hands the backing a canonical array instead of the one it
-// just built.
-func poolPutIdx(a []uint16) {
+// Structural cell-set sharing. Once aggregation gossip saturates, nearly
+// every push-pull union reproduces one input's cell set — thousands of
+// cells, identical in every backing — and the idx arrays become the
+// second-largest term of pretrain's peak heap after the values themselves.
+// A merge that sees its union equal one input's cell set aliases that
+// input's array instead of building a copy (see mergeTables).
+
+// shareMinCells keeps small tables private: aliasing only pays once a cell
+// set is large enough to displace kilobytes, and the zero-alloc merge tests
+// rely on small backings cycling through the pool untouched.
+const shareMinCells = 256
+
+// shareClock numbers idx arrays in the order they become shared. Only the
+// relative order of two arrays one merge compares matters, and that order is
+// fixed by the merge sequence: a lane runs its merges one after another, and
+// an array never leaves the lane whose merge shared it (φ^out and φ^in share
+// no backing). So the choice is deterministic although the numbers
+// themselves interleave across lanes and replications.
+var shareClock atomic.Uint64
+
+// shareIdx marks b's cell array immutable, so that other backings may alias
+// it, and returns it.
+func (b *backing) shareIdx() []uint16 {
+	if !b.idxShared {
+		b.idxShared = true
+		b.idxAge = shareClock.Add(1)
+	}
+	return b.idx
+}
+
+// olderIdx reports whether a's cell array should win over b's when both hold
+// one cell set: a shared array beats a private one, and of two shared arrays
+// the one shared first. A tie keeps a.
+func olderIdx(a, b *backing) bool {
+	return !b.idxShared || (a.idxShared && a.idxAge <= b.idxAge)
+}
+
+// unshareIdx replaces b's shared cell array by a private copy with room for
+// need cells, so that b may write it.
+func (b *backing) unshareIdx(need int) {
 	backingPool.mu.Lock()
-	poolPut(&backingPool.idxs, a)
+	idx := poolTake(&backingPool.idxs, need)
 	backingPool.mu.Unlock()
-}
-
-// Canonical cell-set interning. Once aggregation gossip saturates, every
-// push-pull union across the cluster rebuilds the same cell set — thousands
-// of cells, identical element-for-element in every backing — and the idx
-// arrays become the second-largest term of pretrain's peak heap after the
-// values themselves. canonicalIdx interns one immutable copy of each
-// recurring set and lets backings alias it (see backing.idxShared).
-const (
-	// canonMinCells keeps small tables out of the cache: interning only pays
-	// once a cell set is large enough that aliasing displaces kilobytes, and
-	// the zero-alloc merge tests rely on small backings cycling through the
-	// pool untouched.
-	canonMinCells = 256
-	// canonMaxSets bounds the cache. A converged run needs one entry per
-	// saturated union shape, so a handful suffice; on overflow the map is
-	// dropped wholesale (aliasing backings keep their arrays alive).
-	canonMaxSets = 64
-	// canonSeenMax bounds the seen-once filter before a wholesale reset.
-	canonSeenMax = 4096
-)
-
-var canonIdx struct {
-	mu   sync.Mutex
-	m    map[uint64][]uint16
-	seen map[uint64]struct{}
-}
-
-// fnvIdx returns the FNV-1a identity of a cell-set array — the hash key of
-// the canonical-interning cache, cached per backing in idxHash.
-func fnvIdx(idx []uint16) uint64 {
-	h := uint64(14695981039346656037)
-	for _, v := range idx {
-		h ^= uint64(v)
-		h *= 1099511628211
+	if idx == nil {
+		idx = make([]uint16, 0, capRound(need))
 	}
-	return h
-}
-
-// cellSetHash returns the backing's cell-set identity, computing and caching
-// it on first use. The write-back is atomic: concurrent merges may fill the
-// cache of one shared backing simultaneously, each storing the same
-// deterministic value.
-func (b *backing) cellSetHash() uint64 {
-	if h := b.idxHash.Load(); h != 0 {
-		return h
-	}
-	h := fnvIdx(b.idx)
-	b.idxHash.Store(h)
-	return h
-}
-
-// canonicalIdx returns an immutable interned copy of idx when the same cell
-// set recurs, or (nil, false) for sets not worth sharing. h must be
-// fnvIdx(idx) — callers pass their cached backing identity so converged
-// merges stop rehashing the same saturated set on every exchange. A set is
-// interned on its second sighting — the ramp phase of aggregation produces a
-// stream of one-off unions that must not pollute the cache, while the
-// converged phase repeats a handful of shapes endlessly. Interned arrays are
-// built with cap==len so an insert's append reallocates a private copy, and
-// their contents are never written after publication, so concurrent readers
-// need no lock.
-func canonicalIdx(idx []uint16, h uint64) ([]uint16, bool) {
-	if len(idx) < canonMinCells {
-		return nil, false
-	}
-	canonIdx.mu.Lock()
-	defer canonIdx.mu.Unlock()
-	if c, ok := canonIdx.m[h]; ok {
-		if len(c) == len(idx) {
-			same := true
-			for i, v := range c {
-				if v != idx[i] {
-					same = false
-					break
-				}
-			}
-			if same {
-				return c, true
-			}
-		}
-		return nil, false // hash collision: keep the private array
-	}
-	if _, ok := canonIdx.seen[h]; !ok {
-		if len(canonIdx.seen) >= canonSeenMax || canonIdx.seen == nil {
-			canonIdx.seen = make(map[uint64]struct{}, 64)
-		}
-		canonIdx.seen[h] = struct{}{}
-		return nil, false
-	}
-	if len(canonIdx.m) >= canonMaxSets {
-		canonIdx.m = nil
-	}
-	if canonIdx.m == nil {
-		canonIdx.m = make(map[uint64][]uint16, 8)
-	}
-	c := make([]uint16, len(idx))
-	copy(c, idx)
-	canonIdx.m[h] = c
-	return c, true
+	b.idx, b.idxShared = append(idx, b.idx...), false
 }
 
 // capRound picks the cell capacity for a backing that must hold need cells:
@@ -366,9 +301,12 @@ func newBacking(need int) *backing {
 	return b
 }
 
-// acquireBacking returns an empty unshared backing with capacity for need
-// cells, assembled from pooled parts when they fit.
-func acquireBacking(need int) *backing {
+// acquireBacking returns an unshared backing with capacity for need cells,
+// assembled from pooled parts when they fit. With alias nil its cell array
+// is private and empty. Otherwise it aliases alias's cell array, which it
+// marks shared: the destination of a merge whose union is alias's cell set
+// takes no idx array from the pool and copies no cells.
+func acquireBacking(need int, alias *backing) *backing {
 	backingPool.mu.Lock()
 	var b *backing
 	if n := len(backingPool.nodes); n > 0 {
@@ -376,63 +314,37 @@ func acquireBacking(need int) *backing {
 		backingPool.nodes[n-1] = nil
 		backingPool.nodes = backingPool.nodes[:n-1]
 	}
-	idx := poolTake(&backingPool.idxs, need)
+	var idx []uint16
+	if alias == nil {
+		idx = poolTake(&backingPool.idxs, need)
+	}
 	vals := poolTake(&backingPool.vals, need)
 	backingPool.mu.Unlock()
 	if b == nil {
 		b = &backing{}
 	}
-	c := capRound(need)
-	if idx == nil {
-		idx = make([]uint16, 0, c)
-	}
-	if vals == nil {
-		vals = make([]float64, 0, c)
-	}
 	b.idx, b.vals, b.idxShared = idx, vals, false
-	b.idxHash.Store(0)
-	b.ref.Store(1)
-	b.invalidateRowMax()
-	return b
-}
-
-// acquireAliasBacking returns an unshared backing whose idx aliases the given
-// canonical (immutable, cap==len) cell-set array with identity h, assembling
-// the struct and value array from pooled parts when they fit. It is the
-// aligned merge fast path's destination: no idx array is consumed from the
-// pool and no cells are copied — the union of two backings over one canonical
-// set is that set.
-func acquireAliasBacking(canon []uint16, h uint64) *backing {
-	backingPool.mu.Lock()
-	var b *backing
-	if n := len(backingPool.nodes); n > 0 {
-		b = backingPool.nodes[n-1]
-		backingPool.nodes[n-1] = nil
-		backingPool.nodes = backingPool.nodes[:n-1]
-	}
-	vals := poolTake(&backingPool.vals, len(canon))
-	backingPool.mu.Unlock()
-	if b == nil {
-		b = &backing{}
+	if alias != nil {
+		b.idx, b.idxShared = alias.shareIdx(), true
+		b.idxAge = alias.idxAge
+	} else if idx == nil {
+		b.idx = make([]uint16, 0, capRound(need))
 	}
 	if vals == nil {
-		vals = make([]float64, 0, capRound(len(canon)))
+		b.vals = make([]float64, 0, capRound(need))
 	}
-	b.idx, b.vals, b.idxShared = canon, vals, true
-	b.idxHash.Store(h)
 	b.ref.Store(1)
 	b.invalidateRowMax()
 	return b
 }
 
 // releaseBacking returns an unreferenced backing's parts to the pool. A
-// canonical (shared) idx array is dropped, not pooled: other backings may
-// still alias it, and pooled arrays get written through.
+// shared idx array is dropped, not pooled: other backings may still alias
+// it, and pooled arrays get written through.
 func releaseBacking(b *backing) {
 	idx, vals := b.idx, b.vals
 	shared := b.idxShared
 	b.idx, b.vals, b.idxShared = nil, nil, false
-	b.idxHash.Store(0)
 	backingPool.mu.Lock()
 	if len(backingPool.nodes) < poolMax {
 		backingPool.nodes = append(backingPool.nodes, b)
@@ -465,9 +377,8 @@ func (t *Table) own(extra int) *backing {
 		return b
 	}
 	if b.ref.Load() > 1 {
-		nb := acquireBacking(len(b.idx) + extra)
+		nb := acquireBacking(len(b.idx)+extra, nil)
 		nb.idx = append(nb.idx, b.idx...)
-		nb.idxHash.Store(b.idxHash.Load()) // same cell set, same identity
 		nb.vals = append(nb.vals, b.vals...)
 		if b.rowMax != nil {
 			rm := *b.rowMax
@@ -546,23 +457,17 @@ func (t *Table) Set(s State, a Action, v float64) {
 	}
 	b := t.own(1)
 	ci := uint16(int(s)*DenseSpan + int(a))
-	// A cell past the last one, as every cell of a restore is, appends
-	// without the search.
-	i, ok := len(b.idx), false
-	if i > 0 && b.idx[i-1] >= ci {
-		i, ok = b.find(ci)
-	}
+	i, ok := b.find(ci)
 	old := 0.0
 	if ok {
 		old = b.vals[i]
 	} else {
-		// A canonical (shared) idx array has cap==len, so this append
-		// reallocates a private copy before the in-place shift below.
+		if b.idxShared {
+			b.unshareIdx(len(b.idx) + 1)
+		}
 		b.idx = append(b.idx, 0)
 		copy(b.idx[i+1:], b.idx[i:])
 		b.idx[i] = ci
-		b.idxShared = false
-		b.idxHash.Store(0) // cell set changed; identity stale
 		b.vals = append(b.vals, 0)
 		copy(b.vals[i+1:], b.vals[i:])
 	}
@@ -753,7 +658,6 @@ func (t *Table) Clone() *Table {
 		b := t.b
 		nb := newBacking(len(b.idx))
 		nb.idx = append(nb.idx, b.idx...)
-		nb.idxHash.Store(b.idxHash.Load())
 		nb.vals = append(nb.vals, b.vals...)
 		if b.rowMax != nil {
 			rm := *b.rowMax
@@ -766,13 +670,14 @@ func (t *Table) Clone() *Table {
 
 // Footprint reports the physical memory behind a set of tables: the number
 // of distinct backings (a backing shared by several tables counts once),
-// the bytes they reserve — including append slack — and,
-// separately, the bytes of the value arrays alone (valueBytes ⊆ bytes; 8
-// per reserved cell). The scale benchmark reports the value share on its
-// own; the cells figure is the logical total (shared backings still counted
-// once).
+// the bytes they reserve — including append slack, and each distinct cell
+// array once however many backings alias it — and, separately, the bytes of
+// the value arrays alone (valueBytes ⊆ bytes; 8 per reserved cell). The
+// scale benchmark reports the value share on its own; the cells figure is
+// the logical total (shared backings still counted once).
 func Footprint(tables []*Table) (backings int, bytes, valueBytes int64, cells int) {
 	seen := make(map[*backing]struct{}, len(tables))
+	arrays := make(map[*uint16]struct{}, len(tables))
 	for _, t := range tables {
 		b := t.b
 		if b == nil {
@@ -784,11 +689,12 @@ func Footprint(tables []*Table) (backings int, bytes, valueBytes int64, cells in
 		seen[b] = struct{}{}
 		backings++
 		cells += b.len()
-		if !b.idxShared {
-			// A canonical cell-set array is aliased by many backings; it is
-			// excluded here rather than charged to each aliaser (at most
-			// canonMaxSets such arrays exist process-wide).
-			bytes += int64(cap(b.idx)) * 2
+		if cap(b.idx) > 0 {
+			a := &b.idx[:1][0]
+			if _, ok := arrays[a]; !ok {
+				arrays[a] = struct{}{}
+				bytes += int64(cap(b.idx)) * 2
+			}
 		}
 		valueBytes += int64(cap(b.vals)) * 8
 		if b.rowMax != nil {
@@ -822,8 +728,8 @@ func Merge(p, q *Table) bool {
 //
 //	SharedBacking — the pair already shared one backing: pure pointer
 //	    compare, nothing scanned.
-//	AlignedIdx    — both cell sets alias one canonical interned array
-//	    (the converged steady state): set comparison is a pointer compare
+//	AlignedIdx    — both cell sets alias one shared cell array (the
+//	    converged steady state): set comparison is a pointer compare
 //	    and the merge, when needed, averages the aligned value arrays
 //	    without rebuilding an index.
 //	EqualCollapse — identical content detected by the comparison scan; the
@@ -942,28 +848,9 @@ func merged(a, b float64) float64 {
 	return math.Float64frombits(mb)
 }
 
-// averageInto folds o's values into d's for equal cell sets.
-func averageInto(dvals, ovals []float64) {
-	ovals = ovals[:len(dvals)]
-	for i := range dvals {
-		dvals[i] = merged(dvals[i], ovals[i])
-	}
-}
-
-// valsEqualAligned reports cell-wise value equality of two aligned value
-// arrays — the comparison scan of the aligned fast path, with the same !=
-// semantics as unionScan's shared-cell compare.
-func valsEqualAligned(a, b []float64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // averageAligned writes the merge of two aligned value arrays into dst —
 // bit-identical to what unionBuild produces for a cell present on both sides.
+// dst may be a, which folds b into a.
 func averageAligned(dst, a, b []float64) {
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
@@ -971,17 +858,22 @@ func averageAligned(dst, a, b []float64) {
 	}
 }
 
-// mergeValsInto writes the merged values of a union whose cell set equals pi
-// (qi ⊆ pi as sets) into dvals: one walk of pi with a match cursor over qi,
-// averaging shared cells exactly as unionBuild does. It is the value pass of
-// the superset-alias fast path, which skips rebuilding an idx array the
-// union provably equals.
-func mergeValsInto(dvals []float64, pi, qi []uint16, pvals, qvals []float64) {
+// mergeValsInto writes the merged values of a union whose cell set equals
+// super (sub ⊆ super as sets) into dvals: one walk of super with a match
+// cursor over sub, averaging shared cells exactly as unionBuild does, which
+// passes the merge's p side first — so subFirst says whether sub is p. It is
+// the value pass of the superset-alias fast path, which skips rebuilding an
+// idx array the union provably equals.
+func mergeValsInto(dvals []float64, super, sub []uint16, superVals, subVals []float64, subFirst bool) {
 	j := 0
-	for i := range pi {
-		v := pvals[i]
-		if j < len(qi) && qi[j] == pi[i] {
-			v = merged(v, qvals[j])
+	for i := range super {
+		v := superVals[i]
+		if j < len(sub) && sub[j] == super[i] {
+			if subFirst {
+				v = merged(subVals[j], v)
+			} else {
+				v = merged(v, subVals[j])
+			}
 			j++
 		}
 		dvals[i] = v
@@ -1025,13 +917,12 @@ func unionBuild(didx []uint16, dvals []float64, pi, qi []uint16, pvals, qvals []
 //
 // Fast paths (see MergeStats) carve out the converged steady state of
 // aggregation gossip: a pair already sharing one backing is a pointer
-// compare; a pair whose idx arrays alias the same canonical interned cell
-// set skips the set comparison entirely (pointer equality of immutable
-// arrays is set equality) and, when a merge is still needed, averages the
-// aligned value arrays into a backing that aliases the same canonical set —
-// no find, no unionScan, no unionBuild; a union that provably equals one
-// side's canonical cell set aliases that array instead of rebuilding it and
-// inherits its cached FNV identity instead of rehashing.
+// compare; a pair whose backings alias one shared cell array skips the set
+// comparison entirely (pointer equality of immutable arrays is set equality)
+// and, when a merge is still needed, averages the aligned value arrays into a
+// backing that aliases the same array — no find, no unionScan, no
+// unionBuild; and a union that equals one side's cell set aliases that
+// side's array instead of building a copy.
 func mergeTables(p, q *Table) bool {
 	mergeStats.merges.Add(1)
 	pb, qb := p.b, q.b
@@ -1051,7 +942,7 @@ func mergeTables(p, q *Table) bool {
 	}
 
 	// One comparison scan: union size, set equality, value equality. When
-	// both cell sets alias one immutable canonical array, the scan collapses
+	// both cell sets alias one immutable shared array, the scan collapses
 	// to a value-equality walk: pointer equality is set equality. (idxShared
 	// on both sides guarantees immutability — pointer-equal idx slices alone
 	// would not, since an owned backing may overwrite its array in place.)
@@ -1064,7 +955,7 @@ func mergeTables(p, q *Table) bool {
 	case aligned:
 		mergeStats.alignedIdx.Add(1)
 		union = len(pi)
-		valsEqual = valsEqualAligned(pb.vals, qb.vals)
+		valsEqual = slices.Equal(pb.vals, qb.vals)
 	default:
 		union, valsEqual = unionScan(pi, qi, pb.vals, qb.vals)
 	}
@@ -1086,13 +977,8 @@ func mergeTables(p, q *Table) bool {
 
 	if setsEqual && (pOwned || qOwned) {
 		// Write averages into an unshared side and have the other table
-		// adopt it, so the pair leaves the merge sharing one backing.
-		// (An earlier revision dual-wrote averages into both owned
-		// backings; that kept every node's table privately backed
-		// through the whole aggregation phase — both sides of a
-		// push-pull merge hold identical content afterwards, and at
-		// cluster scale the N-fold duplication was the dominant term of
-		// pretrain's peak heap.)
+		// adopt it, so the pair leaves the merge sharing one backing
+		// (DESIGN.md §7, "Memory layout").
 		if !aligned {
 			mergeStats.adoptedIdx.Add(1)
 		}
@@ -1100,7 +986,7 @@ func mergeTables(p, q *Table) bool {
 		if !pOwned {
 			d, o, other = qb, pb, p
 		}
-		averageInto(d.vals, o.vals)
+		averageAligned(d.vals, d.vals, o.vals)
 		d.invalidateRowMax()
 		other.b = d
 		d.ref.Add(1)
@@ -1109,56 +995,51 @@ func mergeTables(p, q *Table) bool {
 	}
 
 	// Differing cell sets or both backings shared: build the union into a
-	// destination both tables adopt. Three builders, cheapest applicable
-	// wins:
-	//   - aligned: the union IS the canonical set both sides alias; take a
-	//     values-only backing aliasing it and average the aligned arrays.
-	//   - superset alias: the union equals one side's canonical cell set
-	//     (the other is a subset); alias that array and merge values with a
-	//     match cursor — no idx rebuild, hash inherited.
-	//   - general: full unionBuild into a recycled array, then canonical
-	//     interning (converged unions rebuild the same saturated cell set on
-	//     every exchange; aliasing one interned copy reclaims 2 bytes/cell
-	//     per backing, cluster-wide) using the sides' cached FNV identities
-	//     when the union coincides with either cell set.
+	// destination both tables adopt. When the union is one side's cell set,
+	// and large enough to be worth it, the destination aliases that side's
+	// array (marking it shared) and only the values are written:
+	//   - equal sets: the older array wins (see olderIdx), the aligned value
+	//     arrays are averaged, and the losing backing, which other tables
+	//     still hold, is re-pointed to the winner (a no-op when the pair was
+	//     aligned already). Always keeping the older
+	//     array lets one array spread through the cluster the way a minimum
+	//     floods; without the rule, equal arrays coalesce only as a voter
+	//     model would, and aligned merges stay rare (EXPERIMENTS.md, "Can a
+	//     merge share cell arrays without an intern table?").
+	//   - superset: the other side is a subset; merge values with a match
+	//     cursor.
+	// Otherwise unionBuild writes the union into a recycled private array.
+	if !aligned {
+		mergeStats.unions.Add(1)
+	}
 	var d *backing
 	switch {
-	case aligned:
-		d = acquireAliasBacking(pi, pb.cellSetHash())
+	case setsEqual && union >= shareMinCells:
+		w, l := pb, qb
+		if !olderIdx(pb, qb) {
+			w, l = qb, pb
+		}
+		d = acquireBacking(union, w)
 		d.vals = d.vals[:union]
 		averageAligned(d.vals, pb.vals, qb.vals)
-	case union == len(pi) && pb.idxShared:
-		mergeStats.unions.Add(1)
-		d = acquireAliasBacking(pi, pb.cellSetHash())
+		if !l.idxShared {
+			backingPool.mu.Lock()
+			poolPut(&backingPool.idxs, l.idx)
+			backingPool.mu.Unlock()
+		}
+		l.idx, l.idxShared, l.idxAge = w.idx, true, w.idxAge
+	case union == len(pi) && union >= shareMinCells:
+		d = acquireBacking(union, pb)
 		d.vals = d.vals[:union]
-		mergeValsInto(d.vals, pi, qi, pb.vals, qb.vals)
-	case union == len(qi) && qb.idxShared:
-		mergeStats.unions.Add(1)
-		d = acquireAliasBacking(qi, qb.cellSetHash())
+		mergeValsInto(d.vals, pi, qi, pb.vals, qb.vals, false)
+	case union == len(qi) && union >= shareMinCells:
+		d = acquireBacking(union, qb)
 		d.vals = d.vals[:union]
-		mergeValsInto(d.vals, qi, pi, qb.vals, pb.vals)
+		mergeValsInto(d.vals, qi, pi, qb.vals, pb.vals, true)
 	default:
-		mergeStats.unions.Add(1)
-		d = acquireBacking(union)
+		d = acquireBacking(union, nil)
 		d.idx, d.vals = d.idx[:union], d.vals[:union]
 		unionBuild(d.idx, d.vals, pi, qi, pb.vals, qb.vals)
-		if len(d.idx) >= canonMinCells {
-			var h uint64
-			switch {
-			case union == len(pi):
-				h = pb.cellSetHash()
-			case union == len(qi):
-				h = qb.cellSetHash()
-			default:
-				h = fnvIdx(d.idx)
-			}
-			d.idxHash.Store(h)
-			if c, ok := canonicalIdx(d.idx, h); ok {
-				old := d.idx
-				d.idx, d.idxShared = c, true
-				poolPutIdx(old)
-			}
-		}
 	}
 	deref(pb)
 	deref(qb)

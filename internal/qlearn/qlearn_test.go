@@ -297,47 +297,6 @@ func TestEqual(t *testing.T) {
 	}
 }
 
-// TestCanonInterning pins the seen-once filter of canonical cell-set
-// interning: a union's cell set is interned on its second sighting, and a
-// later union over the same set aliases that one immutable array.
-func TestCanonInterning(t *testing.T) {
-	// Start from an empty cache, so the first union below is the first
-	// sighting of its cell set however the package's tests are ordered or
-	// repeated.
-	canonIdx.mu.Lock()
-	canonIdx.m, canonIdx.seen = nil, nil
-	canonIdx.mu.Unlock()
-	pair := func() (*Table, *Table) {
-		p, q := New(0.5, 0.8), New(0.5, 0.8)
-		for i := 1000; i < 1300; i++ {
-			s, a := State(i/DenseSpan), Action(i%DenseSpan)
-			if i != 1000 {
-				p.Set(s, a, float64(i))
-			}
-			if i != 1299 {
-				q.Set(s, a, -float64(i))
-			}
-		}
-		return p, q
-	}
-	p, q := pair()
-	Unify(p, q)
-	if p.b.idxShared {
-		t.Fatal("first union interned its cell set")
-	}
-	p, q = pair()
-	Unify(p, q)
-	if !p.b.idxShared {
-		t.Fatal("second union did not intern its cell set")
-	}
-	canon := &p.b.idx[0]
-	p, q = pair()
-	Unify(p, q)
-	if !p.b.idxShared || &p.b.idx[0] != canon {
-		t.Fatal("third union built a private array instead of aliasing the canonical one")
-	}
-}
-
 // TestCapRoundPinned pins the capacity schedule: a fresh backing's cell and
 // value arrays both follow capRound.
 func TestCapRoundPinned(t *testing.T) {
@@ -382,5 +341,23 @@ func TestFootprintValueBytes(t *testing.T) {
 	}
 	if vb > bytes {
 		t.Fatal("valueBytes exceeds total bytes")
+	}
+}
+
+// TestFootprintAliasedArrayOnce: a cell array that several backings alias
+// is charged once, and a private one its full capacity.
+func TestFootprintAliasedArrayOnce(t *testing.T) {
+	ts := alignedTables(t, 1, 2)
+	a, b := ts[0].b, ts[1].b
+	backings, bytes, vb, cells := Footprint(ts)
+	wantVB := int64(cap(a.vals)+cap(b.vals)) * 8
+	if backings != 2 || cells != 600 || vb != wantVB || bytes != vb+int64(cap(a.idx))*2 {
+		t.Fatalf("aliased pair: backings %d, bytes %d, valueBytes %d, cells %d; want 2, %d, %d, 600",
+			backings, bytes, vb, cells, wantVB+int64(cap(a.idx))*2, wantVB)
+	}
+	c := fullSet(3)
+	_, bytes3, vb3, _ := Footprint(append(ts, c))
+	if vb3 != vb+int64(cap(c.b.vals))*8 || bytes3 != bytes+int64(cap(c.b.idx))*2+int64(cap(c.b.vals))*8 {
+		t.Fatalf("private table charged %d bytes, want idx cap %d and vals cap %d", bytes3-bytes, cap(c.b.idx), cap(c.b.vals))
 	}
 }
