@@ -40,7 +40,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	tracePath := fs.String("trace", "", "CSV workload trace (vm,round,cpu,mem); empty = synthetic")
 	saveQ := fs.String("save-qtables", "", "write GLAP's converged Q store to this file after the run")
 	loadQ := fs.String("load-qtables", "", "skip GLAP pre-training and load a checkpointed Q store")
-	workers := fs.Int("workers", 0, "fork-join workers inside the run (0 = auto, 1 = sequential); results are identical for every setting")
+	workers := fs.Int("workers", 0, "workers inside the run: the learning pass, the merge lanes and the demand look-ahead (0 = auto, 1 = sequential); results are identical for every setting")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -196,15 +196,22 @@ type ConvergenceResult struct {
 
 // RunConvergence reproduces Figure 5: it pre-trains GLAP on clusters of the
 // given size for each ratio, sampling Q-value similarity every measureEvery
-// rounds through both phases.
+// rounds through both phases. Every ratio's experiment is validated before
+// any pre-trains.
 func RunConvergence(pms int, ratios []int, cfg glap.Config, seed uint64, measureEvery int) ([]*ConvergenceResult, error) {
 	ratios, measureEvery = orDefault(ratios, []int{2, 3, 4}), max(measureEvery, 1)
-	var out []*ConvergenceResult
-	for _, ratio := range ratios {
-		x := Experiment{
+	xs := make([]Experiment, len(ratios))
+	for i, ratio := range ratios {
+		xs[i] = Experiment{
 			PMs: pms, Ratio: ratio, Rounds: 720,
-			Seed: sim.NewRNG(seed).Derive(uint64(ratio)).Uint64(), Policy: PolicyGLAP,
+			Seed: sim.NewRNG(seed).Derive(uint64(ratio)).Uint64(), Policy: PolicyGLAP, GLAP: cfg,
 		}
+		if err := xs[i].Validate(); err != nil {
+			return nil, fmt.Errorf("ratio %d: %w", ratio, err)
+		}
+	}
+	var out []*ConvergenceResult
+	for _, x := range xs {
 		w, err := workloadFor(x)
 		if err != nil {
 			return nil, err
@@ -213,14 +220,14 @@ func RunConvergence(pms int, ratios []int, cfg glap.Config, seed uint64, measure
 		if err != nil {
 			return nil, err
 		}
-		pre, err := glap.Pretrain(cfg, cl, deriveSeed(x.Seed, seedPretrain), glap.PretrainOptions{
+		pre, err := glap.Pretrain(x.GLAP, cl, deriveSeed(x.Seed, seedPretrain), glap.PretrainOptions{
 			MeasureEvery: measureEvery,
 		})
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, &ConvergenceResult{
-			Ratio:    ratio,
+			Ratio:    x.Ratio,
 			Rounds:   pre.ConvergenceRound,
 			Cosine:   pre.Convergence,
 			AggStart: pre.LearnRounds,

@@ -98,9 +98,9 @@ type Experiment struct {
 
 	// Workers bounds the deterministic parallelism inside this run: the
 	// parallel learning phase, the two lanes of the aggregation phase (φ^out
-	// and φ^in merge concurrently), the helper goroutine that synthesises
-	// the next round's VM demand beside a round of sequential gossip passes,
-	// the demand refresh of a large cluster, and the final metrics scans.
+	// and φ^in merge concurrently), and the helper goroutine that
+	// synthesises the next round's VM demand beside a round of sequential
+	// gossip passes.
 	// <= 0 (the default) auto-sizes from the machine-wide worker budget
 	// shared with the sweeps' replication fan-out; 1 forces fully
 	// sequential execution, no goroutine at all; an explicit count > 1 is

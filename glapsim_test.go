@@ -342,6 +342,33 @@ func TestRunConvergenceShape(t *testing.T) {
 	}
 }
 
+// TestRunConvergenceValidatesFirst: an invalid experiment is refused before
+// any ratio builds its workload or pre-trains; unrefused, a single PM reads
+// as converged, a cosine of 1 on every round. The allocation count
+// witnesses that nothing ran: building even ratio 2's workload allocates
+// per VM.
+func TestRunConvergenceValidatesFirst(t *testing.T) {
+	bad := fastGLAP()
+	bad.Alpha = 7
+	for _, tc := range []struct {
+		pms    int
+		ratios []int
+		cfg    glap.Config
+		want   string
+	}{
+		{1, []int{2}, fastGLAP(), "PMs must be > 1"},
+		{16, []int{2}, bad, "Alpha"},
+		{16, []int{2, 0}, fastGLAP(), "ratio 0"},
+	} {
+		var res []*ConvergenceResult
+		var err error
+		allocs := testing.AllocsPerRun(1, func() { res, err = RunConvergence(tc.pms, tc.ratios, tc.cfg, 3, 10) })
+		if err == nil || !strings.Contains(err.Error(), tc.want) || res != nil || allocs > 20 {
+			t.Fatalf("%d PMs, ratios %v: got %v, %v after %.0f allocations; want an error naming %q before any run", tc.pms, tc.ratios, res, err, allocs, tc.want)
+		}
+	}
+}
+
 func TestGLAPBeatsGRMPOnOverloads(t *testing.T) {
 	// The paper's headline claim, at smoke-test scale: pooled across a few
 	// replications, GLAP overloads fewer PMs than GRMP.

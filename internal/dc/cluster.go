@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 
-	"github.com/glap-sim/glap/internal/par"
 	"github.com/glap-sim/glap/internal/trace"
 )
 
@@ -226,14 +225,6 @@ type Cluster struct {
 
 	// RoundSeconds is the wall-clock length of one round (the paper: 120 s).
 	RoundSeconds float64
-
-	// Workers bounds the fork-join of AdvanceRound's demand refresh, the one
-	// cluster pass that forks (see sim.Engine.Workers for the semantics:
-	// <= 0 auto-sizes from the shared budget, 1 runs sequentially, > 1 is
-	// honored exactly). The refresh forks only from forkMinVMs VMs up; a
-	// smaller cluster's runs inline whatever the setting. Results are
-	// identical for every setting.
-	Workers int
 
 	// Migrations is the cumulative migration count.
 	Migrations int64
@@ -599,30 +590,6 @@ func (c *Cluster) Migrate(vm *VM, dst *PM) error {
 	return nil
 }
 
-// Fork-join chunk size. Per-VM work is a handful of flops, so chunks are
-// large; the size depends only on the problem size, never on worker count.
-const (
-	vmChunk = 256
-
-	// AdvanceRound's demand refresh splits into chunks only from this many
-	// VMs up; a smaller cluster's refresh is one chunk and runs inline
-	// whatever c.Workers says. Below it waking a second core lost at every
-	// bench/ size; above it the fork pays when the samples are synthesised
-	// on the spot (BenchmarkAdvanceRoundSizes; EXPERIMENTS.md, "Does the
-	// message-driven half pay for its allocations?").
-	forkMinVMs = 8192
-)
-
-// chunkOf is the chunk size of a pass over n items: chunk from min items up,
-// else n itself. A function of n alone, like the constants it chooses
-// between.
-func chunkOf(n, chunk, min int) int {
-	if n < min {
-		return n
-	}
-	return chunk
-}
-
 // Prefetch synthesises every VM's sample at round r into the look-ahead
 // buffer, from which AdvanceRound(r) will take it. A sample is a pure function
 // of (workload, VM, round) — demand is replayed, never a consequence of
@@ -658,32 +625,27 @@ func (c *Cluster) sample(id, r int) trace.Sample {
 // refreshed from the workload — taken from the look-ahead buffer when
 // Prefetch(r) filled it, synthesised on the spot otherwise, the same sample
 // either way — and folded into its running average, the PMs' demand sums are
-// rebuilt, and PM time/energy accounting advances by one round. On a cluster
-// large enough for it to pay (forkMinVMs) the demand refresh fans out over
-// c.Workers; it writes only each VM's own slots, so the result is the same
-// for every worker count and chunking.
+// rebuilt, and PM time/energy accounting advances by one round.
 func (c *Cluster) AdvanceRound(r int) {
 	c.round = r
 	c.stepLifecycle(r)
-	par.ForChunks(len(c.VMs), chunkOf(len(c.VMs), vmChunk, forkMinVMs), c.Workers, func(lo, hi int) {
-		for id := lo; id < hi; id++ {
-			if c.vmHost[id] < 0 {
-				continue
-			}
-			s := c.sample(id, r)
-			cur := Vec{s.CPU, s.Mem}
-			c.vmCur[id] = cur
-			// Running average: ((c*v) + d(t)) / (c+1), per resource.
-			n := float64(c.vmCount[id])
-			avg := c.vmAvg[id]
-			for res := 0; res < NumResources; res++ {
-				avg[res] = (n*avg[res] + cur[res]) / (n + 1)
-			}
-			c.vmAvg[id] = avg
-			c.vmCount[id]++
-			c.vmRequested[id] += cur[CPU] * c.vmCap[id][CPU] * c.RoundSeconds
+	for id := range c.VMs {
+		if c.vmHost[id] < 0 {
+			continue
 		}
-	})
+		s := c.sample(id, r)
+		cur := Vec{s.CPU, s.Mem}
+		c.vmCur[id] = cur
+		// Running average: ((c*v) + d(t)) / (c+1), per resource.
+		n := float64(c.vmCount[id])
+		avg := c.vmAvg[id]
+		for res := 0; res < NumResources; res++ {
+			avg[res] = (n*avg[res] + cur[res]) / (n + 1)
+		}
+		c.vmAvg[id] = avg
+		c.vmCount[id]++
+		c.vmRequested[id] += cur[CPU] * c.vmCap[id][CPU] * c.RoundSeconds
+	}
 	// Rebuild the cached demand sums afresh — demand changed for every
 	// VM, and a fresh summation accumulates no float drift — by scattering
 	// each hosted VM's absolute demand into its host: unit-stride loads, where

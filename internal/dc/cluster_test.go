@@ -513,37 +513,6 @@ func streamingCluster(t testing.TB, pms, ratio, rounds int) *Cluster {
 	return c
 }
 
-// TestAdvanceRoundWorkerCountBitEquivalence drives identically-seeded
-// clusters through the same rounds, one sequential, one with 8 explicit
-// workers and one auto-sized, next to the gather oracle, and requires every
-// float accumulator to match bit-for-bit — the determinism contract of the
-// fork-join demand refresh and of the scatter after it. The cluster is large
-// enough for the refresh to fork (forkMinVMs).
-func TestAdvanceRoundWorkerCountBitEquivalence(t *testing.T) {
-	build := func(workers int) *Cluster {
-		c := streamingCluster(t, forkMinVMs/4+50, 4, 12)
-		c.Workers = workers
-		c.PlaceRandom(sim.NewRNG(11).Intn)
-		return c
-	}
-	a, b, auto, gather := build(1), build(8), build(0), build(1)
-	for r := 0; r < 8; r++ {
-		a.AdvanceRound(r)
-		b.AdvanceRound(r)
-		auto.AdvanceRound(r)
-		gatherAdvanceRound(gather, r)
-	}
-	requireSameState(t, "Workers 1 vs 8", a, b)
-	requireSameState(t, "Workers 1 vs auto", a, auto)
-	requireSameState(t, "scatter vs gather", a, gather)
-	if err := a.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // gatherAdvanceRound is AdvanceRound as it was before the scatter: a VM pass
 // refreshes demand, then a PM pass re-sums each PM's demand by gathering its
 // hosted VMs' cur/avg/cap in hosted-list order and does the energy

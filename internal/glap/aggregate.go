@@ -70,15 +70,3 @@ func (a *AggProtocol) RunLane(e *sim.Engine, lane int, pairs []par.Pair, round i
 		mergeLane(TablesOf(e, e.Node(int(pr.A))), TablesOf(e, e.Node(int(pr.B))), lane, a.settled)
 	}
 }
-
-// IOVectorDense adapts a node's dense φ^io buffer to the aligned-slice
-// convergence instrumentation. Nodes with empty tables are excluded from
-// similarity measurement, matching the paper's remark that PMs lacking
-// resources may own no Q-values after the learning phase.
-func IOVectorDense(e *sim.Engine, n *sim.Node) []float64 {
-	t := TablesOf(e, n)
-	if t.Out.Len()+t.In.Len() == 0 {
-		return nil
-	}
-	return t.IOVec()
-}

@@ -26,13 +26,9 @@ type fullRun struct {
 	consensus int
 }
 
-// samplePairs is the differentials' MeasurePairs: a quarter of the default
-// keeps the scans of every-round sampling affordable at 120 PMs.
-const samplePairs = 16
-
 // fullPretrain is Pretrain assembled from its protocols the way it ran before
 // Algorithm 2 ended at consensus: policy.Bind advances the cluster in every
-// round, every aggregation round merges, and every measured round scans the
+// round, every aggregation round merges, and every measured round samples the
 // tables. Each period in every gets its own sampler, each on its own copy of
 // Pretrain's measurement stream, so one run yields the samples of several
 // MeasureEvery settings.
@@ -40,7 +36,7 @@ func fullPretrain(t *testing.T, cfg Config, cl *dc.Cluster, seed uint64, every .
 	t.Helper()
 	cfg = cfg.withDefaults()
 	e := sim.NewEngine(len(cl.PMs), seed)
-	e.Workers, cl.Workers = 1, 1
+	e.Workers = 1
 	b, err := policy.Bind(e, cl)
 	if err != nil {
 		t.Fatal(err)
@@ -50,12 +46,12 @@ func fullPretrain(t *testing.T, cfg Config, cl *dc.Cluster, seed uint64, every .
 	e.RegisterWindow(&AggProtocol{}, 1, cfg.LearnRounds, cfg.LearnRounds+cfg.AggRounds-1)
 	run := &fullRun{conv: map[int][]float64{}, rounds: map[int][]int{}, consensus: -1}
 	for _, k := range every {
-		rng := e.RNG().Derive(0x3ea5)
+		probe, rng := ioProbe(), e.RNG().Derive(0x3ea5)
 		e.Observe(func(e *sim.Engine, round int) {
 			if round%k != 0 {
 				return
 			}
-			v := meanPairwiseCosineDense(e, IOVectorDense, samplePairs, rng)
+			v := probe.meanPairwiseCosineDense(e, measurePairs, rng)
 			run.conv[k] = append(run.conv[k], v)
 			run.rounds[k] = append(run.rounds[k], round)
 		})
@@ -211,7 +207,7 @@ func TestPretrainConsensusMatchesFullRun(t *testing.T) {
 					for _, workers := range []int{1, 2} {
 						for _, every := range []int{0, 1, 5} {
 							res, err := Pretrain(cfg, genCluster(t, pms, 3*pms, 120, seed), seed,
-								PretrainOptions{Workers: workers, MeasureEvery: every, MeasurePairs: samplePairs})
+								PretrainOptions{Workers: workers, MeasureEvery: every})
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -251,7 +247,7 @@ func TestPretrainConsensusEdgeCases(t *testing.T) {
 		}
 		for _, every := range []int{0, 1} {
 			label := fmt.Sprintf("%s every=%d", c.name, every)
-			res, err := Pretrain(c.cfg, genCluster(t, c.pms, c.ratio*c.pms, 60, 4), 4, PretrainOptions{MeasureEvery: every, MeasurePairs: samplePairs})
+			res, err := Pretrain(c.cfg, genCluster(t, c.pms, c.ratio*c.pms, 60, 4), 4, PretrainOptions{MeasureEvery: every})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -108,7 +108,6 @@ func TestInstallContinuousWorkerCountDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Workers = workers
 		c.PlaceRandom(sim.NewRNG(31).Intn)
 		e := sim.NewEngine(pms, 31)
 		e.Workers = workers

@@ -1,79 +1,71 @@
 package glap
 
 import (
-	"github.com/glap-sim/glap/internal/par"
 	"github.com/glap-sim/glap/internal/sim"
 	"github.com/glap-sim/glap/internal/stats"
 )
 
-// denseVectorFunc extracts a node's dense, aligned similarity vector; all
-// nodes must use one layout (same length, same cell order). Nodes returning
-// nil or empty are skipped. Convergence measurement runs every measured
-// round over every node, so the dense form is typically a per-node reusable
-// buffer over the calibrated Q space, filled in place rather than rebuilt.
-type denseVectorFunc func(e *sim.Engine, n *sim.Node) []float64
+// measurePairs is the number of random node pairs per convergence sample.
+const measurePairs = 64
 
-// collectDense gathers the eligible nodes' dense vectors, indexed alongside
-// holders. Vector extraction fans out over the engine's workers — vec fills
-// the node's own buffer, a node-local write under the ParallelRound rules —
-// and the compaction that follows is sequential in node order, so the holder
-// list is identical for every worker count.
-func collectDense(e *sim.Engine, vec denseVectorFunc) ([]*sim.Node, [][]float64) {
-	nodes := e.Nodes()
-	byNode := make([][]float64, len(nodes))
-	par.ForChunks(len(nodes), 64, e.Workers, func(lo, hi int) {
-		for i, n := range nodes[lo:hi] {
-			if !n.Up() {
-				continue
-			}
-			if v := vec(e, n); len(v) > 0 {
-				byNode[lo+i] = v
-			}
-		}
-	})
-	var holders []*sim.Node
-	var vecs [][]float64
-	for i, v := range byNode {
-		if v != nil {
-			holders = append(holders, nodes[i])
-			vecs = append(vecs, v)
-		}
+// cosineProbe is the convergence sampler's view of the nodes. holds reports
+// whether an up node has a vector to compare; fill writes that vector into
+// dst, every node in one aligned layout of len(dst). a and b are the
+// probe's own buffers for the pair being compared, so a sample fills only
+// the nodes it draws.
+type cosineProbe struct {
+	holds   func(e *sim.Engine, n *sim.Node) bool
+	fill    func(e *sim.Engine, n *sim.Node, dst []float64)
+	a, b    []float64
+	holders []*sim.Node
+}
+
+// ioProbe samples φ^io. Nodes with empty tables are excluded from similarity
+// measurement, matching the paper's remark that PMs lacking resources may
+// own no Q-values after the learning phase.
+func ioProbe() *cosineProbe {
+	return &cosineProbe{
+		holds: func(e *sim.Engine, n *sim.Node) bool {
+			t := TablesOf(e, n)
+			return t.Out.Len()+t.In.Len() > 0
+		},
+		fill: func(e *sim.Engine, n *sim.Node, dst []float64) { TablesOf(e, n).fillIO(dst) },
+		a:    make([]float64, IOVecLen),
+		b:    make([]float64, IOVecLen),
 	}
-	return holders, vecs
 }
 
 // meanPairwiseCosineDense estimates how close the per-node vectors are to
 // identical by averaging the cosine similarity over `pairs` random pairs of
-// distinct up nodes with non-empty vectors. This is the convergence metric of
-// the Figure 5 experiment, sampled by Pretrain over IOVectorDense. It
-// returns 1 for fewer than two eligible nodes (a single holder is trivially
-// converged). Each sampled pair costs one dot-product scan. Pair sampling
-// stays sequential (the rng draw sequence is part of the golden
-// fingerprint); the dot products fan out over the engine's workers and fold
-// in sample order, bit-identical to the sequential loop.
-func meanPairwiseCosineDense(e *sim.Engine, vec denseVectorFunc, pairs int, rng *sim.RNG) float64 {
-	holders, vecs := collectDense(e, vec)
-	if len(holders) < 2 {
+// distinct up holders. This is the convergence metric of the Figure 5
+// experiment, sampled by Pretrain over ioProbe. It returns 1 for fewer than
+// two holders (a single holder is trivially converged). Each drawn pair
+// costs two fills and one dot-product scan, and the cosines are summed in
+// draw order, so a sample is a function of the tables and rng alone.
+func (p *cosineProbe) meanPairwiseCosineDense(e *sim.Engine, pairs int, rng *sim.RNG) float64 {
+	p.holders = p.holders[:0]
+	for _, n := range e.Nodes() {
+		if n.Up() && p.holds(e, n) {
+			p.holders = append(p.holders, n)
+		}
+	}
+	if len(p.holders) < 2 {
 		return 1
 	}
-	if pairs <= 0 {
-		pairs = 64
-	}
-	type pair struct{ a, b int }
-	sampled := make([]pair, 0, pairs)
+	sum, cnt := 0.0, 0
 	for i := 0; i < pairs; i++ {
-		a := rng.Intn(len(holders))
-		b := rng.Intn(len(holders))
-		if holders[a].ID == holders[b].ID {
+		a := p.holders[rng.Intn(len(p.holders))]
+		b := p.holders[rng.Intn(len(p.holders))]
+		if a.ID == b.ID {
 			continue
 		}
-		sampled = append(sampled, pair{a, b})
+		p.fill(e, a, p.a)
+		p.fill(e, b, p.b)
+		sum += stats.CosineAligned(p.a, p.b)
+		cnt++
 	}
-	if len(sampled) == 0 {
+	if cnt == 0 {
 		return 1
 	}
-	sum := par.OrderedSum(len(sampled), 8, e.Workers, func(i int) float64 {
-		return stats.CosineAligned(vecs[sampled[i].a], vecs[sampled[i].b])
-	})
-	return sum / float64(len(sampled))
+	return sum / float64(cnt)
 }

@@ -8,32 +8,19 @@ import (
 	"github.com/glap-sim/glap/internal/stats"
 )
 
-// vectorFunc extracts a sparse vector from a node for similarity
-// measurement; nodes returning nil are skipped (e.g. PMs that never ran the
-// learning phase).
-type vectorFunc[K comparable] func(e *sim.Engine, n *sim.Node) map[K]float64
-
 // meanPairwiseCosine is the map-based form of meanPairwiseCosineDense and
-// its oracle: the same holder scan and the same pair draws, with each pair's
-// similarity taken over sparse maps. It returns 1 for fewer than two
-// eligible nodes.
-func meanPairwiseCosine[K comparable](e *sim.Engine, vec vectorFunc[K], pairs int, rng *sim.RNG) float64 {
+// its oracle over vecs, indexed by node ID: every up node with a non-empty
+// map holds, the pair draws are the same, and each pair's similarity is
+// taken over sparse maps. It returns 1 for fewer than two holders.
+func meanPairwiseCosine[K comparable](e *sim.Engine, vecs []map[K]float64, pairs int, rng *sim.RNG) float64 {
 	var holders []*sim.Node
-	vecs := make(map[int]map[K]float64)
 	for _, n := range e.Nodes() {
-		if !n.Up() {
-			continue
-		}
-		if v := vec(e, n); v != nil && len(v) > 0 {
+		if n.Up() && len(vecs[n.ID]) > 0 {
 			holders = append(holders, n)
-			vecs[n.ID] = v
 		}
 	}
 	if len(holders) < 2 {
 		return 1
-	}
-	if pairs <= 0 {
-		pairs = 64
 	}
 	sum, cnt := 0.0, 0
 	for i := 0; i < pairs; i++ {
@@ -53,24 +40,19 @@ func meanPairwiseCosine[K comparable](e *sim.Engine, vec vectorFunc[K], pairs in
 
 func TestMeanPairwiseCosine(t *testing.T) {
 	e := sim.NewEngine(6, 8)
-	vecs := map[int]map[string]float64{
-		0: {"a": 1, "b": 2},
-		1: {"a": 1, "b": 2},
-		2: {"a": 1, "b": 2},
-		3: {"a": 1, "b": 2},
-		4: {"a": 1, "b": 2},
-		5: {"a": 1, "b": 2},
+	vecs := make([]map[string]float64, 6)
+	for i := range vecs {
+		vecs[i] = map[string]float64{"a": 1, "b": 2}
 	}
-	vf := func(e *sim.Engine, n *sim.Node) map[string]float64 { return vecs[n.ID] }
 	rng := sim.NewRNG(9)
-	if got := meanPairwiseCosine(e, vf, 32, rng); math.Abs(got-1) > 1e-9 {
+	if got := meanPairwiseCosine(e, vecs, 32, rng); math.Abs(got-1) > 1e-9 {
 		t.Fatalf("identical vectors similarity = %g", got)
 	}
 	// Orthogonal halves: mean similarity well below 1.
 	for id := 3; id < 6; id++ {
 		vecs[id] = map[string]float64{"c": 1}
 	}
-	if got := meanPairwiseCosine(e, vf, 256, rng); got > 0.8 {
+	if got := meanPairwiseCosine(e, vecs, 256, rng); got > 0.8 {
 		t.Fatalf("orthogonal halves similarity = %g", got)
 	}
 }
@@ -79,19 +61,24 @@ func TestMeanPairwiseCosineEdgeCases(t *testing.T) {
 	e := sim.NewEngine(3, 10)
 	rng := sim.NewRNG(1)
 	// No holders at all: trivially converged.
-	empty := func(e *sim.Engine, n *sim.Node) map[string]float64 { return nil }
-	if got := meanPairwiseCosine(e, empty, 8, rng); got != 1 {
+	vecs := make([]map[string]float64, 3)
+	if got := meanPairwiseCosine(e, vecs, 8, rng); got != 1 {
 		t.Fatalf("no holders similarity = %g, want 1", got)
 	}
-	// Single holder.
-	one := func(e *sim.Engine, n *sim.Node) map[string]float64 {
-		if n.ID == 0 {
-			return map[string]float64{"a": 1}
-		}
-		return nil
-	}
-	if got := meanPairwiseCosine(e, one, 8, rng); got != 1 {
+	vecs[0] = map[string]float64{"a": 1}
+	if got := meanPairwiseCosine(e, vecs, 8, rng); got != 1 {
 		t.Fatalf("single holder similarity = %g, want 1", got)
+	}
+}
+
+// sliceProbe is a cosineProbe over fixed per-node vectors of length dim: a
+// node holds when its vector is non-nil, and a fill copies it.
+func sliceProbe(vecs [][]float64, dim int) *cosineProbe {
+	return &cosineProbe{
+		holds: func(e *sim.Engine, n *sim.Node) bool { return vecs[n.ID] != nil },
+		fill:  func(e *sim.Engine, n *sim.Node, dst []float64) { copy(dst, vecs[n.ID]) },
+		a:     make([]float64, dim),
+		b:     make([]float64, dim),
 	}
 }
 
@@ -101,16 +88,16 @@ func TestMeanPairwiseCosineDense(t *testing.T) {
 	for i := range vecs {
 		vecs[i] = []float64{1, 2, 0}
 	}
-	vf := func(e *sim.Engine, n *sim.Node) []float64 { return vecs[n.ID] }
+	p := sliceProbe(vecs, 3)
 	rng := sim.NewRNG(9)
-	if got := meanPairwiseCosineDense(e, vf, 32, rng); math.Abs(got-1) > 1e-9 {
+	if got := p.meanPairwiseCosineDense(e, 32, rng); math.Abs(got-1) > 1e-9 {
 		t.Fatalf("identical vectors similarity = %g", got)
 	}
 	// Orthogonal halves: mean similarity well below 1.
 	for id := 3; id < 6; id++ {
 		vecs[id] = []float64{0, 0, 1}
 	}
-	if got := meanPairwiseCosineDense(e, vf, 256, rng); got > 0.8 {
+	if got := p.meanPairwiseCosineDense(e, 256, rng); got > 0.8 {
 		t.Fatalf("orthogonal halves similarity = %g", got)
 	}
 }
@@ -118,29 +105,25 @@ func TestMeanPairwiseCosineDense(t *testing.T) {
 func TestMeanPairwiseCosineDenseEdgeCases(t *testing.T) {
 	e := sim.NewEngine(3, 10)
 	rng := sim.NewRNG(1)
-	empty := func(e *sim.Engine, n *sim.Node) []float64 { return nil }
-	if got := meanPairwiseCosineDense(e, empty, 8, rng); got != 1 {
+	vecs := make([][]float64, 3)
+	p := sliceProbe(vecs, 1)
+	if got := p.meanPairwiseCosineDense(e, 8, rng); got != 1 {
 		t.Fatalf("no holders similarity = %g, want 1", got)
 	}
-	one := func(e *sim.Engine, n *sim.Node) []float64 {
-		if n.ID == 0 {
-			return []float64{1}
-		}
-		return nil
-	}
-	if got := meanPairwiseCosineDense(e, one, 8, rng); got != 1 {
+	vecs[0] = []float64{1}
+	if got := p.meanPairwiseCosineDense(e, 8, rng); got != 1 {
 		t.Fatalf("single holder similarity = %g, want 1", got)
 	}
 	// Down nodes are excluded like in the map-based variant.
-	all := func(e *sim.Engine, n *sim.Node) []float64 { return []float64{1} }
+	vecs[1], vecs[2] = []float64{1}, []float64{1}
 	e.SetUp(e.Node(1), false)
 	e.SetUp(e.Node(2), false)
-	if got := meanPairwiseCosineDense(e, all, 8, rng); got != 1 {
+	if got := p.meanPairwiseCosineDense(e, 8, rng); got != 1 {
 		t.Fatalf("single up holder similarity = %g, want 1", got)
 	}
 }
 
-// TestDenseMatchesMapCosine cross-checks the two instrumentation paths on
+// TestDenseMatchesMapCosine cross-checks the probe against the map oracle on
 // identical data: the dense vectors are the map vectors laid out over a
 // fixed index space, and both paths draw the same pairs from equally seeded
 // streams, so the sampled similarity must agree to float rounding — with a
@@ -164,35 +147,76 @@ func TestDenseMatchesMapCosine(t *testing.T) {
 	}
 	maps[5], dense[5] = nil, nil
 	e.SetUp(e.Node(2), false)
-	mf := func(e *sim.Engine, n *sim.Node) map[int]float64 { return maps[n.ID] }
-	df := func(e *sim.Engine, n *sim.Node) []float64 { return dense[n.ID] }
+	p := sliceProbe(dense, dim)
 	for seed := uint64(1); seed <= 4; seed++ {
-		got := meanPairwiseCosineDense(e, df, 200, sim.NewRNG(seed))
-		want := meanPairwiseCosine(e, mf, 200, sim.NewRNG(seed))
+		got := p.meanPairwiseCosineDense(e, 200, sim.NewRNG(seed))
+		want := meanPairwiseCosine(e, maps, 200, sim.NewRNG(seed))
 		if math.Abs(got-want) > 1e-12 {
 			t.Fatalf("seed %d: dense %g vs map %g", seed, got, want)
 		}
 	}
 }
 
-// BenchmarkMeanPairwiseCosineDense measures the full Figure 5 sample over
-// 500 nodes holding GLAP-sized dense vectors (two 81×81 Q-tables).
-func BenchmarkMeanPairwiseCosineDense(b *testing.B) {
-	const ioCells = 2 * 81 * 81
-	e := sim.NewEngine(500, 1)
-	vecs := make([][]float64, 500)
+// TestCosineProbeFillsOnlyDrawnPairs counts the probe's fills: each drawn
+// pair of distinct holders fills its two nodes once each, and no other node
+// (never drawn, down, or holding nothing) is filled. The expected counts
+// replay the draws on an equally seeded stream over the holders in node
+// order.
+func TestCosineProbeFillsOnlyDrawnPairs(t *testing.T) {
+	const nodes, pairs = 100, 6
+	e := sim.NewEngine(nodes, 3)
+	vecs := make([][]float64, nodes)
+	var holders []int
 	for i := range vecs {
-		v := make([]float64, ioCells)
-		for k := range v {
-			v[k] = float64((i + k) % 301)
+		if i%7 != 3 {
+			vecs[i] = []float64{1, float64(i)}
 		}
-		vecs[i] = v
+		if i == 4 || i == 50 || i == 51 {
+			e.SetUp(e.Node(i), false)
+		} else if vecs[i] != nil {
+			holders = append(holders, i)
+		}
 	}
-	vf := func(e *sim.Engine, n *sim.Node) []float64 { return vecs[n.ID] }
+	p := sliceProbe(vecs, 2)
+	fills, fill := make([]int, nodes), p.fill
+	p.fill = func(e *sim.Engine, n *sim.Node, dst []float64) { fills[n.ID]++; fill(e, n, dst) }
+	for seed := uint64(1); seed <= 5; seed++ {
+		clear(fills)
+		p.meanPairwiseCosineDense(e, pairs, sim.NewRNG(seed))
+		want, replay := make([]int, nodes), sim.NewRNG(seed)
+		for i := 0; i < pairs; i++ {
+			if a, b := holders[replay.Intn(len(holders))], holders[replay.Intn(len(holders))]; a != b {
+				want[a]++
+				want[b]++
+			}
+		}
+		for id := range fills {
+			if fills[id] != want[id] {
+				t.Fatalf("seed %d: node %d filled %d times, its draws want %d", seed, id, fills[id], want[id])
+			}
+		}
+	}
+}
+
+// BenchmarkMeanPairwiseCosineDense measures the full Figure 5 sample over
+// 500 nodes holding GLAP-sized dense vectors (two 81×81 Q-tables), each
+// synthesised by the fill.
+func BenchmarkMeanPairwiseCosineDense(b *testing.B) {
+	e := sim.NewEngine(500, 1)
+	p := &cosineProbe{
+		holds: func(e *sim.Engine, n *sim.Node) bool { return true },
+		fill: func(e *sim.Engine, n *sim.Node, dst []float64) {
+			for k := range dst {
+				dst[k] = float64((n.ID + k) % 301)
+			}
+		},
+		a: make([]float64, IOVecLen),
+		b: make([]float64, IOVecLen),
+	}
 	rng := sim.NewRNG(2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = meanPairwiseCosineDense(e, vf, 64, rng)
+		_ = p.meanPairwiseCosineDense(e, measurePairs, rng)
 	}
 }

@@ -53,18 +53,15 @@ type PretrainOptions struct {
 	// MeasureEvery samples convergence every k rounds (0 disables
 	// measurement, 1 measures every round).
 	MeasureEvery int
-	// MeasurePairs is the number of random node pairs per sample
-	// (default 64).
-	MeasurePairs int
 	// CyclonViewSize / CyclonShuffleLen configure the overlay. Zero takes
 	// cyclon.New's defaults: view 20, shuffle (view+1)/2, so 10 at the
 	// default view.
 	CyclonViewSize   int
 	CyclonShuffleLen int
 	// Workers bounds fork-join parallelism inside the pretraining engine —
-	// Algorithm 1's node pass and Algorithm 2's two merge lanes — and its
-	// cluster (see sim.Engine.Workers for the semantics). Results are
-	// identical for every setting.
+	// Algorithm 1's node pass and Algorithm 2's two merge lanes (see
+	// sim.Engine.Workers for the semantics). Results are identical for every
+	// setting.
 	Workers int
 }
 
@@ -92,7 +89,6 @@ func Pretrain(cfg Config, cl *dc.Cluster, seed uint64, opts PretrainOptions) (*P
 	cfg = cfg.withDefaults()
 	e := sim.NewEngine(len(cl.PMs), seed)
 	e.Workers = opts.Workers
-	cl.Workers = opts.Workers
 	// policy.Bind's wiring with the demand advance confined to the learning
 	// phase. Its look-ahead is left out: every pre-training round forks
 	// (Algorithm 1's node pass, then Algorithm 2's lanes), and the engine
@@ -111,16 +107,12 @@ func Pretrain(cfg Config, cl *dc.Cluster, seed uint64, opts PretrainOptions) (*P
 
 	res := &PretrainResult{LearnRounds: cfg.LearnRounds, AggRounds: cfg.AggRounds, ConsensusRound: -1}
 	if opts.MeasureEvery > 0 {
-		pairs := opts.MeasurePairs
-		if pairs <= 0 {
-			pairs = 64
-		}
-		measureRNG := e.RNG().Derive(0x3ea5)
+		probe, measureRNG := ioProbe(), e.RNG().Derive(0x3ea5)
 		e.Observe(func(e *sim.Engine, round int) {
 			if round%opts.MeasureEvery != 0 {
 				return
 			}
-			sim1 := meanPairwiseCosineDense(e, IOVectorDense, pairs, measureRNG)
+			sim1 := probe.meanPairwiseCosineDense(e, measurePairs, measureRNG)
 			res.Convergence = append(res.Convergence, sim1)
 			res.ConvergenceRound = append(res.ConvergenceRound, round)
 		})

@@ -46,7 +46,6 @@ func laneGate(r int) bool { return r%3 != 1 }
 func laneStack(t *testing.T, pms int, seed uint64, workers int, gated, reference bool) (*sim.Engine, *countedAgg) {
 	t.Helper()
 	cl := genCluster(t, pms, 3*pms, laneRounds, seed)
-	cl.Workers = workers
 	e := sim.NewEngine(pms, seed)
 	e.Workers = workers
 	b, err := policy.Bind(e, cl)

@@ -25,8 +25,6 @@ type NodeTables struct {
 	Trained bool
 
 	// ioVec is the node's reusable dense φ^io buffer, (re)filled by IOVec.
-	// Convergence measurement samples it every measured round, so the
-	// buffer is kept across samples instead of building a map each time.
 	ioVec []float64
 
 	// scratch holds the node's reusable training buffers. Keeping them in
@@ -72,9 +70,14 @@ func (t *NodeTables) IOVec() []float64 {
 	if t.ioVec == nil {
 		t.ioVec = make([]float64, IOVecLen)
 	}
-	t.Out.FillDense(t.ioVec[:tableCells])
-	t.In.FillDense(t.ioVec[tableCells:])
+	t.fillIO(t.ioVec)
 	return t.ioVec
+}
+
+// fillIO writes IOVec's layout into dst, of length IOVecLen.
+func (t *NodeTables) fillIO(dst []float64) {
+	t.Out.FillDense(dst[:tableCells])
+	t.In.FillDense(dst[tableCells:])
 }
 
 // kernelProfile is one collected VM profile — Algorithm 1's exchange unit — in

@@ -18,13 +18,12 @@ func tableFingerprint(tb *qlearn.Table) uint64 {
 
 // TestPretrainWorkerCountBitEquivalence is the package-level half of the
 // headline invariant: the whole pre-training phase — parallel learning
-// rounds, demand refresh, convergence sampling — must be byte-identical for
+// rounds, merge lanes, convergence sampling — must be byte-identical for
 // Workers=1 and Workers=8. Run under -race in CI, it doubles as the race
 // check on the parallel pretrain path.
 func TestPretrainWorkerCountBitEquivalence(t *testing.T) {
 	run := func(workers int) *PretrainResult {
 		cl := genCluster(t, 30, 60, 60, 3)
-		cl.Workers = workers
 		res, err := Pretrain(Config{LearnRounds: 25, AggRounds: 15}, cl, 17,
 			PretrainOptions{MeasureEvery: 5, Workers: workers})
 		if err != nil {

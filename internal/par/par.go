@@ -1,5 +1,7 @@
-// Package par provides the deterministic fork-join primitives shared by the
-// simulation kernel, the cluster model and the metrics scans.
+// Package par provides the deterministic fork-join primitives of the
+// simulation kernel: sim.RunReplications' fan-out over replications, the
+// engine's ParallelRound node pass and LaneRound merge lanes, and the Task
+// that runs the round pipeline's look-ahead beside a round.
 //
 // The design contract is that worker count NEVER influences results: callers
 // partition work into chunks whose boundaries depend only on the problem
@@ -84,16 +86,6 @@ func release(w *worker, auto bool) {
 	spare.Lock()
 	spare.ws = append(spare.ws, w)
 	spare.Unlock()
-}
-
-// Workers resolves a requested worker count to an effective one: values <= 0
-// select GOMAXPROCS. It does not consult the shared budget; use it where a
-// nominal count is needed (e.g. for reporting).
-func Workers(w int) int {
-	if w <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return w
 }
 
 // fork is one ForChunks call's shared state: the chunk cursor its executors
@@ -268,25 +260,4 @@ func (t *Task) Wait() {
 	if panicked {
 		panic(pv)
 	}
-}
-
-// OrderedSum computes sum(fn(0) + fn(1) + ... + fn(n-1)) with the per-item
-// evaluations fanned out over workers but the final float summation folded
-// strictly in index order, so the result is bit-identical to the sequential
-// loop regardless of worker count or chunking.
-func OrderedSum(n, chunk, workers int, fn func(i int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	vals := make([]float64, n)
-	ForChunks(n, chunk, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			vals[i] = fn(i)
-		}
-	})
-	sum := 0.0
-	for _, v := range vals {
-		sum += v
-	}
-	return sum
 }

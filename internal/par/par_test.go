@@ -1,7 +1,6 @@
 package par
 
 import (
-	"math"
 	"sync/atomic"
 	"testing"
 )
@@ -96,38 +95,6 @@ func TestForChunksPanicInCallerWorker(t *testing.T) {
 		}
 	}()
 	ForChunks(8, 1, 4, func(lo, hi int) { panic(lo) })
-}
-
-func TestOrderedSumMatchesSequential(t *testing.T) {
-	// Values spanning many magnitudes make float addition order-sensitive;
-	// OrderedSum must reproduce the sequential fold bit-for-bit.
-	vals := make([]float64, 1000)
-	x := uint64(88172645463325252)
-	for i := range vals {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		vals[i] = math.Ldexp(float64(x>>11), int(x%64)-32)
-	}
-	want := 0.0
-	for _, v := range vals {
-		want += v
-	}
-	for _, workers := range []int{0, 1, 3, 16} {
-		got := OrderedSum(len(vals), 17, workers, func(i int) float64 { return vals[i] })
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("workers=%d: sum %x, want %x", workers, math.Float64bits(got), math.Float64bits(want))
-		}
-	}
-}
-
-func TestWorkersResolution(t *testing.T) {
-	if Workers(5) != 5 {
-		t.Fatal("explicit count must pass through")
-	}
-	if Workers(0) < 1 || Workers(-2) < 1 {
-		t.Fatal("auto must resolve to >= 1")
-	}
 }
 
 func TestBudgetRoundTrips(t *testing.T) {

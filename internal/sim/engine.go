@@ -116,12 +116,13 @@ type Engine struct {
 
 	// Workers bounds intra-run parallelism: the fork-join passes of protocols
 	// that declare ParallelRound or LaneRound, and the one helper worker
-	// that runs the LookAhead hooks beside a round of sequential passes. <= 0
-	// (the default) sizes automatically from the machine-wide worker budget
-	// shared with RunReplications, so nested parallelism cannot oversubscribe;
-	// 1 forces sequential execution on the caller, no other goroutine; an
-	// explicit count > 1 is honored exactly (differential and race tests rely
-	// on that). Results are identical for every setting.
+	// that runs the LookAhead hooks beside a round of sequential passes; no
+	// other pass of a run forks. <= 0 (the default) sizes automatically from
+	// the machine-wide worker budget shared with RunReplications, so nested
+	// parallelism cannot oversubscribe; 1 forces sequential execution on the
+	// caller, no other goroutine; an explicit count > 1 is honored exactly
+	// (differential and race tests rely on that). Results are identical for
+	// every setting.
 	Workers int
 }
 

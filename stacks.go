@@ -104,7 +104,6 @@ func prepareStack(x Experiment, w *trace.Set, shared *glap.NodeTables) (*stack, 
 	if err != nil {
 		return nil, err
 	}
-	c.Workers = x.Workers
 	e := sim.NewEngine(x.PMs, deriveSeed(x.Seed, seedEngine))
 	e.Workers = x.Workers
 	b, err := policy.Bind(e, c)
