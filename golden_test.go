@@ -25,8 +25,9 @@ func goldenExperiment() Experiment {
 // Re-pinned when the learning phase moved from one shared random stream to
 // per-node streams (a prerequisite of the parallel ParallelRound pass; the
 // shared stream's draws depended on node visit order, which a fork-join
-// cannot reproduce). The companion invariant is TestWorkerCountDifferential:
-// this fingerprint is identical for every Workers setting.
+// cannot reproduce). TestGoldenDeterminism requires it at Workers auto and
+// 8; TestWorkerCountPipelineDifferential holds every Workers setting to
+// Workers 1.
 // Regenerate with GLAP_GOLDEN_UPDATE=1 go test -run TestGoldenDeterminism -v .
 const goldenSeriesHash = "97f442cd66becde70529a5a796fcb32866e5dabc586f4a54b83190e8a039dec8"
 
@@ -49,22 +50,27 @@ func serializeSeries(res *Result) string {
 
 // TestGoldenDeterminism pins seed-for-seed simulation output across kernel
 // rewrites: the dense Q-table backend must reproduce the sparse backend's
-// Series exactly.
+// Series exactly. The default (auto) Workers and explicit fan-out (8) must
+// both produce the pinned fingerprint, so the two are the same simulation.
 func TestGoldenDeterminism(t *testing.T) {
-	res, err := Run(goldenExperiment())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dump := serializeSeries(res)
-	sum := sha256.Sum256([]byte(dump))
-	got := hex.EncodeToString(sum[:])
-	if os.Getenv("GLAP_GOLDEN_UPDATE") != "" {
-		t.Logf("golden series dump:\n%s", dump)
-		t.Logf("goldenSeriesHash = %q", got)
-		return
-	}
-	if got != goldenSeriesHash {
-		t.Fatalf("golden Series fingerprint changed:\n got %s\nwant %s\nserialised series:\n%s",
-			got, goldenSeriesHash, dump)
+	for _, workers := range []int{0, 8} {
+		x := goldenExperiment()
+		x.Workers = workers
+		res, err := Run(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dump := serializeSeries(res)
+		sum := sha256.Sum256([]byte(dump))
+		got := hex.EncodeToString(sum[:])
+		if os.Getenv("GLAP_GOLDEN_UPDATE") != "" {
+			t.Logf("golden series dump:\n%s", dump)
+			t.Logf("goldenSeriesHash = %q", got)
+			return
+		}
+		if got != goldenSeriesHash {
+			t.Fatalf("golden Series fingerprint changed at Workers=%d:\n got %s\nwant %s\nserialised series:\n%s",
+				workers, got, goldenSeriesHash, dump)
+		}
 	}
 }

@@ -8,26 +8,11 @@ import (
 	"github.com/glap-sim/glap/internal/trace"
 )
 
-func benchCluster(b *testing.B, pms, vms int) *Cluster {
-	b.Helper()
-	set, err := trace.Generate(trace.DefaultGenConfig(vms, 720, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := New(Config{PMs: pms, Workload: set})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := sim.NewRNG(1)
-	c.PlaceRandom(rng.Intn)
-	return c
-}
-
 // BenchmarkAdvanceRound measures the per-round cluster bookkeeping at
 // paper scale (1000 PMs, 3000 VMs): demand refresh, running averages, cached
 // sums and energy accounting.
 func BenchmarkAdvanceRound(b *testing.B) {
-	c := benchCluster(b, 1000, 3000)
+	c := genCluster(b, 1000, 3000, 720, 1, false, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.AdvanceRound(i % 720)
@@ -42,7 +27,7 @@ func BenchmarkAdvanceRoundSizes(b *testing.B) {
 	for _, sz := range []struct{ pms, ratio int }{{600, 4}, {5000, 4}} {
 		for _, hit := range []bool{true, false} {
 			b.Run(fmt.Sprintf("pms=%d/vms=%d/hit=%v", sz.pms, sz.pms*sz.ratio, hit), func(b *testing.B) {
-				c := streamingCluster(b, sz.pms, sz.ratio, 720)
+				c := genCluster(b, sz.pms, sz.pms*sz.ratio, 720, 3, true, 0)
 				c.PlaceRandom(sim.NewRNG(1).Intn)
 				b.ResetTimer()
 				for r := 1; r <= b.N; r++ {
@@ -59,7 +44,7 @@ func BenchmarkAdvanceRoundSizes(b *testing.B) {
 }
 
 func BenchmarkMigrate(b *testing.B) {
-	c := benchCluster(b, 100, 200)
+	c := genCluster(b, 100, 200, 720, 1, false, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		vm := c.VMs[i%len(c.VMs)]
@@ -71,7 +56,7 @@ func BenchmarkMigrate(b *testing.B) {
 }
 
 func BenchmarkCurUtil(b *testing.B) {
-	c := benchCluster(b, 100, 300)
+	c := genCluster(b, 100, 300, 720, 1, false, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = c.CurUtil(c.PMs[i%100])

@@ -24,10 +24,10 @@ const (
 	vmFlagDeparted uint8 = 1 << iota
 	vmFlagSeeded
 	// vmFlagPending marks a VM with a scheduled or retrying arrival: set by
-	// SetLifecycle, RecycleVM and crash-stranding, cleared by attach. The
-	// arrival scan gates on this flag — not on vmArrive > 0, which would
-	// silently exclude a legitimately-scheduled round-0 arrival after an ID
-	// is recycled.
+	// SetLifecycle and crash-stranding, cleared by attach. The arrival scan
+	// gates on this flag — not on vmArrive > 0, which would silently exclude
+	// a stranded VM of the initial population (vmArrive 0) from retrying
+	// placement.
 	vmFlagPending
 )
 

@@ -1,9 +1,7 @@
 package dc
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"math"
 	"strings"
 	"testing"
@@ -13,44 +11,60 @@ import (
 	"github.com/glap-sim/glap/internal/trace"
 )
 
-func appendRow(b []byte, vm, r int, cpu, mem float64) []byte {
-	return append(b, []byte(fmt.Sprintf("%d,%d,%g,%g\n", vm, r, cpu, mem))...)
-}
-
-func bytesReader(b []byte) io.Reader { return bytes.NewReader(b) }
-
-// mustSyntheticConst builds a workload where every VM demands the same
-// fractions every round, via the CSV path to keep trace.Set opaque.
-func mustSyntheticConst(t *testing.T, vms, rounds int, cpu, mem float64) *trace.Set {
-	t.Helper()
-	var b []byte
-	b = append(b, []byte("vm,round,cpu,mem\n")...)
+// constCluster builds a cluster under cfg whose vms VMs demand the fractions
+// cpu and mem of their capacity in each of rounds rounds (the workload goes
+// through the CSV path, which keeps trace.Set opaque), placed at random from
+// place, or left unplaced when place is 0.
+func constCluster(tb testing.TB, cfg Config, vms, rounds int, cpu, mem float64, place uint64) *Cluster {
+	tb.Helper()
+	var b strings.Builder
+	b.WriteString("vm,round,cpu,mem\n")
 	for vm := 0; vm < vms; vm++ {
 		for r := 0; r < rounds; r++ {
-			b = appendRow(b, vm, r, cpu, mem)
+			fmt.Fprintf(&b, "%d,%d,%g,%g\n", vm, r, cpu, mem)
 		}
 	}
-	set, err := trace.LoadCSV(bytesReader(b))
+	set, err := trace.LoadCSV(strings.NewReader(b.String()))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	return set
+	cfg.Workload = set
+	c, err := New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if place != 0 {
+		c.PlaceRandom(sim.NewRNG(place).Intn)
+	}
+	return c
 }
 
-func newTestCluster(t *testing.T, pms, vms int, cpu, mem float64) *Cluster {
-	t.Helper()
-	set := mustSyntheticConst(t, vms, 10, cpu, mem)
-	c, err := New(Config{PMs: pms, Workload: set, LogMigrations: true})
-	if err != nil {
-		t.Fatal(err)
+// genCluster builds a cluster of pms machines over the vms VMs of a
+// rounds-round trace generated from seed, synthesised on demand when
+// streaming is set, placed at random from place, or left unplaced when place
+// is 0.
+func genCluster(tb testing.TB, pms, vms, rounds int, seed uint64, streaming bool, place uint64) *Cluster {
+	tb.Helper()
+	gen := trace.Generate
+	if streaming {
+		gen = trace.GenerateStreaming
 	}
-	rng := sim.NewRNG(7)
-	c.PlaceRandom(rng.Intn)
+	set, err := gen(trace.DefaultGenConfig(vms, rounds, seed))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c, err := New(Config{PMs: pms, Workload: set})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if place != 0 {
+		c.PlaceRandom(sim.NewRNG(place).Intn)
+	}
 	return c
 }
 
 func TestNewValidation(t *testing.T) {
-	set := mustSyntheticConst(t, 2, 2, 0.5, 0.5)
+	set := constCluster(t, Config{PMs: 2}, 2, 2, 0.5, 0.5, 0).Workload()
 	if _, err := New(Config{PMs: 0, Workload: set}); err == nil {
 		t.Fatal("expected error for zero PMs")
 	}
@@ -60,11 +74,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestNewDefaults(t *testing.T) {
-	set := mustSyntheticConst(t, 2, 2, 0.5, 0.5)
-	c, err := New(Config{PMs: 2, Workload: set})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := constCluster(t, Config{PMs: 2}, 2, 2, 0.5, 0.5, 0)
 	if c.PMs[0].Spec.Name != HPProLiantML110G5.Name {
 		t.Fatal("PM spec should default to the paper's server")
 	}
@@ -77,7 +87,7 @@ func TestNewDefaults(t *testing.T) {
 }
 
 func TestPlaceRandomPlacesEveryVM(t *testing.T) {
-	c := newTestCluster(t, 10, 30, 0.3, 0.3)
+	c := constCluster(t, Config{PMs: 10, LogMigrations: true}, 30, 10, 0.3, 0.3, 7)
 	for _, vm := range c.VMs {
 		if vm.Host() < 0 {
 			t.Fatalf("VM %d unplaced", vm.ID)
@@ -90,7 +100,7 @@ func TestPlaceRandomPlacesEveryVM(t *testing.T) {
 
 func TestPlaceRandomRespectsAllocationWhenFeasible(t *testing.T) {
 	// 10 PMs x 5 nominal VM slots = 50 slots; 30 VMs easily fit.
-	c := newTestCluster(t, 10, 30, 0.3, 0.3)
+	c := constCluster(t, Config{PMs: 10, LogMigrations: true}, 30, 10, 0.3, 0.3, 7)
 	for _, pm := range c.PMs {
 		var alloc Vec
 		for _, id := range pm.VMIDs() {
@@ -106,7 +116,7 @@ func TestPlaceRandomRespectsAllocationWhenFeasible(t *testing.T) {
 // hosted VM, ascending by ID, appended after whatever dst already holds, and
 // a snapshot that survives migrating the listed VMs away.
 func TestAppendVMsSortedAndComplete(t *testing.T) {
-	c := newTestCluster(t, 2, 8, 0.1, 0.1)
+	c := constCluster(t, Config{PMs: 2, LogMigrations: true}, 8, 10, 0.1, 0.1, 7)
 	total := 0
 	for _, pm := range c.PMs {
 		var buf [4]*VM // smaller than some PM's list: append must spill
@@ -151,10 +161,7 @@ func TestAppendVMsSortedAndComplete(t *testing.T) {
 
 func TestPlaceRandomDeterministic(t *testing.T) {
 	hosts := func(seed uint64) []int {
-		set := mustSyntheticConst(t, 20, 2, 0.2, 0.2)
-		c, _ := New(Config{PMs: 8, Workload: set})
-		rng := sim.NewRNG(seed)
-		c.PlaceRandom(rng.Intn)
+		c := constCluster(t, Config{PMs: 8}, 20, 2, 0.2, 0.2, seed)
 		out := make([]int, len(c.VMs))
 		for i, vm := range c.VMs {
 			out[i] = vm.Host()
@@ -171,7 +178,7 @@ func TestPlaceRandomDeterministic(t *testing.T) {
 
 func TestUtilizationAccounting(t *testing.T) {
 	// 1 PM, 2 VMs at 50% CPU each: 2*0.5*500/2660 CPU utilisation.
-	c := newTestCluster(t, 1, 2, 0.5, 0.25)
+	c := constCluster(t, Config{PMs: 1, LogMigrations: true}, 2, 10, 0.5, 0.25, 7)
 	u := c.CurUtil(c.PMs[0])
 	wantCPU := 2 * 0.5 * 500 / 2660
 	wantMem := 2 * 0.25 * 613 / 4096
@@ -187,13 +194,12 @@ func TestUtilizationAccounting(t *testing.T) {
 func TestRunningAverage(t *testing.T) {
 	// Demand 0.2 at round 0 (seeded), then rounds with varying demand;
 	// verify the {c,v} running-average recurrence.
-	var b []byte
-	b = append(b, []byte("vm,round,cpu,mem\n")...)
-	demands := []float64{0.2, 0.4, 0.6, 0.8}
-	for r, d := range demands {
-		b = appendRow(b, 0, r, d, d)
+	var b strings.Builder
+	b.WriteString("vm,round,cpu,mem\n")
+	for r, d := range []float64{0.2, 0.4, 0.6, 0.8} {
+		fmt.Fprintf(&b, "0,%d,%g,%g\n", r, d, d)
 	}
-	set, err := trace.LoadCSV(bytesReader(b))
+	set, err := trace.LoadCSV(strings.NewReader(b.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,14 +229,14 @@ func TestRunningAverage(t *testing.T) {
 
 func TestOverloadDetection(t *testing.T) {
 	// 6 VMs at 100% CPU on one PM: 6*500 = 3000 > 2660.
-	c := newTestCluster(t, 1, 6, 1.0, 0.2)
+	c := constCluster(t, Config{PMs: 1, LogMigrations: true}, 6, 10, 1.0, 0.2, 7)
 	if !c.Overloaded(c.PMs[0]) {
 		t.Fatalf("PM should be overloaded: util %v", c.CurUtil(c.PMs[0]))
 	}
 	if c.OverloadedPMs() != 1 {
 		t.Fatal("OverloadedPMs should be 1")
 	}
-	c2 := newTestCluster(t, 2, 2, 0.5, 0.2)
+	c2 := constCluster(t, Config{PMs: 2, LogMigrations: true}, 2, 10, 0.5, 0.2, 7)
 	for _, pm := range c2.PMs {
 		if c2.Overloaded(pm) {
 			t.Fatal("lightly loaded PM flagged overloaded")
@@ -239,7 +245,7 @@ func TestOverloadDetection(t *testing.T) {
 }
 
 func TestFreeCurAndFitsCur(t *testing.T) {
-	c := newTestCluster(t, 2, 1, 0.5, 0.5)
+	c := constCluster(t, Config{PMs: 2, LogMigrations: true}, 1, 10, 0.5, 0.5, 7)
 	vm := c.VMs[0]
 	src := c.PMs[vm.Host()]
 	dst := c.PMs[1-vm.Host()]
@@ -253,7 +259,7 @@ func TestFreeCurAndFitsCur(t *testing.T) {
 }
 
 func TestMigrate(t *testing.T) {
-	c := newTestCluster(t, 2, 1, 0.5, 0.5)
+	c := constCluster(t, Config{PMs: 2, LogMigrations: true}, 1, 10, 0.5, 0.5, 7)
 	vm := c.VMs[0]
 	src := c.PMs[vm.Host()]
 	dst := c.PMs[1-vm.Host()]
@@ -289,7 +295,7 @@ func TestMigrate(t *testing.T) {
 }
 
 func TestMigrateErrors(t *testing.T) {
-	c := newTestCluster(t, 3, 1, 0.5, 0.5)
+	c := constCluster(t, Config{PMs: 3, LogMigrations: true}, 1, 10, 0.5, 0.5, 7)
 	vm := c.VMs[0]
 	cur := c.PMs[vm.Host()]
 	if err := c.Migrate(vm, cur); err == nil {
@@ -310,7 +316,7 @@ func TestMigrateErrors(t *testing.T) {
 }
 
 func TestMigrateUpdatesSLALM(t *testing.T) {
-	c := newTestCluster(t, 2, 1, 0.8, 0.5)
+	c := constCluster(t, Config{PMs: 2, LogMigrations: true}, 1, 10, 0.8, 0.5, 7)
 	vm := c.VMs[0]
 	c.AdvanceRound(1) // accrue requested CPU
 	before := vm.DegradationRatio()
@@ -323,11 +329,11 @@ func TestMigrateUpdatesSLALM(t *testing.T) {
 }
 
 func TestSetPMOnGuard(t *testing.T) {
-	c := newTestCluster(t, 1, 1, 0.5, 0.5)
+	c := constCluster(t, Config{PMs: 1, LogMigrations: true}, 1, 10, 0.5, 0.5, 7)
 	if err := c.SetPMOn(c.PMs[0], false); err == nil {
 		t.Fatal("expected error switching off a PM hosting VMs")
 	}
-	c2 := newTestCluster(t, 2, 1, 0.5, 0.5)
+	c2 := constCluster(t, Config{PMs: 2, LogMigrations: true}, 1, 10, 0.5, 0.5, 7)
 	var empty *PM
 	for _, pm := range c2.PMs {
 		if pm.NumVMs() == 0 {
@@ -344,7 +350,7 @@ func TestSetPMOnGuard(t *testing.T) {
 
 func TestAdvanceRoundAccounting(t *testing.T) {
 	// Non-overloaded PM accrues active time and energy, no overload time.
-	c := newTestCluster(t, 1, 2, 0.5, 0.2)
+	c := constCluster(t, Config{PMs: 1, LogMigrations: true}, 2, 10, 0.5, 0.2, 7)
 	c.AdvanceRound(1)
 	pm := c.PMs[0]
 	if pm.ActiveSeconds() != 120 {
@@ -375,7 +381,7 @@ func TestAdvanceRoundAccounting(t *testing.T) {
 		t.Fatalf("running average drifted off constant demand: %v", a)
 	}
 	// Overloaded PM accrues overload time; energy capped at max power.
-	c2 := newTestCluster(t, 1, 6, 1.0, 0.2)
+	c2 := constCluster(t, Config{PMs: 1, LogMigrations: true}, 6, 10, 1.0, 0.2, 7)
 	c2.AdvanceRound(1)
 	pm2 := c2.PMs[0]
 	if pm2.OverloadSeconds() != 120 {
@@ -389,16 +395,7 @@ func TestAdvanceRoundAccounting(t *testing.T) {
 func TestCachedSumsMatchRecomputation(t *testing.T) {
 	// Property: after arbitrary migrations and round advances, the cached
 	// CurUtil matches a from-scratch recomputation.
-	set, err := trace.Generate(trace.DefaultGenConfig(30, 20, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := New(Config{PMs: 8, Workload: set})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := sim.NewRNG(9)
-	c.PlaceRandom(rng.Intn)
+	c := genCluster(t, 8, 30, 20, 3, false, 9)
 
 	f := func(steps []uint16) bool {
 		for i, s := range steps {
@@ -433,20 +430,14 @@ func TestCachedSumsMatchRecomputation(t *testing.T) {
 }
 
 func TestCheckInvariantsDetectsCorruption(t *testing.T) {
-	c := newTestCluster(t, 2, 2, 0.5, 0.5)
+	c := constCluster(t, Config{PMs: 2, LogMigrations: true}, 2, 10, 0.5, 0.5, 7)
 	c.vmHost[0] = 1 - c.vmHost[0] // corrupt
 	if err := c.CheckInvariants(); err == nil {
 		t.Fatal("expected invariant violation")
 	}
 
 	// A violation planted on the last PM of a larger cluster is caught too.
-	set := mustSyntheticConst(t, 10, 2, 0.1, 0.1)
-	c, err := New(Config{PMs: 192, Workload: set})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := sim.NewRNG(5)
-	c.PlaceRandom(rng.Intn)
+	c = constCluster(t, Config{PMs: 192}, 10, 2, 0.1, 0.1, 5)
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +450,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 }
 
 func TestDegradationRatioZeroWhenNoRequest(t *testing.T) {
-	c := newTestCluster(t, 2, 1, 0.0, 0.5)
+	c := constCluster(t, Config{PMs: 2, LogMigrations: true}, 1, 10, 0.0, 0.5, 7)
 	if c.VMs[0].DegradationRatio() != 0 {
 		t.Fatal("zero requested CPU should yield zero ratio")
 	}
@@ -496,21 +487,6 @@ func requireSameState(t *testing.T, what string, a, b *Cluster) {
 			t.Fatalf("%s: clusters diverge:\n  %s\n  %s", what, la[i], lb[i])
 		}
 	}
-}
-
-// streamingCluster builds a cluster, VMs not yet placed, over its own
-// streaming workload; two calls with the same arguments build the same one.
-func streamingCluster(t testing.TB, pms, ratio, rounds int) *Cluster {
-	t.Helper()
-	set, err := trace.GenerateStreaming(trace.DefaultGenConfig(pms*ratio, rounds, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := New(Config{PMs: pms, Workload: set})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
 }
 
 // gatherAdvanceRound is AdvanceRound as it was before the scatter: a VM pass
@@ -563,14 +539,14 @@ func gatherAdvanceRound(c *Cluster, r int) {
 // 60 rounds, one advanced by AdvanceRound's scatter and one by the gather it
 // replaced, and requires every float accumulator to match bit for bit after
 // every round. Between rounds both receive the same random migrations and
-// power-offs of emptied PMs; VMs arrive late, depart and come back under
-// recycled IDs; PMs crash (evacuating their VMs) and recover, and once the
-// whole population is stranded by a crash and re-placed through the arrival
-// path. Every other round is served from the look-ahead buffer.
+// power-offs of emptied PMs; VMs arrive late and depart; PMs crash
+// (evacuating their VMs) and recover, and once the whole population is
+// stranded by a crash and re-placed through the arrival path. Every other
+// round is served from the look-ahead buffer.
 func TestAdvanceRoundScatterBitEquivalence(t *testing.T) {
 	const pms, ratio, rounds, traceRounds = 40, 4, 60, 25
 	build := func() *Cluster {
-		c := streamingCluster(t, pms, ratio, traceRounds)
+		c := genCluster(t, pms, pms*ratio, traceRounds, 3, true, 0)
 		for id := 0; id < 30; id++ {
 			arrive, depart := 1+id, -1
 			if id >= 20 {
@@ -590,7 +566,7 @@ func TestAdvanceRoundScatterBitEquivalence(t *testing.T) {
 	both := []*Cluster{scatter, gather}
 	ops := sim.NewRNG(5) // one operation stream, applied to both clusters
 	var crashed []int
-	evacuated, stranded, recycled := 0, 0, 0
+	evacuated, stranded := 0, 0
 	for r := 0; r < rounds; r++ {
 		for k := 0; k < 12; k++ {
 			vm, dst := ops.Intn(pms*ratio), ops.Intn(pms)
@@ -670,18 +646,6 @@ func TestAdvanceRoundScatterBitEquivalence(t *testing.T) {
 			}
 			crashed = crashed[:0]
 		}
-		if r%9 == 8 {
-			for id, vm := range scatter.VMs {
-				if vm.Departed() {
-					for _, c := range both {
-						if err := c.RecycleVM(id, r+2, -1); err != nil {
-							t.Fatal(err)
-						}
-					}
-					recycled++
-				}
-			}
-		}
 		for _, c := range both {
 			if r%2 == 1 {
 				c.Prefetch(r)
@@ -694,9 +658,9 @@ func TestAdvanceRoundScatterBitEquivalence(t *testing.T) {
 			t.Fatalf("round %d: %v", r, err)
 		}
 	}
-	if scatter.Migrations == 0 || evacuated == 0 || stranded == 0 || recycled == 0 {
-		t.Fatalf("setup: %d migrations, %d evacuated, %d stranded, %d recycled",
-			scatter.Migrations, evacuated, stranded, recycled)
+	if scatter.Migrations == 0 || evacuated == 0 || stranded == 0 {
+		t.Fatalf("setup: %d migrations, %d evacuated, %d stranded",
+			scatter.Migrations, evacuated, stranded)
 	}
 }
 
@@ -710,7 +674,7 @@ func TestAdvanceRoundScatterBitEquivalence(t *testing.T) {
 func TestAdvanceRoundPrefetchBitEquivalence(t *testing.T) {
 	const rounds, traceRounds = 30, 20
 	build := func() *Cluster {
-		c := streamingCluster(t, 6, 3, traceRounds)
+		c := genCluster(t, 6, 6*3, traceRounds, 3, true, 0)
 		if err := c.SetLifecycle(2, 4, 9); err != nil {
 			t.Fatal(err)
 		}

@@ -1,25 +1,13 @@
 package dc
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
 	"github.com/glap-sim/glap/internal/sim"
-	"github.com/glap-sim/glap/internal/trace"
 )
 
 func TestCrashPMEvacuatesAndReleasesReservations(t *testing.T) {
-	set, err := trace.Generate(trace.DefaultGenConfig(10, 30, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := New(Config{PMs: 5, Workload: set})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := sim.NewRNG(1)
-	c.PlaceRandom(rng.Intn)
+	c := genCluster(t, 5, 10, 30, 3, false, 1)
 
 	victim := c.PMs[0]
 	if err := c.Reserve(victim, 1, Vec{100, 100}); err != nil {
@@ -77,16 +65,7 @@ func TestCrashPMEvacuatesAndReleasesReservations(t *testing.T) {
 }
 
 func TestCrashPMStrandsWithoutHeadroomAndRetries(t *testing.T) {
-	set, err := trace.Generate(trace.DefaultGenConfig(4, 30, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := New(Config{PMs: 2, Workload: set})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := sim.NewRNG(1)
-	c.PlaceRandom(rng.Intn)
+	c := genCluster(t, 2, 4, 30, 5, false, 1)
 
 	// Consolidate everything onto PM 0 and dark the rest of the fleet, then
 	// kill PM 0: every VM must strand into the arrival-retry path.
@@ -141,90 +120,18 @@ func TestCrashPMStrandsWithoutHeadroomAndRetries(t *testing.T) {
 	}
 }
 
-// TestRecycleVMRoundZeroArrival pins the arrival-gate fix: arrivals are gated
-// on the pending flag, not on vmArrive > 0, so a recycled ID scheduled with
-// arrive=0 (or any past round) joins at the next round step instead of being
-// silently skipped forever.
-func TestRecycleVMRoundZeroArrival(t *testing.T) {
-	set, err := trace.Generate(trace.DefaultGenConfig(6, 30, 9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := New(Config{PMs: 3, Workload: set})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RecycleVM(0, 0, -1); err == nil {
-		t.Fatal("recycling a VM that never departed accepted")
-	}
-	if err := c.SetLifecycle(0, 1, 3); err != nil {
-		t.Fatal(err)
-	}
-	rng := sim.NewRNG(1)
-	c.PlaceRandom(rng.Intn)
-	for r := 1; r <= 3; r++ {
-		c.AdvanceRound(r)
-	}
-	if !c.VMs[0].Departed() {
-		t.Fatal("VM 0 should have departed at round 3")
-	}
-
-	if err := c.RecycleVM(0, 0, -1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RecycleVM(0, 5, 4); err == nil {
-		t.Fatal("recycle with depart <= arrive accepted")
-	}
-	c.AdvanceRound(4)
-	if !c.VMs[0].Present() {
-		t.Fatal("recycled VM with arrive=0 never re-entered the cluster")
-	}
-	if c.VMs[0].Departed() {
-		t.Fatal("recycled VM still flagged departed")
-	}
-	if c.vmCount[0] != 2 {
-		// Seed at arrival (1) + the arrival round's demand sample: the old
-		// VM's history is gone.
-		t.Fatalf("recycled VM monitoring count = %d, want a fresh restart at 2", c.vmCount[0])
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// reservationCluster builds a 2-PM cluster from a hand-written workload: one
-// VM per PM fits by allocation, a third arriving VM must take the stuffing
-// path. Demands are constant so the test controls every admission check.
-func reservationCluster(t *testing.T) *Cluster {
-	t.Helper()
-	var sb strings.Builder
-	sb.WriteString("vm,round,cpu,mem\n")
-	for vm := 0; vm < 3; vm++ {
-		for r := 0; r < 10; r++ {
-			fmt.Fprintf(&sb, "%d,%d,0.5,0.5\n", vm, r)
-		}
-	}
-	set, err := trace.LoadCSV(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := New(Config{
-		PMs:      2,
-		PMSpec:   PMSpec{Name: "test", Capacity: Vec{1000, 1000}, NetBandwidthMBps: 100, PowerIdleW: 50, PowerMaxW: 100},
-		VMSpec:   VMSpec{Name: "test", Capacity: Vec{600, 600}},
-		Workload: set,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
 // TestPlaceArrivalRespectsReservations pins the stuffing-fallback fix: an
 // arrival must never consume capacity a target PM has promised to an
 // in-flight migration.
 func TestPlaceArrivalRespectsReservations(t *testing.T) {
-	c := reservationCluster(t)
+	// One VM per PM fits by allocation; the third, arriving, must take the
+	// stuffing path. Demands are constant, so the test controls every
+	// admission check.
+	c := constCluster(t, Config{
+		PMs:    2,
+		PMSpec: PMSpec{Name: "test", Capacity: Vec{1000, 1000}, NetBandwidthMBps: 100, PowerIdleW: 50, PowerMaxW: 100},
+		VMSpec: VMSpec{Name: "test", Capacity: Vec{600, 600}},
+	}, 3, 10, 0.5, 0.5, 0)
 	if err := c.SetLifecycle(2, 1, -1); err != nil {
 		t.Fatal(err)
 	}

@@ -30,32 +30,6 @@ func (c *Cluster) SetLifecycle(id, arrive, depart int) error {
 	return nil
 }
 
-// RecycleVM returns a departed VM's dense ID to service as a fresh arrival
-// scheduled for round arrive (depart < 0 means never): the workload's series
-// for the ID drives the "new" VM from that round on. The departed flag and
-// monitoring history are cleared — a recycled ID is a different VM, so its
-// running average must restart from its first observed sample. Arrivals are
-// gated on the pending flag this sets, so a recycled VM arrives even at a
-// round where vmArrive is 0 or in the past.
-func (c *Cluster) RecycleVM(id, arrive, depart int) error {
-	if id < 0 || id >= len(c.VMs) {
-		return fmt.Errorf("dc: no VM %d", id)
-	}
-	if c.vmFlags[id]&vmFlagDeparted == 0 || c.vmHost[id] >= 0 {
-		return fmt.Errorf("dc: VM %d has not departed; only departed IDs can be recycled", id)
-	}
-	if arrive < 0 || (depart >= 0 && depart <= arrive) {
-		return fmt.Errorf("dc: invalid lifecycle [%d, %d)", arrive, depart)
-	}
-	c.vmArrive[id] = int32(arrive)
-	c.vmDepart[id] = int32(depart)
-	c.vmFlags[id] = vmFlagPending
-	c.vmCur[id] = Vec{}
-	c.vmAvg[id] = Vec{}
-	c.vmCount[id] = 0
-	return nil
-}
-
 // Present reports whether the VM is currently part of the cluster (arrived
 // and not yet departed).
 func (v *VM) Present() bool { return v.c.vmHost[v.ID] >= 0 }

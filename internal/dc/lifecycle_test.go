@@ -4,24 +4,10 @@ import (
 	"testing"
 
 	"github.com/glap-sim/glap/internal/sim"
-	"github.com/glap-sim/glap/internal/trace"
 )
 
-func lifecycleCluster(t *testing.T) *Cluster {
-	t.Helper()
-	set, err := trace.Generate(trace.DefaultGenConfig(10, 30, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := New(Config{PMs: 5, Workload: set})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
 func TestSetLifecycleValidation(t *testing.T) {
-	c := lifecycleCluster(t)
+	c := genCluster(t, 5, 10, 30, 3, false, 0)
 	if err := c.SetLifecycle(99, 1, 5); err == nil {
 		t.Fatal("bad id accepted")
 	}
@@ -39,7 +25,7 @@ func TestSetLifecycleValidation(t *testing.T) {
 }
 
 func TestLifecycleArrivalAndDeparture(t *testing.T) {
-	c := lifecycleCluster(t)
+	c := genCluster(t, 5, 10, 30, 3, false, 0)
 	if err := c.SetLifecycle(0, 5, 10); err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +73,7 @@ func TestLifecycleArrivalAndDeparture(t *testing.T) {
 }
 
 func TestLifecycleRequestedCPUOnlyWhilePresent(t *testing.T) {
-	c := lifecycleCluster(t)
+	c := genCluster(t, 5, 10, 30, 3, false, 0)
 	if err := c.SetLifecycle(0, 10, 12); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +97,7 @@ func TestLifecycleRequestedCPUOnlyWhilePresent(t *testing.T) {
 }
 
 func TestLifecycleCachedSumsStayConsistent(t *testing.T) {
-	c := lifecycleCluster(t)
+	c := genCluster(t, 5, 10, 30, 3, false, 0)
 	for id := 0; id < 5; id++ {
 		if err := c.SetLifecycle(id, id+1, id+10); err != nil {
 			t.Fatal(err)
@@ -147,7 +133,7 @@ func TestLifecycleCachedSumsStayConsistent(t *testing.T) {
 // exactly once (at arrival), not wiped again on every retry round, and each
 // failed attempt must be surfaced through FailedPlacements.
 func TestLifecycleRetryKeepsRunningAverage(t *testing.T) {
-	c := lifecycleCluster(t)
+	c := genCluster(t, 5, 10, 30, 3, false, 0)
 	for id := range c.VMs {
 		if err := c.SetLifecycle(id, 2, -1); err != nil {
 			t.Fatal(err)

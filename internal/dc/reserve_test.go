@@ -1,30 +1,10 @@
 package dc
 
-import (
-	"testing"
-
-	"github.com/glap-sim/glap/internal/sim"
-	"github.com/glap-sim/glap/internal/trace"
-)
-
-func reserveCluster(t *testing.T) *Cluster {
-	t.Helper()
-	set, err := trace.Generate(trace.DefaultGenConfig(8, 10, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := New(Config{PMs: 4, Workload: set})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := sim.NewRNG(2)
-	c.PlaceRandom(rng.Intn)
-	c.AdvanceRound(1)
-	return c
-}
+import "testing"
 
 func TestReserveShrinksFreeCapacity(t *testing.T) {
-	c := reserveCluster(t)
+	c := genCluster(t, 4, 8, 10, 3, false, 2)
+	c.AdvanceRound(1)
 	pm := c.PMs[0]
 	free := c.FreeCur(pm)
 	d := Vec{free[CPU] / 2, free[Mem] / 2}
@@ -46,7 +26,8 @@ func TestReserveShrinksFreeCapacity(t *testing.T) {
 }
 
 func TestReserveTokenLifecycle(t *testing.T) {
-	c := reserveCluster(t)
+	c := genCluster(t, 4, 8, 10, 3, false, 2)
+	c.AdvanceRound(1)
 	pm := c.PMs[1]
 	d := Vec{10, 10}
 	if err := c.Reserve(pm, 7, d); err != nil {
@@ -73,7 +54,8 @@ func TestReserveTokenLifecycle(t *testing.T) {
 }
 
 func TestReservationBlocksPowerOff(t *testing.T) {
-	c := reserveCluster(t)
+	c := genCluster(t, 4, 8, 10, 3, false, 2)
+	c.AdvanceRound(1)
 	// Find an empty powered PM (or empty one by construction).
 	pm := c.PMs[2]
 	for _, id := range pm.VMIDs() {

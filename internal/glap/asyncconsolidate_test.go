@@ -3,81 +3,19 @@ package glap
 import (
 	"testing"
 
-	"github.com/glap-sim/glap/internal/cyclon"
 	"github.com/glap-sim/glap/internal/dc"
-	"github.com/glap-sim/glap/internal/policy"
 	"github.com/glap-sim/glap/internal/sim"
 )
 
-// pretrainShared pretrains on a throwaway cluster and collapses the result
-// into one shared Q store, as deployments do.
-func pretrainShared(t *testing.T, pms, vms, wlRounds int, seed uint64) *NodeTables {
+// runDrained runs rounds rounds of e, plays out every pending timeout and
+// in-flight message after the last, and checks cl's invariants.
+func runDrained(t *testing.T, e *sim.Engine, cl *dc.Cluster, rounds int) {
 	t.Helper()
-	pre := genCluster(t, pms, vms, wlRounds, seed)
-	res, err := Pretrain(Config{LearnRounds: 20, AggRounds: 15}, pre, seed, PretrainOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared, err := SharedTables(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return shared
-}
-
-// runAsyncConsolidate runs the message-passing consolidation stack and
-// returns the cluster, protocol, and transport for inspection. The run is
-// fully drained: pending timeouts and in-flight messages are played out
-// after the last round.
-func runAsyncConsolidate(t *testing.T, shared *NodeTables, pms, vms, wlRounds, rounds int,
-	seed uint64, drop float64, latency int64) (*dc.Cluster, *AsyncConsolidateProtocol, *sim.Transport) {
-	t.Helper()
-	cl := genCluster(t, pms, vms, wlRounds, seed)
-	e := sim.NewEngine(pms, seed+1)
-	b, err := policy.Bind(e, cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Register(cyclon.New(8, 4))
-	tr := sim.NewTransport(e, sim.ConstantLatency(latency))
-	tr.DropProb = drop
-	cons := &AsyncConsolidateProtocol{
-		B:  b,
-		Tr: tr,
-		Tables: func(e *sim.Engine, n *sim.Node) *NodeTables {
-			return shared
-		},
-	}
-	tr.Handle(cons)
-	e.Register(cons)
 	e.RunRounds(rounds)
 	e.RunEvents(-1)
 	if err := cl.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	return cl, cons, tr
-}
-
-// runSyncConsolidate is the cycle-driven reference under the same workload
-// and tables.
-func runSyncConsolidate(t *testing.T, shared *NodeTables, pms, vms, wlRounds, rounds int, seed uint64) *dc.Cluster {
-	t.Helper()
-	cl := genCluster(t, pms, vms, wlRounds, seed)
-	e := sim.NewEngine(pms, seed+1)
-	b, err := policy.Bind(e, cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Register(cyclon.New(8, 4))
-	e.Register(&ConsolidateProtocol{
-		B:      b,
-		Tables: func(e *sim.Engine, n *sim.Node) *NodeTables { return shared },
-	})
-	e.RunRounds(rounds)
-	if err := cl.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	return cl
 }
 
 // TestAsyncConsolidateMatchesSyncAtZeroLoss is the equivalence gate: with no
@@ -85,9 +23,12 @@ func runSyncConsolidate(t *testing.T, shared *NodeTables, pms, vms, wlRounds, ro
 // packing of the same quality as the synchronous shortcut.
 func TestAsyncConsolidateMatchesSyncAtZeroLoss(t *testing.T) {
 	const pms, vms, wlRounds, rounds = 20, 40, 80, 40
-	shared := pretrainShared(t, pms, vms, wlRounds, 53)
-	syncCl := runSyncConsolidate(t, shared, pms, vms, wlRounds, rounds, 53)
-	asyncCl, cons, _ := runAsyncConsolidate(t, shared, pms, vms, wlRounds, rounds, 53, 0, 1)
+	shared := pretrainShared(t, Config{LearnRounds: 20, AggRounds: 15}, genCluster(t, pms, vms, wlRounds, 53, 53), 53)
+	es, syncCons := syncStack(t, genCluster(t, pms, vms, wlRounds, 53, 53), shared, 54, 8, 4)
+	ea, cons := asyncStack(t, genCluster(t, pms, vms, wlRounds, 53, 53), shared, 54, 8, 4, 1, 0)
+	syncCl, asyncCl := syncCons.B.C, cons.B.C
+	runDrained(t, es, syncCl, rounds)
+	runDrained(t, ea, asyncCl, rounds)
 
 	syncActive, asyncActive := syncCl.ActivePMs(), asyncCl.ActivePMs()
 	if asyncActive >= pms {
@@ -118,8 +59,10 @@ func TestAsyncConsolidateMatchesSyncAtZeroLoss(t *testing.T) {
 // expired once the run drains, and the transport counters must balance.
 func TestAsyncConsolidateNoLeaksUnderLoss(t *testing.T) {
 	const pms, vms, wlRounds, rounds = 20, 40, 80, 40
-	shared := pretrainShared(t, pms, vms, wlRounds, 53)
-	cl, cons, tr := runAsyncConsolidate(t, shared, pms, vms, wlRounds, rounds, 53, 0.20, 30)
+	shared := pretrainShared(t, Config{LearnRounds: 20, AggRounds: 15}, genCluster(t, pms, vms, wlRounds, 53, 53), 53)
+	e, cons := asyncStack(t, genCluster(t, pms, vms, wlRounds, 53, 53), shared, 54, 8, 4, 30, 0.20)
+	cl, tr := cons.B.C, cons.Tr
+	runDrained(t, e, cl, rounds)
 
 	if open := cl.OpenReservations(); open != 0 {
 		t.Fatalf("%d reservations leaked under loss", open)
@@ -148,10 +91,11 @@ func TestAsyncConsolidateNoLeaksUnderLoss(t *testing.T) {
 // engine-derived streams.
 func TestAsyncConsolidateDeterminism(t *testing.T) {
 	const pms, vms, wlRounds, rounds = 16, 32, 60, 30
-	shared := pretrainShared(t, pms, vms, wlRounds, 61)
+	shared := pretrainShared(t, Config{LearnRounds: 20, AggRounds: 15}, genCluster(t, pms, vms, wlRounds, 61, 61), 61)
 	run := func() (int, int64, int64) {
-		cl, cons, tr := runAsyncConsolidate(t, shared, pms, vms, wlRounds, rounds, 61, 0.10, 15)
-		return cl.ActivePMs(), cons.Commits, tr.Sent
+		e, cons := asyncStack(t, genCluster(t, pms, vms, wlRounds, 61, 61), shared, 62, 8, 4, 15, 0.10)
+		runDrained(t, e, cons.B.C, rounds)
+		return cons.B.C.ActivePMs(), cons.Commits, cons.Tr.Sent
 	}
 	a1, c1, s1 := run()
 	a2, c2, s2 := run()
@@ -166,21 +110,12 @@ func TestAsyncConsolidateDeterminism(t *testing.T) {
 // timer — armed for two request timeouts — must release the reservation on
 // retry exhaustion instead of pinning target capacity forever.
 func TestAsyncLostVerdictReleasesReservation(t *testing.T) {
-	shared := pretrainShared(t, 4, 8, 8, 3)
-	cl := genCluster(t, 4, 8, 8, 3)
-	e := sim.NewEngine(4, 4)
-	b, err := policy.Bind(e, cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := sim.NewTransport(e, sim.ConstantLatency(1))
-	tr.DropProb = 1 // the verdict vanishes; the sender never answers
-	cons := &AsyncConsolidateProtocol{
-		B: b, Tr: tr, OfferTimeout: 10,
-		Tables: func(*sim.Engine, *sim.Node) *NodeTables { return shared },
-	}
-	tr.Handle(cons)
-	e.Register(cons)
+	shared := pretrainShared(t, Config{LearnRounds: 20, AggRounds: 15}, genCluster(t, 4, 8, 8, 3, 3), 3)
+	// No overlay; every message lost: the verdict vanishes, the sender never
+	// answers.
+	e, cons := asyncStack(t, genCluster(t, 4, 8, 8, 3, 3), shared, 4, 0, 0, 1, 1)
+	cons.OfferTimeout = 10
+	cl, b := cons.B.C, cons.B
 
 	e.RunEvents(0) // run protocol setup without executing any round
 	target := e.Nodes()[0]
@@ -236,8 +171,10 @@ func TestAsyncLostVerdictReleasesReservation(t *testing.T) {
 // may remain busy, no request may stay open, no reservation may survive and
 // nothing can have committed.
 func TestAsyncTotalLossDrainsClean(t *testing.T) {
-	shared := pretrainShared(t, 8, 16, 10, 5)
-	cl, cons, _ := runAsyncConsolidate(t, shared, 8, 16, 10, 6, 5, 1.0, 1)
+	shared := pretrainShared(t, Config{LearnRounds: 20, AggRounds: 15}, genCluster(t, 8, 16, 10, 5, 5), 5)
+	e, cons := asyncStack(t, genCluster(t, 8, 16, 10, 5, 5), shared, 6, 8, 4, 1, 1.0)
+	cl := cons.B.C
+	runDrained(t, e, cl, 6)
 	if cons.Exchanges == 0 {
 		t.Fatal("no exchange was ever started")
 	}

@@ -10,19 +10,19 @@ import (
 	"github.com/glap-sim/glap/internal/policy"
 	"github.com/glap-sim/glap/internal/qlearn"
 	"github.com/glap-sim/glap/internal/sim"
-	"github.com/glap-sim/glap/internal/trace"
 )
 
 func newBenchCyclon() *cyclon.Protocol { return cyclon.New(20, 8) }
 
-func benchTrace(vms int) (*trace.Set, error) {
-	return trace.Generate(trace.DefaultGenConfig(vms, 200, 5))
-}
+// The benchmarks and zero-allocation tests run on clusters whose 200-round
+// trace is generated from seed 5 and placed from seed 7, and consolidate with
+// the shared Q store of a 50-PM pre-training.
+const benchSeed, benchPlace = 5, 7
 
 // BenchmarkLearningRound measures one Algorithm 1 round over a 100-PM
 // cluster — the dominant cost of GLAP pre-training.
 func BenchmarkLearningRound(b *testing.B) {
-	cl := benchGenCluster(b, 100, 300)
+	cl := genCluster(b, 100, 300, 200, benchSeed, benchPlace)
 	e := sim.NewEngine(100, 1)
 	bd, err := policy.Bind(e, cl)
 	if err != nil {
@@ -58,7 +58,7 @@ func BenchmarkAggRound(b *testing.B) {
 // aggBenchEngine is BenchmarkAggRound's set-up: a 300-PM engine whose tables
 // 40 learning rounds filled, on which RunRounds(1) is one aggregation round.
 func aggBenchEngine(tb testing.TB) *sim.Engine {
-	cl := benchGenCluster(tb, 300, 900)
+	cl := genCluster(tb, 300, 900, 200, benchSeed, benchPlace)
 	e := sim.NewEngine(300, 1)
 	bd, err := policy.Bind(e, cl)
 	if err != nil {
@@ -110,56 +110,27 @@ func BenchmarkConsensusCheck(b *testing.B) {
 	}
 }
 
-// benchSharedTables pre-trains a 50-PM cluster and collapses the result into
-// the one shared Q store the consolidation benchmarks run on.
-func benchSharedTables(tb testing.TB) *NodeTables {
-	tb.Helper()
-	res, err := Pretrain(Config{LearnRounds: 20, AggRounds: 10}, benchGenCluster(tb, 50, 150), 1, PretrainOptions{})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	shared, err := SharedTables(res)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return shared
-}
-
-// vetoingTables pairs φ^out with a φ^in that vetoes every offer.
-func vetoingTables(out *qlearn.Table) *NodeTables {
+// vetoingTables pairs φ^out with a φ^in that vetoes every offer, for a
+// consolidation protocol's Tables.
+func vetoingTables(out *qlearn.Table) func(*sim.Engine, *sim.Node) *NodeTables {
 	veto := &NodeTables{Out: out, In: qlearn.New(0.5, 0.8)}
 	for s := 0; s < qlearn.DenseSpan; s++ {
 		for a := 0; a < qlearn.DenseSpan; a++ {
 			veto.In.Set(qlearn.State(s), qlearn.Action(a), -1)
 		}
 	}
-	return veto
+	return func(*sim.Engine, *sim.Node) *NodeTables { return veto }
 }
 
-// settledConsolidation builds a 200-PM consolidation stack over converged
-// tables, lets Algorithm 3 pack the cluster for 30 rounds, and then swaps in
-// a φ^in that vetoes every offer: from there each exchange is the
-// no-migration exchange that makes up nearly all of a long run — direction
-// rule, VM-list read, π_out, π_in — whichever peers it draws.
-func settledConsolidation(tb testing.TB) (*sim.Engine, *ConsolidateProtocol) {
+// settle runs a consolidation stack's first 30 rounds, after which the
+// benchmarks measure it, and fails unless two PMs are still active to
+// exchange.
+func settle(tb testing.TB, e *sim.Engine, cl *dc.Cluster) {
 	tb.Helper()
-	shared := benchSharedTables(tb)
-	cl := benchGenCluster(tb, 200, 600)
-	e := sim.NewEngine(200, 2)
-	bd, err := policy.Bind(e, cl)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	e.Register(cyclon.New(0, 0))
-	cons := &ConsolidateProtocol{B: bd, Tables: func(*sim.Engine, *sim.Node) *NodeTables { return shared }}
-	e.Register(cons)
 	e.RunRounds(30)
 	if cl.ActivePMs() < 2 {
 		tb.Fatalf("only %d active PMs: no exchange left to measure", cl.ActivePMs())
 	}
-	veto := vetoingTables(shared.Out)
-	cons.Tables = func(*sim.Engine, *sim.Node) *NodeTables { return veto }
-	return e, cons
 }
 
 // consolidatePass runs one exchange per live node.
@@ -172,9 +143,16 @@ func consolidatePass(e *sim.Engine, cons *ConsolidateProtocol) {
 }
 
 // BenchmarkConsolidateRound measures one Algorithm 3 pass (one exchange per
-// live PM: peer draw, direction rule, π_out, π_in) in the settled state.
+// live PM: peer draw, direction rule, π_out, π_in) in the settled state: a
+// 200-PM stack over converged tables has packed the cluster for 30 rounds,
+// and then a φ^in that vetoes every offer is swapped in. From there each
+// exchange is the no-migration exchange that makes up nearly all of a long
+// run, whichever peers it draws.
 func BenchmarkConsolidateRound(b *testing.B) {
-	e, cons := settledConsolidation(b)
+	shared := pretrainShared(b, Config{LearnRounds: 20, AggRounds: 10}, genCluster(b, 50, 150, 200, benchSeed, benchPlace), 1)
+	e, cons := syncStack(b, genCluster(b, 200, 600, 200, benchSeed, benchPlace), shared, 2, 20, 10)
+	settle(b, e, cons.B.C)
+	cons.Tables = vetoingTables(shared.Out)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -184,9 +162,12 @@ func BenchmarkConsolidateRound(b *testing.B) {
 
 // TestConsolidateRoundZeroAlloc pins the no-migration exchange — peer draw,
 // both UPDATESTATE calls, the VM-list read, π_out and π_in — at zero heap
-// allocations.
+// allocations, in BenchmarkConsolidateRound's settled state.
 func TestConsolidateRoundZeroAlloc(t *testing.T) {
-	e, cons := settledConsolidation(t)
+	shared := pretrainShared(t, Config{LearnRounds: 20, AggRounds: 10}, genCluster(t, 50, 150, 200, benchSeed, benchPlace), 1)
+	e, cons := syncStack(t, genCluster(t, 200, 600, 200, benchSeed, benchPlace), shared, 2, 20, 10)
+	settle(t, e, cons.B.C)
+	cons.Tables = vetoingTables(shared.Out)
 	before := cons.B.C.Migrations
 	allocs := testing.AllocsPerRun(20, func() { consolidatePass(e, cons) })
 	if cons.B.C.Migrations != before {
@@ -195,37 +176,6 @@ func TestConsolidateRoundZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("consolidation round allocates: %.1f allocs/run, want 0", allocs)
 	}
-}
-
-// asyncConsolidation builds the message-carried Algorithm-3 stack on a
-// pms-PM, ratio-4 cluster over pre-trained shared tables — latency and loss
-// as given, the facade's request timeout — and warms it with 30 engine
-// rounds, so the Cyclon views, the free lists, the maps and the event queue
-// have their working size.
-func asyncConsolidation(tb testing.TB, pms int, latency int64, drop float64) (*sim.Engine, *AsyncConsolidateProtocol) {
-	tb.Helper()
-	shared := benchSharedTables(tb)
-	cl := benchGenCluster(tb, pms, 4*pms)
-	e := sim.NewEngine(pms, 2)
-	bd, err := policy.Bind(e, cl)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	e.Register(newBenchCyclon())
-	tr := sim.NewTransport(e, sim.ConstantLatency(latency))
-	tr.DropProb = drop
-	cons := &AsyncConsolidateProtocol{
-		B: bd, Tr: tr,
-		Tables:       func(*sim.Engine, *sim.Node) *NodeTables { return shared },
-		OfferTimeout: 2*e.RoundPeriod + 4*latency,
-	}
-	tr.Handle(cons)
-	e.Register(cons)
-	e.RunRounds(30)
-	if cl.ActivePMs() < 2 {
-		tb.Fatalf("only %d active PMs: no exchange left to measure", cl.ActivePMs())
-	}
-	return e, cons
 }
 
 // asyncPass runs one round of the message-carried protocol outside RunRounds
@@ -242,10 +192,15 @@ func asyncPass(e *sim.Engine, cons *AsyncConsolidateProtocol) {
 
 // BenchmarkAsyncConsolidateRound measures one round of Algorithm 3 carried by
 // messages — exchange, offer, verdict and commit traffic, timeouts and
-// retries — on a warm 720-PM × 4 cluster at latency 30 and 10 % loss (the
-// async_lossy shape at 0.12 × the paper's largest cluster).
+// retries — on a 720-PM × 4 cluster at latency 30 and 10 % loss (the
+// async_lossy shape at 0.12 × the paper's largest cluster), with the
+// facade's request timeout, warmed by 30 rounds so that the Cyclon views, the
+// free lists, the maps and the event queue have their working size.
 func BenchmarkAsyncConsolidateRound(b *testing.B) {
-	e, cons := asyncConsolidation(b, 720, 30, 0.1)
+	shared := pretrainShared(b, Config{LearnRounds: 20, AggRounds: 10}, genCluster(b, 50, 150, 200, benchSeed, benchPlace), 1)
+	e, cons := asyncStack(b, genCluster(b, 720, 4*720, 200, benchSeed, benchPlace), shared, 2, 20, 8, 30, 0.1)
+	cons.OfferTimeout = 2*e.RoundPeriod + 4*30
+	settle(b, e, cons.B.C)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -256,17 +211,19 @@ func BenchmarkAsyncConsolidateRound(b *testing.B) {
 // TestAsyncConsolidateRoundZeroAlloc pins the message-carried no-offer
 // exchange — load push and reply through the transport, the exchange
 // deadline, both endpoints' direction rule, π_out and π_in — at zero heap
-// allocations on a warm lossless cluster (φ^in swapped for one that vetoes
-// every offer, as in TestConsolidateRoundZeroAlloc), and what a committed
+// allocations on a warm lossless 200-PM cluster (as in
+// BenchmarkAsyncConsolidateRound, φ^in swapped for one that vetoes every
+// offer as in TestConsolidateRoundZeroAlloc), and what a committed
 // offer still allocates at a small constant — 8.0 per commit here, rejected
 // offers included: its boxed offer, verdict and done payloads, the offer
 // request's two callbacks, the target's hold callback and the amortised
 // growth of the token maps.
 func TestAsyncConsolidateRoundZeroAlloc(t *testing.T) {
-	e, cons := asyncConsolidation(t, 200, 30, 0)
-	live := cons.Tables(e, e.Nodes()[0])
-	veto := vetoingTables(live.Out)
-	cons.Tables = func(*sim.Engine, *sim.Node) *NodeTables { return veto }
+	live := pretrainShared(t, Config{LearnRounds: 20, AggRounds: 10}, genCluster(t, 50, 150, 200, benchSeed, benchPlace), 1)
+	e, cons := asyncStack(t, genCluster(t, 200, 4*200, 200, benchSeed, benchPlace), live, 2, 20, 8, 30, 0)
+	cons.OfferTimeout = 2*e.RoundPeriod + 4*30
+	settle(t, e, cons.B.C)
+	cons.Tables = vetoingTables(live.Out)
 	for i := 0; i < 4; i++ { // let every sequence started on the live tables finish
 		asyncPass(e, cons)
 	}
@@ -396,7 +353,7 @@ func BenchmarkLearnPhase(b *testing.B) {
 	learnSec := 0.0
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		cl := benchGenCluster(b, pms, pms*ratio)
+		cl := genCluster(b, pms, pms*ratio, 200, benchSeed, benchPlace)
 		b.StartTimer()
 		res, err := Pretrain(cfg, cl, 1, PretrainOptions{Workers: 1})
 		if err != nil {
@@ -486,22 +443,4 @@ func BenchmarkStatePack(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = LevelsOfState(ls.State())
 	}
-}
-
-// helpers shared by the benchmarks and the zero-alloc tests (the other test
-// helpers take *testing.T).
-
-func benchGenCluster(tb testing.TB, pms, vms int) *dc.Cluster {
-	tb.Helper()
-	set, err := benchTrace(vms)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	c, err := dc.New(dc.Config{PMs: pms, Workload: set})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	rng := sim.NewRNG(7)
-	c.PlaceRandom(rng.Intn)
-	return c
 }

@@ -84,28 +84,3 @@ func refDecodeTable(raw []byte) (*qlearn.Table, error) {
 	}
 	return t, nil
 }
-
-// requireSameStore fails unless got and want hold bit-identical tables —
-// the same cells, values of the same bits (qlearn.Equal reads −0 and +0 as
-// one), the same Alpha and Gamma — and the same Trained flag.
-func requireSameStore(t *testing.T, got, want *NodeTables) {
-	t.Helper()
-	if got.Trained != want.Trained {
-		t.Fatalf("Trained: got %v, want %v", got.Trained, want.Trained)
-	}
-	for i, pair := range [][2]*qlearn.Table{{got.Out, want.Out}, {got.In, want.In}} {
-		g, w := pair[0], pair[1]
-		if math.Float64bits(g.Alpha) != math.Float64bits(w.Alpha) || math.Float64bits(g.Gamma) != math.Float64bits(w.Gamma) {
-			t.Fatalf("table %d parameters: got %g/%g, want %g/%g", i, g.Alpha, g.Gamma, w.Alpha, w.Gamma)
-		}
-		gk, wk := g.Keys(), w.Keys()
-		if len(gk) != len(wk) {
-			t.Fatalf("table %d: got %d cells, want %d", i, len(gk), len(wk))
-		}
-		for j, k := range wk {
-			if gk[j] != k || math.Float64bits(g.Get(k.S, k.A)) != math.Float64bits(w.Get(k.S, k.A)) {
-				t.Fatalf("table %d cell %d: got %v=%v, want %v=%v", i, j, gk[j], g.Get(gk[j].S, gk[j].A), k, w.Get(k.S, k.A))
-			}
-		}
-	}
-}

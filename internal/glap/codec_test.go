@@ -30,26 +30,13 @@ func TestSaveLoadTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !qlearn.Equal(orig.Out, got.Out) || !qlearn.Equal(orig.In, got.In) {
-		t.Fatal("round-trip lost table contents")
-	}
-	if !got.Trained {
-		t.Fatal("round-trip lost Trained flag")
-	}
+	requireSameStores(t, "round trip", []*NodeTables{got}, []*NodeTables{orig})
 }
 
 func TestSaveLoadEndToEnd(t *testing.T) {
 	// Pre-train a tiny cluster, checkpoint, restore, and verify the
 	// restored store drives consolidation identically to the original.
-	cl := genCluster(t, 12, 24, 60, 31)
-	pre, err := Pretrain(Config{LearnRounds: 20, AggRounds: 15}, cl, 31, PretrainOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared, err := SharedTables(pre)
-	if err != nil {
-		t.Fatal(err)
-	}
+	shared := pretrainShared(t, Config{LearnRounds: 20, AggRounds: 15}, genCluster(t, 12, 24, 60, 31, 31), 31)
 	var buf bytes.Buffer
 	if err := SaveTables(&buf, shared); err != nil {
 		t.Fatal(err)
@@ -60,8 +47,8 @@ func TestSaveLoadEndToEnd(t *testing.T) {
 	}
 
 	run := func(tables *NodeTables) int64 {
-		cl := genCluster(t, 12, 24, 60, 31)
-		e, _ := installConsolidation(t, cl, tables, 77)
+		cl := genCluster(t, 12, 24, 60, 31, 31)
+		e, _ := syncStack(t, cl, tables, 77, 6, 3)
 		e.RunRounds(30)
 		return cl.Migrations
 	}
@@ -75,15 +62,7 @@ func TestSaveLoadEndToEnd(t *testing.T) {
 // result reproduces the snapshot byte for byte, and the restored store equals
 // the original.
 func TestCheckpointRestoreByteIdentical(t *testing.T) {
-	cl := genCluster(t, 8, 16, 40, 5)
-	pre, err := Pretrain(Config{LearnRounds: 15, AggRounds: 10}, cl, 5, PretrainOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared, err := SharedTables(pre)
-	if err != nil {
-		t.Fatal(err)
-	}
+	shared := pretrainShared(t, Config{LearnRounds: 15, AggRounds: 10}, genCluster(t, 8, 16, 40, 5, 5), 5)
 	cp, err := CheckpointTables(shared)
 	if err != nil {
 		t.Fatal(err)
@@ -99,9 +78,7 @@ func TestCheckpointRestoreByteIdentical(t *testing.T) {
 	if !bytes.Equal(cp, again) {
 		t.Fatal("re-checkpointing a restored store is not byte-identical")
 	}
-	if !qlearn.Equal(shared.Out, restored.Out) || !qlearn.Equal(shared.In, restored.In) {
-		t.Fatal("restored store differs from the original")
-	}
+	requireSameStores(t, "restore", []*NodeTables{restored}, []*NodeTables{shared})
 	if !restored.Trained {
 		t.Fatal("restore lost the Trained flag")
 	}
@@ -170,7 +147,7 @@ func TestSaveTablesReproducesFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameStore(t, st, ref)
+	requireSameStores(t, "fixture", []*NodeTables{st}, []*NodeTables{ref})
 }
 
 // TestLoadTablesMatchesRefOnRespelledStores re-serialises random stores the
@@ -179,6 +156,7 @@ func TestSaveTablesReproducesFixture(t *testing.T) {
 // to the same float64. Both loaders must accept every document and restore
 // the same store, bit for bit.
 func TestLoadTablesMatchesRefOnRespelledStores(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(5))
 	stores := 40
 	if testing.Short() {
@@ -195,8 +173,7 @@ func TestLoadTablesMatchesRefOnRespelledStores(t *testing.T) {
 		if err != nil {
 			t.Fatalf("store %d: retired loader: %v\n%s", i, err, doc)
 		}
-		requireSameStore(t, got, ref)
-		requireSameStore(t, got, want)
+		requireSameStores(t, "store "+strconv.Itoa(i), []*NodeTables{got, got}, []*NodeTables{ref, want})
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -83,16 +85,52 @@ func fullPretrain(t *testing.T, cfg Config, cl *dc.Cluster, seed uint64, every .
 // value bits.
 func sameCells(a, b *qlearn.Table) bool {
 	ak, bk := a.Keys(), b.Keys()
-	if len(ak) != len(bk) {
+	if !slices.Equal(ak, bk) {
 		return false
 	}
-	for i, k := range ak {
-		x, y := a.Get(k.S, k.A), b.Get(k.S, k.A)
-		if bk[i] != k || x != x || math.Float64bits(x) != math.Float64bits(y) {
+	// Each table's values laid out densely: one pass per table, where a Get
+	// per cell would search the cell array.
+	buf := densePool.Get().(*[2][]float64)
+	defer densePool.Put(buf)
+	x, y := a.FillDense(buf[0]), b.FillDense(buf[1])
+	for _, k := range ak {
+		i := int(k.S)*qlearn.DenseSpan + int(k.A)
+		if x[i] != x[i] || math.Float64bits(x[i]) != math.Float64bits(y[i]) {
 			return false
 		}
 	}
 	return true
+}
+
+var densePool = sync.Pool{New: func() any {
+	const n = qlearn.DenseSpan * qlearn.DenseSpan
+	return &[2][]float64{make([]float64, n), make([]float64, n)}
+}}
+
+// requireSameStores fails unless got and want hold, store for store, the
+// same Q stores bit for bit: the same Trained flag and, in φ^out and φ^in,
+// the same Alpha and Gamma bits and the same cells by sameCells. It is
+// stricter than qlearn.Equal, which reads +0 and −0 as one value.
+func requireSameStores(tb testing.TB, label string, got, want []*NodeTables) {
+	tb.Helper()
+	if len(got) != len(want) {
+		tb.Fatalf("%s: %d stores, want %d", label, len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.Trained != w.Trained {
+			tb.Fatalf("%s: store %d Trained %v, want %v", label, i, g.Trained, w.Trained)
+		}
+		for dir, pair := range [2][2]*qlearn.Table{{g.Out, w.Out}, {g.In, w.In}} {
+			a, b := pair[0], pair[1]
+			if math.Float64bits(a.Alpha) != math.Float64bits(b.Alpha) || math.Float64bits(a.Gamma) != math.Float64bits(b.Gamma) {
+				tb.Fatalf("%s: store %d direction %d parameters %g/%g, want %g/%g", label, i, dir, a.Alpha, a.Gamma, b.Alpha, b.Gamma)
+			}
+			if !sameCells(a, b) {
+				tb.Fatalf("%s: store %d direction %d differs (%d cells, want %d)", label, i, dir, a.Len(), b.Len())
+			}
+		}
+	}
 }
 
 // sharingOf labels every table with the first table that shares its backing
@@ -189,6 +227,7 @@ func checkAgainstFull(t *testing.T, label string, res *PretrainResult, full *ful
 // spare, so the rounds after it are what is being compared. -short (the
 // race-detector steps) keeps three of the twelve size × seed groups.
 func TestPretrainConsensusMatchesFullRun(t *testing.T) {
+	t.Parallel()
 	var settledEarly [2]atomic.Int32
 	sizes, seeds := []int{17, 120}, []uint64{6, 6}
 	if testing.Short() { // CI's race-detector steps
@@ -200,13 +239,13 @@ func TestPretrainConsensusMatchesFullRun(t *testing.T) {
 				t.Run(fmt.Sprintf("pms=%d/seed=%d", pms, seed), func(t *testing.T) {
 					t.Parallel()
 					cfg := Config{LearnRounds: 8, AggRounds: 90}
-					full := fullPretrain(t, cfg, genCluster(t, pms, 3*pms, 120, seed), seed, 1, 5)
+					full := fullPretrain(t, cfg, genCluster(t, pms, 3*pms, 120, seed, seed), seed, 1, 5)
 					if full.consensus >= 0 && full.consensus < cfg.LearnRounds+cfg.AggRounds-1 {
 						settledEarly[si].Add(1)
 					}
-					for _, workers := range []int{1, 2} {
+					for _, workers := range []int{1, 2, 8} {
 						for _, every := range []int{0, 1, 5} {
-							res, err := Pretrain(cfg, genCluster(t, pms, 3*pms, 120, seed), seed,
+							res, err := Pretrain(cfg, genCluster(t, pms, 3*pms, 120, seed, seed), seed,
 								PretrainOptions{Workers: workers, MeasureEvery: every})
 							if err != nil {
 								t.Fatal(err)
@@ -241,13 +280,13 @@ func TestPretrainConsensusEdgeCases(t *testing.T) {
 		{"too short to agree", Config{LearnRounds: 12, AggRounds: 3}, 120, 3, -1},
 	}
 	for _, c := range cases {
-		full := fullPretrain(t, c.cfg, genCluster(t, c.pms, c.ratio*c.pms, 60, 4), 4, 1)
+		full := fullPretrain(t, c.cfg, genCluster(t, c.pms, c.ratio*c.pms, 60, 4, 4), 4, 1)
 		if full.consensus != c.consensus {
 			t.Fatalf("%s: the full run agrees from round %d, the case needs %d", c.name, full.consensus, c.consensus)
 		}
 		for _, every := range []int{0, 1} {
 			label := fmt.Sprintf("%s every=%d", c.name, every)
-			res, err := Pretrain(c.cfg, genCluster(t, c.pms, c.ratio*c.pms, 60, 4), 4, PretrainOptions{MeasureEvery: every})
+			res, err := Pretrain(c.cfg, genCluster(t, c.pms, c.ratio*c.pms, 60, 4, 4), 4, PretrainOptions{MeasureEvery: every})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -13,7 +13,7 @@ import (
 )
 
 func TestInstallContinuousValidation(t *testing.T) {
-	cl := genCluster(t, 4, 8, 10, 1)
+	cl := genCluster(t, 4, 8, 10, 1, 1)
 	e := sim.NewEngine(4, 1)
 	b, err := policy.Bind(e, cl)
 	if err != nil {
@@ -29,7 +29,7 @@ func TestInstallContinuousValidation(t *testing.T) {
 }
 
 func TestInstallContinuousRelearns(t *testing.T) {
-	cl := genCluster(t, 16, 32, 200, 23)
+	cl := genCluster(t, 16, 32, 200, 23, 23)
 	e := sim.NewEngine(16, 23)
 	b, err := policy.Bind(e, cl)
 	if err != nil {
@@ -76,7 +76,7 @@ func TestInstallContinuousRelearns(t *testing.T) {
 
 func TestInstallContinuousConsolidationWaitsForTables(t *testing.T) {
 	// Consolidation must not act before the first learning cycle ends.
-	cl := genCluster(t, 8, 16, 100, 29)
+	cl := genCluster(t, 8, 16, 100, 29, 29)
 	e := sim.NewEngine(8, 29)
 	b, err := policy.Bind(e, cl)
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"github.com/glap-sim/glap/internal/dc"
 	"github.com/glap-sim/glap/internal/glap/decision"
-	"github.com/glap-sim/glap/internal/policy"
 	"github.com/glap-sim/glap/internal/qlearn"
 	"github.com/glap-sim/glap/internal/sim"
 )
@@ -178,7 +177,7 @@ func checkSelectOffer(t *testing.T, label string, out *qlearn.Table, sender qlea
 // forced in both memory footprint and Q-value, and finally pins when ok is
 // false.
 func TestSelectOfferMatchesBruteForce(t *testing.T) {
-	cl := genCluster(t, 12, 40, 30, 7)
+	cl := genCluster(t, 12, 40, 30, 7, 7)
 	rng := sim.NewRNG(19)
 	action := func(vm *dc.VM) qlearn.Action { return DecisionVMAction(vm, false) }
 	for round := 0; round < 25; round++ {
@@ -191,7 +190,7 @@ func TestSelectOfferMatchesBruteForce(t *testing.T) {
 
 	// Wide lists: π_out is a pure function of the list, so every VM of a
 	// 200-VM cluster stands in for one crowded PM.
-	wide := genCluster(t, 40, 200, 30, 11)
+	wide := genCluster(t, 40, 200, 30, 11, 11)
 	actions := map[string]func(*dc.VM) qlearn.Action{
 		"calibrated": action,
 		"3 actions":  func(vm *dc.VM) qlearn.Action { return qlearn.Action(vm.ID % 3) },
@@ -290,14 +289,9 @@ func TestVetOfferMatchesOracle(t *testing.T) {
 // coincide between the two lowerings.
 func TestAsyncSnapshotMatchesLiveDecisions(t *testing.T) {
 	const pms, vms, wlRounds = 16, 48, 40
-	shared := pretrainShared(t, pms, vms, wlRounds, 53)
-	cl := genCluster(t, pms, vms, wlRounds, 53)
-	e := sim.NewEngine(pms, 54)
-	b, err := policy.Bind(e, cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	async := &AsyncConsolidateProtocol{B: b}
+	shared := pretrainShared(t, Config{LearnRounds: 20, AggRounds: 15}, genCluster(t, pms, vms, wlRounds, 53, 53), 53)
+	_, async := asyncStack(t, genCluster(t, pms, vms, wlRounds, 53, 53), shared, 54, 0, 0, 1, 0)
+	cl := async.B.C
 	for round := 0; round < wlRounds; round++ {
 		cl.AdvanceRound(round)
 		snaps := make([]loadState, pms)
@@ -356,22 +350,11 @@ func TestAsyncSnapshotMatchesLiveDecisions(t *testing.T) {
 // core's decisions beyond transporting them.
 func TestSyncProtocolMatchesCoreReplay(t *testing.T) {
 	const pms, vms, wlRounds = 16, 48, 40
-	shared := pretrainShared(t, pms, vms, wlRounds, 53)
-	build := func() (*dc.Cluster, *sim.Engine, *policy.Binding) {
-		cl := genCluster(t, pms, vms, wlRounds, 53)
-		e := sim.NewEngine(pms, 54)
-		b, err := policy.Bind(e, cl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cl, e, b
-	}
-	clA, eA, bA := build()
-	clB, _, bB := build()
-	proto := &ConsolidateProtocol{
-		B:      bA,
-		Tables: func(*sim.Engine, *sim.Node) *NodeTables { return shared },
-	}
+	shared := pretrainShared(t, Config{LearnRounds: 20, AggRounds: 15}, genCluster(t, pms, vms, wlRounds, 53, 53), 53)
+	// Twin stacks; neither engine runs a round.
+	eA, proto := syncStack(t, genCluster(t, pms, vms, wlRounds, 53, 53), shared, 54, 8, 4)
+	_, twin := syncStack(t, genCluster(t, pms, vms, wlRounds, 53, 53), shared, 54, 8, 4)
+	clA, clB, bB := proto.B.C, twin.B.C, twin.B
 
 	// replay is Algorithm 3's UPDATESTATE written against the core only.
 	replay := func(s, o *dc.PM) {

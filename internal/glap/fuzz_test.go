@@ -30,7 +30,7 @@ func FuzzLoadTables(f *testing.F) {
 		if err != nil {
 			t.Fatalf("LoadTables accepted what the retired loader refuses (%v)", err)
 		}
-		requireSameStore(t, st, ref)
+		requireSameStores(t, "LoadTables", []*NodeTables{st}, []*NodeTables{ref})
 		for _, tbl := range []*qlearn.Table{st.Out, st.In} {
 			for _, k := range tbl.Keys() {
 				if k.S >= qlearn.DenseSpan || k.A >= qlearn.DenseSpan {

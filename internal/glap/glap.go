@@ -2,7 +2,6 @@ package glap
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"github.com/glap-sim/glap/internal/cyclon"
@@ -36,16 +35,6 @@ type PretrainResult struct {
 	// result collection). The split lets the scale benchmark report which
 	// phase a regression lives in without a profiler.
 	LearnSec, AggSec float64
-}
-
-// FinalSimilarity returns the last measured convergence value, or NaN when
-// nothing was measured (PretrainOptions.MeasureEvery 0, as in every
-// consolidation run); ConsensusRound is always recorded.
-func (r *PretrainResult) FinalSimilarity() float64 {
-	if len(r.Convergence) == 0 {
-		return math.NaN()
-	}
-	return r.Convergence[len(r.Convergence)-1]
 }
 
 // PretrainOptions tunes the pretraining run.

@@ -45,7 +45,7 @@ func laneGate(r int) bool { return r%3 != 1 }
 // views while lanes run. reference selects the per-node Round path.
 func laneStack(t *testing.T, pms int, seed uint64, workers int, gated, reference bool) (*sim.Engine, *countedAgg) {
 	t.Helper()
-	cl := genCluster(t, pms, 3*pms, laneRounds, seed)
+	cl := genCluster(t, pms, 3*pms, laneRounds, seed, seed)
 	e := sim.NewEngine(pms, seed)
 	e.Workers = workers
 	b, err := policy.Bind(e, cl)
@@ -77,12 +77,13 @@ func laneStack(t *testing.T, pms int, seed uint64, workers int, gated, reference
 // TestAggLanesMatchRound is the lane path's differential: twin engines, one
 // executing Algorithm 2 as two concurrent lanes and one as per-node Round
 // calls, advance in lockstep, and after every round every node's φ^out and
-// φ^in must be equal cell for cell and the engine and protocol streams must
+// φ^in must be identical bit for bit and the engine and protocol streams must
 // stand at the same position — over seeds, sizes and worker counts, with
 // nodes down and, on odd seeds, with RegisterWhen skipping a third of the
 // aggregation rounds. Under -race it is also the check on what the lanes
 // share: the backing pool and the order in which cell arrays become shared.
 func TestAggLanesMatchRound(t *testing.T) {
+	t.Parallel()
 	for _, pms := range []int{2, 17, 120} {
 		for _, workers := range []int{1, 2, 8} {
 			for seed := uint64(1); seed <= 6; seed++ {
@@ -130,15 +131,11 @@ func TestAggLanesMatchRound(t *testing.T) {
 }
 
 func compareLaneRound(t *testing.T, name string, r int, lane, ref *sim.Engine, laneAgg, refAgg *countedAgg) {
+	var got, want []*NodeTables
 	for id := 0; id < lane.N(); id++ {
-		a, b := TablesOf(lane, lane.Node(id)), TablesOf(ref, ref.Node(id))
-		if !qlearn.Equal(a.Out, b.Out) || a.Out.Len() != b.Out.Len() {
-			t.Errorf("%s round %d node %d: φ^out diverges (%d vs %d cells)", name, r, id, a.Out.Len(), b.Out.Len())
-		}
-		if !qlearn.Equal(a.In, b.In) || a.In.Len() != b.In.Len() {
-			t.Errorf("%s round %d node %d: φ^in diverges (%d vs %d cells)", name, r, id, a.In.Len(), b.In.Len())
-		}
+		got, want = append(got, TablesOf(lane, lane.Node(id))), append(want, TablesOf(ref, ref.Node(id)))
 	}
+	requireSameStores(t, fmt.Sprintf("%s round %d", name, r), got, want)
 	// Copies, so that peeking does not advance the streams.
 	la, ra := *lane.RNG(), *ref.RNG()
 	if la.Uint64() != ra.Uint64() {
@@ -245,49 +242,20 @@ func TestAggLanesConserveMass(t *testing.T) {
 }
 
 // TestPretrainLanesWorkerIdentity runs the facade's pre-training, where the
-// lanes are always on, at Workers 1 (lanes inline), 2 and 8: every node's
-// tables must be identical, on tables large enough for merges to share cell
-// arrays between backings.
+// lanes are always on, at Workers 1 (lanes inline), 2 and 8, and at Workers 1
+// once more in the same process, on tables large enough for merges to share
+// cell arrays between backings. Every node's tables must be identical to the
+// first run's bit for bit, and which backings they share is fixed by the
+// merge sequence alone: every run leaves the same qlearn.Footprint backings
+// and cells. Its bytes are not compared: each array's capacity comes from the
+// process-wide backing pool, whose contents depend on how the lanes
+// interleave and on earlier runs. qlearn's
+// TestAliasLayoutDependsOnMergeSequence pins which backings alias which cell
+// arrays.
 func TestPretrainLanesWorkerIdentity(t *testing.T) {
-	run := func(workers int) *PretrainResult {
-		cl := genCluster(t, 60, 180, 80, 5)
-		res, err := Pretrain(Config{LearnRounds: 45, AggRounds: 30}, cl, 23, PretrainOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	base := run(1)
-	most := 0
-	for _, tb := range base.Tables {
-		most = max(most, tb.Out.Len(), tb.In.Len())
-	}
-	if most < 256 {
-		t.Fatalf("largest table has %d cells: too small for cell arrays to be shared", most)
-	}
-	for _, workers := range []int{2, 8} {
-		res := run(workers)
-		for i, tb := range res.Tables {
-			if !qlearn.Equal(tb.Out, base.Tables[i].Out) || !qlearn.Equal(tb.In, base.Tables[i].In) {
-				t.Fatalf("Workers=%d node %d: tables differ from Workers=1", workers, i)
-			}
-		}
-	}
-}
-
-// TestPretrainLayoutDependsOnMergeSequence: which backings the tables of a
-// pre-training end up sharing is fixed by the merge sequence alone. The same
-// small Pretrain at Workers 1 (lanes inline) and 2, and once more in the same
-// process, must leave the same qlearn.Footprint backings and cells. Its
-// bytes are not compared: each array's capacity comes from the process-wide
-// backing pool, whose contents depend on how the lanes interleave and on
-// earlier runs. qlearn's TestAliasLayoutDependsOnMergeSequence pins which
-// backings alias which cell arrays.
-func TestPretrainLayoutDependsOnMergeSequence(t *testing.T) {
 	type layout struct{ backings, cells int }
-	run := func(workers int) layout {
-		cl := genCluster(t, 60, 180, 80, 5)
-		res, err := Pretrain(Config{LearnRounds: 45, AggRounds: 30}, cl, 23, PretrainOptions{Workers: workers})
+	run := func(workers int) (*PretrainResult, layout) {
+		res, err := Pretrain(Config{LearnRounds: 45, AggRounds: 30}, genCluster(t, 60, 180, 80, 5, 5), 23, PretrainOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,12 +264,22 @@ func TestPretrainLayoutDependsOnMergeSequence(t *testing.T) {
 			ts = append(ts, tb.Out, tb.In)
 		}
 		backings, _, _, cells := qlearn.Footprint(ts)
-		return layout{backings, cells}
+		return res, layout{backings, cells}
 	}
-	base := run(1)
-	for i, workers := range []int{2, 1} {
-		if got := run(workers); got != base {
-			t.Fatalf("run %d, Workers=%d: %+v, want %+v as at Workers=1", i+2, workers, got, base)
+	base, baseLayout := run(1)
+	most := 0
+	for _, tb := range base.Tables {
+		most = max(most, tb.Out.Len(), tb.In.Len())
+	}
+	if most < 256 {
+		t.Fatalf("largest table has %d cells: too small for cell arrays to be shared", most)
+	}
+	for i, workers := range []int{2, 8, 1} {
+		res, got := run(workers)
+		label := fmt.Sprintf("run %d, Workers=%d", i+2, workers)
+		requireSameStores(t, label, res.Tables, base.Tables)
+		if got != baseLayout {
+			t.Fatalf("%s: layout %+v, want %+v as at Workers=1", label, got, baseLayout)
 		}
 	}
 }

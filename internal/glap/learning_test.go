@@ -14,13 +14,30 @@ import (
 	"github.com/glap-sim/glap/internal/trace"
 )
 
-// learner returns Algorithm 1 as the production protocol or, with reference
-// set, as the test-only protocol that runs the pre-fusion kernel.
-func learner(reference bool, cfg Config, b *policy.Binding) sim.Protocol {
-	if reference {
-		return &refLearnProtocol{LearnProtocol{Cfg: cfg, B: b}}
+// learnTables runs Algorithm 1 alone on cl for rounds rounds — the
+// production kernel or, with reference set, the test-only protocol that runs
+// the pre-fusion kernel — beside a Cyclon overlay of the given view and
+// shuffle lengths, on an engine seeded from seed, and returns every node's
+// tables.
+func learnTables(tb testing.TB, cl *dc.Cluster, cfg Config, seed uint64, view, shuffle, rounds int, reference bool) []*NodeTables {
+	tb.Helper()
+	e := sim.NewEngine(len(cl.PMs), seed)
+	b, err := policy.Bind(e, cl)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	return &LearnProtocol{Cfg: cfg, B: b}
+	e.Register(cyclon.New(view, shuffle))
+	var learn sim.Protocol = &LearnProtocol{Cfg: cfg, B: b}
+	if reference {
+		learn = &refLearnProtocol{LearnProtocol{Cfg: cfg, B: b}}
+	}
+	e.Register(learn)
+	e.RunRounds(rounds)
+	out := make([]*NodeTables, e.N())
+	for i, n := range e.Nodes() {
+		out[i] = TablesOf(e, n)
+	}
+	return out
 }
 
 // learnCase is one corpus of the kernel differential: a cluster, a learning
@@ -56,42 +73,10 @@ func (lc learnCase) cluster(t *testing.T) *dc.Cluster {
 	return cl
 }
 
-// runLearnPhase builds a fresh cluster+engine pair and runs the case's
-// learning rounds with the given kernel, returning every node's tables.
+// runLearnPhase runs the case's learning rounds with the given kernel beside
+// Cyclon (8, 4), returning every node's tables.
 func runLearnPhase(t *testing.T, reference bool, lc learnCase) []*NodeTables {
-	t.Helper()
-	cl := lc.cluster(t)
-	e := sim.NewEngine(lc.pms, lc.seed)
-	b, err := policy.Bind(e, cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Register(cyclon.New(8, 4))
-	e.Register(learner(reference, lc.cfg, b))
-	e.RunRounds(lc.rounds)
-	out := make([]*NodeTables, e.N())
-	for i, n := range e.Nodes() {
-		out[i] = TablesOf(e, n)
-	}
-	return out
-}
-
-// requireSameTables asserts exact table equality node by node.
-func requireSameTables(t *testing.T, ref, got []*NodeTables) {
-	t.Helper()
-	for i := range ref {
-		if ref[i].Trained != got[i].Trained {
-			t.Fatalf("node %d: Trained diverged (ref=%v kernel=%v)", i, ref[i].Trained, got[i].Trained)
-		}
-		if !qlearn.Equal(ref[i].Out, got[i].Out) {
-			t.Fatalf("node %d: φ^out diverged (ref %d cells, kernel %d cells)",
-				i, ref[i].Out.Len(), got[i].Out.Len())
-		}
-		if !qlearn.Equal(ref[i].In, got[i].In) {
-			t.Fatalf("node %d: φ^in diverged (ref %d cells, kernel %d cells)",
-				i, ref[i].In.Len(), got[i].In.Len())
-		}
-	}
+	return learnTables(t, lc.cluster(t), lc.cfg, lc.seed, 8, 4, lc.rounds, reference)
 }
 
 // TestLearnKernelDifferential pins the production kernel against the
@@ -109,10 +94,11 @@ func requireSameTables(t *testing.T, ref, got []*NodeTables) {
 // wider than one word, and a paper-shaped learning phase. The partition
 // bitset and the division-free calibration are exact.
 func TestLearnKernelDifferential(t *testing.T) {
+	t.Parallel()
 	for _, seed := range []uint64{1, 2, 3, 7, 11, 42} {
 		lc := learnCase{pms: 20, vms: 60, rounds: 30, seed: seed, cfg: DefaultConfig()}
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			requireSameTables(t, runLearnPhase(t, true, lc), runLearnPhase(t, false, lc))
+			requireSameStores(t, "kernel", runLearnPhase(t, false, lc), runLearnPhase(t, true, lc))
 		})
 	}
 
@@ -121,7 +107,7 @@ func TestLearnKernelDifferential(t *testing.T) {
 	t.Run("heterogeneous", func(t *testing.T) {
 		lc := learnCase{pms: 20, vms: 60, rounds: 30, seed: 13, cfg: DefaultConfig(), specFor: twoGenerations}
 		got := runLearnPhase(t, false, lc)
-		requireSameTables(t, runLearnPhase(t, true, lc), got)
+		requireSameStores(t, "kernel", got, runLearnPhase(t, true, lc))
 		caps := map[dc.Vec]bool{}
 		for _, nt := range got {
 			if nt.Trained {
@@ -139,7 +125,7 @@ func TestLearnKernelDifferential(t *testing.T) {
 		lc := learnCase{pms: 20, vms: 60, rounds: 30, seed: 17, cfg: DefaultConfig()}
 		lc.cfg.DuplicationTargetUtil = 12
 		got := runLearnPhase(t, false, lc)
-		requireSameTables(t, runLearnPhase(t, true, lc), got)
+		requireSameStores(t, "kernel", got, runLearnPhase(t, true, lc))
 		var multiWord, capped bool
 		for _, nt := range got {
 			sc := &nt.scratch
@@ -158,7 +144,7 @@ func TestLearnKernelDifferential(t *testing.T) {
 	t.Run("wide-base", func(t *testing.T) {
 		lc := learnCase{pms: 6, vms: 300, rounds: 20, seed: 19, cfg: DefaultConfig(), specFor: bigBox}
 		got := runLearnPhase(t, false, lc)
-		requireSameTables(t, runLearnPhase(t, true, lc), got)
+		requireSameStores(t, "kernel", got, runLearnPhase(t, true, lc))
 		wide := 0
 		for _, nt := range got {
 			wide = max(wide, len(nt.scratch.base))
@@ -171,7 +157,7 @@ func TestLearnKernelDifferential(t *testing.T) {
 	// The paper_glap shape: 120 PMs at three VMs per PM for fifty rounds.
 	t.Run("paper-shaped", func(t *testing.T) {
 		lc := learnCase{pms: 120, vms: 360, rounds: 50, seed: 1, cfg: DefaultConfig()}
-		requireSameTables(t, runLearnPhase(t, true, lc), runLearnPhase(t, false, lc))
+		requireSameStores(t, "kernel", runLearnPhase(t, false, lc), runLearnPhase(t, true, lc))
 	})
 }
 
@@ -188,7 +174,7 @@ func bigBox(int) dc.PMSpec {
 func TestLearnKernelDifferentialCurrentDemandOnly(t *testing.T) {
 	lc := learnCase{pms: 15, vms: 45, rounds: 25, seed: 5, cfg: DefaultConfig()}
 	lc.cfg.CurrentDemandOnly = true
-	requireSameTables(t, runLearnPhase(t, true, lc), runLearnPhase(t, false, lc))
+	requireSameStores(t, "kernel", runLearnPhase(t, false, lc), runLearnPhase(t, true, lc))
 }
 
 // TestCoverCountMatchesDuplicateToCover pins the arithmetic multiset size

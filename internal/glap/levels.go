@@ -110,16 +110,6 @@ func (ls Levels) String() string {
 	return fmt.Sprintf("(%s, %s)", ls[dc.CPU], ls[dc.Mem])
 }
 
-// HasOverload reports whether any resource is at the Overload level.
-func (ls Levels) HasOverload() bool {
-	for _, l := range ls {
-		if l == Overload {
-			return true
-		}
-	}
-	return false
-}
-
 // Packed states and actions range over the NumLevels² level pairs, which is
 // exactly the span a Q-table covers; qlearn.Table.Set panics beyond it. A
 // mismatch makes one of these conversions negative and fails the build.
@@ -147,9 +137,6 @@ func LevelsOfState(s qlearn.State) Levels {
 	}
 	return ls
 }
-
-// LevelsOfAction unpacks a packed action.
-func LevelsOfAction(a qlearn.Action) Levels { return LevelsOfState(qlearn.State(a)) }
 
 // PMStateAvg returns the PM's calibrated state from its VMs' average
 // demands — the paper's pre-action state.

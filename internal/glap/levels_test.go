@@ -59,7 +59,7 @@ func TestPaperExample(t *testing.T) {
 func TestStatePackRoundTrip(t *testing.T) {
 	f := func(a, b uint8) bool {
 		ls := Levels{Level(a % NumLevels), Level(b % NumLevels)}
-		return LevelsOfState(ls.State()) == ls && LevelsOfAction(ls.Action()) == ls
+		return LevelsOfState(ls.State()) == ls && LevelsOfState(qlearn.State(ls.Action())) == ls
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -79,15 +79,6 @@ func TestStatePackDistinct(t *testing.T) {
 	}
 	if len(seen) != 81 {
 		t.Fatalf("expected 81 distinct states, got %d", len(seen))
-	}
-}
-
-func TestHasOverload(t *testing.T) {
-	if (Levels{Low, Low}).HasOverload() {
-		t.Fatal("no overload expected")
-	}
-	if !(Levels{Overload, Low}).HasOverload() || !(Levels{Low, Overload}).HasOverload() {
-		t.Fatal("overload not detected")
 	}
 }
 

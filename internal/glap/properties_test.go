@@ -2,31 +2,11 @@ package glap
 
 // Property-style tests on invariants of the learned Q-values.
 
-import (
-	"testing"
-
-	"github.com/glap-sim/glap/internal/cyclon"
-	"github.com/glap-sim/glap/internal/policy"
-	"github.com/glap-sim/glap/internal/sim"
-)
+import "testing"
 
 // trainedTables runs a learning-only stack and pools every node's tables.
 func trainedTables(t *testing.T, seed uint64) []*NodeTables {
-	t.Helper()
-	cl := genCluster(t, 16, 48, 60, seed)
-	e := sim.NewEngine(16, seed)
-	b, err := policy.Bind(e, cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Register(cyclon.New(8, 4))
-	e.Register(&LearnProtocol{Cfg: DefaultConfig(), B: b})
-	e.RunRounds(30)
-	var out []*NodeTables
-	for _, n := range e.Nodes() {
-		out = append(out, TablesOf(e, n))
-	}
-	return out
+	return learnTables(t, genCluster(t, 16, 48, 60, seed, seed), DefaultConfig(), seed, 8, 4, 30, false)
 }
 
 func TestOutTableValuesNonNegativeAndBounded(t *testing.T) {
@@ -89,16 +69,5 @@ func TestStatesWithinCalibratedSpace(t *testing.T) {
 }
 
 func TestLearningIsDeterministic(t *testing.T) {
-	a := trainedTables(t, 11)
-	b := trainedTables(t, 11)
-	for i := range a {
-		if a[i].Out.Len() != b[i].Out.Len() || a[i].In.Len() != b[i].In.Len() {
-			t.Fatalf("node %d tables differ across identical runs", i)
-		}
-		for _, k := range a[i].Out.Keys() {
-			if a[i].Out.Get(k.S, k.A) != b[i].Out.Get(k.S, k.A) {
-				t.Fatalf("node %d out cell %v differs", i, k)
-			}
-		}
-	}
+	requireSameStores(t, "identical runs", trainedTables(t, 11), trainedTables(t, 11))
 }

@@ -116,28 +116,12 @@ func TestRackActive(t *testing.T) {
 func TestTopologyAwareConsolidationDrainsRacks(t *testing.T) {
 	// End-to-end: with the topology extension, the surviving active PMs
 	// must concentrate in fewer racks than uniform GLAP leaves them in.
-	cl := genCluster(t, 24, 48, 80, 19)
-	pre, err := Pretrain(Config{LearnRounds: 20, AggRounds: 15}, genCluster(t, 24, 48, 80, 19), 19, PretrainOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared, err := SharedTables(pre)
-	if err != nil {
-		t.Fatal(err)
-	}
+	shared := pretrainShared(t, Config{LearnRounds: 20, AggRounds: 15}, genCluster(t, 24, 48, 80, 19, 19), 19)
 	tree := mustTree(t, 24, 4, 3)
-
-	e := sim.NewEngine(24, 20)
-	b, err := policy.Bind(e, cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Register(cyclon.New(0, 0))
-	e.Register(&ConsolidateProtocol{
-		B: b, Tables: func(*sim.Engine, *sim.Node) *NodeTables { return shared },
-		Select: LocalitySelector(tree), Topo: tree,
-	})
+	e, cons := syncStack(t, genCluster(t, 24, 48, 80, 19, 19), shared, 20, 20, 10)
+	cons.Select, cons.Topo = LocalitySelector(tree), tree
 	e.RunRounds(60)
+	cl := cons.B.C
 
 	racksUp := map[int]bool{}
 	active := 0

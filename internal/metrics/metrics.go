@@ -122,15 +122,6 @@ func (s *Series) OverloadedPerRound() []float64 {
 	return out
 }
 
-// ActivePerRound extracts the active-PM count series.
-func (s *Series) ActivePerRound() []float64 {
-	out := make([]float64, len(s.Samples))
-	for i, sm := range s.Samples {
-		out[i] = float64(sm.ActivePMs)
-	}
-	return out
-}
-
 // MigrationsPerRound extracts the per-round (non-cumulative) migration
 // counts. The first delta is taken against the cumulative count when
 // observation began, so a collector attached with From > 0 does not fold

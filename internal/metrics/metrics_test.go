@@ -132,10 +132,6 @@ func TestSeriesExtractors(t *testing.T) {
 	if over[0] != 2 || over[1] != 0 {
 		t.Fatalf("overloaded %v", over)
 	}
-	act := s.ActivePerRound()
-	if act[0] != 10 || act[1] != 8 {
-		t.Fatalf("active %v", act)
-	}
 	per := s.MigrationsPerRound()
 	if per[0] != 5 || per[1] != 4 || per[2] != 0 {
 		t.Fatalf("per-round %v", per)

@@ -71,17 +71,11 @@ func BenchmarkBernoulliBits(b *testing.B) {
 
 var benchSink int
 
-type nopProto struct{}
-
-func (nopProto) Name() string                    { return "nop" }
-func (nopProto) Setup(e *Engine, n *Node) any    { return struct{}{} }
-func (nopProto) Round(e *Engine, n *Node, r int) {}
-
 // BenchmarkEngineRound measures the kernel's per-round overhead: shuffling
 // and dispatching one protocol over 1000 nodes.
 func BenchmarkEngineRound(b *testing.B) {
 	e := NewEngine(1000, 1)
-	e.Register(nopProto{})
+	e.Register(&funcProto{name: "nop"})
 	e.RunRounds(1) // setup outside the loop
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -5,53 +5,60 @@ import (
 	"maps"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"github.com/glap-sim/glap/internal/par"
 )
 
-// countingProto records how many times Round ran per node.
-type countingProto struct {
-	name   string
-	rounds map[int][]int // node -> rounds seen
-	setups int
+// funcProto is a plain Protocol: Round calls fn, when set, and Setup calls
+// setup, when set.
+type funcProto struct {
+	name  string
+	fn    func(e *Engine, n *Node, r int)
+	setup func(e *Engine, n *Node) any
 }
 
-func newCountingProto(name string) *countingProto {
-	return &countingProto{name: name, rounds: make(map[int][]int)}
+func (p *funcProto) Name() string { return p.name }
+func (p *funcProto) Setup(e *Engine, n *Node) any {
+	if p.setup != nil {
+		return p.setup(e, n)
+	}
+	return struct{}{}
+}
+func (p *funcProto) Round(e *Engine, n *Node, r int) {
+	if p.fn != nil {
+		p.fn(e, n, r)
+	}
 }
 
-func (p *countingProto) Name() string { return p.name }
-func (p *countingProto) Setup(e *Engine, n *Node) any {
-	p.setups++
-	return &struct{ v int }{}
-}
-func (p *countingProto) Round(e *Engine, n *Node, r int) {
-	p.rounds[n.ID] = append(p.rounds[n.ID], r)
+// counting returns a protocol that records, per node, the rounds Round ran.
+func counting(rounds map[int][]int) *funcProto {
+	return &funcProto{name: "p", fn: func(e *Engine, n *Node, r int) { rounds[n.ID] = append(rounds[n.ID], r) }}
 }
 
 func TestEngineRunsAllNodesEveryRound(t *testing.T) {
 	e := NewEngine(5, 1)
-	p := newCountingProto("p")
+	rounds, setups := map[int][]int{}, 0
+	p := counting(rounds)
+	p.setup = func(*Engine, *Node) any { setups++; return nil }
 	e.Register(p)
 	e.RunRounds(3)
-	if p.setups != 5 {
-		t.Fatalf("setups = %d, want 5", p.setups)
+	if setups != 5 {
+		t.Fatalf("setups = %d, want 5", setups)
 	}
 	for id := 0; id < 5; id++ {
-		if len(p.rounds[id]) != 3 {
-			t.Fatalf("node %d ran %d rounds, want 3", id, len(p.rounds[id]))
+		if len(rounds[id]) != 3 {
+			t.Fatalf("node %d ran %d rounds, want 3", id, len(rounds[id]))
 		}
 	}
 }
 
 func TestEngineWindowAndPeriod(t *testing.T) {
 	e := NewEngine(2, 1)
-	p := newCountingProto("p")
-	e.RegisterWindow(p, 2, 3, 7) // rounds 3, 5, 7
+	rounds := map[int][]int{}
+	e.RegisterWindow(counting(rounds), 2, 3, 7) // rounds 3, 5, 7
 	e.RunRounds(10)
-	got := p.rounds[0]
+	got := rounds[0]
 	want := []int{3, 5, 7}
 	if len(got) != len(want) {
 		t.Fatalf("rounds %v, want %v", got, want)
@@ -65,14 +72,14 @@ func TestEngineWindowAndPeriod(t *testing.T) {
 
 func TestEngineSkipsDownNodes(t *testing.T) {
 	e := NewEngine(3, 1)
-	p := newCountingProto("p")
-	e.Register(p)
+	rounds := map[int][]int{}
+	e.Register(counting(rounds))
 	e.SetUp(e.Node(1), false)
 	e.RunRounds(4)
-	if len(p.rounds[1]) != 0 {
-		t.Fatalf("down node ran %d rounds", len(p.rounds[1]))
+	if len(rounds[1]) != 0 {
+		t.Fatalf("down node ran %d rounds", len(rounds[1]))
 	}
-	if len(p.rounds[0]) != 4 || len(p.rounds[2]) != 4 {
+	if len(rounds[0]) != 4 || len(rounds[2]) != 4 {
 		t.Fatal("up nodes should run every round")
 	}
 }
@@ -98,27 +105,11 @@ func TestEngineHookOrdering(t *testing.T) {
 	}
 }
 
-type funcProto struct {
-	name  string
-	fn    func(e *Engine, n *Node, r int)
-	setup func(e *Engine, n *Node) any
-}
-
-func (p *funcProto) Name() string { return p.name }
-func (p *funcProto) Setup(e *Engine, n *Node) any {
-	if p.setup != nil {
-		return p.setup(e, n)
-	}
-	return struct{}{}
-}
-func (p *funcProto) Round(e *Engine, n *Node, r int) { p.fn(e, n, r) }
-
 func TestEngineStateAccess(t *testing.T) {
 	e := NewEngine(2, 1)
 	p := &funcProto{
 		name:  "stateful",
 		setup: func(e *Engine, n *Node) any { return &[]int{n.ID * 10} },
-		fn:    func(e *Engine, n *Node, r int) {},
 	}
 	e.Register(p)
 	e.RunRounds(1)
@@ -136,13 +127,13 @@ func TestEngineStateAccess(t *testing.T) {
 
 func TestEngineDuplicateProtocolPanics(t *testing.T) {
 	e := NewEngine(1, 1)
-	e.Register(newCountingProto("dup"))
+	e.Register(&funcProto{name: "dup"})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	e.Register(newCountingProto("dup"))
+	e.Register(&funcProto{name: "dup"})
 }
 
 func TestEngineDeterminism(t *testing.T) {
@@ -190,7 +181,7 @@ func TestEngineShufflesNodeOrder(t *testing.T) {
 
 func TestEngineEvents(t *testing.T) {
 	e := NewEngine(1, 1)
-	e.Register(newCountingProto("p"))
+	e.Register(&funcProto{name: "p"})
 	var fired []int64
 	e.At(150, 0, func() { fired = append(fired, e.Now()) })
 	e.At(250, 0, func() { fired = append(fired, e.Now()) })
@@ -202,7 +193,7 @@ func TestEngineEvents(t *testing.T) {
 
 func TestEngineAfterAndCancel(t *testing.T) {
 	e := NewEngine(1, 1)
-	e.Register(newCountingProto("p"))
+	e.Register(&funcProto{name: "p"})
 	fired := 0
 	ev := e.After(100, 0, func() { fired++ })
 	e.After(200, 0, func() { fired++ })
@@ -263,34 +254,51 @@ func TestRegisterPanicsOnBadPeriod(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	e.RegisterWindow(newCountingProto("p"), 0, 0, -1)
+	e.RegisterWindow(&funcProto{name: "p"}, 0, 0, -1)
 }
 
-// recorder counts the engine's calls into each entry point per round; par
-// and lanes pick its dispatch: sequential Round, ParallelRound or LaneRound.
+// recorder implements every optional engine contract and counts the
+// engine's calls into each entry point per round and its Round calls per
+// node; par and lanes pick its dispatch: sequential Round, ParallelRound or
+// LaneRound (each node paired with the next). Round then calls fn, when
+// set. name tells two recorders on one engine apart.
 type recorder struct {
-	par   bool
-	lanes int
-	mu    sync.Mutex
-	calls map[string]int // "entry@round" -> calls
+	name   string
+	par    bool
+	lanes  int
+	fn     func(e *Engine, n *Node, r int)
+	mu     sync.Mutex
+	calls  map[string]int // "entry@round" -> calls
+	visits map[int]int    // node -> Round calls
 }
 
-func (p *recorder) saw(entry string, r int) {
+func (p *recorder) saw(entry string, r, node int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.calls == nil {
+		p.calls, p.visits = map[string]int{}, map[int]int{}
+	}
 	p.calls[fmt.Sprintf("%s@%d", entry, r)]++
+	if entry == "Round" {
+		p.visits[node]++
+	}
 }
 
-func (p *recorder) Name() string                    { return "recorder" }
-func (p *recorder) Setup(*Engine, *Node) any        { return nil }
-func (p *recorder) Round(e *Engine, n *Node, r int) { p.saw("Round", r) }
-func (p *recorder) Parallelizable() bool            { return p.par }
-func (p *recorder) Lanes() int                      { return p.lanes }
+func (p *recorder) Name() string             { return "recorder" + p.name }
+func (p *recorder) Setup(*Engine, *Node) any { return nil }
+func (p *recorder) Round(e *Engine, n *Node, r int) {
+	p.saw("Round", r, n.ID)
+	if p.fn != nil {
+		p.fn(e, n, r)
+	}
+}
+func (p *recorder) Parallelizable() bool { return p.par }
+func (p *recorder) Lanes() int           { return p.lanes }
 func (p *recorder) DrawPair(e *Engine, n *Node, r int) int {
-	p.saw("DrawPair", r)
+	p.saw("DrawPair", r, n.ID)
 	return (n.ID + 1) % e.N()
 }
-func (p *recorder) RunLane(e *Engine, lane int, pairs []par.Pair, r int) { p.saw("RunLane", r) }
+func (p *recorder) RunLane(e *Engine, lane int, pairs []par.Pair, r int) { p.saw("RunLane", r, -1) }
 
 // TestRegisterWhenRunsExactlyTheDueRounds pins RegisterWhen for each of the
 // engine's three dispatches: the pass runs over every up node in exactly the
@@ -312,7 +320,6 @@ func TestRegisterWhenRunsExactlyTheDueRounds(t *testing.T) {
 					want[fmt.Sprintf("Round@%d", r)] = nodes - 1
 				}
 			}
-			p.calls = map[string]int{}
 			e := NewEngine(nodes, 4)
 			e.Workers = workers
 			e.RegisterWhen(p, due)
@@ -325,39 +332,21 @@ func TestRegisterWhenRunsExactlyTheDueRounds(t *testing.T) {
 	}
 }
 
-// parallelProto is a ParallelRound-conforming protocol: each Round writes
-// only the active node's own counter slot.
-type parallelProto struct {
-	name   string
-	visits []atomic.Int64 // indexed by node ID
-	par    bool
-}
-
-func (p *parallelProto) Name() string { return p.name }
-func (p *parallelProto) Setup(e *Engine, n *Node) any {
-	if p.visits == nil {
-		p.visits = make([]atomic.Int64, e.N())
-	}
-	return nil
-}
-func (p *parallelProto) Round(e *Engine, n *Node, r int) { p.visits[n.ID].Add(1) }
-func (p *parallelProto) Parallelizable() bool            { return p.par }
-
 func TestParallelRoundVisitsEveryUpNodeOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 8} {
 		e := NewEngine(100, 7)
 		e.Workers = workers
-		p := &parallelProto{name: "pp", par: true}
+		p := &recorder{par: true}
 		e.Register(p)
 		e.SetUp(e.Node(13), false)
 		e.SetUp(e.Node(77), false)
 		e.RunRounds(4)
-		for id := range p.visits {
-			want := int64(4)
+		for id := 0; id < e.N(); id++ {
+			want := 4
 			if id == 13 || id == 77 {
 				want = 0
 			}
-			if got := p.visits[id].Load(); got != want {
+			if got := p.visits[id]; got != want {
 				t.Fatalf("workers=%d: node %d visited %d times, want %d", workers, id, got, want)
 			}
 		}
@@ -369,27 +358,15 @@ func TestParallelRoundFalseRunsSequential(t *testing.T) {
 	// Workers > 1; the per-node counts still come out right.
 	e := NewEngine(20, 7)
 	e.Workers = 8
-	p := &parallelProto{name: "pp", par: false}
+	p := &recorder{}
 	e.Register(p)
 	e.RunRounds(2)
-	for id := range p.visits {
-		if got := p.visits[id].Load(); got != 2 {
+	for id := 0; id < e.N(); id++ {
+		if got := p.visits[id]; got != 2 {
 			t.Fatalf("node %d visited %d times, want 2", id, got)
 		}
 	}
 }
-
-// panicProto panics on one specific node's round.
-type panicProto struct{ par bool }
-
-func (p *panicProto) Name() string                 { return "panicer" }
-func (p *panicProto) Setup(e *Engine, n *Node) any { return nil }
-func (p *panicProto) Round(e *Engine, n *Node, r int) {
-	if n.ID == 9 {
-		panic("round blew up")
-	}
-}
-func (p *panicProto) Parallelizable() bool { return p.par }
 
 func TestParallelRoundPanicPropagates(t *testing.T) {
 	for _, workers := range []int{1, 8} {
@@ -401,7 +378,11 @@ func TestParallelRoundPanicPropagates(t *testing.T) {
 			}()
 			e := NewEngine(40, 7)
 			e.Workers = workers
-			e.Register(&panicProto{par: true})
+			e.Register(&recorder{par: true, fn: func(e *Engine, n *Node, r int) {
+				if n.ID == 9 {
+					panic("round blew up")
+				}
+			}})
 			e.RunRounds(1)
 			t.Fatalf("workers=%d: RunRounds returned without panicking", workers)
 		}()

@@ -5,26 +5,7 @@ import (
 	"slices"
 	"testing"
 	"time"
-
-	"github.com/glap-sim/glap/internal/par"
 )
-
-// stubLanes is a LaneRound protocol that draws no pair: present only so that
-// the engine sees a lane pass due.
-type stubLanes struct{}
-
-func (stubLanes) Name() string                          { return "stub-lanes" }
-func (stubLanes) Setup(*Engine, *Node) any              { return nil }
-func (stubLanes) Round(*Engine, *Node, int)             {}
-func (stubLanes) Lanes() int                            { return 2 }
-func (stubLanes) DrawPair(*Engine, *Node, int) int      { return -1 }
-func (stubLanes) RunLane(*Engine, int, []par.Pair, int) {}
-
-func nopRound(*Engine, *Node, int) {}
-
-func seqProto(fn func(e *Engine, n *Node, r int)) *funcProto {
-	return &funcProto{name: "seq", fn: fn}
-}
 
 // recoverValue runs fn and returns what it panicked with, nil if it returned.
 func recoverValue(fn func()) (v any) {
@@ -73,9 +54,9 @@ func TestLookAheadSkipsParallelRoundAndLaneRounds(t *testing.T) {
 		}
 		lastPre = r
 	})
-	e.Register(seqProto(nopRound))
-	e.RegisterWindow(&parallelProto{name: "pp", par: true}, 1, 3, 5)
-	e.RegisterWindow(stubLanes{}, 1, 8, 9)
+	e.Register(&funcProto{name: "seq"})
+	e.RegisterWindow(&recorder{name: "pp", par: true}, 1, 3, 5)
+	e.RegisterWindow(&recorder{name: "lanes", lanes: 2}, 1, 8, 9)
 	e.RunRounds(rounds)
 	// Next rounds that follow a sequential round: rounds 3–5 and 8–9 are not.
 	if want := []int{1, 2, 3, 7, 8, 11}; !slices.Equal(calls, want) {
@@ -87,7 +68,7 @@ func TestLookAheadSkipsParallelRoundAndLaneRounds(t *testing.T) {
 	calls, lastPre = nil, -1
 	e = lookAheadEngine(2, func(next int) { calls = append(calls, next) })
 	e.BeforeRound(func(e *Engine, r int) { lastPre = r })
-	e.Register(&parallelProto{name: "pp", par: false})
+	e.Register(&recorder{})
 	e.RunRounds(3)
 	if want := []int{1, 2}; !slices.Equal(calls, want) {
 		t.Fatalf("declined ParallelRound: hook ran for rounds %v, want %v", calls, want)
@@ -98,8 +79,8 @@ func TestLookAheadSkipsParallelRoundAndLaneRounds(t *testing.T) {
 	// sequential pass.
 	calls = nil
 	e = lookAheadEngine(2, func(next int) { calls = append(calls, next) })
-	e.Register(seqProto(nopRound))
-	e.RegisterWhen(&parallelProto{name: "pp", par: true}, func(r int) bool { return r%3 == 0 })
+	e.Register(&funcProto{name: "seq"})
+	e.RegisterWhen(&recorder{par: true}, func(r int) bool { return r%3 == 0 })
 	e.RunRounds(8)
 	if want := []int{2, 3, 5, 6}; !slices.Equal(calls, want) {
 		t.Fatalf("gated ParallelRound: hook ran for rounds %v, want %v", calls, want)
@@ -108,7 +89,7 @@ func TestLookAheadSkipsParallelRoundAndLaneRounds(t *testing.T) {
 	// A round with no pass due has nothing to run the hook beside.
 	calls = nil
 	e = lookAheadEngine(2, func(next int) { calls = append(calls, next) })
-	e.RegisterWindow(seqProto(nopRound), 1, 2, 3)
+	e.RegisterWindow(&funcProto{name: "seq"}, 1, 2, 3)
 	e.RunRounds(6)
 	if want := []int{3, 4}; !slices.Equal(calls, want) {
 		t.Fatalf("windowed protocol: hook ran for rounds %v, want %v", calls, want)
@@ -116,7 +97,7 @@ func TestLookAheadSkipsParallelRoundAndLaneRounds(t *testing.T) {
 
 	// Workers 1 is the no-free-core path: no goroutine, no call, same run.
 	e = lookAheadEngine(1, func(next int) { t.Errorf("Workers=1 ran the hook for round %d", next) })
-	e.Register(seqProto(nopRound))
+	e.Register(&funcProto{name: "seq"})
 	e.RunRounds(rounds)
 }
 
@@ -132,7 +113,7 @@ func TestLookAheadPanicSurfacesInRunRounds(t *testing.T) {
 		}
 	})
 	e.BeforeRound(func(e *Engine, r int) { lastPre = r })
-	e.Register(seqProto(nopRound))
+	e.Register(&funcProto{name: "seq"})
 	if v := recoverValue(func() { e.RunRounds(10) }); v != "ahead blew up" {
 		t.Fatalf("recovered %v, want \"ahead blew up\"", v)
 	}
@@ -157,11 +138,11 @@ func TestLookAheadJoinedOnEveryExit(t *testing.T) {
 			time.Sleep(5 * time.Millisecond)
 			finished++
 		})
-		e.Register(seqProto(func(e *Engine, n *Node, r int) {
+		e.Register(&funcProto{name: "seq", fn: func(e *Engine, n *Node, r int) {
 			if r == 2 && n.ID == 0 {
 				leave(e)
 			}
-		}))
+		}})
 		v := recoverValue(func() { e.RunRounds(4) })
 		if name == "panic" && v != "round blew up" {
 			t.Fatalf("%s: recovered %v", name, v)
@@ -177,7 +158,7 @@ func TestLookAheadJoinedOnEveryExit(t *testing.T) {
 func TestLookAheadRoundAllocs(t *testing.T) {
 	perRound := func(workers int) float64 {
 		e := lookAheadEngine(workers, func(int) {})
-		e.Register(seqProto(nopRound))
+		e.Register(&funcProto{name: "seq"})
 		e.RunRounds(2) // setup, and the helper slot's channel
 		run := func(rounds int) float64 {
 			return testing.AllocsPerRun(5, func() { e.RunRounds(rounds) })

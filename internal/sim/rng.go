@@ -250,9 +250,8 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
-// Pareto returns a Pareto(shape, scale) variate, used by the trace generator
-// to reproduce the heavy-tailed per-VM mean utilisations of the Google
-// cluster data.
+// Pareto returns a Pareto(shape, scale) variate: heavy-tailed, never below
+// scale.
 func (r *RNG) Pareto(shape, scale float64) float64 {
 	for {
 		u := r.Float64()

@@ -1,8 +1,6 @@
 package glapsim
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"math"
 	"strings"
@@ -11,53 +9,6 @@ import (
 	"github.com/glap-sim/glap/internal/dc"
 	"github.com/glap-sim/glap/internal/sim"
 )
-
-// TestWorkerCountDifferential is the headline invariant of the fork-join
-// layer: for each of the six policies, the full Series fingerprint must be
-// byte-identical between Workers=1 (fully sequential) and Workers=8
-// (explicit fan-out). CI also runs this under -race, which turns it into a
-// data-race check on every parallelized stage at once.
-func TestWorkerCountDifferential(t *testing.T) {
-	for _, p := range allPolicies {
-		p := p
-		t.Run(string(p), func(t *testing.T) {
-			run := func(workers int) string {
-				x := Experiment{
-					PMs: 20, Ratio: 2, Rounds: 40, Seed: 7, Policy: p,
-					GLAP:    fastGLAP(),
-					Workers: workers,
-				}
-				res, err := Run(x)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sum := sha256.Sum256([]byte(serializeSeries(res)))
-				return hex.EncodeToString(sum[:])
-			}
-			seq, par := run(1), run(8)
-			if seq != par {
-				t.Fatalf("policy %s: Series fingerprint differs between Workers=1 (%s) and Workers=8 (%s)", p, seq, par)
-			}
-		})
-	}
-}
-
-// TestWorkerCountMatchesGolden ties the differential to the pinned golden:
-// the golden experiment run with explicit workers must still produce the
-// pinned fingerprint, so the default (auto) path and the parallel path are
-// the same simulation.
-func TestWorkerCountMatchesGolden(t *testing.T) {
-	x := goldenExperiment()
-	x.Workers = 8
-	res, err := Run(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256([]byte(serializeSeries(res)))
-	if got := hex.EncodeToString(sum[:]); got != goldenSeriesHash {
-		t.Fatalf("golden fingerprint with Workers=8: got %s, want %s", got, goldenSeriesHash)
-	}
-}
 
 // TestWorkerCountPipelineDifferential is the round pipeline's facade
 // differential: with Workers 1 nothing runs beside the caller and every
@@ -68,8 +19,11 @@ func TestWorkerCountMatchesGolden(t *testing.T) {
 // six policies under the inputs that reach the sample path differently: VM
 // arrivals and departures, PM crashes that strand VMs into the arrival path,
 // mixed hardware, a run longer than its trace (the streams wrap and seek
-// backward), and messages with latency and loss. CI also runs it under -race
-// and with GOMAXPROCS=1 (the no-free-core path, together with the golden).
+// backward), and messages with latency and loss; and on smallExperiment as
+// Run runs it, its trace as long as the run. This is the facade's
+// worker-count differential: every parallel stage at once, and under -race
+// (CI) the data-race check on all of them. CI also runs it with
+// GOMAXPROCS=1 (the no-free-core path, together with the golden).
 func TestWorkerCountPipelineDifferential(t *testing.T) {
 	const traceRounds = 25
 	variants := []struct {
@@ -77,12 +31,14 @@ func TestWorkerCountPipelineDifferential(t *testing.T) {
 		only  Policy // "" = every policy
 		apply func(x *Experiment)
 		crash bool
+		trace int // the trace's rounds when shorter than the run
 	}{
+		{name: "full", apply: func(x *Experiment) { x.Rounds = smallExperiment("").Rounds }},
 		{name: "plain", apply: func(x *Experiment) {}},
 		{name: "churn", apply: func(x *Experiment) { x.VMChurn = 0.2 }},
 		{name: "crash", apply: func(x *Experiment) {}, crash: true},
 		{name: "hetero", apply: func(x *Experiment) { x.Heterogeneous = true }},
-		{name: "wrap", apply: func(x *Experiment) { x.Rounds = 2*traceRounds - 10 }},
+		{name: "wrap", apply: func(x *Experiment) { x.Rounds = 2*traceRounds - 10 }, trace: traceRounds},
 		{name: "lossy", only: PolicyGLAPAsync, apply: func(x *Experiment) { x.Net = NetConfig{Latency: 30, DropProb: 0.1} }},
 	}
 	for _, p := range allPolicies {
@@ -94,10 +50,14 @@ func TestWorkerCountPipelineDifferential(t *testing.T) {
 				x := smallExperiment(p)
 				x.Rounds = traceRounds
 				v.apply(&x)
+				trace := x.Rounds
+				if v.trace > 0 {
+					trace = v.trace
+				}
 				var want string
 				for _, workers := range []int{1, 2, 8, 0} {
 					x.Workers = workers
-					got := pipelineRun(t, x, traceRounds, v.crash)
+					got := pipelineRun(t, x, trace, v.crash)
 					if workers == 1 {
 						want = got
 					} else if got != want {
