@@ -137,5 +137,23 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "GLAP:  pre-training learn %d rounds + aggregate %d rounds%s\n",
 			p.LearnRounds, p.AggRounds, consensus)
 	}
+	if d := res.Decisions; d != nil {
+		fmt.Fprintln(stderr, "Algorithm 3 decisions (direction verdicts | MIGRATE() outcomes):")
+		for _, b := range []struct {
+			from, to int
+			k        glap.DecisionCounts
+		}{{0, d.Split - 1, d.Early}, {d.Split, x.Rounds - 1, d.Late}} {
+			if b.from > b.to {
+				continue
+			}
+			k := b.k
+			fmt.Fprintf(stderr, "  rounds %d-%d: none=%d empty=%d shed=%d | no-offer=%d in-veto=%d cap-veto=%d migrate-err=%d migrated=%d",
+				b.from, b.to, k.None, k.Empty, k.Shed, k.NoOffer, k.InVeto, k.CapVeto, k.MigrateErr, k.Migrated)
+			if x.Policy == glapsim.PolicyGLAPAsync {
+				fmt.Fprintf(stderr, " offer-timeout=%d lost=%d", k.OfferTimeout, k.Lost)
+			}
+			fmt.Fprintln(stderr)
+		}
+	}
 	return nil
 }

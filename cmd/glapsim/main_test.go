@@ -78,3 +78,35 @@ func TestRunSummaryReportsConsensus(t *testing.T) {
 		t.Fatalf("consensus round %d outside the aggregation phase [500, 700)", r)
 	}
 }
+
+// TestRunSummaryPrintsDecisionHistogram: a GLAP run's summary ends with the
+// Algorithm-3 histogram, one line per bucket, split at the end of the first
+// quarter of the run; glap-async's lines add its two message classes, and a
+// baseline prints none.
+func TestRunSummaryPrintsDecisionHistogram(t *testing.T) {
+	for _, c := range []struct {
+		policy string
+		want   []string
+	}{
+		{"glap", []string{`\n  rounds 0-4: none=\d+ empty=\d+ shed=\d+ \| no-offer=\d+ in-veto=\d+ cap-veto=\d+ migrate-err=\d+ migrated=\d+\n`,
+			`\n  rounds 5-19: none=\d+ .* migrated=\d+\n`}},
+		{"glap-async", []string{`\n  rounds 0-4: .* migrated=\d+ offer-timeout=\d+ lost=\d+\n`, `\n  rounds 5-19: .* lost=\d+\n`}},
+	} {
+		var stdout, stderr bytes.Buffer
+		if err := run([]string{"-policy", c.policy, "-pms", "6", "-ratio", "2", "-rounds", "20"}, &stdout, &stderr); err != nil {
+			t.Fatal(err)
+		}
+		for _, re := range c.want {
+			if !regexp.MustCompile(re).MatchString(stderr.String()) {
+				t.Fatalf("%s: no line matching %q in:\n%s", c.policy, re, stderr.String())
+			}
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-policy", "grmp", "-pms", "6", "-ratio", "2", "-rounds", "20"}, &stdout, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(stderr.String(), "Algorithm 3") {
+		t.Fatalf("grmp prints a GLAP histogram:\n%s", stderr.String())
+	}
+}

@@ -210,6 +210,10 @@ type Result struct {
 	// Network holds switch activity and energy when the topology model is
 	// enabled (nil otherwise).
 	Network *metrics.NetworkSeries
+	// Decisions is the GLAP consolidation protocol's histogram of
+	// Algorithm-3 outcomes, split at the end of the run's first quarter
+	// (nil for the other policies).
+	Decisions *glap.Decisions
 }
 
 // workloadFor returns the experiment's workload, generating it when absent.

@@ -209,6 +209,93 @@ func TestRunReplicated(t *testing.T) {
 	}
 }
 
+// TestRunReplicatedSharesPretrainedTables runs GLAP replications on two
+// workers that all decide on one injected Q store, as a warm-started sweep
+// does. No read index exists when they start, so the replications race to
+// build the store's: under -race an unsynchronised build is a report, and a
+// replication must still match its sequential twin.
+func TestRunReplicatedSharesPretrainedTables(t *testing.T) {
+	x := smallExperiment(PolicyGLAP)
+	w, err := workloadFor(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, shared, err := pretrain(x, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x.PretrainedTables = shared
+	results, err := RunReplicated(x, 6, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sequential, err := RunReplicated(x, 6, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if got, want := serializeSeries(r), serializeSeries(sequential[i]); got != want {
+			t.Fatalf("replication %d on two workers differs from its sequential run: %s", i, firstDiff(got, want))
+		}
+	}
+}
+
+// TestDecisionCountsAddUp holds the GLAP stacks' decision histograms to the
+// cluster: the migrations counted in either bucket are the run's
+// migrations, over the synchronous protocol and over lossy messages, and
+// each protocol counts its direction verdicts in both buckets.
+func TestDecisionCountsAddUp(t *testing.T) {
+	for _, p := range []Policy{PolicyGLAP, PolicyGLAPAsync} {
+		x := smallExperiment(p)
+		x.Net = NetConfig{Latency: 30, DropProb: 0.2}
+		res, err := Run(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := res.Decisions
+		if d == nil || d.Split != x.Rounds/4 {
+			t.Fatalf("%s: decisions %+v, want a split at round %d", p, d, x.Rounds/4)
+		}
+		if got := d.Early.Migrated + d.Late.Migrated; got != res.Cluster.Migrations {
+			t.Fatalf("%s: %d migrations counted, the cluster made %d", p, got, res.Cluster.Migrations)
+		}
+		for _, k := range []glap.DecisionCounts{d.Early, d.Late} {
+			if k.None+k.Empty+k.Shed == 0 {
+				t.Fatalf("%s: a bucket without direction verdicts: %+v", p, d)
+			}
+		}
+	}
+	if res, err := Run(smallExperiment(PolicyGRMP)); err != nil || res.Decisions != nil {
+		t.Fatalf("grmp: decisions %v, err %v; want none", res.Decisions, err)
+	}
+}
+
+// TestDecisionHistogramReproducesProbeA reruns the veto probe that found
+// why GLAP keeps more PMs active than BFD (ROADMAP.md, probe A): 500 PMs ×
+// ratio 3 × 720 rounds, split at round 180. After the first quarter of the
+// day nearly every exchange ends in a π_in veto; capacity vetoes and
+// exchanges without an offer are all but absent.
+func TestDecisionHistogramReproducesProbeA(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two 720-round runs at 500 PMs")
+	}
+	for _, c := range []struct {
+		seed                        uint64
+		migrations, inVeto, capVeto int64
+	}{{1, 1, 61822, 0}, {2, 329, 69211, 2}} {
+		res, err := Run(Experiment{PMs: 500, Ratio: 3, Rounds: 720, Seed: c.seed, Policy: PolicyGLAP})
+		if err != nil {
+			t.Fatal(err)
+		}
+		late := res.Decisions.Late
+		if res.Decisions.Split != 180 || late.Migrated != c.migrations || late.InVeto != c.inVeto ||
+			late.CapVeto != c.capVeto || late.NoOffer != 0 || late.MigrateErr != 0 {
+			t.Fatalf("seed %d: rounds 180-719 %+v, want %d migrations, %d π_in vetoes, %d capacity vetoes",
+				c.seed, late, c.migrations, c.inVeto, c.capVeto)
+		}
+	}
+}
+
 func TestRunReplicatedPropagatesErrors(t *testing.T) {
 	bad := smallExperiment(PolicyGLAP)
 	bad.GLAP.Alpha = 7 // invalid

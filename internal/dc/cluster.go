@@ -480,6 +480,14 @@ func (c *Cluster) AvgUtil(pm *PM) Vec {
 	return c.pmAvgSum[pm.ID].Div(pm.Spec.Capacity)
 }
 
+// CurSum returns the PM's aggregate current absolute demand: the sum CurUtil
+// divides by capacity.
+func (c *Cluster) CurSum(pm *PM) Vec { return c.pmCurSum[pm.ID] }
+
+// AvgSum returns the PM's aggregate running-average absolute demand: the sum
+// AvgUtil divides by capacity.
+func (c *Cluster) AvgSum(pm *PM) Vec { return c.pmAvgSum[pm.ID] }
+
 // Overloaded reports whether the PM's current demand saturates at least one
 // resource (utilisation >= 1 on any axis).
 func (c *Cluster) Overloaded(pm *PM) bool {
@@ -629,8 +637,19 @@ func (c *Cluster) sample(id, r int) trace.Sample {
 func (c *Cluster) AdvanceRound(r int) {
 	c.round = r
 	c.stepLifecycle(r)
-	for id := range c.VMs {
-		if c.vmHost[id] < 0 {
+	// One ascending-ID sweep refreshes each hosted VM and scatters its new
+	// absolute demand into its host's sums, rebuilt afresh — demand changed
+	// for every VM, and a fresh summation accumulates no float drift. The
+	// stores are unit-stride, where gathering each PM's VMs was a scattered
+	// load per VM. Each PM's sums add its VMs from +0 in ascending-ID order:
+	// the order of a fold over its sorted hosted list, and the same bits. The
+	// order is fixed because float addition is order-sensitive; the explicit
+	// float64 conversions round each product before its add, so a target that
+	// fuses multiply-add cannot change the bits either.
+	clear(c.pmCurSum)
+	clear(c.pmAvgSum)
+	for id, h := range c.vmHost {
+		if h < 0 {
 			continue
 		}
 		s := c.sample(id, r)
@@ -644,25 +663,8 @@ func (c *Cluster) AdvanceRound(r int) {
 		}
 		c.vmAvg[id] = avg
 		c.vmCount[id]++
-		c.vmRequested[id] += cur[CPU] * c.vmCap[id][CPU] * c.RoundSeconds
-	}
-	// Rebuild the cached demand sums afresh — demand changed for every
-	// VM, and a fresh summation accumulates no float drift — by scattering
-	// each hosted VM's absolute demand into its host: unit-stride loads, where
-	// gathering each PM's VMs was a scattered load per VM. The sweep runs in
-	// ascending VM-ID order, so each PM's sums add its VMs from +0 in
-	// ascending-ID order: the order of a fold over its sorted hosted list, and
-	// the same bits. The order is fixed because float addition is
-	// order-sensitive; the explicit float64 conversions round each product
-	// before its add, so a target that fuses multiply-add cannot change the
-	// bits either.
-	clear(c.pmCurSum)
-	clear(c.pmAvgSum)
-	for id, h := range c.vmHost {
-		if h < 0 {
-			continue
-		}
-		cur, avg, cp := c.vmCur[id], c.vmAvg[id], c.vmCap[id]
+		cp := c.vmCap[id]
+		c.vmRequested[id] += cur[CPU] * cp[CPU] * c.RoundSeconds
 		curSum, avgSum := &c.pmCurSum[h], &c.pmAvgSum[h]
 		curSum[CPU] += float64(cur[CPU] * cp[CPU])
 		curSum[Mem] += float64(cur[Mem] * cp[Mem])

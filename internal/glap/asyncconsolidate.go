@@ -70,7 +70,15 @@ type AsyncConsolidateProtocol struct {
 	Aborts    int64 // abort notices sent for stale or failed accepts
 	Expired   int64 // request or hold deadlines that fired
 
+	// Decisions counts the protocol's Algorithm-3 outcomes, split at the
+	// round the caller sets in Decisions.Split. The sender counts its
+	// pre-vet, timeouts, failed commits and migrations; the target counts
+	// its re-vet of each offer it receives, a retry whose first verdict was
+	// lost included, as Rejects does.
+	Decisions Decisions
+
 	rng       sim.BoundRNG
+	cals      calibrations
 	rt        *sim.ReqTable
 	rtEngine  *sim.Engine
 	nextToken uint64
@@ -125,13 +133,14 @@ func (ls loadState) free() dc.Vec {
 	return f
 }
 
-// state is the calibrated decision state of the snapshot.
-func (ls loadState) state(currentOnly bool) qlearn.State {
+// state is the calibrated decision state of the snapshot, LevelsOf(d /
+// Cap).State() computed through the capacity's boundary table in cals.
+func (ls loadState) state(cals *calibrations, currentOnly bool) qlearn.State {
 	d := ls.Avg
 	if currentOnly {
 		d = ls.Cur
 	}
-	return LevelsOf(d.Div(ls.Cap)).State()
+	return cals.of(ls.Cap).state(d)
 }
 
 // view summarises the snapshot for the shared direction rule; at zero
@@ -209,6 +218,7 @@ func (p *AsyncConsolidateProtocol) Setup(e *sim.Engine, n *sim.Node) any {
 		if st.busy && st.epoch == st.exchEpoch && st.pendingToken == 0 {
 			st.busy = false
 			p.Expired++
+			p.Decisions.at(e.Round()).Lost++
 		}
 	}
 	return st
@@ -226,7 +236,7 @@ func (p *AsyncConsolidateProtocol) tables(e *sim.Engine, n *sim.Node) *NodeTable
 }
 
 func (p *AsyncConsolidateProtocol) pmState(c *dc.Cluster, pm *dc.PM) qlearn.State {
-	return DecisionPMState(c, pm, p.CurrentDemandOnly)
+	return p.cals.pmState(c, pm, p.CurrentDemandOnly)
 }
 
 func (p *AsyncConsolidateProtocol) vmAction(vm *dc.VM) qlearn.Action {
@@ -307,9 +317,12 @@ func (p *AsyncConsolidateProtocol) Deliver(e *sim.Engine, n *sim.Node, m sim.Mes
 }
 
 // shouldSend runs the shared direction rule for the local endpoint against
-// the remote snapshot; ModeNone means this endpoint does not act as sender.
-func (p *AsyncConsolidateProtocol) shouldSend(pm *dc.PM, remote loadState, remoteID int) decision.Mode {
-	return decision.Direction(pmView(p.B.C, pm), remote.view(remoteID))
+// the remote snapshot, and counts the verdict; ModeNone means this endpoint
+// does not act as sender.
+func (p *AsyncConsolidateProtocol) shouldSend(e *sim.Engine, pm *dc.PM, remote loadState, remoteID int) decision.Mode {
+	m := decision.Direction(pmView(p.B.C, pm), remote.view(remoteID))
+	p.Decisions.at(e.Round()).mode(m)
+	return m
 }
 
 // onLoad handles the state exchange at both endpoints.
@@ -327,7 +340,7 @@ func (p *AsyncConsolidateProtocol) onLoad(e *sim.Engine, n *sim.Node, from int, 
 		if st.busy {
 			return
 		}
-		if mode := p.shouldSend(pm, msg.From, from); mode != decision.ModeNone {
+		if mode := p.shouldSend(e, pm, msg.From, from); mode != decision.ModeNone {
 			st.busy = true
 			st.epoch++
 			st.mode = mode
@@ -343,7 +356,7 @@ func (p *AsyncConsolidateProtocol) onLoad(e *sim.Engine, n *sim.Node, from int, 
 		return
 	}
 	p.reqs(e).Resolve(st.exchReq)
-	mode := p.shouldSend(pm, msg.From, from)
+	mode := p.shouldSend(e, pm, msg.From, from)
 	if mode == decision.ModeNone {
 		st.busy = false
 		return
@@ -376,13 +389,19 @@ func (p *AsyncConsolidateProtocol) offerNext(e *sim.Engine, n *sim.Node, st *acN
 	// π_out over the sender's fresh state, π_in and capacity pre-vetted on
 	// the remote estimate — the same shared core migrateOne drives, except
 	// the target will re-vet with its fresh state before reserving.
-	tbl := p.tables(e, n)
-	off, ok := selectOffer(tbl.Out, p.pmState(c, pm), pm, p.vmAction)
-	if !ok {
+	k := p.Decisions.at(e.Round())
+	off, v := offerFor(p.tables(e, n), pm, p.pmState(c, pm), st.remote.state(&p.cals, p.CurrentDemandOnly), p.vmAction)
+	switch {
+	case v == noOffer:
+		k.NoOffer++
 		finish()
 		return
-	}
-	if !decision.VetOffer(tbl.In, st.remote.state(p.CurrentDemandOnly), off.Action, off.VM.CurAbs(), st.remote.free()) {
+	case v == inVeto:
+		k.InVeto++
+		finish()
+		return
+	case !off.VM.CurAbs().FitsWithin(st.remote.free()):
+		k.CapVeto++
 		finish()
 		return
 	}
@@ -403,6 +422,7 @@ func (p *AsyncConsolidateProtocol) offerNext(e *sim.Engine, n *sim.Node, st *acN
 			st.busy = false
 			st.pendingToken = 0
 			p.Expired++
+			p.Decisions.at(e.Round()).OfferTimeout++
 		}
 	})
 }
@@ -435,12 +455,21 @@ func (p *AsyncConsolidateProtocol) onOffer(e *sim.Engine, n *sim.Node, from int,
 	c := p.B.C
 	// Fresh re-vet: π_in on the target's own state, and admission against
 	// capacity net of open reservations.
-	if !decision.VetOffer(p.tables(e, n).In, p.pmState(c, pm), msg.Action, msg.Demand, c.FreeCurReserved(pm)) {
+	k := p.Decisions.at(e.Round())
+	if !decision.AcceptIn(p.tables(e, n).In, p.pmState(c, pm), msg.Action) {
+		k.InVeto++
+		p.Rejects++
+		reply(false)
+		return
+	}
+	if !msg.Demand.FitsWithin(c.FreeCurReserved(pm)) {
+		k.CapVeto++
 		p.Rejects++
 		reply(false)
 		return
 	}
 	if err := c.Reserve(pm, msg.Token, msg.Demand); err != nil {
+		k.MigrateErr++
 		p.Rejects++
 		reply(false)
 		return
@@ -490,12 +519,14 @@ func (p *AsyncConsolidateProtocol) onVerdict(e *sim.Engine, n *sim.Node, from in
 	if vm.Host() != pm.ID || !dst.On() || c.Migrate(vm, dst) != nil {
 		// The VM departed or moved, or the target died after accepting:
 		// abort so the reservation is released promptly.
+		p.Decisions.at(e.Round()).MigrateErr++
 		p.Aborts++
 		p.Tr.Send(n.ID, from, acDone{Token: msg.Token})
 		st.busy = false
 		return
 	}
 	p.Commits++
+	p.Decisions.at(e.Round()).Migrated++
 	p.Tr.Send(n.ID, from, acDone{Token: msg.Token, Commit: true})
 	// Advance the remote estimate so follow-up offers in this sequence vet
 	// against the target's expected post-migration state.

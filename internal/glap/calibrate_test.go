@@ -172,3 +172,52 @@ func TestSelectBit(t *testing.T) {
 		}
 	}
 }
+
+// TestDecisionStateMatchesUtilLevels is the live differential of the
+// consolidation protocols' division-free decision states: on a homogeneous
+// and a heterogeneous cluster, through 40 rounds of demand with VMs moved
+// at random between them, calibrations.pmState equals LevelsOf of the
+// utilisation the cluster divides out, under either demand mode, and a
+// snapshot's state equals LevelsOf of its own quotient. One boundary table
+// serves each distinct PM capacity.
+func TestDecisionStateMatchesUtilLevels(t *testing.T) {
+	for _, lc := range []learnCase{
+		{pms: 24, vms: 96, rounds: 40, seed: 61},
+		{pms: 24, vms: 96, rounds: 40, seed: 62, specFor: twoGenerations},
+	} {
+		cl := lc.cluster(t)
+		var cals calibrations
+		rng := sim.NewRNG(lc.seed)
+		for round := 0; round < lc.rounds; round++ {
+			cl.AdvanceRound(round)
+			for i := 0; i < 10; i++ {
+				vm, dst := cl.VMs[rng.Intn(len(cl.VMs))], cl.PMs[rng.Intn(len(cl.PMs))]
+				if vm.Host() == dst.ID {
+					continue
+				}
+				if err := cl.Migrate(vm, dst); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, pm := range cl.PMs {
+				if got, want := cals.pmState(cl, pm, false), LevelsOf(cl.AvgUtil(pm)).State(); got != want {
+					t.Fatalf("seed %d round %d pm %d: average-demand state %v, LevelsOf(AvgUtil) %v", lc.seed, round, pm.ID, got, want)
+				}
+				if got, want := cals.pmState(cl, pm, true), LevelsOf(cl.CurUtil(pm)).State(); got != want {
+					t.Fatalf("seed %d round %d pm %d: current-demand state %v, LevelsOf(CurUtil) %v", lc.seed, round, pm.ID, got, want)
+				}
+				ls := loadState{Cur: cl.CurUtil(pm).Mul(pm.Spec.Capacity), Avg: cl.AvgUtil(pm).Mul(pm.Spec.Capacity), Cap: pm.Spec.Capacity}
+				if got, want := ls.state(&cals, false), LevelsOf(ls.Avg.Div(ls.Cap)).State(); got != want {
+					t.Fatalf("seed %d round %d pm %d: snapshot state %v, LevelsOf(Avg/Cap) %v", lc.seed, round, pm.ID, got, want)
+				}
+			}
+		}
+		want := 1
+		if lc.specFor != nil {
+			want = 2
+		}
+		if len(cals) != want {
+			t.Fatalf("seed %d: %d boundary tables for %d PM capacities", lc.seed, len(cals), want)
+		}
+	}
+}

@@ -318,3 +318,21 @@ func BenchmarkLoadTables(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBest measures π_out's lookup on a trained store — the bench
+// fixture's restored φ^out, 4,305 cells across both tables — in every
+// state over a six-action candidate list, the per-exchange read of
+// Algorithm 3. The read index is built before the timer starts.
+func BenchmarkBest(b *testing.B) {
+	st, err := LoadTables(bytes.NewReader(readFixture(b)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	candidates := []qlearn.Action{10, 20, 30, 40, 41, 50}
+	st.Out.Best(0, candidates)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, _, _ = st.Out.Best(qlearn.State(i%qlearn.DenseSpan), candidates)
+	}
+}

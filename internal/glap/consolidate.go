@@ -44,8 +44,12 @@ type ConsolidateProtocol struct {
 	// local information, so a deployment can maintain it without any
 	// global view.
 	Topo *topology.Tree
+	// Decisions counts the protocol's Algorithm-3 outcomes, split at the
+	// round the caller sets in Decisions.Split.
+	Decisions Decisions
 
-	rng sim.BoundRNG
+	rng  sim.BoundRNG
+	cals calibrations
 }
 
 // Name implements sim.Protocol.
@@ -58,7 +62,7 @@ func (p *ConsolidateProtocol) Setup(e *sim.Engine, n *sim.Node) any {
 
 // pmState returns the decision state for a PM under the active demand mode.
 func (p *ConsolidateProtocol) pmState(c *dc.Cluster, pm *dc.PM) qlearn.State {
-	return DecisionPMState(c, pm, p.CurrentDemandOnly)
+	return p.cals.pmState(c, pm, p.CurrentDemandOnly)
 }
 
 // vmAction returns the calibrated action for a VM under the active mode.
@@ -75,6 +79,8 @@ func (p *ConsolidateProtocol) tables(e *sim.Engine, n *sim.Node) *NodeTables {
 
 // Round implements one push-pull interaction: the initiator and the passive
 // peer exchange states and both run UPDATESTATE (Algorithm 3, lines 1-17).
+// Each endpoint's view is computed once for both calls, and again only when
+// the first call moved a VM or powered a PM off.
 func (p *ConsolidateProtocol) Round(e *sim.Engine, n *sim.Node, round int) {
 	sel := p.Select
 	if sel == nil {
@@ -84,49 +90,63 @@ func (p *ConsolidateProtocol) Round(e *sim.Engine, n *sim.Node, round int) {
 	if peer < 0 {
 		return
 	}
+	c := p.B.C
 	pmP := p.B.PM(n)
-	pmQ := p.B.C.PMs[peer]
-	p.updateState(e, n, pmP, pmQ)
-	p.updateState(e, e.Node(peer), pmQ, pmP)
+	pmQ := c.PMs[peer]
+	k := p.Decisions.at(round)
+	vP, vQ := pmView(c, pmP), pmView(c, pmQ)
+	if p.updateState(e, n, pmP, pmQ, vP, vQ, k) {
+		vP, vQ = pmView(c, pmP), pmView(c, pmQ)
+	}
+	p.updateState(e, e.Node(peer), pmQ, pmP, vQ, vP, k)
 }
 
-// updateState runs Algorithm 3's UPDATESTATE for endpoint s against peer o:
-// the shared direction rule decides the sender role, then the matching
-// migration loop drives the shared π_out/π_in core via migrateOne.
-func (p *ConsolidateProtocol) updateState(e *sim.Engine, n *sim.Node, s, o *dc.PM) {
+// updateState runs Algorithm 3's UPDATESTATE for endpoint s against peer o,
+// whose live views are vs and vo: the shared direction rule decides the
+// sender role, then the matching migration loop drives the shared π_out/π_in
+// core via migrateOne. It counts its outcomes into k and reports whether it
+// changed the cluster: a VM moved or a PM powered off.
+func (p *ConsolidateProtocol) updateState(e *sim.Engine, n *sim.Node, s, o *dc.PM, vs, vo decision.View, k *DecisionCounts) bool {
 	c := p.B.C
 	if !s.On() || !o.On() {
-		return
+		return false
 	}
 	st := p.tables(e, n)
-	mode := decision.Direction(pmView(c, s), pmView(c, o))
+	mode := decision.Direction(vs, vo)
 	// Under the topology extension, rack occupancy replaces the utilisation
 	// rule across racks: the endpoint in the sparser rack is the sender, so
 	// sparsely occupied racks drain completely and their switches sleep.
-	if p.Topo != nil && mode != decision.ModeShed && !c.Overloaded(o) && !p.Topo.SameRack(s.ID, o.ID) {
+	if p.Topo != nil && mode != decision.ModeShed && !vo.Overloaded && !p.Topo.SameRack(s.ID, o.ID) {
 		if p.topoSends(s, o) {
 			mode = decision.ModeEmpty
 		} else {
 			mode = decision.ModeNone
 		}
 	}
+	k.mode(mode)
+	changed := false
 	switch mode {
 	case decision.ModeShed:
 		// Shed VMs while overloaded (lines 12-13).
 		for c.Overloaded(s) {
-			if !p.migrateOne(st, s, o) {
-				return
+			if !p.migrateOne(st, s, o, k) {
+				return changed
 			}
+			changed = true
 		}
 	case decision.ModeEmpty:
 		// The lower-utilisation endpoint empties itself (lines 14-16).
 		for s.NumVMs() > 0 {
-			if !p.migrateOne(st, s, o) {
-				return
+			if !p.migrateOne(st, s, o, k) {
+				return changed
 			}
+			changed = true
 		}
-		_ = p.B.TryPowerOffIfEmpty(s.ID)
+		if p.B.TryPowerOffIfEmpty(s.ID) {
+			changed = true
+		}
 	}
+	return changed
 }
 
 // topoSends applies the cross-rack direction override: the endpoint in the
@@ -161,17 +181,27 @@ func (p *ConsolidateProtocol) rackActive(pm int) int {
 
 // migrateOne performs one MIGRATE() step (Algorithm 3, lines 18-24) from s
 // to o and reports whether a VM moved: the shared π_out core picks the
-// offer, the shared π_in core vets it — on the sender, on behalf of the
-// target, against the target's live state and free capacity — and the
+// action, the shared π_in core vets it — on the sender, on behalf of the
+// target, against the target's live state — and only then are the cheapest
+// VM of that action and the target's free capacity looked at. The
 // migration executes on acceptance.
-func (p *ConsolidateProtocol) migrateOne(st *NodeTables, s, o *dc.PM) bool {
+func (p *ConsolidateProtocol) migrateOne(st *NodeTables, s, o *dc.PM, k *DecisionCounts) bool {
 	c := p.B.C
-	off, ok := selectOffer(st.Out, p.pmState(c, s), s, p.vmAction)
-	if !ok {
+	off, v := offerFor(st, s, p.pmState(c, s), p.pmState(c, o), p.vmAction)
+	switch {
+	case v == noOffer:
+		k.NoOffer++
+		return false
+	case v == inVeto:
+		k.InVeto++
+		return false
+	case !off.VM.CurAbs().FitsWithin(c.FreeCur(o)):
+		k.CapVeto++
+		return false
+	case c.Migrate(off.VM, o) != nil:
+		k.MigrateErr++
 		return false
 	}
-	if !decision.VetOffer(st.In, p.pmState(c, o), off.Action, off.VM.CurAbs(), c.FreeCur(o)) {
-		return false
-	}
-	return c.Migrate(off.VM, o) == nil
+	k.Migrated++
+	return true
 }

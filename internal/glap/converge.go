@@ -1,6 +1,7 @@
 package glap
 
 import (
+	"github.com/glap-sim/glap/internal/qlearn"
 	"github.com/glap-sim/glap/internal/sim"
 	"github.com/glap-sim/glap/internal/stats"
 )
@@ -9,14 +10,12 @@ import (
 const measurePairs = 64
 
 // cosineProbe is the convergence sampler's view of the nodes. holds reports
-// whether an up node has a vector to compare; fill writes that vector into
-// dst, every node in one aligned layout of len(dst). a and b are the
-// probe's own buffers for the pair being compared, so a sample fills only
-// the nodes it draws.
+// whether an up node has a vector to compare; cosine returns the similarity
+// of two holders' vectors, every node's in one aligned layout. A sample reads
+// only the nodes it draws.
 type cosineProbe struct {
 	holds   func(e *sim.Engine, n *sim.Node) bool
-	fill    func(e *sim.Engine, n *sim.Node, dst []float64)
-	a, b    []float64
+	cosine  func(e *sim.Engine, a, b *sim.Node) float64
 	holders []*sim.Node
 }
 
@@ -29,10 +28,18 @@ func ioProbe() *cosineProbe {
 			t := TablesOf(e, n)
 			return t.Out.Len()+t.In.Len() > 0
 		},
-		fill: func(e *sim.Engine, n *sim.Node, dst []float64) { TablesOf(e, n).fillIO(dst) },
-		a:    make([]float64, IOVecLen),
-		b:    make([]float64, IOVecLen),
+		cosine: func(e *sim.Engine, a, b *sim.Node) float64 { return ioCosine(TablesOf(e, a), TablesOf(e, b)) },
 	}
+}
+
+// ioCosine is stats.CosineAligned of the two stores' φ^io vectors (IOVec),
+// bit for bit, summed off their cell arrays instead of two 13,122-cell
+// dense fills: φ^out's cells, then φ^in's, each in index order (see
+// qlearn.CosineSums).
+func ioCosine(a, b *NodeTables) float64 {
+	dot, na, nb := qlearn.CosineSums(a.Out, b.Out, 0, 0, 0)
+	dot, na, nb = qlearn.CosineSums(a.In, b.In, dot, na, nb)
+	return stats.CosineFromSums(dot, na, nb)
 }
 
 // meanPairwiseCosineDense estimates how close the per-node vectors are to
@@ -40,8 +47,8 @@ func ioProbe() *cosineProbe {
 // distinct up holders. This is the convergence metric of the Figure 5
 // experiment, sampled by Pretrain over ioProbe. It returns 1 for fewer than
 // two holders (a single holder is trivially converged). Each drawn pair
-// costs two fills and one dot-product scan, and the cosines are summed in
-// draw order, so a sample is a function of the tables and rng alone.
+// costs one cosine, and the cosines are summed in draw order, so a sample is
+// a function of the tables and rng alone.
 func (p *cosineProbe) meanPairwiseCosineDense(e *sim.Engine, pairs int, rng *sim.RNG) float64 {
 	p.holders = p.holders[:0]
 	for _, n := range e.Nodes() {
@@ -59,9 +66,7 @@ func (p *cosineProbe) meanPairwiseCosineDense(e *sim.Engine, pairs int, rng *sim
 		if a.ID == b.ID {
 			continue
 		}
-		p.fill(e, a, p.a)
-		p.fill(e, b, p.b)
-		sum += stats.CosineAligned(p.a, p.b)
+		sum += p.cosine(e, a, b)
 		cnt++
 	}
 	if cnt == 0 {

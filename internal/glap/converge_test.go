@@ -1,9 +1,11 @@
 package glap
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"github.com/glap-sim/glap/internal/qlearn"
 	"github.com/glap-sim/glap/internal/sim"
 	"github.com/glap-sim/glap/internal/stats"
 )
@@ -71,14 +73,15 @@ func TestMeanPairwiseCosineEdgeCases(t *testing.T) {
 	}
 }
 
-// sliceProbe is a cosineProbe over fixed per-node vectors of length dim: a
-// node holds when its vector is non-nil, and a fill copies it.
-func sliceProbe(vecs [][]float64, dim int) *cosineProbe {
+// sliceProbe is a cosineProbe over fixed per-node vectors of one length: a
+// node holds when its vector is non-nil, and a pair's cosine is
+// stats.CosineAligned of the two.
+func sliceProbe(vecs [][]float64) *cosineProbe {
 	return &cosineProbe{
 		holds: func(e *sim.Engine, n *sim.Node) bool { return vecs[n.ID] != nil },
-		fill:  func(e *sim.Engine, n *sim.Node, dst []float64) { copy(dst, vecs[n.ID]) },
-		a:     make([]float64, dim),
-		b:     make([]float64, dim),
+		cosine: func(e *sim.Engine, a, b *sim.Node) float64 {
+			return stats.CosineAligned(vecs[a.ID], vecs[b.ID])
+		},
 	}
 }
 
@@ -88,7 +91,7 @@ func TestMeanPairwiseCosineDense(t *testing.T) {
 	for i := range vecs {
 		vecs[i] = []float64{1, 2, 0}
 	}
-	p := sliceProbe(vecs, 3)
+	p := sliceProbe(vecs)
 	rng := sim.NewRNG(9)
 	if got := p.meanPairwiseCosineDense(e, 32, rng); math.Abs(got-1) > 1e-9 {
 		t.Fatalf("identical vectors similarity = %g", got)
@@ -106,7 +109,7 @@ func TestMeanPairwiseCosineDenseEdgeCases(t *testing.T) {
 	e := sim.NewEngine(3, 10)
 	rng := sim.NewRNG(1)
 	vecs := make([][]float64, 3)
-	p := sliceProbe(vecs, 1)
+	p := sliceProbe(vecs)
 	if got := p.meanPairwiseCosineDense(e, 8, rng); got != 1 {
 		t.Fatalf("no holders similarity = %g, want 1", got)
 	}
@@ -147,7 +150,7 @@ func TestDenseMatchesMapCosine(t *testing.T) {
 	}
 	maps[5], dense[5] = nil, nil
 	e.SetUp(e.Node(2), false)
-	p := sliceProbe(dense, dim)
+	p := sliceProbe(dense)
 	for seed := uint64(1); seed <= 4; seed++ {
 		got := p.meanPairwiseCosineDense(e, 200, sim.NewRNG(seed))
 		want := meanPairwiseCosine(e, maps, 200, sim.NewRNG(seed))
@@ -157,12 +160,12 @@ func TestDenseMatchesMapCosine(t *testing.T) {
 	}
 }
 
-// TestCosineProbeFillsOnlyDrawnPairs counts the probe's fills: each drawn
-// pair of distinct holders fills its two nodes once each, and no other node
-// (never drawn, down, or holding nothing) is filled. The expected counts
-// replay the draws on an equally seeded stream over the holders in node
-// order.
-func TestCosineProbeFillsOnlyDrawnPairs(t *testing.T) {
+// TestCosineProbeReadsOnlyDrawnPairs counts the probe's reads: each drawn
+// pair of distinct holders is compared once, reading its two nodes once
+// each, and no other node (never drawn, down, or holding nothing) is read.
+// The expected counts replay the draws on an equally seeded stream over the
+// holders in node order.
+func TestCosineProbeReadsOnlyDrawnPairs(t *testing.T) {
 	const nodes, pairs = 100, 6
 	e := sim.NewEngine(nodes, 3)
 	vecs := make([][]float64, nodes)
@@ -177,11 +180,15 @@ func TestCosineProbeFillsOnlyDrawnPairs(t *testing.T) {
 			holders = append(holders, i)
 		}
 	}
-	p := sliceProbe(vecs, 2)
-	fills, fill := make([]int, nodes), p.fill
-	p.fill = func(e *sim.Engine, n *sim.Node, dst []float64) { fills[n.ID]++; fill(e, n, dst) }
+	p := sliceProbe(vecs)
+	reads, cosine := make([]int, nodes), p.cosine
+	p.cosine = func(e *sim.Engine, a, b *sim.Node) float64 {
+		reads[a.ID]++
+		reads[b.ID]++
+		return cosine(e, a, b)
+	}
 	for seed := uint64(1); seed <= 5; seed++ {
-		clear(fills)
+		clear(reads)
 		p.meanPairwiseCosineDense(e, pairs, sim.NewRNG(seed))
 		want, replay := make([]int, nodes), sim.NewRNG(seed)
 		for i := 0; i < pairs; i++ {
@@ -190,30 +197,83 @@ func TestCosineProbeFillsOnlyDrawnPairs(t *testing.T) {
 				want[b]++
 			}
 		}
-		for id := range fills {
-			if fills[id] != want[id] {
-				t.Fatalf("seed %d: node %d filled %d times, its draws want %d", seed, id, fills[id], want[id])
+		for id := range reads {
+			if reads[id] != want[id] {
+				t.Fatalf("seed %d: node %d read %d times, its draws want %d", seed, id, reads[id], want[id])
 			}
 		}
 	}
 }
 
-// BenchmarkMeanPairwiseCosineDense measures the full Figure 5 sample over
-// 500 nodes holding GLAP-sized dense vectors (two 81×81 Q-tables), each
-// synthesised by the fill.
-func BenchmarkMeanPairwiseCosineDense(b *testing.B) {
-	e := sim.NewEngine(500, 1)
-	p := &cosineProbe{
-		holds: func(e *sim.Engine, n *sim.Node) bool { return true },
-		fill: func(e *sim.Engine, n *sim.Node, dst []float64) {
-			for k := range dst {
-				dst[k] = float64((n.ID + k) % 301)
-			}
-		},
-		a: make([]float64, IOVecLen),
-		b: make([]float64, IOVecLen),
+// TestIOCosineMatchesDenseFill pins ioCosine's merge walk to
+// stats.CosineAligned over the two stores' dense φ^io vectors, bit for bit:
+// on random stores whose cells overlap, nest, miss each other or are absent
+// (an empty or missing table), with −0 and +0 values among them, and on every
+// pair of a pre-trained cluster's stores.
+func TestIOCosineMatchesDenseFill(t *testing.T) {
+	check := func(label string, a, b *NodeTables) {
+		t.Helper()
+		want := stats.CosineAligned(a.IOVec(), b.IOVec())
+		if got := ioCosine(a, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: merge walk %v (%#x), dense fill %v (%#x)", label, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
 	}
+	rng := sim.NewRNG(41)
+	random := func(density float64) *qlearn.Table {
+		tab := qlearn.New(0.5, 0.8)
+		for ci := 0; ci < tableCells; ci++ {
+			if rng.Float64() >= density {
+				continue
+			}
+			v := rng.Float64()*8 - 4
+			switch rng.Intn(8) {
+			case 0:
+				v = math.Copysign(0, -1)
+			case 1:
+				v = 0
+			}
+			tab.Set(qlearn.State(ci/qlearn.DenseSpan), qlearn.Action(ci%qlearn.DenseSpan), v)
+		}
+		return tab
+	}
+	densities := []float64{0, 0.001, 0.05, 0.5, 1}
+	for trial := 0; trial < 40; trial++ {
+		a := &NodeTables{Out: random(densities[rng.Intn(len(densities))]), In: random(densities[rng.Intn(len(densities))])}
+		b := &NodeTables{Out: random(densities[rng.Intn(len(densities))]), In: random(densities[rng.Intn(len(densities))])}
+		check(fmt.Sprintf("random trial %d", trial), a, b)
+		check(fmt.Sprintf("random trial %d, self", trial), a, a.Clone())
+	}
+	res, err := Pretrain(Config{LearnRounds: 20, AggRounds: 5}, genCluster(t, 24, 72, 40, 7, 7), 9, PretrainOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range res.Tables {
+		for j, b := range res.Tables[:i] {
+			check(fmt.Sprintf("pretrained stores %d and %d", i, j), a, b)
+		}
+	}
+}
+
+// BenchmarkMeanPairwiseCosineDense measures the full Figure 5 sample over
+// 500 nodes whose stores each hold two random tables of about 2,000 cells,
+// the size aggregation gossip grows them to.
+func BenchmarkMeanPairwiseCosineDense(b *testing.B) {
+	const nodes = 500
+	e := sim.NewEngine(nodes, 1)
 	rng := sim.NewRNG(2)
+	stores := make([]*NodeTables, nodes)
+	for i := range stores {
+		stores[i] = &NodeTables{Out: qlearn.New(0.5, 0.8), In: qlearn.New(0.5, 0.8)}
+		for _, tab := range []*qlearn.Table{stores[i].Out, stores[i].In} {
+			for ci := 0; ci < tableCells; ci += 1 + rng.Intn(5) {
+				tab.Set(qlearn.State(ci/qlearn.DenseSpan), qlearn.Action(ci%qlearn.DenseSpan), rng.Float64())
+			}
+		}
+	}
+	p := &cosineProbe{
+		holds:  func(e *sim.Engine, n *sim.Node) bool { return true },
+		cosine: func(e *sim.Engine, a, b *sim.Node) float64 { return ioCosine(stores[a.ID], stores[b.ID]) },
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -88,53 +88,77 @@ type Offer struct {
 	Action qlearn.Action
 }
 
-// SelectOffer runs π_out (Algorithm 3, lines 18-21): it picks the
-// calibrated action with the highest φ^out value in the sender's state among
-// the actions of the sender's VMs, and among the VMs of that action the
-// cheapest to migrate — the first strictly smallest current memory footprint
-// (migration time, and hence cost, scales with transferred memory). Distinct
-// actions keep first-seen order for Table.Best's tie-break, so with VMs in
-// ascending-ID order the choice is deterministic. Table.Best reads unwritten
-// cells as 0, so ok is false only when vms is empty.
+// BestAction is π_out's choice (Algorithm 3, lines 18-20): the calibrated
+// action with the highest φ^out value in the sender's state among the actions
+// of the sender's VMs. It appends each VM's action to acts, in vms order, and
+// returns the extended slice for CheapestVM. Distinct actions keep first-seen
+// order for Table.Best's tie-break, so with VMs in ascending-ID order the
+// choice is deterministic. Table.Best reads unwritten cells as 0, so ok is
+// false only when vms is empty.
 //
-// Most exchanges migrate nothing, so the call must not build garbage: each
-// VM's action is recorded once in call-local scratch that lives on the stack
-// (append spills to the heap past 64 VMs or 16 distinct actions), so the
-// function stays pure: no state is shared between calls or transports.
-func SelectOffer(out *qlearn.Table, sender qlearn.State, vms []*dc.VM, action func(*dc.VM) qlearn.Action) (Offer, bool) {
-	var perVMBuf [64]qlearn.Action
+// Most exchanges migrate nothing, so the call must not build garbage: the
+// caller passes acts on its stack, the distinct actions live in call-local
+// stack scratch (append spills to the heap past 16 of them), and no state is
+// shared between calls or transports.
+func BestAction(out *qlearn.Table, sender qlearn.State, vms []*dc.VM, action func(*dc.VM) qlearn.Action, acts []qlearn.Action) (qlearn.Action, []qlearn.Action, bool) {
 	var distinctBuf [16]qlearn.Action
-	perVM, distinct := perVMBuf[:0], distinctBuf[:0]
+	distinct := distinctBuf[:0]
 	for _, vm := range vms {
 		a := action(vm)
-		perVM = append(perVM, a)
+		acts = append(acts, a)
 		if !slices.Contains(distinct, a) {
 			distinct = append(distinct, a)
 		}
 	}
 	best, _, ok := out.Best(sender, distinct)
-	if !ok {
-		return Offer{}, false
-	}
+	return best, acts, ok
+}
+
+// CheapestVM completes π_out (Algorithm 3, line 21): among the VMs whose
+// action in acts (BestAction's list) is a, the cheapest to migrate — the
+// first strictly smallest current memory footprint (migration time, and
+// hence cost, scales with transferred memory). It is nil when no VM has
+// action a.
+func CheapestVM(vms []*dc.VM, acts []qlearn.Action, a qlearn.Action) *dc.VM {
 	var cheapest *dc.VM
 	var cheapestMem float64
 	for i, vm := range vms {
-		if perVM[i] != best {
+		if acts[i] != a {
 			continue
 		}
 		if mem := vm.CurAbs()[dc.Mem]; cheapest == nil || mem < cheapestMem {
 			cheapest, cheapestMem = vm, mem
 		}
 	}
-	return Offer{VM: cheapest, Action: best}, true
+	return cheapest
+}
+
+// SelectOffer is the whole of π_out (Algorithm 3, lines 18-21): BestAction,
+// then CheapestVM of that action. ok is false only when vms is empty. The
+// per-VM actions live in a call-local stack buffer (spilling to the heap past
+// 64 VMs).
+func SelectOffer(out *qlearn.Table, sender qlearn.State, vms []*dc.VM, action func(*dc.VM) qlearn.Action) (Offer, bool) {
+	var actsBuf [64]qlearn.Action
+	best, acts, ok := BestAction(out, sender, vms, action, actsBuf[:0])
+	if !ok {
+		return Offer{}, false
+	}
+	return Offer{VM: CheapestVM(vms, acts, best), Action: best}, true
+}
+
+// AcceptIn is the π_in test (Algorithm 3, line 22): the offered action must
+// have non-negative φ^in value in the target's state. It depends on the
+// action alone, not on which VM carries it, so a transport can run it before
+// CheapestVM: a vetoed exchange then never scans the VMs a second time.
+func AcceptIn(in *qlearn.Table, target qlearn.State, a qlearn.Action) bool {
+	return in.Get(target, a) >= 0
 }
 
 // VetOffer runs the π_in accept test plus the capacity check (Algorithm 3,
-// lines 22-23): the offered action must have non-negative φ^in value in the
-// target's state, and the offered demand must fit within the target's free
-// capacity. The caller chooses which free vector to vet against — the live
-// one (synchronous), a remote estimate (sender-side pre-vet), or capacity
-// net of open reservations (target-side re-vet).
+// lines 22-23): AcceptIn, and the offered demand must fit within the
+// target's free capacity. The caller chooses which free vector to vet
+// against — the live one (synchronous), a remote estimate (sender-side
+// pre-vet), or capacity net of open reservations (target-side re-vet).
 func VetOffer(in *qlearn.Table, target qlearn.State, a qlearn.Action, demand, free dc.Vec) bool {
-	return in.Get(target, a) >= 0 && demand.FitsWithin(free)
+	return AcceptIn(in, target, a) && demand.FitsWithin(free)
 }

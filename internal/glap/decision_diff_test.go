@@ -301,10 +301,10 @@ func TestAsyncSnapshotMatchesLiveDecisions(t *testing.T) {
 		for _, pm := range cl.PMs {
 			// The snapshot's decision state must equal the live lowering in
 			// both demand modes.
-			if got, want := snaps[pm.ID].state(false), PMStateAvg(cl, pm); got != want {
+			if got, want := snaps[pm.ID].state(&async.cals, false), PMStateAvg(cl, pm); got != want {
 				t.Fatalf("round %d pm %d: snapshot avg state %v, live %v", round, pm.ID, got, want)
 			}
-			if got, want := snaps[pm.ID].state(true), PMStateCur(cl, pm); got != want {
+			if got, want := snaps[pm.ID].state(&async.cals, true), PMStateCur(cl, pm); got != want {
 				t.Fatalf("round %d pm %d: snapshot cur state %v, live %v", round, pm.ID, got, want)
 			}
 			for _, o := range cl.PMs {
@@ -329,7 +329,7 @@ func TestAsyncSnapshotMatchesLiveDecisions(t *testing.T) {
 				if !ok {
 					continue
 				}
-				snapVet := decision.VetOffer(shared.In, snaps[o.ID].state(false), off.Action,
+				snapVet := decision.VetOffer(shared.In, snaps[o.ID].state(&async.cals, false), off.Action,
 					off.VM.CurAbs(), snaps[o.ID].free())
 				liveVet := decision.VetOffer(shared.In, PMStateAvg(cl, o), off.Action,
 					off.VM.CurAbs(), cl.FreeCur(o))
@@ -342,12 +342,14 @@ func TestAsyncSnapshotMatchesLiveDecisions(t *testing.T) {
 	}
 }
 
-// TestSyncProtocolMatchesCoreReplay runs ConsolidateProtocol.updateState on
-// one cluster and an independent replay — written here directly against the
-// decision core and cluster primitives — on an identically seeded twin, for
-// a shared pseudo-random pair schedule. Identical final placements, power
-// states and migration counts pin that the protocol adds nothing to the
-// core's decisions beyond transporting them.
+// TestSyncProtocolMatchesCoreReplay runs ConsolidateProtocol.Round on one
+// cluster and an independent replay of both endpoints' UPDATESTATE — written
+// here directly against the decision core and cluster primitives — on an
+// identically seeded twin, for a shared pseudo-random pair schedule.
+// Identical final placements, power states and migration counts pin that
+// the protocol adds nothing to the core's decisions beyond transporting
+// them: not its division-free states, not its order (π_in before the VM
+// scan), and not its reuse of each endpoint's view across the exchange.
 func TestSyncProtocolMatchesCoreReplay(t *testing.T) {
 	const pms, vms, wlRounds = 16, 48, 40
 	shared := pretrainShared(t, Config{LearnRounds: 20, AggRounds: 15}, genCluster(t, pms, vms, wlRounds, 53, 53), 53)
@@ -383,6 +385,8 @@ func TestSyncProtocolMatchesCoreReplay(t *testing.T) {
 		}
 	}
 
+	peer := -1
+	proto.Select = func(*sim.Engine, *sim.Node, *sim.RNG) int { return peer }
 	rng := sim.NewRNG(77)
 	for round := 0; round < wlRounds; round++ {
 		clA.AdvanceRound(round)
@@ -392,8 +396,10 @@ func TestSyncProtocolMatchesCoreReplay(t *testing.T) {
 			if s == o {
 				continue
 			}
-			proto.updateState(eA, eA.Node(s), clA.PMs[s], clA.PMs[o])
+			peer = o
+			proto.Round(eA, eA.Node(s), round)
 			replay(clB.PMs[s], clB.PMs[o])
+			replay(clB.PMs[o], clB.PMs[s])
 			if err := diffClusters(clA, clB); err != nil {
 				t.Fatalf("round %d after pair (%d,%d): %v", round, s, o, err)
 			}

@@ -34,8 +34,10 @@ const codecVersion = 1
 // convenient for checkpoint diffing.
 func (t *Table) Encode(w io.Writer) error {
 	out := tableJSON{Version: codecVersion, Alpha: t.Alpha, Gamma: t.Gamma}
-	for _, k := range t.Keys() {
-		out.Cells = append(out.Cells, cellJSON{S: k.S, A: k.A, Q: t.Get(k.S, k.A)})
+	idx, vals := t.b.cells()
+	for i, ci := range idx {
+		k := cellKey(ci)
+		out.Cells = append(out.Cells, cellJSON{S: k.S, A: k.A, Q: vals[i]})
 	}
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)

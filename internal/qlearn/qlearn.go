@@ -19,16 +19,21 @@
 // few thousand. A merge whose union is one input's cell set aliases that
 // input's cell array instead of copying it. Writes to a shared backing copy
 // first; freed backings are recycled through a small pool so the merge loop
-// and post-merge writes stay allocation-free in steady state. A cell outside the calibrated span is
-// a programming error: Set panics on one, and Decode refuses one.
+// and post-merge writes stay allocation-free in steady state. Reads (Get,
+// Has, Best) go through a per-backing index that the first read builds
+// (readIndex); writes binary-search the cell array. A cell outside the
+// calibrated span is a programming error: Set panics on one, and Decode
+// refuses one.
 package qlearn
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // State is a discrete environment state. GLAP packs a PM's calibrated
@@ -88,15 +93,16 @@ type backing struct {
 	// tables that a previous aggregation phase left sharing backings, and
 	// their first writes race to detach.
 	ref atomic.Int32
+	// idxShared marks idx as immutable: a merge whose union equals this
+	// cell set made it shareable (see shareIdx), and other backings may
+	// alias it. An insert or Reserve copies a shared array before writing,
+	// and a release never pools one. It sits beside ref, in ref's padding,
+	// so that the struct stays within the allocator's 80-byte size class.
+	idxShared bool
 
 	idx  []uint16
 	vals []float64
 
-	// idxShared marks idx as immutable: a merge whose union equals this
-	// cell set made it shareable (see shareIdx), and other backings may
-	// alias it. An insert or Reserve copies a shared array before writing,
-	// and a release never pools one.
-	idxShared bool
 	// idxAge is the shared array's birth order (see shareIdx): when two
 	// backings hold equal cell sets in different arrays, a merge keeps the
 	// older one. Meaningless while idxShared is false.
@@ -115,6 +121,70 @@ type backing struct {
 	// while the backing is unshared, so cache fills cannot race between
 	// tables.
 	rowMax *[DenseSpan]float64
+
+	// reads is the read index over idx (see readIndex), nil until the first
+	// Get, Has or Best builds it. It is atomic because concurrent runs may
+	// read one injected store, and so race to build it; both build the same
+	// index. Whatever changes the cell set drops it: an insert, a new or
+	// re-aliased cell array, a recycled backing.
+	reads atomic.Pointer[readIndex]
+}
+
+// readIndex locates a cell of a backing in O(1). present is a bitmap over
+// the span: bit ci (word ci/64, bit ci%64) is set exactly when cell ci =
+// s*DenseSpan+a is present, and below[w] counts the present cells in the
+// words before w. idx lists the present cells in ascending order, so cell ci
+// sits at position below[ci/64] plus the number of present bits below ci in
+// its word. The index describes the cell set alone, never the values, so a
+// write to a present cell keeps it valid. At 1,032 bytes it weighs what 103
+// cells do; a dense 81×81 view would cost 52 KiB per backing.
+type readIndex struct {
+	present [indexWords]uint64
+	below   [indexWords]uint16
+}
+
+// indexWords is the number of 64-bit words a presence bit per cell of the
+// span takes.
+const indexWords = (DenseSpan*DenseSpan + 63) / 64
+
+// index returns b's read index, building and publishing it on first use.
+// Only the read path calls it: the write path (Set, Update, MaxKnown, the
+// merges) keeps the binary search, so learning never builds an index that
+// its next insert would drop.
+func (b *backing) index() *readIndex {
+	if x := b.reads.Load(); x != nil {
+		return x
+	}
+	x := new(readIndex)
+	for _, ci := range b.idx {
+		x.present[ci>>6] |= 1 << (ci & 63)
+	}
+	n := 0
+	for w, word := range x.present {
+		x.below[w] = uint16(n)
+		n += bits.OnesCount64(word)
+	}
+	b.reads.Store(x)
+	return x
+}
+
+// dropIndex discards b's read index after a change to its cell set. The
+// load keeps the locked store off the write paths, which never build one.
+func (b *backing) dropIndex() {
+	if b.reads.Load() != nil {
+		b.reads.Store(nil)
+	}
+}
+
+// find returns the position of the in-span cell (s, a) in the backing's
+// arrays and whether it is present.
+func (x *readIndex) find(s State, a Action) (int, bool) {
+	ci := uint(s)*DenseSpan + uint(a)
+	w, bit := x.present[ci>>6], uint64(1)<<(ci&63)
+	if w&bit == 0 {
+		return 0, false
+	}
+	return int(x.below[ci>>6]) + bits.OnesCount64(w&(bit-1)), true
 }
 
 var nan = math.NaN()
@@ -273,6 +343,7 @@ func (b *backing) unshareIdx(need int) {
 		idx = make([]uint16, 0, capRound(need))
 	}
 	b.idx, b.idxShared = append(idx, b.idx...), false
+	b.dropIndex()
 }
 
 // capRound picks the cell capacity for a backing that must hold need cells:
@@ -335,6 +406,7 @@ func acquireBacking(need int, alias *backing) *backing {
 	}
 	b.ref.Store(1)
 	b.invalidateRowMax()
+	b.dropIndex()
 	return b
 }
 
@@ -345,6 +417,7 @@ func releaseBacking(b *backing) {
 	idx, vals := b.idx, b.vals
 	shared := b.idxShared
 	b.idx, b.vals, b.idxShared = nil, nil, false
+	b.dropIndex()
 	backingPool.mu.Lock()
 	if len(backingPool.nodes) < poolMax {
 		backingPool.nodes = append(backingPool.nodes, b)
@@ -425,13 +498,14 @@ func inSpan(s State, a Action) bool {
 
 // Get returns the Q-value for (s, a); missing cells read as 0, matching the
 // optimistic-zero initialisation the paper's reward design assumes. A cell
-// outside the span is never present.
+// outside the span is never present. It reads through the backing's read
+// index, which the first read builds.
 func (t *Table) Get(s State, a Action) float64 {
 	b := t.b
 	if b == nil || !inSpan(s, a) {
 		return 0
 	}
-	if i, ok := b.find(uint16(int(s)*DenseSpan + int(a))); ok {
+	if i, ok := b.index().find(s, a); ok {
 		return b.vals[i]
 	}
 	return 0
@@ -443,7 +517,7 @@ func (t *Table) Has(s State, a Action) bool {
 	if b == nil || !inSpan(s, a) {
 		return false
 	}
-	_, ok := b.find(uint16(int(s)*DenseSpan + int(a)))
+	_, ok := b.index().find(s, a)
 	return ok
 }
 
@@ -470,6 +544,7 @@ func (t *Table) Set(s State, a Action, v float64) {
 		b.idx[i] = ci
 		b.vals = append(b.vals, 0)
 		copy(b.vals[i+1:], b.vals[i:])
+		b.dropIndex()
 	}
 	if cache := b.rowMax; cache != nil {
 		if rm := cache[s]; rm == rm { // cache valid (not NaN)
@@ -577,7 +652,14 @@ func (t *Table) Update(s State, a Action, r float64, next State) float64 {
 			return v
 		}
 	}
-	old := t.Get(s, a)
+	// The old value by binary search, not Get: learning must not build a
+	// read index that its next insert drops.
+	old := 0.0
+	if b := t.b; b != nil && inSpan(s, a) {
+		if i, ok := b.find(uint16(int(s)*DenseSpan + int(a))); ok {
+			old = b.vals[i]
+		}
+	}
 	v := (1-t.Alpha)*old + t.Alpha*(r+t.Gamma*t.MaxKnown(next))
 	t.Set(s, a, v)
 	return v
@@ -591,9 +673,22 @@ func (t *Table) Best(s State, candidates []Action) (a Action, q float64, ok bool
 	if len(candidates) == 0 {
 		return 0, 0, false
 	}
-	a, q = candidates[0], t.Get(s, candidates[0])
+	b := t.b
+	if b == nil || int(s) >= DenseSpan {
+		return candidates[0], 0, true
+	}
+	x := b.index()
+	get := func(c Action) float64 {
+		if int(c) < DenseSpan {
+			if i, ok := x.find(s, c); ok {
+				return b.vals[i]
+			}
+		}
+		return 0
+	}
+	a, q = candidates[0], get(candidates[0])
 	for _, c := range candidates[1:] {
-		if v := t.Get(s, c); v > q {
+		if v := get(c); v > q {
 			a, q = c, v
 		}
 	}
@@ -651,6 +746,47 @@ func (t *Table) FillDense(dst []float64) []float64 {
 	return dst
 }
 
+// CosineSums adds the terms of p's and q's cells to the running sums of an
+// aligned cosine similarity and returns them: dot gains p·q over the cells
+// both hold, np p² over p's cells and nq q² over q's, each in ascending cell
+// order. For finite values this is bit for bit what summing every cell of
+// the two FillDense layouts gives, as stats.CosineAligned does: the terms it
+// skips are ±0 (an absent cell reads as 0), and a running sum that starts at
+// +0 is never −0, so adding ±0 to it changes nothing. The norms are one pass
+// over each value array; dot walks the two cell arrays, elementwise while
+// they agree — converging gossip leaves them equal — and as a merge from the
+// first difference on.
+func CosineSums(p, q *Table, dot, np, nq float64) (float64, float64, float64) {
+	pi, pv := p.b.cells()
+	qi, qv := q.b.cells()
+	for _, v := range pv {
+		np += v * v
+	}
+	for _, v := range qv {
+		nq += v * v
+	}
+	n := min(len(pi), len(qi))
+	i := 0
+	for i < n && pi[i] == qi[i] {
+		dot += pv[i] * qv[i]
+		i++
+	}
+	j := i
+	for i < len(pi) && j < len(qi) {
+		switch {
+		case pi[i] == qi[j]:
+			dot += pv[i] * qv[j]
+			i++
+			j++
+		case pi[i] < qi[j]:
+			i++
+		default:
+			j++
+		}
+	}
+	return dot, np, nq
+}
+
 // Clone returns a deep copy of the table with its own unshared backing.
 func (t *Table) Clone() *Table {
 	c := &Table{Alpha: t.Alpha, Gamma: t.Gamma}
@@ -699,6 +835,9 @@ func Footprint(tables []*Table) (backings int, bytes, valueBytes int64, cells in
 		valueBytes += int64(cap(b.vals)) * 8
 		if b.rowMax != nil {
 			bytes += int64(len(b.rowMax)) * 8
+		}
+		if b.reads.Load() != nil {
+			bytes += int64(unsafe.Sizeof(readIndex{}))
 		}
 	}
 	return backings, bytes + valueBytes, valueBytes, cells
@@ -1028,6 +1167,7 @@ func mergeTables(p, q *Table) bool {
 			backingPool.mu.Unlock()
 		}
 		l.idx, l.idxShared, l.idxAge = w.idx, true, w.idxAge
+		l.dropIndex()
 	case union == len(pi) && union >= shareMinCells:
 		d = acquireBacking(union, pb)
 		d.vals = d.vals[:union]

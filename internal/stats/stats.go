@@ -144,6 +144,13 @@ func CosineAligned(a, b []float64) float64 {
 		na += va * va
 		nb += vb * vb
 	}
+	return CosineFromSums(dot, na, nb)
+}
+
+// CosineFromSums is the cosine similarity of two vectors given their dot
+// product and squared norms, 0 when either norm is 0: CosineAligned's last
+// step, for callers that sum the terms themselves.
+func CosineFromSums(dot, na, nb float64) float64 {
 	if na == 0 || nb == 0 {
 		return 0
 	}

@@ -122,7 +122,8 @@ func prepareStack(x Experiment, w *trace.Set, shared *glap.NodeTables) (*stack, 
 	switch x.Policy {
 	case PolicyGLAP:
 		// Algorithm 3 over the simulator's synchronous push-pull shortcut.
-		s.sync = &glap.ConsolidateProtocol{B: b, Tables: tables, CurrentDemandOnly: x.GLAP.CurrentDemandOnly}
+		s.sync = &glap.ConsolidateProtocol{B: b, Tables: tables, CurrentDemandOnly: x.GLAP.CurrentDemandOnly,
+			Decisions: glap.Decisions{Split: x.decisionSplit()}}
 		if x.TopologyAware {
 			s.sync.Select = glap.LocalitySelector(tree)
 			s.sync.Topo = tree
@@ -166,6 +167,7 @@ func (s *stack) installAsync(tables func(*sim.Engine, *sim.Node) *glap.NodeTable
 		// Each request stage covers a full offer round-trip even on slow
 		// links: two rounds plus four of the longest one-way delays.
 		OfferTimeout: 2*s.e.RoundPeriod + 4*maxLat,
+		Decisions:    glap.Decisions{Split: x.decisionSplit()},
 	}
 	if x.TopologyAware {
 		// Locality-aware peer selection only: prefer same-rack, then
@@ -175,6 +177,27 @@ func (s *stack) installAsync(tables func(*sim.Engine, *sim.Node) *glap.NodeTable
 	}
 	s.tr.Handle(s.async)
 	s.e.Register(s.async)
+}
+
+// decisionSplit is the round at which the GLAP stacks' decision histograms
+// (glap.Decisions) switch from the early to the late bucket: the end of the
+// first quarter of the run, round 180 of the paper's 720-round day, by which
+// Algorithm 3 has done most of its packing.
+func (x *Experiment) decisionSplit() int { return x.Rounds / 4 }
+
+// decisions returns a copy of the GLAP stacks' decision histogram, nil under
+// every other policy.
+func (s *stack) decisions() *glap.Decisions {
+	var d glap.Decisions
+	switch {
+	case s.sync != nil:
+		d = s.sync.Decisions
+	case s.async != nil:
+		d = s.async.Decisions
+	default:
+		return nil
+	}
+	return &d
 }
 
 // run is the one run tail: it attaches the metrics (and the switch

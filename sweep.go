@@ -21,12 +21,14 @@ type sweepRun struct {
 
 // result is the run as Run and RunReplicated report it.
 func (s *stack) result() *Result {
-	return &Result{Series: s.series, Cluster: s.c, Pretrain: s.pre, BFDBaseline: bfdOracle(s.c), Network: s.network}
+	return &Result{Series: s.series, Cluster: s.c, Pretrain: s.pre, BFDBaseline: bfdOracle(s.c), Network: s.network,
+		Decisions: s.decisions()}
 }
 
 // outcome is the record the grid, robustness and scenario reducers read: a
 // run's series and final accounting, without its engine or cluster. The
-// message counters are glap-async's and zero under every other policy.
+// message counters are glap-async's and zero under every other policy;
+// decisions is the GLAP stacks' Algorithm-3 histogram, nil under the others.
 type outcome struct {
 	series                           *metrics.Series
 	network                          *metrics.NetworkSeries
@@ -35,6 +37,7 @@ type outcome struct {
 	energyKWh                        float64
 	sent, delivered, dropped         int64
 	offers, commits, aborts, expired int64
+	decisions                        *glap.Decisions
 }
 
 func (s *stack) outcome() outcome {
@@ -43,6 +46,7 @@ func (s *stack) outcome() outcome {
 		series: s.series, network: s.network,
 		active: c.ActivePMs(), bfd: bfdOracle(c), leaked: c.OpenReservations(),
 		migrations: c.Migrations, failed: c.FailedPlacements, energyKWh: metrics.TotalEnergyKWh(c),
+		decisions: s.decisions(),
 	}
 	if a, tr := s.async, s.tr; a != nil {
 		o.sent, o.delivered, o.dropped = tr.Sent, tr.Delivered, tr.Dropped
