@@ -262,8 +262,10 @@ func buildCluster(x Experiment, w *trace.Set) (*dc.Cluster, error) {
 				continue
 			}
 			arrive := 1 + churnRNG.Intn(x.Rounds/2+1)
+			// A departure is drawn only when one fits in the run: at
+			// Rounds 1 and 2 a VM may arrive in the last round.
 			depart := -1
-			if churnRNG.Bool() {
+			if churnRNG.Bool() && arrive < x.Rounds {
 				depart = arrive + 1 + churnRNG.Intn(x.Rounds-arrive)
 			}
 			if err := c.SetLifecycle(vm.ID, arrive, depart); err != nil {

@@ -46,24 +46,6 @@ func (v *View) Contains(peer int) bool {
 	return false
 }
 
-// Peers returns the peer ids in the view.
-func (v *View) Peers() []int {
-	out := make([]int, len(v.entries))
-	for i, e := range v.entries {
-		out[i] = e.Peer
-	}
-	return out
-}
-
-func (v *View) remove(peer int) {
-	for i, e := range v.entries {
-		if e.Peer == peer {
-			v.entries = append(v.entries[:i], v.entries[i+1:]...)
-			return
-		}
-	}
-}
-
 // oldestIndex returns the index of the entry with maximal age, or -1 when
 // the view is empty. Ties break toward the lowest index, which is
 // deterministic given the deterministic view construction.

@@ -226,19 +226,11 @@ func TestViewAccessors(t *testing.T) {
 	if !v.Contains(3) || v.Contains(4) {
 		t.Fatal("Contains broken")
 	}
-	peers := v.Peers()
-	if len(peers) != 2 || peers[0] != 3 || peers[1] != 5 {
-		t.Fatalf("Peers = %v", peers)
-	}
 	// Entries returns a copy.
 	ents := v.Entries()
 	ents[0].Peer = 99
 	if v.entries[0].Peer == 99 {
 		t.Fatal("Entries should return a copy")
-	}
-	v.remove(3)
-	if v.Contains(3) || v.Len() != 1 {
-		t.Fatal("remove broken")
 	}
 	if (&View{}).oldestIndex() != -1 {
 		t.Fatal("oldestIndex of empty view should be -1")

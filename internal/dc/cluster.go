@@ -515,12 +515,6 @@ func (c *Cluster) FreeCur(pm *PM) Vec {
 	return free
 }
 
-// FitsCur reports whether vm's current absolute demand fits in pm's free
-// capacity under current demand — the capacity check of Algorithm 3.
-func (c *Cluster) FitsCur(vm *VM, pm *PM) bool {
-	return vm.CurAbs().FitsWithin(c.FreeCur(pm))
-}
-
 // SetPMOn powers the PM on or off. Switching off a PM that still hosts VMs
 // or holds open reservations is rejected: consolidation protocols must empty
 // a machine first, and a machine expecting an in-flight VM must stay up to

@@ -249,7 +249,7 @@ func TestFreeCurAndFitsCur(t *testing.T) {
 	vm := c.VMs[0]
 	src := c.PMs[vm.Host()]
 	dst := c.PMs[1-vm.Host()]
-	if !c.FitsCur(vm, dst) {
+	if !vm.CurAbs().FitsWithin(c.FreeCur(dst)) {
 		t.Fatal("VM should fit empty PM")
 	}
 	free := c.FreeCur(src)

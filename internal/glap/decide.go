@@ -80,7 +80,7 @@ const (
 // test, in the order that lets a vetoed exchange stop early: π_out's action
 // over φ^out in the sender's state, π_in over φ^in in the target's state,
 // and only then the cheapest VM of that action. π_in reads the action alone,
-// so the outcome is the one SelectOffer-then-VetOffer reaches. The VM list
+// so the outcome is the one π_out-then-π_in reaches. The VM list
 // and its actions are read into call-local stack buffers (spilling to the
 // heap past 64 VMs): nearly every exchange migrates nothing, so the read
 // must not build garbage, and stack buffers serve both transports without

@@ -133,32 +133,10 @@ func CheapestVM(vms []*dc.VM, acts []qlearn.Action, a qlearn.Action) *dc.VM {
 	return cheapest
 }
 
-// SelectOffer is the whole of π_out (Algorithm 3, lines 18-21): BestAction,
-// then CheapestVM of that action. ok is false only when vms is empty. The
-// per-VM actions live in a call-local stack buffer (spilling to the heap past
-// 64 VMs).
-func SelectOffer(out *qlearn.Table, sender qlearn.State, vms []*dc.VM, action func(*dc.VM) qlearn.Action) (Offer, bool) {
-	var actsBuf [64]qlearn.Action
-	best, acts, ok := BestAction(out, sender, vms, action, actsBuf[:0])
-	if !ok {
-		return Offer{}, false
-	}
-	return Offer{VM: CheapestVM(vms, acts, best), Action: best}, true
-}
-
 // AcceptIn is the π_in test (Algorithm 3, line 22): the offered action must
 // have non-negative φ^in value in the target's state. It depends on the
 // action alone, not on which VM carries it, so a transport can run it before
 // CheapestVM: a vetoed exchange then never scans the VMs a second time.
 func AcceptIn(in *qlearn.Table, target qlearn.State, a qlearn.Action) bool {
 	return in.Get(target, a) >= 0
-}
-
-// VetOffer runs the π_in accept test plus the capacity check (Algorithm 3,
-// lines 22-23): AcceptIn, and the offered demand must fit within the
-// target's free capacity. The caller chooses which free vector to vet
-// against — the live one (synchronous), a remote estimate (sender-side
-// pre-vet), or capacity net of open reservations (target-side re-vet).
-func VetOffer(in *qlearn.Table, target qlearn.State, a qlearn.Action, demand, free dc.Vec) bool {
-	return AcceptIn(in, target, a) && demand.FitsWithin(free)
 }

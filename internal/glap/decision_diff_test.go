@@ -150,41 +150,55 @@ func bruteForceOffer(out *qlearn.Table, sender qlearn.State, vms []*dc.VM, actio
 	return off, true
 }
 
-// checkSelectOffer requires decision.SelectOffer, the retired bucket
-// implementation and the brute-force oracle to agree on one input.
-func checkSelectOffer(t *testing.T, label string, out *qlearn.Table, sender qlearn.State, vms []*dc.VM, action func(*dc.VM) qlearn.Action) decision.Offer {
+// piOut composes π_out the way offerFor does: BestAction with the per-VM
+// actions in a 64-slot stack buffer, then CheapestVM of the chosen action.
+func piOut(out *qlearn.Table, sender qlearn.State, vms []*dc.VM, action func(*dc.VM) qlearn.Action) (decision.Offer, bool) {
+	var actsBuf [64]qlearn.Action
+	a, acts, ok := decision.BestAction(out, sender, vms, action, actsBuf[:0])
+	if !ok {
+		return decision.Offer{}, false
+	}
+	return decision.Offer{VM: decision.CheapestVM(vms, acts, a), Action: a}, true
+}
+
+// checkPiOut requires π_out's offer got (ok: one was made) to equal the
+// retired bucket implementation's and the brute-force oracle's on one input.
+func checkPiOut(t *testing.T, label string, got decision.Offer, ok bool, out *qlearn.Table, sender qlearn.State, vms []*dc.VM, action func(*dc.VM) qlearn.Action) {
 	t.Helper()
-	got, ok := decision.SelectOffer(out, sender, vms, action)
 	for name, oracle := range map[string]func(*qlearn.Table, qlearn.State, []*dc.VM, func(*dc.VM) qlearn.Action) (decision.Offer, bool){
 		"bucket": selectOfferBuckets, "brute-force": bruteForceOffer,
 	} {
 		want, wantOK := oracle(out, sender, vms, action)
 		if ok != wantOK {
-			t.Fatalf("%s: SelectOffer ok=%v, %s oracle ok=%v", label, ok, name, wantOK)
+			t.Fatalf("%s: π_out ok=%v, %s oracle ok=%v", label, ok, name, wantOK)
 		}
 		if got != want {
-			t.Fatalf("%s: SelectOffer picked vm=%d action=%d, %s oracle vm=%d action=%d",
+			t.Fatalf("%s: π_out picked vm=%d action=%d, %s oracle vm=%d action=%d",
 				label, got.VM.ID, got.Action, name, want.VM.ID, want.Action)
 		}
 	}
-	return got
 }
 
-// TestSelectOfferMatchesBruteForce runs π_out against the retired bucket
-// implementation and the brute-force oracle: over real clusters and random
-// Q-tables PM by PM, then over VM lists wider than SelectOffer's stack
-// scratch (more than 64 VMs, more than 16 distinct actions) with exact ties
-// forced in both memory footprint and Q-value, and finally pins when ok is
-// false.
-func TestSelectOfferMatchesBruteForce(t *testing.T) {
+// TestPiOutMatchesBruteForce runs π_out against the retired bucket
+// implementation and the brute-force oracle: offerFor over real clusters
+// and random Q-tables PM by PM, then BestAction and CheapestVM over VM lists
+// wider than their stack scratch (more than 64 VMs, more than 16 distinct
+// actions) with exact ties forced in both memory footprint and Q-value, and
+// finally pins when ok is false.
+func TestPiOutMatchesBruteForce(t *testing.T) {
 	cl := genCluster(t, 12, 40, 30, 7, 7)
 	rng := sim.NewRNG(19)
 	action := func(vm *dc.VM) qlearn.Action { return DecisionVMAction(vm, false) }
+	// An empty φ^in reads 0 everywhere, so π_in accepts every action and
+	// offerFor returns π_out's whole offer.
+	acceptAll := qlearn.New(0.5, 0.5)
 	for round := 0; round < 25; round++ {
 		cl.AdvanceRound(round)
 		out := randomTable(rng, 81, 81, 7)
 		for _, pm := range cl.PMs {
-			checkSelectOffer(t, fmt.Sprintf("round %d pm %d", round, pm.ID), out, PMStateAvg(cl, pm), vmsOn(cl, pm), action)
+			sender := PMStateAvg(cl, pm)
+			got, v := offerFor(&NodeTables{Out: out, In: acceptAll}, pm, sender, 0, action)
+			checkPiOut(t, fmt.Sprintf("round %d pm %d", round, pm.ID), got, v != noOffer, out, sender, vmsOn(cl, pm), action)
 		}
 	}
 
@@ -224,7 +238,9 @@ func TestSelectOfferMatchesBruteForce(t *testing.T) {
 			for _, n := range []int{1, 17, 64, 65, 130, len(wide.VMs)} {
 				from := rng.Intn(len(wide.VMs) - n + 1)
 				sender := qlearn.State(rng.Intn(81))
-				checkSelectOffer(t, fmt.Sprintf("round %d %s n=%d", round, name, n), out, sender, wide.VMs[from:from+n], act)
+				vms := wide.VMs[from : from+n]
+				got, ok := piOut(out, sender, vms, act)
+				checkPiOut(t, fmt.Sprintf("round %d %s n=%d", round, name, n), got, ok, out, sender, vms, act)
 			}
 		}
 	}
@@ -233,11 +249,12 @@ func TestSelectOfferMatchesBruteForce(t *testing.T) {
 	// cells as 0, so a table that knows none of the candidate actions still
 	// yields an offer — the first-seen action and its cheapest VM.
 	empty := qlearn.New(0.5, 0.5)
-	if _, ok := decision.SelectOffer(empty, 0, nil, action); ok {
-		t.Fatal("SelectOffer over no VMs reported ok")
+	if _, _, ok := decision.BestAction(empty, 0, nil, action, nil); ok {
+		t.Fatal("BestAction over no VMs reported ok")
 	}
 	vms := wide.VMs[:5]
-	got := checkSelectOffer(t, "empty table", empty, 0, vms, action)
+	got, ok := piOut(empty, 0, vms, action)
+	checkPiOut(t, "empty table", got, ok, empty, 0, vms, action)
 	if got.VM == nil || got.Action != action(vms[0]) {
 		t.Fatalf("empty table: offer %+v, want the first VM's action %d", got, action(vms[0]))
 	}
@@ -255,10 +272,11 @@ func vmsOn(c *dc.Cluster, pm *dc.PM) []*dc.VM {
 	return vms
 }
 
-// TestVetOfferMatchesOracle pins π_in plus the capacity check against its
+// TestAcceptInFitsWithinMatchesOracle pins π_in plus the capacity check
+// (AcceptIn, then FitsWithin of the target's free vector) against its
 // two-clause definition over randomized tables, demands, and free vectors —
 // including zero free capacity and sign-boundary Q-values.
-func TestVetOfferMatchesOracle(t *testing.T) {
+func TestAcceptInFitsWithinMatchesOracle(t *testing.T) {
 	rng := sim.NewRNG(23)
 	in := randomTable(rng, 81, 81, 5)
 	in.Set(3, 4, 0) // exact zero: π_in accepts (>= 0)
@@ -274,8 +292,8 @@ func TestVetOfferMatchesOracle(t *testing.T) {
 			demand = free // exact fit boundary
 		}
 		want := in.Get(s, a) >= 0 && demand.FitsWithin(free)
-		if got := decision.VetOffer(in, s, a, demand, free); got != want {
-			t.Fatalf("VetOffer(s=%d a=%d demand=%v free=%v) = %v, oracle %v (q=%g)",
+		if got := decision.AcceptIn(in, s, a) && demand.FitsWithin(free); got != want {
+			t.Fatalf("AcceptIn+FitsWithin(s=%d a=%d demand=%v free=%v) = %v, oracle %v (q=%g)",
 				s, a, demand, free, got, want, in.Get(s, a))
 		}
 	}
@@ -323,19 +341,23 @@ func TestAsyncSnapshotMatchesLiveDecisions(t *testing.T) {
 					continue
 				}
 				// Sender-side pre-vet against the snapshot ≡ the synchronous
-				// vet against the live target.
-				off, ok := decision.SelectOffer(shared.Out, PMStateAvg(cl, pm), vmsOn(cl, pm),
-					func(vm *dc.VM) qlearn.Action { return VMAction(vm) })
-				if !ok {
+				// vet against the live target: the same π_out offer and π_in
+				// verdict, and the same capacity test once π_in accepts.
+				sender := PMStateAvg(cl, pm)
+				snapOff, snapV := offerFor(shared, pm, sender, snaps[o.ID].state(&async.cals, false), VMAction)
+				liveOff, liveV := offerFor(shared, pm, sender, PMStateAvg(cl, o), VMAction)
+				if snapOff != liveOff || snapV != liveV {
+					t.Fatalf("round %d pair (%d,%d): snapshot offer %+v verdict %d, live %+v verdict %d",
+						round, pm.ID, o.ID, snapOff, snapV, liveOff, liveV)
+				}
+				if liveV != offered {
 					continue
 				}
-				snapVet := decision.VetOffer(shared.In, snaps[o.ID].state(&async.cals, false), off.Action,
-					off.VM.CurAbs(), snaps[o.ID].free())
-				liveVet := decision.VetOffer(shared.In, PMStateAvg(cl, o), off.Action,
-					off.VM.CurAbs(), cl.FreeCur(o))
-				if snapVet != liveVet {
-					t.Fatalf("round %d pair (%d,%d): snapshot vet %v, live vet %v for vm %d action %d",
-						round, pm.ID, o.ID, snapVet, liveVet, off.VM.ID, off.Action)
+				snapFits := snapOff.VM.CurAbs().FitsWithin(snaps[o.ID].free())
+				liveFits := liveOff.VM.CurAbs().FitsWithin(cl.FreeCur(o))
+				if snapFits != liveFits {
+					t.Fatalf("round %d pair (%d,%d): snapshot capacity test %v, live %v for vm %d action %d",
+						round, pm.ID, o.ID, snapFits, liveFits, liveOff.VM.ID, liveOff.Action)
 				}
 			}
 		}
@@ -364,15 +386,16 @@ func TestSyncProtocolMatchesCoreReplay(t *testing.T) {
 			return
 		}
 		step := func() bool {
-			off, ok := decision.SelectOffer(shared.Out, PMStateAvg(clB, s), s.AppendVMs(nil),
-				func(vm *dc.VM) qlearn.Action { return VMAction(vm) })
+			vms := s.AppendVMs(nil)
+			a, acts, ok := decision.BestAction(shared.Out, PMStateAvg(clB, s), vms, VMAction, nil)
 			if !ok {
 				return false
 			}
-			if !decision.VetOffer(shared.In, PMStateAvg(clB, o), off.Action, off.VM.CurAbs(), clB.FreeCur(o)) {
+			vm := decision.CheapestVM(vms, acts, a)
+			if !decision.AcceptIn(shared.In, PMStateAvg(clB, o), a) || !vm.CurAbs().FitsWithin(clB.FreeCur(o)) {
 				return false
 			}
-			return clB.Migrate(off.VM, o) == nil
+			return clB.Migrate(vm, o) == nil
 		}
 		switch decision.Direction(pmView(clB, s), pmView(clB, o)) {
 		case decision.ModeShed:

@@ -138,18 +138,6 @@ func LevelsOfState(s qlearn.State) Levels {
 	return ls
 }
 
-// PMStateAvg returns the PM's calibrated state from its VMs' average
-// demands — the paper's pre-action state.
-func PMStateAvg(c *dc.Cluster, pm *dc.PM) qlearn.State {
-	return LevelsOf(c.AvgUtil(pm)).State()
-}
-
-// PMStateCur returns the PM's calibrated state from current demands — the
-// paper's post-action state.
-func PMStateCur(c *dc.Cluster, pm *dc.PM) qlearn.State {
-	return LevelsOf(c.CurUtil(pm)).State()
-}
-
 // VMAction returns the VM's calibrated action from its average demand.
 func VMAction(vm *dc.VM) qlearn.Action {
 	return LevelsOf(vm.AvgDemand()).Action()

@@ -9,6 +9,19 @@ import (
 	"github.com/glap-sim/glap/internal/qlearn"
 )
 
+// PMStateAvg returns the PM's calibrated state from its VMs' average
+// demands — the paper's pre-action state — by dividing by capacity: the
+// oracle of the protocols' division-free calibrations.pmState.
+func PMStateAvg(c *dc.Cluster, pm *dc.PM) qlearn.State {
+	return LevelsOf(c.AvgUtil(pm)).State()
+}
+
+// PMStateCur is PMStateAvg from current demands — the paper's post-action
+// state.
+func PMStateCur(c *dc.Cluster, pm *dc.PM) qlearn.State {
+	return LevelsOf(c.CurUtil(pm)).State()
+}
+
 func TestLevelOfThresholds(t *testing.T) {
 	// Exact boundary semantics of the Section IV-A calibration table.
 	cases := []struct {

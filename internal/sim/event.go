@@ -26,9 +26,6 @@ type Event struct {
 // owner's free list is warm.
 type record interface{ fire() }
 
-// Cancelled reports whether the event was removed before firing.
-func (e *Event) Cancelled() bool { return e.index == -2 }
-
 // run fires a popped event.
 func (e *Event) run() {
 	if e.rec != nil {

@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// Cancelled reports whether the event was removed before firing.
+func (e *Event) Cancelled() bool { return e.index == -2 }
+
 func TestEventQueueOrdering(t *testing.T) {
 	var q eventQueue
 	var fired []int

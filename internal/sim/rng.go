@@ -119,7 +119,7 @@ func (r *RNG) Float64() float64 {
 func (r *RNG) Bool() bool { return r.Uint64()&1 == 1 }
 
 // Thresh53 converts a Bernoulli success probability into the 53-bit integer
-// threshold consumed by BernoulliThresh: the number of draw values k in
+// threshold consumed by Bernoulli and BernoulliBits: the number of draw values k in
 // [0, 2⁵³) satisfying k·2⁻⁵³ < p, i.e. ⌈p·2⁵³⌉ clamped to [0, 2⁵³].
 //
 // The conversion is exactly decision-equivalent to the float compare
@@ -145,14 +145,8 @@ func Thresh53(p float64) uint64 {
 	return t
 }
 
-// BernoulliThresh returns true with the probability encoded by a Thresh53
-// threshold, consuming exactly one Uint64 — the same draw Bernoulli consumes.
-// Hot loops with a fixed p hoist the threshold conversion out of the loop and
-// run one shift and one integer compare per coin.
-func (r *RNG) BernoulliThresh(t uint64) bool { return r.Uint64()>>11 < t }
-
-// BernoulliBits makes the n draws that n BernoulliThresh(t) calls would make
-// for a Thresh53 threshold t (at most 2⁵³), stores decision k in bit k&63 of
+// BernoulliBits makes the n draws that n Bernoulli calls would make at the
+// probability a Thresh53 threshold t (at most 2⁵³) encodes, stores decision k in bit k&63 of
 // dst[k>>6] and returns how many came up true. The ⌈n/64⌉ words it writes are
 // overwritten whole (bits at and above n in the last word are zero); later
 // words of dst are left alone. It panics if dst is shorter than ⌈n/64⌉ words.

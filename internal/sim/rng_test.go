@@ -308,6 +308,11 @@ func TestBoundRNGRebindsPerEngine(t *testing.T) {
 	}
 }
 
+// BernoulliThresh is one Bernoulli draw against a precomputed Thresh53
+// threshold, consuming exactly one Uint64: the per-draw reference
+// BernoulliBits must reproduce bit for bit.
+func (r *RNG) BernoulliThresh(t uint64) bool { return r.Uint64()>>11 < t }
+
 // floatBernoulli is the retired float-compare draw, kept verbatim as the
 // reference the integer-threshold Bernoulli must reproduce bit-identically:
 // same single Uint64 consumed, same decision for every (draw, p) pair.
