@@ -12,16 +12,22 @@ import (
 	"github.com/glap-sim/glap/internal/trace"
 )
 
-// burstyTraceConfig returns a generator calibration dominated by bursty and
-// spiky VMs — the "bursty workload patterns" regime of the paper's future
-// work.
-func burstyTraceConfig() *trace.GenConfig {
-	cfg := trace.DefaultGenConfig(0, 0, 0) // sizes filled by the facade
-	cfg.Mix = map[trace.Archetype]float64{
+// withBurstyWorkload gives x the workload it would generate itself, but with
+// an archetype mix dominated by bursty and spiky VMs — the "bursty workload
+// patterns" regime of the paper's future work.
+func withBurstyWorkload(tb testing.TB, x Experiment) Experiment {
+	tb.Helper()
+	gen := trace.DefaultGenConfig(x.PMs*x.Ratio, x.Rounds, deriveSeed(x.Seed, seedTrace))
+	gen.Mix = map[trace.Archetype]float64{
 		trace.Stable: 0.05, trace.Diurnal: 0.10, trace.Periodic: 0.05,
 		trace.Bursty: 0.50, trace.Spiky: 0.30,
 	}
-	return &cfg
+	w, err := trace.GenerateStreaming(gen)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	x.Workload = w
+	return x
 }
 
 func TestTopologyExperimentEndToEnd(t *testing.T) {
@@ -105,8 +111,7 @@ func TestTopologyAwareReducesSwitchEnergy(t *testing.T) {
 }
 
 func TestBurstyWorkloadExperiment(t *testing.T) {
-	x := smallExperiment(PolicyGLAP)
-	x.TraceConfig = burstyTraceConfig()
+	x := withBurstyWorkload(t, smallExperiment(PolicyGLAP))
 	res, err := Run(x)
 	if err != nil {
 		t.Fatal(err)
@@ -114,8 +119,8 @@ func TestBurstyWorkloadExperiment(t *testing.T) {
 	if err := res.Cluster.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	// The trace override must actually be in force: the cluster's workload
-	// should be dominated by bursty/spiky VMs.
+	// The workload override must actually be in force: the cluster's
+	// workload should be dominated by bursty/spiky VMs.
 	w := res.Cluster.Workload()
 	bursty := 0
 	for vm := 0; vm < w.NumVMs(); vm++ {
@@ -174,8 +179,7 @@ func BenchmarkExtensionBurstyWorkload(b *testing.B) {
 		b.Run(string(p), func(b *testing.B) {
 			var over float64
 			for i := 0; i < b.N; i++ {
-				x := benchExperiment(p, uint64(i+1))
-				x.TraceConfig = burstyTraceConfig()
+				x := withBurstyWorkload(b, benchExperiment(p, uint64(i+1)))
 				res, err := Run(x)
 				if err != nil {
 					b.Fatal(err)

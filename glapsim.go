@@ -70,10 +70,6 @@ type Experiment struct {
 	// Workload overrides the generated trace (optional). It must contain
 	// exactly PMs*Ratio VMs.
 	Workload *trace.Set
-	// TraceConfig overrides the synthetic generator's calibration (the
-	// future-work bursty-workload evaluation raises the bursty/spiky mix
-	// this way). VMs, Rounds and Seed are filled from the experiment.
-	TraceConfig *trace.GenConfig
 	// GLAP overrides the GLAP configuration (zero fields default).
 	GLAP glap.Config
 	// PretrainedTables skips GLAP pre-training and uses this checkpointed
@@ -222,12 +218,6 @@ func workloadFor(x Experiment) (*trace.Set, error) {
 		return x.Workload, nil
 	}
 	gen := trace.DefaultGenConfig(x.PMs*x.Ratio, x.Rounds, deriveSeed(x.Seed, seedTrace))
-	if x.TraceConfig != nil {
-		gen = *x.TraceConfig
-		gen.VMs = x.PMs * x.Ratio
-		gen.Rounds = x.Rounds
-		gen.Seed = deriveSeed(x.Seed, seedTrace)
-	}
 	// The streaming source synthesises samples on demand from a 120-byte
 	// per-VM cursor — the very synthesis the materialised generator holds,
 	// but a 200k-VM workload no longer costs rounds×16 bytes per VM up front.

@@ -21,17 +21,24 @@ import (
 // ProtocolName registers the EcoCloud baseline.
 const ProtocolName = "ecocloud"
 
+// The paper's EcoCloud configuration. The constants are typed, so an
+// expression over several of them, such as assentProb's peak, rounds to
+// float64 at every step as run-time arithmetic does; untyped, it would be
+// folded exactly and move the assent probabilities.
+const (
+	// t1 and t2 are the lower and upper utilisation thresholds.
+	t1, t2 float64 = 0.3, 0.8
+	// shape is the exponent p of the assent function f(x) ∝ x^p·(t2−x);
+	// larger values concentrate acceptance near t2. EcoCloud uses p = 3.
+	shape float64 = 3
+	// candidates is the number of peers polled per migration attempt
+	// (EcoCloud broadcasts; the gossip port polls a view sample).
+	candidates = 8
+)
+
 // Protocol is the EcoCloud baseline.
 type Protocol struct {
 	B *policy.Binding
-	// T1 and T2 are the lower and upper utilisation thresholds.
-	T1, T2 float64
-	// Shape is the exponent p of the assent function f(x) ∝ x^p·(T2−x);
-	// larger values concentrate acceptance near T2. EcoCloud uses p = 3.
-	Shape float64
-	// Candidates is the number of peers polled per migration attempt
-	// (EcoCloud broadcasts; the gossip port polls a view sample).
-	Candidates int
 
 	rng sim.BoundRNG
 	// vms and keyed are shed's and evacuate's buffers, reused across calls:
@@ -42,7 +49,7 @@ type Protocol struct {
 
 // New returns the baseline with the paper's configuration (T1=0.3, T2=0.8).
 func New(b *policy.Binding) *Protocol {
-	return &Protocol{B: b, T1: 0.3, T2: 0.8, Shape: 3, Candidates: 8}
+	return &Protocol{B: b}
 }
 
 // Name implements sim.Protocol.
@@ -55,8 +62,8 @@ func (p *Protocol) Setup(e *sim.Engine, n *sim.Node) any {
 
 // assentProb is the normalised acceptance probability for a destination at
 // CPU utilisation x: zero outside (0, T2), maximal at x = T2·p/(p+1).
-func (p *Protocol) assentProb(x float64) float64 {
-	if x <= 0 || x >= p.T2 {
+func assentProb(x float64) float64 {
+	if x <= 0 || x >= t2 {
 		// A completely empty candidate may still assent with a small
 		// probability so evacuations can bootstrap onto already-active
 		// but idle machines; EcoCloud handles this via its coordinator.
@@ -65,9 +72,9 @@ func (p *Protocol) assentProb(x float64) float64 {
 		}
 		return 0
 	}
-	xm := p.T2 * p.Shape / (p.Shape + 1)
-	fmax := math.Pow(xm, p.Shape) * (p.T2 - xm)
-	return math.Pow(x, p.Shape) * (p.T2 - x) / fmax
+	xm := t2 * shape / (shape + 1)
+	fmax := math.Pow(xm, shape) * (t2 - xm)
+	return math.Pow(x, shape) * (t2 - x) / fmax
 }
 
 // Round implements one EcoCloud round for PM n: shed when above T2,
@@ -81,18 +88,18 @@ func (p *Protocol) Round(e *sim.Engine, n *sim.Node, round int) {
 	}
 	u := c.CurUtil(pm)[dc.CPU]
 	switch {
-	case u > p.T2:
+	case u > t2:
 		// Migration out of a high-load state is itself probabilistic in
 		// EcoCloud (a Bernoulli trial whose success probability grows with
 		// the excess), which avoids shedding cascades but lets overload
 		// persist for a while — the behaviour the paper's Figure 6 shows.
-		if rng.Bernoulli(math.Min(1, (u-p.T2)/(1-p.T2))) {
+		if rng.Bernoulli(math.Min(1, (u-t2)/(1-t2))) {
 			p.shed(e, n, pm)
 		}
-	case u < p.T1:
+	case u < t1:
 		// Migration probability grows as the server empties:
 		// 1 − u/T1.
-		if rng.Bernoulli(1 - u/p.T1) {
+		if rng.Bernoulli(1 - u/t1) {
 			p.evacuate(e, n, pm)
 		}
 	}
@@ -101,7 +108,7 @@ func (p *Protocol) Round(e *sim.Engine, n *sim.Node, round int) {
 // shed migrates the smallest VMs away until utilisation drops to T2.
 func (p *Protocol) shed(e *sim.Engine, n *sim.Node, pm *dc.PM) {
 	c := p.B.C
-	for c.CurUtil(pm)[dc.CPU] > p.T2 {
+	for c.CurUtil(pm)[dc.CPU] > t2 {
 		p.vms = pm.AppendVMs(p.vms[:0])
 		if len(p.vms) == 0 {
 			return
@@ -144,13 +151,13 @@ func (p *Protocol) evacuate(e *sim.Engine, n *sim.Node, pm *dc.PM) {
 	_ = p.B.TryPowerOffIfEmpty(pm.ID)
 }
 
-// findAssenting polls up to Candidates peers from the Cyclon view; each
+// findAssenting polls up to candidates peers from the Cyclon view; each
 // assents via the Bernoulli trial and must fit the VM's current demand while
 // staying at or below T2 on both resources.
 func (p *Protocol) findAssenting(e *sim.Engine, n *sim.Node, vm *dc.VM) *dc.PM {
 	rng := p.rng.For(e, 0xec0c1d)
 	c := p.B.C
-	for i := 0; i < p.Candidates; i++ {
+	for i := 0; i < candidates; i++ {
 		peer := cyclon.SelectPeer(e, n, rng)
 		if peer < 0 {
 			return nil
@@ -161,10 +168,10 @@ func (p *Protocol) findAssenting(e *sim.Engine, n *sim.Node, vm *dc.VM) *dc.PM {
 		}
 		u := c.CurUtil(pm)
 		after := u.Add(vm.CurAbs().Div(pm.Spec.Capacity))
-		if after[dc.CPU] > p.T2 || after[dc.Mem] > p.T2 {
+		if after[dc.CPU] > t2 || after[dc.Mem] > t2 {
 			continue
 		}
-		if rng.Bernoulli(p.assentProb(u[dc.CPU])) {
+		if rng.Bernoulli(assentProb(u[dc.CPU])) {
 			return pm
 		}
 	}

@@ -48,23 +48,22 @@ func install(t *testing.T, cl *dc.Cluster, seed uint64) (*sim.Engine, *Protocol)
 }
 
 func TestAssentProbShape(t *testing.T) {
-	p := &Protocol{T1: 0.3, T2: 0.8, Shape: 3}
 	// Zero at/above T2.
-	if p.assentProb(0.8) != 0 || p.assentProb(0.95) != 0 {
+	if assentProb(0.8) != 0 || assentProb(0.95) != 0 {
 		t.Fatal("assent must be zero at/above T2")
 	}
 	// Small bootstrap probability at zero utilisation.
-	if got := p.assentProb(0); got <= 0 || got > 0.1 {
+	if got := assentProb(0); got <= 0 || got > 0.1 {
 		t.Fatalf("assent at zero = %g", got)
 	}
 	// Peak at T2*p/(p+1) = 0.6; normalised to 1.
-	if got := p.assentProb(0.6); got < 0.999 || got > 1.001 {
+	if got := assentProb(0.6); got < 0.999 || got > 1.001 {
 		t.Fatalf("assent at peak = %g, want ~1", got)
 	}
 	// Monotone rising toward the peak, in [0,1] everywhere.
 	prev := 0.0
 	for x := 0.05; x < 0.6; x += 0.05 {
-		v := p.assentProb(x)
+		v := assentProb(x)
 		if v < 0 || v > 1 {
 			t.Fatalf("assent(%g) = %g out of range", x, v)
 		}
@@ -74,7 +73,7 @@ func TestAssentProbShape(t *testing.T) {
 		prev = v
 	}
 	// Falling after the peak.
-	if p.assentProb(0.75) >= p.assentProb(0.6) {
+	if assentProb(0.75) >= assentProb(0.6) {
 		t.Fatal("assent should fall after the peak")
 	}
 }

@@ -19,12 +19,13 @@ import (
 // ProtocolName registers the GRMP baseline.
 const ProtocolName = "grmp"
 
+// threshold is the static upper utilisation bound for accepting VMs (the
+// paper configures 0.8).
+const threshold = 0.8
+
 // Protocol is the GRMP baseline consolidation protocol.
 type Protocol struct {
 	B *policy.Binding
-	// Threshold is the static upper utilisation bound for accepting VMs
-	// (the paper configures 0.8).
-	Threshold float64
 
 	rng sim.BoundRNG
 	// vms and keyed are migrateOne's buffers, reused across calls: Round is
@@ -35,7 +36,7 @@ type Protocol struct {
 
 // New returns the baseline with the paper's static 0.8 threshold.
 func New(b *policy.Binding) *Protocol {
-	return &Protocol{B: b, Threshold: 0.8}
+	return &Protocol{B: b}
 }
 
 // Name implements sim.Protocol.
@@ -102,7 +103,7 @@ func (g *Protocol) migrateOne(s, o *dc.PM) bool {
 	for _, k := range g.keyed {
 		vm := k.VM
 		after := oUtil.Add(vm.CurAbs().Div(o.Spec.Capacity))
-		if after[dc.CPU] <= g.Threshold && after[dc.Mem] <= g.Threshold {
+		if after[dc.CPU] <= threshold && after[dc.Mem] <= threshold {
 			return c.Migrate(vm, o) == nil
 		}
 	}

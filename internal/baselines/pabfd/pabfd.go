@@ -18,19 +18,22 @@ import (
 	"github.com/glap-sim/glap/internal/sim"
 )
 
+// Beloglazov & Buyya's configuration.
+const (
+	// safety is the MAD safety parameter s in T_u = 1 − s·MAD
+	// (Beloglazov's evaluation uses s = 2.5).
+	safety = 2.5
+	// historyLen bounds the per-host utilisation history window.
+	historyLen = 30
+	// fallbackThreshold is used until a host has enough history for a MAD
+	// estimate.
+	fallbackThreshold = 0.8
+)
+
 // Controller is the centralized PABFD manager. It is not a gossip protocol:
 // Install hooks it to run once per round with global knowledge.
 type Controller struct {
 	B *policy.Binding
-	// Safety is the MAD safety parameter s in T_u = 1 − s·MAD
-	// (Beloglazov's evaluation uses s = 2.5).
-	Safety float64
-	// HistoryLen bounds the per-host utilisation history window. The first
-	// Step sizes the windows from it; later changes have no effect.
-	HistoryLen int
-	// FallbackThreshold is used until a host has enough history for a MAD
-	// estimate.
-	FallbackThreshold float64
 	// Period is the controller's monitoring/optimisation period in rounds.
 	// Beloglazov's controller runs every 5 minutes while the simulation
 	// rounds are 2 minutes, so the default is 3 rounds: between controller
@@ -66,7 +69,6 @@ type window struct {
 // newWindows returns n empty windows of size samples each, on two shared
 // backings.
 func newWindows(n, size int) []window {
-	size = max(size, 0)
 	ring, sorted := make([]float64, n*size), make([]float64, n*size)
 	w := make([]window, n)
 	for i := range w {
@@ -80,9 +82,6 @@ func newWindows(n, size int) []window {
 // full.
 func (w *window) record(u float64) {
 	size, n := len(w.ring), len(w.sorted)
-	if size == 0 {
-		return
-	}
 	if n < size {
 		w.ring[n] = u
 	} else {
@@ -141,13 +140,7 @@ func absDev(x, m float64) float64 {
 // Install wires a PABFD controller into engine e; it executes at the start
 // of every round, after workload demand is refreshed.
 func Install(e *sim.Engine, b *policy.Binding) *Controller {
-	c := &Controller{
-		B:                 b,
-		Safety:            2.5,
-		HistoryLen:        30,
-		FallbackThreshold: 0.8,
-		Period:            3,
-	}
+	c := &Controller{B: b, Period: 3}
 	e.BeforeRound(func(e *sim.Engine, round int) {
 		if c.Period > 1 && round%c.Period != 0 {
 			return
@@ -163,7 +156,7 @@ func (c *Controller) Step(round int) {
 	cl := c.B.C
 	if c.wins == nil {
 		n := len(cl.PMs)
-		c.wins = newWindows(n, c.HistoryLen)
+		c.wins = newWindows(n, historyLen)
 		c.th, c.overloaded, c.extra = make([]float64, n), make([]bool, n), make([]dc.Vec, n)
 	}
 	// 1. Record utilisation history for active hosts.
@@ -244,9 +237,9 @@ func (c *Controller) Step(round int) {
 func (c *Controller) threshold(id int) float64 {
 	w := &c.wins[id]
 	if len(w.sorted) < 10 {
-		return c.FallbackThreshold
+		return fallbackThreshold
 	}
-	t := 1 - c.Safety*w.mad()
+	t := 1 - safety*w.mad()
 	if t < 0.4 {
 		t = 0.4
 	}

@@ -75,11 +75,11 @@ func median(xs []float64) float64 {
 }
 
 // oracleThreshold is threshold over the sort-based MAD of fifo.
-func oracleThreshold(c *Controller, fifo []float64) float64 {
+func oracleThreshold(fifo []float64) float64 {
 	if len(fifo) < 10 {
-		return c.FallbackThreshold
+		return fallbackThreshold
 	}
-	t := 1 - c.Safety*mad(fifo)
+	t := 1 - safety*mad(fifo)
 	if t < 0.4 {
 		t = 0.4
 	}
@@ -91,7 +91,7 @@ func oracleThreshold(c *Controller, fifo []float64) float64 {
 
 // windowController is a one-host controller whose window holds size samples.
 func windowController(size int) *Controller {
-	return &Controller{Safety: 2.5, FallbackThreshold: 0.8, HistoryLen: size, wins: newWindows(1, size)}
+	return &Controller{wins: newWindows(1, size)}
 }
 
 func TestMedianAndMAD(t *testing.T) {
@@ -137,13 +137,13 @@ func TestThresholdBounds(t *testing.T) {
 }
 
 // TestMADWindowMatchesSort drives random sample sequences through windows of
-// 1 to HistoryLen+10 samples. Half the values come from a coarse grid, so
+// 1 to historyLen+10 samples. Half the values come from a coarse grid, so
 // exact ties, tied medians and evictions of a duplicated value all occur.
 // After every sample the window must hold the FIFO's last samples, its MAD
 // must equal the sort-based oracle's bit for bit, and so must the threshold.
 func TestMADWindowMatchesSort(t *testing.T) {
 	rng := sim.NewRNG(11)
-	for size := 1; size <= 30+10; size++ {
+	for size := 1; size <= historyLen+10; size++ {
 		c := windowController(size)
 		var fifo []float64
 		for step := 0; step < 20*size+50; step++ {
@@ -162,7 +162,7 @@ func TestMADWindowMatchesSort(t *testing.T) {
 			if got, want := w.mad(), mad(fifo); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("size %d step %d: mad %v, sort-based %v (FIFO %v)", size, step, got, want, fifo)
 			}
-			if got, want := c.threshold(0), oracleThreshold(c, fifo); math.Float64bits(got) != math.Float64bits(want) {
+			if got, want := c.threshold(0), oracleThreshold(fifo); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("size %d step %d: threshold %v, sort-based %v", size, step, got, want)
 			}
 		}

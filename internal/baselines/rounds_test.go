@@ -90,7 +90,8 @@ func TestBaselineRoundsZeroAlloc(t *testing.T) {
 	for _, name := range baselineNames {
 		t.Run(name, func(t *testing.T) {
 			pass, cl := warmedRound(t, name)
-			if name == ecocloud.ProtocolName && !hasUnderloaded(cl, ecocloud.New(nil).T1) {
+			// 0.3 is EcoCloud's lower threshold T1.
+			if name == ecocloud.ProtocolName && !hasUnderloaded(cl, 0.3) {
 				t.Fatal("no active PM below T1: the pass never reaches evacuate")
 			}
 			if allocs := testing.AllocsPerRun(20, pass); allocs != 0 {

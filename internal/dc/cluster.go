@@ -223,9 +223,6 @@ type Cluster struct {
 	migBW      func(src, dst int) float64
 	placeIntn  func(n int) int
 
-	// RoundSeconds is the wall-clock length of one round (the paper: 120 s).
-	RoundSeconds float64
-
 	// Migrations is the cumulative migration count.
 	Migrations int64
 	// FailedPlacements counts arrival rounds in which an arriving VM could
@@ -275,17 +272,12 @@ func (c *Cluster) hostedRemove(p int, id int32) {
 type Config struct {
 	// PMs is the number of physical machines.
 	PMs int
-	// PMSpec and VMSpec select hardware models; zero values default to the
-	// paper's HP ProLiant ML110 G5 and EC2 micro.
-	PMSpec PMSpec
-	VMSpec VMSpec
 	// PMSpecFor, when set, assigns a per-machine hardware model
-	// (heterogeneous clusters); it overrides PMSpec.
+	// (heterogeneous clusters); nil gives every machine the paper's HP
+	// ProLiant ML110 G5. Every VM is an EC2 micro.
 	PMSpecFor func(pm int) PMSpec
 	// Workload drives per-VM demand; it also fixes the number of VMs.
 	Workload *trace.Set
-	// RoundSeconds defaults to 120.
-	RoundSeconds float64
 	// LogMigrations keeps a per-migration record (needed only by the
 	// energy-breakdown example; the counters are always maintained).
 	LogMigrations bool
@@ -305,20 +297,10 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Workload == nil || cfg.Workload.NumVMs() == 0 {
 		return nil, fmt.Errorf("dc: workload with at least one VM required")
 	}
-	if cfg.PMSpec.Capacity == (Vec{}) {
-		cfg.PMSpec = HPProLiantML110G5
-	}
-	if cfg.VMSpec.Capacity == (Vec{}) {
-		cfg.VMSpec = EC2Micro
-	}
-	if cfg.RoundSeconds == 0 {
-		cfg.RoundSeconds = 120
-	}
 	numVMs := cfg.Workload.NumVMs()
 	c := &Cluster{
 		workload:      cfg.Workload,
 		aheadRound:    -1,
-		RoundSeconds:  cfg.RoundSeconds,
 		logMigrations: cfg.LogMigrations,
 		migBW:         cfg.MigrationBandwidth,
 
@@ -359,7 +341,7 @@ func New(cfg Config) (*Cluster, error) {
 	pmBack := make([]PM, cfg.PMs)
 	c.PMs = make([]*PM, cfg.PMs)
 	for i := range c.PMs {
-		spec := cfg.PMSpec
+		spec := HPProLiantML110G5
 		if cfg.PMSpecFor != nil {
 			spec = cfg.PMSpecFor(i)
 		}
@@ -371,11 +353,11 @@ func New(cfg Config) (*Cluster, error) {
 	vmBack := make([]VM, numVMs)
 	c.VMs = make([]*VM, numVMs)
 	for i := range c.VMs {
-		vmBack[i] = VM{ID: i, Spec: cfg.VMSpec, c: c}
+		vmBack[i] = VM{ID: i, Spec: EC2Micro, c: c}
 		c.VMs[i] = &vmBack[i]
 		c.vmHost[i] = -1
 		c.vmDepart[i] = -1
-		c.vmCap[i] = cfg.VMSpec.Capacity
+		c.vmCap[i] = EC2Micro.Capacity
 		// Seed demand from round 0 so states are meaningful before the
 		// first AdvanceRound.
 		s := cfg.Workload.At(i, 0)
@@ -658,7 +640,7 @@ func (c *Cluster) AdvanceRound(r int) {
 		c.vmAvg[id] = avg
 		c.vmCount[id]++
 		cp := c.vmCap[id]
-		c.vmRequested[id] += cur[CPU] * cp[CPU] * c.RoundSeconds
+		c.vmRequested[id] += cur[CPU] * cp[CPU] * RoundSeconds
 		curSum, avgSum := &c.pmCurSum[h], &c.pmAvgSum[h]
 		curSum[CPU] += float64(cur[CPU] * cp[CPU])
 		curSum[Mem] += float64(cur[Mem] * cp[Mem])
@@ -669,13 +651,13 @@ func (c *Cluster) AdvanceRound(r int) {
 		if !c.pmOn(p) {
 			continue
 		}
-		c.pmActiveSec[p] += c.RoundSeconds
+		c.pmActiveSec[p] += RoundSeconds
 		cpuU := c.pmCurSum[p].Div(pm.Spec.Capacity)[CPU]
 		if cpuU >= 1 {
-			c.pmOverloadSec[p] += c.RoundSeconds
+			c.pmOverloadSec[p] += RoundSeconds
 			cpuU = 1
 		}
-		c.pmEnergyJ[p] += (pm.Spec.PowerIdleW + (pm.Spec.PowerMaxW-pm.Spec.PowerIdleW)*cpuU) * c.RoundSeconds
+		c.pmEnergyJ[p] += (pm.Spec.PowerIdleW + (pm.Spec.PowerMaxW-pm.Spec.PowerIdleW)*cpuU) * RoundSeconds
 	}
 }
 

@@ -81,9 +81,6 @@ func TestNewDefaults(t *testing.T) {
 	if c.VMs[0].Spec.Name != EC2Micro.Name {
 		t.Fatal("VM spec should default to EC2 micro")
 	}
-	if c.RoundSeconds != 120 {
-		t.Fatalf("RoundSeconds = %g", c.RoundSeconds)
-	}
 }
 
 func TestPlaceRandomPlacesEveryVM(t *testing.T) {
@@ -510,7 +507,7 @@ func gatherAdvanceRound(c *Cluster, r int) {
 		}
 		c.vmAvg[id] = avg
 		c.vmCount[id]++
-		c.vmRequested[id] += cur[CPU] * c.vmCap[id][CPU] * c.RoundSeconds
+		c.vmRequested[id] += cur[CPU] * c.vmCap[id][CPU] * RoundSeconds
 	}
 	for p := range c.PMs {
 		var curSum, avgSum Vec
@@ -525,13 +522,13 @@ func gatherAdvanceRound(c *Cluster, r int) {
 			continue
 		}
 		pm := c.PMs[p]
-		c.pmActiveSec[p] += c.RoundSeconds
+		c.pmActiveSec[p] += RoundSeconds
 		cpuU := curSum.Div(pm.Spec.Capacity)[CPU]
 		if cpuU >= 1 {
-			c.pmOverloadSec[p] += c.RoundSeconds
+			c.pmOverloadSec[p] += RoundSeconds
 			cpuU = 1
 		}
-		c.pmEnergyJ[p] += (pm.Spec.PowerIdleW + (pm.Spec.PowerMaxW-pm.Spec.PowerIdleW)*cpuU) * c.RoundSeconds
+		c.pmEnergyJ[p] += (pm.Spec.PowerIdleW + (pm.Spec.PowerMaxW-pm.Spec.PowerIdleW)*cpuU) * RoundSeconds
 	}
 }
 

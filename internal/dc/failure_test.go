@@ -124,13 +124,13 @@ func TestCrashPMStrandsWithoutHeadroomAndRetries(t *testing.T) {
 // arrival must never consume capacity a target PM has promised to an
 // in-flight migration.
 func TestPlaceArrivalRespectsReservations(t *testing.T) {
-	// One VM per PM fits by allocation; the third, arriving, must take the
-	// stuffing path. Demands are constant, so the test controls every
-	// admission check.
+	// One EC2 micro (500 MIPS, 613 MB) per PM fits by allocation; the third,
+	// arriving, must take the stuffing path. Demands are constant, so the
+	// test controls every admission check.
+	small := PMSpec{Name: "test", Capacity: Vec{900, 1000}, NetBandwidthMBps: 100, PowerIdleW: 50, PowerMaxW: 100}
 	c := constCluster(t, Config{
-		PMs:    2,
-		PMSpec: PMSpec{Name: "test", Capacity: Vec{1000, 1000}, NetBandwidthMBps: 100, PowerIdleW: 50, PowerMaxW: 100},
-		VMSpec: VMSpec{Name: "test", Capacity: Vec{600, 600}},
+		PMs:       2,
+		PMSpecFor: func(int) PMSpec { return small },
 	}, 3, 10, 0.5, 0.5, 0)
 	if err := c.SetLifecycle(2, 1, -1); err != nil {
 		t.Fatal(err)
@@ -140,16 +140,16 @@ func TestPlaceArrivalRespectsReservations(t *testing.T) {
 	if c.PresentVMs() != 2 {
 		t.Fatalf("placed %d initial VMs, want 2", c.PresentVMs())
 	}
-	// Each PM hosts one 600-cap VM; a second never fits by allocation
-	// (1200 > 1000), so VM 2's arrival must stuff by current demand
-	// (300 absolute against 700 free). Reserving PM 0's remaining headroom
-	// forces the arrival onto PM 1.
+	// Each PM hosts one 500-MIPS VM; a second never fits by allocation
+	// (1000 > 900), so VM 2's arrival must stuff by current demand
+	// (250 MIPS, 306.5 MB against 650 and 693.5 free). Reserving a PM's
+	// remaining headroom leaves it no room for the arrival.
 	host0 := c.VMs[0].Host()
 	other := 1 - host0
-	if err := c.Reserve(c.PMs[host0], 7, Vec{700, 700}); err != nil {
+	if err := c.Reserve(c.PMs[host0], 7, Vec{650, 693.5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Reserve(c.PMs[other], 8, Vec{700, 700}); err != nil {
+	if err := c.Reserve(c.PMs[other], 8, Vec{650, 693.5}); err != nil {
 		t.Fatal(err)
 	}
 	// Both PMs fully reserved: the arrival must fail — the zero-reservation

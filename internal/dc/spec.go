@@ -155,6 +155,10 @@ var HPProLiantML110G4 = PMSpec{
 	MigrationCPUOverhead: 0.10,
 }
 
+// RoundSeconds is the wall-clock length of one round: the paper's 720 rounds
+// span 24 h.
+const RoundSeconds float64 = 120
+
 // EC2Micro is the VM model used in Section V-A: 500 MIPS CPU, 613 MB memory.
 var EC2Micro = VMSpec{
 	Name:     "EC2 micro",

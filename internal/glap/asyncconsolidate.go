@@ -47,25 +47,22 @@ type AsyncConsolidateProtocol struct {
 	B *policy.Binding
 	// Tr carries the messages.
 	Tr *sim.Transport
-	// Tables returns the Q store for a node. Nil defaults to the learning
-	// component registered on the same engine (TablesOf). Pre-trained
-	// deployments inject tables here.
+	// Tables returns the Q store for a node.
 	Tables func(e *sim.Engine, n *sim.Node) *NodeTables
 	// Select overrides the peer selector (defaults to Cyclon sampling).
 	Select PeerSelector
 	// CurrentDemandOnly mirrors Config.CurrentDemandOnly for the runtime
 	// decision states (ablation switch).
 	CurrentDemandOnly bool
-	// OfferTimeout bounds each request stage in virtual time; 0 defaults to
-	// 2×RoundPeriod at first use. Deployments on slow links should scale it
-	// with the expected round-trip.
+	// OfferTimeout bounds each request stage in virtual time; it must be
+	// positive. Deployments on slow links should scale it with the expected
+	// round-trip.
 	OfferTimeout int64
 
 	// Counters for robustness instrumentation.
 	Exchanges int64 // state exchanges initiated
 	Offers    int64 // migration offers issued (excluding retries)
 	Accepts   int64 // offers accepted by targets (fresh, non-duplicate)
-	Rejects   int64 // offers rejected by targets
 	Commits   int64 // migrations committed by senders
 	Aborts    int64 // abort notices sent for stale or failed accepts
 	Expired   int64 // request or hold deadlines that fired
@@ -74,7 +71,7 @@ type AsyncConsolidateProtocol struct {
 	// round the caller sets in Decisions.Split. The sender counts its
 	// pre-vet, timeouts, failed commits and migrations; the target counts
 	// its re-vet of each offer it receives, a retry whose first verdict was
-	// lost included, as Rejects does.
+	// lost included.
 	Decisions Decisions
 
 	rng       sim.BoundRNG
@@ -228,13 +225,6 @@ func (p *AsyncConsolidateProtocol) state(e *sim.Engine, n *sim.Node) *acNode {
 	return e.State(AsyncConsolidateProtocolName, n).(*acNode)
 }
 
-func (p *AsyncConsolidateProtocol) tables(e *sim.Engine, n *sim.Node) *NodeTables {
-	if p.Tables != nil {
-		return p.Tables(e, n)
-	}
-	return TablesOf(e, n)
-}
-
 func (p *AsyncConsolidateProtocol) pmState(c *dc.Cluster, pm *dc.PM) qlearn.State {
 	return p.cals.pmState(c, pm, p.CurrentDemandOnly)
 }
@@ -250,13 +240,6 @@ func (p *AsyncConsolidateProtocol) reqs(e *sim.Engine) *sim.ReqTable {
 		p.rtEngine, p.rt = e, sim.NewReqTable(e)
 	}
 	return p.rt
-}
-
-func (p *AsyncConsolidateProtocol) timeout(e *sim.Engine) int64 {
-	if p.OfferTimeout > 0 {
-		return p.OfferTimeout
-	}
-	return 2 * e.RoundPeriod
 }
 
 // Round implements the active thread: start one state exchange per round
@@ -281,7 +264,7 @@ func (p *AsyncConsolidateProtocol) Round(e *sim.Engine, n *sim.Node, round int) 
 	p.Exchanges++
 	st.exchEpoch = st.epoch
 	p.Tr.Send(n.ID, peer, p.load(st.epoch, p.snapshot(pm), false))
-	st.exchReq = p.reqs(e).Add(p.timeout(e), st.onExchExpire)
+	st.exchReq = p.reqs(e).Add(p.OfferTimeout, st.onExchExpire)
 }
 
 // load takes a state-exchange payload off the free list and fills it.
@@ -390,7 +373,7 @@ func (p *AsyncConsolidateProtocol) offerNext(e *sim.Engine, n *sim.Node, st *acN
 	// the remote estimate — the same shared core migrateOne drives, except
 	// the target will re-vet with its fresh state before reserving.
 	k := p.Decisions.at(e.Round())
-	off, v := offerFor(p.tables(e, n), pm, p.pmState(c, pm), st.remote.state(&p.cals, p.CurrentDemandOnly), p.vmAction)
+	off, v := offerFor(p.Tables(e, n), pm, p.pmState(c, pm), st.remote.state(&p.cals, p.CurrentDemandOnly), p.vmAction)
 	switch {
 	case v == noOffer:
 		k.NoOffer++
@@ -413,7 +396,7 @@ func (p *AsyncConsolidateProtocol) offerNext(e *sim.Engine, n *sim.Node, st *acN
 	p.Offers++
 	offer := acOffer{Token: token, VM: vm.ID, Action: off.Action, Demand: vm.CurAbs(), AvgDemand: vm.AvgAbs()}
 	target := st.target
-	st.offerReq = p.reqs(e).AddRetry(p.timeout(e), offerAttempts, func() {
+	st.offerReq = p.reqs(e).AddRetry(p.OfferTimeout, offerAttempts, func() {
 		p.Tr.Send(n.ID, target, offer)
 	}, func(uint64) {
 		// All attempts lost: abandon the sequence. The target's hold timer
@@ -456,28 +439,25 @@ func (p *AsyncConsolidateProtocol) onOffer(e *sim.Engine, n *sim.Node, from int,
 	// Fresh re-vet: π_in on the target's own state, and admission against
 	// capacity net of open reservations.
 	k := p.Decisions.at(e.Round())
-	if !decision.AcceptIn(p.tables(e, n).In, p.pmState(c, pm), msg.Action) {
+	if !decision.AcceptIn(p.Tables(e, n).In, p.pmState(c, pm), msg.Action) {
 		k.InVeto++
-		p.Rejects++
 		reply(false)
 		return
 	}
 	if !msg.Demand.FitsWithin(c.FreeCurReserved(pm)) {
 		k.CapVeto++
-		p.Rejects++
 		reply(false)
 		return
 	}
 	if err := c.Reserve(pm, msg.Token, msg.Demand); err != nil {
 		k.MigrateErr++
-		p.Rejects++
 		reply(false)
 		return
 	}
 	p.Accepts++
 	// Hold the reservation until the sender's commit/abort lands; a lost
 	// verdict or commit must not pin capacity forever.
-	hold := p.reqs(e).Add(2*p.timeout(e), func(uint64) {
+	hold := p.reqs(e).Add(2*p.OfferTimeout, func(uint64) {
 		if c.ReleaseReservation(pm, msg.Token) {
 			p.Expired++
 		}

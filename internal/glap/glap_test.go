@@ -99,7 +99,10 @@ func asyncStack(tb testing.TB, cl *dc.Cluster, tables *NodeTables, seed uint64, 
 	}
 	tr := sim.NewTransport(e, sim.ConstantLatency(latency))
 	tr.DropProb = drop
-	cons := &AsyncConsolidateProtocol{B: b, Tr: tr, Tables: func(*sim.Engine, *sim.Node) *NodeTables { return tables }}
+	cons := &AsyncConsolidateProtocol{
+		B: b, Tr: tr, Tables: func(*sim.Engine, *sim.Node) *NodeTables { return tables },
+		OfferTimeout: 2 * e.RoundPeriod,
+	}
 	tr.Handle(cons)
 	e.Register(cons)
 	return e, cons

@@ -167,9 +167,3 @@ func TotalEnergyKWh(c *dc.Cluster) float64 {
 	}
 	return total / 3.6e6
 }
-
-// ESV is the combined Energy-SLA-Violation metric of the PABFD line of
-// work: total energy (kWh) × SLAV. Lower is better on both axes at once.
-func ESV(c *dc.Cluster) float64 {
-	return TotalEnergyKWh(c) * SLAV(c)
-}

@@ -30,7 +30,7 @@ func AttachNetwork(e *sim.Engine, c *dc.Cluster, tree *topology.Tree, spec topol
 		edge, _, _ := tree.ActiveSwitches(pmOn)
 		ns.SwitchPowerW = append(ns.SwitchPowerW, p)
 		ns.ActiveEdge = append(ns.ActiveEdge, edge)
-		ns.EnergyJ += p * c.RoundSeconds
+		ns.EnergyJ += p * dc.RoundSeconds
 	})
 	return ns
 }

@@ -811,6 +811,12 @@ func (t *Table) Clone() *Table {
 // the value arrays alone (valueBytes ⊆ bytes; 8 per reserved cell). The
 // scale benchmark reports the value share on its own; the cells figure is
 // the logical total (shared backings still counted once).
+//
+// The reserved capacities come from the process-global backing pool, which
+// hands out the smallest recycled array that fits (poolTake), so bytes and
+// valueBytes depend on what ran earlier in the process and on how the two
+// merge lanes interleaved, not on the tables' contents alone: the same
+// pre-training can read different byte counts in one process.
 func Footprint(tables []*Table) (backings int, bytes, valueBytes int64, cells int) {
 	seen := make(map[*backing]struct{}, len(tables))
 	arrays := make(map[*uint16]struct{}, len(tables))

@@ -112,30 +112,11 @@ func Summarize(xs []float64) Summary {
 	}
 }
 
-// Cosine returns the cosine similarity of two equal-length vectors. It
-// returns 0 when either vector has zero norm and an error when the lengths
-// differ.
-func Cosine(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, errors.New("stats: cosine of vectors with different lengths")
-	}
-	var dot, na, nb float64
-	for i := range a {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
-	}
-	if na == 0 || nb == 0 {
-		return 0, nil
-	}
-	return dot / (math.Sqrt(na) * math.Sqrt(nb)), nil
-}
-
 // CosineAligned returns the cosine similarity of two aligned equal-length
 // dense vectors, 0 when either has zero norm. It is the allocation-free hot
-// path of the convergence instrumentation: unlike Cosine it neither checks
-// lengths nor returns an error, so callers must pass slices laid out over
-// the same index space (it panics on a shorter b, like any slice misuse).
+// path of the convergence instrumentation: it does not check lengths, so
+// callers must pass slices laid out over the same index space (it panics on
+// a shorter b, like any slice misuse).
 func CosineAligned(a, b []float64) float64 {
 	var dot, na, nb float64
 	for i, va := range a {

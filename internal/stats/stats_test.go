@@ -98,21 +98,11 @@ func TestSummaryPercentileOrder(t *testing.T) {
 }
 
 func TestCosine(t *testing.T) {
-	got, err := Cosine([]float64{1, 0}, []float64{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	almost(t, got, 0, 1e-12, "orthogonal")
-	got, _ = Cosine([]float64{1, 2, 3}, []float64{2, 4, 6})
-	almost(t, got, 1, 1e-12, "parallel")
-	got, _ = Cosine([]float64{1, 1}, []float64{-1, -1})
-	almost(t, got, -1, 1e-12, "antiparallel")
-	got, _ = Cosine([]float64{0, 0}, []float64{1, 2})
-	if got != 0 {
+	almost(t, CosineAligned([]float64{1, 0}, []float64{0, 1}), 0, 1e-12, "orthogonal")
+	almost(t, CosineAligned([]float64{1, 2, 3}, []float64{2, 4, 6}), 1, 1e-12, "parallel")
+	almost(t, CosineAligned([]float64{1, 1}, []float64{-1, -1}), -1, 1e-12, "antiparallel")
+	if got := CosineAligned([]float64{0, 0}, []float64{1, 2}); got != 0 {
 		t.Fatalf("zero vector cosine = %g, want 0", got)
-	}
-	if _, err := Cosine([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("expected length mismatch error")
 	}
 }
 
@@ -124,10 +114,7 @@ func TestCosineSelfIsOne(t *testing.T) {
 				xs = append(xs, x)
 			}
 		}
-		c, err := Cosine(xs, xs)
-		if err != nil {
-			return false
-		}
+		c := CosineAligned(xs, xs)
 		nonZero := false
 		for _, x := range xs {
 			if x != 0 {

@@ -11,80 +11,47 @@ import (
 type GenConfig struct {
 	// VMs is the number of series to generate.
 	VMs int
-	// Rounds is the series length. The paper uses 720 two-minute rounds
-	// (24 h); a diurnal cycle spans DayRounds rounds.
+	// Rounds is the series length, and the period of the diurnal cycle. The
+	// paper uses 720 two-minute rounds (24 h).
 	Rounds int
 	// Seed determines every random choice; equal configs generate equal
 	// sets.
 	Seed uint64
 
-	// Mix gives relative archetype weights. A zero map selects the default
-	// calibration (40% stable, 20% diurnal, 15% periodic, 15% bursty, 10%
-	// spiky), which matches the Google traces' dominance of long-running
-	// low-utilisation tasks with a heavy batch tail.
+	// Mix gives relative archetype weights. A nil map selects the default
+	// mix: 20% stable, 30% diurnal, 10% periodic, 25% bursty, 15% spiky.
 	Mix map[Archetype]float64
-
-	// MeanLogMu / MeanLogSigma parameterise the lognormal distribution of
-	// per-VM mean CPU utilisation, clipped to [MinMean, MaxMean]. The
-	// defaults yield a ~25-30% average with a heavy right tail, matching
-	// the published cluster statistics.
-	MeanLogMu    float64
-	MeanLogSigma float64
-	MinMean      float64
-	MaxMean      float64
-
-	// ARPhi is the AR(1) coefficient of the additive noise; ~0.9 reproduces
-	// the strong short-lag autocorrelation of real utilisation series.
-	ARPhi float64
-	// NoiseSigma is the innovation standard deviation of the AR(1) noise.
-	NoiseSigma float64
-
-	// DayRounds is the length of one simulated day in rounds (diurnal
-	// period). Defaults to Rounds.
-	DayRounds int
 }
 
-// DefaultGenConfig returns the calibration used throughout the reproduction
-// for the given scale.
+// The generator's calibration, one value each. Per-VM mean CPU utilisation is
+// lognormal(meanLogMu, meanLogSigma) clipped to [minMean, maxMean], which
+// yields a ~25-30% average with a heavy right tail, matching the published
+// cluster statistics. The additive noise is AR(1) with coefficient arPhi,
+// which reproduces the strong short-lag autocorrelation of real utilisation
+// series, and innovation standard deviation noiseSigma. The constants are
+// typed, so an expression over several of them, such as the stationary
+// noise level noiseSigma/√(1−arPhi²), rounds to float64 at every step as
+// run-time arithmetic does; untyped, it would be folded exactly and change
+// the samples.
+var meanLogMu = math.Log(0.22)
+
+const (
+	meanLogSigma float64 = 0.55
+	minMean      float64 = 0.03
+	maxMean      float64 = 0.85
+	arPhi        float64 = 0.9
+	noiseSigma   float64 = 0.05
+)
+
+// defaultMix is the archetype mix a nil GenConfig.Mix selects.
+var defaultMix = map[Archetype]float64{
+	Stable: 0.20, Diurnal: 0.30, Periodic: 0.10, Bursty: 0.25, Spiky: 0.15,
+}
+
+// DefaultGenConfig returns the configuration of a synthetic workload of the
+// given scale: the default mix, and the one calibration above.
 func DefaultGenConfig(vms, rounds int, seed uint64) GenConfig {
-	return GenConfig{
-		VMs:          vms,
-		Rounds:       rounds,
-		Seed:         seed,
-		MeanLogMu:    math.Log(0.22),
-		MeanLogSigma: 0.55,
-		MinMean:      0.03,
-		MaxMean:      0.85,
-		ARPhi:        0.9,
-		NoiseSigma:   0.05,
-		DayRounds:    rounds,
-	}
-}
-
-func (c *GenConfig) withDefaults() GenConfig {
-	cfg := *c
-	if cfg.Mix == nil {
-		cfg.Mix = map[Archetype]float64{
-			Stable: 0.20, Diurnal: 0.30, Periodic: 0.10, Bursty: 0.25, Spiky: 0.15,
-		}
-	}
-	if cfg.MeanLogMu == 0 && cfg.MeanLogSigma == 0 {
-		cfg.MeanLogMu = math.Log(0.22)
-		cfg.MeanLogSigma = 0.55
-	}
-	if cfg.MaxMean == 0 {
-		cfg.MinMean, cfg.MaxMean = 0.03, 0.85
-	}
-	if cfg.ARPhi == 0 {
-		cfg.ARPhi = 0.9
-	}
-	if cfg.NoiseSigma == 0 {
-		cfg.NoiseSigma = 0.05
-	}
-	if cfg.DayRounds == 0 {
-		cfg.DayRounds = cfg.Rounds
-	}
-	return cfg
+	return GenConfig{VMs: vms, Rounds: rounds, Seed: seed}
 }
 
 // Validate reports configuration errors.
@@ -97,9 +64,6 @@ func (c *GenConfig) Validate() error {
 	}
 	if c.Rounds > math.MaxInt32 {
 		return fmt.Errorf("trace: Rounds must fit a stream's int32 round cursor, got %d", c.Rounds)
-	}
-	if c.ARPhi < 0 || c.ARPhi >= 1 {
-		return fmt.Errorf("trace: ARPhi must be in [0,1), got %g", c.ARPhi)
 	}
 	return nil
 }
@@ -123,9 +87,12 @@ func Generate(cfg GenConfig) (*Set, error) {
 	return set, nil
 }
 
-// cumulativeMix converts archetype weights to a cumulative distribution over
-// the fixed archetype order.
+// cumulativeMix converts archetype weights, defaultMix for a nil map, to a
+// cumulative distribution over the fixed archetype order.
 func cumulativeMix(mix map[Archetype]float64) [numArchetypes]float64 {
+	if mix == nil {
+		mix = defaultMix
+	}
 	var cum [numArchetypes]float64
 	total := 0.0
 	for a := Archetype(0); a < numArchetypes; a++ {

@@ -55,18 +55,17 @@ type vmStream struct {
 // noise levels. The draw order is the generator's output contract; the
 // differential tests and FuzzStreamAccess pin it sample for sample.
 func (s *Set) initStream(vm int) vmStream {
-	cfg := &s.streamCfg
 	st := vmStream{rng: s.root.DeriveValue(uint64(vm), 0x77ace)}
 	rng := &st.rng
 	st.arch = pickArchetype(rng, s.cum)
-	st.meanCPU = clampRange(rng.LogNormal(cfg.MeanLogMu, cfg.MeanLogSigma), cfg.MinMean, cfg.MaxMean)
+	st.meanCPU = clampRange(rng.LogNormal(meanLogMu, meanLogSigma), minMean, maxMean)
 	// Memory mean is positively correlated with CPU mean but regresses
 	// toward a moderate level.
-	st.meanMem = clampRange(0.5*st.meanCPU+0.15+0.08*rng.NormFloat64(), cfg.MinMean, cfg.MaxMean)
+	st.meanMem = clampRange(0.5*st.meanCPU+0.15+0.08*rng.NormFloat64(), minMean, maxMean)
 	switch st.arch {
 	case Diurnal:
 		st.amp = clampRange(0.5+0.4*rng.Float64(), 0, 0.95) * st.meanCPU
-		st.period = float64(cfg.DayRounds)
+		st.period = float64(s.rounds)
 	case Periodic:
 		st.amp = clampRange(0.3+0.5*rng.Float64(), 0, 0.9) * st.meanCPU
 		st.period = 20 + 60*rng.Float64()
@@ -75,7 +74,7 @@ func (s *Set) initStream(vm int) vmStream {
 	if st.arch == Diurnal {
 		st.phase = s.basePhase + 0.04*rng.NormFloat64()
 	}
-	sigmaStat := cfg.NoiseSigma / math.Sqrt(1-cfg.ARPhi*cfg.ARPhi)
+	sigmaStat := noiseSigma / math.Sqrt(1-arPhi*arPhi)
 	st.noiseC = sigmaStat * rng.NormFloat64()
 	st.noiseM = 0.4 * sigmaStat * rng.NormFloat64()
 	return st
@@ -85,10 +84,10 @@ func (s *Set) initStream(vm int) vmStream {
 // follows the archetype's pattern plus AR(1) noise; memory tracks a dampened
 // copy of the pattern with its own, quieter noise — memory demand in the
 // cluster traces is far steadier than CPU.
-func (st *vmStream) step(cfg *GenConfig) Sample {
+func (st *vmStream) step() Sample {
 	base := st.pattern(int(st.next))
-	st.noiseC = cfg.ARPhi*st.noiseC + cfg.NoiseSigma*st.rng.NormFloat64()
-	st.noiseM = cfg.ARPhi*st.noiseM + 0.4*cfg.NoiseSigma*st.rng.NormFloat64()
+	st.noiseC = arPhi*st.noiseC + noiseSigma*st.rng.NormFloat64()
+	st.noiseM = arPhi*st.noiseM + 0.4*noiseSigma*st.rng.NormFloat64()
 	cpu := clamp01(base + st.noiseC)
 	memBase := st.meanMem + 0.3*(base-st.meanCPU)
 	st.last = Sample{CPU: cpu, Mem: clamp01(memBase + st.noiseM)}
@@ -142,16 +141,14 @@ func (st *vmStream) pattern(t int) float64 {
 // it from round 0, so it is correct and allocation-free but costs O(rounds);
 // replaying a Set on a fresh cluster pays that once per VM.
 func GenerateStreaming(cfg GenConfig) (*Set, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	set := &Set{
-		rounds:    cfg.Rounds,
-		streams:   make([]vmStream, cfg.VMs),
-		streamCfg: cfg,
-		root:      *sim.NewRNG(cfg.Seed),
-		cum:       cumulativeMix(cfg.Mix),
+		rounds:  cfg.Rounds,
+		streams: make([]vmStream, cfg.VMs),
+		root:    *sim.NewRNG(cfg.Seed),
+		cum:     cumulativeMix(cfg.Mix),
 	}
 	// Diurnal VMs share one cluster-wide phase (plus small per-VM jitter):
 	// user-facing load peaks at the same local time across a data center,
@@ -176,7 +173,7 @@ func (s *Set) streamAt(vm, r int) Sample {
 		*st = s.initStream(vm)
 	}
 	for int(st.next) <= r {
-		st.step(&s.streamCfg)
+		st.step()
 	}
 	return st.last
 }
@@ -187,7 +184,7 @@ func (s *Set) streamSeries(vm int) []Sample {
 	st := s.initStream(vm)
 	out := make([]Sample, s.rounds)
 	for t := range out {
-		out[t] = st.step(&s.streamCfg)
+		out[t] = st.step()
 	}
 	return out
 }

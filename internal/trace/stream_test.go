@@ -15,7 +15,6 @@ import (
 // heap-allocated pattern. It is the reference the streaming cursor and
 // Generate are held to, sample for sample and bit for bit.
 func refGenerate(cfg GenConfig) (*Set, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -41,10 +40,10 @@ func refGenerate(cfg GenConfig) (*Set, error) {
 // with its own, quieter noise — memory demand in the cluster traces is far
 // steadier than CPU.
 func genSeries(rng *sim.RNG, arch Archetype, cfg GenConfig, basePhase float64) []Sample {
-	meanCPU := clampRange(rng.LogNormal(cfg.MeanLogMu, cfg.MeanLogSigma), cfg.MinMean, cfg.MaxMean)
+	meanCPU := clampRange(rng.LogNormal(meanLogMu, meanLogSigma), minMean, maxMean)
 	// Memory mean is positively correlated with CPU mean but regresses
 	// toward a moderate level.
-	meanMem := clampRange(0.5*meanCPU+0.15+0.08*rng.NormFloat64(), cfg.MinMean, cfg.MaxMean)
+	meanMem := clampRange(0.5*meanCPU+0.15+0.08*rng.NormFloat64(), minMean, maxMean)
 
 	out := make([]Sample, cfg.Rounds)
 	pat := newPattern(rng, arch, meanCPU, cfg)
@@ -53,13 +52,13 @@ func genSeries(rng *sim.RNG, arch Archetype, cfg GenConfig, basePhase float64) [
 	if arch == Diurnal {
 		phase = basePhase + 0.04*rng.NormFloat64()
 	}
-	sigmaStat := cfg.NoiseSigma / math.Sqrt(1-cfg.ARPhi*cfg.ARPhi)
+	sigmaStat := noiseSigma / math.Sqrt(1-arPhi*arPhi)
 	noiseC = sigmaStat * rng.NormFloat64()
 	noiseM = 0.4 * sigmaStat * rng.NormFloat64()
 	for t := 0; t < cfg.Rounds; t++ {
 		base := pat.at(rng, t, phase)
-		noiseC = cfg.ARPhi*noiseC + cfg.NoiseSigma*rng.NormFloat64()
-		noiseM = cfg.ARPhi*noiseM + 0.4*cfg.NoiseSigma*rng.NormFloat64()
+		noiseC = arPhi*noiseC + noiseSigma*rng.NormFloat64()
+		noiseM = arPhi*noiseM + 0.4*noiseSigma*rng.NormFloat64()
 		cpu := clamp01(base + noiseC)
 		memBase := meanMem + 0.3*(base-meanCPU)
 		mem := clamp01(memBase + noiseM)
@@ -98,7 +97,7 @@ func makePattern(rng *sim.RNG, arch Archetype, mean float64, cfg GenConfig) patt
 	case Stable:
 	case Diurnal:
 		p.amp = clampRange(0.5+0.4*rng.Float64(), 0, 0.95) * mean
-		p.period = float64(cfg.DayRounds)
+		p.period = float64(cfg.Rounds)
 	case Periodic:
 		p.amp = clampRange(0.3+0.5*rng.Float64(), 0, 0.9) * mean
 		p.period = 20 + 60*rng.Float64()
@@ -154,10 +153,8 @@ func diffConfigs() []GenConfig {
 	cfgs := []GenConfig{
 		DefaultGenConfig(64, 96, 1),
 		DefaultGenConfig(48, 720, 0xfeed),
+		DefaultGenConfig(32, 120, 7),
 	}
-	short := DefaultGenConfig(32, 120, 7)
-	short.DayRounds = 48
-	cfgs = append(cfgs, short)
 	for a := Archetype(0); a < numArchetypes; a++ {
 		c := DefaultGenConfig(16, 200, 0x9000+uint64(a))
 		c.Mix = map[Archetype]float64{a: 1}

@@ -82,7 +82,6 @@ type Set struct {
 	// archetype distribution; a backward seek re-derives a cursor from
 	// them. See stream.go.
 	streams   []vmStream
-	streamCfg GenConfig
 	root      sim.RNG
 	cum       [numArchetypes]float64
 	basePhase float64
@@ -156,7 +155,7 @@ func (s *Set) MeanUtilisation() (cpu, mem float64) {
 		for vm := range s.streams {
 			st := s.initStream(vm)
 			for t := 0; t < s.rounds; t++ {
-				sm := st.step(&s.streamCfg)
+				sm := st.step()
 				cpu += sm.CPU
 				mem += sm.Mem
 				n++

@@ -147,9 +147,6 @@ func TestGenerateValidation(t *testing.T) {
 	if _, err := Generate(GenConfig{VMs: 1, Rounds: 0}); err == nil {
 		t.Fatal("expected error for zero rounds")
 	}
-	if _, err := Generate(GenConfig{VMs: 1, Rounds: 1, ARPhi: 1.5}); err == nil {
-		t.Fatal("expected error for ARPhi >= 1")
-	}
 	tooLong := math.MaxInt32
 	tooLong++ // past a stream's int32 round cursor (negative where int is 32 bits)
 	if _, err := GenerateStreaming(GenConfig{VMs: 1, Rounds: tooLong}); err == nil {
@@ -291,7 +288,6 @@ func TestDiurnalPhaseShared(t *testing.T) {
 	// have a pronounced peak-to-trough range.
 	cfg := DefaultGenConfig(200, 120, 11)
 	cfg.Mix = map[Archetype]float64{Diurnal: 1}
-	cfg.NoiseSigma = 0.001
 	set, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
