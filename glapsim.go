@@ -73,13 +73,13 @@ type Experiment struct {
 	// GLAP overrides the GLAP configuration (zero fields default).
 	GLAP glap.Config
 	// PretrainedTables skips GLAP pre-training and uses this checkpointed
-	// Q store directly (see glap.SaveTables / glap.LoadTables).
+	// Q store directly (see glap.SaveTables / glap.LoadTables). Both of its
+	// tables must be non-nil.
 	PretrainedTables *glap.NodeTables
-	// CyclonViewSize / CyclonShuffleLen configure the Cyclon peer-sampling
+	// CyclonShuffleLen is the shuffle length of the Cyclon peer-sampling
 	// overlay of the distributed policies and of GLAP pre-training. Zero
-	// takes cyclon.New's defaults: view 20, shuffle (view+1)/2, so 10 at
-	// the default view.
-	CyclonViewSize   int
+	// takes cyclon.New's default, 10; the robustness grid and the scenario
+	// suite use 8. The view size is fixed at cyclon.New's 20.
 	CyclonShuffleLen int
 	// LogMigrations keeps per-migration records on the cluster.
 	LogMigrations bool
@@ -171,6 +171,12 @@ func (x *Experiment) Validate() error {
 	}
 	if !(x.VMChurn >= 0 && x.VMChurn <= 1) {
 		return fmt.Errorf("glapsim: VMChurn %g out of [0,1]", x.VMChurn)
+	}
+	if t := x.PretrainedTables; t != nil && t.Out == nil {
+		return fmt.Errorf("glapsim: PretrainedTables.Out is nil")
+	}
+	if t := x.PretrainedTables; t != nil && t.In == nil {
+		return fmt.Errorf("glapsim: PretrainedTables.In is nil")
 	}
 	if x.Policy.Pretrains() {
 		if err := x.GLAP.Validate(); err != nil {

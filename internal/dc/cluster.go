@@ -70,13 +70,13 @@ func (v *VM) SetCurDemand(d Vec) {
 
 // CurAbs returns the current absolute demand (MIPS, MB).
 func (v *VM) CurAbs() Vec {
-	cur, cp := v.c.vmCur[v.ID], v.c.vmCap[v.ID]
+	cur, cp := v.c.vmCur[v.ID], EC2Micro.Capacity
 	return Vec{cur[CPU] * cp[CPU], cur[Mem] * cp[Mem]}
 }
 
 // AvgAbs returns the average absolute demand (MIPS, MB).
 func (v *VM) AvgAbs() Vec {
-	avg, cp := v.c.vmAvg[v.ID], v.c.vmCap[v.ID]
+	avg, cp := v.c.vmAvg[v.ID], EC2Micro.Capacity
 	return Vec{avg[CPU] * cp[CPU], avg[Mem] * cp[Mem]}
 }
 
@@ -183,7 +183,6 @@ type Cluster struct {
 	vmCur       []Vec     // current-round demand fraction
 	vmAvg       []Vec     // running average demand (the paper's {c, v} tuple...)
 	vmCount     []int32   // ...where this is c, the number of observations
-	vmCap       []Vec     // absolute capacity (Spec.Capacity), precomputed
 	vmMigs      []int32   // completed live migrations
 	vmDegraded  []float64 // C_d: migration CPU degradation (MIPS·s)
 	vmRequested []float64 // C_r: lifetime requested CPU (MIPS·s)
@@ -308,7 +307,6 @@ func New(cfg Config) (*Cluster, error) {
 		vmCur:       make([]Vec, numVMs),
 		vmAvg:       make([]Vec, numVMs),
 		vmCount:     make([]int32, numVMs),
-		vmCap:       make([]Vec, numVMs),
 		vmMigs:      make([]int32, numVMs),
 		vmDegraded:  make([]float64, numVMs),
 		vmRequested: make([]float64, numVMs),
@@ -357,7 +355,6 @@ func New(cfg Config) (*Cluster, error) {
 		c.VMs[i] = &vmBack[i]
 		c.vmHost[i] = -1
 		c.vmDepart[i] = -1
-		c.vmCap[i] = EC2Micro.Capacity
 		// Seed demand from round 0 so states are meaningful before the
 		// first AdvanceRound.
 		s := cfg.Workload.At(i, 0)
@@ -433,14 +430,14 @@ func (c *Cluster) attach(vm *VM, pm *PM) {
 	c.vmFlags[vm.ID] &^= vmFlagPending
 	c.pmCurSum[pm.ID] = c.pmCurSum[pm.ID].Add(vm.CurAbs())
 	c.pmAvgSum[pm.ID] = c.pmAvgSum[pm.ID].Add(vm.AvgAbs())
-	c.pmAllocSum[pm.ID] = c.pmAllocSum[pm.ID].Add(c.vmCap[vm.ID])
+	c.pmAllocSum[pm.ID] = c.pmAllocSum[pm.ID].Add(EC2Micro.Capacity)
 }
 
 func (c *Cluster) detach(vm *VM, pm *PM) {
 	c.hostedRemove(pm.ID, int32(vm.ID))
 	c.pmCurSum[pm.ID] = c.pmCurSum[pm.ID].Sub(vm.CurAbs())
 	c.pmAvgSum[pm.ID] = c.pmAvgSum[pm.ID].Sub(vm.AvgAbs())
-	c.pmAllocSum[pm.ID] = c.pmAllocSum[pm.ID].Sub(c.vmCap[vm.ID])
+	c.pmAllocSum[pm.ID] = c.pmAllocSum[pm.ID].Sub(EC2Micro.Capacity)
 	if len(c.pmVMs[pm.ID]) == 0 {
 		// Reset exactly at empty so float cancellation cannot accumulate
 		// across attach/detach cycles of a long churny run.
@@ -537,7 +534,7 @@ func (c *Cluster) Migrate(vm *VM, dst *PM) error {
 	// Migration time: VM memory footprint over available bandwidth. The
 	// footprint is the VM's current memory demand (post-copy of the working
 	// set), bounded below by a small constant so empty VMs still cost.
-	memMB := c.vmCur[vm.ID][Mem] * c.vmCap[vm.ID][Mem]
+	memMB := c.vmCur[vm.ID][Mem] * EC2Micro.Capacity[Mem]
 	if memMB < 1 {
 		memMB = 1
 	}
@@ -561,7 +558,7 @@ func (c *Cluster) Migrate(vm *VM, dst *PM) error {
 
 	// SLALM: performance degradation estimated as 10% of the VM's CPU
 	// utilisation during the migration.
-	c.vmDegraded[vm.ID] += 0.10 * c.vmCur[vm.ID][CPU] * c.vmCap[vm.ID][CPU] * tau
+	c.vmDegraded[vm.ID] += 0.10 * c.vmCur[vm.ID][CPU] * EC2Micro.Capacity[CPU] * tau
 
 	c.Migrations++
 	c.MigrationEnergyJ += energy
@@ -624,6 +621,7 @@ func (c *Cluster) AdvanceRound(r int) {
 	// fuses multiply-add cannot change the bits either.
 	clear(c.pmCurSum)
 	clear(c.pmAvgSum)
+	cp := EC2Micro.Capacity
 	for id, h := range c.vmHost {
 		if h < 0 {
 			continue
@@ -639,7 +637,6 @@ func (c *Cluster) AdvanceRound(r int) {
 		}
 		c.vmAvg[id] = avg
 		c.vmCount[id]++
-		cp := c.vmCap[id]
 		c.vmRequested[id] += cur[CPU] * cp[CPU] * RoundSeconds
 		curSum, avgSum := &c.pmCurSum[h], &c.pmAvgSum[h]
 		curSum[CPU] += float64(cur[CPU] * cp[CPU])
@@ -709,7 +706,7 @@ func (c *Cluster) CheckInvariants() error {
 			if !c.pmOn(p) {
 				return fmt.Errorf("dc: powered-off PM %d hosts VM %d", p, id)
 			}
-			alloc = alloc.Add(c.vmCap[id])
+			alloc = alloc.Add(EC2Micro.Capacity)
 			seen[id]++
 		}
 		for r := 0; r < NumResources; r++ {

@@ -371,7 +371,7 @@ func TestAdvanceRoundAccounting(t *testing.T) {
 	if math.Abs(pm.EnergyJ()-9*perRound) > 1e-6 {
 		t.Fatalf("energy %g, want 9 x %g", pm.EnergyJ(), perRound)
 	}
-	if c.vmCount[0] != 10 || math.Abs(c.vmRequested[0]-9*0.5*c.vmCap[0][CPU]*120) > 1e-6 {
+	if c.vmCount[0] != 10 || math.Abs(c.vmRequested[0]-9*0.5*EC2Micro.Capacity[CPU]*120) > 1e-6 {
 		t.Fatalf("vm 0: %d observations, %g MIPS·s requested", c.vmCount[0], c.vmRequested[0])
 	}
 	if a := c.VMs[0].AvgDemand(); math.Abs(a[CPU]-0.5) > 1e-12 || math.Abs(a[Mem]-0.2) > 1e-12 {
@@ -507,12 +507,12 @@ func gatherAdvanceRound(c *Cluster, r int) {
 		}
 		c.vmAvg[id] = avg
 		c.vmCount[id]++
-		c.vmRequested[id] += cur[CPU] * c.vmCap[id][CPU] * RoundSeconds
+		c.vmRequested[id] += cur[CPU] * EC2Micro.Capacity[CPU] * RoundSeconds
 	}
 	for p := range c.PMs {
 		var curSum, avgSum Vec
 		for _, id := range c.pmVMs[p] {
-			cur, avg, cp := c.vmCur[id], c.vmAvg[id], c.vmCap[id]
+			cur, avg, cp := c.vmCur[id], c.vmAvg[id], EC2Micro.Capacity
 			curSum = curSum.Add(Vec{cur[CPU] * cp[CPU], cur[Mem] * cp[Mem]})
 			avgSum = avgSum.Add(Vec{avg[CPU] * cp[CPU], avg[Mem] * cp[Mem]})
 		}

@@ -263,7 +263,7 @@ func TestAsyncConsolidateRoundZeroAlloc(t *testing.T) {
 // BenchmarkIOVec measures the reusable dense φ^io fill that convergence
 // measurement samples.
 func BenchmarkIOVec(b *testing.B) {
-	tb := &NodeTables{Out: qlearn.New(0.5, 0.8), In: qlearn.New(0.5, 0.8)}
+	tb := NewNodeTables()
 	for s := 0; s < 81; s++ {
 		for a := 0; a < 81; a++ {
 			tb.Out.Set(qlearn.State(s), qlearn.Action(a), float64(s+a))
@@ -316,14 +316,13 @@ func profileToKernel(p profile) kernelProfile {
 // set. The fused kernel must run allocation-free in steady state; CI runs
 // this bench with -benchmem and TestTrainOnceZeroAllocs pins the invariant.
 func BenchmarkTrainOnce(b *testing.B) {
-	cfg := DefaultConfig()
-	l := &LearnProtocol{Cfg: cfg}
-	st := &NodeTables{Out: qlearn.New(cfg.Alpha, cfg.Gamma), In: qlearn.New(cfg.Alpha, cfg.Gamma)}
+	l := &LearnProtocol{Cfg: DefaultConfig()}
+	st := NewNodeTables()
 	sc := &st.scratch
 	for _, p := range benchProfiles(6, 11) {
 		sc.base = append(sc.base, profileToKernel(p))
 	}
-	sc.total = coverCount(sc.base, benchCapacity[dc.CPU], cfg.DuplicationTargetUtil)
+	sc.total = coverCount(sc.base, benchCapacity[dc.CPU], duplicationTargetUtil)
 	sc.prepare(benchCapacity)
 	rng := sim.NewRNG(3)
 	for i := 0; i < 64; i++ {
@@ -343,7 +342,7 @@ func BenchmarkTrainOnce(b *testing.B) {
 // its ns/op understates the in-situ cost. ns/learn-iter is the learning
 // phase's whole wall time — each round's profile collection, prepare, Cyclon
 // shuffle and demand advance included — over the nominal iteration count
-// PMs × rounds × LearnIterations. A PM over the utilisation gate in some
+// PMs × rounds × learnIterations. A PM over the utilisation gate in some
 // round runs no iterations in it, so the figure is a lower bound on the cost
 // of one trainOnce call; the benchmark fails if a PM never trained at all.
 func BenchmarkLearnPhase(b *testing.B) {
@@ -366,7 +365,7 @@ func BenchmarkLearnPhase(b *testing.B) {
 		}
 		learnSec += res.LearnSec
 	}
-	iters := float64(b.N) * pms * rounds * float64(cfg.LearnIterations)
+	iters := float64(b.N) * pms * rounds * float64(learnIterations)
 	b.ReportMetric(learnSec*1e9/iters, "ns/learn-iter")
 }
 
@@ -374,10 +373,9 @@ func BenchmarkLearnPhase(b *testing.B) {
 // BenchmarkTrainOnce: materialised multiset, partition into an allocated
 // subset slice, four O(P) subset scans per iteration.
 func BenchmarkTrainOnceReference(b *testing.B) {
-	cfg := DefaultConfig()
-	l := &LearnProtocol{Cfg: cfg}
-	st := &NodeTables{Out: qlearn.New(cfg.Alpha, cfg.Gamma), In: qlearn.New(cfg.Alpha, cfg.Gamma)}
-	dup := duplicateToCover(benchProfiles(6, 11), benchCapacity, cfg.DuplicationTargetUtil)
+	l := &LearnProtocol{Cfg: DefaultConfig()}
+	st := NewNodeTables()
+	dup := duplicateToCover(benchProfiles(6, 11), benchCapacity, duplicationTargetUtil)
 	rng := sim.NewRNG(3)
 	for i := 0; i < 64; i++ {
 		l.refTrainOnce(rng, st, dup, benchCapacity)
@@ -396,9 +394,8 @@ func BenchmarkTrainOnceReference(b *testing.B) {
 // change): the element masks and bitset are refilled in place and the
 // boundary table is rebuilt inside the scratch, so none of it may allocate.
 func TestTrainOnceZeroAllocs(t *testing.T) {
-	cfg := DefaultConfig()
-	l := &LearnProtocol{Cfg: cfg}
-	st := &NodeTables{Out: qlearn.New(cfg.Alpha, cfg.Gamma), In: qlearn.New(cfg.Alpha, cfg.Gamma)}
+	l := &LearnProtocol{Cfg: DefaultConfig()}
+	st := NewNodeTables()
 	// Pre-size the cell arrays: the compact backing grows amortised, and a
 	// measured iteration that visits a brand-new cell at a capacity boundary
 	// would otherwise count one legitimate growth allocation.
@@ -411,7 +408,7 @@ func TestTrainOnceZeroAllocs(t *testing.T) {
 	rng := sim.NewRNG(3)
 	caps := []dc.Vec{benchCapacity, dc.HPProLiantML110G4.Capacity}
 	round := func(pmCap dc.Vec) {
-		sc.total = coverCount(sc.base, pmCap[dc.CPU], cfg.DuplicationTargetUtil)
+		sc.total = coverCount(sc.base, pmCap[dc.CPU], duplicationTargetUtil)
 		sc.prepare(pmCap)
 		for i := 0; i < 8; i++ {
 			l.trainOnce(rng, st, sc)

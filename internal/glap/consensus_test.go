@@ -14,6 +14,7 @@ import (
 	"github.com/glap-sim/glap/internal/policy"
 	"github.com/glap-sim/glap/internal/qlearn"
 	"github.com/glap-sim/glap/internal/sim"
+	"github.com/glap-sim/glap/internal/trace"
 )
 
 // fullRun is what a pre-training without the consensus rule leaves: every
@@ -267,35 +268,67 @@ func TestPretrainConsensusMatchesFullRun(t *testing.T) {
 // TestPretrainConsensusEdgeCases covers the runs the rule must leave exactly
 // as they were: no aggregation phase at all, a cluster in which no PM trains
 // (every table empty, identical from the first aggregation round), and an
-// aggregation phase too short to reach consensus.
+// aggregation phase too short to reach consensus. In the second, every VM
+// demands its full CPU and allocation packs five onto each of the 17 PMs
+// before the rest spill over, so every PM's average CPU stays above the
+// learning gate from the first round.
 func TestPretrainConsensusEdgeCases(t *testing.T) {
 	cases := []struct {
 		name       string
 		cfg        Config
 		pms, ratio int
+		saturated  bool
 		consensus  int // the round the full run must first agree at, or -1
 	}{
-		{"no aggregation", Config{LearnRounds: 12, AggRounds: -1}, 40, 3, -1},
-		{"nothing trains", Config{LearnRounds: 12, AggRounds: 10, LearnUtilThreshold: 1e-9}, 17, 8, 12},
-		{"too short to agree", Config{LearnRounds: 12, AggRounds: 3}, 120, 3, -1},
+		{"no aggregation", Config{LearnRounds: 12, AggRounds: -1}, 40, 3, false, -1},
+		{"nothing trains", Config{LearnRounds: 12, AggRounds: 10}, 17, 8, true, 12},
+		{"too short to agree", Config{LearnRounds: 12, AggRounds: 3}, 120, 3, false, -1},
 	}
 	for _, c := range cases {
-		full := fullPretrain(t, c.cfg, genCluster(t, c.pms, c.ratio*c.pms, 60, 4, 4), 4, 1)
+		cluster := func() *dc.Cluster {
+			if c.saturated {
+				return saturatedCluster(t, c.pms, c.ratio*c.pms, 60)
+			}
+			return genCluster(t, c.pms, c.ratio*c.pms, 60, 4, 4)
+		}
+		full := fullPretrain(t, c.cfg, cluster(), 4, 1)
 		if full.consensus != c.consensus {
 			t.Fatalf("%s: the full run agrees from round %d, the case needs %d", c.name, full.consensus, c.consensus)
 		}
 		for _, every := range []int{0, 1} {
 			label := fmt.Sprintf("%s every=%d", c.name, every)
-			res, err := Pretrain(c.cfg, genCluster(t, c.pms, c.ratio*c.pms, 60, 4, 4), 4, PretrainOptions{MeasureEvery: every})
+			res, err := Pretrain(c.cfg, cluster(), 4, PretrainOptions{MeasureEvery: every})
 			if err != nil {
 				t.Fatal(err)
 			}
 			checkAgainstFull(t, label, res, full, every)
 			for i, tb := range res.Tables {
-				if c.name == "nothing trains" && tb.Out.Len()+tb.In.Len() != 0 {
+				if c.saturated && tb.Out.Len()+tb.In.Len() != 0 {
 					t.Fatalf("%s: node %d holds Q-values", label, i)
 				}
 			}
 		}
 	}
+}
+
+// saturatedCluster is genCluster's placement over a workload in which every
+// VM demands its full CPU and a fifth of its memory in every round.
+func saturatedCluster(t *testing.T, pms, vms, rounds int) *dc.Cluster {
+	t.Helper()
+	var b bytes.Buffer
+	for vm := 0; vm < vms; vm++ {
+		for r := 0; r < rounds; r++ {
+			fmt.Fprintf(&b, "%d,%d,1,0.2\n", vm, r)
+		}
+	}
+	set, err := trace.LoadCSV(&b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := dc.New(dc.Config{PMs: pms, Workload: set})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.PlaceRandom(sim.NewRNG(4).Intn)
+	return cl
 }

@@ -19,8 +19,9 @@ import (
 // Algorithm 1 and rounds [LearnRounds, LearnRounds+AggRounds) run
 // Algorithm 2. relearnEvery must therefore be at least
 // LearnRounds+AggRounds. Consolidation starts after the first full
-// pre-training cycle completes.
-func InstallContinuous(e *sim.Engine, b *policy.Binding, cfg Config, relearnEvery int, opts PretrainOptions) (*ConsolidateProtocol, error) {
+// pre-training cycle completes. The overlay is Cyclon at cyclon.New's default
+// sizes: view 20, shuffle 10.
+func InstallContinuous(e *sim.Engine, b *policy.Binding, cfg Config, relearnEvery int) (*ConsolidateProtocol, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -29,7 +30,7 @@ func InstallContinuous(e *sim.Engine, b *policy.Binding, cfg Config, relearnEver
 	if relearnEvery < pretrainLen {
 		return nil, fmt.Errorf("glap: relearnEvery %d shorter than one learning cycle (%d)", relearnEvery, pretrainLen)
 	}
-	e.Register(cyclon.New(opts.CyclonViewSize, opts.CyclonShuffleLen))
+	e.Register(cyclon.New(0, 0))
 	e.RegisterWhen(&LearnProtocol{Cfg: cfg, B: b}, func(r int) bool {
 		return r%relearnEvery < cfg.LearnRounds
 	})

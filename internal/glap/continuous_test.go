@@ -20,10 +20,10 @@ func TestInstallContinuousValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{LearnRounds: 10, AggRounds: 5}
-	if _, err := InstallContinuous(e, b, cfg, 10, PretrainOptions{}); err == nil {
+	if _, err := InstallContinuous(e, b, cfg, 10); err == nil {
 		t.Fatal("cycle shorter than learning phase should fail")
 	}
-	if _, err := InstallContinuous(e, b, Config{Alpha: 9}, 1000, PretrainOptions{}); err == nil {
+	if _, err := InstallContinuous(e, b, Config{LearnRounds: -1}, 1000); err == nil {
 		t.Fatal("invalid config should fail")
 	}
 }
@@ -36,7 +36,7 @@ func TestInstallContinuousRelearns(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{LearnRounds: 15, AggRounds: 10}
-	if _, err := InstallContinuous(e, b, cfg, 60, PretrainOptions{}); err != nil {
+	if _, err := InstallContinuous(e, b, cfg, 60); err != nil {
 		t.Fatal(err)
 	}
 
@@ -83,7 +83,7 @@ func TestInstallContinuousConsolidationWaitsForTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{LearnRounds: 20, AggRounds: 10}
-	if _, err := InstallContinuous(e, b, cfg, 100, PretrainOptions{}); err != nil {
+	if _, err := InstallContinuous(e, b, cfg, 100); err != nil {
 		t.Fatal(err)
 	}
 	e.RunRounds(29) // one round short of the consolidation start
@@ -115,7 +115,7 @@ func TestInstallContinuousWorkerCountDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := InstallContinuous(e, b, Config{LearnRounds: 20, AggRounds: 10}, cycle, PretrainOptions{}); err != nil {
+		if _, err := InstallContinuous(e, b, Config{LearnRounds: 20, AggRounds: 10}, cycle); err != nil {
 			t.Fatal(err)
 		}
 		ahead := 0

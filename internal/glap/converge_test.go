@@ -263,7 +263,7 @@ func BenchmarkMeanPairwiseCosineDense(b *testing.B) {
 	rng := sim.NewRNG(2)
 	stores := make([]*NodeTables, nodes)
 	for i := range stores {
-		stores[i] = &NodeTables{Out: qlearn.New(0.5, 0.8), In: qlearn.New(0.5, 0.8)}
+		stores[i] = NewNodeTables()
 		for _, tab := range []*qlearn.Table{stores[i].Out, stores[i].In} {
 			for ci := 0; ci < tableCells; ci += 1 + rng.Intn(5) {
 				tab.Set(qlearn.State(ci/qlearn.DenseSpan), qlearn.Action(ci%qlearn.DenseSpan), rng.Float64())

@@ -58,7 +58,7 @@ func ExampleInstallContinuous() {
 		return
 	}
 	cfg := glap.Config{LearnRounds: 60, AggRounds: 30}
-	if _, err := glap.InstallContinuous(e, b, cfg, relearn, glap.PretrainOptions{}); err != nil {
+	if _, err := glap.InstallContinuous(e, b, cfg, relearn); err != nil {
 		fmt.Println(err)
 		return
 	}

@@ -42,10 +42,8 @@ type PretrainOptions struct {
 	// MeasureEvery samples convergence every k rounds (0 disables
 	// measurement, 1 measures every round).
 	MeasureEvery int
-	// CyclonViewSize / CyclonShuffleLen configure the overlay. Zero takes
-	// cyclon.New's defaults: view 20, shuffle (view+1)/2, so 10 at the
-	// default view.
-	CyclonViewSize   int
+	// CyclonShuffleLen is the overlay's shuffle length; zero takes
+	// cyclon.New's default, 10. The view size is fixed at cyclon.New's 20.
 	CyclonShuffleLen int
 	// Workers bounds fork-join parallelism inside the pretraining engine —
 	// Algorithm 1's node pass and Algorithm 2's two merge lanes (see
@@ -88,7 +86,7 @@ func Pretrain(cfg Config, cl *dc.Cluster, seed uint64, opts PretrainOptions) (*P
 			cl.AdvanceRound(round)
 		}
 	})
-	e.Register(cyclon.New(opts.CyclonViewSize, opts.CyclonShuffleLen))
+	e.Register(cyclon.New(0, opts.CyclonShuffleLen))
 	learn := &LearnProtocol{Cfg: cfg, B: b}
 	e.RegisterWindow(learn, 1, 0, cfg.LearnRounds-1)
 	agg := &AggProtocol{}

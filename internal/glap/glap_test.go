@@ -225,7 +225,7 @@ func TestPretrainConverges(t *testing.T) {
 
 func TestPretrainValidatesConfig(t *testing.T) {
 	cl := genCluster(t, 4, 8, 10, 1, 1)
-	bad := Config{Alpha: 5}
+	bad := Config{LearnRounds: -1}
 	if _, err := Pretrain(bad, cl, 1, PretrainOptions{}); err == nil {
 		t.Fatal("expected validation error")
 	}
@@ -238,7 +238,7 @@ func TestSharedTables(t *testing.T) {
 	if _, err := SharedTables(empty); err == nil {
 		t.Fatal("expected error for empty tables")
 	}
-	full := &NodeTables{Out: qlearn.New(0.5, 0.8), In: qlearn.New(0.5, 0.8)}
+	full := NewNodeTables()
 	full.Out.Set(1, 1, 5)
 	res := &PretrainResult{Tables: []*NodeTables{empty.Tables[0], full, nil}}
 	got, err := SharedTables(res)
@@ -254,7 +254,7 @@ func TestSharedTables(t *testing.T) {
 // half at s*DenseSpan+a and φ^in cells the second, so the same cell of the
 // two tables never collides, and absent cells read 0.
 func TestIOVecLayout(t *testing.T) {
-	tb := &NodeTables{Out: qlearn.New(0.5, 0.8), In: qlearn.New(0.5, 0.8)}
+	tb := NewNodeTables()
 	tb.Out.Set(1, 1, 5)
 	tb.In.Set(1, 1, -3)
 	tb.In.Set(qlearn.DenseSpan-1, qlearn.DenseSpan-1, 7)

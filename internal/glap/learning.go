@@ -40,15 +40,11 @@ func (t *NodeTables) Clone() *NodeTables {
 	return &NodeTables{Out: t.Out.Clone(), In: t.In.Clone(), Trained: t.Trained}
 }
 
-// NewNodeTables builds an empty, untrained Q store under cfg's learning
-// parameters — the state a cold-restarted PM comes back with after a crash
-// wiped its tables.
-func NewNodeTables(cfg Config) *NodeTables {
-	cfg = cfg.withDefaults()
-	return &NodeTables{
-		Out: qlearn.New(cfg.Alpha, cfg.Gamma),
-		In:  qlearn.New(cfg.Alpha, cfg.Gamma),
-	}
+// NewNodeTables builds an empty, untrained Q store under the learning rate
+// and discount — what a node starts pre-training with, and the state a
+// cold-restarted PM comes back with after a crash wiped its tables.
+func NewNodeTables() *NodeTables {
+	return &NodeTables{Out: qlearn.New(alpha, gamma), In: qlearn.New(alpha, gamma)}
 }
 
 // tableCells is the cell count of one table over the calibrated space:
@@ -167,12 +163,7 @@ func (l *LearnProtocol) Name() string { return LearnProtocolName }
 func (l *LearnProtocol) Parallelizable() bool { return true }
 
 // Setup creates the node's empty Q store.
-func (l *LearnProtocol) Setup(e *sim.Engine, n *sim.Node) any {
-	return &NodeTables{
-		Out: qlearn.New(l.Cfg.Alpha, l.Cfg.Gamma),
-		In:  qlearn.New(l.Cfg.Alpha, l.Cfg.Gamma),
-	}
-}
+func (l *LearnProtocol) Setup(e *sim.Engine, n *sim.Node) any { return NewNodeTables() }
 
 // TablesOf returns node n's Q store.
 func TablesOf(e *sim.Engine, n *sim.Node) *NodeTables {
@@ -192,7 +183,7 @@ func (l *LearnProtocol) Round(e *sim.Engine, n *sim.Node, round int) {
 	c := l.B.C
 	pm := l.B.PM(n)
 	// Only lightly loaded PMs train, to avoid impacting collocated VMs.
-	if c.AvgUtil(pm)[dc.CPU] > l.Cfg.LearnUtilThreshold {
+	if c.AvgUtil(pm)[dc.CPU] > learnUtilThreshold {
 		return
 	}
 
@@ -217,13 +208,13 @@ func (l *LearnProtocol) Round(e *sim.Engine, n *sim.Node, round int) {
 	}
 
 	// Duplicate profiles until the aggregate average CPU demand reaches
-	// DuplicationTargetUtil of PM capacity so that high and overloaded
+	// duplicationTargetUtil of PM capacity so that high and overloaded
 	// states are visited during training. Only the multiset size is
 	// computed; elements are addressed as base[k mod len(base)].
-	sc.total = coverCount(sc.base, pm.Spec.Capacity[dc.CPU], l.Cfg.DuplicationTargetUtil)
+	sc.total = coverCount(sc.base, pm.Spec.Capacity[dc.CPU], duplicationTargetUtil)
 	sc.prepare(pm.Spec.Capacity)
 
-	for it := 0; it < l.Cfg.LearnIterations; it++ {
+	for it := 0; it < learnIterations; it++ {
 		l.trainOnce(rng, st, sc)
 	}
 	st.Trained = true
@@ -450,7 +441,7 @@ func stateOfSum(sum, cap dc.Vec) qlearn.State {
 }
 
 func (l *LearnProtocol) updateOut(out *qlearn.Table, s qlearn.State, a qlearn.Action, next qlearn.State) {
-	r := l.Cfg.RewardOut.Of(LevelsOfState(next))
+	r := rewardOut.Of(LevelsOfState(next))
 	out.Update(s, a, r, next)
 }
 

@@ -119,11 +119,11 @@ func TestLearnKernelDifferential(t *testing.T) {
 		}
 	})
 
-	// A coverage target far above capacity inflates the multisets past one
-	// bitset word and drives small base sets into the 64× duplication cap.
+	// PMs far larger than their VMs inflate the multisets past one bitset
+	// word and drive small base sets into the 64× duplication cap: covering
+	// 1.6× a bigBox's CPU takes more than 64 copies of a few VMs.
 	t.Run("multi-word", func(t *testing.T) {
-		lc := learnCase{pms: 20, vms: 60, rounds: 30, seed: 17, cfg: DefaultConfig()}
-		lc.cfg.DuplicationTargetUtil = 12
+		lc := learnCase{pms: 20, vms: 60, rounds: 30, seed: 17, cfg: DefaultConfig(), specFor: bigBox}
 		got := runLearnPhase(t, false, lc)
 		requireSameStores(t, "kernel", got, runLearnPhase(t, true, lc))
 		var multiWord, capped bool
@@ -344,7 +344,6 @@ func TestDuplicateToCoverEdgeCases(t *testing.T) {
 // φ^in demonstrably needs. Both kernels implement the same rule; the test
 // pins both.
 func TestTrainOncePartitionRetry(t *testing.T) {
-	cfg := DefaultConfig()
 	p := profile{avg: dc.Vec{0.5, 0.5}, cur: dc.Vec{0.5, 0.5}, cap: dc.Vec{500, 613}}
 	cap := dc.Vec{2660, 4096}
 	emptyState := LevelsOf(dc.Vec{}).State() // (Low, Low): the empty partition's state
@@ -352,18 +351,15 @@ func TestTrainOncePartitionRetry(t *testing.T) {
 	// With a single-element multiset every draw is all-or-nothing: the
 	// element lands in the sender (recipient empty, trains) or the sender
 	// is empty (retry, then skip). Scan seeds for both outcomes.
-	newStore := func() *NodeTables {
-		return &NodeTables{Out: qlearn.New(cfg.Alpha, cfg.Gamma), In: qlearn.New(cfg.Alpha, cfg.Gamma)}
-	}
 	runBoth := func(seed uint64) (fused, ref *NodeTables) {
-		l := &LearnProtocol{Cfg: cfg}
-		fused = newStore()
+		l := &LearnProtocol{Cfg: DefaultConfig()}
+		fused = NewNodeTables()
 		sc := &fused.scratch
 		sc.base = append(sc.base[:0], profileToKernel(p))
 		sc.total = 1
 		sc.prepare(cap)
 		l.trainOnce(sim.NewRNG(seed), fused, sc)
-		ref = newStore()
+		ref = NewNodeTables()
 		l.refTrainOnce(sim.NewRNG(seed), ref, []profile{p}, cap)
 		return fused, ref
 	}
@@ -406,7 +402,7 @@ func TestTrainOncePartitionRetry(t *testing.T) {
 
 // TestLearnRoundZeroAlloc asserts the kernel's allocation invariant: once
 // buffers and table backings are warm, a full learning round — profile
-// collection, duplication bookkeeping, the element masks and LearnIterations
+// collection, duplication bookkeeping, the element masks and learnIterations
 // training iterations — performs zero heap allocations. The fleet is
 // heterogeneous, so consecutive nodes of the measured pass calibrate against
 // different capacities, each through the table in its own scratch.

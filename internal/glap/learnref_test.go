@@ -51,7 +51,7 @@ type refLearnProtocol struct {
 func (l *refLearnProtocol) Round(e *sim.Engine, n *sim.Node, round int) {
 	rng := l.rng.For(e, n.ID, 0x61ea51)
 	pm := l.B.PM(n)
-	if l.B.C.AvgUtil(pm)[dc.CPU] > l.Cfg.LearnUtilThreshold {
+	if l.B.C.AvgUtil(pm)[dc.CPU] > learnUtilThreshold {
 		return
 	}
 
@@ -70,12 +70,12 @@ func (l *refLearnProtocol) Round(e *sim.Engine, n *sim.Node, round int) {
 	}
 
 	// Duplicate profiles until the aggregate average CPU demand reaches
-	// DuplicationTargetUtil of PM capacity so that high and overloaded
+	// duplicationTargetUtil of PM capacity so that high and overloaded
 	// states are visited during training.
-	profiles = duplicateToCover(profiles, pm.Spec.Capacity, l.Cfg.DuplicationTargetUtil)
+	profiles = duplicateToCover(profiles, pm.Spec.Capacity, duplicationTargetUtil)
 
 	st := TablesOf(e, n)
-	for it := 0; it < l.Cfg.LearnIterations; it++ {
+	for it := 0; it < learnIterations; it++ {
 		l.refTrainOnce(rng, st, profiles, pm.Spec.Capacity)
 	}
 	st.Trained = true

@@ -98,9 +98,9 @@ func TestStatePackDistinct(t *testing.T) {
 func TestRewardTableOf(t *testing.T) {
 	// Aggregation across resources: sum of per-resource destination
 	// rewards.
-	got := DefaultRewardOut.Of(Levels{Low, Medium})
+	got := rewardOut.Of(Levels{Low, Medium})
 	if got != 9+8 {
-		t.Fatalf("RewardOut(Low,Medium) = %g", got)
+		t.Fatalf("rewardOut(Low,Medium) = %g", got)
 	}
 	got = DefaultRewardIn.Of(Levels{X5High, Overload})
 	if got != 8-1000 {
@@ -109,8 +109,15 @@ func TestRewardTableOf(t *testing.T) {
 }
 
 func TestDefaultRewardShapes(t *testing.T) {
-	if !DefaultRewardOut.validStrictlyDecreasing() {
-		t.Fatal("RewardOut must be strictly decreasing and positive")
+	// Section IV-A's out-reward ordering: finite, positive and strictly
+	// decreasing across levels.
+	for i := 1; i < NumLevels; i++ {
+		if !(rewardOut[i] < rewardOut[i-1]) {
+			t.Fatalf("rewardOut not strictly decreasing at level %d", i)
+		}
+	}
+	if !(rewardOut[Overload] > 0) || !rewardOut.finite() {
+		t.Fatal("rewardOut must be finite and positive")
 	}
 	if !DefaultRewardIn.validInShape() {
 		t.Fatal("RewardIn must be positive below Overload, negative at Overload")
@@ -126,24 +133,11 @@ func TestConfigValidation(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := []Config{
-		{Alpha: 2, Gamma: 0.5, LearnUtilThreshold: 0.5, LearnIterations: 1, RewardOut: DefaultRewardOut, RewardIn: DefaultRewardIn, LearnRounds: 1, AggRounds: 1},
-		{Alpha: 0.5, Gamma: 1, LearnUtilThreshold: 0.5, LearnIterations: 1, RewardOut: DefaultRewardOut, RewardIn: DefaultRewardIn, LearnRounds: 1, AggRounds: 1},
-		{Alpha: 0.5, Gamma: 0.5, LearnUtilThreshold: 2, LearnIterations: 1, RewardOut: DefaultRewardOut, RewardIn: DefaultRewardIn, LearnRounds: 1, AggRounds: 1},
-	}
-	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
-			t.Fatalf("case %d: expected validation error", i)
-		}
+	if err := (Config{LearnRounds: -1}).Validate(); err == nil {
+		t.Fatal("negative LearnRounds should fail validation")
 	}
 	// Reward shape violations.
 	cfg := DefaultConfig()
-	cfg.RewardOut[Low] = 0.5 // no longer decreasing from nothing... make invalid:
-	cfg.RewardOut = RewardTable{1, 2, 3, 4, 5, 6, 7, 8, 9}
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("increasing RewardOut should fail validation")
-	}
-	cfg = DefaultConfig()
 	cfg.RewardIn[Overload] = 5
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("positive Overload in-reward should fail validation")
@@ -152,21 +146,9 @@ func TestConfigValidation(t *testing.T) {
 	// must be refused explicitly rather than poison the Q-tables.
 	nan, inf := math.NaN(), math.Inf(1)
 	for name, mut := range map[string]func(c *Config){
-		"Alpha NaN":                  func(c *Config) { c.Alpha = nan },
-		"Alpha +Inf":                 func(c *Config) { c.Alpha = inf },
-		"Gamma NaN":                  func(c *Config) { c.Gamma = nan },
-		"Gamma -Inf":                 func(c *Config) { c.Gamma = -inf },
-		"LearnUtilThreshold NaN":     func(c *Config) { c.LearnUtilThreshold = nan },
-		"LearnUtilThreshold +Inf":    func(c *Config) { c.LearnUtilThreshold = inf },
-		"DuplicationTargetUtil NaN":  func(c *Config) { c.DuplicationTargetUtil = nan },
-		"DuplicationTargetUtil -1":   func(c *Config) { c.DuplicationTargetUtil = -1 },
-		"DuplicationTargetUtil +Inf": func(c *Config) { c.DuplicationTargetUtil = inf },
-		"RewardOut[3] NaN":           func(c *Config) { c.RewardOut[3] = nan },
-		"RewardOut[0] +Inf":          func(c *Config) { c.RewardOut[0] = inf },
-		"RewardOut[Overload] NaN":    func(c *Config) { c.RewardOut[Overload] = nan },
-		"RewardIn[2] NaN":            func(c *Config) { c.RewardIn[2] = nan },
-		"RewardIn[X5High] +Inf":      func(c *Config) { c.RewardIn[X5High] = inf },
-		"RewardIn[Overload] -Inf":    func(c *Config) { c.RewardIn[Overload] = -inf },
+		"RewardIn[2] NaN":         func(c *Config) { c.RewardIn[2] = nan },
+		"RewardIn[X5High] +Inf":   func(c *Config) { c.RewardIn[X5High] = inf },
+		"RewardIn[Overload] -Inf": func(c *Config) { c.RewardIn[Overload] = -inf },
 	} {
 		cfg := DefaultConfig()
 		mut(&cfg)
@@ -182,12 +164,13 @@ func TestConfigWithDefaults(t *testing.T) {
 	if err := filled.Validate(); err != nil {
 		t.Fatalf("defaulted config invalid: %v", err)
 	}
-	if filled.Alpha != DefaultConfig().Alpha || filled.LearnRounds != DefaultConfig().LearnRounds {
+	if filled != DefaultConfig() {
 		t.Fatal("defaults not applied")
 	}
-	// Partial overrides survive.
-	custom := Config{Alpha: 0.9}.withDefaults()
-	if custom.Alpha != 0.9 || custom.Gamma != DefaultConfig().Gamma {
+	// Partial overrides survive, and a negative AggRounds disables the
+	// aggregation phase.
+	custom := Config{LearnRounds: 7, AggRounds: -1}.withDefaults()
+	if custom.LearnRounds != 7 || custom.AggRounds != 0 || custom.RewardIn != DefaultRewardIn {
 		t.Fatal("override lost or default missing")
 	}
 }

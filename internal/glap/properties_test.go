@@ -13,14 +13,13 @@ func TestOutTableValuesNonNegativeAndBounded(t *testing.T) {
 	// R_out is positive everywhere, Q starts at 0 and the update is a
 	// convex combination with a positive target, so out-values must stay
 	// in [0, Rmax/(1-γ)].
-	cfg := DefaultConfig()
 	rmax := 0.0
-	for _, r := range cfg.RewardOut {
+	for _, r := range rewardOut {
 		if 2*r > rmax { // two resources aggregate
 			rmax = 2 * r
 		}
 	}
-	bound := rmax / (1 - cfg.Gamma)
+	bound := rmax / (1 - gamma)
 	for _, tb := range trainedTables(t, 3) {
 		for _, k := range tb.Out.Keys() {
 			v := tb.Out.Get(k.S, k.A)
@@ -37,9 +36,8 @@ func TestOutTableValuesNonNegativeAndBounded(t *testing.T) {
 func TestInTableValuesBoundedBelow(t *testing.T) {
 	// The most negative reachable in-value is bounded by the Bellman
 	// fixed point with the full overload penalty on both resources.
-	cfg := DefaultConfig()
-	worstReward := 2 * cfg.RewardIn[Overload] // both resources overloaded
-	lower := worstReward / (1 - cfg.Gamma)
+	worstReward := 2 * DefaultRewardIn[Overload] // both resources overloaded
+	lower := worstReward / (1 - gamma)
 	for _, tb := range trainedTables(t, 5) {
 		for _, k := range tb.In.Keys() {
 			v := tb.In.Get(k.S, k.A)

@@ -21,11 +21,11 @@ func (rt RewardTable) Of(dst Levels) float64 {
 	return total
 }
 
-// DefaultRewardOut is the sender-mode reward system: strictly decreasing
-// with the destination load level (r_L > r_M > ... > r_O, all positive), so
+// rewardOut is the sender-mode reward system: strictly decreasing with the
+// destination load level (r_L > r_M > ... > r_O, all positive), so
 // transitions that empty the PM fastest earn the most and the learner drives
 // senders aggressively toward sleep mode.
-var DefaultRewardOut = RewardTable{
+var rewardOut = RewardTable{
 	Low:      9,
 	Medium:   8,
 	High:     7,
@@ -71,17 +71,6 @@ func (rt RewardTable) finite() bool {
 		}
 	}
 	return true
-}
-
-// validStrictlyDecreasing reports whether the out-reward ordering constraint
-// of Section IV-A holds over finite entries.
-func (rt RewardTable) validStrictlyDecreasing() bool {
-	for i := 1; i < NumLevels; i++ {
-		if !(rt[i] < rt[i-1]) {
-			return false
-		}
-	}
-	return rt[Overload] > 0 && rt.finite()
 }
 
 // validInShape reports whether the in-reward shape constraint holds over

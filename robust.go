@@ -99,7 +99,7 @@ func RunRobust(cfg RobustConfig) (*RobustResult, error) {
 	}
 	x := Experiment{
 		PMs: cfg.PMs, Ratio: cfg.Ratio, Rounds: cfg.Rounds, Seed: cfg.Seed,
-		Policy: PolicyGLAP, GLAP: cfg.GLAP, CyclonViewSize: 20, CyclonShuffleLen: 8,
+		Policy: PolicyGLAP, GLAP: cfg.GLAP, CyclonShuffleLen: 8,
 	}
 	runs := replications("robustness reference", x, cfg.Reps)
 	var cells []RobustCell

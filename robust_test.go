@@ -91,7 +91,7 @@ func TestRobustSyncReferenceIsRun(t *testing.T) {
 	for r := 0; r < cfg.Reps; r++ {
 		run, err := Run(Experiment{
 			PMs: cfg.PMs, Ratio: cfg.Ratio, Rounds: cfg.Rounds, Seed: sim.ReplicationSeed(cfg.Seed, r),
-			Policy: PolicyGLAP, GLAP: cfg.GLAP, CyclonViewSize: 20, CyclonShuffleLen: 8,
+			Policy: PolicyGLAP, GLAP: cfg.GLAP, CyclonShuffleLen: 8,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -168,7 +168,7 @@ func scenarioRuns(cfg ScenarioConfig) ([]sweepRun, []scenarioCell, error) {
 			x := Experiment{
 				PMs: pms, Ratio: cfg.Ratio, Rounds: cfg.Rounds, Seed: sim.ReplicationSeed(cfg.Seed, si),
 				Policy: PolicyGLAP, Workers: cfg.Workers, GLAP: cfg.GLAP,
-				CyclonViewSize: 20, CyclonShuffleLen: 8,
+				CyclonShuffleLen: 8,
 			}
 			cell := scenarioCell{scen: scen, run: len(runs)}
 			switch scen {
@@ -393,7 +393,7 @@ func (cr *crashRun) install(s *stack) func() error {
 			e.SetUp(e.Node(victim), false)
 			// Volatile memory is gone; what the node comes back with is the
 			// recovery path's decision below.
-			tabs[victim] = glap.NewNodeTables(x.GLAP)
+			tabs[victim] = glap.NewNodeTables()
 			cr.crashes++
 			cr.evacuated += rep.Evacuated
 			cr.stranded += rep.Stranded

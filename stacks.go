@@ -57,7 +57,7 @@ func pretrain(x Experiment, w *trace.Set) (*glap.PretrainResult, *glap.NodeTable
 		return nil, nil, err
 	}
 	res, err := glap.Pretrain(x.GLAP, c, deriveSeed(x.Seed, seedPretrain), glap.PretrainOptions{
-		CyclonViewSize: x.CyclonViewSize, CyclonShuffleLen: x.CyclonShuffleLen, Workers: x.Workers,
+		CyclonShuffleLen: x.CyclonShuffleLen, Workers: x.Workers,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -116,7 +116,7 @@ func prepareStack(x Experiment, w *trace.Set, shared *glap.NodeTables) (*stack, 
 	}
 	s := &stack{x: x, c: c, e: e, b: b, tree: tree, shared: shared}
 	if overlay {
-		e.Register(cyclon.New(x.CyclonViewSize, x.CyclonShuffleLen))
+		e.Register(cyclon.New(0, x.CyclonShuffleLen))
 	}
 	tables := func(*sim.Engine, *sim.Node) *glap.NodeTables { return shared }
 	switch x.Policy {
